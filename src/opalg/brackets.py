@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .core import (
@@ -114,26 +113,30 @@ def commutator_bracket(f: FreePolynomial, g: FreePolynomial) -> FreePolynomial:
     return normal_order(f * g - g * f).scale(INV_I_HBAR)
 
 
-@lru_cache(maxsize=None)
-def _monomial_bracket(a: WeylMonomial, b: WeylMonomial) -> WeylPolynomial:
-    fa = WeylPolynomial.from_monomial(a)
-    fb = WeylPolynomial.from_monomial(b)
-    return weyl_product(
-        weyl_derivative(fa, Letter.Q), weyl_derivative(fb, Letter.P)
-    ) - weyl_product(weyl_derivative(fb, Letter.Q), weyl_derivative(fa, Letter.P))
-
-
 def symmetrized_poisson_bracket(
     f: WeylPolynomial, g: WeylPolynomial
 ) -> WeylPolynomial:
     """The operatorial Poisson bracket: derivatives paired by the symmetric
-    product, bilinear and antisymmetric.  Monomial-pair brackets are memoized."""
-    return WeylPolynomial(
-        (mono, c * ca * cb)
-        for ma, ca in f.items()
-        for mb, cb in g.items()
-        for mono, c in _monomial_bracket(ma, mb).items()
-    )
+    product, bilinear and antisymmetric.
+
+    The symmetric product adds exponents, so each term pair contributes the
+    classical monomial bracket ``(ad - bc) q^(a+c-1) o p^(b+d-1)``, keeping
+    the derivative letter of either factor.  Two derivative letters leave
+    the fragment whenever ``a*d`` or ``b*c`` is nonzero, even if they cancel.
+    """
+    pairs = []
+    for ma, ca in f.items():
+        for mb, cb in g.items():
+            ad, bc = ma.n * mb.m, ma.m * mb.n
+            if ma.deriv is not None and mb.deriv is not None and (ad or bc):
+                raise UnsupportedFragmentError(
+                    "cannot multiply two terms that both carry a state-derivative letter"
+                )
+            if ad != bc:
+                deriv = ma.deriv if ma.deriv is not None else mb.deriv
+                monomial = WeylMonomial(ma.n + mb.n - 1, ma.m + mb.m - 1, deriv)
+                pairs.append((monomial, ca * cb * (ad - bc)))
+    return WeylPolynomial(pairs)
 
 
 def quantize(f: ClassicalPolynomial) -> WeylPolynomial:

@@ -15,7 +15,9 @@ from .parser import evaluate, parse
 from .printing import render, render_text
 from .suites import SUITE_NAMES, SuiteReport, run_suite
 
-_USER_ERRORS = (ParseError, EvalError, UnsupportedFragmentError)
+# RecursionError: input too deep for the recursive parser, evaluator or
+# normal-ordering rewriter, reported like any other input it cannot evaluate.
+_USER_ERRORS = (ParseError, EvalError, UnsupportedFragmentError, RecursionError)
 
 
 def _format_report_text(report: SuiteReport) -> str:
@@ -32,11 +34,11 @@ def _format_report_text(report: SuiteReport) -> str:
 
 def cmd_eval(expr: str, fmt: str) -> int:
     try:
-        result = evaluate(parse(expr))
+        text = render(evaluate(parse(expr)), fmt)
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render(result, fmt))
+    print(text)
     return 0
 
 

@@ -89,8 +89,8 @@ class Word:
         return tuple(totals)  # type: ignore[return-value]
 
     @property
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (len(self.letters), tuple(int(letter) for letter in self.letters))
+    def sort_key(self) -> tuple[int, tuple[Letter, ...]]:
+        return (len(self.letters), self.letters)
 
     @property
     def is_normal(self) -> bool:

@@ -8,12 +8,19 @@ canonically in both bases, so the caveat never changes the operator.
 
 Terms print from the highest canonical key down (leading term first, the
 identity term last), grades within a key from the highest down.
+
+Text and LaTeX share one coefficient and one word formatter, driven by a
+style record.  Weyl-monomial bodies and leading-sign rules stay separate:
+text must parse back, so it parenthesizes products and folds in the minus.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from typing import Callable
 
 from .core import FreePolynomial, Letter, Word
 from .scalars import HbarScalar
@@ -38,63 +45,99 @@ def _display_terms(x: Result) -> list[tuple[object, HbarScalar]]:
     return list(x.items())[::-1]
 
 
-# -- text --------------------------------------------------------------------
+# -- shared coefficient and word formatting ----------------------------------
 
 
 def _positive_rational(value: Fraction) -> str:
     return str(value) if value.denominator == 1 else f"({value})"
 
 
-def _mixed_complex(re: Fraction, im: Fraction) -> str:
-    im_body = "i" if abs(im) == 1 else f"{abs(im)} i"
-    op = "+" if im > 0 else "-"
-    return f"({re} {op} {im_body})"
+def _latex_rational(value: Fraction) -> str:
+    if value.denominator == 1:
+        return str(value)
+    sign = "-" if value < 0 else ""
+    return rf"{sign}\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
 
 
-def _coeff_tokens(c: HbarScalar) -> tuple[int, list[str]]:
+@dataclass(frozen=True)
+class _Style:
+    """What differs between the text and LaTeX renderings of one term."""
+
+    magnitude: Callable[[Fraction], str]  # a lone coefficient magnitude
+    rational: Callable[[Fraction], str]  # a part of a mixed complex number
+    mixed: str  # wrapper around a mixed complex number
+    power: str  # base raised to an exponent other than 1
+    hbar: str
+    letters: dict[Letter, str]
+
+    def raised(self, base: str, exponent: int) -> str:
+        return base if exponent == 1 else self.power.format(base, exponent)
+
+
+_TEXT = _Style(
+    magnitude=_positive_rational,
+    rational=str,
+    mixed="({})",
+    power="{}^{}",
+    hbar="hbar",
+    letters={letter: letter.symbol for letter in Letter},
+)
+
+_LATEX = _Style(
+    magnitude=_latex_rational,
+    rational=_latex_rational,
+    mixed=r"\left({}\right)",
+    power="{}^{{{}}}",
+    hbar=r"\hbar",
+    letters={
+        Letter.Q: r"\hat q",
+        Letter.P: r"\hat p",
+        Letter.RHO: r"\hat \rho",
+        Letter.DRHO_Q: r"\frac{\partial \hat \rho}{\partial \hat q}",
+        Letter.DRHO_P: r"\frac{\partial \hat \rho}{\partial \hat p}",
+    },
+)
+
+
+def _coeff_tokens(c: HbarScalar, style: _Style) -> tuple[int, list[str]]:
     """Sign of the term plus its coefficient tokens (magnitude-1 omitted)."""
     tokens: list[str] = []
     if c.re and c.im:
         sign = 1
-        tokens.append(_mixed_complex(c.re, c.im))
+        im_body = "i" if abs(c.im) == 1 else f"{style.rational(abs(c.im))} i"
+        op = "+" if c.im > 0 else "-"
+        tokens.append(style.mixed.format(f"{style.rational(c.re)} {op} {im_body}"))
     elif c.re:
         sign = 1 if c.re > 0 else -1
         if abs(c.re) != 1:
-            tokens.append(_positive_rational(abs(c.re)))
+            tokens.append(style.magnitude(abs(c.re)))
     else:
         sign = 1 if c.im > 0 else -1
         if abs(c.im) != 1:
-            tokens.append(_positive_rational(abs(c.im)))
+            tokens.append(style.magnitude(abs(c.im)))
         tokens.append("i")
     if c.hbar_power:
-        tokens.append("hbar" if c.hbar_power == 1 else f"hbar^{c.hbar_power}")
+        tokens.append(style.raised(style.hbar, c.hbar_power))
     return sign, tokens
 
 
-def _power_text(symbol: str, exponent: int) -> str:
-    return symbol if exponent == 1 else f"{symbol}^{exponent}"
+def _word(word: Word, style: _Style) -> str:
+    """Letters in order, each run of one letter written as a power."""
+    return " ".join(
+        style.raised(style.letters[letter], len(list(run)))
+        for letter, run in groupby(word.letters)
+    )
 
 
-def _word_text(word: Word) -> str:
-    parts: list[str] = []
-    run_letter: Letter | None = None
-    run = 0
-    for letter in list(word.letters) + [None]:  # type: ignore[list-item]
-        if letter is run_letter:
-            run += 1
-            continue
-        if run_letter is not None:
-            parts.append(_power_text(run_letter.symbol, run))
-        run_letter, run = letter, 1
-    return " ".join(parts)
+# -- text --------------------------------------------------------------------
 
 
 def _weyl_monomial_text(m: WeylMonomial) -> str:
     if m.n and m.m:
-        text = f"{_power_text('q', m.n)} o {_power_text('p', m.m)}"
+        text = f"{_TEXT.raised('q', m.n)} o {_TEXT.raised('p', m.m)}"
         return f"{text} o {m.deriv.symbol}" if m.deriv else text
     if m.n or m.m:
-        inner = _power_text("q", m.n) if m.n else _power_text("p", m.m)
+        inner = _TEXT.raised("q", m.n) if m.n else _TEXT.raised("p", m.m)
         text = f"S({inner})"
         return f"{text} o {m.deriv.symbol}" if m.deriv else text
     return f"S({m.deriv.symbol})" if m.deriv else ""
@@ -107,8 +150,8 @@ def render_text(x: Result) -> str:
     free = isinstance(x, FreePolynomial)
     rendered: list[str] = []
     for index, (key, coeff) in enumerate(terms):
-        sign, tokens = _coeff_tokens(coeff)
-        body = _word_text(key) if free else _weyl_monomial_text(key)  # type: ignore[arg-type]
+        sign, tokens = _coeff_tokens(coeff, _TEXT)
+        body = _word(key, _TEXT) if free else _weyl_monomial_text(key)  # type: ignore[arg-type]
         leading = index == 0
         # A coefficient juxtaposed against a symmetric product would mix the
         # two product operators in one term; parenthesize the monomial.
@@ -131,69 +174,15 @@ def render_text(x: Result) -> str:
 
 # -- LaTeX ---------------------------------------------------------------------
 
-_LATEX_LETTER = {
-    Letter.Q: r"\hat q",
-    Letter.P: r"\hat p",
-    Letter.RHO: r"\hat \rho",
-    Letter.DRHO_Q: r"\frac{\partial \hat \rho}{\partial \hat q}",
-    Letter.DRHO_P: r"\frac{\partial \hat \rho}{\partial \hat p}",
-}
-
-
-def _latex_power(base: str, exponent: int) -> str:
-    return base if exponent == 1 else f"{base}^{{{exponent}}}"
-
-
-def _latex_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value)
-    sign = "-" if value < 0 else ""
-    return rf"{sign}\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
-
-
-def _latex_coeff(c: HbarScalar) -> tuple[int, list[str]]:
-    tokens: list[str] = []
-    if c.re and c.im:
-        sign = 1
-        im_body = "i" if abs(c.im) == 1 else f"{_latex_rational(abs(c.im))} i"
-        op = "+" if c.im > 0 else "-"
-        tokens.append(rf"\left({_latex_rational(c.re)} {op} {im_body}\right)")
-    elif c.re:
-        sign = 1 if c.re > 0 else -1
-        if abs(c.re) != 1:
-            tokens.append(_latex_rational(abs(c.re)))
-    else:
-        sign = 1 if c.im > 0 else -1
-        if abs(c.im) != 1:
-            tokens.append(_latex_rational(abs(c.im)))
-        tokens.append("i")
-    if c.hbar_power:
-        tokens.append(_latex_power(r"\hbar", c.hbar_power))
-    return sign, tokens
-
-
-def _latex_word(word: Word) -> str:
-    parts: list[str] = []
-    run_letter: Letter | None = None
-    run = 0
-    for letter in list(word.letters) + [None]:  # type: ignore[list-item]
-        if letter is run_letter:
-            run += 1
-            continue
-        if run_letter is not None:
-            parts.append(_latex_power(_LATEX_LETTER[run_letter], run))
-        run_letter, run = letter, 1
-    return " ".join(parts)
-
 
 def _latex_weyl_monomial(m: WeylMonomial) -> str:
     parts: list[str] = []
     if m.n:
-        parts.append(_latex_power(r"\hat q", m.n))
+        parts.append(_LATEX.raised(_LATEX.letters[Letter.Q], m.n))
     if m.m:
-        parts.append(_latex_power(r"\hat p", m.m))
+        parts.append(_LATEX.raised(_LATEX.letters[Letter.P], m.m))
     if m.deriv:
-        parts.append(_LATEX_LETTER[m.deriv])
+        parts.append(_LATEX.letters[m.deriv])
     return r" \circ ".join(parts)
 
 
@@ -204,8 +193,8 @@ def render_latex(x: Result) -> str:
     free = isinstance(x, FreePolynomial)
     out: list[str] = []
     for index, (key, coeff) in enumerate(terms):
-        sign, tokens = _latex_coeff(coeff)
-        body = _latex_word(key) if free else _latex_weyl_monomial(key)  # type: ignore[arg-type]
+        sign, tokens = _coeff_tokens(coeff, _LATEX)
+        body = _word(key, _LATEX) if free else _latex_weyl_monomial(key)  # type: ignore[arg-type]
         parts = tokens + ([body] if body else [])
         text = " ".join(parts) if parts else "1"
         if index == 0:

@@ -180,29 +180,40 @@ def _count_words(n: int, m: int, deriv: Letter | None = None) -> list[Word]:
 # -- suites --------------------------------------------------------------------
 
 
-def _suite_eq6(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
-    def pure() -> Iterable[tuple[str, WeylPolynomial]]:
-        for mono in _monomials(max_degree):
+def _ordering_independence(
+    monomials: list[WeylMonomial], derivs: tuple[Letter | None, ...]
+) -> Iterable[tuple[str, WeylPolynomial]]:
+    """Every arrangement of a letter multiset symmetrizes to the first one's image."""
+    for mono in monomials:
+        for deriv in derivs:
             reference = None
-            for word in _count_words(mono.n, mono.m):
+            for word in _count_words(mono.n, mono.m, deriv):
                 image = symmetrize(FreePolynomial.from_word(word))
                 if reference is None:
                     reference = image
                 yield str(word), image - reference
 
-    def with_state_derivative() -> Iterable[tuple[str, WeylPolynomial]]:
-        for mono in _monomials(max(max_degree - 1, 0)):
-            for deriv in (Letter.DRHO_Q, Letter.DRHO_P):
-                reference = None
-                for word in _count_words(mono.n, mono.m, deriv):
-                    image = symmetrize(FreePolynomial.from_word(word))
-                    if reference is None:
-                        reference = image
-                    yield str(word), image - reference
 
+def _monomial_triples(
+    max_degree: int, identity: Callable[..., WeylPolynomial]
+) -> Iterable[tuple[str, WeylPolynomial]]:
+    """An identity's residual on every triple of monomials up to ``max_degree``."""
+    monos = [(m, WeylPolynomial.from_monomial(m)) for m in _monomials(max_degree)]
+    for f, fp in monos:
+        for g, gp in monos:
+            for h, hp in monos:
+                yield f"{f} , {g} , {h}", identity(fp, gp, hp)
+
+
+def _suite_eq6(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
     return [
-        _check("ordering-independence", pure()),
-        _check("ordering-independence-with-state-derivative", with_state_derivative()),
+        _check("ordering-independence", _ordering_independence(_monomials(max_degree), (None,))),
+        _check(
+            "ordering-independence-with-state-derivative",
+            _ordering_independence(
+                _monomials(max(max_degree - 1, 0)), (Letter.DRHO_Q, Letter.DRHO_P)
+            ),
+        ),
     ]
 
 
@@ -347,13 +358,6 @@ def _suite_eq12(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
 
 
 def _suite_eq14(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
-    def monomial_triples() -> Iterable[tuple[str, WeylPolynomial]]:
-        monos = [(m, WeylPolynomial.from_monomial(m)) for m in _monomials(max_degree)]
-        for f, fp in monos:
-            for g, gp in monos:
-                for h, hp in monos:
-                    yield f"{f} , {g} , {h}", check_leibniz(fp, gp, hp).difference
-
     def random_triples() -> Iterable[tuple[str, WeylPolynomial]]:
         for _ in range(cases):
             f, g, h = (_random_weyl(rng, max_degree) for _ in range(3))
@@ -394,7 +398,10 @@ def _suite_eq14(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
             )
 
     return [
-        _check("leibniz-symmetric-product-monomials", monomial_triples()),
+        _check(
+            "leibniz-symmetric-product-monomials",
+            _monomial_triples(max_degree, lambda f, g, h: check_leibniz(f, g, h).difference),
+        ),
         _check("leibniz-symmetric-product-random", random_triples()),
         _check("leibniz-ordinary-product-gap", ordinary_gap()),
         _check("antisymmetry", antisymmetry()),
@@ -477,13 +484,6 @@ def _suite_jacobi(max_degree: int, cases: int, rng: random.Random) -> list[Check
             + symmetrized_poisson_bracket(h, symmetrized_poisson_bracket(f, g))
         )
 
-    def monomial_triples() -> Iterable[tuple[str, WeylPolynomial]]:
-        monos = [(m, WeylPolynomial.from_monomial(m)) for m in _monomials(max_degree)]
-        for f, fp in monos:
-            for g, gp in monos:
-                for h, hp in monos:
-                    yield f"{f} , {g} , {h}", jacobiator(fp, gp, hp)
-
     def random_triples() -> Iterable[tuple[str, WeylPolynomial]]:
         for _ in range(cases):
             f, g, h = (_random_weyl(rng, max_degree) for _ in range(3))
@@ -493,7 +493,7 @@ def _suite_jacobi(max_degree: int, cases: int, rng: random.Random) -> list[Check
             )
 
     return [
-        _check("jacobi-monomials", monomial_triples()),
+        _check("jacobi-monomials", _monomial_triples(max_degree, jacobiator)),
         _check("jacobi-random", random_triples()),
     ]
 

@@ -3,12 +3,11 @@
 Every algebraic value in this package (free polynomials, Weyl polynomials,
 classical polynomials, oracle test functions) is a finite sum of hashable
 basis keys weighted by :class:`~opalg.scalars.HbarScalar`.  Coefficients of
-different hbar grade never merge; per key they are kept as a grade-indexed
-map, so one stored "term" is a ``(key, scalar)`` pair with a homogeneous
-scalar.  Construction normalizes eagerly: zero coefficients are pruned and
-keys (and grades within a key) are kept in canonical ascending order, which
-makes structural equality coincide with algebraic equality and keeps every
-iteration deterministic.
+different hbar grade never merge, so terms are stored in one flat map from
+``(key, grade)`` to a homogeneous scalar.  Construction normalizes eagerly:
+zero coefficients are pruned and the map is kept in canonical ascending
+order of ``(key, grade)``, which makes structural equality coincide with
+algebraic equality and keeps every iteration deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Any, Iterable, Iterator
 
-from .scalars import HbarScalar, RationalLike
+from .scalars import ZERO, HbarScalar, RationalLike
 
 TermPairs = Iterable[tuple[Any, HbarScalar]]
 
@@ -44,44 +43,43 @@ class GradedTerms:
         pass
 
     @classmethod
-    def _collect(cls, pairs: TermPairs) -> dict[Any, dict[int, HbarScalar]]:
-        acc: dict[Any, dict[int, HbarScalar]] = {}
+    def _collect(cls, pairs: TermPairs) -> dict[tuple[Any, int], HbarScalar]:
+        acc: dict[tuple[Any, int], HbarScalar] = {}
         for key, scalar in pairs:
             if not isinstance(scalar, HbarScalar):
                 raise TypeError("coefficients must be HbarScalar values")
             cls._validate_pair(key, scalar)
             if scalar.is_zero:
                 continue
-            slot = acc.setdefault(key, {})
-            current = slot.get(scalar.hbar_power)
+            slot = (key, scalar.hbar_power)
+            current = acc.get(slot)
             total = scalar if current is None else current + scalar
             if total.is_zero:
-                del slot[scalar.hbar_power]
+                del acc[slot]
             else:
-                slot[scalar.hbar_power] = total
+                acc[slot] = total
+        key_sort = cls._key_sort
         return {
-            key: {power: acc[key][power] for power in sorted(acc[key])}
-            for key in sorted((k for k, slot in acc.items() if slot), key=cls._key_sort)
+            slot: acc[slot]
+            for slot in sorted(acc, key=lambda slot: (key_sort(slot[0]), slot[1]))
         }
 
     # -- inspection ------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Any, HbarScalar]]:
-        """Flattened ``(key, scalar)`` terms in canonical ascending order."""
-        for key, powers in self._terms.items():
-            for scalar in powers.values():
-                yield key, scalar
+        """``(key, scalar)`` terms in canonical ascending order."""
+        for (key, _), scalar in self._terms.items():
+            yield key, scalar
 
     def grouped(self) -> Iterator[tuple[Any, dict[int, HbarScalar]]]:
-        """Terms grouped per key as a grade -> scalar map."""
-        for key, powers in self._terms.items():
-            yield key, dict(powers)
-
-    def keys(self) -> Iterator[Any]:
-        return iter(self._terms)
+        """Terms grouped per key as a grade -> scalar map, keys ascending."""
+        groups: dict[Any, dict[int, HbarScalar]] = {}
+        for (key, power), scalar in self._terms.items():
+            groups.setdefault(key, {})[power] = scalar
+        return iter(groups.items())
 
     def coefficient(self, key: Any, hbar_power: int = 0) -> HbarScalar:
-        return self._terms.get(key, {}).get(hbar_power, HbarScalar())
+        return self._terms.get((key, hbar_power), ZERO)
 
     @property
     def is_zero(self) -> bool:
@@ -91,7 +89,7 @@ class GradedTerms:
         return bool(self._terms)
 
     def __len__(self) -> int:
-        return sum(len(powers) for powers in self._terms.values())
+        return len(self._terms)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -21,7 +22,13 @@ from opalg.core import FreePolynomial, IDENTITY_WORD, Letter, Word, normal_order
 from opalg.errors import UnsupportedFragmentError
 from opalg.oracle import oracle_equal
 from opalg.scalars import HbarScalar, INV_I_HBAR, ONE
-from opalg.weyl import WeylMonomial, WeylPolynomial, expand_polynomial
+from opalg.weyl import (
+    WeylMonomial,
+    WeylPolynomial,
+    expand_polynomial,
+    weyl_derivative,
+    weyl_product,
+)
 
 Q, P, RHO = Letter.Q, Letter.P, Letter.RHO
 q = FreePolynomial.from_letters(Q)
@@ -81,6 +88,40 @@ def test_symmetrized_bracket_monomial_closed_form():
             else WeylPolynomial.zero()
         )
         assert got == expected
+
+
+def reference_bracket(f: WeylPolynomial, g: WeylPolynomial) -> WeylPolynomial:
+    """The bracket's definition: q- and p-derivatives paired by the symmetric product."""
+    return weyl_product(weyl_derivative(f, Q), weyl_derivative(g, P)) - weyl_product(
+        weyl_derivative(g, Q), weyl_derivative(f, P)
+    )
+
+
+DERIVS = (None, Letter.DRHO_Q, Letter.DRHO_P)
+
+
+@pytest.mark.parametrize(
+    "deriv_a, deriv_b",
+    list(product(DERIVS, repeat=2)),
+    ids=lambda deriv: deriv.symbol if deriv else "none",
+)
+def test_symmetrized_bracket_matches_its_definition(deriv_a, deriv_b):
+    exponents = [(n, total - n) for total in range(6) for n in range(total + 1)]
+    coeff_a = HbarScalar.of(Fraction(2, 3), -1, 1)
+    coeff_b = HbarScalar.of(-3, Fraction(1, 2), -1)
+    for a in exponents:
+        f = WeylPolynomial.from_monomial(WeylMonomial(*a, deriv_a), coeff_a)
+        for b in exponents:
+            g = WeylPolynomial.from_monomial(WeylMonomial(*b, deriv_b), coeff_b)
+            try:
+                expected = reference_bracket(f, g)
+            except UnsupportedFragmentError as exc:
+                with pytest.raises(UnsupportedFragmentError) as info:
+                    symmetrized_poisson_bracket(f, g)
+                assert type(info.value) is type(exc)
+                assert str(info.value) == str(exc)
+            else:
+                assert symmetrized_poisson_bracket(f, g) == expected, (a, b)
 
 
 def test_commutator_bracket_of_canonical_pair():

@@ -45,6 +45,21 @@ def test_eval_domain_error_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+# Deeper than the recursive-descent parser can follow at the default
+# recursion limit.
+DEEP = "(" * 400 + "q" + ")" * 400
+
+
+def test_eval_too_deep_input_exits_2(capsys):
+    assert main(["eval", DEEP]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+    assert "Traceback" not in captured.err
+
+
 def test_verify_single_suite_text():
     code, out = run_cli(
         ["verify", "--suite", "obstruction", "--max-degree", "2", "--cases", "3"]
@@ -124,6 +139,15 @@ def test_repl_session():
     assert r"\hat q \circ \hat p" in lines
     assert any(line.startswith("error:") for line in lines)
     assert any(":format FORMAT" in line for line in lines)
+
+
+def test_repl_keeps_reading_after_too_deep_input():
+    stdout = io.StringIO()
+    assert cmd_repl(stdin=io.StringIO(f"{DEEP}\nq\n"), stdout=stdout) == 0
+    lines = stdout.getvalue().splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("error:")
+    assert lines[1] == "q"
 
 
 def test_repl_eof_terminates():
