@@ -15,9 +15,9 @@ from .parser import evaluate, parse
 from .printing import render, render_text
 from .suites import SUITE_NAMES, SuiteReport, run_suite
 
-# RecursionError: input too deep for the recursive parser, evaluator or
-# normal-ordering rewriter, reported like any other input it cannot evaluate.
-_USER_ERRORS = (ParseError, EvalError, UnsupportedFragmentError, RecursionError)
+# RecursionError (input nested too deep for the recursive parser or evaluator)
+# and MemoryError are reported like any other input that cannot be evaluated.
+_USER_ERRORS = (ParseError, EvalError, UnsupportedFragmentError, RecursionError, MemoryError)
 
 
 def _format_report_text(report: SuiteReport) -> str:
@@ -36,7 +36,7 @@ def cmd_eval(expr: str, fmt: str) -> int:
     try:
         text = render(evaluate(parse(expr)), fmt)
     except _USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     print(text)
     return 0
@@ -94,7 +94,7 @@ def cmd_repl(stdin=None, stdout=None) -> int:
         try:
             print(render(evaluate(parse(line)), fmt), file=stdout)
         except _USER_ERRORS as exc:
-            print(f"error: {exc}", file=stdout)
+            print(f"error: {str(exc) or type(exc).__name__}", file=stdout)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -4,24 +4,23 @@ Operators are finite sums of words over a five-letter alphabet: the
 coordinate and momentum generators ``q`` and ``p``, an opaque state symbol
 ``rho``, and the two formal state derivatives ``drho_q`` and ``drho_p``.
 The only relation is the canonical commutation relation ``q p - p q =
-i*hbar``, used as the rewrite rule ``p q -> q p - i*hbar`` on adjacent
-letter pairs.  The state letters satisfy no relations and act as inert
-barriers for the rewriter.
+i*hbar``.  The state letters satisfy no relations and separate the word
+into independent ``q``/``p`` segments.
 
-The rewrite system terminates (each step removes an adjacent ``p``-before-
-``q`` inversion or shortens the word) and is confluent, so every element
-has a unique normal form with no ``p`` immediately followed by ``q``;
-structural equality of normal forms decides algebraic equality.
+Every element has a unique normal form with no ``p`` immediately followed
+by ``q``: each segment becomes a sum of ``q^a p^b``, following
+``p^b q^a = sum_k C(a,k) C(b,k) k! (-i*hbar)^k q^(a-k) p^(b-k)``.
+Structural equality of normal forms decides algebraic equality.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import UnsupportedFragmentError
-from .scalars import HbarScalar, I_HBAR, ONE
+from .scalars import HbarScalar, ONE
 from .terms import GradedTerms
 
 
@@ -94,7 +93,8 @@ class Word:
 
     @property
     def is_normal(self) -> bool:
-        return _first_inversion(self.letters) is None
+        pairs = zip(self.letters, self.letters[1:])
+        return not any(a is Letter.P and b is Letter.Q for a, b in pairs)
 
     def __str__(self) -> str:
         if not self.letters:
@@ -103,13 +103,6 @@ class Word:
 
 
 IDENTITY_WORD = Word()
-
-
-def _first_inversion(letters: tuple[Letter, ...]) -> int | None:
-    for i in range(len(letters) - 1):
-        if letters[i] is Letter.P and letters[i + 1] is Letter.Q:
-            return i
-    return None
 
 
 class FreePolynomial(GradedTerms):
@@ -162,28 +155,42 @@ def multiply(a: FreePolynomial, b: FreePolynomial) -> FreePolynomial:
     )
 
 
-@lru_cache(maxsize=None)
-def _word_normal_form(word: Word) -> FreePolynomial:
-    i = _first_inversion(word.letters)
-    if i is None:
-        return FreePolynomial.from_word(word)
-    swapped = Word(word.letters[:i] + (Letter.Q, Letter.P) + word.letters[i + 2 :])
-    dropped = Word(word.letters[:i] + word.letters[i + 2 :])
-    return _word_normal_form(swapped) - _word_normal_form(dropped).scale(I_HBAR)
+_MINUS_I_POWERS = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)^k by k mod 4, as (re, im)
 
 
 def normal_order(x: FreePolynomial) -> FreePolynomial:
-    """Rewrite to the unique normal form: no ``p`` immediately followed by ``q``.
+    """The unique normal form: no ``p`` immediately followed by ``q``.
 
-    Applies ``p q -> q p - i*hbar`` at the leftmost adjacent pair until none
-    remains.  Confluence makes the strategy irrelevant; word-level results
-    are memoized.  State letters are untouched and block adjacency.
+    Multiplies the letters of each word from left to right onto a normal
+    partial product.  Appending ``q`` after a trailing ``p^b`` uses
+    ``p^b q = q p^b - i*hbar b p^(b-1)``; every other letter is appended as
+    it is, so state letters block reordering.  A word ``p^b q^a`` thus
+    becomes ``sum_k C(a,k) C(b,k) k! (-i*hbar)^k q^(a-k) p^(b-k)``.
     """
-    return FreePolynomial(
-        (word, c * coeff)
-        for source, coeff in x.items()
-        for word, c in _word_normal_form(source).items()
-    )
+    pairs = []
+    for source, coeff in x.items():
+        # (head, b, k) -> n stands for n (-i hbar)^k head p^b, with n > 0
+        # and head not ending in p.
+        partial = {((), 0, 0): 1}
+        for letter in source.letters:
+            step = defaultdict(int)
+            for (head, b, k), n in partial.items():
+                if letter is Letter.P:
+                    step[head, b + 1, k] += n
+                elif letter is Letter.Q and b:
+                    step[head + (Letter.Q,), b, k] += n
+                    step[head, b - 1, k + 1] += n * b
+                else:
+                    step[head + (Letter.P,) * b + (letter,), 0, k] += n
+            partial = step
+        for (head, b, k), n in partial.items():
+            word = Word(head + (Letter.P,) * b)
+            if k == 0:  # the uncontracted term, always with n == 1
+                pairs.append((word, coeff))
+            else:
+                re, im = _MINUS_I_POWERS[k % 4]
+                pairs.append((word, coeff * HbarScalar(n * re, n * im, k)))
+    return FreePolynomial(pairs)
 
 
 def partial_derivative(x: FreePolynomial, wrt: Letter) -> FreePolynomial:

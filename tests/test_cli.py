@@ -1,9 +1,11 @@
 import io
 import json
+import re
 from contextlib import redirect_stdout
 
 import pytest
 
+from opalg import cli
 from opalg.cli import cmd_repl, main
 
 
@@ -60,6 +62,31 @@ def test_eval_too_deep_input_exits_2(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_eval_normal_order_of_high_powers(capsys):
+    assert main(["eval", "normal(p^33 q^33)"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    terms = re.split(r" [+-] ", lines[0])
+    assert len(terms) == 34
+    assert terms[0] == "q^33 p^33"
+    assert terms[1] == "1089 i hbar q^32 p^32"
+
+
+def raise_memory_error(node):
+    raise MemoryError
+
+
+def test_eval_memory_error_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "evaluate", raise_memory_error)
+    assert main(["eval", "q"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: MemoryError"]
+    assert "Traceback" not in captured.err
+
+
 def test_verify_single_suite_text():
     code, out = run_cli(
         ["verify", "--suite", "obstruction", "--max-degree", "2", "--cases", "3"]
@@ -94,7 +121,6 @@ def test_verify_rejects_bad_config(capsys):
 
 
 def test_verification_failure_exits_1(monkeypatch, capsys):
-    from opalg import cli
     from opalg.core import FreePolynomial
     from opalg.suites import CheckResult, Failure, SuiteReport
 
@@ -148,6 +174,21 @@ def test_repl_keeps_reading_after_too_deep_input():
     assert len(lines) == 2
     assert lines[0].startswith("error:")
     assert lines[1] == "q"
+
+
+def test_repl_keeps_reading_after_memory_error(monkeypatch):
+    real_evaluate = cli.evaluate
+    pending = [MemoryError]
+
+    def evaluate(node):
+        if pending:
+            raise pending.pop()
+        return real_evaluate(node)
+
+    monkeypatch.setattr(cli, "evaluate", evaluate)
+    stdout = io.StringIO()
+    assert cmd_repl(stdin=io.StringIO("q^2\nq\n"), stdout=stdout) == 0
+    assert stdout.getvalue().splitlines() == ["error: MemoryError", "q"]
 
 
 def test_repl_eof_terminates():

@@ -1,5 +1,8 @@
+import itertools
 import random
 from fractions import Fraction
+from functools import cache
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +18,7 @@ from opalg.core import (
     partial_derivative,
 )
 from opalg.errors import UnsupportedFragmentError
+from opalg.printing import render_json
 from opalg.scalars import HbarScalar, I_HBAR, ONE
 
 Q, P, RHO = Letter.Q, Letter.P, Letter.RHO
@@ -145,6 +149,55 @@ def test_normal_form_grading(letters):
         a, b = nf_word.count(Q), nf_word.count(P)
         assert a + coeff.hbar_power == n
         assert b + coeff.hbar_power == m
+
+
+# Reference: the rewrite system p q -> q p - i hbar at the leftmost adjacent
+# pair, which terminates and is confluent.  Its recursion depth grows with the
+# number of inversions, so it only serves short words.
+@cache
+def rewrite_normal_form(word: Word) -> FreePolynomial:
+    for i in range(len(word) - 1):
+        if word.letters[i] is P and word.letters[i + 1] is Q:
+            head, tail = word.letters[:i], word.letters[i + 2 :]
+            swapped = rewrite_normal_form(Word(head + (Q, P) + tail))
+            return swapped - rewrite_normal_form(Word(head + tail)).scale(I_HBAR)
+    return FreePolynomial.from_word(word)
+
+
+@pytest.mark.parametrize(
+    "alphabet, max_length",
+    [((Q, P, RHO), 8), (tuple(Letter), 6)],
+    ids=["q-p-rho-to-8", "all-letters-to-6"],
+)
+def test_normal_order_matches_rewrite_system(alphabet, max_length):
+    coeff = HbarScalar.of(2, -1, 1)  # (2 - i) hbar
+    for length in range(max_length + 1):
+        for letters in itertools.product(alphabet, repeat=length):
+            word = Word(letters)
+            expected = rewrite_normal_form(word).scale(coeff)
+            actual = normal_order(FreePolynomial.from_word(word, coeff))
+            assert render_json(actual) == render_json(expected), str(word)
+
+
+def binomial_sum(a: int, b: int) -> FreePolynomial:
+    """``p^b q^a = sum_k C(a,k) C(b,k) k! (-i hbar)^k q^(a-k) p^(b-k)``."""
+    pairs = []
+    for k in range(min(a, b) + 1):
+        m = comb(a, k) * comb(b, k) * factorial(k)
+        re, im = ((1, 0), (0, -1), (-1, 0), (0, 1))[k % 4]  # (-i)^k
+        word = Word((Q,) * (a - k) + (P,) * (b - k))
+        pairs.append((word, HbarScalar.of(m * re, m * im, k)))
+    return FreePolynomial(pairs)
+
+
+# Out of the rewrite reference's reach: past a = b = 23 its recursion
+# outgrows the default limit.
+@pytest.mark.parametrize("b", [0, 1, 2, 3, 7, 23, 33, 40])
+def test_normal_order_of_p_power_q_power_is_the_binomial_sum(b):
+    for a in range(41):
+        actual = normal_order(FreePolynomial.from_word(Word((P,) * b + (Q,) * a)))
+        assert actual == binomial_sum(a, b), (a, b)
+        assert len(actual) == min(a, b) + 1
 
 
 # -- derivatives ---------------------------------------------------------------
