@@ -45,8 +45,8 @@ def cmd_eval(expr: str, fmt: str) -> int:
 def cmd_verify(suite: str, max_degree: int, cases: int, seed: int, fmt: str) -> int:
     try:
         report = run_suite(suite, max_degree=max_degree, cases=cases, seed=seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RecursionError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     if fmt == "json":
         print(json.dumps(report.to_json_dict()))

@@ -102,19 +102,20 @@ _LATEX = _Style(
 def _coeff_tokens(c: HbarScalar, style: _Style) -> tuple[int, list[str]]:
     """Sign of the term plus its coefficient tokens (magnitude-1 omitted)."""
     tokens: list[str] = []
-    if c.re and c.im:
+    re, im = c.re, c.im
+    if re and im:
         sign = 1
-        im_body = "i" if abs(c.im) == 1 else f"{style.rational(abs(c.im))} i"
-        op = "+" if c.im > 0 else "-"
-        tokens.append(style.mixed.format(f"{style.rational(c.re)} {op} {im_body}"))
-    elif c.re:
-        sign = 1 if c.re > 0 else -1
-        if abs(c.re) != 1:
-            tokens.append(style.magnitude(abs(c.re)))
+        im_body = "i" if abs(im) == 1 else f"{style.rational(abs(im))} i"
+        op = "+" if im > 0 else "-"
+        tokens.append(style.mixed.format(f"{style.rational(re)} {op} {im_body}"))
+    elif re:
+        sign = 1 if re > 0 else -1
+        if abs(re) != 1:
+            tokens.append(style.magnitude(abs(re)))
     else:
-        sign = 1 if c.im > 0 else -1
-        if abs(c.im) != 1:
-            tokens.append(style.magnitude(abs(c.im)))
+        sign = 1 if im > 0 else -1
+        if abs(im) != 1:
+            tokens.append(style.magnitude(abs(im)))
         tokens.append("i")
     if c.hbar_power:
         tokens.append(style.raised(style.hbar, c.hbar_power))

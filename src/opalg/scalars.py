@@ -7,91 +7,138 @@ scalars of different grade never merge (they live in different terms of a
 polynomial), while products add grades.  The grade is what lets the
 symmetrizer recognize and annihilate commutator remainders, and a negative
 grade hosts the 1/(i*hbar) prefactor of commutator brackets.
+
+Storage is four plain ints: ``re = _re/_den`` and ``im = _im/_den`` over one
+shared denominator, and the grade ``_power``.  Every value is kept in the
+canonical form ``_den > 0`` and ``gcd(_re, _im, _den) == 1``, and zero is
+``(0, 0, 1)`` at grade 0, so equal values have equal fields.  Arithmetic
+works on the ints and reduces each result once, with one three-argument gcd
+in :func:`_make`; ``re`` and ``im`` are built as ``Fraction`` only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 RationalLike = int | Fraction
 
 
-def _as_fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _ratio(value: RationalLike) -> tuple[int, int]:
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
-@dataclass(frozen=True, slots=True)
 class HbarScalar:
-    """A single graded coefficient ``(re + im*i) * hbar**hbar_power``."""
+    """A single graded coefficient ``(re + im*i) * hbar**hbar_power``.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-    hbar_power: int = 0
+    Immutable: the parts are read-only properties and no attribute can be
+    added.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
-        if not isinstance(self.hbar_power, int):
+    __slots__ = ("_re", "_im", "_den", "_power")
+
+    def __new__(
+        cls, re: RationalLike = 0, im: RationalLike = 0, hbar_power: int = 0
+    ) -> HbarScalar:
+        re_num, re_den = _ratio(re)
+        im_num, im_den = _ratio(im)
+        if not isinstance(hbar_power, int):
             raise TypeError("hbar_power must be an int")
-        # Zero is unique: its grade is normalized away.
-        if not self.re and not self.im:
-            object.__setattr__(self, "hbar_power", 0)
+        return _make(re_num * im_den, im_num * re_den, re_den * im_den, hbar_power)
 
     @classmethod
     def of(cls, re: RationalLike, im: RationalLike = 0, hbar_power: int = 0) -> HbarScalar:
-        return cls(_as_fraction(re), _as_fraction(im), hbar_power)
+        return cls(re, im, hbar_power)
 
     @classmethod
     def real(cls, value: RationalLike) -> HbarScalar:
-        return cls(_as_fraction(value))
+        return cls(value)
 
     @classmethod
     def imag(cls, value: RationalLike) -> HbarScalar:
-        return cls(Fraction(0), _as_fraction(value))
+        return cls(0, value)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._re, self._den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._im, self._den)
+
+    @property
+    def hbar_power(self) -> int:
+        return self._power
 
     @property
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not (self._re or self._im)
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self._re or self._im)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HbarScalar):
+            return NotImplemented
+        return (
+            self._re == other._re
+            and self._im == other._im
+            and self._den == other._den
+            and self._power == other._power
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._re, self._im, self._den, self._power))
+
+    def __repr__(self) -> str:
+        return f"HbarScalar(re={self.re!r}, im={self.im!r}, hbar_power={self._power!r})"
 
     def __add__(self, other: HbarScalar) -> HbarScalar:
         if not isinstance(other, HbarScalar):
             return NotImplemented
-        if self.is_zero:
+        if not (self._re or self._im):
             return other
-        if other.is_zero:
+        if not (other._re or other._im):
             return self
-        if self.hbar_power != other.hbar_power:
+        power = self._power
+        if power != other._power:
             raise ValueError(
                 f"cannot add scalars of different hbar grade "
-                f"({self.hbar_power} vs {other.hbar_power}); "
+                f"({power} vs {other._power}); "
                 "they belong in separate polynomial terms"
             )
-        return HbarScalar(self.re + other.re, self.im + other.im, self.hbar_power)
+        den, other_den = self._den, other._den
+        if den == other_den:
+            return _make(self._re + other._re, self._im + other._im, den, power)
+        return _make(
+            self._re * other_den + other._re * den,
+            self._im * other_den + other._im * den,
+            den * other_den,
+            power,
+        )
 
     def __neg__(self) -> HbarScalar:
-        return HbarScalar(-self.re, -self.im, self.hbar_power)
+        return _make(-self._re, -self._im, self._den, self._power)
 
     def __sub__(self, other: HbarScalar) -> HbarScalar:
         return self + (-other)
 
     def __mul__(self, other: HbarScalar | RationalLike) -> HbarScalar:
-        if isinstance(other, (int, Fraction)):
-            other = HbarScalar.real(other)
-        if not isinstance(other, HbarScalar):
-            return NotImplemented
-        return HbarScalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-            self.hbar_power + other.hbar_power,
-        )
+        if isinstance(other, HbarScalar):
+            a, b, c, d = self._re, self._im, other._re, other._im
+            return _make(
+                a * c - b * d, a * d + b * c, self._den * other._den, self._power + other._power
+            )
+        if isinstance(other, int):
+            return _make(self._re * other, self._im * other, self._den, self._power)
+        if isinstance(other, Fraction):
+            num = other.numerator
+            return _make(self._re * num, self._im * num, self._den * other.denominator, self._power)
+        return NotImplemented
 
     def __rmul__(self, other: RationalLike) -> HbarScalar:
         return self * other
@@ -103,37 +150,62 @@ class HbarScalar:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by the zero scalar")
-        norm = other.re * other.re + other.im * other.im
-        return HbarScalar(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-            self.hbar_power - other.hbar_power,
+        # (a + b i)/s ÷ (c + d i)/t = (a + b i)(c - d i) t / (s (c² + d²))
+        a, b, c, d, t = self._re, self._im, other._re, other._im, other._den
+        return _make(
+            (a * c + b * d) * t,
+            (b * c - a * d) * t,
+            self._den * (c * c + d * d),
+            self._power - other._power,
         )
 
     def conjugate(self) -> HbarScalar:
         """Complex conjugate; hbar is real, so the grade is unchanged."""
-        return HbarScalar(self.re, -self.im, self.hbar_power)
+        return _make(self._re, -self._im, self._den, self._power)
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        if self.im == 0:
-            num = str(self.re)
-        elif self.re == 0:
-            num = f"{self.im}i"
+        re, im = self.re, self.im
+        if im == 0:
+            num = str(re)
+        elif re == 0:
+            num = f"{im}i"
         else:
-            sign = "+" if self.im > 0 else "-"
-            num = f"({self.re}{sign}{abs(self.im)}i)"
-        if self.hbar_power == 0:
+            sign = "+" if im > 0 else "-"
+            num = f"({re}{sign}{abs(im)}i)"
+        if self._power == 0:
             return num
-        suffix = "hbar" if self.hbar_power == 1 else f"hbar^{self.hbar_power}"
+        suffix = "hbar" if self._power == 1 else f"hbar^{self._power}"
         return f"{num}*{suffix}"
+
+
+_new = object.__new__
+
+
+def _make(re: int, im: int, den: int, power: int) -> HbarScalar:
+    """The scalar ``(re + im*i)/den * hbar**power``; ``den`` must be positive.
+
+    The only normalisation: divide out ``gcd(re, im, den)``, and give zero
+    grade 0.  Arguments are trusted ints, so nothing is validated.
+    """
+    g = gcd(re, im, den)
+    if g != 1:
+        re //= g
+        im //= g
+        den //= g
+    scalar = _new(HbarScalar)
+    scalar._re = re
+    scalar._im = im
+    scalar._den = den
+    scalar._power = power if re or im else 0
+    return scalar
 
 
 ZERO = HbarScalar()
 ONE = HbarScalar.real(1)
 I = HbarScalar.imag(1)
-HBAR = HbarScalar(Fraction(1), Fraction(0), 1)
-I_HBAR = HbarScalar(Fraction(0), Fraction(1), 1)
+HBAR = HbarScalar(1, 0, 1)
+I_HBAR = HbarScalar(0, 1, 1)
 # 1/(i*hbar) = -i * hbar**-1
-INV_I_HBAR = HbarScalar(Fraction(0), Fraction(-1), -1)
+INV_I_HBAR = HbarScalar(0, -1, -1)

@@ -120,6 +120,18 @@ def test_verify_rejects_bad_config(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_verify_memory_error_exits_2(monkeypatch, capsys):
+    def run_suite(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_suite", run_suite)
+    assert main(["verify", "--suite", "eq6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: MemoryError"]
+    assert "Traceback" not in captured.err
+
+
 def test_verification_failure_exits_1(monkeypatch, capsys):
     from opalg.core import FreePolynomial
     from opalg.suites import CheckResult, Failure, SuiteReport

@@ -638,7 +638,218 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("source, text, latex, json_text", GOLDEN, ids=[row[0] for row in GOLDEN])
+# Coefficient-heavy reference renders, recorded before the scalar core moved
+# from Fraction pairs to integer triples: mixed and large denominators,
+# brackets of rational-weighted operands, S(...) of i-hbar-weighted sums and
+# sums that cancel exactly.  The verify report holds only verdicts, so these
+# rows are what pins the coefficients themselves.
+COEFFICIENT_GOLDEN = [
+    (
+        '((2/3) q + (5/7) p)^5',
+        '(3125/16807) p^5 + (1250/7203) p^4 q + (1250/7203) p^3 q p + (500/3087) p^3 q^2 + (1250/7203) p^2 q p^2 + (500/3087) p^2 q p q + (500/3087) p^2 q^2 p + (200/1323) p^2 q^3 + (1250/7203) p q p^3 + (500/3087) p q p^2 q + (500/3087) p q p q p + (200/1323) p q p q^2 + (500/3087) p q^2 p^2 + (200/1323) p q^2 p q + (200/1323) p q^3 p + (80/567) p q^4 + (1250/7203) q p^4 + (500/3087) q p^3 q + (500/3087) q p^2 q p + (200/1323) q p^2 q^2 + (500/3087) q p q p^2 + (200/1323) q p q p q + (200/1323) q p q^2 p + (80/567) q p q^3 + (500/3087) q^2 p^3 + (200/1323) q^2 p^2 q + (200/1323) q^2 p q p + (80/567) q^2 p q^2 + (200/1323) q^3 p^2 + (80/567) q^3 p q + (80/567) q^4 p + (32/243) q^5',
+        r"\frac{3125}{16807} \hat p^{5} + \frac{1250}{7203} \hat p^{4} \hat q + \frac{1250}{7203} \hat p^{3} \hat q \hat p + \frac{500}{3087} \hat p^{3} \hat q^{2} + \frac{1250}{7203} \hat p^{2} \hat q \hat p^{2} + \frac{500}{3087} \hat p^{2} \hat q \hat p \hat q + \frac{500}{3087} \hat p^{2} \hat q^{2} \hat p + \frac{200}{1323} \hat p^{2} \hat q^{3} + \frac{1250}{7203} \hat p \hat q \hat p^{3} + \frac{500}{3087} \hat p \hat q \hat p^{2} \hat q + \frac{500}{3087} \hat p \hat q \hat p \hat q \hat p + \frac{200}{1323} \hat p \hat q \hat p \hat q^{2} + \frac{500}{3087} \hat p \hat q^{2} \hat p^{2} + \frac{200}{1323} \hat p \hat q^{2} \hat p \hat q + \frac{200}{1323} \hat p \hat q^{3} \hat p + \frac{80}{567} \hat p \hat q^{4} + \frac{1250}{7203} \hat q \hat p^{4} + \frac{500}{3087} \hat q \hat p^{3} \hat q + \frac{500}{3087} \hat q \hat p^{2} \hat q \hat p + \frac{200}{1323} \hat q \hat p^{2} \hat q^{2} + \frac{500}{3087} \hat q \hat p \hat q \hat p^{2} + \frac{200}{1323} \hat q \hat p \hat q \hat p \hat q + \frac{200}{1323} \hat q \hat p \hat q^{2} \hat p + \frac{80}{567} \hat q \hat p \hat q^{3} + \frac{500}{3087} \hat q^{2} \hat p^{3} + \frac{200}{1323} \hat q^{2} \hat p^{2} \hat q + \frac{200}{1323} \hat q^{2} \hat p \hat q \hat p + \frac{80}{567} \hat q^{2} \hat p \hat q^{2} + \frac{200}{1323} \hat q^{3} \hat p^{2} + \frac{80}{567} \hat q^{3} \hat p \hat q + \frac{80}{567} \hat q^{4} \hat p + \frac{32}{243} \hat q^{5}",
+        '{"basis": "free", "terms": [{"word": ["p", "p", "p", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "3125/16807", "im": "0"}}}}, {"word": ["p", "p", "p", "p", "q"], "coeff": {"hbar_powers": {"0": {"re": "1250/7203", "im": "0"}}}}, {"word": ["p", "p", "p", "q", "p"], "coeff": {"hbar_powers": {"0": {"re": "1250/7203", "im": "0"}}}}, {"word": ["p", "p", "p", "q", "q"], "coeff": {"hbar_powers": {"0": {"re": "500/3087", "im": "0"}}}}, {"word": ["p", "p", "q", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "1250/7203", "im": "0"}}}}, {"word": ["p", "p", "q", "p", "q"], "coeff": {"hbar_powers": {"0": {"re": "500/3087", "im": "0"}}}}, {"word": ["p", "p", "q", "q", "p"], "coeff": {"hbar_powers": {"0": {"re": "500/3087", "im": "0"}}}}, {"word": ["p", "p", "q", "q", "q"], "coeff": {"hbar_powers": {"0": {"re": "200/1323", "im": "0"}}}}, {"word": ["p", "q", "p", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "1250/7203", "im": "0"}}}}, {"word": ["p", "q", "p", "p", "q"], "coeff": {"hbar_powers": {"0": {"re": "500/3087", "im": "0"}}}}, {"word": ["p", "q", "p", "q", "p"], "coeff": {"hbar_powers": {"0": {"re": "500/3087", "im": "0"}}}}, {"word": ["p", "q", "p", "q", "q"], "coeff": {"hbar_powers": {"0": {"re": "200/1323", "im": "0"}}}}, {"word": ["p", "q", "q", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "500/3087", "im": "0"}}}}, {"word": ["p", "q", "q", "p", "q"], "coeff": {"hbar_powers": {"0": {"re": "200/1323", "im": "0"}}}}, {"word": ["p", "q", "q", "q", "p"], "coeff": {"hbar_powers": {"0": {"re": "200/1323", "im": "0"}}}}, {"word": ["p", "q", "q", "q", "q"], "coeff": {"hbar_powers": {"0": {"re": "80/567", "im": "0"}}}}, {"word": ["q", "p", "p", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "1250/7203", "im": "0"}}}}, {"word": ["q", "p", "p", "p", "q"], "coeff": {"hbar_powers": {"0": {"re": "500/3087", "im": "0"}}}}, {"word": ["q", "p", "p", "q", "p"], "coeff": {"hbar_powers": {"0": {"re": "500/3087", "im": "0"}}}}, {"word": ["q", "p", "p", "q", "q"], "coeff": {"hbar_powers": {"0": {"re": "200/1323", "im": "0"}}}}, {"word": ["q", "p", "q", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "500/3087", "im": "0"}}}}, {"word": ["q", "p", "q", "p", "q"], "coeff": {"hbar_powers": {"0": {"re": "200/1323", "im": "0"}}}}, {"word": ["q", "p", "q", "q", "p"], "coeff": {"hbar_powers": {"0": {"re": "200/1323", "im": "0"}}}}, {"word": ["q", "p", "q", "q", "q"], "coeff": {"hbar_powers": {"0": {"re": "80/567", "im": "0"}}}}, {"word": ["q", "q", "p", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "500/3087", "im": "0"}}}}, {"word": ["q", "q", "p", "p", "q"], "coeff": {"hbar_powers": {"0": {"re": "200/1323", "im": "0"}}}}, {"word": ["q", "q", "p", "q", "p"], "coeff": {"hbar_powers": {"0": {"re": "200/1323", "im": "0"}}}}, {"word": ["q", "q", "p", "q", "q"], "coeff": {"hbar_powers": {"0": {"re": "80/567", "im": "0"}}}}, {"word": ["q", "q", "q", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "200/1323", "im": "0"}}}}, {"word": ["q", "q", "q", "p", "q"], "coeff": {"hbar_powers": {"0": {"re": "80/567", "im": "0"}}}}, {"word": ["q", "q", "q", "q", "p"], "coeff": {"hbar_powers": {"0": {"re": "80/567", "im": "0"}}}}, {"word": ["q", "q", "q", "q", "q"], "coeff": {"hbar_powers": {"0": {"re": "32/243", "im": "0"}}}}]}',
+    ),
+    (
+        '((1/2) q - (3/4) i p)^4',
+        '(81/256) p^4 + (27/128) i p^3 q + (27/128) i p^2 q p - (9/64) p^2 q^2 + (27/128) i p q p^2 - (9/64) p q p q - (9/64) p q^2 p - (3/32) i p q^3 + (27/128) i q p^3 - (9/64) q p^2 q - (9/64) q p q p - (3/32) i q p q^2 - (9/64) q^2 p^2 - (3/32) i q^2 p q - (3/32) i q^3 p + (1/16) q^4',
+        r"\frac{81}{256} \hat p^{4} + \frac{27}{128} i \hat p^{3} \hat q + \frac{27}{128} i \hat p^{2} \hat q \hat p - \frac{9}{64} \hat p^{2} \hat q^{2} + \frac{27}{128} i \hat p \hat q \hat p^{2} - \frac{9}{64} \hat p \hat q \hat p \hat q - \frac{9}{64} \hat p \hat q^{2} \hat p - \frac{3}{32} i \hat p \hat q^{3} + \frac{27}{128} i \hat q \hat p^{3} - \frac{9}{64} \hat q \hat p^{2} \hat q - \frac{9}{64} \hat q \hat p \hat q \hat p - \frac{3}{32} i \hat q \hat p \hat q^{2} - \frac{9}{64} \hat q^{2} \hat p^{2} - \frac{3}{32} i \hat q^{2} \hat p \hat q - \frac{3}{32} i \hat q^{3} \hat p + \frac{1}{16} \hat q^{4}",
+        '{"basis": "free", "terms": [{"word": ["p", "p", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "81/256", "im": "0"}}}}, {"word": ["p", "p", "p", "q"], "coeff": {"hbar_powers": {"0": {"re": "0", "im": "27/128"}}}}, {"word": ["p", "p", "q", "p"], "coeff": {"hbar_powers": {"0": {"re": "0", "im": "27/128"}}}}, {"word": ["p", "p", "q", "q"], "coeff": {"hbar_powers": {"0": {"re": "-9/64", "im": "0"}}}}, {"word": ["p", "q", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "0", "im": "27/128"}}}}, {"word": ["p", "q", "p", "q"], "coeff": {"hbar_powers": {"0": {"re": "-9/64", "im": "0"}}}}, {"word": ["p", "q", "q", "p"], "coeff": {"hbar_powers": {"0": {"re": "-9/64", "im": "0"}}}}, {"word": ["p", "q", "q", "q"], "coeff": {"hbar_powers": {"0": {"re": "0", "im": "-3/32"}}}}, {"word": ["q", "p", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "0", "im": "27/128"}}}}, {"word": ["q", "p", "p", "q"], "coeff": {"hbar_powers": {"0": {"re": "-9/64", "im": "0"}}}}, {"word": ["q", "p", "q", "p"], "coeff": {"hbar_powers": {"0": {"re": "-9/64", "im": "0"}}}}, {"word": ["q", "p", "q", "q"], "coeff": {"hbar_powers": {"0": {"re": "0", "im": "-3/32"}}}}, {"word": ["q", "q", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "-9/64", "im": "0"}}}}, {"word": ["q", "q", "p", "q"], "coeff": {"hbar_powers": {"0": {"re": "0", "im": "-3/32"}}}}, {"word": ["q", "q", "q", "p"], "coeff": {"hbar_powers": {"0": {"re": "0", "im": "-3/32"}}}}, {"word": ["q", "q", "q", "q"], "coeff": {"hbar_powers": {"0": {"re": "1/16", "im": "0"}}}}]}',
+    ),
+    (
+        '((7/9) q + (11/13) p + (1/17))^3',
+        '(1331/2197) p^3 + (847/1521) p^2 q + (847/1521) p q p + (539/1053) p q^2 + (847/1521) q p^2 + (539/1053) q p q + (539/1053) q^2 p + (343/729) q^3 + (363/2873) p^2 + (77/663) p q + (77/663) q p + (49/459) q^2 + (33/3757) p + (7/867) q + (1/4913)',
+        r"\frac{1331}{2197} \hat p^{3} + \frac{847}{1521} \hat p^{2} \hat q + \frac{847}{1521} \hat p \hat q \hat p + \frac{539}{1053} \hat p \hat q^{2} + \frac{847}{1521} \hat q \hat p^{2} + \frac{539}{1053} \hat q \hat p \hat q + \frac{539}{1053} \hat q^{2} \hat p + \frac{343}{729} \hat q^{3} + \frac{363}{2873} \hat p^{2} + \frac{77}{663} \hat p \hat q + \frac{77}{663} \hat q \hat p + \frac{49}{459} \hat q^{2} + \frac{33}{3757} \hat p + \frac{7}{867} \hat q + \frac{1}{4913}",
+        '{"basis": "free", "terms": [{"word": ["p", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "1331/2197", "im": "0"}}}}, {"word": ["p", "p", "q"], "coeff": {"hbar_powers": {"0": {"re": "847/1521", "im": "0"}}}}, {"word": ["p", "q", "p"], "coeff": {"hbar_powers": {"0": {"re": "847/1521", "im": "0"}}}}, {"word": ["p", "q", "q"], "coeff": {"hbar_powers": {"0": {"re": "539/1053", "im": "0"}}}}, {"word": ["q", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "847/1521", "im": "0"}}}}, {"word": ["q", "p", "q"], "coeff": {"hbar_powers": {"0": {"re": "539/1053", "im": "0"}}}}, {"word": ["q", "q", "p"], "coeff": {"hbar_powers": {"0": {"re": "539/1053", "im": "0"}}}}, {"word": ["q", "q", "q"], "coeff": {"hbar_powers": {"0": {"re": "343/729", "im": "0"}}}}, {"word": ["p", "p"], "coeff": {"hbar_powers": {"0": {"re": "363/2873", "im": "0"}}}}, {"word": ["p", "q"], "coeff": {"hbar_powers": {"0": {"re": "77/663", "im": "0"}}}}, {"word": ["q", "p"], "coeff": {"hbar_powers": {"0": {"re": "77/663", "im": "0"}}}}, {"word": ["q", "q"], "coeff": {"hbar_powers": {"0": {"re": "49/459", "im": "0"}}}}, {"word": ["p"], "coeff": {"hbar_powers": {"0": {"re": "33/3757", "im": "0"}}}}, {"word": ["q"], "coeff": {"hbar_powers": {"0": {"re": "7/867", "im": "0"}}}}, {"word": [], "coeff": {"hbar_powers": {"0": {"re": "1/4913", "im": "0"}}}}]}',
+    ),
+    (
+        '(123456789/1000003) q p + (987654321/999983) p q',
+        '(987654321/999983) p q + (123456789/1000003) q p',
+        r"\frac{987654321}{999983} \hat p \hat q + \frac{123456789}{1000003} \hat q \hat p",
+        '{"basis": "free", "terms": [{"word": ["p", "q"], "coeff": {"hbar_powers": {"0": {"re": "987654321/999983", "im": "0"}}}}, {"word": ["q", "p"], "coeff": {"hbar_powers": {"0": {"re": "123456789/1000003", "im": "0"}}}}]}',
+    ),
+    (
+        '((1234567891011/97) q + (13/1234567891) i hbar)^3',
+        '(1881676376411925699615487319217434331/912673) q^3 + (59442157223098586609482719/11616049286419) i hbar q^2 - (625925920742577/147843314116354224457) hbar^2 q - (2197/1881676376361628489657928971) i hbar^3',
+        r"\frac{1881676376411925699615487319217434331}{912673} \hat q^{3} + \frac{59442157223098586609482719}{11616049286419} i \hbar \hat q^{2} - \frac{625925920742577}{147843314116354224457} \hbar^{2} \hat q - \frac{2197}{1881676376361628489657928971} i \hbar^{3}",
+        '{"basis": "free", "terms": [{"word": ["q", "q", "q"], "coeff": {"hbar_powers": {"0": {"re": "1881676376411925699615487319217434331/912673", "im": "0"}}}}, {"word": ["q", "q"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "59442157223098586609482719/11616049286419"}}}}, {"word": ["q"], "coeff": {"hbar_powers": {"2": {"re": "-625925920742577/147843314116354224457", "im": "0"}}}}, {"word": [], "coeff": {"hbar_powers": {"3": {"re": "0", "im": "-2197/1881676376361628489657928971"}}}}]}',
+    ),
+    (
+        'normal(((2/3) q + (5/7) p)^4)',
+        '(625/2401) p^4 + (1000/1029) q p^3 + (200/147) q^2 p^2 + (160/189) q^3 p + (16/81) q^4 - (500/343) i hbar p^2 - (400/147) i hbar q p - (80/63) i hbar q^2 - (100/147) hbar^2',
+        r"\frac{625}{2401} \hat p^{4} + \frac{1000}{1029} \hat q \hat p^{3} + \frac{200}{147} \hat q^{2} \hat p^{2} + \frac{160}{189} \hat q^{3} \hat p + \frac{16}{81} \hat q^{4} - \frac{500}{343} i \hbar \hat p^{2} - \frac{400}{147} i \hbar \hat q \hat p - \frac{80}{63} i \hbar \hat q^{2} - \frac{100}{147} \hbar^{2}",
+        '{"basis": "free", "terms": [{"word": ["p", "p", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "625/2401", "im": "0"}}}}, {"word": ["q", "p", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "1000/1029", "im": "0"}}}}, {"word": ["q", "q", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "200/147", "im": "0"}}}}, {"word": ["q", "q", "q", "p"], "coeff": {"hbar_powers": {"0": {"re": "160/189", "im": "0"}}}}, {"word": ["q", "q", "q", "q"], "coeff": {"hbar_powers": {"0": {"re": "16/81", "im": "0"}}}}, {"word": ["p", "p"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "-500/343"}}}}, {"word": ["q", "p"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "-400/147"}}}}, {"word": ["q", "q"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "-80/63"}}}}, {"word": [], "coeff": {"hbar_powers": {"2": {"re": "-100/147", "im": "0"}}}}]}',
+    ),
+    (
+        'normal(((3/5) p + (5/3) q)^3 ((1/7) q - i p))',
+        '-27/125 i p^4 + (27/875 - 9/5 i) q p^3 + (9/35 - 5 i) q^2 p^2 + (5/7 - 125/27 i) q^3 p + (125/189) q^4 + (-9/5 - 81/875 i) hbar p^2 + (-5 - 27/35 i) hbar q p - (10/7) i hbar q^2 - (9/35) hbar^2',
+        r"- \frac{27}{125} i \hat p^{4} + \left(\frac{27}{875} - \frac{9}{5} i\right) \hat q \hat p^{3} + \left(\frac{9}{35} - 5 i\right) \hat q^{2} \hat p^{2} + \left(\frac{5}{7} - \frac{125}{27} i\right) \hat q^{3} \hat p + \frac{125}{189} \hat q^{4} + \left(-\frac{9}{5} - \frac{81}{875} i\right) \hbar \hat p^{2} + \left(-5 - \frac{27}{35} i\right) \hbar \hat q \hat p - \frac{10}{7} i \hbar \hat q^{2} - \frac{9}{35} \hbar^{2}",
+        '{"basis": "free", "terms": [{"word": ["p", "p", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "0", "im": "-27/125"}}}}, {"word": ["q", "p", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "27/875", "im": "-9/5"}}}}, {"word": ["q", "q", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "9/35", "im": "-5"}}}}, {"word": ["q", "q", "q", "p"], "coeff": {"hbar_powers": {"0": {"re": "5/7", "im": "-125/27"}}}}, {"word": ["q", "q", "q", "q"], "coeff": {"hbar_powers": {"0": {"re": "125/189", "im": "0"}}}}, {"word": ["p", "p"], "coeff": {"hbar_powers": {"1": {"re": "-9/5", "im": "-81/875"}}}}, {"word": ["q", "p"], "coeff": {"hbar_powers": {"1": {"re": "-5", "im": "-27/35"}}}}, {"word": ["q", "q"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "-10/7"}}}}, {"word": [], "coeff": {"hbar_powers": {"2": {"re": "-9/35", "im": "0"}}}}]}',
+    ),
+    (
+        'normal((i hbar (1/3) p + (2/5) q)^3)',
+        '-1/27 i hbar^3 p^3 - (2/15) hbar^2 q p^2 + (4/25) i hbar q^2 p + (8/125) q^3 + (2/15) i hbar^3 p + (4/25) hbar^2 q',
+        r"- \frac{1}{27} i \hbar^{3} \hat p^{3} - \frac{2}{15} \hbar^{2} \hat q \hat p^{2} + \frac{4}{25} i \hbar \hat q^{2} \hat p + \frac{8}{125} \hat q^{3} + \frac{2}{15} i \hbar^{3} \hat p + \frac{4}{25} \hbar^{2} \hat q",
+        '{"basis": "free", "terms": [{"word": ["p", "p", "p"], "coeff": {"hbar_powers": {"3": {"re": "0", "im": "-1/27"}}}}, {"word": ["q", "p", "p"], "coeff": {"hbar_powers": {"2": {"re": "-2/15", "im": "0"}}}}, {"word": ["q", "q", "p"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "4/25"}}}}, {"word": ["q", "q", "q"], "coeff": {"hbar_powers": {"0": {"re": "8/125", "im": "0"}}}}, {"word": ["p"], "coeff": {"hbar_powers": {"3": {"re": "0", "im": "2/15"}}}}, {"word": ["q"], "coeff": {"hbar_powers": {"2": {"re": "4/25", "im": "0"}}}}]}',
+    ),
+    (
+        'pb((2/3) q^2 + (5/7) p, (3/11) q p^2)',
+        '(8/11) (q^2 o p) - (15/77) S(p^2)',
+        r"\frac{8}{11} \hat q^{2} \circ \hat p - \frac{15}{77} \hat p^{2}",
+        '{"basis": "weyl", "terms": [{"word": {"n": 2, "m": 1, "deriv": null}, "coeff": {"hbar_powers": {"0": {"re": "8/11", "im": "0"}}}}, {"word": {"n": 0, "m": 2, "deriv": null}, "coeff": {"hbar_powers": {"0": {"re": "-15/77", "im": "0"}}}}]}',
+    ),
+    (
+        'pb((1/6) q^3 - (7/4) p^2, (5/9) q^2 p + (2/3) i hbar q)',
+        '(5/18) S(q^4) + (35/9) (q o p^2)',
+        r"\frac{5}{18} \hat q^{4} + \frac{35}{9} \hat q \circ \hat p^{2}",
+        '{"basis": "weyl", "terms": [{"word": {"n": 4, "m": 0, "deriv": null}, "coeff": {"hbar_powers": {"0": {"re": "5/18", "im": "0"}}}}, {"word": {"n": 1, "m": 2, "deriv": null}, "coeff": {"hbar_powers": {"0": {"re": "35/9", "im": "0"}}}}]}',
+    ),
+    (
+        'pb((3/8) q^2 p^2, (8/3) q p + (1/5) q^3)',
+        '-9/20 (q^4 o p)',
+        r"- \frac{9}{20} \hat q^{4} \circ \hat p",
+        '{"basis": "weyl", "terms": [{"word": {"n": 4, "m": 1, "deriv": null}, "coeff": {"hbar_powers": {"0": {"re": "-9/20", "im": "0"}}}}]}',
+    ),
+    (
+        'comm((2/3) q^2 + (5/7) p, (3/11) q p^2)',
+        '(8/11) q^2 p - (15/77) p^2 - (4/11) i hbar q',
+        r"\frac{8}{11} \hat q^{2} \hat p - \frac{15}{77} \hat p^{2} - \frac{4}{11} i \hbar \hat q",
+        '{"basis": "free", "terms": [{"word": ["q", "q", "p"], "coeff": {"hbar_powers": {"0": {"re": "8/11", "im": "0"}}}}, {"word": ["p", "p"], "coeff": {"hbar_powers": {"0": {"re": "-15/77", "im": "0"}}}}, {"word": ["q"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "-4/11"}}}}]}',
+    ),
+    (
+        'comm((1/6) q^3 - (7/4) p, (5/9) q^2 p)',
+        '(5/18) q^4 + (35/18) q p',
+        r"\frac{5}{18} \hat q^{4} + \frac{35}{18} \hat q \hat p",
+        '{"basis": "free", "terms": [{"word": ["q", "q", "q", "q"], "coeff": {"hbar_powers": {"0": {"re": "5/18", "im": "0"}}}}, {"word": ["q", "p"], "coeff": {"hbar_powers": {"0": {"re": "35/18", "im": "0"}}}}]}',
+    ),
+    (
+        'comm((3/4) i q p, (4/3) q^2 + (1/9) p^2)',
+        '(1/6) i p^2 - 2 i q^2',
+        r"\frac{1}{6} i \hat p^{2} - 2 i \hat q^{2}",
+        '{"basis": "free", "terms": [{"word": ["p", "p"], "coeff": {"hbar_powers": {"0": {"re": "0", "im": "1/6"}}}}, {"word": ["q", "q"], "coeff": {"hbar_powers": {"0": {"re": "0", "im": "-2"}}}}]}',
+    ),
+    (
+        'S((i hbar) q p + (1/3) q^2)',
+        '(1/3) S(q^2)',
+        r"\frac{1}{3} \hat q^{2}",
+        '{"basis": "weyl", "terms": [{"word": {"n": 2, "m": 0, "deriv": null}, "coeff": {"hbar_powers": {"0": {"re": "1/3", "im": "0"}}}}]}',
+    ),
+    (
+        'S((1/2) i hbar q^2 p + (2/3) hbar q p^2)',
+        '0',
+        r"0",
+        '{"basis": "weyl", "terms": []}',
+    ),
+    (
+        'S((i hbar (2/7)) q^3 + (i hbar) (5/3) p^3 + (1/11) q p)',
+        '(1/11) (q o p)',
+        r"\frac{1}{11} \hat q \circ \hat p",
+        '{"basis": "weyl", "terms": [{"word": {"n": 1, "m": 1, "deriv": null}, "coeff": {"hbar_powers": {"0": {"re": "1/11", "im": "0"}}}}]}',
+    ),
+    (
+        'normal(S((i hbar) q^2 p^2 + (3/5) q p))',
+        '(3/5) q p - (3/10) i hbar',
+        r"\frac{3}{5} \hat q \hat p - \frac{3}{10} i \hbar",
+        '{"basis": "free", "terms": [{"word": ["q", "p"], "coeff": {"hbar_powers": {"0": {"re": "3/5", "im": "0"}}}}, {"word": [], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "-3/10"}}}}]}',
+    ),
+    (
+        'S((2/3) q p) o S((3/2) p q)',
+        'q^2 o p^2',
+        r"\hat q^{2} \circ \hat p^{2}",
+        '{"basis": "weyl", "terms": [{"word": {"n": 2, "m": 2, "deriv": null}, "coeff": {"hbar_powers": {"0": {"re": "1", "im": "0"}}}}]}',
+    ),
+    (
+        '((1/3) S(q p)) o ((1/5) S(q p^2))',
+        '(1/15) (q^2 o p^3)',
+        r"\frac{1}{15} \hat q^{2} \circ \hat p^{3}",
+        '{"basis": "weyl", "terms": [{"word": {"n": 2, "m": 3, "deriv": null}, "coeff": {"hbar_powers": {"0": {"re": "1/15", "im": "0"}}}}]}',
+    ),
+    (
+        '((2/3) q) o ((3/7) p) o ((7/2) q^2)',
+        'q^3 o p',
+        r"\hat q^{3} \circ \hat p",
+        '{"basis": "weyl", "terms": [{"word": {"n": 3, "m": 1, "deriv": null}, "coeff": {"hbar_powers": {"0": {"re": "1", "im": "0"}}}}]}',
+    ),
+    (
+        '(1/3) q + (1/6) q - (1/2) q',
+        '0',
+        r"0",
+        '{"basis": "free", "terms": []}',
+    ),
+    (
+        '(2/3) q p + (1/3) q p - q p + (1/7) p',
+        '(1/7) p',
+        r"\frac{1}{7} \hat p",
+        '{"basis": "free", "terms": [{"word": ["p"], "coeff": {"hbar_powers": {"0": {"re": "1/7", "im": "0"}}}}]}',
+    ),
+    (
+        'normal(p q) - normal(q p) - comm(p, q) * 0',
+        '-1 i hbar',
+        r"- i \hbar",
+        '{"basis": "free", "terms": [{"word": [], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "-1"}}}}]}',
+    ),
+    (
+        '(1/2) q p + (1/2) p q - S(q p)',
+        '0',
+        r"0",
+        '{"basis": "free", "terms": []}',
+    ),
+    (
+        'normal(q p - p q) - i hbar',
+        '0',
+        r"0",
+        '{"basis": "free", "terms": []}',
+    ),
+    (
+        '(3/7) i hbar q - (3/7) i hbar q + (5/11) hbar^2 p',
+        '(5/11) hbar^2 p',
+        r"\frac{5}{11} \hbar^{2} \hat p",
+        '{"basis": "free", "terms": [{"word": ["p"], "coeff": {"hbar_powers": {"2": {"re": "5/11", "im": "0"}}}}]}',
+    ),
+    (
+        'dq(((2/3) q + (5/7) p)^3)',
+        '(50/49) p^2 + (20/21) p q + (20/21) q p + (8/9) q^2',
+        r"\frac{50}{49} \hat p^{2} + \frac{20}{21} \hat p \hat q + \frac{20}{21} \hat q \hat p + \frac{8}{9} \hat q^{2}",
+        '{"basis": "free", "terms": [{"word": ["p", "p"], "coeff": {"hbar_powers": {"0": {"re": "50/49", "im": "0"}}}}, {"word": ["p", "q"], "coeff": {"hbar_powers": {"0": {"re": "20/21", "im": "0"}}}}, {"word": ["q", "p"], "coeff": {"hbar_powers": {"0": {"re": "20/21", "im": "0"}}}}, {"word": ["q", "q"], "coeff": {"hbar_powers": {"0": {"re": "8/9", "im": "0"}}}}]}',
+    ),
+    (
+        'dp((1/3) q^2 p^3 - (5/4) i hbar q p^2)',
+        'q^2 p^2 - (5/2) i hbar q p',
+        r"\hat q^{2} \hat p^{2} - \frac{5}{2} i \hbar \hat q \hat p",
+        '{"basis": "free", "terms": [{"word": ["q", "q", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "1", "im": "0"}}}}, {"word": ["q", "p"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "-5/2"}}}}]}',
+    ),
+    (
+        '((1/2) + (1/3) i) q ((1/5) - (2/7) i) p',
+        '(41/210 - 8/105 i) q p',
+        r"\left(\frac{41}{210} - \frac{8}{105} i\right) \hat q \hat p",
+        '{"basis": "free", "terms": [{"word": ["q", "p"], "coeff": {"hbar_powers": {"0": {"re": "41/210", "im": "-8/105"}}}}]}',
+    ),
+    (
+        '((1/999999937) + (1/999999929) i hbar) q^2',
+        '(1/999999929) i hbar q^2 + (1/999999937) q^2',
+        r"\frac{1}{999999929} i \hbar \hat q^{2} + \frac{1}{999999937} \hat q^{2}",
+        '{"basis": "free", "terms": [{"word": ["q", "q"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "1/999999929"}, "0": {"re": "1/999999937", "im": "0"}}}}]}',
+    ),
+    (
+        'normal(((5/6) - (1/6) i) p^2 q^2)',
+        '(5/6 - 1/6 i) q^2 p^2 + (-2/3 - 10/3 i) hbar q p + (-5/3 + 1/3 i) hbar^2',
+        r"\left(\frac{5}{6} - \frac{1}{6} i\right) \hat q^{2} \hat p^{2} + \left(-\frac{2}{3} - \frac{10}{3} i\right) \hbar \hat q \hat p + \left(-\frac{5}{3} + \frac{1}{3} i\right) \hbar^{2}",
+        '{"basis": "free", "terms": [{"word": ["q", "q", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "5/6", "im": "-1/6"}}}}, {"word": ["q", "p"], "coeff": {"hbar_powers": {"1": {"re": "-2/3", "im": "-10/3"}}}}, {"word": [], "coeff": {"hbar_powers": {"2": {"re": "-5/3", "im": "1/3"}}}}]}',
+    ),
+    (
+        'comm((2/3) q^2 + (5/7) i p, rho)',
+        '(2/3) i hbar^-1 rho q^2 - (2/3) i hbar^-1 q^2 rho - (5/7) hbar^-1 rho p + (5/7) hbar^-1 p rho',
+        r"\frac{2}{3} i \hbar^{-1} \hat \rho \hat q^{2} - \frac{2}{3} i \hbar^{-1} \hat q^{2} \hat \rho - \frac{5}{7} \hbar^{-1} \hat \rho \hat p + \frac{5}{7} \hbar^{-1} \hat p \hat \rho",
+        '{"basis": "free", "terms": [{"word": ["rho", "q", "q"], "coeff": {"hbar_powers": {"-1": {"re": "0", "im": "2/3"}}}}, {"word": ["q", "q", "rho"], "coeff": {"hbar_powers": {"-1": {"re": "0", "im": "-2/3"}}}}, {"word": ["rho", "p"], "coeff": {"hbar_powers": {"-1": {"re": "-5/7", "im": "0"}}}}, {"word": ["p", "rho"], "coeff": {"hbar_powers": {"-1": {"re": "5/7", "im": "0"}}}}]}',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "source, text, latex, json_text",
+    GOLDEN + COEFFICIENT_GOLDEN,
+    ids=[row[0] for row in GOLDEN + COEFFICIENT_GOLDEN],
+)
 def test_golden_renders(source, text, latex, json_text):
     value = ev(source)
     assert render_text(value) == text

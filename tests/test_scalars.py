@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -75,3 +76,204 @@ def test_multiplication_associates_and_distributes_same_grade(a, b, c):
 def test_conjugation_is_an_involution(a):
     assert a.conjugate().conjugate() == a
     assert (a * a.conjugate()).im == 0
+
+
+# -- the Fraction-pair arithmetic as the reference for the int-triple core --
+
+
+class FractionScalar:
+    """The former ``HbarScalar`` arithmetic on a pair of ``Fraction`` parts."""
+
+    def __init__(self, re, im=0, hbar_power=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+        self.hbar_power = hbar_power if self.re or self.im else 0
+
+    @classmethod
+    def of(cls, s: HbarScalar):
+        return cls(s.re, s.im, s.hbar_power)
+
+    def __add__(self, other):
+        if not (self.re or self.im):
+            return other
+        if not (other.re or other.im):
+            return self
+        if self.hbar_power != other.hbar_power:
+            raise ValueError("different hbar grade")
+        return FractionScalar(self.re + other.re, self.im + other.im, self.hbar_power)
+
+    def __neg__(self):
+        return FractionScalar(-self.re, -self.im, self.hbar_power)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionScalar(other)
+        return FractionScalar(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+            self.hbar_power + other.hbar_power,
+        )
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionScalar(other)
+        norm = other.re * other.re + other.im * other.im
+        return FractionScalar(
+            (self.re * other.re + self.im * other.im) / norm,
+            (self.im * other.re - self.re * other.im) / norm,
+            self.hbar_power - other.hbar_power,
+        )
+
+    def conjugate(self):
+        return FractionScalar(self.re, -self.im, self.hbar_power)
+
+    def __str__(self):
+        if not (self.re or self.im):
+            return "0"
+        if self.im == 0:
+            num = str(self.re)
+        elif self.re == 0:
+            num = f"{self.im}i"
+        else:
+            sign = "+" if self.im > 0 else "-"
+            num = f"({self.re}{sign}{abs(self.im)}i)"
+        if self.hbar_power == 0:
+            return num
+        suffix = "hbar" if self.hbar_power == 1 else f"hbar^{self.hbar_power}"
+        return f"{num}*{suffix}"
+
+
+def assert_matches(actual: HbarScalar, expected: FractionScalar):
+    assert (actual.re, actual.im, actual.hbar_power) == (
+        expected.re,
+        expected.im,
+        expected.hbar_power,
+    )
+    assert str(actual) == str(expected)
+    assert actual._den > 0
+    assert math.gcd(actual._re, actual._im, actual._den) == 1
+
+
+BIG = 2**70
+numerators = st.one_of(
+    st.integers(min_value=-30, max_value=30),
+    st.integers(min_value=BIG - 50, max_value=BIG + 50),
+    st.integers(min_value=-BIG - 50, max_value=-BIG + 50),
+)
+denominators = st.one_of(
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([2**40, 3**30, 2**70 + 1, 999999937]),
+)
+parts = st.builds(Fraction, numerators, denominators)
+grades = st.integers(min_value=-2, max_value=2)
+big_scalars = st.builds(HbarScalar, parts, parts, grades)
+rational_factors = st.one_of(numerators, parts)
+
+
+@given(big_scalars, big_scalars)
+def test_ring_operations_match_the_fraction_reference(a, b):
+    ra, rb = FractionScalar.of(a), FractionScalar.of(b)
+    assert_matches(a * b, ra * rb)
+    assert_matches(-a, -ra)
+    assert_matches(a.conjugate(), ra.conjugate())
+    if a.hbar_power == b.hbar_power or not a or not b:
+        assert_matches(a + b, ra + rb)
+        assert_matches(a - b, ra - rb)
+    else:
+        with pytest.raises(ValueError):
+            a + b
+    if b:
+        assert_matches(a / b, ra / rb)
+
+
+@given(big_scalars, rational_factors)
+def test_products_and_quotients_by_rationals_match_the_fraction_reference(a, k):
+    ra = FractionScalar.of(a)
+    assert_matches(a * k, ra * k)
+    assert_matches(k * a, ra * k)
+    if k:
+        assert_matches(a / k, ra / k)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / k
+
+
+@given(big_scalars, parts, parts, grades)
+def test_sums_that_cancel_are_zero_at_grade_zero(a, re, im, grade):
+    b = HbarScalar(re, im, grade)
+    minus_b = HbarScalar(-re, -im, grade)
+    totals = [a - a, a + (-a), b + minus_b]
+    if a.hbar_power == grade or not a or not b:
+        totals.append((a + b) - a - b)
+    for total in totals:
+        assert total == ZERO
+        assert (total._re, total._im, total._den, total.hbar_power) == (0, 0, 1, 0)
+        assert not total and total.is_zero and str(total) == "0"
+
+
+@given(big_scalars)
+def test_parts_read_back_as_fractions(a):
+    assert type(a.re) is Fraction and type(a.im) is Fraction
+    assert type(a.hbar_power) is int
+    assert HbarScalar(a.re, a.im, a.hbar_power) == a
+
+
+@given(parts, parts, grades, st.integers(min_value=1, max_value=10**6))
+def test_equal_values_hash_equal(re, im, grade, k):
+    a = HbarScalar(re, im, grade)
+    b = HbarScalar(Fraction(re.numerator * k, re.denominator * k), im, grade)
+    c = a * HbarScalar(Fraction(k, 1)) / k
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c)
+
+
+def test_repr_keeps_the_field_text():
+    assert repr(HbarScalar.of(Fraction(1, 2), -3, 2)) == (
+        "HbarScalar(re=Fraction(1, 2), im=Fraction(-3, 1), hbar_power=2)"
+    )
+    assert repr(HbarScalar.of(0, 0, 5)) == (
+        "HbarScalar(re=Fraction(0, 1), im=Fraction(0, 1), hbar_power=0)"
+    )
+    assert repr(INV_I_HBAR) == "HbarScalar(re=Fraction(0, 1), im=Fraction(-1, 1), hbar_power=-1)"
+
+
+def test_scalars_are_immutable():
+    x = HbarScalar.of(1, 2, 1)
+    for name in ("re", "im", "hbar_power", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+    assert x == HbarScalar.of(1, 2, 1)
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", None, complex(1, 0)])
+def test_parts_must_be_int_or_fraction(bad):
+    for build in (
+        lambda: HbarScalar(bad),
+        lambda: HbarScalar(0, bad),
+        lambda: HbarScalar.of(bad),
+        lambda: HbarScalar.of(1, bad),
+        lambda: HbarScalar.real(bad),
+        lambda: HbarScalar.imag(bad),
+    ):
+        with pytest.raises(TypeError, match="expected an int or Fraction"):
+            build()
+
+
+@pytest.mark.parametrize("bad", [1.0, "1", None, Fraction(1)])
+def test_hbar_power_must_be_an_int(bad):
+    with pytest.raises(TypeError, match="hbar_power must be an int"):
+        HbarScalar(1, 0, bad)
+    with pytest.raises(TypeError, match="hbar_power must be an int"):
+        HbarScalar.of(1, 0, bad)
+
+
+def test_arithmetic_with_other_types_is_not_implemented():
+    assert (ONE == 1) is False
+    with pytest.raises(TypeError):
+        ONE + 1
+    with pytest.raises(TypeError):
+        ONE * 1.5
+    with pytest.raises(TypeError):
+        ONE / "2"
