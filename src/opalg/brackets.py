@@ -60,10 +60,6 @@ class ClassicalPolynomial(GradedTerms):
             raise ValueError("classical coefficients cannot carry an hbar grade")
 
     @classmethod
-    def zero(cls) -> ClassicalPolynomial:
-        return cls()
-
-    @classmethod
     def one(cls) -> ClassicalPolynomial:
         return cls.from_monomial(0, 0)
 
@@ -82,9 +78,6 @@ class ClassicalPolynomial(GradedTerms):
                 for (na, ma), ca in self.items()
                 for (nb, mb), cb in other.items()
             )
-        return self.scale(other)
-
-    def __rmul__(self, other):
         return self.scale(other)
 
     def derivative(self, wrt: Letter) -> ClassicalPolynomial:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .errors import EvalError, ParseError, UnsupportedFragmentError
@@ -97,8 +98,21 @@ def cmd_repl(stdin=None, stdout=None) -> int:
             print(f"error: {str(exc) or type(exc).__name__}", file=stdout)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Prints a usage error as one ``error:`` line, like every other error,
+    and reads an argument that starts with ``-`` and a digit as a value: an
+    expression such as ``-1/2`` or ``-1q`` is not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="opalg",
         description="Exact symbolic operator algebra for the canonical pair (q, p).",
     )

@@ -111,17 +111,9 @@ class FreePolynomial(GradedTerms):
     __slots__ = ()
 
     @classmethod
-    def _key_sort(cls, key: Word):
-        return key.sort_key
-
-    @classmethod
     def _validate_pair(cls, key: Word, scalar: HbarScalar) -> None:
         if not isinstance(key, Word):
             raise TypeError("FreePolynomial keys must be Word values")
-
-    @classmethod
-    def zero(cls) -> FreePolynomial:
-        return cls()
 
     @classmethod
     def one(cls) -> FreePolynomial:
@@ -138,9 +130,6 @@ class FreePolynomial(GradedTerms):
     def __mul__(self, other):
         if isinstance(other, FreePolynomial):
             return multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
         return self.scale(other)
 
     @property

@@ -6,8 +6,10 @@ multiples of the identity prints as a bare number (the zero polynomial
 prints as ``0``), and numbers parse into the free basis.  Scalars embed
 canonically in both bases, so the caveat never changes the operator.
 
-Terms print from the highest canonical key down (leading term first, the
-identity term last), grades within a key from the highest down.
+The printer alone orders terms: values keep theirs in construction order,
+and every render sorts them once by the key's ``sort_key`` and then the
+hbar grade, highest first (leading term first, the identity term last).
+Text, LaTeX and JSON read that one list, so their orders always agree.
 
 Text and LaTeX share one coefficient and one word formatter, driven by a
 style record.  Weyl-monomial bodies and leading-sign rules stay separate:
@@ -42,7 +44,9 @@ def render(x: Result, fmt: str = "text") -> str:
 
 
 def _display_terms(x: Result) -> list[tuple[object, HbarScalar]]:
-    return list(x.items())[::-1]
+    return sorted(
+        x.items(), key=lambda term: (term[0].sort_key, term[1].hbar_power), reverse=True
+    )
 
 
 # -- shared coefficient and word formatting ----------------------------------
@@ -211,8 +215,7 @@ def render_latex(x: Result) -> str:
 def result_to_json_dict(x: Result) -> dict:
     free = isinstance(x, FreePolynomial)
     terms = []
-    grouped = list(x.grouped())[::-1]
-    for key, powers in grouped:
+    for key, run in groupby(_display_terms(x), key=lambda term: term[0]):
         if free:
             word_json: object = [letter.symbol for letter in key]  # type: ignore[union-attr]
         else:
@@ -226,8 +229,7 @@ def result_to_json_dict(x: Result) -> dict:
                 "word": word_json,
                 "coeff": {
                     "hbar_powers": {
-                        str(power): {"re": str(powers[power].re), "im": str(powers[power].im)}
-                        for power in sorted(powers, reverse=True)
+                        str(c.hbar_power): {"re": str(c.re), "im": str(c.im)} for _, c in run
                     }
                 },
             }

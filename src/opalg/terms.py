@@ -5,9 +5,10 @@ classical polynomials, oracle test functions) is a finite sum of hashable
 basis keys weighted by :class:`~opalg.scalars.HbarScalar`.  Coefficients of
 different hbar grade never merge, so terms are stored in one flat map from
 ``(key, grade)`` to a homogeneous scalar.  Construction normalizes eagerly:
-zero coefficients are pruned and the map is kept in canonical ascending
-order of ``(key, grade)``, which makes structural equality coincide with
-algebraic equality and keeps every iteration deterministic.
+terms in the same slot merge and zero coefficients are pruned, so equal
+values have equal maps and structural equality coincides with algebraic
+equality.  Terms are kept in insertion order, which is deterministic for
+deterministic input; the canonical display order is the printer's.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ TermPairs = Iterable[tuple[Any, HbarScalar]]
 
 
 class GradedTerms:
-    """Base class: an immutable, canonically ordered sum of weighted keys."""
+    """Base class: an immutable, normalized sum of weighted keys."""
 
     __slots__ = ("_terms",)
 
@@ -32,12 +33,7 @@ class GradedTerms:
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    # Subclasses override to define the canonical key order and to restrict
-    # admissible (key, scalar) pairs.
-    @classmethod
-    def _key_sort(cls, key: Any) -> Any:
-        return key
-
+    # Subclasses override to restrict admissible (key, scalar) pairs.
     @classmethod
     def _validate_pair(cls, key: Any, scalar: HbarScalar) -> None:
         pass
@@ -58,25 +54,15 @@ class GradedTerms:
                 del acc[slot]
             else:
                 acc[slot] = total
-        key_sort = cls._key_sort
-        return {
-            slot: acc[slot]
-            for slot in sorted(acc, key=lambda slot: (key_sort(slot[0]), slot[1]))
-        }
+        return acc
 
     # -- inspection ------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Any, HbarScalar]]:
-        """``(key, scalar)`` terms in canonical ascending order."""
+        """``(key, scalar)`` terms in insertion order, which is deterministic
+        for deterministic input.  The display order is the printer's."""
         for (key, _), scalar in self._terms.items():
             yield key, scalar
-
-    def grouped(self) -> Iterator[tuple[Any, dict[int, HbarScalar]]]:
-        """Terms grouped per key as a grade -> scalar map, keys ascending."""
-        groups: dict[Any, dict[int, HbarScalar]] = {}
-        for (key, power), scalar in self._terms.items():
-            groups.setdefault(key, {})[power] = scalar
-        return iter(groups.items())
 
     def coefficient(self, key: Any, hbar_power: int = 0) -> HbarScalar:
         return self._terms.get((key, hbar_power), ZERO)
@@ -100,6 +86,10 @@ class GradedTerms:
 
     # -- linear structure ------------------------------------------------
 
+    @classmethod
+    def zero(cls):
+        return cls()
+
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -117,6 +107,9 @@ class GradedTerms:
         if isinstance(factor, (int, Fraction)):
             factor = HbarScalar.real(factor)
         return type(self)((key, c * factor) for key, c in self.items())
+
+    def __rmul__(self, other):
+        return self.scale(other)
 
     def __repr__(self) -> str:
         if self.is_zero:

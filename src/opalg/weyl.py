@@ -78,17 +78,9 @@ class WeylPolynomial(GradedTerms):
     __slots__ = ()
 
     @classmethod
-    def _key_sort(cls, key: WeylMonomial):
-        return key.sort_key
-
-    @classmethod
     def _validate_pair(cls, key: WeylMonomial, scalar: HbarScalar) -> None:
         if not isinstance(key, WeylMonomial):
             raise TypeError("WeylPolynomial keys must be WeylMonomial values")
-
-    @classmethod
-    def zero(cls) -> WeylPolynomial:
-        return cls()
 
     @classmethod
     def one(cls) -> WeylPolynomial:
@@ -101,9 +93,6 @@ class WeylPolynomial(GradedTerms):
     def __mul__(self, other):
         if isinstance(other, WeylPolynomial):
             return weyl_product(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
         return self.scale(other)
 
 

@@ -4,9 +4,15 @@ import re
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from opalg import cli
 from opalg.cli import cmd_repl, main
+from opalg.core import IDENTITY_WORD
+from opalg.parser import evaluate, parse
+from opalg.weyl import WeylMonomial
+
+from .test_printing import COEFFICIENT_GOLDEN, GOLDEN
 
 
 def run_cli(argv):
@@ -35,6 +41,25 @@ def test_eval_json():
         "basis": "free",
         "terms": [{"word": [], "coeff": {"hbar_powers": {"0": {"re": "1", "im": "0"}}}}],
     }
+
+
+@pytest.mark.parametrize(
+    "source, text, latex, json_text",
+    GOLDEN + COEFFICIENT_GOLDEN,
+    ids=[row[0] for row in GOLDEN + COEFFICIENT_GOLDEN],
+)
+def test_eval_prints_the_golden_renders(source, text, latex, json_text):
+    for fmt, expected in (("text", text), ("latex", latex), ("json", json_text)):
+        assert run_cli(["eval", source, "--format", fmt]) == (0, expected + "\n")
+
+
+def test_eval_option_like_input_is_one_error_line(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["eval", "-q"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the following arguments are required: expr\n"
 
 
 def test_eval_parse_error_exits_2(capsys):
@@ -205,3 +230,114 @@ def test_repl_keeps_reading_after_memory_error(monkeypatch):
 
 def test_repl_eof_terminates():
     assert cmd_repl(stdin=io.StringIO(""), stdout=io.StringIO()) == 0
+
+
+# -- exit contract under fuzzed input ----------------------------------------
+
+_LETTERS = ("q", "p", "rho", "drho_q", "drho_p")
+_NUMBERS = ("0", "1", "2", "3", "4", "-1", "-4", "1/2", "-3/4", "4/3")
+_FUNCS = ("S", "dq", "dp", "normal")
+_TOKENS = (
+    _LETTERS
+    + _NUMBERS
+    + ("hbar", "i", "S", "pb", "comm", "dq", "dp", "normal")
+    + ("+", "-", "*", "o", "\u2218", "^", "/", "(", ")", ",")
+)
+_MAX_EXPONENT = 4
+# A bound on the operator degree keeps each value, its text and the parse of
+# that text small enough to check hundreds of examples.
+_MAX_DEGREE = 6
+
+
+@st.composite
+def _expr(draw, depth: int, budget: int) -> tuple[str, int]:
+    """A grammar expression with at most ``depth`` nested groups or calls and
+    operator degree at most ``budget``, with its degree bound."""
+    terms = [draw(_term(depth, budget)) for _ in range(draw(st.integers(1, 3)))]
+    text = terms[0][0]
+    for term, _ in terms[1:]:
+        text += draw(st.sampled_from((" + ", " - "))) + term
+    return text, max(degree for _, degree in terms)
+
+
+@st.composite
+def _term(draw, depth: int, budget: int) -> tuple[str, int]:
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors.append(draw(_factor(depth, budget)))
+        budget -= factors[-1][1]
+    separator = draw(st.sampled_from((" ", " * ", " o ")))
+    return separator.join(text for text, _ in factors), sum(degree for _, degree in factors)
+
+
+@st.composite
+def _factor(draw, depth: int, budget: int) -> tuple[str, int]:
+    exponent = draw(st.none() | st.integers(0, _MAX_EXPONENT))
+    inner = budget // exponent if exponent else budget
+    kinds = ["number", "scalar"] + ["letter"] * 3 * (inner > 0) + ["group", "call"] * (depth > 0)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "number":
+        text, degree = draw(st.sampled_from(_NUMBERS)), 0
+    elif kind == "scalar":
+        text, degree = draw(st.sampled_from(("hbar", "i", "hbar^-1"))), 0
+        if text == "hbar^-1":
+            return text, 0
+    elif kind == "letter":
+        text, degree = draw(st.sampled_from(_LETTERS)), 1
+    elif kind == "group":
+        text, degree = draw(_expr(depth - 1, inner))
+        text = f"({text})"
+    elif draw(st.booleans()):
+        text, degree = draw(_expr(depth - 1, inner))
+        text = f"{draw(st.sampled_from(_FUNCS))}({text})"
+    else:
+        first, d1 = draw(_expr(depth - 1, inner))
+        second, d2 = draw(_expr(depth - 1, inner - d1))
+        text, degree = f"{draw(st.sampled_from(('pb', 'comm')))}({first}, {second})", d1 + d2
+    if exponent is None:
+        return text, degree
+    return f"{text}^{exponent}", degree * exponent
+
+
+_grammar_expressions = _expr(3, _MAX_DEGREE).map(lambda pair: pair[0])
+_token_strings = st.builds(
+    str.join, st.sampled_from((" ", "")), st.lists(st.sampled_from(_TOKENS), max_size=16)
+)
+
+
+def _scalar_parts(x):
+    """The grade -> coefficient map of a multiple of the identity, else None."""
+    if any(key not in (IDENTITY_WORD, WeylMonomial(0, 0)) for key, _ in x.items()):
+        return None
+    return {c.hbar_power: c for _, c in x.items()}
+
+
+def _same_value(a, b) -> bool:
+    """Equal as operators: the printer writes a scalar of either basis as a
+    bare number, which parses into the free basis."""
+    if type(a) is type(b):
+        return a == b
+    parts = _scalar_parts(a)
+    return parts is not None and parts == _scalar_parts(b)
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(expr=_grammar_expressions | _token_strings)
+def test_eval_keeps_the_exit_contract(expr, capsys):
+    capsys.readouterr()
+    try:
+        code = main(["eval", expr])
+    except SystemExit as exc:  # argparse reports usage errors this way
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    assert "Traceback" not in captured.out + captured.err
+    if code == 2:
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        return
+    assert captured.err == ""
+    printed = captured.out.removesuffix("\n")
+    assert _same_value(evaluate(parse(printed)), evaluate(parse(expr)))

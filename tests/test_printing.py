@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from opalg.core import FreePolynomial, IDENTITY_WORD, Letter, Word
 from opalg.parser import evaluate, parse
@@ -158,10 +159,54 @@ def test_unknown_format_is_rejected():
 
 
 def test_term_order_is_descending():
-    # canonical key order is (length, letters) with q < p; display reverses it
+    # the printer sorts terms by (length, letters) with q < p, highest first
     x = ev("1 + q + q^2 + q p")
     assert render_text(x) == "q p + q^2 + q + 1"
     assert render_text(ev("1 + q + p")) == "p + q + 1"
+
+
+_scalars = st.builds(
+    HbarScalar,
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.integers(min_value=-1, max_value=2),
+)
+# Small key pools, so that lists repeat keys and hold several grades per key.
+_words = st.lists(st.sampled_from([Q, P, Letter.RHO]), max_size=2).map(
+    lambda letters: Word(tuple(letters))
+)
+_monomials = st.builds(
+    WeylMonomial,
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from([None, Letter.DRHO_Q, Letter.DRHO_P]),
+)
+
+
+@st.composite
+def _term_lists(draw, keys):
+    """A list of (key, scalar) pairs, some cancelled by their negation later
+    in the list, and a permutation of it."""
+    pairs = draw(st.lists(st.tuples(keys, _scalars), max_size=10))
+    if pairs:
+        pairs += [(key, -c) for key, c in draw(st.lists(st.sampled_from(pairs), max_size=4))]
+    return pairs, draw(st.permutations(pairs))
+
+
+def _renders(x) -> tuple[str, str, str]:
+    return render_text(x), render_latex(x), render_json(x)
+
+
+@pytest.mark.parametrize(
+    "cls, keys", [(FreePolynomial, _words), (WeylPolynomial, _monomials)], ids=["free", "weyl"]
+)
+@given(data=st.data())
+def test_construction_order_changes_neither_value_nor_render(cls, keys, data):
+    pairs, permuted = data.draw(_term_lists(keys))
+    a, b = cls(pairs), cls(permuted)
+    assert a == b
+    assert _renders(a) == _renders(b)
+    assert _renders(a + b) == _renders(b + a)
 
 
 # Reference renders (source, text, LaTeX, JSON); a change to the printers
@@ -634,6 +679,20 @@ GOLDEN = [
         '3 q^2 p',
         r"3 \hat q^{2} \hat p",
         '{"basis": "free", "terms": [{"word": ["q", "q", "p"], "coeff": {"hbar_powers": {"0": {"re": "3", "im": "0"}}}}]}',
+    ),
+    # Sources that begin with "-" and a digit and hold no space: the command
+    # line once read them as unknown options.
+    (
+        '-3/4',
+        '-3/4',
+        r"- \frac{3}{4}",
+        '{"basis": "free", "terms": [{"word": [], "coeff": {"hbar_powers": {"0": {"re": "-3/4", "im": "0"}}}}]}',
+    ),
+    (
+        '-1q',
+        '-1 q',
+        r"- \hat q",
+        '{"basis": "free", "terms": [{"word": ["q"], "coeff": {"hbar_powers": {"0": {"re": "-1", "im": "0"}}}}]}',
     ),
 ]
 
