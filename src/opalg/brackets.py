@@ -21,13 +21,15 @@ from .core import (
     FreePolynomial,
     Letter,
     Word,
+    _word,
     normal_order,
 )
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, INV_I_HBAR, ONE, RationalLike
-from .terms import GradedTerms
+from .terms import GradedTerms, bilinear, linear_map, sum_into
 from .weyl import (
     WeylMonomial,
+    _monomial,
     WeylPolynomial,
     expand_polynomial,
     weyl_derivative,
@@ -73,23 +75,15 @@ class ClassicalPolynomial(GradedTerms):
 
     def __mul__(self, other):
         if isinstance(other, ClassicalPolynomial):
-            return ClassicalPolynomial(
-                ((na + nb, ma + mb), ca * cb)
-                for (na, ma), ca in self.items()
-                for (nb, mb), cb in other.items()
-            )
+            return bilinear(self, other, lambda a, b: ((a[0] + b[0], a[1] + b[1]), 1))
         return self.scale(other)
 
     def derivative(self, wrt: Letter) -> ClassicalPolynomial:
         if wrt not in (Letter.Q, Letter.P):
             raise ValueError("partial derivatives are taken with respect to Q or P")
         if wrt is Letter.Q:
-            return ClassicalPolynomial(
-                ((n - 1, m), c * n) for (n, m), c in self.items() if n > 0
-            )
-        return ClassicalPolynomial(
-            ((n, m - 1), c * m) for (n, m), c in self.items() if m > 0
-        )
+            return linear_map(self, lambda k: [((k[0] - 1, k[1]), k[0])] if k[0] else ())
+        return linear_map(self, lambda k: [((k[0], k[1] - 1), k[1])] if k[1] else ())
 
 
 def poisson_bracket_classical(
@@ -117,19 +111,19 @@ def symmetrized_poisson_bracket(
     the derivative letter of either factor.  Two derivative letters leave
     the fragment whenever ``a*d`` or ``b*c`` is nonzero, even if they cancel.
     """
-    pairs = []
-    for ma, ca in f.items():
-        for mb, cb in g.items():
-            ad, bc = ma.n * mb.m, ma.m * mb.n
-            if ma.deriv is not None and mb.deriv is not None and (ad or bc):
-                raise UnsupportedFragmentError(
-                    "cannot multiply two terms that both carry a state-derivative letter"
-                )
-            if ad != bc:
-                deriv = ma.deriv if ma.deriv is not None else mb.deriv
-                monomial = WeylMonomial(ma.n + mb.n - 1, ma.m + mb.m - 1, deriv)
-                pairs.append((monomial, ca * cb * (ad - bc)))
-    return WeylPolynomial(pairs)
+    return bilinear(f, g, _monomial_bracket)
+
+
+def _monomial_bracket(a: WeylMonomial, b: WeylMonomial) -> tuple[WeylMonomial | None, int]:
+    ad, bc = a.n * b.m, a.m * b.n
+    if a.deriv is not None and b.deriv is not None and (ad or bc):
+        raise UnsupportedFragmentError(
+            "cannot multiply two terms that both carry a state-derivative letter"
+        )
+    if ad == bc:
+        return None, 0
+    deriv = a.deriv if a.deriv is not None else b.deriv
+    return _monomial(a.n + b.n - 1, a.m + b.m - 1, deriv), ad - bc
 
 
 def quantize(f: ClassicalPolynomial) -> WeylPolynomial:
@@ -160,22 +154,22 @@ def substitute_drho(x: FreePolynomial) -> FreePolynomial:
     ``-(p rho - rho p) / (i*hbar)``, distributed in place inside each word.
     Words without derivative letters pass through unchanged.
     """
-    pairs: list[tuple[Word, HbarScalar]] = []
-    stack = list(x.items())
+    terms = []
+    stack = list(x._terms.items())
     while stack:
-        word, coeff = stack.pop()
+        (word, grade), coeff = stack.pop()
         for i, letter in enumerate(word.letters):
             if letter in (Letter.DRHO_P, Letter.DRHO_Q):
                 head, tail = word.letters[:i], word.letters[i + 1 :]
                 other = Letter.Q if letter is Letter.DRHO_P else Letter.P
                 sign = ONE if letter is Letter.DRHO_P else -ONE
                 c = coeff * INV_I_HBAR * sign
-                stack.append((Word(head + (other, Letter.RHO) + tail), c))
-                stack.append((Word(head + (Letter.RHO, other) + tail), -c))
+                stack.append(((_word(head + (other, Letter.RHO) + tail), grade - 1), c))
+                stack.append(((_word(head + (Letter.RHO, other) + tail), grade - 1), -c))
                 break
         else:
-            pairs.append((word, coeff))
-    return FreePolynomial(pairs)
+            terms.append(((word, grade), coeff))
+    return FreePolynomial._of(sum_into({}, terms))
 
 
 # -- checkers ------------------------------------------------------------
@@ -226,9 +220,8 @@ def check_leibniz(
 ) -> EqualityReport:
     """Leibniz rule for the symmetric bracket over the symmetric product."""
     lhs = symmetrized_poisson_bracket(f, weyl_product(g, h))
-    rhs = weyl_product(symmetrized_poisson_bracket(f, g), h) + weyl_product(
-        g, symmetrized_poisson_bracket(f, h)
-    )
+    fg, fh = symmetrized_poisson_bracket(f, g), symmetrized_poisson_bracket(f, h)
+    rhs = weyl_product(fg, h) + weyl_product(g, fh)
     return EqualityReport(lhs, rhs, lhs - rhs)
 
 
@@ -254,20 +247,12 @@ def check_anticommutator_identity(
 ) -> EqualityReport:
     """For ``V = sum c_n q**n``: half the anti-commutator of V with p equals
     the symmetric product ``sum c_n q**n o p``, compared in normal form."""
-    v = FreePolynomial(
-        (Word.of(*([Letter.Q] * n)), c if isinstance(c, HbarScalar) else HbarScalar.real(c))
-        for n, c in enumerate(coeffs)
-    )
+    scalars = [c if isinstance(c, HbarScalar) else HbarScalar.real(c) for c in coeffs]
+    v = FreePolynomial((Word.of(*([Letter.Q] * n)), c) for n, c in enumerate(scalars))
     p = FreePolynomial.from_letters(Letter.P)
     lhs = normal_order((v * p + p * v).scale(Fraction(1, 2)))
-    rhs = normal_order(
-        expand_polynomial(
-            WeylPolynomial(
-                (WeylMonomial(n, 1), c if isinstance(c, HbarScalar) else HbarScalar.real(c))
-                for n, c in enumerate(coeffs)
-            )
-        )
-    )
+    weyl = WeylPolynomial((WeylMonomial(n, 1), c) for n, c in enumerate(scalars))
+    rhs = normal_order(expand_polynomial(weyl))
     return EqualityReport(lhs, rhs, lhs - rhs)
 
 
@@ -287,9 +272,8 @@ def check_von_neumann_equivalence(F: WeylPolynomial) -> EqualityReport:
             raise UnsupportedFragmentError(
                 "the equivalence check takes a pure observable (no derivative letters)"
             )
-    lhs_weyl = weyl_product(weyl_derivative(F, Letter.Q), _DRHO_P_MONO) - weyl_product(
-        _DRHO_Q_MONO, weyl_derivative(F, Letter.P)
-    )
+    dq, dp = weyl_derivative(F, Letter.Q), weyl_derivative(F, Letter.P)
+    lhs_weyl = weyl_product(dq, _DRHO_P_MONO) - weyl_product(_DRHO_Q_MONO, dp)
     lhs = normal_order(substitute_drho(expand_polynomial(lhs_weyl)))
     f_free = expand_polynomial(F)
     rhs = normal_order((f_free * _RHO - _RHO * f_free).scale(INV_I_HBAR))

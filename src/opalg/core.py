@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, ONE
-from .terms import GradedTerms
+from .terms import GradedTerms, bilinear, linear_map, read_only, sum_into
 
 
 class Letter(enum.IntEnum):
@@ -35,18 +35,11 @@ class Letter(enum.IntEnum):
 
     @property
     def symbol(self) -> str:
-        return _SYMBOLS[self]
+        """The letter as written in expressions: its name in lower case."""
+        return self.name.lower()
 
 
-_SYMBOLS = {
-    Letter.Q: "q",
-    Letter.P: "p",
-    Letter.RHO: "rho",
-    Letter.DRHO_Q: "drho_q",
-    Letter.DRHO_P: "drho_p",
-}
-
-LETTER_BY_SYMBOL = {symbol: letter for letter, symbol in _SYMBOLS.items()}
+LETTER_BY_SYMBOL = {letter.symbol: letter for letter in Letter}
 
 STATE_LETTERS = frozenset({Letter.RHO, Letter.DRHO_Q, Letter.DRHO_P})
 DERIVATIVE_LETTERS = frozenset({Letter.DRHO_Q, Letter.DRHO_P})
@@ -75,7 +68,7 @@ class Word:
     def __add__(self, other: Word) -> Word:
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self.letters + other.letters)
+        return _word(self.letters + other.letters)
 
     def count(self, letter: Letter) -> int:
         return self.letters.count(letter)
@@ -100,6 +93,18 @@ class Word:
         if not self.letters:
             return "1"
         return " ".join(letter.symbol for letter in self.letters)
+
+
+# The frozen-slots __setattr__ of CPython 3.11 raises TypeError for a new name.
+Word.__setattr__ = Word.__delattr__ = read_only  # type: ignore[method-assign]
+_set_letters = Word.letters.__set__  # type: ignore[attr-defined]
+
+
+def _word(letters: tuple[Letter, ...]) -> Word:
+    """Trusted key constructor for letters taken from valid words."""
+    word = object.__new__(Word)
+    _set_letters(word, letters)
+    return word
 
 
 IDENTITY_WORD = Word()
@@ -139,9 +144,7 @@ class FreePolynomial(GradedTerms):
 
 def multiply(a: FreePolynomial, b: FreePolynomial) -> FreePolynomial:
     """Ordinary (successive-application) product: bilinear word concatenation."""
-    return FreePolynomial(
-        (wa + wb, ca * cb) for wa, ca in a.items() for wb, cb in b.items()
-    )
+    return bilinear(a, b, lambda wa, wb: (wa + wb, 1))
 
 
 _MINUS_I_POWERS = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)^k by k mod 4, as (re, im)
@@ -156,8 +159,8 @@ def normal_order(x: FreePolynomial) -> FreePolynomial:
     it is, so state letters block reordering.  A word ``p^b q^a`` thus
     becomes ``sum_k C(a,k) C(b,k) k! (-i*hbar)^k q^(a-k) p^(b-k)``.
     """
-    pairs = []
-    for source, coeff in x.items():
+    terms = []
+    for (source, grade), coeff in x._terms.items():
         # (head, b, k) -> n stands for n (-i hbar)^k head p^b, with n > 0
         # and head not ending in p.
         partial = {((), 0, 0): 1}
@@ -173,13 +176,13 @@ def normal_order(x: FreePolynomial) -> FreePolynomial:
                     step[head + (Letter.P,) * b + (letter,), 0, k] += n
             partial = step
         for (head, b, k), n in partial.items():
-            word = Word(head + (Letter.P,) * b)
+            word = _word(head + (Letter.P,) * b)
             if k == 0:  # the uncontracted term, always with n == 1
-                pairs.append((word, coeff))
+                terms.append(((word, grade), coeff))
             else:
                 re, im = _MINUS_I_POWERS[k % 4]
-                pairs.append((word, coeff * HbarScalar(n * re, n * im, k)))
-    return FreePolynomial(pairs)
+                terms.append(((word, grade + k), coeff * HbarScalar(n * re, n * im, k)))
+    return FreePolynomial._of(sum_into({}, terms))
 
 
 def partial_derivative(x: FreePolynomial, wrt: Letter) -> FreePolynomial:
@@ -191,12 +194,12 @@ def partial_derivative(x: FreePolynomial, wrt: Letter) -> FreePolynomial:
     """
     if wrt not in (Letter.Q, Letter.P):
         raise ValueError("partial derivatives are taken with respect to Q or P")
-    pairs = []
-    for word, coeff in x.items():
-        for i, letter in enumerate(word.letters):
-            if letter is wrt:
-                pairs.append((Word(word.letters[:i] + word.letters[i + 1 :]), coeff))
-    return FreePolynomial(pairs)
+
+    def deletions(word: Word) -> list[tuple[Word, int]]:
+        ls = word.letters
+        return [(_word(ls[:i] + ls[i + 1 :]), 1) for i, letter in enumerate(ls) if letter is wrt]
+
+    return linear_map(x, deletions)
 
 
 def adjoint(x: FreePolynomial) -> FreePolynomial:
@@ -206,11 +209,11 @@ def adjoint(x: FreePolynomial) -> FreePolynomial:
     self-adjoint).  Words containing the state symbol or its derivatives are
     outside the supported fragment.
     """
-    pairs = []
-    for word, coeff in x.items():
+    terms = {}
+    for (word, grade), coeff in x._terms.items():
         if any(letter in STATE_LETTERS for letter in word.letters):
             raise UnsupportedFragmentError(
                 f"adjoint is defined on q/p words only, got '{word}'"
             )
-        pairs.append((Word(tuple(reversed(word.letters))), coeff.conjugate()))
-    return FreePolynomial(pairs)
+        terms[_word(word.letters[::-1]), grade] = coeff.conjugate()
+    return FreePolynomial._of(terms)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from .core import FreePolynomial, Letter, STATE_LETTERS, Word
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, ONE
-from .terms import GradedTerms
+from .terms import GradedTerms, linear_map
 
 # p acts as -i*hbar * d/dx
 _P_FACTOR = HbarScalar.of(0, -1, 1)
@@ -46,12 +46,10 @@ class TestFunction(GradedTerms):
         return cls([(degree, coeff)])
 
     def times_x(self) -> TestFunction:
-        return TestFunction((degree + 1, c) for degree, c in self.items())
+        return linear_map(self, lambda degree: [(degree + 1, 1)])
 
     def differentiate(self) -> TestFunction:
-        return TestFunction(
-            (degree - 1, c * degree) for degree, c in self.items() if degree > 0
-        )
+        return linear_map(self, lambda degree: [(degree - 1, degree)] if degree else ())
 
 
 def _apply_word(word: Word, f: TestFunction) -> TestFunction:

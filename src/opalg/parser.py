@@ -86,52 +86,26 @@ class Token:
 
 def _tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, column = 1, 1
-    i = 0
+    line, line_start, i = 1, 0, 0
     while i < len(source):
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch.isspace():
-            column += 1
-            i += 1
-            continue
-        start_col = column
+        ch, j, column = source[i], i + 1, i - line_start + 1
         if ch.isdigit():
-            j = i
             while j < len(source) and source[j].isdigit():
                 j += 1
-            tokens.append(Token(_UINT, source[i:j], line, start_col))
-            column += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+            tokens.append(Token(_UINT, source[i:j], line, column))
+        elif ch.isalpha() or ch == "_":
             while j < len(source) and (source[j].isalnum() or source[j] == "_"):
                 j += 1
-            name = source[i:j]
-            if name == "o":
-                tokens.append(Token(_CIRC, name, line, start_col))
-            else:
-                tokens.append(Token(_NAME, name, line, start_col))
-            column += j - i
-            i = j
-            continue
-        if ch == "∘":  # ring operator, synonym for "o"
-            tokens.append(Token(_CIRC, ch, line, start_col))
-            column += 1
-            i += 1
-            continue
-        if ch in "+-*^/(),":
-            tokens.append(Token(ch, ch, line, start_col))
-            column += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(Token(_EOF, "", line, column))
+            kind = _CIRC if source[i:j] == "o" else _NAME
+            tokens.append(Token(kind, source[i:j], line, column))
+        elif ch in "+-*^/(),∘":  # the ring operator is a synonym for "o"
+            tokens.append(Token(_CIRC if ch == "∘" else ch, ch, line, column))
+        elif ch == "\n":
+            line, line_start = line + 1, j
+        elif not ch.isspace():
+            raise ParseError(f"unexpected character {ch!r}", line, column)
+        i = j
+    tokens.append(Token(_EOF, "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -373,6 +347,9 @@ def _add_sub(a: Result, b: Result, subtract: bool) -> Result:
     return _as_free(a) + _as_free(b)
 
 
+_BINARY = (SumNode, DifferenceNode, OrdinaryProductNode, WeylProductNode)
+
+
 def evaluate(node: Node) -> Result:
     """Evaluate an AST into a free or Weyl polynomial."""
     if isinstance(node, SymbolNode):
@@ -383,21 +360,30 @@ def evaluate(node: Node) -> Result:
         return FreePolynomial.from_letters(LETTER_BY_SYMBOL[node.name])
     if isinstance(node, RationalNode):
         return FreePolynomial.from_word(IDENTITY_WORD, ONE * node.value)
-    if isinstance(node, SumNode):
-        return _add_sub(evaluate(node.left), evaluate(node.right), subtract=False)
-    if isinstance(node, DifferenceNode):
-        return _add_sub(evaluate(node.left), evaluate(node.right), subtract=True)
-    if isinstance(node, OrdinaryProductNode):
-        a, b = evaluate(node.left), evaluate(node.right)
-        if _is_scalar(a):
-            return _scale_by_scalar(a, b)
-        if _is_scalar(b):
-            return _scale_by_scalar(b, a)
-        return _as_free(a) * _as_free(b)
-    if isinstance(node, WeylProductNode):
-        a = _as_weyl(evaluate(node.left), node.left)
-        b = _as_weyl(evaluate(node.right), node.right)
-        return _guarded(weyl_product, node, a, b)
+    if isinstance(node, _BINARY):
+        # Along the left spine in a loop, left operand first, so that a long
+        # sum or product does not recurse once per operator.
+        spine = []
+        while isinstance(node, _BINARY):
+            spine.append(node)
+            node = node.left  # type: ignore[attr-defined]
+        value = evaluate(node)
+        for link in reversed(spine):
+            if isinstance(link, WeylProductNode):
+                a = _as_weyl(value, link.left)
+                b = _as_weyl(evaluate(link.right), link.right)
+                value = _guarded(weyl_product, link, a, b)
+            elif isinstance(link, OrdinaryProductNode):
+                b = evaluate(link.right)
+                if _is_scalar(value):
+                    value = _scale_by_scalar(value, b)
+                elif _is_scalar(b):
+                    value = _scale_by_scalar(b, value)
+                else:
+                    value = _as_free(value) * _as_free(b)
+            else:
+                value = _add_sub(value, evaluate(link.right), isinstance(link, DifferenceNode))
+        return value
     if isinstance(node, PowerNode):
         if node.exponent < 0:
             if isinstance(node.base, SymbolNode) and node.base.name == "hbar":

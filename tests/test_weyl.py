@@ -109,6 +109,11 @@ def test_expansion_of_identity():
     assert expand(WeylMonomial(0, 0)) == FreePolynomial.one()
 
 
+def test_expansion_memo_is_bounded():
+    maxsize = expand.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+
+
 def test_expansion_word_count():
     for n in range(5):
         for m in range(5):
