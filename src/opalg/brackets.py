@@ -97,7 +97,8 @@ def poisson_bracket_classical(
 
 def commutator_bracket(f: FreePolynomial, g: FreePolynomial) -> FreePolynomial:
     """The normal form of ``(f*g - g*f) / (i*hbar)``."""
-    return normal_order(f * g - g * f).scale(INV_I_HBAR)
+    terms = normal_order(f * g - g * f)._terms.items()
+    return FreePolynomial._of({(word, grade - 1): c * INV_I_HBAR for (word, grade), c in terms})
 
 
 def symmetrized_poisson_bracket(

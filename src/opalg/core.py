@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import UnsupportedFragmentError
-from .scalars import HbarScalar, ONE
+from .scalars import HbarScalar, ONE, minus_i_hbar_power
 from .terms import GradedTerms, bilinear, linear_map, read_only, sum_into
 
 
@@ -108,6 +108,7 @@ def _word(letters: tuple[Letter, ...]) -> Word:
 
 
 IDENTITY_WORD = Word()
+_Q, _P = (Letter.Q,), (Letter.P,)  # one-letter tuples, to append to letters
 
 
 class FreePolynomial(GradedTerms):
@@ -147,9 +148,6 @@ def multiply(a: FreePolynomial, b: FreePolynomial) -> FreePolynomial:
     return bilinear(a, b, lambda wa, wb: (wa + wb, 1))
 
 
-_MINUS_I_POWERS = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)^k by k mod 4, as (re, im)
-
-
 def normal_order(x: FreePolynomial) -> FreePolynomial:
     """The unique normal form: no ``p`` immediately followed by ``q``.
 
@@ -158,30 +156,54 @@ def normal_order(x: FreePolynomial) -> FreePolynomial:
     ``p^b q = q p^b - i*hbar b p^(b-1)``; every other letter is appended as
     it is, so state letters block reordering.  A word ``p^b q^a`` thus
     becomes ``sum_k C(a,k) C(b,k) k! (-i*hbar)^k q^(a-k) p^(b-k)``.
+
+    A partial product is a map ``(head, b, k) -> n`` of positive integer
+    counts, standing for ``n (-i*hbar)^k head p^b`` with ``head`` not
+    ending in ``p``.  The partial products after each letter of the last
+    word are kept on a stack, so a word starts from its longest common
+    prefix with the word before it: the arrangements of :func:`expand` come
+    in lexicographic order and products emit runs with one left factor, so
+    most steps are shared.  The final counts are summed per source
+    coefficient, and one scalar is made per output word and coefficient.
     """
-    terms = []
-    for (source, grade), coeff in x._terms.items():
-        # (head, b, k) -> n stands for n (-i hbar)^k head p^b, with n > 0
-        # and head not ending in p.
-        partial = {((), 0, 0): 1}
-        for letter in source.letters:
-            step = defaultdict(int)
-            for (head, b, k), n in partial.items():
-                if letter is Letter.P:
-                    step[head, b + 1, k] += n
-                elif letter is Letter.Q and b:
-                    step[head + (Letter.Q,), b, k] += n
-                    step[head, b - 1, k + 1] += n * b
-                else:
-                    step[head + (Letter.P,) * b + (letter,), 0, k] += n
-            partial = step
-        for (head, b, k), n in partial.items():
-            word = _word(head + (Letter.P,) * b)
-            if k == 0:  # the uncontracted term, always with n == 1
-                terms.append(((word, grade), coeff))
+    Q, P = Letter.Q, Letter.P
+    counts_by_coeff: dict[HbarScalar, dict] = {}
+    previous: tuple[Letter, ...] = ()
+    stack = [{((), 0, 0): 1}]  # stack[i]: the partial product of previous[:i]
+    for (source, _), coeff in x._terms.items():
+        letters = source.letters
+        shared, limit = 0, min(len(letters), len(previous))
+        while shared < limit and letters[shared] is previous[shared]:
+            shared += 1
+        del stack[shared + 1 :]
+        partial = stack[shared]
+        for letter in letters[shared:]:
+            if letter is P:
+                step = {}
+                for (head, b, k), n in partial.items():
+                    step[head, b + 1, k] = n
+            elif letter is Q:
+                step = defaultdict(int)
+                for (head, b, k), n in partial.items():
+                    step[head + _Q, b, k] += n
+                    if b:
+                        step[head, b - 1, k + 1] += n * b
             else:
-                re, im = _MINUS_I_POWERS[k % 4]
-                terms.append(((word, grade + k), coeff * HbarScalar(n * re, n * im, k)))
+                step = {}
+                for (head, b, k), n in partial.items():
+                    step[head + _P * b + (letter,), 0, k] = n
+            stack.append(step)
+            partial = step
+        previous = letters
+        counts = counts_by_coeff.setdefault(coeff, {})
+        for slot, n in partial.items():
+            counts[slot] = counts.get(slot, 0) + n
+    terms = []
+    for coeff, counts in counts_by_coeff.items():
+        grade = coeff.hbar_power
+        for (head, b, k), n in counts.items():
+            scalar = coeff * minus_i_hbar_power(k, n) if k or n != 1 else coeff
+            terms.append(((_word(head + _P * b), grade + k), scalar))
     return FreePolynomial._of(sum_into({}, terms))
 
 

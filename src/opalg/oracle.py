@@ -17,17 +17,18 @@ the images of ``x**0 .. x**D`` determine every coefficient with p-degree at
 most ``D``, and testing up to the total degree of the operands decides
 equality exactly.  (State words have no faithful finite action here and are
 rejected; identities involving them are settled by the free normal form.)
+
+Each word acts with plain ints: on ``x**d``, ``q`` raises the degree and
+``p`` multiplies by it and lowers it, and the word's ``(-i*hbar)**k`` for
+its ``k`` p's is one scalar.  The oracle never rewrites words.
 """
 
 from __future__ import annotations
 
-from .core import FreePolynomial, Letter, STATE_LETTERS, Word
+from .core import FreePolynomial, Letter, STATE_LETTERS
 from .errors import UnsupportedFragmentError
-from .scalars import HbarScalar, ONE
-from .terms import GradedTerms, linear_map
-
-# p acts as -i*hbar * d/dx
-_P_FACTOR = HbarScalar.of(0, -1, 1)
+from .scalars import HbarScalar, ONE, minus_i_hbar_power
+from .terms import GradedTerms, linear_map, sum_into
 
 
 class TestFunction(GradedTerms):
@@ -52,26 +53,38 @@ class TestFunction(GradedTerms):
         return linear_map(self, lambda degree: [(degree - 1, degree)] if degree else ())
 
 
-def _apply_word(word: Word, f: TestFunction) -> TestFunction:
-    for letter in reversed(word.letters):
-        if letter is Letter.Q:
-            f = f.times_x()
-        elif letter is Letter.P:
-            f = f.differentiate().scale(_P_FACTOR)
-        else:
+def apply_operator(op: FreePolynomial, f: TestFunction) -> TestFunction:
+    """Act with ``op`` on ``f``, letters applied right to left; exact and linear.
+
+    Every word with a state letter raises, whatever ``f`` is.
+    """
+    f_terms = f._terms.items()
+    Q, P = Letter.Q, Letter.P
+    terms = []
+    for (word, _), coeff in op._terms.items():
+        letters = word.letters
+        if not STATE_LETTERS.isdisjoint(letters):
             raise UnsupportedFragmentError(
                 "the polynomial representation acts on q/p words only"
             )
-    return f
-
-
-def apply_operator(op: FreePolynomial, f: TestFunction) -> TestFunction:
-    """Act with ``op`` on ``f``, letters applied right to left; exact and linear."""
-    return TestFunction(
-        (degree, c * coeff)
-        for word, coeff in op.items()
-        for degree, c in _apply_word(word, f).items()
-    )
+        k = letters.count(P)
+        shift = len(letters) - 2 * k
+        word_coeff = coeff * minus_i_hbar_power(k)
+        for (degree, _), c in f_terms:
+            factor, d = 1, degree
+            for letter in reversed(letters):
+                if letter is Q:
+                    d += 1
+                elif d:
+                    factor *= d
+                    d -= 1
+                else:  # p annihilates x**0
+                    factor = 0
+                    break
+            if factor:
+                scalar = word_coeff * c * factor
+                terms.append(((degree + shift, scalar.hbar_power), scalar))
+    return TestFunction._of(sum_into({}, terms))
 
 
 def oracle_equal(

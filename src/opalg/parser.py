@@ -89,8 +89,8 @@ def _tokenize(source: str) -> list[Token]:
     line, line_start, i = 1, 0, 0
     while i < len(source):
         ch, j, column = source[i], i + 1, i - line_start + 1
-        if ch.isdigit():
-            while j < len(source) and source[j].isdigit():
+        if ch.isdecimal():
+            while j < len(source) and source[j].isdecimal():
                 j += 1
             tokens.append(Token(_UINT, source[i:j], line, column))
         elif ch.isalpha() or ch == "_":

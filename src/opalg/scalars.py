@@ -202,6 +202,15 @@ def _make(re: int, im: int, den: int, power: int) -> HbarScalar:
     return scalar
 
 
+_MINUS_I_POWERS = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)^k by k mod 4, as (re, im)
+
+
+def minus_i_hbar_power(k: int, n: int = 1) -> HbarScalar:
+    """``n * (-i*hbar)**k``, for ints ``n`` and ``k >= 0``."""
+    re, im = _MINUS_I_POWERS[k % 4]
+    return _make(n * re, n * im, 1, k)
+
+
 ZERO = HbarScalar()
 ONE = HbarScalar.real(1)
 I = HbarScalar.imag(1)

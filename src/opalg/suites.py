@@ -212,7 +212,7 @@ def _monomial_triples(
     max_degree: int, identity: Callable[..., WeylPolynomial]
 ) -> Iterable[tuple[str, WeylPolynomial]]:
     """An identity's residual on every triple of monomials up to ``max_degree``."""
-    monos = [(m, WeylPolynomial.from_monomial(m)) for m in _monomials(max_degree)]
+    monos = [(str(m), WeylPolynomial.from_monomial(m)) for m in _monomials(max_degree)]
     for f, fp in monos:
         for g, gp in monos:
             for h, hp in monos:

@@ -31,7 +31,7 @@ from .core import (
 )
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, ONE
-from .terms import GradedTerms, bilinear, linear_map, read_only
+from .terms import GradedTerms, bilinear, linear_map, read_only, sum_into
 
 _DERIV_RANK = {None: 0, Letter.DRHO_Q: 1, Letter.DRHO_P: 2}
 
@@ -170,11 +170,12 @@ def expand(w: WeylMonomial) -> FreePolynomial:
 
 def expand_polynomial(x: WeylPolynomial) -> FreePolynomial:
     """Linear extension of :func:`expand` to whole Weyl polynomials."""
-    return FreePolynomial(
-        (word, c * coeff)
-        for monomial, coeff in x.items()
-        for word, c in expand(monomial).items()
+    terms = (
+        ((word, grade + coeff.hbar_power), c * coeff)
+        for (monomial, _), coeff in x._terms.items()
+        for (word, grade), c in expand(monomial)._terms.items()
     )
+    return FreePolynomial._of(sum_into({}, terms))
 
 
 def weyl_product(x: WeylPolynomial, y: WeylPolynomial) -> WeylPolynomial:

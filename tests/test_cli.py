@@ -67,6 +67,14 @@ def test_eval_parse_error_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_eval_superscript_digit_is_one_error_line(capsys):
+    # "²" is a digit to str.isdigit() but not a decimal that int() reads.
+    assert main(["eval", "q ²"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 1:3: unexpected character '²'\n"
+
+
 def test_eval_domain_error_exits_2(capsys):
     assert main(["eval", "S(rho)"]) == 2
     assert "error" in capsys.readouterr().err

@@ -5,7 +5,7 @@ from functools import cache
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from opalg.core import (
     FreePolynomial,
@@ -20,6 +20,7 @@ from opalg.core import (
 from opalg.errors import UnsupportedFragmentError
 from opalg.printing import render_json
 from opalg.scalars import HbarScalar, I_HBAR, ONE
+from opalg.weyl import WeylMonomial, expand
 
 Q, P, RHO = Letter.Q, Letter.P, Letter.RHO
 
@@ -177,6 +178,62 @@ def test_normal_order_matches_rewrite_system(alphabet, max_length):
             expected = rewrite_normal_form(word).scale(coeff)
             actual = normal_order(FreePolynomial.from_word(word, coeff))
             assert render_json(actual) == render_json(expected), str(word)
+
+
+# Multi-term inputs for the prefix-shared kernel: every word extends a prefix
+# of one base word, so consecutive words share prefixes and one may be a
+# prefix of another (or empty); a small pool of graded coefficients repeats.
+GRADED_COEFFS = [ONE, HbarScalar.of(-2, 1), HbarScalar.of(0, 3, 1), HbarScalar.of(1, -1, 2)]
+sharing_polys = st.builds(
+    lambda base, parts: FreePolynomial(
+        (Word(tuple(base[:cut]) + tuple(tail)), GRADED_COEFFS[i]) for cut, tail, i in parts
+    ),
+    st.lists(st.sampled_from(list(Letter)), max_size=6),
+    st.lists(
+        st.tuples(
+            st.integers(0, 6),
+            st.lists(st.sampled_from([Q, P, Q, P, RHO, Letter.DRHO_Q]), max_size=2),
+            st.integers(0, len(GRADED_COEFFS) - 1),
+        ),
+        max_size=8,
+    ),
+)
+SHARING_EXAMPLE = FreePolynomial(
+    [
+        (Word.of(P, P, Q, Q), ONE),
+        (Word.of(P, P, Q), ONE),
+        (IDENTITY_WORD, HbarScalar.of(0, 3, 1)),
+        (Word.of(P, P, Q, RHO, P, Q), ONE),
+        (Word.of(P, Q, P, Q), HbarScalar.of(1, -1, 2)),
+        (Word.of(P, Q, P, Letter.DRHO_P, Q), HbarScalar.of(0, 3, 1)),
+    ]
+)
+
+
+@given(sharing_polys)
+@example(SHARING_EXAMPLE)
+def test_normal_order_of_sums_is_the_sum_of_word_normal_forms(x):
+    expected = FreePolynomial()
+    for word, coeff in x.items():
+        expected = expected + rewrite_normal_form(word).scale(coeff)
+    assert normal_order(x) == expected
+
+
+def mccoy_form(n: int, m: int) -> FreePolynomial:
+    """McCoy: ``S(q^n p^m) = sum_k C(n,k) C(m,k) k! (-i hbar/2)^k q^(n-k) p^(m-k)``."""
+    pairs = []
+    for k in range(min(n, m) + 1):
+        c = Fraction(comb(n, k) * comb(m, k) * factorial(k), 2**k)
+        re, im = ((1, 0), (0, -1), (-1, 0), (0, 1))[k % 4]  # (-i)^k
+        pairs.append((Word((Q,) * (n - k) + (P,) * (m - k)), HbarScalar.of(c * re, c * im, k)))
+    return FreePolynomial(pairs)
+
+
+def test_normal_order_of_symmetrized_monomials_is_mccoys_form():
+    for total in range(15):
+        for n in range(total + 1):
+            m = total - n
+            assert normal_order(expand(WeylMonomial(n, m))) == mccoy_form(n, m), (n, m)
 
 
 def binomial_sum(a: int, b: int) -> FreePolynomial:

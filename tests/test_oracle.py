@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -74,6 +75,56 @@ def test_state_words_are_rejected():
         apply_operator(FreePolynomial.from_letters(Letter.RHO), TestFunction.x_power(0))
     with pytest.raises(UnsupportedFragmentError):
         oracle_equal(q, FreePolynomial.from_letters(Letter.DRHO_P))
+
+
+def test_state_words_raise_whatever_they_act_on():
+    message = r"^the polynomial representation acts on q/p words only$"
+    rho_p = FreePolynomial.from_letters(Letter.RHO, P)  # p first annihilates x**0
+    drho_q = FreePolynomial.from_letters(Letter.DRHO_Q)
+    for op in (rho_p, drho_q, q + rho_p):
+        for f in (TestFunction.x_power(0), TestFunction.zero()):
+            with pytest.raises(UnsupportedFragmentError, match=message):
+                apply_operator(op, f)
+
+
+# Reference: the per-letter route, one linear map per letter.
+MINUS_I_HBAR = HbarScalar.of(0, -1, 1)
+
+
+def apply_by_letters(op: FreePolynomial, f: TestFunction) -> TestFunction:
+    result = TestFunction.zero()
+    for word, coeff in op.items():
+        g = f
+        for letter in reversed(word.letters):
+            g = g.times_x() if letter is Q else g.differentiate().scale(MINUS_I_HBAR)
+        result = result + g.scale(coeff)
+    return result
+
+
+TEST_FUNCTIONS = [
+    TestFunction.x_power(0),
+    TestFunction(
+        [
+            (0, ONE),
+            (2, HbarScalar.of(2, -1, 1)),
+            (3, HbarScalar.real(Fraction(-1, 2))),
+            (5, HbarScalar.of(0, 3, 2)),
+            (8, HbarScalar.of(1, 1)),
+        ]
+    ),
+]
+
+
+@pytest.mark.parametrize("length", range(9))
+def test_word_action_matches_the_per_letter_route(length):
+    coeffs = itertools.cycle([ONE, HbarScalar.of(-2, 1), HbarScalar.of(0, 1, 1)])
+    words = [Word(letters) for letters in itertools.product((Q, P), repeat=length)]
+    for f in TEST_FUNCTIONS:
+        for word in words:
+            op = FreePolynomial.from_word(word, HbarScalar.of(3, -1, 1))
+            assert apply_operator(op, f) == apply_by_letters(op, f), str(word)
+        op = FreePolynomial(zip(words, coeffs))
+        assert apply_operator(op, f) == apply_by_letters(op, f)
 
 
 def test_explicit_bound_below_degree_is_rejected():

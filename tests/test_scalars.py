@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from opalg.scalars import HBAR, HbarScalar, I, INV_I_HBAR, I_HBAR, ONE, ZERO
+from opalg.scalars import HBAR, HbarScalar, I, INV_I_HBAR, I_HBAR, ONE, ZERO, minus_i_hbar_power
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 scalars = st.builds(
@@ -52,6 +52,14 @@ def test_division_is_exact_complex_division():
 def test_conjugate_keeps_grade():
     assert I_HBAR.conjugate() == HbarScalar.of(0, -1, 1)
     assert HBAR.conjugate() == HBAR
+
+
+@pytest.mark.parametrize("n", [1, -3, 7])
+def test_minus_i_hbar_power_is_a_repeated_product(n):
+    expected = HbarScalar.real(n)
+    for k in range(9):
+        assert minus_i_hbar_power(k, n) == expected, k
+        expected = expected * HbarScalar.of(0, -1, 1)
 
 
 def test_inv_i_hbar_is_the_bracket_prefactor():
