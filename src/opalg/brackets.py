@@ -22,7 +22,9 @@ from .core import (
     Letter,
     Word,
     _word,
+    junction_terms,
     normal_order,
+    split_normal,
 )
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, INV_I_HBAR, ONE, RationalLike
@@ -96,9 +98,14 @@ def poisson_bracket_classical(
 
 
 def commutator_bracket(f: FreePolynomial, g: FreePolynomial) -> FreePolynomial:
-    """The normal form of ``(f*g - g*f) / (i*hbar)``."""
-    terms = normal_order(f * g - g * f)._terms.items()
-    return FreePolynomial._of({(word, grade - 1): c * INV_I_HBAR for (word, grade), c in terms})
+    """The normal form of ``(f*g - g*f) / (i*hbar)``.
+
+    Each operand is normal ordered once; the two products of the normal
+    forms are then normal in closed form, one junction reorder per word pair.
+    """
+    nf, ng = split_normal(normal_order(f)), split_normal(normal_order(g))
+    slots = sum_into({}, junction_terms(nf, ng, INV_I_HBAR))
+    return FreePolynomial._of(sum_into(slots, junction_terms(ng, nf, -INV_I_HBAR)))
 
 
 def symmetrized_poisson_bracket(

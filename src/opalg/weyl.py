@@ -27,6 +27,7 @@ from .core import (
     FreePolynomial,
     Letter,
     Word,
+    _word,
     normal_order,
 )
 from .errors import UnsupportedFragmentError
@@ -163,19 +164,23 @@ def expand(w: WeylMonomial) -> FreePolynomial:
     coeff = ONE * Fraction(
         factorial(w.n) * factorial(w.m), factorial(w.n + w.m + extra)
     )
-    return FreePolynomial(
-        (Word(arrangement), coeff) for arrangement in multiset_permutations(letters)
+    return FreePolynomial._of(
+        {(_word(arrangement), 0): coeff for arrangement in multiset_permutations(letters)}
     )
 
 
 def expand_polynomial(x: WeylPolynomial) -> FreePolynomial:
-    """Linear extension of :func:`expand` to whole Weyl polynomials."""
-    terms = (
-        ((word, grade + coeff.hbar_power), c * coeff)
-        for (monomial, _), coeff in x._terms.items()
-        for (word, grade), c in expand(monomial)._terms.items()
-    )
-    return FreePolynomial._of(sum_into({}, terms))
+    """Linear extension of :func:`expand` to whole Weyl polynomials.
+
+    All arrangements of a monomial share one coefficient, so each Weyl term
+    makes one scalar.
+    """
+    slots: dict = {}
+    for (monomial, grade), coeff in x._terms.items():
+        words = expand(monomial)._terms
+        scalar = coeff * next(iter(words.values()))
+        sum_into(slots, (((word, grade), scalar) for word, _ in words))
+    return FreePolynomial._of(slots)
 
 
 def weyl_product(x: WeylPolynomial, y: WeylPolynomial) -> WeylPolynomial:

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from opalg.brackets import (
     ClassicalPolynomial,
@@ -21,6 +22,7 @@ from opalg.brackets import (
 from opalg.core import FreePolynomial, IDENTITY_WORD, Letter, Word, normal_order
 from opalg.errors import UnsupportedFragmentError
 from opalg.oracle import oracle_equal
+from opalg.printing import render_json, render_text
 from opalg.scalars import HbarScalar, INV_I_HBAR, ONE
 from opalg.weyl import (
     WeylMonomial,
@@ -147,6 +149,66 @@ def test_brackets_agree_on_low_degree_arguments():
                 expand_polynomial(mono(n1, m1)), expand_polynomial(mono(n2, m2))
             )
             assert sym == comm
+
+
+def reordered_difference(f: FreePolynomial, g: FreePolynomial) -> FreePolynomial:
+    """Reference route for the commutator: normal order the whole difference
+    of the two products, then shift by 1/(i hbar)."""
+    return normal_order(f * g - g * f).scale(INV_I_HBAR)
+
+
+def assert_same_commutator(f: FreePolynomial, g: FreePolynomial) -> None:
+    actual, expected = commutator_bracket(f, g), reordered_difference(f, g)
+    assert actual == expected
+    assert render_text(actual) == render_text(expected)
+    assert render_json(actual) == render_json(expected)
+
+
+# Each operand draws up to six terms from a pool of at most three words over
+# all five letters, so words repeat and may cancel; the grades run -1..2.
+graded_coeffs = st.builds(
+    HbarScalar.of, st.integers(-3, 3), st.integers(-2, 2), st.integers(-1, 2)
+)
+free_words = st.lists(st.sampled_from(list(Letter)), max_size=5).map(lambda ls: Word(tuple(ls)))
+free_operands = st.lists(free_words, min_size=1, max_size=3).flatmap(
+    lambda pool: st.lists(st.tuples(st.sampled_from(pool), graded_coeffs), max_size=6)
+).map(FreePolynomial)
+
+
+@given(free_operands, free_operands)
+@example(FreePolynomial(), q)
+@example(FreePolynomial.one(), FreePolynomial())
+@example(
+    FreePolynomial([(Word.of(Q, RHO, P, P), HbarScalar.of(1, 2, -1)), (IDENTITY_WORD, ONE)]),
+    FreePolynomial([(Word.of(P, Q, Q, Letter.DRHO_P), HbarScalar.of(0, 3, 2))] * 2),
+)
+def test_commutator_bracket_matches_the_reordered_difference(f, g):
+    assert_same_commutator(f, g)
+
+
+# The commutator operands of the ordering benchmark: expanded Weyl sums of one
+# or two monomials of degree 2 to 7 with both exponents positive.
+def weyl_sum(terms) -> FreePolynomial:
+    return expand_polynomial(
+        WeylPolynomial((WeylMonomial(n, d - n), HbarScalar.real(c)) for c, d, n in terms)
+    )
+
+
+weyl_terms = st.lists(
+    st.tuples(
+        st.sampled_from([1, -1, Fraction(1, 2), 3, Fraction(-2, 3)]),
+        st.integers(2, 7).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d - 1))),
+    ).map(lambda t: (t[0], *t[1])),
+    min_size=1,
+    max_size=2,
+)
+
+
+@settings(max_examples=20)
+@given(weyl_terms, weyl_terms)
+@example([(1, 7, 4), (Fraction(-2, 3), 6, 3)], [(3, 6, 3)])
+def test_commutator_bracket_of_expanded_weyl_operands(a, b):
+    assert_same_commutator(weyl_sum(a), weyl_sum(b))
 
 
 # -- Leibniz -----------------------------------------------------------------------

@@ -901,6 +901,24 @@ COEFFICIENT_GOLDEN = [
         r"\frac{2}{3} i \hbar^{-1} \hat \rho \hat q^{2} - \frac{2}{3} i \hbar^{-1} \hat q^{2} \hat \rho - \frac{5}{7} \hbar^{-1} \hat \rho \hat p + \frac{5}{7} \hbar^{-1} \hat p \hat \rho",
         '{"basis": "free", "terms": [{"word": ["rho", "q", "q"], "coeff": {"hbar_powers": {"-1": {"re": "0", "im": "2/3"}}}}, {"word": ["q", "q", "rho"], "coeff": {"hbar_powers": {"-1": {"re": "0", "im": "-2/3"}}}}, {"word": ["rho", "p"], "coeff": {"hbar_powers": {"-1": {"re": "-5/7", "im": "0"}}}}, {"word": ["p", "rho"], "coeff": {"hbar_powers": {"-1": {"re": "5/7", "im": "0"}}}}]}',
     ),
+    (
+        'comm(S(q^6 p^4), S(q^3 p^6))',
+        '24 q^8 p^9 - 864 i hbar q^7 p^8 - 11664 hbar^2 q^6 p^7 + 75600 i hbar^3 q^5 p^6 + 250425 hbar^4 q^4 p^5 - 417690 i hbar^5 q^3 p^4 - 323460 hbar^6 q^2 p^3 + 97200 i hbar^7 q p^2 + 7425 hbar^8 p',
+        r"24 \hat q^{8} \hat p^{9} - 864 i \hbar \hat q^{7} \hat p^{8} - 11664 \hbar^{2} \hat q^{6} \hat p^{7} + 75600 i \hbar^{3} \hat q^{5} \hat p^{6} + 250425 \hbar^{4} \hat q^{4} \hat p^{5} - 417690 i \hbar^{5} \hat q^{3} \hat p^{4} - 323460 \hbar^{6} \hat q^{2} \hat p^{3} + 97200 i \hbar^{7} \hat q \hat p^{2} + 7425 \hbar^{8} \hat p",
+        '{"basis": "free", "terms": [{"word": ["q", "q", "q", "q", "q", "q", "q", "q", "p", "p", "p", "p", "p", "p", "p", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "24", "im": "0"}}}}, {"word": ["q", "q", "q", "q", "q", "q", "q", "p", "p", "p", "p", "p", "p", "p", "p"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "-864"}}}}, {"word": ["q", "q", "q", "q", "q", "q", "p", "p", "p", "p", "p", "p", "p"], "coeff": {"hbar_powers": {"2": {"re": "-11664", "im": "0"}}}}, {"word": ["q", "q", "q", "q", "q", "p", "p", "p", "p", "p", "p"], "coeff": {"hbar_powers": {"3": {"re": "0", "im": "75600"}}}}, {"word": ["q", "q", "q", "q", "p", "p", "p", "p", "p"], "coeff": {"hbar_powers": {"4": {"re": "250425", "im": "0"}}}}, {"word": ["q", "q", "q", "p", "p", "p", "p"], "coeff": {"hbar_powers": {"5": {"re": "0", "im": "-417690"}}}}, {"word": ["q", "q", "p", "p", "p"], "coeff": {"hbar_powers": {"6": {"re": "-323460", "im": "0"}}}}, {"word": ["q", "p", "p"], "coeff": {"hbar_powers": {"7": {"re": "0", "im": "97200"}}}}, {"word": ["p"], "coeff": {"hbar_powers": {"8": {"re": "7425", "im": "0"}}}}]}',
+    ),
+    (
+        'comm((q+p)^4, (q-p)^3)',
+        '-24 p^5 - 24 q p^4 + 48 q^2 p^3 + 48 q^3 p^2 - 24 q^4 p - 24 q^5 + 48 i hbar p^3 - 144 i hbar q p^2 - 144 i hbar q^2 p + 48 i hbar q^3 - 24 hbar^2 p - 24 hbar^2 q',
+        r"- 24 \hat p^{5} - 24 \hat q \hat p^{4} + 48 \hat q^{2} \hat p^{3} + 48 \hat q^{3} \hat p^{2} - 24 \hat q^{4} \hat p - 24 \hat q^{5} + 48 i \hbar \hat p^{3} - 144 i \hbar \hat q \hat p^{2} - 144 i \hbar \hat q^{2} \hat p + 48 i \hbar \hat q^{3} - 24 \hbar^{2} \hat p - 24 \hbar^{2} \hat q",
+        '{"basis": "free", "terms": [{"word": ["p", "p", "p", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "-24", "im": "0"}}}}, {"word": ["q", "p", "p", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "-24", "im": "0"}}}}, {"word": ["q", "q", "p", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "48", "im": "0"}}}}, {"word": ["q", "q", "q", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "48", "im": "0"}}}}, {"word": ["q", "q", "q", "q", "p"], "coeff": {"hbar_powers": {"0": {"re": "-24", "im": "0"}}}}, {"word": ["q", "q", "q", "q", "q"], "coeff": {"hbar_powers": {"0": {"re": "-24", "im": "0"}}}}, {"word": ["p", "p", "p"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "48"}}}}, {"word": ["q", "p", "p"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "-144"}}}}, {"word": ["q", "q", "p"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "-144"}}}}, {"word": ["q", "q", "q"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "48"}}}}, {"word": ["p"], "coeff": {"hbar_powers": {"2": {"re": "-24", "im": "0"}}}}, {"word": ["q"], "coeff": {"hbar_powers": {"2": {"re": "-24", "im": "0"}}}}]}',
+    ),
+    (
+        'comm(q^3 rho p^2 drho_q, p^4 q^2 rho)',
+        'i hbar^-1 q^2 p^4 rho q^3 rho p^2 drho_q - i hbar^-1 q^3 rho p^2 drho_q q^2 p^4 rho + 8 q p^3 rho q^3 rho p^2 drho_q - 8 q^3 rho p^2 drho_q q p^3 rho - 12 i hbar p^2 rho q^3 rho p^2 drho_q + 12 i hbar q^3 rho p^2 drho_q p^2 rho',
+        r"i \hbar^{-1} \hat q^{2} \hat p^{4} \hat \rho \hat q^{3} \hat \rho \hat p^{2} \frac{\partial \hat \rho}{\partial \hat q} - i \hbar^{-1} \hat q^{3} \hat \rho \hat p^{2} \frac{\partial \hat \rho}{\partial \hat q} \hat q^{2} \hat p^{4} \hat \rho + 8 \hat q \hat p^{3} \hat \rho \hat q^{3} \hat \rho \hat p^{2} \frac{\partial \hat \rho}{\partial \hat q} - 8 \hat q^{3} \hat \rho \hat p^{2} \frac{\partial \hat \rho}{\partial \hat q} \hat q \hat p^{3} \hat \rho - 12 i \hbar \hat p^{2} \hat \rho \hat q^{3} \hat \rho \hat p^{2} \frac{\partial \hat \rho}{\partial \hat q} + 12 i \hbar \hat q^{3} \hat \rho \hat p^{2} \frac{\partial \hat \rho}{\partial \hat q} \hat p^{2} \hat \rho",
+        '{"basis": "free", "terms": [{"word": ["q", "q", "p", "p", "p", "p", "rho", "q", "q", "q", "rho", "p", "p", "drho_q"], "coeff": {"hbar_powers": {"-1": {"re": "0", "im": "1"}}}}, {"word": ["q", "q", "q", "rho", "p", "p", "drho_q", "q", "q", "p", "p", "p", "p", "rho"], "coeff": {"hbar_powers": {"-1": {"re": "0", "im": "-1"}}}}, {"word": ["q", "p", "p", "p", "rho", "q", "q", "q", "rho", "p", "p", "drho_q"], "coeff": {"hbar_powers": {"0": {"re": "8", "im": "0"}}}}, {"word": ["q", "q", "q", "rho", "p", "p", "drho_q", "q", "p", "p", "p", "rho"], "coeff": {"hbar_powers": {"0": {"re": "-8", "im": "0"}}}}, {"word": ["p", "p", "rho", "q", "q", "q", "rho", "p", "p", "drho_q"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "-12"}}}}, {"word": ["q", "q", "q", "rho", "p", "p", "drho_q", "p", "p", "rho"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "12"}}}}]}',
+    ),
 ]
 
 
