@@ -17,15 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import (
-    FreePolynomial,
-    Letter,
-    Word,
-    _word,
-    junction_terms,
-    normal_order,
-    split_normal,
-)
+from .core import FreePolynomial, Letter, Word, _word, normal_order
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, INV_I_HBAR, ONE, RationalLike
 from .terms import GradedTerms, bilinear, linear_map, sum_into
@@ -100,12 +92,11 @@ def poisson_bracket_classical(
 def commutator_bracket(f: FreePolynomial, g: FreePolynomial) -> FreePolynomial:
     """The normal form of ``(f*g - g*f) / (i*hbar)``.
 
-    Each operand is normal ordered once; the two products of the normal
-    forms are then normal in closed form, one junction reorder per word pair.
+    Each operand is normal ordered once, so the products have one word pair
+    per pair of normal-form terms rather than per pair of source words.
     """
-    nf, ng = split_normal(normal_order(f)), split_normal(normal_order(g))
-    slots = sum_into({}, junction_terms(nf, ng, INV_I_HBAR))
-    return FreePolynomial._of(sum_into(slots, junction_terms(ng, nf, -INV_I_HBAR)))
+    nf, ng = normal_order(f), normal_order(g)
+    return normal_order(nf * ng - ng * nf).scale(INV_I_HBAR)
 
 
 def symmetrized_poisson_bracket(

@@ -207,57 +207,6 @@ def normal_order(x: FreePolynomial) -> FreePolynomial:
     return FreePolynomial._of(sum_into({}, terms))
 
 
-def split_normal(x: FreePolynomial) -> list[tuple]:
-    """The terms of a normal form, each split once at both ends.
-
-    A term ``s w`` becomes ``(letters, head, b, c, tail, grade, s)`` with
-    ``w = head p^b = q^c tail`` and ``b``, ``c`` maximal, ready to be a left
-    or a right factor of :func:`junction_terms`.
-    """
-    Q, P = Letter.Q, Letter.P
-    split = []
-    for (word, grade), coeff in x._terms.items():
-        letters = word.letters
-        i = j = len(letters)
-        while i and letters[i - 1] is P:
-            i -= 1
-        c = 0
-        while c < j and letters[c] is Q:
-            c += 1
-        split.append((letters, letters[:i], j - i, c, letters[c:], grade, coeff))
-    return split
-
-
-def junction_terms(xs: list[tuple], ys: list[tuple], factor: HbarScalar):
-    """The ``(slot, scalar)`` terms of the normal form of ``factor * x * y``
-    for two normal forms split by :func:`split_normal`.
-
-    A product ``u v`` of normal words can be out of order only where the
-    trailing ``p^b`` of ``u`` meets the leading ``q^c`` of ``v``; McCoy's
-    ``p^b q^c = sum_k C(b,k) C(c,k) k! (-i*hbar)^k q^(c-k) p^(b-k)`` gives
-    ``min(b, c) + 1`` normal words with nothing left to rewrite, since the
-    head does not end in ``p``, the tail does not start with ``q``, and
-    state letters are never moved.  ``factor`` is folded into each left
-    coefficient once.
-    """
-    shift = factor.hbar_power
-    for u, head, b, _, _, gu, cu in xs:
-        cu = cu * factor
-        gu += shift
-        for v, _, _, c, tail, gv, cv in ys:
-            coeff = cu * cv
-            grade = gu + gv
-            if not (b and c):
-                yield (_word(u + v), grade), coeff
-                continue
-            yield (_word(head + _Q * c + _P * b + tail), grade), coeff
-            n = 1
-            for k in range(1, min(b, c) + 1):
-                n = n * (b - k + 1) * (c - k + 1) // k
-                word = _word(head + _Q * (c - k) + _P * (b - k) + tail)
-                yield (word, grade + k), coeff * minus_i_hbar_power(k, n)
-
-
 def partial_derivative(x: FreePolynomial, wrt: Letter) -> FreePolynomial:
     """Positional Leibniz derivative with respect to ``q`` or ``p``.
 

@@ -96,12 +96,6 @@ def oracle_equal(
     operands, which per the module docstring is already past the faithful
     threshold.  An explicit bound below the operands' degree is rejected.
     """
-    for poly in (a, b):
-        for word, _ in poly.items():
-            if any(letter in STATE_LETTERS for letter in word.letters):
-                raise UnsupportedFragmentError(
-                    "the polynomial representation acts on q/p words only"
-                )
     needed = max(a.max_word_length, b.max_word_length)
     if max_test_degree is None:
         max_test_degree = needed + 1

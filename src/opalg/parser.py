@@ -45,6 +45,7 @@ from .core import (
 )
 from .errors import EvalError, ParseError, UnsupportedFragmentError
 from .scalars import HBAR, HbarScalar, I, ONE
+from .terms import sum_into
 from .weyl import (
     WeylMonomial,
     WeylPolynomial,
@@ -335,11 +336,8 @@ def _guarded(func, node: Node, *args):
         raise EvalError(str(exc), node.line, node.column) from exc
 
 
-def _add_sub(a: Result, b: Result, subtract: bool) -> Result:
-    if subtract:
-        b = -b
-    if type(a) is type(b):
-        return a + b
+def _mixed_sum(a: Result, b: Result) -> Result:
+    """``a + b`` for one free and one Weyl value."""
     free, weyl = (a, b) if isinstance(a, FreePolynomial) else (b, a)
     if _is_scalar(free):
         converted = _scalar_to_weyl(free)
@@ -368,6 +366,7 @@ def evaluate(node: Node) -> Result:
             spine.append(node)
             node = node.left  # type: ignore[attr-defined]
         value = evaluate(node)
+        run = None  # the slot map that a run of same-type sum links adds into
         for link in reversed(spine):
             if isinstance(link, WeylProductNode):
                 a = _as_weyl(value, link.left)
@@ -382,7 +381,18 @@ def evaluate(node: Node) -> Result:
                 else:
                     value = _as_free(value) * _as_free(b)
             else:
-                value = _add_sub(value, evaluate(link.right), isinstance(link, DifferenceNode))
+                b = evaluate(link.right)
+                if isinstance(link, DifferenceNode):
+                    b = -b
+                if type(b) is not type(value):
+                    value = _mixed_sum(value, b)
+                    continue
+                # One copy of the map per run of same-type links, summed into
+                # in place, keeps a long sum linear in its term count.
+                if value._terms is not run:
+                    run = dict(value._terms)
+                    value = value._of(run)
+                sum_into(run, b._terms.items())
         return value
     if isinstance(node, PowerNode):
         if node.exponent < 0:

@@ -182,6 +182,12 @@ free_operands = st.lists(free_words, min_size=1, max_size=3).flatmap(
     FreePolynomial([(Word.of(Q, RHO, P, P), HbarScalar.of(1, 2, -1)), (IDENTITY_WORD, ONE)]),
     FreePolynomial([(Word.of(P, Q, Q, Letter.DRHO_P), HbarScalar.of(0, 3, 2))] * 2),
 )
+@example(FreePolynomial.from_letters(Q, RHO, P, P, P), FreePolynomial.from_letters(Q, Q, Q, Q, P))
+@example(FreePolynomial.from_letters(*[P] * 5), FreePolynomial.from_letters(*[Q] * 5))
+@example(
+    FreePolynomial.from_word(Word.of(Q, P, P, P), HbarScalar.of(2, -1, 1)),
+    FreePolynomial.from_word(Word.of(Q, Q, RHO, Q), HbarScalar.of(Fraction(-1, 3), 3, -1)),
+)
 def test_commutator_bracket_matches_the_reordered_difference(f, g):
     assert_same_commutator(f, g)
 

@@ -13,16 +13,13 @@ from opalg.core import (
     Letter,
     Word,
     adjoint,
-    junction_terms,
     multiply,
     normal_order,
     partial_derivative,
-    split_normal,
 )
 from opalg.errors import UnsupportedFragmentError
 from opalg.printing import render_json
 from opalg.scalars import HbarScalar, I_HBAR, ONE
-from opalg.terms import sum_into
 from opalg.weyl import WeylMonomial, expand
 
 Q, P, RHO = Letter.Q, Letter.P, Letter.RHO
@@ -258,55 +255,6 @@ def test_normal_order_of_p_power_q_power_is_the_binomial_sum(b):
         actual = normal_order(FreePolynomial.from_word(Word((P,) * b + (Q,) * a)))
         assert actual == binomial_sum(a, b), (a, b)
         assert len(actual) == min(a, b) + 1
-
-
-# -- junction products of normal forms -------------------------------------------
-
-
-def junction_product(x: FreePolynomial, y: FreePolynomial, factor=ONE) -> FreePolynomial:
-    terms = junction_terms(split_normal(x), split_normal(y), factor)
-    return FreePolynomial._of(sum_into({}, terms))
-
-
-JUNCTION_LETTERS = (Q, P, RHO, Letter.DRHO_Q)
-# Up to length 4 there are 81 k pairs; up to length 5 there would be 1.1 M,
-# fourteen times the run time, so the hypothesis test below draws those.
-JUNCTION_WORDS = [
-    word
-    for n in range(5)
-    for word in map(Word, itertools.product(JUNCTION_LETTERS, repeat=n))
-    if word.is_normal
-]
-U_COEFF, V_COEFF = HbarScalar.of(2, -1, 1), HbarScalar.of(Fraction(-1, 3), 3, -1)
-
-
-def test_junction_product_of_every_pair_of_normal_words():
-    lefts = [FreePolynomial.from_word(u, U_COEFF) for u in JUNCTION_WORDS]
-    rights = [FreePolynomial.from_word(v, V_COEFF) for v in JUNCTION_WORDS]
-    for x in lefts:
-        for y in rights:
-            assert junction_product(x, y) == normal_order(multiply(x, y)), (str(x), str(y))
-
-
-normal_words_5 = (
-    st.lists(st.sampled_from(JUNCTION_LETTERS), max_size=5)
-    .map(lambda ls: Word(tuple(ls)))
-    .filter(lambda w: w.is_normal)
-)
-
-
-@given(normal_words_5, normal_words_5)
-@example(Word((Q, RHO, P, P, P)), Word((Q, Q, Q, Q, P)))
-@example(Word((P,) * 5), Word((Q,) * 5))
-def test_junction_product_of_length_5_normal_words(u, v):
-    x, y = FreePolynomial.from_word(u, U_COEFF), FreePolynomial.from_word(v, V_COEFF)
-    assert junction_product(x, y) == normal_order(multiply(x, y))
-
-
-@given(sharing_polys, sharing_polys, st.sampled_from(GRADED_COEFFS[1:]))
-def test_junction_product_of_normal_forms_is_the_normal_form_of_the_product(x, y, factor):
-    expected = normal_order(x * y).scale(factor)
-    assert junction_product(normal_order(x), normal_order(y), factor) == expected
 
 
 # -- derivatives ---------------------------------------------------------------

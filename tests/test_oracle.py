@@ -71,10 +71,15 @@ def test_symmetric_expansion_equals_its_normal_form():
 
 
 def test_state_words_are_rejected():
-    with pytest.raises(UnsupportedFragmentError):
+    message = r"^the polynomial representation acts on q/p words only$"
+    with pytest.raises(UnsupportedFragmentError, match=message):
         apply_operator(FreePolynomial.from_letters(Letter.RHO), TestFunction.x_power(0))
-    with pytest.raises(UnsupportedFragmentError):
-        oracle_equal(q, FreePolynomial.from_letters(Letter.DRHO_P))
+    drho_p = FreePolynomial.from_letters(Letter.DRHO_P)
+    # Both operands act on x**0 first, so a state word raises even where the
+    # q/p parts already differ there (1 against q).
+    for a, b in [(q, drho_p), (drho_p, q), (FreePolynomial.one(), q + drho_p)]:
+        with pytest.raises(UnsupportedFragmentError, match=message):
+            oracle_equal(a, b)
 
 
 def test_state_words_raise_whatever_they_act_on():

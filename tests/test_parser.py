@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from opalg.parser import (
 )
 from opalg.printing import render_text
 from opalg.scalars import HbarScalar, I_HBAR
+from opalg.terms import GradedTerms
 from opalg.weyl import WeylMonomial, WeylPolynomial, expand_polynomial
 
 Q, P = Letter.Q, Letter.P
@@ -155,6 +157,7 @@ def test_scalar_sums_preserve_the_weyl_basis():
     result = ev("q o p + 1")
     assert isinstance(result, WeylPolynomial)
     assert result == WeylPolynomial.from_monomial(WeylMonomial(1, 1)) + WeylPolynomial.one()
+    assert ev("q - q + S(q)") == WeylPolynomial.from_monomial(WeylMonomial(1, 0))
 
 
 def test_mixed_sum_expands_to_free_form():
@@ -232,6 +235,27 @@ def test_round_trip_on_random_values():
                 (WeylMonomial(0, 0), coeff) for _, coeff in again.items()
             )
         assert again == x
+
+
+def test_a_long_sum_copies_linearly_many_terms(monkeypatch):
+    copied = 0
+    add = GradedTerms.__add__
+
+    def counting_add(self, other):
+        nonlocal copied
+        copied += len(self._terms)
+        return add(self, other)
+
+    monkeypatch.setattr(GradedTerms, "__add__", counting_add)
+    words = [" ".join(letters) for letters in itertools.product("qp", repeat=11)][:2000]
+    source = "".join(f" {'-' if i % 3 else '+'} {w}" for i, w in enumerate(words))
+    assert len(ev(source[3:])) == 2000
+    assert copied <= 2 * 2000
+
+
+def test_printed_text_of_a_4096_term_power_reads_back():
+    x = ev("(q+p)^12")
+    assert ev(render_text(x)) == x
 
 
 def test_round_trip_of_engine_results():
