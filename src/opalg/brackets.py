@@ -72,6 +72,11 @@ class ClassicalPolynomial(GradedTerms):
             return bilinear(self, other, lambda a, b: ((a[0] + b[0], a[1] + b[1]), 1))
         return self.scale(other)
 
+    def scale(self, factor: HbarScalar | RationalLike) -> ClassicalPolynomial:
+        if isinstance(factor, HbarScalar) and factor.hbar_power:
+            raise ValueError("classical coefficients cannot carry an hbar grade")
+        return super().scale(factor)
+
     def derivative(self, wrt: Letter) -> ClassicalPolynomial:
         if wrt not in (Letter.Q, Letter.P):
             raise ValueError("partial derivatives are taken with respect to Q or P")

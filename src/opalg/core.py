@@ -11,6 +11,10 @@ Every element has a unique normal form with no ``p`` immediately followed
 by ``q``: each segment becomes a sum of ``q^a p^b``, following
 ``p^b q^a = sum_k C(a,k) C(b,k) k! (-i*hbar)^k q^(a-k) p^(b-k)``.
 Structural equality of normal forms decides algebraic equality.
+:func:`normal_order` reaches it one letter at a time, except for a whole
+set of arrangements of ``q^n p^m`` under one coefficient (the image of the
+Weyl symmetrizer), whose normal form is McCoy's closed form
+``C(n+m, m) sum_k C(n,k) C(m,k) k! (-i*hbar/2)^k q^(n-k) p^(m-k)``.
 """
 
 from __future__ import annotations
@@ -18,9 +22,11 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass
+from math import comb
+from typing import Iterable
 
 from .errors import UnsupportedFragmentError
-from .scalars import HbarScalar, ONE, minus_i_hbar_power
+from .scalars import HbarScalar, ONE, minus_i_hbar_power, shared_primitive_parts
 from .terms import GradedTerms, bilinear, linear_map, read_only, sum_into
 
 
@@ -151,26 +157,50 @@ def multiply(a: FreePolynomial, b: FreePolynomial) -> FreePolynomial:
 def normal_order(x: FreePolynomial) -> FreePolynomial:
     """The unique normal form: no ``p`` immediately followed by ``q``.
 
-    Multiplies the letters of each word from left to right onto a normal
-    partial product.  Appending ``q`` after a trailing ``p^b`` uses
-    ``p^b q = q p^b - i*hbar b p^(b-1)``; every other letter is appended as
-    it is, so state letters block reordering.  A word ``p^b q^a`` thus
-    becomes ``sum_k C(a,k) C(b,k) k! (-i*hbar)^k q^(a-k) p^(b-k)``.
+    One closed-form rule comes first.  The words of ``x`` with ``n`` q's,
+    ``m`` p's (both at least one), no other letter and one grade are
+    grouped; a group that holds all ``C(n+m, m)`` arrangements under one
+    shared coefficient is the symmetrizer's image, which :func:`expand`
+    produces, and McCoy's closed form (see :func:`normal_order_arrangements`)
+    gives its normal form without visiting its words.
+
+    Every other word is multiplied, letter by letter from left to right and
+    in source order, onto a normal partial product.  Appending ``q`` after
+    a trailing ``p^b`` uses ``p^b q = q p^b - i*hbar b p^(b-1)``; every
+    other letter is appended as it is, so state letters block reordering.
+    A word ``p^b q^a`` thus becomes
+    ``sum_k C(a,k) C(b,k) k! (-i*hbar)^k q^(a-k) p^(b-k)``.
 
     A partial product is a map ``(head, b, k) -> n`` of positive integer
     counts, standing for ``n (-i*hbar)^k head p^b`` with ``head`` not
     ending in ``p``.  The partial products after each letter of the last
     word are kept on a stack, so a word starts from its longest common
-    prefix with the word before it: the arrangements of :func:`expand` come
-    in lexicographic order and products emit runs with one left factor, so
-    most steps are shared.  The final counts are summed per source
-    coefficient, and one scalar is made per output word and coefficient.
+    prefix with the word before it: products emit runs of words with one
+    left factor, so most steps are shared.
+
+    Both routes sum their counts per source coefficient.  Count maps that
+    share a slot and whose coefficients are integer multiples of one
+    scalar, as the terms of ``f g`` and ``-g f`` are, are merged before any
+    scalar is made, so they cancel as integers; one scalar is made per
+    nonzero count.
     """
     Q, P = Letter.Q, Letter.P
     counts_by_coeff: dict[HbarScalar, dict] = {}
+    terms = x._terms
+    rest = terms.items()
+    if len(terms) > 1:
+        whole = _whole_arrangement_sets(terms)
+        for (n, length, _), coeff in whole.items():
+            _add_arrangement_counts(counts_by_coeff.setdefault(coeff, {}), n, length - n)
+        if whole:
+            rest = [
+                ((word, grade), coeff)
+                for (word, grade), coeff in rest
+                if (word.letters.count(Q), len(word.letters), grade) not in whole
+            ]
     previous: tuple[Letter, ...] = ()
     stack = [{((), 0, 0): 1}]  # stack[i]: the partial product of previous[:i]
-    for (source, _), coeff in x._terms.items():
+    for (source, _), coeff in rest:
         letters = source.letters
         shared, limit = 0, min(len(letters), len(previous))
         while shared < limit and letters[shared] is previous[shared]:
@@ -198,10 +228,89 @@ def normal_order(x: FreePolynomial) -> FreePolynomial:
         counts = counts_by_coeff.setdefault(coeff, {})
         for slot, n in partial.items():
             counts[slot] = counts.get(slot, 0) + n
+    return _from_counts(counts_by_coeff)
+
+
+def _whole_arrangement_sets(terms: dict) -> dict[tuple[int, int, int], HbarScalar]:
+    """``(n, n + m, grade) -> c`` for every whole set of arrangements of
+    ``n`` q's and ``m`` p's (``n, m >= 1``) among the slots ``terms``, all
+    at one grade under one coefficient ``c``."""
+    Q, P = Letter.Q, Letter.P
+    sizes: dict[tuple[int, int, int], int] = {}
+    for word, grade in terms:
+        letters = word.letters
+        key = (letters.count(Q), len(letters), grade)
+        sizes[key] = sizes.get(key, 0) + 1
+    # A group of slots is a whole set only if it holds C(length, q count).
+    whole: dict = {
+        key: None for key, size in sizes.items() if size > 1 and size == comb(key[1], key[0])
+    }
+    if not whole:
+        return whole
+    for (word, grade), coeff in terms.items():
+        letters = word.letters
+        key = (letters.count(Q), len(letters), grade)
+        first = whole.get(key, False)
+        if first is False:
+            continue
+        if letters.count(P) != key[1] - key[0]:
+            whole[key] = False  # a state letter
+        elif first is None:
+            whole[key] = coeff
+        elif first is not coeff and first != coeff:
+            whole[key] = False  # a second coefficient
+    return {key: coeff for key, coeff in whole.items() if coeff is not False}
+
+
+def normal_order_arrangements(sets: Iterable[tuple[int, int, HbarScalar]]) -> FreePolynomial:
+    """The normal form of ``sum c A(n, m)`` over ``(n, m, c)``, ``c``
+    nonzero, where ``A(n, m)`` is the sum of all ``C(n+m, m)`` arrangements
+    of ``n`` q's and ``m`` p's, without listing them.
+
+    McCoy (*PNAS* 18 (1932) 674): ``A(n, m) / C(n+m, m)`` is
+    ``sum_k C(n,k) C(m,k) k! (-i*hbar/2)^k q^(n-k) p^(m-k)``.
+    """
+    counts_by_coeff: dict[HbarScalar, dict] = {}
+    for n, m, coeff in sets:
+        _add_arrangement_counts(counts_by_coeff.setdefault(coeff, {}), n, m)
+    return _from_counts(counts_by_coeff)
+
+
+def _add_arrangement_counts(counts: dict, n: int, m: int) -> None:
+    """Add the counts of the normal form of ``A(n, m)`` into ``counts``:
+    ``C(n+m, m) C(n,k) C(m,k) k! / 2^k`` at ``(q^(n-k), m-k, k)``.  Each is
+    an integer, being the sum of the integer counts of ``A(n, m)``'s words,
+    so every step's division is exact."""
+    total = comb(n + m, m)
+    for k in range(min(n, m) + 1):
+        slot = (_Q * (n - k), m - k, k)
+        counts[slot] = counts.get(slot, 0) + total
+        total = total * (n - k) * (m - k) // (2 * (k + 1))
+
+
+def _from_counts(counts_by_coeff: dict[HbarScalar, dict]) -> FreePolynomial:
+    """The free polynomial of per-coefficient count maps ``(head, b, k) -> n``.
+
+    The maps of coefficients that are integer multiples of one primitive
+    scalar (:func:`~opalg.scalars.shared_primitive_parts`), as ``c`` and
+    ``-c`` are, are first merged into one map over it, so that their terms
+    cancel as integers; a count that cancelled to zero makes no term.
+    """
+    maps = counts_by_coeff.values()
+    if len(maps) > 1 and sum(map(len, maps)) > len(set().union(*maps)):
+        # Some slot has counts under two coefficients.
+        for unit, multiples in shared_primitive_parts(counts_by_coeff).items():
+            merged: dict = {}
+            for factor, coeff in multiples:
+                for slot, n in counts_by_coeff.pop(coeff).items():
+                    merged[slot] = merged.get(slot, 0) + n * factor
+            counts_by_coeff[unit] = merged
     terms = []
     for coeff, counts in counts_by_coeff.items():
         grade = coeff.hbar_power
         for (head, b, k), n in counts.items():
+            if not n:
+                continue
             scalar = coeff * minus_i_hbar_power(k, n) if k or n != 1 else coeff
             terms.append(((_word(head + _P * b), grade + k), scalar))
     return FreePolynomial._of(sum_into({}, terms))

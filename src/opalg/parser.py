@@ -21,7 +21,9 @@ Evaluation produces either a free polynomial or a Weyl polynomial:
 
 * ``o`` and ``pb`` are Weyl-context operations; free operands pass through
   the symmetrizer first.
-* ``comm`` and ``normal`` are free-context; Weyl operands are expanded.
+* ``comm`` and ``normal`` are free-context; Weyl operands are expanded,
+  except that ``normal`` of a Weyl value with no derivative letter takes
+  McCoy's closed form from the exponents (:func:`~opalg.weyl.normal_form`).
 * ``S`` symmetrizes a free operand and leaves a Weyl operand unchanged.
 * ``dq``/``dp`` differentiate within the operand's own basis.
 * Mixed sums and ordinary products preserve operator meaning: a pure scalar
@@ -50,6 +52,7 @@ from .weyl import (
     WeylMonomial,
     WeylPolynomial,
     expand_polynomial,
+    normal_form,
     symmetrize,
     weyl_derivative,
     weyl_product,
@@ -303,8 +306,8 @@ def parse(source: str) -> Node:
 
 def _is_scalar(value: Result) -> bool:
     if isinstance(value, FreePolynomial):
-        return all(word == IDENTITY_WORD for word, _ in value.items())
-    return all(m == WeylMonomial(0, 0) for m, _ in value.items())
+        return all(not word.letters for word, _ in value._terms)
+    return all(not (m.n or m.m) and m.deriv is None for m, _ in value._terms)
 
 
 def _scale_by_scalar(scalar: Result, target: Result) -> Result:
@@ -428,7 +431,10 @@ def _call(node: CallNode) -> Result:
             _as_free(evaluate(node.args[0])), _as_free(evaluate(node.args[1]))
         )
     if node.func == "normal":
-        return normal_order(_as_free(evaluate(node.args[0])))
+        value = evaluate(node.args[0])
+        if isinstance(value, WeylPolynomial):
+            return normal_form(value)
+        return normal_order(value)
     if node.func in ("dq", "dp"):
         wrt = Letter.Q if node.func == "dq" else Letter.P
         value = evaluate(node.args[0])

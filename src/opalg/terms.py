@@ -130,9 +130,17 @@ class GradedTerms:
         return self._of({slot: -c for slot, c in self._terms.items()})
 
     def scale(self, factor: HbarScalar | RationalLike):
+        """Every coefficient times ``factor``, every grade shifted by its
+        grade; keys stay valid, and a nonzero product of nonzero scalars
+        is nonzero, so the slots need no check."""
         if isinstance(factor, (int, Fraction)):
             factor = HbarScalar.real(factor)
-        return type(self)((key, c * factor) for key, c in self.items())
+        elif not isinstance(factor, HbarScalar):
+            raise TypeError("a scale factor is an int, Fraction or HbarScalar")
+        if not factor:
+            return self._of({})
+        shift = factor.hbar_power
+        return self._of({(key, g + shift): c * factor for (key, g), c in self._terms.items()})
 
     def __rmul__(self, other):
         return self.scale(other)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .combinatorics import multiset_permutations
 from .core import (
@@ -29,6 +29,7 @@ from .core import (
     Word,
     _word,
     normal_order,
+    normal_order_arrangements,
 )
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, ONE
@@ -210,6 +211,22 @@ def weyl_derivative(x: WeylPolynomial, wrt: Letter) -> WeylPolynomial:
     return linear_map(x, lambda w: [(_monomial(w.n, w.m - 1, w.deriv), w.m)] if w.m else ())
 
 
+def normal_form(x: WeylPolynomial) -> FreePolynomial:
+    """The normal form of ``x``'s expansion, the printable canonical form.
+
+    Without a derivative letter, McCoy's closed form gives it straight from
+    the exponents (:func:`~opalg.core.normal_order_arrangements`): the
+    expansion of ``c S(q^n p^m)`` is ``c / C(n+m, m)`` times the sum of all
+    arrangements, so no word is listed.  A derivative letter takes the
+    expansion route.
+    """
+    if any(w.deriv is not None for w, _ in x._terms):
+        return normal_order(expand_polynomial(x))
+    return normal_order_arrangements(
+        (w.n, w.m, c * Fraction(1, comb(w.n + w.m, w.m))) for (w, _), c in x._terms.items()
+    )
+
+
 def normal_form_of_weyl(w: WeylMonomial) -> FreePolynomial:
-    """Expansion followed by normal ordering; the printable canonical form."""
-    return normal_order(expand(w))
+    """The normal form of one basis monomial's expansion; see :func:`normal_form`."""
+    return normal_form(WeylPolynomial.from_monomial(w))

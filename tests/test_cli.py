@@ -10,8 +10,10 @@ from opalg import cli
 from opalg.cli import cmd_repl, main
 from opalg.core import IDENTITY_WORD
 from opalg.parser import evaluate, parse
+from opalg.printing import render_json
 from opalg.weyl import WeylMonomial
 
+from .test_core import mccoy_form
 from .test_printing import COEFFICIENT_GOLDEN, GOLDEN
 
 
@@ -122,6 +124,12 @@ def test_eval_normal_order_of_high_powers(capsys):
     assert len(terms) == 34
     assert terms[0] == "q^33 p^33"
     assert terms[1] == "1089 i hbar q^32 p^32"
+
+
+def test_eval_normal_of_a_large_symmetrized_monomial_is_mccoys_form():
+    code, out = run_cli(["eval", "normal(S(q^30 p^30))", "--format", "json"])
+    assert code == 0
+    assert out == render_json(mccoy_form(30, 30)) + "\n"
 
 
 def raise_memory_error(node):

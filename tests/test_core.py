@@ -233,7 +233,100 @@ def test_normal_order_of_symmetrized_monomials_is_mccoys_form():
     for total in range(15):
         for n in range(total + 1):
             m = total - n
-            assert normal_order(expand(WeylMonomial(n, m))) == mccoy_form(n, m), (n, m)
+            words = expand(WeylMonomial(n, m))
+            closed_form = normal_order(words)
+            assert closed_form == mccoy_form(n, m), (n, m)
+            if total <= 10:
+                # The word-by-word route: one walk per arrangement.
+                by_word = FreePolynomial()
+                for word, coeff in words.items():
+                    by_word = by_word + normal_order(FreePolynomial.from_word(word, coeff))
+                assert closed_form == by_word, (n, m)
+
+
+def word_by_word(x: FreePolynomial) -> FreePolynomial:
+    expected = FreePolynomial()
+    for word, coeff in x.items():
+        expected = expected + rewrite_normal_form(word).scale(coeff)
+    return expected
+
+
+# A group with the full count of q/p arrangements that holds a state word,
+# or two coefficients, is not the symmetrizer's image.
+@pytest.mark.parametrize(
+    "x",
+    [
+        q * p + p * rho,
+        q * p + p * FreePolynomial.from_letters(Letter.DRHO_Q),
+        q * p + rho * q,
+        q * p * q + q * q * p + p * q * rho,
+        q * p + (p * q).scale(HbarScalar.of(1, 0, 1)),
+        q * p + (p * q).scale(2),
+        p * rho + rho * p,
+        q * p * rho + p * q * rho + q * rho * p,
+    ],
+    ids=[
+        "p-rho",
+        "p-drho_q",
+        "rho-q",
+        "three-letters",
+        "two-grades",
+        "two-coefficients",
+        "p-with-rho-both-ways",
+        "C(3,1)-words-with-rho",
+    ],
+)
+def test_normal_order_of_near_arrangement_sets_takes_the_word_route(x):
+    assert normal_order(x) == word_by_word(x)
+
+
+def test_normal_order_of_a_whole_arrangement_set_among_other_words():
+    x = (q * p + p * q).scale(HbarScalar.of(2, -1, 1)) + p * rho + q * q + p * p * q
+    assert normal_order(x) == word_by_word(x)
+    # q p at grade 1 beside the whole grade-0 set {q p, p q}
+    x = (q * p).scale(HbarScalar.of(0, 3, 1)) + p * q + q * p
+    assert normal_order(x) == word_by_word(x)
+    assert normal_order(q * p + p * q) == (q * p).scale(2) - scalar_poly(I_HBAR)
+
+
+def arrangements(n: int, m: int) -> list[Word]:
+    return [Word(letters) for letters in itertools.permutations((Q,) * n + (P,) * m)]
+
+
+# Whole and partial arrangement sets of q^n p^m, scaled and graded, mixed with
+# other words; a word may recur in two parts, so its coefficients merge.
+arrangement_polys = st.builds(
+    lambda sets, others: FreePolynomial(
+        [
+            (word, GRADED_COEFFS[i] * scale)
+            for (n, m, drop, i, scale) in sets
+            for word in sorted(set(arrangements(n, m)), key=lambda w: w.letters)[drop:]
+        ]
+        + [(Word(tuple(letters)), GRADED_COEFFS[i]) for letters, i in others]
+    ),
+    st.lists(
+        st.tuples(
+            st.integers(1, 3),
+            st.integers(1, 3),
+            st.sampled_from([0, 0, 1, 2]),
+            st.integers(0, len(GRADED_COEFFS) - 1),
+            st.sampled_from([1, -1, 2, Fraction(1, 3)]),
+        ),
+        max_size=3,
+    ),
+    st.lists(
+        st.tuples(
+            st.lists(st.sampled_from([Q, P, Q, P, RHO, Letter.DRHO_P]), max_size=5),
+            st.integers(0, len(GRADED_COEFFS) - 1),
+        ),
+        max_size=4,
+    ),
+)
+
+
+@given(arrangement_polys)
+def test_normal_order_of_arrangement_sets_is_the_sum_of_word_normal_forms(x):
+    assert normal_order(x) == word_by_word(x)
 
 
 def binomial_sum(a: int, b: int) -> FreePolynomial:

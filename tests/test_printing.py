@@ -919,6 +919,18 @@ COEFFICIENT_GOLDEN = [
         r"i \hbar^{-1} \hat q^{2} \hat p^{4} \hat \rho \hat q^{3} \hat \rho \hat p^{2} \frac{\partial \hat \rho}{\partial \hat q} - i \hbar^{-1} \hat q^{3} \hat \rho \hat p^{2} \frac{\partial \hat \rho}{\partial \hat q} \hat q^{2} \hat p^{4} \hat \rho + 8 \hat q \hat p^{3} \hat \rho \hat q^{3} \hat \rho \hat p^{2} \frac{\partial \hat \rho}{\partial \hat q} - 8 \hat q^{3} \hat \rho \hat p^{2} \frac{\partial \hat \rho}{\partial \hat q} \hat q \hat p^{3} \hat \rho - 12 i \hbar \hat p^{2} \hat \rho \hat q^{3} \hat \rho \hat p^{2} \frac{\partial \hat \rho}{\partial \hat q} + 12 i \hbar \hat q^{3} \hat \rho \hat p^{2} \frac{\partial \hat \rho}{\partial \hat q} \hat p^{2} \hat \rho",
         '{"basis": "free", "terms": [{"word": ["q", "q", "p", "p", "p", "p", "rho", "q", "q", "q", "rho", "p", "p", "drho_q"], "coeff": {"hbar_powers": {"-1": {"re": "0", "im": "1"}}}}, {"word": ["q", "q", "q", "rho", "p", "p", "drho_q", "q", "q", "p", "p", "p", "p", "rho"], "coeff": {"hbar_powers": {"-1": {"re": "0", "im": "-1"}}}}, {"word": ["q", "p", "p", "p", "rho", "q", "q", "q", "rho", "p", "p", "drho_q"], "coeff": {"hbar_powers": {"0": {"re": "8", "im": "0"}}}}, {"word": ["q", "q", "q", "rho", "p", "p", "drho_q", "q", "p", "p", "p", "rho"], "coeff": {"hbar_powers": {"0": {"re": "-8", "im": "0"}}}}, {"word": ["p", "p", "rho", "q", "q", "q", "rho", "p", "p", "drho_q"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "-12"}}}}, {"word": ["q", "q", "q", "rho", "p", "p", "drho_q", "p", "p", "rho"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "12"}}}}]}',
     ),
+    (
+        'normal(S(q^9 p^8))',
+        'q^9 p^8 - 36 i hbar q^8 p^7 - 504 hbar^2 q^7 p^6 + 3528 i hbar^3 q^6 p^5 + 13230 hbar^4 q^5 p^4 - 26460 i hbar^5 q^4 p^3 - 26460 hbar^6 q^3 p^2 + 11340 i hbar^7 q^2 p + (2835/2) hbar^8 q',
+        r"\hat q^{9} \hat p^{8} - 36 i \hbar \hat q^{8} \hat p^{7} - 504 \hbar^{2} \hat q^{7} \hat p^{6} + 3528 i \hbar^{3} \hat q^{6} \hat p^{5} + 13230 \hbar^{4} \hat q^{5} \hat p^{4} - 26460 i \hbar^{5} \hat q^{4} \hat p^{3} - 26460 \hbar^{6} \hat q^{3} \hat p^{2} + 11340 i \hbar^{7} \hat q^{2} \hat p + \frac{2835}{2} \hbar^{8} \hat q",
+        '{"basis": "free", "terms": [{"word": ["q", "q", "q", "q", "q", "q", "q", "q", "q", "p", "p", "p", "p", "p", "p", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "1", "im": "0"}}}}, {"word": ["q", "q", "q", "q", "q", "q", "q", "q", "p", "p", "p", "p", "p", "p", "p"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "-36"}}}}, {"word": ["q", "q", "q", "q", "q", "q", "q", "p", "p", "p", "p", "p", "p"], "coeff": {"hbar_powers": {"2": {"re": "-504", "im": "0"}}}}, {"word": ["q", "q", "q", "q", "q", "q", "p", "p", "p", "p", "p"], "coeff": {"hbar_powers": {"3": {"re": "0", "im": "3528"}}}}, {"word": ["q", "q", "q", "q", "q", "p", "p", "p", "p"], "coeff": {"hbar_powers": {"4": {"re": "13230", "im": "0"}}}}, {"word": ["q", "q", "q", "q", "p", "p", "p"], "coeff": {"hbar_powers": {"5": {"re": "0", "im": "-26460"}}}}, {"word": ["q", "q", "q", "p", "p"], "coeff": {"hbar_powers": {"6": {"re": "-26460", "im": "0"}}}}, {"word": ["q", "q", "p"], "coeff": {"hbar_powers": {"7": {"re": "0", "im": "11340"}}}}, {"word": ["q"], "coeff": {"hbar_powers": {"8": {"re": "2835/2", "im": "0"}}}}]}',
+    ),
+    (
+        'normal(2 S(q^5 p^4) + (1/3) S(q^4 p^5))',
+        '(1/3) q^4 p^5 + 2 q^5 p^4 - (10/3) i hbar q^3 p^4 - 20 i hbar q^4 p^3 - 10 hbar^2 q^2 p^3 - 60 hbar^2 q^3 p^2 + 10 i hbar^3 q p^2 + 60 i hbar^3 q^2 p + (5/2) hbar^4 p + 15 hbar^4 q',
+        r"\frac{1}{3} \hat q^{4} \hat p^{5} + 2 \hat q^{5} \hat p^{4} - \frac{10}{3} i \hbar \hat q^{3} \hat p^{4} - 20 i \hbar \hat q^{4} \hat p^{3} - 10 \hbar^{2} \hat q^{2} \hat p^{3} - 60 \hbar^{2} \hat q^{3} \hat p^{2} + 10 i \hbar^{3} \hat q \hat p^{2} + 60 i \hbar^{3} \hat q^{2} \hat p + \frac{5}{2} \hbar^{4} \hat p + 15 \hbar^{4} \hat q",
+        '{"basis": "free", "terms": [{"word": ["q", "q", "q", "q", "p", "p", "p", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "1/3", "im": "0"}}}}, {"word": ["q", "q", "q", "q", "q", "p", "p", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "2", "im": "0"}}}}, {"word": ["q", "q", "q", "p", "p", "p", "p"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "-10/3"}}}}, {"word": ["q", "q", "q", "q", "p", "p", "p"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "-20"}}}}, {"word": ["q", "q", "p", "p", "p"], "coeff": {"hbar_powers": {"2": {"re": "-10", "im": "0"}}}}, {"word": ["q", "q", "q", "p", "p"], "coeff": {"hbar_powers": {"2": {"re": "-60", "im": "0"}}}}, {"word": ["q", "p", "p"], "coeff": {"hbar_powers": {"3": {"re": "0", "im": "10"}}}}, {"word": ["q", "q", "p"], "coeff": {"hbar_powers": {"3": {"re": "0", "im": "60"}}}}, {"word": ["p"], "coeff": {"hbar_powers": {"4": {"re": "5/2", "im": "0"}}}}, {"word": ["q"], "coeff": {"hbar_powers": {"4": {"re": "15", "im": "0"}}}}]}',
+    ),
 ]
 
 

@@ -14,7 +14,7 @@ from opalg.brackets import ClassicalPolynomial, symmetrized_poisson_bracket
 from opalg.core import FreePolynomial, Letter, Word, adjoint, multiply, normal_order, partial_derivative
 from opalg.errors import UnsupportedFragmentError
 from opalg.oracle import TestFunction
-from opalg.scalars import HBAR, HbarScalar, ONE
+from opalg.scalars import HBAR, HbarScalar, INV_I_HBAR, ONE
 from opalg.weyl import WeylMonomial, WeylPolynomial, weyl_derivative, weyl_product
 
 Q, P, DQ, DP = Letter.Q, Letter.P, Letter.DRHO_Q, Letter.DRHO_P
@@ -67,11 +67,23 @@ def assert_matches(r, reference):
     assert list(r.items()) == list(reference.items())
 
 
+# Zero, ints, a Fraction and scalars of grade 0, 1 and -1 (the bracket prefactor).
+SCALE_FACTORS = [
+    0, 2, -1, Fraction(-1, 3), HbarScalar.of(0, 2), HbarScalar.of(1, -1, 1), INV_I_HBAR
+]
+
+
 def check_linear(x, y):
     cls = type(x)
     assert_matches(x + y, cls(chain(x.items(), y.items())))
     assert_matches(x - y, cls(chain(x.items(), ((k, -c) for k, c in y.items()))))
     assert_matches(-x, cls((k, -c) for k, c in x.items()))
+    for factor in SCALE_FACTORS:
+        if not isinstance(factor, HbarScalar):
+            factor = HbarScalar.real(factor)
+        elif factor.hbar_power and cls is ClassicalPolynomial:
+            continue
+        assert_matches(x.scale(factor), cls((k, c * factor) for k, c in x.items()))
 
 
 def pairs_of(x, y):
@@ -196,6 +208,7 @@ def test_test_function_maps_match_the_public_route(f, g):
         (lambda: FreePolynomial([(Word(), 1)]), TypeError),
         (lambda: ClassicalPolynomial([((1, -1), ONE)]), TypeError),
         (lambda: ClassicalPolynomial.from_monomial(1, 0).scale(HBAR), ValueError),
+        (lambda: FreePolynomial.one().scale(0.5), TypeError),
         (lambda: TestFunction([(-1, ONE)]), TypeError),
     ],
     ids=[
@@ -207,6 +220,7 @@ def test_test_function_maps_match_the_public_route(f, g):
         "int-coefficient",
         "negative-classical-degree",
         "graded-classical-scale",
+        "float-scale",
         "negative-test-degree",
     ],
 )

@@ -13,6 +13,7 @@ from opalg.weyl import (
     WeylPolynomial,
     expand,
     expand_polynomial,
+    normal_form,
     normal_form_of_weyl,
     symmetrize,
     weyl_derivative,
@@ -247,6 +248,35 @@ def test_normal_form_of_q2p2_monomial():
         - FreePolynomial.from_word(IDENTITY_WORD, HbarScalar.of(Fraction(1, 2), 0, 2))
     )
     assert normal_form_of_weyl(WeylMonomial(2, 2)) == expected
+
+
+graded = st.sampled_from(
+    [
+        HbarScalar.of(1),
+        HbarScalar.of(-3, 0),
+        HbarScalar.of(Fraction(2, 3), -1, 1),
+        HbarScalar.of(0, 5, 2),
+    ]
+)
+weyl_polys = st.lists(
+    st.tuples(
+        st.integers(0, 4), st.integers(0, 4), st.sampled_from([None, None, Letter.DRHO_Q]), graded
+    ),
+    max_size=4,
+).map(lambda terms: WeylPolynomial((WeylMonomial(n, m, d), c) for n, m, d, c in terms))
+
+
+@given(weyl_polys)
+def test_normal_form_is_the_normal_order_of_the_expansion(x):
+    assert normal_form(x) == normal_order(expand_polynomial(x))
+
+
+def test_normal_form_of_weyl_is_the_normal_order_of_the_expansion():
+    for n in range(7):
+        for m in range(7):
+            for deriv in (None, Letter.DRHO_P):
+                w = WeylMonomial(n, m, deriv)
+                assert normal_form_of_weyl(w) == normal_order(expand(w)), w
 
 
 def test_pure_powers_are_already_normal():
