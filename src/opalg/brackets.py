@@ -210,10 +210,6 @@ class ObstructionReport:
     commutator_difference: FreePolynomial
 
     @property
-    def symmetrized_agree(self) -> bool:
-        return self.symmetrized_difference.is_zero
-
-    @property
     def commutator_min_hbar_power(self) -> int | None:
         powers = [c.hbar_power for _, c in self.commutator_difference.items()]
         return min(powers) if powers else None

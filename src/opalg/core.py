@@ -26,7 +26,7 @@ from math import comb
 from typing import Iterable
 
 from .errors import UnsupportedFragmentError
-from .scalars import HbarScalar, ONE, minus_i_hbar_power, shared_primitive_parts
+from .scalars import HbarScalar, ONE, minus_i_hbar_power
 from .terms import GradedTerms, bilinear, linear_map, read_only, sum_into
 
 
@@ -178,11 +178,10 @@ def normal_order(x: FreePolynomial) -> FreePolynomial:
     prefix with the word before it: products emit runs of words with one
     left factor, so most steps are shared.
 
-    Both routes sum their counts per source coefficient.  Count maps that
-    share a slot and whose coefficients are integer multiples of one
-    scalar, as the terms of ``f g`` and ``-g f`` are, are merged before any
-    scalar is made, so they cancel as integers; one scalar is made per
-    nonzero count.
+    Both routes sum their counts per source coefficient.  The counts under
+    ``-c`` are folded into those under ``c`` before any scalar is made, so
+    the terms of ``f g`` and ``-g f`` cancel as integers; one scalar is made
+    per nonzero count.
     """
     Q, P = Letter.Q, Letter.P
     counts_by_coeff: dict[HbarScalar, dict] = {}
@@ -291,20 +290,17 @@ def _add_arrangement_counts(counts: dict, n: int, m: int) -> None:
 def _from_counts(counts_by_coeff: dict[HbarScalar, dict]) -> FreePolynomial:
     """The free polynomial of per-coefficient count maps ``(head, b, k) -> n``.
 
-    The maps of coefficients that are integer multiples of one primitive
-    scalar (:func:`~opalg.scalars.shared_primitive_parts`), as ``c`` and
-    ``-c`` are, are first merged into one map over it, so that their terms
-    cancel as integers; a count that cancelled to zero makes no term.
+    The map of ``-c`` is folded into the map of ``c`` with negated counts,
+    so that their terms cancel as integers; a count that cancelled to zero
+    makes no term.  Any other coefficients that share a slot add as scalars.
     """
-    maps = counts_by_coeff.values()
-    if len(maps) > 1 and sum(map(len, maps)) > len(set().union(*maps)):
-        # Some slot has counts under two coefficients.
-        for unit, multiples in shared_primitive_parts(counts_by_coeff).items():
-            merged: dict = {}
-            for factor, coeff in multiples:
-                for slot, n in counts_by_coeff.pop(coeff).items():
-                    merged[slot] = merged.get(slot, 0) + n * factor
-            counts_by_coeff[unit] = merged
+    if len(counts_by_coeff) > 1:
+        for coeff in list(counts_by_coeff):
+            counts = counts_by_coeff.get(coeff)
+            negated = counts_by_coeff.pop(-coeff, None) if counts is not None else None
+            if negated is not None:
+                for slot, n in negated.items():
+                    counts[slot] = counts.get(slot, 0) - n
     terms = []
     for coeff, counts in counts_by_coeff.items():
         grade = coeff.hbar_power

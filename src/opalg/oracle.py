@@ -28,7 +28,7 @@ from __future__ import annotations
 from .core import FreePolynomial, Letter, STATE_LETTERS
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, ONE, minus_i_hbar_power
-from .terms import GradedTerms, linear_map, sum_into
+from .terms import GradedTerms, sum_into
 
 
 class TestFunction(GradedTerms):
@@ -45,12 +45,6 @@ class TestFunction(GradedTerms):
     @classmethod
     def x_power(cls, degree: int, coeff: HbarScalar = ONE) -> TestFunction:
         return cls([(degree, coeff)])
-
-    def times_x(self) -> TestFunction:
-        return linear_map(self, lambda degree: [(degree + 1, 1)])
-
-    def differentiate(self) -> TestFunction:
-        return linear_map(self, lambda degree: [(degree - 1, degree)] if degree else ())
 
 
 def apply_operator(op: FreePolynomial, f: TestFunction) -> TestFunction:

@@ -47,9 +47,8 @@ from .core import (
 )
 from .errors import EvalError, ParseError, UnsupportedFragmentError
 from .scalars import HBAR, HbarScalar, I, ONE
-from .terms import sum_into
+from .terms import bilinear, sum_into
 from .weyl import (
-    WeylMonomial,
     WeylPolynomial,
     expand_polynomial,
     normal_form,
@@ -311,9 +310,7 @@ def _is_scalar(value: Result) -> bool:
 
 
 def _scale_by_scalar(scalar: Result, target: Result) -> Result:
-    return type(target)(
-        (key, c * factor) for _, factor in scalar.items() for key, c in target.items()
-    )
+    return bilinear(target, scalar, lambda key, _: (key, 1))
 
 
 def _as_free(value: Result) -> FreePolynomial:
@@ -328,10 +325,6 @@ def _as_weyl(value: Result, node: Node) -> WeylPolynomial:
     return _guarded(symmetrize, node, value)
 
 
-def _scalar_to_weyl(value: FreePolynomial) -> WeylPolynomial:
-    return WeylPolynomial((WeylMonomial(0, 0), c) for _, c in value.items())
-
-
 def _guarded(func, node: Node, *args):
     try:
         return func(*args)
@@ -343,7 +336,7 @@ def _mixed_sum(a: Result, b: Result) -> Result:
     """``a + b`` for one free and one Weyl value."""
     free, weyl = (a, b) if isinstance(a, FreePolynomial) else (b, a)
     if _is_scalar(free):
-        converted = _scalar_to_weyl(free)
+        converted = _scale_by_scalar(free, WeylPolynomial.one())
         return converted + weyl if free is a else weyl + converted  # type: ignore[operator]
     return _as_free(a) + _as_free(b)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable
 
 RationalLike = int | Fraction
 
@@ -210,29 +209,6 @@ def minus_i_hbar_power(k: int, n: int = 1) -> HbarScalar:
     """``n * (-i*hbar)**k``, for ints ``n`` and ``k >= 0``."""
     re, im = _MINUS_I_POWERS[k % 4]
     return _make(n * re, n * im, 1, k)
-
-
-def shared_primitive_parts(
-    scalars: Iterable[HbarScalar],
-) -> dict[HbarScalar, list[tuple[int, HbarScalar]]]:
-    """The nonzero ``scalars`` that are integer multiples of one primitive
-    scalar ``u``, grouped by ``u``: ``{u: [(g, c), ...]}`` with ``c = g u``,
-    for each ``u`` shared by two or more.  ``u`` is ``c`` with its parts
-    over its denominator divided by their gcd and the first nonzero one
-    made positive, so ``c`` and ``-c`` always share it."""
-    groups: dict[tuple[int, int, int, int], list] = {}
-    for c in scalars:
-        re, im = c._re, c._im
-        g = gcd(re, im)
-        if re < 0 or not re and im < 0:
-            g = -g
-        key = (re // g, im // g, c._den, c._power)
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [(g, c)]
-        else:
-            group.append((g, c))
-    return {_make(*key): group for key, group in groups.items() if len(group) > 1}
 
 
 ZERO = HbarScalar()

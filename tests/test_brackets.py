@@ -398,7 +398,7 @@ def test_groenewold_pair():
     assert report.scale == HbarScalar.real(3)
     assert report.classical_bracket == cmono(2, 2, 9)
     assert report.symmetrized_bracket == mono(2, 2).scale(9)
-    assert report.symmetrized_agree
+    assert report.symmetrized_difference.is_zero
     # engine-derived: the commutator routes differ by exactly -3 hbar^2
     assert report.commutator_difference == FreePolynomial.from_word(
         IDENTITY_WORD, HbarScalar.of(-3, 0, 2)
@@ -410,7 +410,7 @@ def test_trivial_pair_shows_no_discrepancy():
     report = check_obstruction(
         (cmono(1, 0), cmono(0, 1)), (cmono(1, 0), cmono(0, 1))
     )
-    assert report.symmetrized_agree
+    assert report.symmetrized_difference.is_zero
     assert report.commutator_difference.is_zero
     assert report.symmetrized_bracket == WeylPolynomial.one()
 

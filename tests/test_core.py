@@ -324,9 +324,29 @@ arrangement_polys = st.builds(
 )
 
 
-@given(arrangement_polys)
-def test_normal_order_of_arrangement_sets_is_the_sum_of_word_normal_forms(x):
-    assert normal_order(x) == word_by_word(x)
+# x - y and y - x put c and -c on the words of x and y: negated copies.
+@given(arrangement_polys, arrangement_polys)
+def test_normal_order_of_arrangement_sets_is_the_sum_of_word_normal_forms(x, y):
+    for z in (x, x - y, y - x):
+        assert normal_order(z) == word_by_word(z)
+
+
+def test_normal_order_cancels_c_against_minus_c_as_integer_counts(monkeypatch):
+    # q^2 p^2 under 1 and the leading term of p^2 q^2 under -1 meet in one slot.
+    x = q * q * p * p - p * p * q * q
+    expected = word_by_word(x)
+    calls = []
+    add = HbarScalar.__add__
+
+    def counting_add(a, b):
+        calls.append((a, b))
+        return add(a, b)
+
+    monkeypatch.setattr(HbarScalar, "__add__", counting_add)
+    result = normal_order(x)
+    monkeypatch.undo()
+    assert calls == []
+    assert result == expected
 
 
 def binomial_sum(a: int, b: int) -> FreePolynomial:

@@ -8,6 +8,7 @@ from opalg.core import FreePolynomial, IDENTITY_WORD, Letter, Word, normal_order
 from opalg.errors import UnsupportedFragmentError
 from opalg.oracle import TestFunction, apply_operator, oracle_equal
 from opalg.scalars import HbarScalar, I_HBAR, ONE
+from opalg.terms import linear_map
 from opalg.weyl import WeylMonomial, expand
 
 Q, P = Letter.Q, Letter.P
@@ -96,12 +97,20 @@ def test_state_words_raise_whatever_they_act_on():
 MINUS_I_HBAR = HbarScalar.of(0, -1, 1)
 
 
+def times_x(f: TestFunction) -> TestFunction:
+    return linear_map(f, lambda degree: [(degree + 1, 1)])
+
+
+def differentiate(f: TestFunction) -> TestFunction:
+    return linear_map(f, lambda degree: [(degree - 1, degree)] if degree else ())
+
+
 def apply_by_letters(op: FreePolynomial, f: TestFunction) -> TestFunction:
     result = TestFunction.zero()
     for word, coeff in op.items():
         g = f
         for letter in reversed(word.letters):
-            g = g.times_x() if letter is Q else g.differentiate().scale(MINUS_I_HBAR)
+            g = times_x(g) if letter is Q else differentiate(g).scale(MINUS_I_HBAR)
         result = result + g.scale(coeff)
     return result
 

@@ -931,6 +931,31 @@ COEFFICIENT_GOLDEN = [
         r"\frac{1}{3} \hat q^{4} \hat p^{5} + 2 \hat q^{5} \hat p^{4} - \frac{10}{3} i \hbar \hat q^{3} \hat p^{4} - 20 i \hbar \hat q^{4} \hat p^{3} - 10 \hbar^{2} \hat q^{2} \hat p^{3} - 60 \hbar^{2} \hat q^{3} \hat p^{2} + 10 i \hbar^{3} \hat q \hat p^{2} + 60 i \hbar^{3} \hat q^{2} \hat p + \frac{5}{2} \hbar^{4} \hat p + 15 \hbar^{4} \hat q",
         '{"basis": "free", "terms": [{"word": ["q", "q", "q", "q", "p", "p", "p", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "1/3", "im": "0"}}}}, {"word": ["q", "q", "q", "q", "q", "p", "p", "p", "p"], "coeff": {"hbar_powers": {"0": {"re": "2", "im": "0"}}}}, {"word": ["q", "q", "q", "p", "p", "p", "p"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "-10/3"}}}}, {"word": ["q", "q", "q", "q", "p", "p", "p"], "coeff": {"hbar_powers": {"1": {"re": "0", "im": "-20"}}}}, {"word": ["q", "q", "p", "p", "p"], "coeff": {"hbar_powers": {"2": {"re": "-10", "im": "0"}}}}, {"word": ["q", "q", "q", "p", "p"], "coeff": {"hbar_powers": {"2": {"re": "-60", "im": "0"}}}}, {"word": ["q", "p", "p"], "coeff": {"hbar_powers": {"3": {"re": "0", "im": "10"}}}}, {"word": ["q", "q", "p"], "coeff": {"hbar_powers": {"3": {"re": "0", "im": "60"}}}}, {"word": ["p"], "coeff": {"hbar_powers": {"4": {"re": "5/2", "im": "0"}}}}, {"word": ["q"], "coeff": {"hbar_powers": {"4": {"re": "15", "im": "0"}}}}]}',
     ),
+    # A scalar of several grades beside a Weyl value, and a zero scalar.
+    (
+        '(2 - i hbar) S(q p)',
+        '-1 i hbar (q o p) + 2 (q o p)',
+        r"- i \hbar \hat q \circ \hat p + 2 \hat q \circ \hat p",
+        '{"basis": "weyl", "terms": [{"word": {"n": 1, "m": 1, "deriv": null}, "coeff": {"hbar_powers": {"1": {"re": "0", "im": "-1"}, "0": {"re": "2", "im": "0"}}}}]}',
+    ),
+    (
+        'S(q p) (1/2 + hbar^-1)',
+        '(1/2) (q o p) + hbar^-1 (q o p)',
+        r"\frac{1}{2} \hat q \circ \hat p + \hbar^{-1} \hat q \circ \hat p",
+        '{"basis": "weyl", "terms": [{"word": {"n": 1, "m": 1, "deriv": null}, "coeff": {"hbar_powers": {"0": {"re": "1/2", "im": "0"}, "-1": {"re": "1", "im": "0"}}}}]}',
+    ),
+    (
+        'S(q) + (1 + i hbar)',
+        'S(q) + i hbar + 1',
+        r"\hat q + i \hbar + 1",
+        '{"basis": "weyl", "terms": [{"word": {"n": 1, "m": 0, "deriv": null}, "coeff": {"hbar_powers": {"0": {"re": "1", "im": "0"}}}}, {"word": {"n": 0, "m": 0, "deriv": null}, "coeff": {"hbar_powers": {"1": {"re": "0", "im": "1"}, "0": {"re": "1", "im": "0"}}}}]}',
+    ),
+    (
+        '(q - q) S(p)',
+        '0',
+        r"0",
+        '{"basis": "weyl", "terms": []}',
+    ),
 ]
 
 

@@ -13,7 +13,6 @@ from opalg.scalars import (
     ONE,
     ZERO,
     minus_i_hbar_power,
-    shared_primitive_parts,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -70,32 +69,6 @@ def test_minus_i_hbar_power_is_a_repeated_product(n):
     for k in range(9):
         assert minus_i_hbar_power(k, n) == expected, k
         expected = expected * HbarScalar.of(0, -1, 1)
-
-
-@given(st.lists(scalars.filter(bool), max_size=6), st.integers(-6, 6).filter(bool))
-def test_shared_primitive_parts_group_integer_multiples(originals, k):
-    values = list(dict.fromkeys(originals + [c * k for c in originals]))
-    groups = shared_primitive_parts(values)
-    grouped = [c for group in groups.values() for _, c in group]
-    assert sorted(map(repr, grouped)) == sorted(map(repr, set(grouped)))
-    for unit, group in groups.items():
-        assert len(group) > 1
-        assert math.gcd(unit.re.numerator, unit.im.numerator) == 1
-        assert unit.re > 0 or unit.re == 0 and unit.im > 0
-        for g, c in group:
-            assert isinstance(g, int) and unit * g == c
-    for c in originals:
-        if c * k != c and math.gcd(k, math.lcm(c.re.denominator, c.im.denominator)) == 1:
-            assert c in grouped  # c and c * k share a denominator, so a primitive part
-
-
-def test_shared_primitive_parts_examples():
-    a, b = HbarScalar.of(Fraction(-4, 3), 6, 2), HbarScalar.of(Fraction(2, 3), -3, 2)
-    assert shared_primitive_parts([a, ONE, b, -I_HBAR, I_HBAR]) == {
-        HbarScalar.of(Fraction(2, 3), -3, 2): [(-2, a), (1, b)],
-        I_HBAR: [(-1, -I_HBAR), (1, I_HBAR)],
-    }
-    assert shared_primitive_parts([ONE, HbarScalar.of(Fraction(1, 2)), HBAR]) == {}
 
 
 def test_inv_i_hbar_is_the_bracket_prefactor():

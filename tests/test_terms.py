@@ -14,7 +14,9 @@ from opalg.brackets import ClassicalPolynomial, symmetrized_poisson_bracket
 from opalg.core import FreePolynomial, Letter, Word, adjoint, multiply, normal_order, partial_derivative
 from opalg.errors import UnsupportedFragmentError
 from opalg.oracle import TestFunction
+from opalg.parser import _mixed_sum, _scale_by_scalar
 from opalg.scalars import HBAR, HbarScalar, INV_I_HBAR, ONE
+from opalg.terms import linear_map
 from opalg.weyl import WeylMonomial, WeylPolynomial, weyl_derivative, weyl_product
 
 Q, P, DQ, DP = Letter.Q, Letter.P, Letter.DRHO_Q, Letter.DRHO_P
@@ -190,8 +192,29 @@ def test_classical_operations_match_the_public_route(x, y):
 @given(functions, functions)
 def test_test_function_maps_match_the_public_route(f, g):
     check_linear(f, g)
-    assert_matches(f.times_x(), TestFunction((d + 1, c) for d, c in f.items()))
-    assert_matches(f.differentiate(), TestFunction((d - 1, c * d) for d, c in f.items() if d))
+    times_x = linear_map(f, lambda d: [(d + 1, 1)])
+    assert_matches(times_x, TestFunction((d + 1, c) for d, c in f.items()))
+    derivative = linear_map(f, lambda d: [(d - 1, d)] if d else ())
+    assert_matches(derivative, TestFunction((d - 1, c * d) for d, c in f.items() if d))
+
+
+# Multiples of the identity with several grades, as the evaluator meets them.
+free_scalars = values(FreePolynomial, st.just(Word()))
+weyl_scalars = values(WeylPolynomial, st.just(WeylMonomial(0, 0)))
+
+
+@given(free_scalars, weyl_scalars, free, weyl)
+def test_evaluator_scaling_matches_the_public_route(s, t, x, y):
+    for scalar in (s, t):
+        for target in (x, y):
+            assert_matches(
+                _scale_by_scalar(scalar, target),
+                type(target)((k, c * f) for k, c in target.items() for _, f in scalar.items()),
+            )
+    # A free scalar beside a Weyl value in a sum becomes a Weyl scalar first.
+    converted = WeylPolynomial((WeylMonomial(0, 0), c) for _, c in s.items())
+    assert_matches(_mixed_sum(s, y), converted + y)
+    assert_matches(_mixed_sum(y, s), y + converted)
 
 
 # -- public checks -----------------------------------------------------------
