@@ -26,6 +26,7 @@ from .weyl import (
     _monomial,
     WeylPolynomial,
     expand_polynomial,
+    normal_form,
     weyl_derivative,
     weyl_product,
 )
@@ -94,13 +95,19 @@ def poisson_bracket_classical(
     ) * f.derivative(Letter.P)
 
 
-def commutator_bracket(f: FreePolynomial, g: FreePolynomial) -> FreePolynomial:
-    """The normal form of ``(f*g - g*f) / (i*hbar)``.
+def commutator_bracket(
+    f: FreePolynomial | WeylPolynomial, g: FreePolynomial | WeylPolynomial
+) -> FreePolynomial:
+    """The normal form of ``(f*g - g*f) / (i*hbar)``, a Weyl operand standing
+    for its expansion.
 
-    Each operand is normal ordered once, so the products have one word pair
-    per pair of normal-form terms rather than per pair of source words.
+    Each operand is brought to normal form once by
+    :func:`~opalg.weyl.normal_form`, which reads a Weyl operand's from its
+    exponents (McCoy) without listing its words, so the products have one
+    word pair per pair of normal-form terms rather than per pair of source
+    words.
     """
-    nf, ng = normal_order(f), normal_order(g)
+    nf, ng = normal_form(f), normal_form(g)
     return normal_order(nf * ng - ng * nf).scale(INV_I_HBAR)
 
 
@@ -252,7 +259,7 @@ def check_anticommutator_identity(
     p = FreePolynomial.from_letters(Letter.P)
     lhs = normal_order((v * p + p * v).scale(Fraction(1, 2)))
     weyl = WeylPolynomial((WeylMonomial(n, 1), c) for n, c in enumerate(scalars))
-    rhs = normal_order(expand_polynomial(weyl))
+    rhs = normal_form(weyl)
     return EqualityReport(lhs, rhs, lhs - rhs)
 
 
@@ -289,7 +296,7 @@ def check_obstruction(
     The second pair is normalized by the rational scale that makes the
     classical brackets match exactly (an error if no such scale exists).
     The symmetric brackets of the quantized pairs must then agree exactly,
-    while the commutator brackets of the expanded quantizations may differ;
+    while the commutator brackets of the quantizations may differ;
     the difference is reported in normal form.
     """
     f1, f2 = pair_a
@@ -312,8 +319,8 @@ def check_obstruction(
     q1, q2, q3, q4 = (quantize(f) for f in (f1, f2, f3, f4))
     sym_a = symmetrized_poisson_bracket(q1, q2)
     sym_b = symmetrized_poisson_bracket(q3, q4).scale(scale)
-    comm_a = commutator_bracket(expand_polynomial(q1), expand_polynomial(q2))
-    comm_b = commutator_bracket(expand_polynomial(q3), expand_polynomial(q4)).scale(scale)
+    comm_a = commutator_bracket(q1, q2)
+    comm_b = commutator_bracket(q3, q4).scale(scale)
     return ObstructionReport(
         classical_bracket=bracket_a,
         scale=scale,

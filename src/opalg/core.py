@@ -8,13 +8,11 @@ i*hbar``.  The state letters satisfy no relations and separate the word
 into independent ``q``/``p`` segments.
 
 Every element has a unique normal form with no ``p`` immediately followed
-by ``q``: each segment becomes a sum of ``q^a p^b``, following
-``p^b q^a = sum_k C(a,k) C(b,k) k! (-i*hbar)^k q^(a-k) p^(b-k)``.
-Structural equality of normal forms decides algebraic equality.
-:func:`normal_order` reaches it one letter at a time, except for a whole
-set of arrangements of ``q^n p^m`` under one coefficient (the image of the
-Weyl symmetrizer), whose normal form is McCoy's closed form
-``C(n+m, m) sum_k C(n,k) C(m,k) k! (-i*hbar/2)^k q^(n-k) p^(m-k)``.
+by ``q``: each segment becomes a sum of ``q^a p^b``.  Structural equality
+of normal forms decides algebraic equality.  How :func:`normal_order`
+reaches it without rewriting, and McCoy's closed form for the image of the
+Weyl symmetrizer, are derived in the README ("Why normal ordering needs no
+rewriting").
 """
 
 from __future__ import annotations
@@ -157,31 +155,15 @@ def multiply(a: FreePolynomial, b: FreePolynomial) -> FreePolynomial:
 def normal_order(x: FreePolynomial) -> FreePolynomial:
     """The unique normal form: no ``p`` immediately followed by ``q``.
 
-    One closed-form rule comes first.  The words of ``x`` with ``n`` q's,
-    ``m`` p's (both at least one), no other letter and one grade are
-    grouped; a group that holds all ``C(n+m, m)`` arrangements under one
-    shared coefficient is the symmetrizer's image, which :func:`expand`
-    produces, and McCoy's closed form (see :func:`normal_order_arrangements`)
-    gives its normal form without visiting its words.
-
-    Every other word is multiplied, letter by letter from left to right and
-    in source order, onto a normal partial product.  Appending ``q`` after
-    a trailing ``p^b`` uses ``p^b q = q p^b - i*hbar b p^(b-1)``; every
-    other letter is appended as it is, so state letters block reordering.
-    A word ``p^b q^a`` thus becomes
-    ``sum_k C(a,k) C(b,k) k! (-i*hbar)^k q^(a-k) p^(b-k)``.
-
-    A partial product is a map ``(head, b, k) -> n`` of positive integer
-    counts, standing for ``n (-i*hbar)^k head p^b`` with ``head`` not
-    ending in ``p``.  The partial products after each letter of the last
-    word are kept on a stack, so a word starts from its longest common
-    prefix with the word before it: products emit runs of words with one
-    left factor, so most steps are shared.
-
-    Both routes sum their counts per source coefficient.  The counts under
-    ``-c`` are folded into those under ``c`` before any scalar is made, so
-    the terms of ``f g`` and ``-g f`` cancel as integers; one scalar is made
-    per nonzero count.
+    A whole set of the ``C(n+m, m)`` arrangements of ``q^n p^m`` under one
+    coefficient and grade, as :func:`expand` produces it, takes McCoy's
+    closed form (:func:`normal_order_arrangements`).  Every other word is
+    multiplied letter by letter onto a normal partial product: a map
+    ``(head, b, k) -> n`` of integer counts standing for
+    ``n (-i*hbar)^k head p^b``, restarted from the longest common prefix
+    with the word before.  Counts are summed per source coefficient, those
+    of ``-c`` folded into ``c``'s.  The README's "Why normal ordering needs
+    no rewriting" derives each step.
     """
     Q, P = Letter.Q, Letter.P
     counts_by_coeff: dict[HbarScalar, dict] = {}

@@ -81,24 +81,13 @@ def apply_operator(op: FreePolynomial, f: TestFunction) -> TestFunction:
     return TestFunction._of(sum_into({}, terms))
 
 
-def oracle_equal(
-    a: FreePolynomial, b: FreePolynomial, max_test_degree: int | None = None
-) -> bool:
-    """Decide operator equality by action on ``x**k`` for ``k <= max_test_degree``.
-
-    The default bound is one more than the larger total degree of the two
-    operands, which per the module docstring is already past the faithful
-    threshold.  An explicit bound below the operands' degree is rejected.
-    """
-    needed = max(a.max_word_length, b.max_word_length)
-    if max_test_degree is None:
-        max_test_degree = needed + 1
-    elif max_test_degree < needed:
-        raise ValueError(
-            f"max_test_degree={max_test_degree} is below the operand degree {needed}"
-        )
+def oracle_equal(a: FreePolynomial, b: FreePolynomial) -> bool:
+    """Decide operator equality by action on ``x**k`` for ``k`` up to one
+    more than the larger total degree of the two operands, which per the
+    module docstring is already past the faithful threshold."""
+    degree = max(a.max_word_length, b.max_word_length) + 1
     return all(
         apply_operator(a, TestFunction.x_power(k))
         == apply_operator(b, TestFunction.x_power(k))
-        for k in range(max_test_degree + 1)
+        for k in range(degree + 1)
     )

@@ -21,9 +21,10 @@ Evaluation produces either a free polynomial or a Weyl polynomial:
 
 * ``o`` and ``pb`` are Weyl-context operations; free operands pass through
   the symmetrizer first.
-* ``comm`` and ``normal`` are free-context; Weyl operands are expanded,
-  except that ``normal`` of a Weyl value with no derivative letter takes
-  McCoy's closed form from the exponents (:func:`~opalg.weyl.normal_form`).
+* ``comm`` and ``normal`` are free-context: each brings its operands to
+  normal form through :func:`~opalg.weyl.normal_form`, which takes a Weyl
+  value with no derivative letter straight from its exponents (McCoy's
+  closed form) and expands one that carries a derivative letter.
 * ``S`` symmetrizes a free operand and leaves a Weyl operand unchanged.
 * ``dq``/``dp`` differentiate within the operand's own basis.
 * Mixed sums and ordinary products preserve operator meaning: a pure scalar
@@ -42,7 +43,6 @@ from .core import (
     IDENTITY_WORD,
     LETTER_BY_SYMBOL,
     Letter,
-    normal_order,
     partial_derivative,
 )
 from .errors import EvalError, ParseError, UnsupportedFragmentError
@@ -132,25 +132,8 @@ class RationalNode(Node):
 
 
 @dataclass(frozen=True, slots=True)
-class SumNode(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True, slots=True)
-class DifferenceNode(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True, slots=True)
-class OrdinaryProductNode(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True, slots=True)
-class WeylProductNode(Node):
+class BinaryNode(Node):
+    op: str  # "+", "-", "*" (also juxtaposition) or "o"
     left: Node
     right: Node
 
@@ -201,9 +184,7 @@ class _Parser:
         node = self.term()
         while self.peek().kind in (_PLUS, _MINUS):
             op = self.advance()
-            right = self.term()
-            cls = SumNode if op.kind == _PLUS else DifferenceNode
-            node = cls(op.line, op.column, node, right)
+            node = BinaryNode(op.line, op.column, op.kind, node, self.term())
         return node
 
     def term(self) -> Node:
@@ -212,8 +193,7 @@ class _Parser:
         while True:
             token = self.peek()
             if token.kind in (_STAR, _CIRC):
-                self.advance()
-                op = _STAR if token.kind == _STAR else _CIRC
+                op = self.advance().kind
             elif token.kind in (_NAME, _UINT, _LPAREN):
                 op = _STAR  # juxtaposition
             else:
@@ -225,9 +205,7 @@ class _Parser:
                     token.line,
                     token.column,
                 )
-            right = self.factor()
-            cls = OrdinaryProductNode if op == _STAR else WeylProductNode
-            node = cls(token.line, token.column, node, right)
+            node = BinaryNode(token.line, token.column, op, node, self.factor())
 
     def factor(self) -> Node:
         node = self.atom()
@@ -341,9 +319,6 @@ def _mixed_sum(a: Result, b: Result) -> Result:
     return _as_free(a) + _as_free(b)
 
 
-_BINARY = (SumNode, DifferenceNode, OrdinaryProductNode, WeylProductNode)
-
-
 def evaluate(node: Node) -> Result:
     """Evaluate an AST into a free or Weyl polynomial."""
     if isinstance(node, SymbolNode):
@@ -354,21 +329,21 @@ def evaluate(node: Node) -> Result:
         return FreePolynomial.from_letters(LETTER_BY_SYMBOL[node.name])
     if isinstance(node, RationalNode):
         return FreePolynomial.from_word(IDENTITY_WORD, ONE * node.value)
-    if isinstance(node, _BINARY):
+    if isinstance(node, BinaryNode):
         # Along the left spine in a loop, left operand first, so that a long
         # sum or product does not recurse once per operator.
         spine = []
-        while isinstance(node, _BINARY):
+        while isinstance(node, BinaryNode):
             spine.append(node)
-            node = node.left  # type: ignore[attr-defined]
+            node = node.left
         value = evaluate(node)
         run = None  # the slot map that a run of same-type sum links adds into
         for link in reversed(spine):
-            if isinstance(link, WeylProductNode):
+            if link.op == _CIRC:
                 a = _as_weyl(value, link.left)
                 b = _as_weyl(evaluate(link.right), link.right)
                 value = _guarded(weyl_product, link, a, b)
-            elif isinstance(link, OrdinaryProductNode):
+            elif link.op == _STAR:
                 b = evaluate(link.right)
                 if _is_scalar(value):
                     value = _scale_by_scalar(value, b)
@@ -378,7 +353,7 @@ def evaluate(node: Node) -> Result:
                     value = _as_free(value) * _as_free(b)
             else:
                 b = evaluate(link.right)
-                if isinstance(link, DifferenceNode):
+                if link.op == _MINUS:
                     b = -b
                 if type(b) is not type(value):
                     value = _mixed_sum(value, b)
@@ -411,23 +386,15 @@ def evaluate(node: Node) -> Result:
 
 def _call(node: CallNode) -> Result:
     if node.func == "S":
-        value = evaluate(node.args[0])
-        if isinstance(value, WeylPolynomial):
-            return value
-        return _guarded(symmetrize, node, value)
+        return _as_weyl(evaluate(node.args[0]), node)
     if node.func == "pb":
         a = _as_weyl(evaluate(node.args[0]), node.args[0])
         b = _as_weyl(evaluate(node.args[1]), node.args[1])
         return _guarded(symmetrized_poisson_bracket, node, a, b)
     if node.func == "comm":
-        return commutator_bracket(
-            _as_free(evaluate(node.args[0])), _as_free(evaluate(node.args[1]))
-        )
+        return commutator_bracket(evaluate(node.args[0]), evaluate(node.args[1]))
     if node.func == "normal":
-        value = evaluate(node.args[0])
-        if isinstance(value, WeylPolynomial):
-            return normal_form(value)
-        return normal_order(value)
+        return normal_form(evaluate(node.args[0]))
     if node.func in ("dq", "dp"):
         wrt = Letter.Q if node.func == "dq" else Letter.P
         value = evaluate(node.args[0])

@@ -211,15 +211,19 @@ def weyl_derivative(x: WeylPolynomial, wrt: Letter) -> WeylPolynomial:
     return linear_map(x, lambda w: [(_monomial(w.n, w.m - 1, w.deriv), w.m)] if w.m else ())
 
 
-def normal_form(x: WeylPolynomial) -> FreePolynomial:
-    """The normal form of ``x``'s expansion, the printable canonical form.
+def normal_form(x: FreePolynomial | WeylPolynomial) -> FreePolynomial:
+    """The normal form of ``x``, or of its expansion if ``x`` is a Weyl value;
+    the one entry to the printable canonical form for ``normal`` and ``comm``.
 
-    Without a derivative letter, McCoy's closed form gives it straight from
+    A free value is :func:`~opalg.core.normal_order`'s.  For a Weyl value
+    with no derivative letter, McCoy's closed form gives it straight from
     the exponents (:func:`~opalg.core.normal_order_arrangements`): the
     expansion of ``c S(q^n p^m)`` is ``c / C(n+m, m)`` times the sum of all
     arrangements, so no word is listed.  A derivative letter takes the
     expansion route.
     """
+    if isinstance(x, FreePolynomial):
+        return normal_order(x)
     if any(w.deriv is not None for w, _ in x._terms):
         return normal_order(expand_polynomial(x))
     return normal_order_arrangements(

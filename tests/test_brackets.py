@@ -217,6 +217,42 @@ def test_commutator_bracket_of_expanded_weyl_operands(a, b):
     assert_same_commutator(weyl_sum(a), weyl_sum(b))
 
 
+# Either operand may be free or Weyl; a Weyl operand draws graded coefficients
+# and derivative letters, so both routes of normal_form are taken.
+weyl_operands = st.lists(
+    st.tuples(
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.sampled_from([None, None, Letter.DRHO_Q, Letter.DRHO_P]),
+        graded_coeffs,
+    ),
+    max_size=3,
+).map(lambda terms: WeylPolynomial((WeylMonomial(n, m, d), c) for n, m, d, c in terms))
+
+
+def expanded(x: FreePolynomial | WeylPolynomial) -> FreePolynomial:
+    return x if isinstance(x, FreePolynomial) else expand_polynomial(x)
+
+
+def assert_same_as_expanded(x, y) -> None:
+    actual, expected = commutator_bracket(x, y), commutator_bracket(expanded(x), expanded(y))
+    assert actual == expected
+    assert render_text(actual) == render_text(expected)
+
+
+@given(st.one_of(weyl_operands, free_operands), st.one_of(weyl_operands, free_operands))
+def test_commutator_bracket_of_either_basis_matches_the_expanded_operands(x, y):
+    assert_same_as_expanded(x, y)
+
+
+def test_commutator_bracket_of_weyl_monomials_matches_the_expanded_operands():
+    monomials = [
+        mono(n, m, deriv) for n, m, deriv in product(range(4), range(4), (None, Letter.DRHO_P))
+    ]
+    for x, y in product(monomials, repeat=2):
+        assert commutator_bracket(x, y) == commutator_bracket(expanded(x), expanded(y))
+
+
 # -- Leibniz -----------------------------------------------------------------------
 
 
@@ -278,6 +314,15 @@ def test_anticommutator_identity_random_coefficients():
         report = check_anticommutator_identity(coeffs)
         assert report.equal
         assert oracle_equal(report.lhs, report.rhs)
+
+
+def test_anticommutator_identity_right_side_is_the_normal_order_of_the_expansion():
+    pool = [ONE, HbarScalar.of(-2, 1), HbarScalar.of(Fraction(1, 3), 0, 1), HbarScalar.of(0, 5, 2)]
+    for length in range(1, 10):
+        coeffs = [pool[(3 * i + length) % len(pool)] for i in range(length)]
+        weyl = WeylPolynomial((WeylMonomial(n, 1), c) for n, c in enumerate(coeffs))
+        rhs = check_anticommutator_identity(coeffs).rhs
+        assert rhs == normal_order(expand_polynomial(weyl))
 
 
 # -- state-derivative substitution ----------------------------------------------------

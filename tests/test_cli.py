@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -11,7 +12,8 @@ from opalg.cli import cmd_repl, main
 from opalg.core import IDENTITY_WORD
 from opalg.parser import evaluate, parse
 from opalg.printing import render_json
-from opalg.weyl import WeylMonomial
+from opalg.scalars import HbarScalar
+from opalg.weyl import WeylMonomial, normal_form
 
 from .test_core import mccoy_form
 from .test_printing import COEFFICIENT_GOLDEN, GOLDEN
@@ -130,6 +132,20 @@ def test_eval_normal_of_a_large_symmetrized_monomial_is_mccoys_form():
     code, out = run_cli(["eval", "normal(S(q^30 p^30))", "--format", "json"])
     assert code == 0
     assert out == render_json(mccoy_form(30, 30)) + "\n"
+
+
+def test_eval_commutator_of_large_symmetrized_monomials():
+    start = time.perf_counter()
+    code, out = run_cli(["eval", "comm(S(q^12 p^10), S(q^9 p^11))"])
+    assert code == 0 and time.perf_counter() - start < 2
+    value = evaluate(parse(out))
+    # The commutator agrees with the symmetric bracket up to hbar^2.
+    gap = value - normal_form(evaluate(parse("pb(S(q^12 p^10), S(q^9 p^11))")))
+    assert not gap.is_zero
+    assert all(c.hbar_power >= 2 for _, c in gap.items())
+    # The classical bracket: (12*11 - 10*9) q^20 p^20.
+    grade_0 = [(str(word), c) for word, c in value.items() if c.hbar_power == 0]
+    assert grade_0 == [(" ".join(["q"] * 20 + ["p"] * 20), HbarScalar.of(42))]
 
 
 def raise_memory_error(node):

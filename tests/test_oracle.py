@@ -141,11 +141,6 @@ def test_word_action_matches_the_per_letter_route(length):
         assert apply_operator(op, f) == apply_by_letters(op, f)
 
 
-def test_explicit_bound_below_degree_is_rejected():
-    with pytest.raises(ValueError):
-        oracle_equal(q * q * q, q, max_test_degree=1)
-
-
 def test_verdict_matches_normal_form_equality():
     rng = random.Random(42)
     for _ in range(100):

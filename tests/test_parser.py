@@ -7,8 +7,8 @@ import pytest
 from opalg.core import FreePolynomial, IDENTITY_WORD, Letter, Word
 from opalg.errors import EvalError, ParseError
 from opalg.parser import (
+    BinaryNode,
     CallNode,
-    OrdinaryProductNode,
     PowerNode,
     SymbolNode,
     evaluate,
@@ -31,7 +31,7 @@ def ev(source: str):
 
 def test_explicit_product_ast():
     node = parse("q^2 * p")
-    assert isinstance(node, OrdinaryProductNode)
+    assert isinstance(node, BinaryNode) and node.op == "*"
     assert isinstance(node.left, PowerNode)
     assert isinstance(node.right, SymbolNode)
 

@@ -266,9 +266,16 @@ weyl_polys = st.lists(
 ).map(lambda terms: WeylPolynomial((WeylMonomial(n, m, d), c) for n, m, d, c in terms))
 
 
-@given(weyl_polys)
+free_polys = st.lists(
+    st.tuples(st.lists(st.sampled_from(list(Letter)), max_size=6).map(lambda ls: Word(tuple(ls))), graded),
+    max_size=4,
+).map(FreePolynomial)
+
+
+@given(st.one_of(weyl_polys, free_polys))
 def test_normal_form_is_the_normal_order_of_the_expansion(x):
-    assert normal_form(x) == normal_order(expand_polynomial(x))
+    free = x if isinstance(x, FreePolynomial) else expand_polynomial(x)
+    assert normal_form(x) == normal_order(free)
 
 
 def test_normal_form_of_weyl_is_the_normal_order_of_the_expansion():
