@@ -2,28 +2,18 @@
 
 The pure q/p algebra acts faithfully on polynomials in a formal variable x
 by ``q = multiply by x`` and ``p = -i*hbar * d/dx``, with hbar kept formal
-and all coefficients exact.  This gives a second, structurally unrelated
-route to operator equality: two operators are compared by applying them to
-the monomials ``x**k`` instead of by rewriting.
-
-Why a finite test degree suffices: write an operator in normal form as a
-sum of ``c * hbar**k * q**a p**b``.  Acting on ``x**j`` (for ``j >= b``)
-contributes ``c * (-i*hbar)**b * j!/(j-b)! * x**(j + a - b)``.  Group terms
-by the offset ``a - b``: within one offset, the contribution to the image
-of ``x**j`` is a linear combination of the falling factorials
-``j!/(j-b)!``, and the matrix of falling factorials over ``j = 0..D`` is
-triangular with nonzero diagonal once ``D`` reaches the largest ``b``.  So
-the images of ``x**0 .. x**D`` determine every coefficient with p-degree at
-most ``D``, and testing up to the total degree of the operands decides
-equality exactly.  (State words have no faithful finite action here and are
-rejected; identities involving them are settled by the free normal form.)
-
-Each word acts with plain ints: on ``x**d``, ``q`` raises the degree and
-``p`` multiplies by it and lowers it, and the word's ``(-i*hbar)**k`` for
-its ``k`` p's is one scalar.  The oracle never rewrites words.
+and all coefficients exact.  Two operators are equal exactly when their
+images of ``x**0 .. x**D`` agree, ``D`` one more than their largest word
+length; the README ("Why the oracle's finite test degree suffices") gives
+the argument and each word's closed-form action.  The oracle never rewrites
+words and never calls the normal form.  State words have no faithful
+finite action here and are rejected; identities involving them are settled
+by the free normal form.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from .core import FreePolynomial, Letter, STATE_LETTERS
 from .errors import UnsupportedFragmentError
@@ -47,47 +37,70 @@ class TestFunction(GradedTerms):
         return cls([(degree, coeff)])
 
 
+def _images(op: FreePolynomial, degrees: Iterable[int]) -> dict:
+    """The images of ``x**j`` under ``op`` for ``j`` in ``degrees``, one slot
+    map keyed by ``((j, image degree), grade)``.
+
+    Each word is read once, right to left, for the offsets ``o`` at which
+    its ``k`` p's meet the degree and for its rise ``#q - #p``; it maps
+    ``x**j`` to ``(-i*hbar)**k * prod(j + o) * x**(j + rise)``, which is
+    zero exactly for ``j < 1 - min(o)`` (see the README).  The products are
+    summed as ints per source coefficient at ``(j, image degree, k)``, and
+    each sum ``n`` makes one scalar, ``n * coeff * (-i*hbar)**k``.
+    """
+    Q = Letter.Q
+    counts_by_coeff: dict[HbarScalar, dict] = {}
+    for (word, _), coeff in op._terms.items():
+        letters = word.letters
+        if not STATE_LETTERS.isdisjoint(letters):
+            raise UnsupportedFragmentError("the polynomial representation acts on q/p words only")
+        offsets, rise = [], 0
+        for letter in reversed(letters):
+            if letter is Q:
+                rise += 1
+            else:
+                offsets.append(rise)
+                rise -= 1
+        k = len(offsets)
+        lowest = 1 - min(offsets, default=1)
+        counts = counts_by_coeff.setdefault(coeff, {})
+        for j in degrees:
+            if j >= lowest:
+                n = 1
+                for offset in offsets:
+                    n *= j + offset
+                slot = (j, j + rise, k)
+                counts[slot] = counts.get(slot, 0) + n
+    terms = []
+    for coeff, counts in counts_by_coeff.items():
+        units: dict[int, HbarScalar] = {}  # coeff * (-i*hbar)**k by k
+        for (j, image, k), n in counts.items():
+            unit = units.get(k)
+            if unit is None:
+                unit = units[k] = coeff * minus_i_hbar_power(k)
+            terms.append((((j, image), unit.hbar_power), unit * n))
+    return sum_into({}, terms)
+
+
 def apply_operator(op: FreePolynomial, f: TestFunction) -> TestFunction:
     """Act with ``op`` on ``f``, letters applied right to left; exact and linear.
 
     Every word with a state letter raises, whatever ``f`` is.
     """
-    f_terms = f._terms.items()
-    Q, P = Letter.Q, Letter.P
+    by_degree: dict[int, list[HbarScalar]] = {}
+    for (degree, _), c in f._terms.items():
+        by_degree.setdefault(degree, []).append(c)
     terms = []
-    for (word, _), coeff in op._terms.items():
-        letters = word.letters
-        if not STATE_LETTERS.isdisjoint(letters):
-            raise UnsupportedFragmentError(
-                "the polynomial representation acts on q/p words only"
-            )
-        k = letters.count(P)
-        shift = len(letters) - 2 * k
-        word_coeff = coeff * minus_i_hbar_power(k)
-        for (degree, _), c in f_terms:
-            factor, d = 1, degree
-            for letter in reversed(letters):
-                if letter is Q:
-                    d += 1
-                elif d:
-                    factor *= d
-                    d -= 1
-                else:  # p annihilates x**0
-                    factor = 0
-                    break
-            if factor:
-                scalar = word_coeff * c * factor
-                terms.append(((degree + shift, scalar.hbar_power), scalar))
+    for ((j, image), _), scalar in _images(op, by_degree).items():
+        for c in by_degree[j]:
+            product = scalar * c
+            terms.append(((image, product.hbar_power), product))
     return TestFunction._of(sum_into({}, terms))
 
 
 def oracle_equal(a: FreePolynomial, b: FreePolynomial) -> bool:
-    """Decide operator equality by action on ``x**k`` for ``k`` up to one
+    """Decide operator equality by the images of ``x**j`` for ``j`` up to one
     more than the larger total degree of the two operands, which per the
-    module docstring is already past the faithful threshold."""
-    degree = max(a.max_word_length, b.max_word_length) + 1
-    return all(
-        apply_operator(a, TestFunction.x_power(k))
-        == apply_operator(b, TestFunction.x_power(k))
-        for k in range(degree + 1)
-    )
+    README is already past the faithful threshold."""
+    degrees = range(max(a.max_word_length, b.max_word_length) + 2)
+    return _images(a, degrees) == _images(b, degrees)

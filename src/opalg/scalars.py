@@ -122,7 +122,7 @@ class HbarScalar:
         )
 
     def __neg__(self) -> HbarScalar:
-        return _make(-self._re, -self._im, self._den, self._power)
+        return _canonical(-self._re, -self._im, self._den, self._power)
 
     def __sub__(self, other: HbarScalar) -> HbarScalar:
         return self + (-other)
@@ -161,7 +161,7 @@ class HbarScalar:
 
     def conjugate(self) -> HbarScalar:
         """Complex conjugate; hbar is real, so the grade is unchanged."""
-        return _make(self._re, -self._im, self._den, self._power)
+        return _canonical(self._re, -self._im, self._den, self._power)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -199,6 +199,17 @@ def _make(re: int, im: int, den: int, power: int) -> HbarScalar:
     scalar._im = im
     scalar._den = den
     scalar._power = power if re or im else 0
+    return scalar
+
+
+def _canonical(re: int, im: int, den: int, power: int) -> HbarScalar:
+    """The scalar of fields already in canonical form, such as a canonical
+    scalar's with the sign of ``re`` or ``im`` changed; nothing is reduced."""
+    scalar = _new(HbarScalar)
+    scalar._re = re
+    scalar._im = im
+    scalar._den = den
+    scalar._power = power
     return scalar
 
 

@@ -215,20 +215,26 @@ def normal_form(x: FreePolynomial | WeylPolynomial) -> FreePolynomial:
     """The normal form of ``x``, or of its expansion if ``x`` is a Weyl value;
     the one entry to the printable canonical form for ``normal`` and ``comm``.
 
-    A free value is :func:`~opalg.core.normal_order`'s.  For a Weyl value
-    with no derivative letter, McCoy's closed form gives it straight from
+    A free value is :func:`~opalg.core.normal_order`'s.  A Weyl value's
+    terms without a derivative letter take McCoy's closed form straight from
     the exponents (:func:`~opalg.core.normal_order_arrangements`): the
     expansion of ``c S(q^n p^m)`` is ``c / C(n+m, m)`` times the sum of all
-    arrangements, so no word is listed.  A derivative letter takes the
-    expansion route.
+    arrangements, so no word is listed.  Only the terms with a derivative
+    letter are expanded and normal-ordered; their words hold that letter, so
+    the two normal forms share no word and their sum merges nothing.
     """
     if isinstance(x, FreePolynomial):
         return normal_order(x)
-    if any(w.deriv is not None for w, _ in x._terms):
-        return normal_order(expand_polynomial(x))
-    return normal_order_arrangements(
-        (w.n, w.m, c * Fraction(1, comb(w.n + w.m, w.m))) for (w, _), c in x._terms.items()
-    )
+    pure, derived = [], {}
+    for (w, grade), c in x._terms.items():
+        if w.deriv is None:
+            pure.append((w.n, w.m, c * Fraction(1, comb(w.n + w.m, w.m))))
+        else:
+            derived[w, grade] = c
+    result = normal_order_arrangements(pure)
+    if derived:
+        result = result + normal_order(expand_polynomial(WeylPolynomial._of(derived)))
+    return result
 
 
 def normal_form_of_weyl(w: WeylMonomial) -> FreePolynomial:

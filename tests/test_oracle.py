@@ -1,13 +1,15 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from opalg import core, oracle
 from opalg.core import FreePolynomial, IDENTITY_WORD, Letter, Word, normal_order
 from opalg.errors import UnsupportedFragmentError
 from opalg.oracle import TestFunction, apply_operator, oracle_equal
-from opalg.scalars import HbarScalar, I_HBAR, ONE
+from opalg.scalars import HBAR, HbarScalar, I_HBAR, ONE
 from opalg.terms import linear_map
 from opalg.weyl import WeylMonomial, expand
 
@@ -153,3 +155,95 @@ def test_verdict_matches_normal_form_equality():
             (w, ONE) for w in words[2:]
         )
         assert oracle_equal(a, b) == (normal_order(a) == normal_order(b))
+
+
+# -- edge cases: verdicts against the per-letter route and the normal form --
+
+
+def oracle_by_letters(a: FreePolynomial, b: FreePolynomial) -> bool:
+    """The same decision through the per-letter route, one test degree at a time."""
+    degree = max(a.max_word_length, b.max_word_length) + 1
+    return all(
+        apply_by_letters(a, TestFunction.x_power(j)) == apply_by_letters(b, TestFunction.x_power(j))
+        for j in range(degree + 1)
+    )
+
+
+def letters(text: str) -> FreePolynomial:
+    return FreePolynomial.from_letters(*(Q if ch == "q" else P for ch in text))
+
+
+def p_power(length: int, coeff: HbarScalar = ONE) -> FreePolynomial:
+    return FreePolynomial.from_word(Word.of(*[P] * length), coeff)
+
+
+ZERO_OP = FreePolynomial.zero()
+GRADED = [ONE, HbarScalar.of(Fraction(-2, 3), 1), HbarScalar.of(0, 5, 2), HbarScalar.of(3, -1, 1)]
+
+
+def edge_pairs():
+    # Words annihilated mid-walk: p^3 meets x**1 after one q on x**0.
+    for text in ("qpppqpp", "pqpp", "qqpppp", "ppqq", "pqqpqp"):
+        word = letters(text)
+        yield word, normal_order(word)
+        yield word, normal_order(word) + letters("p" * len(text))
+    # hbar p^L acts as zero below x**L, so it shows only at the last test degrees.
+    for text, c in zip(("qpppqpp", "pqpqpqqp", "ppppqqqq"), GRADED):
+        word = letters(text).scale(c)
+        yield word, normal_order(word) + p_power(len(text), HBAR)
+        yield word, normal_order(word) + p_power(len(text), HBAR) - p_power(len(text), HBAR)
+    # Zero operands, and operators that vanish.
+    yield ZERO_OP, ZERO_OP
+    yield ZERO_OP, letters("p")
+    yield letters("qp") - letters("pq"), ZERO_OP
+    yield letters("qp") - letters("pq") - FreePolynomial.one().scale(I_HBAR), ZERO_OP
+    # Graded and complex coefficients, including c against -c.
+    for c in GRADED:
+        yield letters("qp").scale(c) + letters("pq").scale(-c), FreePolynomial.one().scale(c * I_HBAR)
+        yield letters("qp").scale(c) - letters("pq").scale(c), FreePolynomial.one().scale(-c * I_HBAR)
+        yield letters("qpqp").scale(c) + letters("qpqp").scale(-c), ZERO_OP
+        yield letters("pqp").scale(c) + letters("ppq").scale(-c), letters("p").scale(c * I_HBAR)
+        yield letters("pqp").scale(c), letters("ppq").scale(c)
+
+
+@pytest.mark.parametrize("a, b", list(edge_pairs()))
+def test_edge_case_verdicts_match_the_per_letter_route_and_the_normal_form(a, b):
+    expected = normal_order(a) == normal_order(b)
+    assert oracle_equal(a, b) == oracle_by_letters(a, b) == expected
+    assert oracle_equal(b, a) == expected
+
+
+def test_test_degrees_run_one_past_the_longest_word(monkeypatch):
+    seen = []
+    images = oracle._images
+
+    def recording(op, degrees):
+        seen.append(list(degrees))
+        return images(op, degrees)
+
+    monkeypatch.setattr(oracle, "_images", recording)
+    oracle_equal(letters("qpppqpp"), letters("qp"))
+    assert seen == [list(range(9))] * 2
+
+
+def test_the_oracle_never_calls_normal_order(monkeypatch):
+    cases = [(a, b, normal_order(a) == normal_order(b)) for a, b in edge_pairs()]
+    rng = random.Random(17)
+    for _ in range(30):
+        a = FreePolynomial(
+            (Word.of(*(rng.choice((Q, P)) for _ in range(rng.randint(0, 6)))), rng.choice(GRADED))
+            for _ in range(3)
+        )
+        b = normal_order(a) if rng.random() < 0.5 else a + p_power(6, HBAR)
+        cases.append((a, b, normal_order(a) == normal_order(b)))
+
+    def refuse(x):
+        raise AssertionError("the oracle called normal_order")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("opalg") and getattr(module, "normal_order", None) is core.normal_order:
+            monkeypatch.setattr(module, "normal_order", refuse)
+    with pytest.raises(AssertionError):
+        core.normal_order(q)
+    for a, b, expected in cases:
+        assert oracle_equal(a, b) == expected

@@ -12,6 +12,7 @@ from opalg.scalars import (
     I_HBAR,
     ONE,
     ZERO,
+    _make,
     minus_i_hbar_power,
 )
 
@@ -228,6 +229,17 @@ def test_sums_that_cancel_are_zero_at_grade_zero(a, re, im, grade):
         assert total == ZERO
         assert (total._re, total._im, total._den, total.hbar_power) == (0, 0, 1, 0)
         assert not total and total.is_zero and str(total) == "0"
+
+
+def fields(a):
+    return (a._re, a._im, a._den, a._power)
+
+
+@given(st.one_of(big_scalars, st.just(ZERO)))
+def test_negation_and_conjugate_build_the_reduced_fields_directly(a):
+    # Both skip _make's gcd; a canonical scalar's sign change is canonical.
+    assert fields(-a) == fields(_make(-a._re, -a._im, a._den, a._power))
+    assert fields(a.conjugate()) == fields(_make(a._re, -a._im, a._den, a._power))
 
 
 @given(big_scalars)

@@ -33,11 +33,13 @@ def test_reports_are_deterministic():
     assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
 
-def test_different_seeds_change_random_inputs():
-    a = run_suite("eq8", max_degree=3, cases=10, seed=1)
-    b = run_suite("eq8", max_degree=3, cases=10, seed=2)
-    assert json.dumps(a.to_json_dict()) == json.dumps(a.to_json_dict())
-    assert a.passed and b.passed
+def test_different_seeds_change_random_inputs(monkeypatch):
+    # The report holds no inputs, so the case labels are what must differ.
+    report_one, one = recorded_cases(monkeypatch, "eq8", max_degree=3, cases=10, seed=1)
+    report_two, two = recorded_cases(monkeypatch, "eq8", max_degree=3, cases=10, seed=2)
+    assert report_one.passed and report_two.passed
+    assert len(one) == len(two) > 0
+    assert [label for _, label in one] != [label for _, label in two]
 
 
 def test_report_json_shape():
@@ -66,21 +68,31 @@ def test_invalid_configuration_is_rejected():
 CASE_STREAM_SEED_1 = "5b28156ef79c201646ecf0e6129d17bd2893ad057b2e3e2056a930194f187c6c"
 
 
-def case_stream_digest(monkeypatch, seed: int) -> str:
-    stream = hashlib.sha256()
+def recorded_cases(monkeypatch, suite: str, **params):
+    """The report of ``run_suite(suite, **params)`` and every ``(check name,
+    case label)`` it produces, in order."""
+    cases_seen = []
     build = suites._check
 
     def recording(name, cases):
         def record():
             for label, difference in cases:
-                stream.update(f"{name}\0{label}\n".encode())
+                cases_seen.append((name, label))
                 yield label, difference
 
         return build(name, record())
 
     with monkeypatch.context() as patch:
         patch.setattr(suites, "_check", recording)
-        run_suite("all", max_degree=3, cases=20, seed=seed)
+        report = run_suite(suite, **params)
+    return report, cases_seen
+
+
+def case_stream_digest(monkeypatch, seed: int) -> str:
+    stream = hashlib.sha256()
+    _, cases = recorded_cases(monkeypatch, "all", max_degree=3, cases=20, seed=seed)
+    for name, label in cases:
+        stream.update(f"{name}\0{label}\n".encode())
     return stream.hexdigest()
 
 

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from opalg import weyl
 from opalg.core import FreePolynomial, IDENTITY_WORD, Letter, Word, adjoint, normal_order
 from opalg.errors import UnsupportedFragmentError
 from opalg.scalars import HbarScalar
@@ -272,10 +273,52 @@ free_polys = st.lists(
 ).map(FreePolynomial)
 
 
-@given(st.one_of(weyl_polys, free_polys))
+# At least one term with a derivative letter and one without.
+mixed_weyl_polys = st.tuples(
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), graded), min_size=1, max_size=3),
+    st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.integers(0, 3),
+            st.sampled_from([Letter.DRHO_Q, Letter.DRHO_P]),
+            graded,
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+).map(
+    lambda terms: WeylPolynomial(
+        [(WeylMonomial(n, m), c) for n, m, c in terms[0]]
+        + [(WeylMonomial(n, m, d), c) for n, m, d, c in terms[1]]
+    )
+)
+
+
+@given(st.one_of(weyl_polys, mixed_weyl_polys, free_polys))
 def test_normal_form_is_the_normal_order_of_the_expansion(x):
     free = x if isinstance(x, FreePolynomial) else expand_polynomial(x)
     assert normal_form(x) == normal_order(free)
+
+
+def test_normal_form_expands_only_the_terms_with_a_derivative_letter(monkeypatch):
+    received = []
+
+    def recording(w):
+        received.append(w)
+        return expand(w)
+
+    monkeypatch.setattr(weyl, "expand", recording)
+    x = (
+        mono(10, 10)
+        + mono(3, 2).scale(HbarScalar.of(0, 2, 1))
+        + mono(1, 0, Letter.DRHO_P)
+        + mono(0, 2, Letter.DRHO_Q).scale(-2)
+    )
+    normal_form(x)
+    assert received == [WeylMonomial(1, 0, Letter.DRHO_P), WeylMonomial(0, 2, Letter.DRHO_Q)]
+    received.clear()
+    normal_form(mono(10, 10) + mono(4, 1))
+    assert received == []
 
 
 def test_normal_form_of_weyl_is_the_normal_order_of_the_expansion():
