@@ -155,30 +155,20 @@ def multiply(a: FreePolynomial, b: FreePolynomial) -> FreePolynomial:
 def normal_order(x: FreePolynomial) -> FreePolynomial:
     """The unique normal form: no ``p`` immediately followed by ``q``.
 
+    One pass counts each word's letters (:func:`_split_arrangement_sets`).
     A whole set of the ``C(n+m, m)`` arrangements of ``q^n p^m`` under one
     coefficient and grade, as :func:`expand` produces it, takes McCoy's
-    closed form (:func:`normal_order_arrangements`).  Every other word is
-    multiplied letter by letter onto a normal partial product: a map
-    ``(head, b, k) -> n`` of integer counts standing for
+    closed form (:func:`_arrangement_counts`).  Every other word, in source
+    order, is multiplied letter by letter onto a normal partial product: a
+    map ``(head, b, k) -> n`` of integer counts standing for
     ``n (-i*hbar)^k head p^b``, restarted from the longest common prefix
     with the word before.  Counts are summed per source coefficient, those
     of ``-c`` folded into ``c``'s.  The README's "Why normal ordering needs
     no rewriting" derives each step.
     """
     Q, P = Letter.Q, Letter.P
-    counts_by_coeff: dict[HbarScalar, dict] = {}
-    terms = x._terms
-    rest = terms.items()
-    if len(terms) > 1:
-        whole = _whole_arrangement_sets(terms)
-        for (n, length, _), coeff in whole.items():
-            _add_arrangement_counts(counts_by_coeff.setdefault(coeff, {}), n, length - n)
-        if whole:
-            rest = [
-                ((word, grade), coeff)
-                for (word, grade), coeff in rest
-                if (word.letters.count(Q), len(word.letters), grade) not in whole
-            ]
+    sets, rest = _split_arrangement_sets(x._terms)
+    counts_by_coeff = _arrangement_counts(sets)
     previous: tuple[Letter, ...] = ()
     stack = [{((), 0, 0): 1}]  # stack[i]: the partial product of previous[:i]
     for (source, _), coeff in rest:
@@ -212,35 +202,34 @@ def normal_order(x: FreePolynomial) -> FreePolynomial:
     return _from_counts(counts_by_coeff)
 
 
-def _whole_arrangement_sets(terms: dict) -> dict[tuple[int, int, int], HbarScalar]:
-    """``(n, n + m, grade) -> c`` for every whole set of arrangements of
-    ``n`` q's and ``m`` p's (``n, m >= 1``) among the slots ``terms``, all
-    at one grade under one coefficient ``c``."""
+def _split_arrangement_sets(terms: dict) -> tuple[list, Iterable]:
+    """The whole arrangement sets among the slots ``terms``, as ``(n, m, c)``
+    triples in first-seen order, and every other term in source order.
+
+    A whole set is all ``C(n+m, m)`` arrangements of ``n`` q's and ``m``
+    p's (``n, m >= 1``) at one grade under one coefficient ``c``; the words
+    of one grade are distinct, so a group of pure words of that size is
+    whole.  Each word's letters are counted once.
+    """
+    if len(terms) < 2:
+        return [], terms.items()
     Q, P = Letter.Q, Letter.P
-    sizes: dict[tuple[int, int, int], int] = {}
-    for word, grade in terms:
-        letters = word.letters
-        key = (letters.count(Q), len(letters), grade)
-        sizes[key] = sizes.get(key, 0) + 1
-    # A group of slots is a whole set only if it holds C(length, q count).
-    whole: dict = {
-        key: None for key, size in sizes.items() if size > 1 and size == comb(key[1], key[0])
-    }
-    if not whole:
-        return whole
+    keys = []
+    groups: dict[tuple[int, int, int], list[HbarScalar]] = {}
     for (word, grade), coeff in terms.items():
         letters = word.letters
-        key = (letters.count(Q), len(letters), grade)
-        first = whole.get(key, False)
-        if first is False:
-            continue
-        if letters.count(P) != key[1] - key[0]:
-            whole[key] = False  # a state letter
-        elif first is None:
-            whole[key] = coeff
-        elif first is not coeff and first != coeff:
-            whole[key] = False  # a second coefficient
-    return {key: coeff for key, coeff in whole.items() if coeff is not False}
+        n, m = letters.count(Q), letters.count(P)
+        key = (n, m, grade) if n + m == len(letters) else None  # None: a state letter
+        keys.append(key)
+        groups.setdefault(key, []).append(coeff)
+    sets, whole = [], set()
+    for key, coeffs in groups.items():
+        if key and 1 < len(coeffs) == comb(key[0] + key[1], key[0]) == coeffs.count(coeffs[0]):
+            sets.append((key[0], key[1], coeffs[0]))
+            whole.add(key)
+    if not whole:
+        return sets, terms.items()
+    return sets, [term for term, key in zip(terms.items(), keys) if key not in whole]
 
 
 def normal_order_arrangements(sets: Iterable[tuple[int, int, HbarScalar]]) -> FreePolynomial:
@@ -251,22 +240,23 @@ def normal_order_arrangements(sets: Iterable[tuple[int, int, HbarScalar]]) -> Fr
     McCoy (*PNAS* 18 (1932) 674): ``A(n, m) / C(n+m, m)`` is
     ``sum_k C(n,k) C(m,k) k! (-i*hbar/2)^k q^(n-k) p^(m-k)``.
     """
-    counts_by_coeff: dict[HbarScalar, dict] = {}
-    for n, m, coeff in sets:
-        _add_arrangement_counts(counts_by_coeff.setdefault(coeff, {}), n, m)
-    return _from_counts(counts_by_coeff)
+    return _from_counts(_arrangement_counts(sets))
 
 
-def _add_arrangement_counts(counts: dict, n: int, m: int) -> None:
-    """Add the counts of the normal form of ``A(n, m)`` into ``counts``:
+def _arrangement_counts(sets: Iterable[tuple[int, int, HbarScalar]]) -> dict[HbarScalar, dict]:
+    """Per-coefficient count maps of the normal forms of ``c A(n, m)``:
     ``C(n+m, m) C(n,k) C(m,k) k! / 2^k`` at ``(q^(n-k), m-k, k)``.  Each is
     an integer, being the sum of the integer counts of ``A(n, m)``'s words,
     so every step's division is exact."""
-    total = comb(n + m, m)
-    for k in range(min(n, m) + 1):
-        slot = (_Q * (n - k), m - k, k)
-        counts[slot] = counts.get(slot, 0) + total
-        total = total * (n - k) * (m - k) // (2 * (k + 1))
+    counts_by_coeff: dict[HbarScalar, dict] = {}
+    for n, m, coeff in sets:
+        counts = counts_by_coeff.setdefault(coeff, {})
+        total = comb(n + m, m)
+        for k in range(min(n, m) + 1):
+            slot = (_Q * (n - k), m - k, k)
+            counts[slot] = counts.get(slot, 0) + total
+            total = total * (n - k) * (m - k) // (2 * (k + 1))
+    return counts_by_coeff
 
 
 def _from_counts(counts_by_coeff: dict[HbarScalar, dict]) -> FreePolynomial:

@@ -12,19 +12,18 @@ class UnsupportedFragmentError(ValueError):
     """
 
 
-class ParseError(ValueError):
+class SourceError(ValueError):
+    """A user error at a source position; the message starts ``line:column: ``."""
+
+    def __init__(self, message: str, line: int, column: int):
+        super().__init__(f"{line}:{column}: {message}")
+        self.line = line
+        self.column = column
+
+
+class ParseError(SourceError):
     """Syntax, lexical, arity, or ambiguity error with source position."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{line}:{column}: {message}")
-        self.line = line
-        self.column = column
 
-
-class EvalError(ValueError):
+class EvalError(SourceError):
     """Evaluation error for a well-formed expression, carrying the source span."""
-
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{line}:{column}: {message}")
-        self.line = line
-        self.column = column

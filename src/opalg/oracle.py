@@ -5,17 +5,21 @@ by ``q = multiply by x`` and ``p = -i*hbar * d/dx``, with hbar kept formal
 and all coefficients exact.  Two operators are equal exactly when their
 images of ``x**0 .. x**D`` agree, ``D`` one more than their largest word
 length; the README ("Why the oracle's finite test degree suffices") gives
-the argument and each word's closed-form action.  The oracle never rewrites
-words and never calls the normal form.  State words have no faithful
-finite action here and are rejected; identities involving them are settled
-by the free normal form.
+the argument and each word's closed-form action.  :func:`oracle_equal`
+sums the images of one operand's terms and of the other's negated terms in
+one map of Gaussian integers over a common denominator, and the operands
+are equal when every entry is zero.  The oracle never rewrites words and
+never calls the normal form.  State words have no faithful finite action
+here and are rejected; identities involving them are settled by the free
+normal form.
 """
 
 from __future__ import annotations
 
+from math import lcm, prod
 from typing import Iterable
 
-from .core import FreePolynomial, Letter, STATE_LETTERS
+from .core import FreePolynomial, Letter, STATE_LETTERS, Word
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, ONE, minus_i_hbar_power
 from .terms import GradedTerms, sum_into
@@ -37,70 +41,72 @@ class TestFunction(GradedTerms):
         return cls([(degree, coeff)])
 
 
-def _images(op: FreePolynomial, degrees: Iterable[int]) -> dict:
-    """The images of ``x**j`` under ``op`` for ``j`` in ``degrees``, one slot
-    map keyed by ``((j, image degree), grade)``.
+def _action(word: Word) -> tuple[list[int], int, int]:
+    """How ``word`` acts on ``x**j``, read right to left: the offsets ``o``
+    at which its ``k`` p's meet the degree, its rise ``#q - #p``, and the
+    lowest ``j`` it does not annihilate.  It maps ``x**j`` to
+    ``(-i*hbar)**k * prod(j + o) * x**(j + rise)``, which is zero exactly
+    for ``j < 1 - min(o)`` (see the README).  A state letter raises."""
+    letters = word.letters
+    if not STATE_LETTERS.isdisjoint(letters):
+        raise UnsupportedFragmentError("the polynomial representation acts on q/p words only")
+    offsets, rise = [], 0
+    for letter in reversed(letters):
+        if letter is Letter.Q:
+            rise += 1
+        else:
+            offsets.append(rise)
+            rise -= 1
+    return offsets, rise, 1 - min(offsets, default=1)
 
-    Each word is read once, right to left, for the offsets ``o`` at which
-    its ``k`` p's meet the degree and for its rise ``#q - #p``; it maps
-    ``x**j`` to ``(-i*hbar)**k * prod(j + o) * x**(j + rise)``, which is
-    zero exactly for ``j < 1 - min(o)`` (see the README).  The products are
-    summed as ints per source coefficient at ``(j, image degree, k)``, and
-    each sum ``n`` makes one scalar, ``n * coeff * (-i*hbar)**k``.
-    """
-    Q = Letter.Q
-    counts_by_coeff: dict[HbarScalar, dict] = {}
-    for (word, _), coeff in op._terms.items():
-        letters = word.letters
-        if not STATE_LETTERS.isdisjoint(letters):
-            raise UnsupportedFragmentError("the polynomial representation acts on q/p words only")
-        offsets, rise = [], 0
-        for letter in reversed(letters):
-            if letter is Q:
-                rise += 1
-            else:
-                offsets.append(rise)
-                rise -= 1
+
+def _images(terms: list, degrees: Iterable[int]) -> dict:
+    """The images of ``x**j`` for ``j`` in ``degrees`` under the sum of
+    ``terms``, each ``((word, grade), re, im)`` with ``Fraction`` parts for
+    ``(re + im*i) * hbar**grade * word``: one map of Gaussian integers
+    ``(re, im)`` over the common denominator of every part, keyed by
+    ``(j, image degree, grade + k)``."""
+    den = lcm(*(part.denominator for _, re, im in terms for part in (re, im)))
+    images: dict[tuple[int, int, int], tuple[int, int]] = {}
+    for (word, grade), re, im in terms:
+        offsets, rise, lowest = _action(word)
         k = len(offsets)
-        lowest = 1 - min(offsets, default=1)
-        counts = counts_by_coeff.setdefault(coeff, {})
+        re, im = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
+        for _ in range(k % 4):
+            re, im = im, -re  # times -i
         for j in degrees:
             if j >= lowest:
-                n = 1
-                for offset in offsets:
-                    n *= j + offset
-                slot = (j, j + rise, k)
-                counts[slot] = counts.get(slot, 0) + n
-    terms = []
-    for coeff, counts in counts_by_coeff.items():
-        units: dict[int, HbarScalar] = {}  # coeff * (-i*hbar)**k by k
-        for (j, image, k), n in counts.items():
-            unit = units.get(k)
-            if unit is None:
-                unit = units[k] = coeff * minus_i_hbar_power(k)
-            terms.append((((j, image), unit.hbar_power), unit * n))
-    return sum_into({}, terms)
+                n = prod(j + offset for offset in offsets)
+                slot = (j, j + rise, grade + k)
+                sum_re, sum_im = images.get(slot, (0, 0))
+                images[slot] = (sum_re + n * re, sum_im + n * im)
+    return images
 
 
 def apply_operator(op: FreePolynomial, f: TestFunction) -> TestFunction:
-    """Act with ``op`` on ``f``, letters applied right to left; exact and linear.
+    """Act with ``op`` on ``f``, exact and linear: each term ``c * word`` maps
+    each term ``c_f * x**j`` of ``f`` to
+    ``c * c_f * (-i*hbar)**k * prod(j + o) * x**(j + rise)``.
 
     Every word with a state letter raises, whatever ``f`` is.
     """
-    by_degree: dict[int, list[HbarScalar]] = {}
-    for (degree, _), c in f._terms.items():
-        by_degree.setdefault(degree, []).append(c)
     terms = []
-    for ((j, image), _), scalar in _images(op, by_degree).items():
-        for c in by_degree[j]:
-            product = scalar * c
-            terms.append(((image, product.hbar_power), product))
+    for (word, _), c in op._terms.items():
+        offsets, rise, lowest = _action(word)
+        unit = c * minus_i_hbar_power(len(offsets))
+        for (j, _), c_f in f._terms.items():
+            if j >= lowest:
+                product = unit * c_f * prod(j + offset for offset in offsets)
+                terms.append(((j + rise, product.hbar_power), product))
     return TestFunction._of(sum_into({}, terms))
 
 
 def oracle_equal(a: FreePolynomial, b: FreePolynomial) -> bool:
     """Decide operator equality by the images of ``x**j`` for ``j`` up to one
     more than the larger total degree of the two operands, which per the
-    README is already past the faithful threshold."""
+    README is already past the faithful threshold.  Every word of both
+    operands is read, so a state word raises even where it appears in both."""
     degrees = range(max(a.max_word_length, b.max_word_length) + 2)
-    return _images(a, degrees) == _images(b, degrees)
+    terms = [(slot, c.re, c.im) for slot, c in a._terms.items()]
+    terms += [(slot, -c.re, -c.im) for slot, c in b._terms.items()]
+    return not any(re or im for re, im in _images(terms, degrees).values())

@@ -562,14 +562,10 @@ def run_suite(
         raise ValueError("max_degree must be at least 1")
     if cases < 1:
         raise ValueError("cases must be at least 1")
-    if suite == "all":
-        checks = []
-        for name in SUITE_NAMES:
-            rng = random.Random(f"{seed}:{name}")
-            for check in _SUITES[name](max_degree, cases, rng):
-                checks.append(
-                    CheckResult(f"{name}/{check.name}", check.cases, check.failures)
-                )
-        return SuiteReport("all", tuple(checks))
-    rng = random.Random(f"{seed}:{suite}")
-    return SuiteReport(suite, tuple(_SUITES[suite](max_degree, cases, rng)))
+    checks = []
+    for name in SUITE_NAMES if suite == "all" else (suite,):
+        for check in _SUITES[name](max_degree, cases, random.Random(f"{seed}:{name}")):
+            if suite == "all":
+                check = CheckResult(f"{name}/{check.name}", check.cases, check.failures)
+            checks.append(check)
+    return SuiteReport(suite, tuple(checks))

@@ -12,6 +12,7 @@ from opalg.core import (
     IDENTITY_WORD,
     Letter,
     Word,
+    _split_arrangement_sets,
     adjoint,
     multiply,
     normal_order,
@@ -287,6 +288,40 @@ def test_normal_order_of_a_whole_arrangement_set_among_other_words():
     x = (q * p).scale(HbarScalar.of(0, 3, 1)) + p * q + q * p
     assert normal_order(x) == word_by_word(x)
     assert normal_order(q * p + p * q) == (q * p).scale(2) - scalar_poly(I_HBAR)
+
+
+def test_one_pass_splits_whole_sets_from_the_words_in_source_order():
+    def word(text: str) -> Word:
+        symbols = {"q": Q, "p": P, "r": RHO, "d": Letter.DRHO_Q}
+        return Word.of(*(symbols[ch] for ch in text))
+
+    c, c2, g = HbarScalar.of(Fraction(2, 3), -1), HbarScalar.of(5), HbarScalar.of(0, 1, 1)
+    # Whole sets {qpp, pqp, ppq} under c and {qqpp, ..., ppqq} at grade 1
+    # under g; {qp, pq} under two coefficients; words with state letters,
+    # one of them with a q count and length of the first set.
+    source = [
+        ("rq", c, False),
+        ("pqp", c, True),
+        ("qp", c, False),
+        ("qqpp", g, True),
+        ("qrp", c, False),
+        ("qpqp", g, True),
+        ("qpp", c, True),
+        ("pq", c2, False),
+        ("qppq", g, True),
+        ("pqqp", g, True),
+        ("d", c2, False),
+        ("ppq", c, True),
+        ("pqpq", g, True),
+        ("ppqq", g, True),
+    ]
+    x = FreePolynomial((word(text), coeff) for text, coeff, _ in source)
+    sets, rest = _split_arrangement_sets(x._terms)
+    assert sets == [(1, 2, c), (2, 2, g)]
+    assert list(rest) == [
+        ((word(text), coeff.hbar_power), coeff) for text, coeff, in_set in source if not in_set
+    ]
+    assert normal_order(x) == word_by_word(x)
 
 
 def arrangements(n: int, m: int) -> list[Word]:
