@@ -226,8 +226,22 @@ def check_leibniz(
     f: WeylPolynomial, g: WeylPolynomial, h: WeylPolynomial
 ) -> EqualityReport:
     """Leibniz rule for the symmetric bracket over the symmetric product."""
-    lhs = symmetrized_poisson_bracket(f, weyl_product(g, h))
     fg, fh = symmetrized_poisson_bracket(f, g), symmetrized_poisson_bracket(f, h)
+    return _leibniz(f, g, h, weyl_product(g, h), fg, fh)
+
+
+def _leibniz(
+    f: WeylPolynomial,
+    g: WeylPolynomial,
+    h: WeylPolynomial,
+    gh: WeylPolynomial,
+    fg: WeylPolynomial,
+    fh: WeylPolynomial,
+) -> EqualityReport:
+    """``{f, g o h}`` against ``{f,g} o h + g o {f,h}``, given the pair values
+    ``gh = g o h``, ``fg = {f,g}`` and ``fh = {f,h}``, which a caller that
+    meets the same pairs again can compute once."""
+    lhs = symmetrized_poisson_bracket(f, gh)
     rhs = weyl_product(fg, h) + weyl_product(g, fh)
     return EqualityReport(lhs, rhs, lhs - rhs)
 

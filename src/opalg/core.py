@@ -24,7 +24,7 @@ from math import comb
 from typing import Iterable
 
 from .errors import UnsupportedFragmentError
-from .scalars import HbarScalar, ONE, minus_i_hbar_power
+from .scalars import HbarScalar, ONE, _leads_negative, minus_i_hbar_power
 from .terms import GradedTerms, bilinear, linear_map, read_only, sum_into
 
 
@@ -262,17 +262,27 @@ def _arrangement_counts(sets: Iterable[tuple[int, int, HbarScalar]]) -> dict[Hba
 def _from_counts(counts_by_coeff: dict[HbarScalar, dict]) -> FreePolynomial:
     """The free polynomial of per-coefficient count maps ``(head, b, k) -> n``.
 
-    The map of ``-c`` is folded into the map of ``c`` with negated counts,
-    so that their terms cancel as integers; a count that cancelled to zero
-    makes no term.  Any other coefficients that share a slot add as scalars.
+    Of ``c`` and ``-c``, the map of the one seen second is folded into the
+    map of the one seen first with negated counts, so that their terms
+    cancel as integers; a count that cancelled to zero makes no term.  Only
+    coefficients whose leading part is negative look up their opposite.
+    Any other coefficients that share a slot add as scalars.
     """
     if len(counts_by_coeff) > 1:
-        for coeff in list(counts_by_coeff):
-            counts = counts_by_coeff.get(coeff)
-            negated = counts_by_coeff.pop(-coeff, None) if counts is not None else None
-            if negated is not None:
-                for slot, n in negated.items():
-                    counts[slot] = counts.get(slot, 0) - n
+        seen = set()  # ids of the maps of the positive-leading coefficients passed
+        for coeff, counts in list(counts_by_coeff.items()):
+            if not _leads_negative(coeff):
+                seen.add(id(counts))
+                continue
+            opposite = -coeff
+            opposite_counts = counts_by_coeff.get(opposite)
+            if opposite_counts is None:
+                continue
+            if id(opposite_counts) in seen:
+                counts, opposite_counts, opposite = opposite_counts, counts, coeff
+            del counts_by_coeff[opposite]
+            for slot, n in opposite_counts.items():
+                counts[slot] = counts.get(slot, 0) - n
     terms = []
     for coeff, counts in counts_by_coeff.items():
         grade = coeff.hbar_power

@@ -202,6 +202,18 @@ def _make(re: int, im: int, den: int, power: int) -> HbarScalar:
     return scalar
 
 
+def _scaled_product(x: HbarScalar, y: HbarScalar, n: int) -> HbarScalar:
+    """``x * y * n`` for an int ``n``, reduced once."""
+    a, b, c, d = x._re, x._im, y._re, y._im
+    return _make((a * c - b * d) * n, (a * d + b * c) * n, x._den * y._den, x._power + y._power)
+
+
+def _leads_negative(x: HbarScalar) -> bool:
+    """Whether the first nonzero part of ``x``, ``re`` then ``im``, is
+    negative: of a nonzero ``c`` and ``-c``, exactly one leads negative."""
+    return x._re < 0 or (not x._re and x._im < 0)
+
+
 def _canonical(re: int, im: int, den: int, power: int) -> HbarScalar:
     """The scalar of fields already in canonical form, such as a canonical
     scalar's with the sign of ``re`` or ``im`` changed; nothing is reduced."""

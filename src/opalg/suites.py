@@ -19,6 +19,7 @@ from typing import Callable, Iterable
 
 from .brackets import (
     ClassicalPolynomial,
+    _leibniz,
     check_anticommutator_identity,
     check_leibniz,
     check_obstruction,
@@ -208,15 +209,41 @@ def _bilinearity(
         yield f"{render_text(x)} , {render_text(y)} , {render_text(z)}", lhs - rhs
 
 
+def _pair_table(
+    op: Callable[[WeylPolynomial, WeylPolynomial], WeylPolynomial], values: list[WeylPolynomial]
+) -> Callable[[int, int], WeylPolynomial]:
+    """``op`` on ordered pairs of ``values``, looked up by index; each pair is
+    computed on first use, so no one lookup carries the whole table."""
+    n = len(values)
+    table: list[WeylPolynomial | None] = [None] * (n * n)
+
+    def pair(i: int, j: int) -> WeylPolynomial:
+        value = table[i * n + j]
+        if value is None:
+            value = table[i * n + j] = op(values[i], values[j])
+        return value
+
+    return pair
+
+
 def _monomial_triples(
-    max_degree: int, identity: Callable[..., WeylPolynomial]
+    max_degree: int,
+    tabled: Callable[[list[WeylPolynomial]], Callable[[int, int, int], WeylPolynomial]],
 ) -> Iterable[tuple[str, WeylPolynomial]]:
-    """An identity's residual on every triple of monomials up to ``max_degree``."""
-    monos = [(str(m), WeylPolynomial.from_monomial(m)) for m in _monomials(max_degree)]
-    for f, fp in monos:
-        for g, gp in monos:
-            for h, hp in monos:
-                yield f"{f} , {g} , {h}", identity(fp, gp, hp)
+    """An identity's residual on every triple of monomials up to ``max_degree``.
+
+    ``tabled(monomials)`` gives the residual of the triple at indices
+    ``(i, j, k)``; it looks up the values that depend on only two of the
+    three in :func:`_pair_table` tables, which live as long as this run.
+    """
+    monos = _monomials(max_degree)
+    labels = [str(m) for m in monos]
+    residual = tabled([WeylPolynomial.from_monomial(m) for m in monos])
+    indices = range(len(monos))
+    for i in indices:
+        for j in indices:
+            for k in indices:
+                yield f"{labels[i]} , {labels[j]} , {labels[k]}", residual(i, j, k)
 
 
 def _suite_eq6(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
@@ -356,6 +383,16 @@ def _suite_eq14(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
     def leibniz(f: WeylPolynomial, g: WeylPolynomial, h: WeylPolynomial) -> WeylPolynomial:
         return check_leibniz(f, g, h).difference
 
+    def tabled_leibniz(monos: list[WeylPolynomial]) -> Callable[[int, int, int], WeylPolynomial]:
+        product = _pair_table(weyl_product, monos)
+        bracket = _pair_table(symmetrized_poisson_bracket, monos)
+
+        def residual(i: int, j: int, k: int) -> WeylPolynomial:
+            f, g, h = monos[i], monos[j], monos[k]
+            return _leibniz(f, g, h, product(j, k), bracket(i, j), bracket(i, k)).difference
+
+        return residual
+
     def ordinary_gap() -> Iterable[tuple[str, FreePolynomial]]:
         f = WeylPolynomial.from_monomial(WeylMonomial(2, 0))
         g = WeylPolynomial.from_monomial(WeylMonomial(0, 2))
@@ -373,7 +410,9 @@ def _suite_eq14(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
         return symmetrized_poisson_bracket(f, g) + symmetrized_poisson_bracket(g, f)
 
     return [
-        _check("leibniz-symmetric-product-monomials", _monomial_triples(max_degree, leibniz)),
+        _check(
+            "leibniz-symmetric-product-monomials", _monomial_triples(max_degree, tabled_leibniz)
+        ),
         _check(
             "leibniz-symmetric-product-random", _random_cases(rng, cases, 3, max_degree, leibniz)
         ),
@@ -450,16 +489,39 @@ def _suite_eq21(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
     ]
 
 
+def _jacobiator(
+    f: WeylPolynomial,
+    g: WeylPolynomial,
+    h: WeylPolynomial,
+    gh: WeylPolynomial,
+    hf: WeylPolynomial,
+    fg: WeylPolynomial,
+) -> WeylPolynomial:
+    """``{f,{g,h}} + {g,{h,f}} + {h,{f,g}}``, given the inner brackets."""
+    return (
+        symmetrized_poisson_bracket(f, gh)
+        + symmetrized_poisson_bracket(g, hf)
+        + symmetrized_poisson_bracket(h, fg)
+    )
+
+
 def _suite_jacobi(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
     def jacobiator(f: WeylPolynomial, g: WeylPolynomial, h: WeylPolynomial) -> WeylPolynomial:
-        return (
-            symmetrized_poisson_bracket(f, symmetrized_poisson_bracket(g, h))
-            + symmetrized_poisson_bracket(g, symmetrized_poisson_bracket(h, f))
-            + symmetrized_poisson_bracket(h, symmetrized_poisson_bracket(f, g))
-        )
+        bracket = symmetrized_poisson_bracket
+        return _jacobiator(f, g, h, bracket(g, h), bracket(h, f), bracket(f, g))
+
+    def tabled_jacobiator(monos: list[WeylPolynomial]) -> Callable[[int, int, int], WeylPolynomial]:
+        bracket = _pair_table(symmetrized_poisson_bracket, monos)
+
+        def residual(i: int, j: int, k: int) -> WeylPolynomial:
+            return _jacobiator(
+                monos[i], monos[j], monos[k], bracket(j, k), bracket(k, i), bracket(i, j)
+            )
+
+        return residual
 
     return [
-        _check("jacobi-monomials", _monomial_triples(max_degree, jacobiator)),
+        _check("jacobi-monomials", _monomial_triples(max_degree, tabled_jacobiator)),
         _check("jacobi-random", _random_cases(rng, cases, 3, max_degree, jacobiator)),
     ]
 

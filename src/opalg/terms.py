@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator
 
-from .scalars import ZERO, HbarScalar, RationalLike
+from .scalars import ZERO, HbarScalar, RationalLike, _scaled_product
 
 TermPairs = Iterable[tuple[Any, HbarScalar]]
 Slots = dict[tuple[Any, int], HbarScalar]
@@ -124,7 +124,8 @@ class GradedTerms:
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self + (-other)
+        negated = ((slot, -c) for slot, c in other._terms.items())
+        return self._of(sum_into(dict(self._terms), negated))
 
     def __neg__(self):
         return self._of({slot: -c for slot, c in self._terms.items()})
@@ -166,8 +167,10 @@ def _pair_terms(x_terms, y_terms, product):
     for (kx, gx), cx in x_terms:
         for (ky, gy), cy in y_terms:
             key, factor = product(kx, ky)
-            if factor:
-                yield (key, gx + gy), (cx * cy if factor == 1 else cx * cy * factor)
+            if factor == 1:
+                yield (key, gx + gy), cx * cy
+            elif factor:
+                yield (key, gx + gy), _scaled_product(cx, cy, factor)
 
 
 def linear_map(x: GradedTerms, image: Callable[[Any], Iterable[tuple[Any, int]]]):

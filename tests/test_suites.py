@@ -1,10 +1,12 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
-from opalg import suites
+from opalg import brackets, suites
 from opalg.suites import SUITE_NAMES, run_suite
+from opalg.weyl import WeylPolynomial
 
 
 def test_every_suite_passes_at_small_parameters():
@@ -99,3 +101,109 @@ def case_stream_digest(monkeypatch, seed: int) -> str:
 def test_case_stream_is_pinned(monkeypatch):
     assert case_stream_digest(monkeypatch, 1) == CASE_STREAM_SEED_1
     assert case_stream_digest(monkeypatch, 2) != CASE_STREAM_SEED_1
+
+
+# -- the tabled monomial-triple checks against the direct formulas ---------------
+
+TRIPLE_DEGREE = 3
+
+
+class PairSpy:
+    """Counts the calls of each binary operation whose two arguments were not
+    made by a spied call: those are the pair values.  Every value the spied
+    calls make is kept alive, so that no id is reused while it is counted."""
+
+    def __init__(self):
+        self.active = False
+        self.made: list = []
+        self.made_ids: set[int] = set()
+        self.pairs: Counter = Counter()
+
+    def wrap(self, name, op):
+        def spied(x, y):
+            result = op(x, y)
+            if self.active:
+                if id(x) not in self.made_ids and id(y) not in self.made_ids:
+                    self.pairs[name, id(x), id(y)] += 1
+                self.made.append(result)
+                self.made_ids.add(id(result))
+            return result
+
+        return spied
+
+
+def monomial_stream(monkeypatch, suite: str, spy: PairSpy) -> tuple[list, Counter]:
+    """The ``(label, residual)`` stream of the suite's monomial-triple check,
+    and how often that check computed each pair value."""
+    stream, pairs = [], Counter()
+    build = suites._check
+
+    def recording(name, cases):
+        if not name.endswith("-monomials"):
+            return build(name, cases)
+
+        def record():
+            spy.active = True
+            for label, difference in cases:
+                stream.append((label, difference))
+                yield label, difference
+            spy.active = False
+
+        result = build(name, record())
+        pairs.update(spy.pairs)
+        spy.pairs.clear()
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(suites, "_check", recording)
+        run_suite(suite, max_degree=TRIPLE_DEGREE, cases=1, seed=0)
+    return stream, pairs
+
+
+def plus_first(op):
+    """``op`` plus its first argument: asymmetric, so that a transposed table
+    index changes the residuals, and nonzero residuals on the monomials."""
+    return lambda x, y: op(x, y) + x
+
+
+def direct_stream(residual) -> list:
+    monos = suites._monomials(TRIPLE_DEGREE)
+    polys = [(str(m), WeylPolynomial.from_monomial(m)) for m in monos]
+    return [
+        (f"{f} , {g} , {h}", residual(fp, gp, hp))
+        for f, fp in polys
+        for g, gp in polys
+        for h, hp in polys
+    ]
+
+
+@pytest.mark.parametrize("perturbed", ["symmetrized_poisson_bracket", "weyl_product"])
+def test_tabled_monomial_triples_match_the_direct_formulas(monkeypatch, perturbed):
+    spy = PairSpy()
+    for name, op_name in [("bracket", "symmetrized_poisson_bracket"), ("product", "weyl_product")]:
+        op = getattr(brackets, op_name)
+        op = spy.wrap(name, plus_first(op) if op_name == perturbed else op)
+        monkeypatch.setattr(brackets, op_name, op)
+        monkeypatch.setattr(suites, op_name, op)
+    bracket = brackets.symmetrized_poisson_bracket
+    n = len(suites._monomials(TRIPLE_DEGREE))
+
+    def leibniz(f, g, h):
+        return brackets.check_leibniz(f, g, h).difference
+
+    def jacobiator(f, g, h):
+        return bracket(f, bracket(g, h)) + bracket(g, bracket(h, f)) + bracket(h, bracket(f, g))
+
+    for suite, residual, pairs in [
+        ("eq14", leibniz, {"bracket", "product"}),
+        ("jacobi", jacobiator, {"bracket"}),
+    ]:
+        tabled, computed = monomial_stream(monkeypatch, suite, spy)
+        assert len(tabled) == n**3
+        assert tabled == direct_stream(residual), suite
+        # Each pair value is computed at most once in the run, and every
+        # ordered pair of monomials is met.
+        assert max(computed.values()) == 1, suite
+        assert Counter(op for op, _, _ in computed) == {name: n * n for name in pairs}, suite
+        if suite == "eq14" or perturbed == "symmetrized_poisson_bracket":
+            assert any(difference for _, difference in tabled), suite
