@@ -48,7 +48,7 @@ class ClassicalPolynomial(GradedTerms):
     @classmethod
     def _validate_pair(cls, key: tuple[int, int], scalar: HbarScalar) -> None:
         if (
-            not isinstance(key, tuple)
+            type(key) is not tuple  # a Word is a tuple subclass of any length
             or len(key) != 2
             or not all(isinstance(d, int) and d >= 0 for d in key)
         ):

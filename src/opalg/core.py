@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass
 from math import comb
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, ONE, _leads_negative, minus_i_hbar_power
-from .terms import GradedTerms, bilinear, linear_map, read_only, sum_into
+from .terms import GradedTerms, bilinear, linear_map, sum_into
 
 
 class Letter(enum.IntEnum):
@@ -49,15 +49,27 @@ STATE_LETTERS = frozenset({Letter.RHO, Letter.DRHO_Q, Letter.DRHO_P})
 DERIVATIVE_LETTERS = frozenset({Letter.DRHO_Q, Letter.DRHO_P})
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
-    """An ordered finite product of letters; the empty word is the identity."""
+class Word(tuple):
+    """An ordered finite product of letters; the empty word is the identity.
 
-    letters: tuple[Letter, ...] = ()
+    Stored as the tuple ``(letters, Word)``: the class tag keeps a word
+    unequal to any plain tuple and to a :class:`~opalg.weyl.WeylMonomial`,
+    while hashing and ``==`` stay tuple's.  Read it through ``letters``."""
 
-    def __post_init__(self) -> None:
-        if not all(isinstance(letter, Letter) for letter in self.letters):
+    __slots__ = ()
+
+    def __new__(cls, letters: tuple[Letter, ...] = ()) -> Word:
+        if not all(isinstance(letter, Letter) for letter in letters):
             raise TypeError("a Word holds Letter values only")
+        return tuple.__new__(cls, (letters, Word))
+
+    letters = property(itemgetter(0))
+
+    def __reduce__(self):
+        return Word, (self.letters,)
+
+    def __repr__(self) -> str:
+        return f"Word(letters={self.letters!r})"
 
     @classmethod
     def of(cls, *letters: Letter) -> Word:
@@ -68,6 +80,9 @@ class Word:
 
     def __iter__(self):
         return iter(self.letters)
+
+    def __contains__(self, letter: object) -> bool:
+        return letter in self.letters
 
     def __add__(self, other: Word) -> Word:
         if not isinstance(other, Word):
@@ -99,16 +114,9 @@ class Word:
         return " ".join(letter.symbol for letter in self.letters)
 
 
-# The frozen-slots __setattr__ of CPython 3.11 raises TypeError for a new name.
-Word.__setattr__ = Word.__delattr__ = read_only  # type: ignore[method-assign]
-_set_letters = Word.letters.__set__  # type: ignore[attr-defined]
-
-
 def _word(letters: tuple[Letter, ...]) -> Word:
     """Trusted key constructor for letters taken from valid words."""
-    word = object.__new__(Word)
-    _set_letters(word, letters)
-    return word
+    return tuple.__new__(Word, (letters, Word))
 
 
 IDENTITY_WORD = Word()

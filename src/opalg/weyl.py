@@ -16,10 +16,10 @@ assuming it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import itemgetter
 
 from .combinatorics import multiset_permutations
 from .core import (
@@ -33,27 +33,39 @@ from .core import (
 )
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, ONE
-from .terms import GradedTerms, bilinear, linear_map, read_only, sum_into
+from .terms import GradedTerms, bilinear, linear_map, sum_into
 
 _DERIV_RANK = {None: 0, Letter.DRHO_Q: 1, Letter.DRHO_P: 2}
 
 
-@dataclass(frozen=True, slots=True)
-class WeylMonomial:
+class WeylMonomial(tuple):
     """The symmetrization of any word with ``n`` q's, ``m`` p's and at most
-    one state-derivative letter."""
+    one state-derivative letter.
 
-    n: int
-    m: int
-    deriv: Letter | None = None
+    Stored as the tuple ``(n, m, deriv, WeylMonomial)``: the class tag keeps
+    a key unequal to any plain tuple and to a :class:`~opalg.core.Word`,
+    while hashing and ``==`` stay tuple's.  Read it through the fields."""
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and isinstance(self.m, int)):
+    __slots__ = ()
+
+    def __new__(cls, n: int, m: int, deriv: Letter | None = None) -> WeylMonomial:
+        if not (isinstance(n, int) and isinstance(m, int)):
             raise TypeError("exponents must be integers")
-        if self.n < 0 or self.m < 0:
+        if n < 0 or m < 0:
             raise ValueError("exponents must be non-negative")
-        if self.deriv is not None and self.deriv not in DERIVATIVE_LETTERS:
+        if deriv is not None and deriv not in DERIVATIVE_LETTERS:
             raise ValueError("deriv must be None, DRHO_Q or DRHO_P")
+        return tuple.__new__(cls, (n, m, deriv, WeylMonomial))
+
+    n = property(itemgetter(0))
+    m = property(itemgetter(1))
+    deriv = property(itemgetter(2))
+
+    def __reduce__(self):
+        return WeylMonomial, (self.n, self.m, self.deriv)
+
+    def __repr__(self) -> str:
+        return f"WeylMonomial(n={self.n!r}, m={self.m!r}, deriv={self.deriv!r})"
 
     @property
     def degree(self) -> int:
@@ -74,20 +86,9 @@ class WeylMonomial:
         return " o ".join(parts) if parts else "1"
 
 
-# The frozen-slots __setattr__ of CPython 3.11 raises TypeError for a new name.
-WeylMonomial.__setattr__ = WeylMonomial.__delattr__ = read_only  # type: ignore[method-assign]
-_set_n = WeylMonomial.n.__set__  # type: ignore[attr-defined]
-_set_m = WeylMonomial.m.__set__  # type: ignore[attr-defined]
-_set_deriv = WeylMonomial.deriv.__set__  # type: ignore[attr-defined]
-
-
 def _monomial(n: int, m: int, deriv: Letter | None) -> WeylMonomial:
     """Trusted key constructor for exponents derived from valid monomials."""
-    monomial = object.__new__(WeylMonomial)
-    _set_n(monomial, n)
-    _set_m(monomial, m)
-    _set_deriv(monomial, deriv)
-    return monomial
+    return tuple.__new__(WeylMonomial, (n, m, deriv, WeylMonomial))
 
 
 class WeylPolynomial(GradedTerms):

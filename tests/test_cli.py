@@ -1,12 +1,16 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import opalg
 from opalg import cli
 from opalg.cli import cmd_repl, main
 from opalg.core import IDENTITY_WORD
@@ -55,6 +59,34 @@ def test_eval_json():
 def test_eval_prints_the_golden_renders(source, text, latex, json_text):
     for fmt, expected in (("text", text), ("latex", latex), ("json", json_text)):
         assert run_cli(["eval", source, "--format", fmt]) == (0, expected + "\n")
+
+
+# Reads a JSON list of sources on stdin and prints each one's three renders.
+_EVAL_EACH = """
+import json, sys
+from opalg import cli
+for source in json.load(sys.stdin):
+    for fmt in ("text", "latex", "json"):
+        cli.main(["eval", source, "--format", fmt])
+"""
+
+
+def test_eval_prints_the_same_bytes_under_every_hash_seed():
+    # Key hashes include the address of the key class, so they differ
+    # between processes; no printed byte may depend on them.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(opalg.__file__)))
+    sources = json.dumps([row[0] for row in GOLDEN])
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        child = subprocess.run(
+            [sys.executable, "-c", _EVAL_EACH],
+            input=sources, capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        outputs.append(child.stdout)
+    expected = "".join(f"{text}\n{latex}\n{json_text}\n" for _, text, latex, json_text in GOLDEN)
+    assert outputs == [expected, expected]
 
 
 def test_eval_option_like_input_is_one_error_line(capsys):

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opalg.brackets import ClassicalPolynomial, symmetrized_poisson_bracket
-from opalg.core import FreePolynomial, Letter, Word, adjoint, multiply, normal_order, partial_derivative
+from opalg.core import FreePolynomial, Letter, Word, _word, adjoint, multiply, normal_order, partial_derivative
 from opalg.errors import UnsupportedFragmentError
 from opalg.oracle import TestFunction
 from opalg.parser import _mixed_sum, _scale_by_scalar
 from opalg.scalars import HBAR, HbarScalar, INV_I_HBAR, ONE
 from opalg.terms import linear_map
-from opalg.weyl import WeylMonomial, WeylPolynomial, weyl_derivative, weyl_product
+from opalg.weyl import WeylMonomial, WeylPolynomial, _monomial, weyl_derivative, weyl_product
 
 Q, P, DQ, DP = Letter.Q, Letter.P, Letter.DRHO_Q, Letter.DRHO_P
 
@@ -230,6 +230,7 @@ def test_evaluator_scaling_matches_the_public_route(s, t, x, y):
         (lambda: WeylPolynomial([((1, 1), ONE)]), TypeError),
         (lambda: FreePolynomial([(Word(), 1)]), TypeError),
         (lambda: ClassicalPolynomial([((1, -1), ONE)]), TypeError),
+        (lambda: ClassicalPolynomial([(Word.of(Q, P), ONE)]), TypeError),
         (lambda: ClassicalPolynomial.from_monomial(1, 0).scale(HBAR), ValueError),
         (lambda: FreePolynomial.one().scale(0.5), TypeError),
         (lambda: TestFunction([(-1, ONE)]), TypeError),
@@ -242,6 +243,7 @@ def test_evaluator_scaling_matches_the_public_route(s, t, x, y):
         "tuple-weyl-key",
         "int-coefficient",
         "negative-classical-degree",
+        "word-classical-key",
         "graded-classical-scale",
         "float-scale",
         "negative-test-degree",
@@ -293,3 +295,36 @@ def test_keys_copy_and_pickle(key):
     assert copy.copy(key) == key
     assert copy.deepcopy(key) == key
     assert pickle.loads(pickle.dumps(key)) == key
+
+
+@pytest.mark.parametrize("key", KEYS, ids=repr)
+def test_keys_round_trip_on_every_pickle_protocol(key):
+    pickled = [pickle.loads(pickle.dumps(key, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in pickled + [copy.copy(key), copy.deepcopy(key)]:
+        assert type(twin) is type(key) and twin == key and hash(twin) == hash(key)
+        assert repr(twin) == repr(key)
+
+
+@pytest.mark.parametrize("cls", [Word, WeylMonomial])
+def test_key_hash_and_equality_are_tuples_own(cls):
+    for name in ("__hash__", "__eq__", "__ne__"):
+        assert getattr(cls, name) is getattr(tuple, name)
+
+
+@pytest.mark.parametrize("letters", [(), (Q,), (P, Q, DP)])
+def test_trusted_word_is_the_public_word(letters):
+    trusted, public = _word(letters), Word(letters)
+    assert type(trusted) is Word and trusted == public and hash(trusted) == hash(public)
+
+
+@pytest.mark.parametrize("n, m, deriv", [(0, 0, None), (2, 1, DQ), (0, 3, DP)])
+def test_trusted_monomial_is_the_public_monomial(n, m, deriv):
+    trusted, public = _monomial(n, m, deriv), WeylMonomial(n, m, deriv)
+    assert type(trusted) is WeylMonomial and trusted == public and hash(trusted) == hash(public)
+
+
+def test_keys_of_the_two_types_never_meet():
+    assert Word(()) != WeylMonomial(0, 0)
+    assert WeylMonomial(0, 0) != Word(())
+    assert len({Word(()), WeylMonomial(0, 0), (), (0, 0, None)}) == 4
+    assert Q in Word.of(Q) and P not in Word.of(Q)
