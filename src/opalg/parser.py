@@ -34,8 +34,9 @@ Evaluation produces either a free polynomial or a Weyl polynomial:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
+from operator import itemgetter
 
 from .brackets import commutator_bracket, symmetrized_poisson_bracket
 from .core import (
@@ -46,7 +47,7 @@ from .core import (
     partial_derivative,
 )
 from .errors import EvalError, ParseError, UnsupportedFragmentError
-from .scalars import HBAR, HbarScalar, I, ONE
+from .scalars import HBAR, HbarScalar, I
 from .terms import bilinear, sum_into
 from .weyl import (
     WeylPolynomial,
@@ -59,7 +60,6 @@ from .weyl import (
 
 Result = FreePolynomial | WeylPolynomial
 
-_SYMBOL_NAMES = ("q", "p", "rho", "drho_q", "drho_p", "hbar", "i")
 _FUNC_ARITY = {"S": 1, "dq": 1, "dp": 1, "normal": 1, "pb": 2, "comm": 2}
 
 
@@ -78,199 +78,237 @@ _RPAREN = ")"
 _COMMA = ","
 _EOF = "eof"
 
-
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+Token = tuple[str, str, int, int]  # (kind, text, line, column)
 
 
 def _tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, line_start, i = 1, 0, 0
-    while i < len(source):
+    line, line_start, i, end = 1, 0, 0, len(source)
+    while i < end:
         ch, j, column = source[i], i + 1, i - line_start + 1
         if ch.isdecimal():
-            while j < len(source) and source[j].isdecimal():
+            while j < end and source[j].isdecimal():
                 j += 1
-            tokens.append(Token(_UINT, source[i:j], line, column))
+            tokens.append((_UINT, source[i:j], line, column))
         elif ch.isalpha() or ch == "_":
-            while j < len(source) and (source[j].isalnum() or source[j] == "_"):
+            while j < end and (source[j].isalnum() or source[j] == "_"):
                 j += 1
-            kind = _CIRC if source[i:j] == "o" else _NAME
-            tokens.append(Token(kind, source[i:j], line, column))
+            text = source[i:j]
+            tokens.append((_CIRC if text == "o" else _NAME, text, line, column))
         elif ch in "+-*^/(),∘":  # the ring operator is a synonym for "o"
-            tokens.append(Token(_CIRC if ch == "∘" else ch, ch, line, column))
+            tokens.append((_CIRC if ch == "∘" else ch, ch, line, column))
         elif ch == "\n":
             line, line_start = line + 1, j
         elif not ch.isspace():
             raise ParseError(f"unexpected character {ch!r}", line, column)
         i = j
-    tokens.append(Token(_EOF, "", line, len(source) - line_start + 1))
+    tokens.append((_EOF, "", line, end - line_start + 1))
     return tokens
+
+
+def _int(token: Token) -> int:
+    """The value of an integer token.  ``int`` refuses a literal longer than
+    ``sys.get_int_max_str_digits()``; that is a ParseError at the literal."""
+    _, text, line, column = token
+    try:
+        return int(text)
+    except ValueError as exc:
+        size, limit = len(text), sys.get_int_max_str_digits()
+        message = f"integer literal too long ({size} > {limit} digits)"
+        raise ParseError(message, line, column) from exc
 
 
 # -- AST -------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
-    line: int
-    column: int
+class Node(tuple):
+    """An AST node at a source position.
+
+    Stored as the tuple of its fields followed by its class, the tagged-tuple
+    form of the term keys (:class:`~opalg.core.Word`): the tag keeps nodes of
+    different classes unequal, while hashing and ``==`` stay tuple's.  Read
+    it through the fields."""
+
+    __slots__ = ()
+    _fields = ("line", "column")
+    line = property(itemgetter(0))
+    column = property(itemgetter(1))
+
+    def __reduce__(self):
+        return type(self), self[:-1]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True, slots=True)
 class SymbolNode(Node):
-    name: str
+    __slots__ = ()
+    _fields = Node._fields + ("name",)
+
+    def __new__(cls, line: int, column: int, name: str) -> SymbolNode:
+        return tuple.__new__(cls, (line, column, name, cls))
+
+    name = property(itemgetter(2))
 
 
-@dataclass(frozen=True, slots=True)
 class RationalNode(Node):
-    value: Fraction
+    __slots__ = ()
+    _fields = Node._fields + ("value",)
+
+    def __new__(cls, line: int, column: int, value: Fraction) -> RationalNode:
+        return tuple.__new__(cls, (line, column, value, cls))
+
+    value = property(itemgetter(2))
 
 
-@dataclass(frozen=True, slots=True)
 class BinaryNode(Node):
-    op: str  # "+", "-", "*" (also juxtaposition) or "o"
-    left: Node
-    right: Node
+    __slots__ = ()
+    _fields = Node._fields + ("op", "left", "right")
+
+    def __new__(cls, line: int, column: int, op: str, left: Node, right: Node) -> BinaryNode:
+        return tuple.__new__(cls, (line, column, op, left, right, cls))
+
+    op = property(itemgetter(2))  # "+", "-", "*" (also juxtaposition) or "o"
+    left = property(itemgetter(3))
+    right = property(itemgetter(4))
 
 
-@dataclass(frozen=True, slots=True)
 class PowerNode(Node):
-    base: Node
-    exponent: int
+    __slots__ = ()
+    _fields = Node._fields + ("base", "exponent")
+
+    def __new__(cls, line: int, column: int, base: Node, exponent: int) -> PowerNode:
+        return tuple.__new__(cls, (line, column, base, exponent, cls))
+
+    base = property(itemgetter(2))
+    exponent = property(itemgetter(3))
 
 
-@dataclass(frozen=True, slots=True)
 class CallNode(Node):
-    func: str
-    args: tuple[Node, ...]
+    __slots__ = ()
+    _fields = Node._fields + ("func", "args")
+
+    def __new__(cls, line: int, column: int, func: str, args: tuple[Node, ...]) -> CallNode:
+        return tuple.__new__(cls, (line, column, func, args, cls))
+
+    func = property(itemgetter(2))
+    args = property(itemgetter(3))
 
 
 class _Parser:
+    """Recursive descent over the token list, read at ``self.pos``."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
+    def expect(self, kind: str, what: str) -> Token:
         token = self.tokens[self.pos]
+        if token[0] != kind:
+            _, text, line, column = token
+            raise ParseError(
+                f"expected {what}, found {text!r}" if text else f"expected {what}", line, column
+            )
         self.pos += 1
         return token
 
-    def expect(self, kind: str, what: str) -> Token:
-        token = self.peek()
-        if token.kind != kind:
-            raise ParseError(
-                f"expected {what}, found {token.text!r}" if token.text else f"expected {what}",
-                token.line,
-                token.column,
-            )
-        return self.advance()
-
     def parse(self) -> Node:
         node = self.expr()
-        token = self.peek()
-        if token.kind != _EOF:
-            raise ParseError(f"unexpected {token.text!r}", token.line, token.column)
+        kind, text, line, column = self.tokens[self.pos]
+        if kind != _EOF:
+            raise ParseError(f"unexpected {text!r}", line, column)
         return node
 
     def expr(self) -> Node:
         node = self.term()
-        while self.peek().kind in (_PLUS, _MINUS):
-            op = self.advance()
-            node = BinaryNode(op.line, op.column, op.kind, node, self.term())
-        return node
+        while True:
+            kind, _, line, column = self.tokens[self.pos]
+            if kind != _PLUS and kind != _MINUS:
+                return node
+            self.pos += 1
+            node = BinaryNode(line, column, kind, node, self.term())
 
     def term(self) -> Node:
         node = self.factor()
-        seen: set[str] = set()
+        first = None  # the first product operator; the other may not follow
         while True:
-            token = self.peek()
-            if token.kind in (_STAR, _CIRC):
-                op = self.advance().kind
-            elif token.kind in (_NAME, _UINT, _LPAREN):
+            kind, _, line, column = self.tokens[self.pos]
+            if kind == _STAR or kind == _CIRC:
+                self.pos += 1
+                op = kind
+            elif kind == _NAME or kind == _UINT or kind == _LPAREN:
                 op = _STAR  # juxtaposition
             else:
                 return node
-            seen.add(op)
-            if len(seen) > 1:
+            first = first or op
+            if op != first:
                 raise ParseError(
-                    "ambiguous mix of '*' and 'o' in one term; add parentheses",
-                    token.line,
-                    token.column,
+                    "ambiguous mix of '*' and 'o' in one term; add parentheses", line, column
                 )
-            node = BinaryNode(token.line, token.column, op, node, self.factor())
+            node = BinaryNode(line, column, op, node, self.factor())
 
     def factor(self) -> Node:
         node = self.atom()
-        if self.peek().kind == _CARET:
-            caret = self.advance()
-            sign = 1
-            if self.peek().kind == _MINUS:
-                self.advance()
-                sign = -1
-            exponent = self.expect(_UINT, "an integer exponent")
-            node = PowerNode(caret.line, caret.column, node, sign * int(exponent.text))
-        return node
+        kind, _, line, column = self.tokens[self.pos]
+        if kind != _CARET:
+            return node
+        self.pos += 1
+        sign = 1
+        if self.tokens[self.pos][0] == _MINUS:
+            self.pos += 1
+            sign = -1
+        exponent = _int(self.expect(_UINT, "an integer exponent"))
+        return PowerNode(line, column, node, sign * exponent)
 
     def atom(self) -> Node:
-        token = self.peek()
-        if token.kind == _MINUS:
-            self.advance()
-            number = self.expect(_UINT, "a number after '-'")
-            return self._rational(number, negative=True)
-        if token.kind == _UINT:
-            self.advance()
-            return self._rational(token, negative=False)
-        if token.kind == _LPAREN:
-            self.advance()
+        token = self.tokens[self.pos]
+        kind, text, line, column = token
+        self.pos += 1
+        if kind == _NAME:
+            if text in _SYMBOL_VALUES:
+                return SymbolNode(line, column, text)
+            if text in _FUNC_ARITY:
+                return self._call(token)
+            raise ParseError(f"unknown symbol {text!r}", line, column)
+        if kind == _UINT:
+            return self._rational(token, 1)
+        if kind == _MINUS:
+            return self._rational(self.expect(_UINT, "a number after '-'"), -1)
+        if kind == _LPAREN:
             node = self.expr()
             self.expect(_RPAREN, "')'")
             return node
-        if token.kind == _NAME:
-            self.advance()
-            if token.text in _FUNC_ARITY:
-                return self._call(token)
-            if token.text in _SYMBOL_NAMES:
-                return SymbolNode(token.line, token.column, token.text)
-            raise ParseError(f"unknown symbol {token.text!r}", token.line, token.column)
         raise ParseError(
-            f"unexpected {token.text!r}" if token.text else "unexpected end of input",
-            token.line,
-            token.column,
+            f"unexpected {text!r}" if text else "unexpected end of input", line, column
         )
 
-    def _rational(self, number: Token, negative: bool) -> RationalNode:
-        value = Fraction(int(number.text))
-        if self.peek().kind == _SLASH:
-            self.advance()
-            denom = self.expect(_UINT, "a denominator")
-            if int(denom.text) == 0:
-                raise ParseError("zero denominator", denom.line, denom.column)
-            value /= int(denom.text)
-        return RationalNode(number.line, number.column, -value if negative else value)
+    def _rational(self, number: Token, sign: int) -> RationalNode:
+        numerator, denominator = sign * _int(number), 1
+        if self.tokens[self.pos][0] == _SLASH:
+            self.pos += 1
+            token = self.expect(_UINT, "a denominator")
+            denominator = _int(token)
+            if not denominator:
+                raise ParseError("zero denominator", token[2], token[3])
+        return RationalNode(number[2], number[3], Fraction(numerator, denominator))
 
     def _call(self, func: Token) -> CallNode:
         self.expect(_LPAREN, "'(' after function name")
         args = [self.expr()]
-        while self.peek().kind == _COMMA:
-            self.advance()
+        while self.tokens[self.pos][0] == _COMMA:
+            self.pos += 1
             args.append(self.expr())
         self.expect(_RPAREN, "')'")
-        arity = _FUNC_ARITY[func.text]
+        _, name, line, column = func
+        arity = _FUNC_ARITY[name]
         if len(args) != arity:
             raise ParseError(
-                f"{func.text} takes {arity} argument{'s' if arity > 1 else ''}, got {len(args)}",
-                func.line,
-                func.column,
+                f"{name} takes {arity} argument{'s' if arity > 1 else ''}, got {len(args)}",
+                line,
+                column,
             )
-        return CallNode(func.line, func.column, func.text, tuple(args))
+        return CallNode(line, column, name, tuple(args))
 
 
 def parse(source: str) -> Node:
@@ -279,6 +317,16 @@ def parse(source: str) -> Node:
 
 
 # -- evaluation --------------------------------------------------------------
+
+
+# The grammar's symbols and their values, built once at import and shared by
+# every leaf that names one.  Evaluation never writes into an operand's term
+# map: a run of sums copies its first operand's map before adding into it.
+_SYMBOL_VALUES = {
+    **{symbol: FreePolynomial.from_letters(letter) for symbol, letter in LETTER_BY_SYMBOL.items()},
+    "hbar": FreePolynomial.from_word(IDENTITY_WORD, HBAR),
+    "i": FreePolynomial.from_word(IDENTITY_WORD, I),
+}
 
 
 def _is_scalar(value: Result) -> bool:
@@ -321,19 +369,17 @@ def _mixed_sum(a: Result, b: Result) -> Result:
 
 def evaluate(node: Node) -> Result:
     """Evaluate an AST into a free or Weyl polynomial."""
-    if isinstance(node, SymbolNode):
-        if node.name == "hbar":
-            return FreePolynomial.from_word(IDENTITY_WORD, HBAR)
-        if node.name == "i":
-            return FreePolynomial.from_word(IDENTITY_WORD, I)
-        return FreePolynomial.from_letters(LETTER_BY_SYMBOL[node.name])
-    if isinstance(node, RationalNode):
-        return FreePolynomial.from_word(IDENTITY_WORD, ONE * node.value)
-    if isinstance(node, BinaryNode):
+    kind = type(node)
+    if kind is SymbolNode:
+        return _SYMBOL_VALUES[node.name]
+    if kind is RationalNode:
+        value = node.value
+        return FreePolynomial._of({(IDENTITY_WORD, 0): HbarScalar.real(value)} if value else {})
+    if kind is BinaryNode:
         # Along the left spine in a loop, left operand first, so that a long
         # sum or product does not recurse once per operator.
         spine = []
-        while isinstance(node, BinaryNode):
+        while type(node) is BinaryNode:
             spine.append(node)
             node = node.left
         value = evaluate(node)
@@ -365,9 +411,9 @@ def evaluate(node: Node) -> Result:
                     value = value._of(run)
                 sum_into(run, b._terms.items())
         return value
-    if isinstance(node, PowerNode):
+    if kind is PowerNode:
         if node.exponent < 0:
-            if isinstance(node.base, SymbolNode) and node.base.name == "hbar":
+            if type(node.base) is SymbolNode and node.base.name == "hbar":
                 return FreePolynomial.from_word(
                     IDENTITY_WORD, HbarScalar.of(1, 0, node.exponent)
                 )
@@ -379,7 +425,7 @@ def evaluate(node: Node) -> Result:
         for _ in range(node.exponent):
             result = result * base
         return result
-    if isinstance(node, CallNode):
+    if kind is CallNode:
         return _call(node)
     raise TypeError(f"unknown AST node {type(node).__name__}")
 

@@ -111,6 +111,32 @@ def test_eval_superscript_digit_is_one_error_line(capsys):
     assert captured.err == "error: 1:3: unexpected character '²'\n"
 
 
+# One digit more than int() reads from a string.
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" * (INT_DIGIT_LIMIT + 1)
+needs_digit_limit = pytest.mark.skipif(
+    not INT_DIGIT_LIMIT, reason="int() reads literals of any length here"
+)
+
+
+@needs_digit_limit
+def test_eval_too_long_literal_is_one_error_line(capsys):
+    assert main(["eval", f"q + {LONG}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    digits = f"({INT_DIGIT_LIMIT + 1} > {INT_DIGIT_LIMIT} digits)"
+    assert captured.err == f"error: 1:5: integer literal too long {digits}\n"
+
+
+@needs_digit_limit
+def test_eval_too_long_exponent_is_one_error_line(capsys):
+    assert main(["eval", f"q^{LONG}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 1:3: integer literal too long")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_eval_domain_error_exits_2(capsys):
     assert main(["eval", "S(rho)"]) == 2
     assert "error" in capsys.readouterr().err
@@ -292,6 +318,17 @@ def test_repl_keeps_reading_after_too_deep_input():
     assert len(lines) == 2
     assert lines[0].startswith("error:")
     assert lines[1] == "q"
+
+
+@needs_digit_limit
+def test_repl_keeps_reading_after_too_long_literal():
+    stdout = io.StringIO()
+    assert cmd_repl(stdin=io.StringIO(f"{LONG}\nq^{LONG}\nq\n"), stdout=stdout) == 0
+    lines = stdout.getvalue().splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("error: 1:1: integer literal too long")
+    assert lines[1].startswith("error: 1:3: integer literal too long")
+    assert lines[2] == "q"
 
 
 def test_repl_keeps_reading_after_memory_error(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,13 +10,16 @@ from opalg.errors import EvalError, ParseError
 from opalg.parser import (
     BinaryNode,
     CallNode,
+    Node,
     PowerNode,
+    RationalNode,
     SymbolNode,
+    _tokenize,
     evaluate,
     parse,
 )
 from opalg.printing import render_text
-from opalg.scalars import HbarScalar, I_HBAR
+from opalg.scalars import HBAR, I, HbarScalar, I_HBAR
 from opalg.terms import GradedTerms
 from opalg.weyl import WeylMonomial, WeylPolynomial, expand_polynomial
 
@@ -269,3 +273,219 @@ def test_round_trip_of_engine_results():
     for source in sources:
         x = ev(source)
         assert ev(render_text(x)) == x
+
+
+# -- tokenizer -------------------------------------------------------------------
+
+
+def reference_tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    """The tokenizer loop as it was when each token was a dataclass object,
+    emitting ``(kind, text, line, column)``: the reference for ``_tokenize``."""
+    tokens = []
+    line, line_start, i = 1, 0, 0
+    while i < len(source):
+        ch, j, column = source[i], i + 1, i - line_start + 1
+        if ch.isdecimal():
+            while j < len(source) and source[j].isdecimal():
+                j += 1
+            tokens.append(("uint", source[i:j], line, column))
+        elif ch.isalpha() or ch == "_":
+            while j < len(source) and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            kind = "o" if source[i:j] == "o" else "name"
+            tokens.append((kind, source[i:j], line, column))
+        elif ch in "+-*^/(),∘":
+            tokens.append(("o" if ch == "∘" else ch, ch, line, column))
+        elif ch == "\n":
+            line, line_start = line + 1, j
+        elif not ch.isspace():
+            raise ParseError(f"unexpected character {ch!r}", line, column)
+        i = j
+    tokens.append(("eof", "", line, len(source) - line_start + 1))
+    return tokens
+
+
+def _tokens_or_error(tokenize, source: str):
+    try:
+        return tokenize(source)
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+# Letters, digits that int() reads and does not read, the ring operator, a
+# non-ASCII decimal digit, every operator, and whitespace including newlines.
+_TOKEN_ALPHABET = list("qpoSibhar_dx019+-*^/(),") + ["∘", "²", "½", "٣", " ", "\t", "\n", "$"]
+
+
+def test_tokenizer_matches_the_reference_loop():
+    rng = random.Random(2024)
+    errors = 0
+    for _ in range(4000):
+        source = "".join(rng.choice(_TOKEN_ALPHABET) for _ in range(rng.randint(0, 24)))
+        expected = _tokens_or_error(reference_tokenize, source)
+        assert _tokens_or_error(_tokenize, source) == expected, source
+        errors += not isinstance(expected, list)
+    assert 0 < errors < 4000  # both outcomes were exercised
+
+
+# -- AST contract ------------------------------------------------------------------
+
+
+_FIELDS = {
+    SymbolNode: ("name",),
+    RationalNode: ("value",),
+    BinaryNode: ("op", "left", "right"),
+    PowerNode: ("base", "exponent"),
+    CallNode: ("func", "args"),
+}
+
+
+def _shape(node):
+    """``(class, line, column, *fields)``, with child nodes as shapes."""
+    fields = []
+    for name in _FIELDS[type(node)]:
+        value = getattr(node, name)
+        if name == "args":
+            value = tuple(_shape(arg) for arg in value)
+        elif isinstance(value, Node):
+            value = _shape(value)
+        fields.append(value)
+    return (type(node), node.line, node.column, *fields)
+
+
+def _nodes(node):
+    yield node
+    for name in _FIELDS[type(node)]:
+        value = getattr(node, name)
+        for child in value if name == "args" else (value,):
+            if isinstance(child, Node):
+                yield from _nodes(child)
+
+
+AST_TABLE = [
+    (
+        "q\n  + 2 p",
+        (
+            BinaryNode, 2, 3, "+",
+            (SymbolNode, 1, 1, "q"),
+            (BinaryNode, 2, 7, "*", (RationalNode, 2, 5, Fraction(2)), (SymbolNode, 2, 7, "p")),
+        ),
+    ),
+    ("-3/2", (RationalNode, 1, 2, Fraction(-3, 2))),
+    ("hbar^-1", (PowerNode, 1, 5, (SymbolNode, 1, 1, "hbar"), -1)),
+    ("q ∘ p", (BinaryNode, 1, 3, "o", (SymbolNode, 1, 1, "q"), (SymbolNode, 1, 5, "p"))),
+    (
+        "pb(comm(q, p), S(q o p))",
+        (
+            CallNode, 1, 1, "pb",
+            (
+                (CallNode, 1, 4, "comm", ((SymbolNode, 1, 9, "q"), (SymbolNode, 1, 12, "p"))),
+                (
+                    CallNode, 1, 16, "S",
+                    ((BinaryNode, 1, 20, "o", (SymbolNode, 1, 18, "q"), (SymbolNode, 1, 22, "p")),),
+                ),
+            ),
+        ),
+    ),
+    (
+        "comm(pb(q^2, p),\n     dq(1/2 q p))",
+        (
+            CallNode, 1, 1, "comm",
+            (
+                (
+                    CallNode, 1, 6, "pb",
+                    ((PowerNode, 1, 10, (SymbolNode, 1, 9, "q"), 2), (SymbolNode, 1, 14, "p")),
+                ),
+                (
+                    CallNode, 2, 6, "dq",
+                    (
+                        (
+                            BinaryNode, 2, 15, "*",
+                            (
+                                BinaryNode, 2, 13, "*",
+                                (RationalNode, 2, 9, Fraction(1, 2)),
+                                (SymbolNode, 2, 13, "q"),
+                            ),
+                            (SymbolNode, 2, 15, "p"),
+                        ),
+                    ),
+                ),
+            ),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("source, shape", AST_TABLE, ids=[row[0] for row in AST_TABLE])
+def test_ast_nodes_are_pinned(source, shape):
+    node = parse(source)
+    assert _shape(node) == shape
+    for each in _nodes(node):
+        assert isinstance(each, Node)
+        for name in ("line", "column", *_FIELDS[type(each)], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(each, name, None)
+
+
+def test_node_classes_are_nodes():
+    assert all(issubclass(cls, Node) for cls in _FIELDS)
+
+
+# -- shared leaf values -------------------------------------------------------------
+
+
+def test_evaluation_leaves_symbol_values_unchanged():
+    public = {
+        "q": FreePolynomial.from_letters(Q),
+        "p": FreePolynomial.from_letters(P),
+        "rho": FreePolynomial.from_letters(Letter.RHO),
+        "drho_q": FreePolynomial.from_letters(Letter.DRHO_Q),
+        "drho_p": FreePolynomial.from_letters(Letter.DRHO_P),
+        "hbar": FreePolynomial.from_word(IDENTITY_WORD, HBAR),
+        "i": FreePolynomial.from_word(IDENTITY_WORD, I),
+    }
+    leaves = {name: evaluate(parse(name)) for name in public}
+    before = {name: dict(leaf._terms) for name, leaf in leaves.items()}
+    assert ev("q + p - q") == public["p"]
+    assert ev("q q") == FreePolynomial.from_letters(Q, Q)
+    assert ev("2 q + q") == public["q"].scale(3)
+    assert ev("i hbar + i") == FreePolynomial([(IDENTITY_WORD, I_HBAR), (IDENTITY_WORD, I)])
+    for name, leaf in leaves.items():
+        assert leaf == public[name]
+        assert leaf._terms == before[name]
+        assert evaluate(parse(name)) == public[name]
+
+
+RATIONAL_LEAVES = [
+    ("0", 0), ("0/7", 0), ("3", 3), ("2/4", Fraction(1, 2)), ("-3/2", Fraction(-3, 2))
+]
+
+
+@pytest.mark.parametrize("source, value", RATIONAL_LEAVES, ids=[row[0] for row in RATIONAL_LEAVES])
+def test_rational_leaves_equal_their_public_build(source, value):
+    leaf = ev(source)
+    rebuilt = FreePolynomial([(IDENTITY_WORD, HbarScalar.real(value))])
+    assert leaf == rebuilt
+    assert leaf._terms == rebuilt._terms
+    assert bool(leaf._terms) == bool(value)
+
+
+# -- literals past the interpreter's digit limit ----------------------------------
+
+
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" * (INT_DIGIT_LIMIT + 1)
+
+
+@pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() reads literals of any length here")
+@pytest.mark.parametrize(
+    "source, column",
+    [(LONG, 1), (f"-{LONG}", 2), (f"q^{LONG}", 3), (f"q^-{LONG}", 4), (f"1/{LONG}", 3)],
+    ids=["integer", "negative", "exponent", "negative exponent", "denominator"],
+)
+def test_too_long_literal_is_a_parse_error_at_the_literal(source, column):
+    with pytest.raises(ParseError) as excinfo:
+        parse(f"q +\n{source}")
+    assert (excinfo.value.line, excinfo.value.column) == (2, column)
+    digits = f"({INT_DIGIT_LIMIT + 1} > {INT_DIGIT_LIMIT} digits)"
+    assert str(excinfo.value) == f"2:{column}: integer literal too long {digits}"
