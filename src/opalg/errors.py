@@ -7,8 +7,9 @@ class UnsupportedFragmentError(ValueError):
     """Raised when an operation is applied outside its supported operator fragment.
 
     Examples: adjoint of a word containing the state symbol, symmetrizing a
-    word with two state-derivative letters, or a symmetric product in which
-    both factors carry a state-derivative letter.
+    word with two state-derivative letters, a symmetric product in which
+    both factors carry a state-derivative letter, or printing a coefficient
+    with more digits than the interpreter converts to a string.
     """
 
 

@@ -14,23 +14,46 @@ Text, LaTeX and JSON read that one list, so their orders always agree.
 Text and LaTeX share one coefficient and one word formatter, driven by a
 style record.  Weyl-monomial bodies and leading-sign rules stay separate:
 text must parse back, so it parenthesizes products and folds in the minus.
+
+A coefficient with more digits than the interpreter converts to a string
+(``sys.get_int_max_str_digits()``) cannot be printed in any format; every
+renderer reports it as an :class:`UnsupportedFragmentError`.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from itertools import groupby
 from typing import Callable
 
 from .core import FreePolynomial, Letter, Word
+from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar
 from .weyl import WeylMonomial, WeylPolynomial
 
 Result = FreePolynomial | WeylPolynomial
 
 _FORMATS = ("text", "latex", "json")
+
+
+def _printable(render: Callable) -> Callable:
+    """``render`` with a coefficient too long for ``str`` reported as a user
+    error instead of the interpreter's ``ValueError``."""
+
+    @wraps(render)
+    def checked(x: Result):
+        try:
+            return render(x)
+        except ValueError as exc:
+            limit = sys.get_int_max_str_digits()
+            message = f"coefficient too long to print (more than {limit} digits)"
+            raise UnsupportedFragmentError(message) from exc
+
+    return checked
 
 
 def render(x: Result, fmt: str = "text") -> str:
@@ -148,6 +171,7 @@ def _weyl_monomial_text(m: WeylMonomial) -> str:
     return f"S({m.deriv.symbol})" if m.deriv else ""
 
 
+@_printable
 def render_text(x: Result) -> str:
     terms = _display_terms(x)
     if not terms:
@@ -191,6 +215,7 @@ def _latex_weyl_monomial(m: WeylMonomial) -> str:
     return r" \circ ".join(parts)
 
 
+@_printable
 def render_latex(x: Result) -> str:
     terms = _display_terms(x)
     if not terms:
@@ -212,6 +237,7 @@ def render_latex(x: Result) -> str:
 # -- JSON ----------------------------------------------------------------------
 
 
+@_printable
 def result_to_json_dict(x: Result) -> dict:
     free = isinstance(x, FreePolynomial)
     terms = []

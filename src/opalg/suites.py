@@ -2,7 +2,9 @@
 
 Every suite runs its identity checks over exhaustive monomial families up to
 a degree bound plus a configurable number of seeded-random cases, and
-reports per-check failures with the full difference polynomial.  Random
+reports per-check failures with the full difference polynomial.  A case
+carries its label (its inputs in text form) as a callable that only a
+failing case calls, so a passing run renders no inputs.  Random
 generation draws Weyl and classical exponents uniformly from
 ``[0, max_degree]`` per axis, free words with total length up to
 ``max_degree``, and coefficients from a small exact pool; identical
@@ -15,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable
 
 from .brackets import (
@@ -114,14 +117,33 @@ class SuiteReport:
         }
 
 
-def _check(name: str, cases: Iterable[tuple[str, FreePolynomial | WeylPolynomial]]) -> CheckResult:
-    """Build a check from (label, difference) cases; nonzero differences fail."""
+Label = Callable[[], str]
+
+
+def _label(template: str, *values) -> Label:
+    """A case's label: ``template`` formatted with ``values``, each polynomial
+    in its text form, when called.  The values are bound now, so a label
+    called late still shows its own case."""
+    return partial(_format_label, template, values)
+
+
+def _format_label(template: str, values: tuple) -> str:
+    return template.format(
+        *(render_text(v) if isinstance(v, (FreePolynomial, WeylPolynomial)) else v for v in values)
+    )
+
+
+def _check(
+    name: str, cases: Iterable[tuple[Label, FreePolynomial | WeylPolynomial]]
+) -> CheckResult:
+    """Build a check from (label, difference) cases; nonzero differences fail,
+    and only a failing case's label is rendered."""
     count = 0
     failures = []
     for label, difference in cases:
         count += 1
         if not difference.is_zero:
-            failures.append(Failure(label, difference))
+            failures.append(Failure(label(), difference))
     return CheckResult(name, count, tuple(failures))
 
 
@@ -176,7 +198,7 @@ def _count_words(n: int, m: int, deriv: Letter | None = None) -> list[Word]:
 
 def _ordering_independence(
     monomials: list[WeylMonomial], derivs: tuple[Letter | None, ...]
-) -> Iterable[tuple[str, WeylPolynomial]]:
+) -> Iterable[tuple[Label, WeylPolynomial]]:
     """Every arrangement of a letter multiset symmetrizes to the first one's image."""
     for mono in monomials:
         for deriv in derivs:
@@ -185,28 +207,29 @@ def _ordering_independence(
                 image = symmetrize(FreePolynomial.from_word(word))
                 if reference is None:
                     reference = image
-                yield str(word), image - reference
+                yield _label("{}", word), image - reference
 
 
 def _random_cases(
     rng: random.Random, cases: int, arity: int, degree: int, identity: Callable
-) -> Iterable[tuple[str, WeylPolynomial | FreePolynomial]]:
+) -> Iterable[tuple[Label, WeylPolynomial | FreePolynomial]]:
     """An identity's residual on ``cases`` tuples of random Weyl polynomials."""
+    template = " , ".join(["{}"] * arity)
     for _ in range(cases):
         args = [_random_weyl(rng, degree) for _ in range(arity)]
-        yield " , ".join(render_text(x) for x in args), identity(*args)
+        yield _label(template, *args), identity(*args)
 
 
 def _bilinearity(
     rng: random.Random, cases: int, degree: int, op: Callable[..., WeylPolynomial]
-) -> Iterable[tuple[str, WeylPolynomial]]:
+) -> Iterable[tuple[Label, WeylPolynomial]]:
     """Linearity of ``op`` in its first argument on random inputs."""
     for _ in range(cases):
         a = _random_coeff(rng)
         x, y, z = (_random_weyl(rng, degree) for _ in range(3))
         lhs = op(x.scale(a) + y, z)
         rhs = op(x, z).scale(a) + op(y, z)
-        yield f"{render_text(x)} , {render_text(y)} , {render_text(z)}", lhs - rhs
+        yield _label("{} , {} , {}", x, y, z), lhs - rhs
 
 
 def _pair_table(
@@ -229,7 +252,7 @@ def _pair_table(
 def _monomial_triples(
     max_degree: int,
     tabled: Callable[[list[WeylPolynomial]], Callable[[int, int, int], WeylPolynomial]],
-) -> Iterable[tuple[str, WeylPolynomial]]:
+) -> Iterable[tuple[Label, WeylPolynomial]]:
     """An identity's residual on every triple of monomials up to ``max_degree``.
 
     ``tabled(monomials)`` gives the residual of the triple at indices
@@ -237,13 +260,12 @@ def _monomial_triples(
     three in :func:`_pair_table` tables, which live as long as this run.
     """
     monos = _monomials(max_degree)
-    labels = [str(m) for m in monos]
     residual = tabled([WeylPolynomial.from_monomial(m) for m in monos])
     indices = range(len(monos))
     for i in indices:
         for j in indices:
             for k in indices:
-                yield f"{labels[i]} , {labels[j]} , {labels[k]}", residual(i, j, k)
+                yield _label("{} , {} , {}", monos[i], monos[j], monos[k]), residual(i, j, k)
 
 
 def _suite_eq6(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
@@ -259,36 +281,37 @@ def _suite_eq6(max_degree: int, cases: int, rng: random.Random) -> list[CheckRes
 
 
 def _suite_eq8(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
-    def witness() -> Iterable[tuple[str, WeylPolynomial]]:
+    def witness() -> Iterable[tuple[Label, WeylPolynomial]]:
         q, p = FreePolynomial.from_letters(Letter.Q), FreePolynomial.from_letters(Letter.P)
         anticomm = (q * p + p * q).scale(Fraction(1, 2))
         rewritten = q * p - FreePolynomial.from_word(
             Word(), HbarScalar.of(0, Fraction(1, 2), 1)
         )
-        yield "(q p + p q)/2 vs q p - i hbar/2", symmetrize(anticomm) - symmetrize(rewritten)
+        label = _label("(q p + p q)/2 vs q p - i hbar/2")
+        yield label, symmetrize(anticomm) - symmetrize(rewritten)
 
-    def annihilation() -> Iterable[tuple[str, WeylPolynomial]]:
+    def annihilation() -> Iterable[tuple[Label, WeylPolynomial]]:
         for mono in _monomials(max_degree):
             for power in (1, 2, 3):
                 poly = FreePolynomial.from_word(
                     Word.of(*([Letter.Q] * mono.n + [Letter.P] * mono.m)),
                     HbarScalar.of(1, 0, power),
                 )
-                yield f"hbar^{power} {mono}", symmetrize(poly)
+                yield _label("hbar^{} {}", power, mono), symmetrize(poly)
 
-    def rewrite_invariance() -> Iterable[tuple[str, WeylPolynomial]]:
+    def rewrite_invariance() -> Iterable[tuple[Label, WeylPolynomial]]:
         for _ in range(cases):
             x = _random_free(rng, max_degree)
-            yield render_text(x), symmetrize(x) - symmetrize(normal_order(x))
+            yield _label("{}", x), symmetrize(x) - symmetrize(normal_order(x))
 
-    def negative_grade() -> Iterable[tuple[str, FreePolynomial]]:
+    def negative_grade() -> Iterable[tuple[Label, FreePolynomial]]:
         poly = FreePolynomial.from_word(Word.of(Letter.Q), HbarScalar.of(1, 0, -1))
         try:
             symmetrize(poly)
         except UnsupportedFragmentError:
-            yield "hbar^-1 q rejected", FreePolynomial.zero()
+            yield _label("hbar^-1 q rejected"), FreePolynomial.zero()
         else:
-            yield "hbar^-1 q rejected", poly
+            yield _label("hbar^-1 q rejected"), poly
 
     return [
         _check("ccr-witness", witness()),
@@ -305,11 +328,11 @@ def _suite_eq10(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
     def agreement(x: WeylPolynomial, y: WeylPolynomial) -> WeylPolynomial:
         return weyl_product(x, y) - two_step(x, y)
 
-    def monomial_pairs() -> Iterable[tuple[str, WeylPolynomial]]:
+    def monomial_pairs() -> Iterable[tuple[Label, WeylPolynomial]]:
         for a in _monomials(max_degree):
             for b in _monomials(max_degree - a.degree):
                 x, y = WeylPolynomial.from_monomial(a), WeylPolynomial.from_monomial(b)
-                yield f"{a} , {b}", agreement(x, y)
+                yield _label("{} , {}", a, b), agreement(x, y)
 
     def unit(x: WeylPolynomial) -> WeylPolynomial:
         return weyl_product(WeylPolynomial.one(), x) - x
@@ -335,18 +358,18 @@ def _suite_eq10(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
 
 
 def _suite_eq11(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
-    def monomials() -> Iterable[tuple[str, FreePolynomial]]:
+    def monomials() -> Iterable[tuple[Label, FreePolynomial]]:
         for n in range(max_degree + 1):
             coeffs = [Fraction(0)] * n + [Fraction(1)]
-            yield f"V = q^{n}", check_anticommutator_identity(coeffs).difference
+            yield _label("V = q^{}", n), check_anticommutator_identity(coeffs).difference
 
-    def random_potentials() -> Iterable[tuple[str, FreePolynomial]]:
+    def random_potentials() -> Iterable[tuple[Label, FreePolynomial]]:
         for _ in range(cases):
             coeffs = [
                 rng.choice(_COEFF_POOL) if rng.random() < 0.7 else Fraction(0)
                 for _ in range(rng.randint(1, max_degree + 1))
             ]
-            yield f"V coeffs {coeffs}", check_anticommutator_identity(coeffs).difference
+            yield _label("V coeffs {}", coeffs), check_anticommutator_identity(coeffs).difference
 
     return [
         _check("anticommutator-monomials", monomials()),
@@ -355,14 +378,14 @@ def _suite_eq11(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
 
 
 def _suite_eq12(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
-    def closure(wrt: Letter, deriv: Letter | None) -> Iterable[tuple[str, FreePolynomial]]:
+    def closure(wrt: Letter, deriv: Letter | None) -> Iterable[tuple[Label, FreePolynomial]]:
         bound = max_degree - (1 if deriv else 0)
         for mono in _monomials(max(bound, 0)):
             mono = WeylMonomial(mono.n, mono.m, deriv)
             poly = WeylPolynomial.from_monomial(mono)
             direct = partial_derivative(expand(mono), wrt)
             via_basis = expand_polynomial(weyl_derivative(poly, wrt))
-            yield f"d/d{wrt.symbol} {mono}", direct - via_basis
+            yield _label("d/d{} {}", wrt.symbol, mono), direct - via_basis
 
     return [
         _check("derivative-closure-q", closure(Letter.Q, None)),
@@ -393,14 +416,14 @@ def _suite_eq14(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
 
         return residual
 
-    def ordinary_gap() -> Iterable[tuple[str, FreePolynomial]]:
+    def ordinary_gap() -> Iterable[tuple[Label, FreePolynomial]]:
         f = WeylPolynomial.from_monomial(WeylMonomial(2, 0))
         g = WeylPolynomial.from_monomial(WeylMonomial(0, 2))
         h = WeylPolynomial.from_monomial(WeylMonomial(1, 1))
         gap = leibniz_ordinary_product_gap(f, g, h)
         # This check records that the rule *fails* for the ordinary product:
         # a zero gap would be the failure.
-        label = "S(q^2) , S(p^2) , q o p (ordinary-product variant stays unequal)"
+        label = _label("S(q^2) , S(p^2) , q o p (ordinary-product variant stays unequal)")
         if gap.is_zero:
             yield label, FreePolynomial.one()
         else:
@@ -423,7 +446,7 @@ def _suite_eq14(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
 
 
 def _suite_eq18_19(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
-    def momentum_pairing() -> Iterable[tuple[str, FreePolynomial]]:
+    def momentum_pairing() -> Iterable[tuple[Label, FreePolynomial]]:
         for deriv in (Letter.DRHO_Q, Letter.DRHO_P):
             half = HbarScalar.real(Fraction(1, 2))
             expected = FreePolynomial(
@@ -432,9 +455,9 @@ def _suite_eq18_19(max_degree: int, cases: int, rng: random.Random) -> list[Chec
                     (Word.of(deriv, Letter.P), half),
                 ]
             )
-            yield f"p o {deriv.symbol}", expand(WeylMonomial(0, 1, deriv)) - expected
+            yield _label("p o {}", deriv.symbol), expand(WeylMonomial(0, 1, deriv)) - expected
 
-    def coordinate_powers() -> Iterable[tuple[str, FreePolynomial]]:
+    def coordinate_powers() -> Iterable[tuple[Label, FreePolynomial]]:
         for deriv in (Letter.DRHO_Q, Letter.DRHO_P):
             for n in range(max_degree + 1):
                 coeff = HbarScalar.real(Fraction(1, n + 1))
@@ -445,7 +468,8 @@ def _suite_eq18_19(max_degree: int, cases: int, rng: random.Random) -> list[Chec
                     )
                     for k in range(n + 1)
                 )
-                yield f"q^{n} o {deriv.symbol}", expand(WeylMonomial(n, 0, deriv)) - expected
+                label = _label("q^{} o {}", n, deriv.symbol)
+                yield label, expand(WeylMonomial(n, 0, deriv)) - expected
 
     return [
         _check("momentum-with-state-derivative", momentum_pairing()),
@@ -454,7 +478,7 @@ def _suite_eq18_19(max_degree: int, cases: int, rng: random.Random) -> list[Chec
 
 
 def _suite_eq20(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
-    def hamiltonians() -> Iterable[tuple[str, FreePolynomial]]:
+    def hamiltonians() -> Iterable[tuple[Label, FreePolynomial]]:
         for _ in range(cases):
             mass = rng.choice((1, 2, 3, 4))
             kinetic = WeylPolynomial.from_monomial(
@@ -466,7 +490,7 @@ def _suite_eq20(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
                 if rng.random() < 0.8
             )
             hamiltonian = kinetic + potential
-            label = f"H = p^2/{2 * mass} + {render_text(potential)}"
+            label = _label("H = p^2/{} + {}", 2 * mass, potential)
             yield label, check_von_neumann_equivalence(hamiltonian).difference
 
     return [_check("kinetic-plus-potential", hamiltonians())]
@@ -480,7 +504,7 @@ def _suite_eq21(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
     return [
         _check(
             "bracket-commutator-equivalence-monomials",
-            ((str(m), equivalence(WeylPolynomial.from_monomial(m))) for m in monomials),
+            ((_label("{}", m), equivalence(WeylPolynomial.from_monomial(m))) for m in monomials),
         ),
         _check(
             "bracket-commutator-equivalence-random",
@@ -527,21 +551,24 @@ def _suite_jacobi(max_degree: int, cases: int, rng: random.Random) -> list[Check
 
 
 def _suite_hermiticity(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
-    def expansions() -> Iterable[tuple[str, FreePolynomial]]:
+    def expansions() -> Iterable[tuple[Label, FreePolynomial]]:
         for mono in _monomials(max_degree):
             expanded = expand(mono)
-            yield str(mono), adjoint(expanded) - expanded
+            yield _label("{}", mono), adjoint(expanded) - expanded
 
     return [_check("self-adjoint-expansions", expansions())]
 
 
 def _suite_obstruction(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
-    def groenewold() -> Iterable[tuple[str, FreePolynomial | WeylPolynomial]]:
+    def groenewold() -> Iterable[tuple[Label, FreePolynomial | WeylPolynomial]]:
         report = check_obstruction(
             (ClassicalPolynomial.from_monomial(3, 0), ClassicalPolynomial.from_monomial(0, 3)),
             (ClassicalPolynomial.from_monomial(2, 1), ClassicalPolynomial.from_monomial(1, 2)),
         )
-        yield "symmetric brackets agree (q^3, p^3) vs scaled (q^2 p, q p^2)", report.symmetrized_difference
+        yield (
+            _label("symmetric brackets agree (q^3, p^3) vs scaled (q^2 p, q p^2)"),
+            report.symmetrized_difference,
+        )
         # The commutator discrepancy is the point: zero difference or a
         # difference reaching below grade 2 would falsify the demonstration.
         discrepancy_ok = (
@@ -549,25 +576,29 @@ def _suite_obstruction(max_degree: int, cases: int, rng: random.Random) -> list[
             and (report.commutator_min_hbar_power or 0) >= 2
         )
         yield (
-            f"commutator brackets differ at grade >= 2 (scale {report.scale}, "
-            f"difference {render_text(report.commutator_difference)})",
+            _label(
+                "commutator brackets differ at grade >= 2 (scale {}, difference {})",
+                report.scale,
+                report.commutator_difference,
+            ),
             FreePolynomial.zero() if discrepancy_ok else FreePolynomial.one(),
         )
 
-    def trivial_pair() -> Iterable[tuple[str, FreePolynomial | WeylPolynomial]]:
+    def trivial_pair() -> Iterable[tuple[Label, FreePolynomial | WeylPolynomial]]:
         report = check_obstruction(
             (ClassicalPolynomial.from_monomial(1, 0), ClassicalPolynomial.from_monomial(0, 1)),
             (ClassicalPolynomial.from_monomial(1, 0), ClassicalPolynomial.from_monomial(0, 1)),
         )
-        yield "(q, p) vs (q, p): symmetric", report.symmetrized_difference
-        yield "(q, p) vs (q, p): commutator", report.commutator_difference
+        yield _label("(q, p) vs (q, p): symmetric"), report.symmetrized_difference
+        yield _label("(q, p) vs (q, p): commutator"), report.commutator_difference
 
-    def correspondence() -> Iterable[tuple[str, WeylPolynomial]]:
+    def correspondence() -> Iterable[tuple[Label, WeylPolynomial]]:
         for _ in range(cases):
             f, g = _random_classical(rng, max_degree), _random_classical(rng, max_degree)
             lhs = quantize(poisson_bracket_classical(f, g))
-            rhs = symmetrized_poisson_bracket(quantize(f), quantize(g))
-            yield f"{render_text(quantize(f))} , {render_text(quantize(g))}", lhs - rhs
+            qf, qg = quantize(f), quantize(g)
+            rhs = symmetrized_poisson_bracket(qf, qg)
+            yield _label("{} , {}", qf, qg), lhs - rhs
 
     return [
         _check("groenewold-pair", groenewold()),
@@ -577,7 +608,7 @@ def _suite_obstruction(max_degree: int, cases: int, rng: random.Random) -> list[
 
 
 def _suite_oracle(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
-    def verdicts() -> Iterable[tuple[str, FreePolynomial]]:
+    def verdicts() -> Iterable[tuple[Label, FreePolynomial]]:
         for _ in range(cases):
             a = _random_free(rng, max_degree)
             normal_a = normal_order(a)
@@ -588,7 +619,7 @@ def _suite_oracle(max_degree: int, cases: int, rng: random.Random) -> list[Check
                 normal_b = normal_order(b)
             agree = oracle_equal(a, b) == (normal_a == normal_b)
             yield (
-                f"{render_text(a)} vs {render_text(b)}",
+                _label("{} vs {}", a, b),
                 FreePolynomial.zero() if agree else FreePolynomial.one(),
             )
 

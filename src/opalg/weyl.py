@@ -126,7 +126,7 @@ def _monomial_of_word(word: Word) -> WeylMonomial:
             "the symmetrizer supports at most one state-derivative letter per word"
         )
     deriv = Letter.DRHO_Q if n_dq else (Letter.DRHO_P if n_dp else None)
-    return WeylMonomial(n_q, n_p, deriv)
+    return _monomial(n_q, n_p, deriv)
 
 
 def symmetrize(x: FreePolynomial) -> WeylPolynomial:
@@ -137,16 +137,19 @@ def symmetrize(x: FreePolynomial) -> WeylPolynomial:
     Negative grades never reach the symmetrizer in a well-formed pipeline
     (bracket prefactors stay outside it), so they are rejected loudly.
     """
-    pairs = []
-    for word, coeff in x.items():
-        if coeff.hbar_power < 0:
+    return WeylPolynomial._of(sum_into({}, _grade_zero_monomials(x)))
+
+
+def _grade_zero_monomials(x: FreePolynomial):
+    """The ``((monomial, 0), coeff)`` slots of ``x``'s grade-0 terms, in
+    order; a negative grade is rejected."""
+    for (word, grade), coeff in x._terms.items():
+        if grade < 0:
             raise UnsupportedFragmentError(
                 "the symmetrizer is not defined on negative hbar grades"
             )
-        if coeff.hbar_power >= 1:
-            continue
-        pairs.append((_monomial_of_word(word), coeff))
-    return WeylPolynomial(pairs)
+        if grade == 0:
+            yield (_monomial_of_word(word), 0), coeff
 
 
 # Bounded memo; no benchmark workload uses more than 73 keys, so it evicts none.

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import opalg
-from opalg import cli
+from opalg import cli, suites
 from opalg.cli import cmd_repl, main
 from opalg.core import IDENTITY_WORD
 from opalg.parser import evaluate, parse
@@ -135,6 +136,20 @@ def test_eval_too_long_exponent_is_one_error_line(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: 1:3: integer literal too long")
     assert len(captured.err.splitlines()) == 1
+
+
+# 2^15000 has 4,516 digits.
+HUGE = "2^15000"
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+def test_eval_too_long_coefficient_is_one_error_line(capsys, fmt):
+    assert main(["eval", HUGE, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    digits = f"(more than {INT_DIGIT_LIMIT} digits)"
+    assert captured.err == f"error: coefficient too long to print {digits}\n"
 
 
 def test_eval_domain_error_exits_2(capsys):
@@ -286,6 +301,29 @@ def test_verification_failure_exits_1(monkeypatch, capsys):
     assert "difference: 1" in out
 
 
+# The sha256 of `opalg verify --suite eq10 --max-degree 2 --cases 3 --seed 1`
+# with `weyl_product(x, y) + x` standing in for the symmetric product: every
+# check but bilinearity fails, so the digests pin each failure's input label
+# and difference, byte for byte.
+FAILURE_REPORT_DIGESTS = {
+    "text": "46d45d4e81b0b55156c9f96c399f7ad099ac60521bff3fe541c46768656fedc2",
+    "json": "213b9d09d44be9704eea6295373a0d5cf54641b829265ad360b5a50ff363a8cf",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FAILURE_REPORT_DIGESTS))
+def test_verify_failure_report_is_pinned(monkeypatch, fmt):
+    product = suites.weyl_product
+    monkeypatch.setattr(suites, "weyl_product", lambda x, y: product(x, y) + x)
+    code, out = run_cli(
+        ["verify", "--suite", "eq10", "--max-degree", "2", "--cases", "3", "--seed", "1",
+         "--format", fmt]
+    )
+    assert code == 1
+    assert out.count("input") == 27
+    assert hashlib.sha256(out.encode()).hexdigest() == FAILURE_REPORT_DIGESTS[fmt]
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
@@ -329,6 +367,19 @@ def test_repl_keeps_reading_after_too_long_literal():
     assert lines[0].startswith("error: 1:1: integer literal too long")
     assert lines[1].startswith("error: 1:3: integer literal too long")
     assert lines[2] == "q"
+
+
+@needs_digit_limit
+def test_repl_keeps_reading_after_too_long_coefficient():
+    stdout = io.StringIO()
+    session = f"{HUGE}\n:format json\n{HUGE} q\n2^10\n"
+    assert cmd_repl(stdin=io.StringIO(session), stdout=stdout) == 0
+    lines = stdout.getvalue().splitlines()
+    assert len(lines) == 3
+    assert lines[0] == lines[1] == (
+        f"error: coefficient too long to print (more than {INT_DIGIT_LIMIT} digits)"
+    )
+    assert json.loads(lines[2])["terms"][0]["coeff"]["hbar_powers"]["0"]["re"] == "1024"
 
 
 def test_repl_keeps_reading_after_memory_error(monkeypatch):

@@ -79,7 +79,7 @@ def recorded_cases(monkeypatch, suite: str, **params):
     def recording(name, cases):
         def record():
             for label, difference in cases:
-                cases_seen.append((name, label))
+                cases_seen.append((name, label()))
                 yield label, difference
 
         return build(name, record())
@@ -145,7 +145,7 @@ def monomial_stream(monkeypatch, suite: str, spy: PairSpy) -> tuple[list, Counte
         def record():
             spy.active = True
             for label, difference in cases:
-                stream.append((label, difference))
+                stream.append((label(), difference))
                 yield label, difference
             spy.active = False
 
@@ -207,3 +207,40 @@ def test_tabled_monomial_triples_match_the_direct_formulas(monkeypatch, perturbe
         assert Counter(op for op, _, _ in computed) == {name: n * n for name in pairs}, suite
         if suite == "eq14" or perturbed == "symmetrized_poisson_bracket":
             assert any(difference for _, difference in tabled), suite
+
+
+# -- failure labels -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "suite, op_name, failing",
+    [
+        ("jacobi", "symmetrized_poisson_bracket", {"jacobi-monomials", "jacobi-random"}),
+        ("eq10", "weyl_product", {"two-step-agreement-monomials", "unit", "associativity"}),
+    ],
+)
+def test_failure_labels_show_their_own_case(monkeypatch, suite, op_name, failing):
+    # Each check draws all of its cases before the check builder sees any,
+    # so the builder calls every failing case's label after later cases were
+    # made: a label that read its generator's loop variables would show the
+    # last case's inputs.
+    monkeypatch.setattr(suites, op_name, plus_first(getattr(suites, op_name)))
+    drawn = {}
+    build = suites._check
+
+    def drawn_first(name, cases):
+        held, seen = [], []
+        drawn[name] = seen
+        for label, difference in cases:
+            seen.append((label(), difference.is_zero))
+            held.append((label, difference))
+        return build(name, held)
+
+    monkeypatch.setattr(suites, "_check", drawn_first)
+    report = run_suite(suite, max_degree=2, cases=5, seed=0)
+    for check in report.checks:
+        inputs = [failure.input for failure in check.failures]
+        assert inputs == [label for label, zero in drawn[check.name] if not zero], check.name
+        if check.name in failing:
+            assert len(inputs) == check.cases and len(set(inputs)) > 1, check.name
+    assert failing <= {check.name for check in report.checks}
