@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import FreePolynomial, Letter, Word, _word, normal_order
+from .core import DERIVATIVE_LETTERS, FreePolynomial, Letter, Word, _word, normal_order
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, INV_I_HBAR, ONE, RationalLike
 from .terms import GradedTerms, bilinear, linear_map, sum_into
@@ -126,15 +126,16 @@ def symmetrized_poisson_bracket(
 
 
 def _monomial_bracket(a: WeylMonomial, b: WeylMonomial) -> tuple[WeylMonomial | None, int]:
-    ad, bc = a.n * b.m, a.m * b.n
-    if a.deriv is not None and b.deriv is not None and (ad or bc):
+    (a_n, a_m, a_deriv, _), (b_n, b_m, b_deriv, _) = a, b  # read the layout: a hot path
+    ad, bc = a_n * b_m, a_m * b_n
+    if a_deriv is not None and b_deriv is not None and (ad or bc):
         raise UnsupportedFragmentError(
             "cannot multiply two terms that both carry a state-derivative letter"
         )
     if ad == bc:
         return None, 0
-    deriv = a.deriv if a.deriv is not None else b.deriv
-    return _monomial(a.n + b.n - 1, a.m + b.m - 1, deriv), ad - bc
+    deriv = a_deriv if a_deriv is not None else b_deriv
+    return _monomial(a_n + b_n - 1, a_m + b_m - 1, deriv), ad - bc
 
 
 def quantize(f: ClassicalPolynomial) -> WeylPolynomial:
@@ -164,22 +165,35 @@ def substitute_drho(x: FreePolynomial) -> FreePolynomial:
     ``drho_p`` becomes ``(q rho - rho q) / (i*hbar)`` and ``drho_q`` becomes
     ``-(p rho - rho p) / (i*hbar)``, distributed in place inside each word.
     Words without derivative letters pass through unchanged.
+
+    Each word is scanned once and its ``d`` derivative letters give all
+    ``2**d`` replacement words at once.  Each one's coefficient is
+    ``c / (i*hbar)**d`` or its negative, negated once per ``rho q`` from a
+    ``drho_p`` and once per ``p rho`` from a ``drho_q``; the two scalars
+    are made once per distinct ``(c, d)``.
     """
-    terms = []
-    stack = list(x._terms.items())
-    while stack:
-        (word, grade), coeff = stack.pop()
-        for i, letter in enumerate(word.letters):
-            if letter in (Letter.DRHO_P, Letter.DRHO_Q):
-                head, tail = word.letters[:i], word.letters[i + 1 :]
-                other = Letter.Q if letter is Letter.DRHO_P else Letter.P
-                sign = ONE if letter is Letter.DRHO_P else -ONE
-                c = coeff * INV_I_HBAR * sign
-                stack.append(((_word(head + (other, Letter.RHO) + tail), grade - 1), c))
-                stack.append(((_word(head + (Letter.RHO, other) + tail), grade - 1), -c))
-                break
-        else:
+    Q, P, RHO, DRHO_Q, DRHO_P = Letter
+    terms, scalars = [], {}
+    for (word, grade), coeff in x._terms.items():
+        letters = word.letters
+        if DERIVATIVE_LETTERS.isdisjoint(letters):
             terms.append(((word, grade), coeff))
+            continue
+        heads, start, d = [((), False)], 0, 0  # (letters before start, negated)
+        for i, letter in enumerate(letters):
+            if letter is DRHO_P or letter is DRHO_Q:
+                other, is_q = (P, True) if letter is DRHO_Q else (Q, False)
+                choices = (((other, RHO), is_q), ((RHO, other), not is_q))
+                part, start, d = letters[start:i], i + 1, d + 1
+                heads = [(h + part + pair, neg ^ flip) for h, neg in heads for pair, flip in choices]
+        signed = scalars.get((coeff, d))
+        if signed is None:
+            c = coeff
+            for _ in range(d):
+                c = c * INV_I_HBAR
+            signed = scalars[coeff, d] = (c, -c)
+        tail, grade = letters[start:], grade - d
+        terms += [((_word(head + tail), grade), signed[neg]) for head, neg in heads]
     return FreePolynomial._of(sum_into({}, terms))
 
 
@@ -285,8 +299,11 @@ def check_von_neumann_equivalence(F: WeylPolynomial) -> EqualityReport:
     derivative letters through the symmetric product, expands, substitutes
     the derivative letters by their commutator expressions, and normal
     orders; most cross terms cancel in the free normal form.  The right side
-    is the normal form of ``(F rho - rho F) / (i*hbar)`` with ``F`` expanded.
-    Both sides are compared exactly in the free algebra over q, p, rho.
+    is :func:`commutator_bracket` of ``F`` and ``rho``, the normal form of
+    ``(F rho - rho F) / (i*hbar)``, which takes ``F``'s normal form from
+    McCoy's closed form without expanding it.  So the two sides share no
+    route: only the left side expands.  Both are compared exactly in the
+    free algebra over q, p, rho.
     """
     for monomial, _ in F.items():
         if monomial.deriv is not None:
@@ -296,8 +313,7 @@ def check_von_neumann_equivalence(F: WeylPolynomial) -> EqualityReport:
     dq, dp = weyl_derivative(F, Letter.Q), weyl_derivative(F, Letter.P)
     lhs_weyl = weyl_product(dq, _DRHO_P_MONO) - weyl_product(_DRHO_Q_MONO, dp)
     lhs = normal_order(substitute_drho(expand_polynomial(lhs_weyl)))
-    f_free = expand_polynomial(F)
-    rhs = normal_order((f_free * _RHO - _RHO * f_free).scale(INV_I_HBAR))
+    rhs = commutator_bracket(F, _RHO)
     return EqualityReport(lhs, rhs, lhs - rhs)
 
 

@@ -54,7 +54,9 @@ class Word(tuple):
 
     Stored as the tuple ``(letters, Word)``: the class tag keeps a word
     unequal to any plain tuple and to a :class:`~opalg.weyl.WeylMonomial`,
-    while hashing and ``==`` stay tuple's.  Read it through ``letters``."""
+    while hashing and ``==`` stay tuple's.  Read it through ``letters``; only
+    the package's hot key hooks read ``word[0]``: the key hook of
+    :func:`multiply` and :func:`~opalg.weyl._monomial_of_word`."""
 
     __slots__ = ()
 
@@ -157,7 +159,8 @@ class FreePolynomial(GradedTerms):
 
 def multiply(a: FreePolynomial, b: FreePolynomial) -> FreePolynomial:
     """Ordinary (successive-application) product: bilinear word concatenation."""
-    return bilinear(a, b, lambda wa, wb: (wa + wb, 1))
+    # ``w[0]`` is ``w.letters``, read from the layout: a hot path
+    return bilinear(a, b, lambda wa, wb: (_word(wa[0] + wb[0]), 1))
 
 
 def normal_order(x: FreePolynomial) -> FreePolynomial:

@@ -50,9 +50,9 @@ def _action(word: Word) -> tuple[list[int], int, int]:
     letters = word.letters
     if not STATE_LETTERS.isdisjoint(letters):
         raise UnsupportedFragmentError("the polynomial representation acts on q/p words only")
-    offsets, rise = [], 0
+    offsets, rise, Q = [], 0, Letter.Q
     for letter in reversed(letters):
-        if letter is Letter.Q:
+        if letter is Q:
             rise += 1
         else:
             offsets.append(rise)

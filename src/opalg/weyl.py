@@ -36,6 +36,8 @@ from .scalars import HbarScalar, ONE
 from .terms import GradedTerms, bilinear, linear_map, sum_into
 
 _DERIV_RANK = {None: 0, Letter.DRHO_Q: 1, Letter.DRHO_P: 2}
+# Bound once: reading a member off ``Letter`` costs about 0.1 us on a hot path.
+_LETTER_Q, _LETTER_P, _LETTER_RHO, _LETTER_DRHO_Q, _LETTER_DRHO_P = Letter
 
 
 class WeylMonomial(tuple):
@@ -44,7 +46,9 @@ class WeylMonomial(tuple):
 
     Stored as the tuple ``(n, m, deriv, WeylMonomial)``: the class tag keeps
     a key unequal to any plain tuple and to a :class:`~opalg.core.Word`,
-    while hashing and ``==`` stay tuple's.  Read it through the fields."""
+    while hashing and ``==`` stay tuple's.  Read it through the fields; only
+    the package's hot key hooks, :func:`_add_exponents` and
+    :func:`~opalg.brackets._monomial_bracket`, unpack the tuple."""
 
     __slots__ = ()
 
@@ -116,17 +120,19 @@ class WeylPolynomial(GradedTerms):
 
 
 def _monomial_of_word(word: Word) -> WeylMonomial:
-    n_q, n_p, n_rho, n_dq, n_dp = word.counts()
-    if n_rho:
+    letters = word[0]  # ``word.letters``, read from the layout: a hot path
+    n_q, n_p = letters.count(_LETTER_Q), letters.count(_LETTER_P)
+    if n_q + n_p == len(letters):
+        return _monomial(n_q, n_p, None)
+    if _LETTER_RHO in letters:
         raise UnsupportedFragmentError(
             "the symmetrizer is not defined on words containing the bare state symbol"
         )
-    if n_dq + n_dp > 1:
+    if n_q + n_p + 1 < len(letters):
         raise UnsupportedFragmentError(
             "the symmetrizer supports at most one state-derivative letter per word"
         )
-    deriv = Letter.DRHO_Q if n_dq else (Letter.DRHO_P if n_dp else None)
-    return _monomial(n_q, n_p, deriv)
+    return _monomial(n_q, n_p, _LETTER_DRHO_Q if _LETTER_DRHO_Q in letters else _LETTER_DRHO_P)
 
 
 def symmetrize(x: FreePolynomial) -> WeylPolynomial:
@@ -198,11 +204,12 @@ def weyl_product(x: WeylPolynomial, y: WeylPolynomial) -> WeylPolynomial:
 
 
 def _add_exponents(a: WeylMonomial, b: WeylMonomial) -> tuple[WeylMonomial, int]:
-    if a.deriv is not None and b.deriv is not None:
+    (a_n, a_m, a_deriv, _), (b_n, b_m, b_deriv, _) = a, b  # read the layout: a hot path
+    if a_deriv is not None and b_deriv is not None:
         raise UnsupportedFragmentError(
             "cannot multiply two terms that both carry a state-derivative letter"
         )
-    return _monomial(a.n + b.n, a.m + b.m, a.deriv if a.deriv is not None else b.deriv), 1
+    return _monomial(a_n + b_n, a_m + b_m, a_deriv if a_deriv is not None else b_deriv), 1
 
 
 def weyl_derivative(x: WeylPolynomial, wrt: Letter) -> WeylPolynomial:

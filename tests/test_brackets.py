@@ -355,6 +355,59 @@ def test_substitute_distributes_inside_words():
     assert substitute_drho(x) == expected
 
 
+def _substitute_drho_by_stack(x: FreePolynomial) -> FreePolynomial:
+    """Reference: replace the first derivative letter of a word by its two
+    commutator words, push both back and rescan them, until none is left."""
+    terms = []
+    stack = list(x._terms.items())
+    while stack:
+        (word, grade), coeff = stack.pop()
+        for i, letter in enumerate(word.letters):
+            if letter in (Letter.DRHO_P, Letter.DRHO_Q):
+                head, tail = word.letters[:i], word.letters[i + 1 :]
+                other = Q if letter is Letter.DRHO_P else P
+                c = coeff * INV_I_HBAR * (ONE if letter is Letter.DRHO_P else -ONE)
+                stack.append(((Word(head + (other, RHO) + tail), grade - 1), c))
+                stack.append(((Word(head + (RHO, other) + tail), grade - 1), -c))
+                break
+        else:
+            terms.append((word, coeff))
+    return FreePolynomial(terms)
+
+
+def _random_state_word(rng: random.Random) -> Word:
+    """0-3 derivative letters among up to 4 q/p/rho letters, at any place,
+    so they also stand at either end and next to each other."""
+    letters = [rng.choice((Q, P, RHO)) for _ in range(rng.randint(0, 4))]
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        letters.insert(rng.randint(0, len(letters)), rng.choice((Letter.DRHO_Q, Letter.DRHO_P)))
+    return Word(tuple(letters))
+
+
+def _random_state_polynomial(rng: random.Random) -> FreePolynomial:
+    parts = (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(-5, 4))
+    return FreePolynomial(
+        (
+            _random_state_word(rng),
+            HbarScalar.of(rng.choice(parts[1:]), rng.choice(parts), rng.randint(-1, 2)),
+        )
+        for _ in range(rng.randint(1, 5))
+    )
+
+
+def test_substitute_matches_the_stack_reference_and_is_multiplicative():
+    rng = random.Random(31)
+    multi = 0
+    for _ in range(600):
+        x, y = _random_state_polynomial(rng), _random_state_polynomial(rng)
+        multi += sum(
+            word.count(Letter.DRHO_Q) + word.count(Letter.DRHO_P) > 1 for word, _ in x.items()
+        )
+        assert substitute_drho(x) == _substitute_drho_by_stack(x)
+        assert substitute_drho(x * y) == substitute_drho(x) * substitute_drho(y)
+    assert multi > 100  # words with several derivative letters were drawn
+
+
 # -- von Neumann equivalence -----------------------------------------------------------
 
 
@@ -399,6 +452,33 @@ def test_anticommutator_pairing_breaks_equivalence_above_degree_two():
         assert (lhs == rhs) == (n <= 2)
         # the multi-placement pairing holds at every degree
         assert check_von_neumann_equivalence(mono(n, 0)).equal
+
+
+def test_equivalence_sides_match_the_expanding_routes():
+    # The right side takes F's normal form from McCoy's closed form; the
+    # reference expands F and normal-orders its commutator with rho.  The
+    # left side must stay the expanding route, substituted by the stack.
+    rho = FreePolynomial.from_letters(RHO)
+    drho_q = WeylPolynomial.from_monomial(WeylMonomial(0, 0, Letter.DRHO_Q))
+    drho_p = WeylPolynomial.from_monomial(WeylMonomial(0, 0, Letter.DRHO_P))
+    rng = random.Random(37)
+    pool = (ONE, HbarScalar.of(-2, 1), HbarScalar.of(Fraction(1, 3)), HbarScalar.of(0, 5, 1))
+    monomials = [mono(n, total - n) for total in range(7) for n in range(total + 1)]
+    random_fs = [
+        WeylPolynomial(
+            (WeylMonomial(rng.randint(0, 3), rng.randint(0, 3)), rng.choice(pool))
+            for _ in range(rng.randint(2, 4))
+        )
+        for _ in range(200)
+    ]
+    for F in monomials + random_fs:
+        report = check_von_neumann_equivalence(F)
+        f_free = expand_polynomial(F)
+        assert report.rhs == normal_order((f_free * rho - rho * f_free).scale(INV_I_HBAR))
+        dq, dp = weyl_derivative(F, Q), weyl_derivative(F, P)
+        lhs_weyl = weyl_product(dq, drho_p) - weyl_product(drho_q, dp)
+        assert report.lhs == normal_order(_substitute_drho_by_stack(expand_polynomial(lhs_weyl)))
+        assert report.equal
 
 
 # -- quantization and the obstruction ---------------------------------------------------
