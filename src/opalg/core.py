@@ -20,12 +20,11 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from math import comb
-from operator import itemgetter
 from typing import Iterable
 
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, ONE, _leads_negative, minus_i_hbar_power
-from .terms import GradedTerms, bilinear, linear_map, sum_into
+from .terms import GradedTerms, TaggedTuple, bilinear, linear_map, sum_into
 
 
 class Letter(enum.IntEnum):
@@ -49,7 +48,7 @@ STATE_LETTERS = frozenset({Letter.RHO, Letter.DRHO_Q, Letter.DRHO_P})
 DERIVATIVE_LETTERS = frozenset({Letter.DRHO_Q, Letter.DRHO_P})
 
 
-class Word(tuple):
+class Word(TaggedTuple):
     """An ordered finite product of letters; the empty word is the identity.
 
     Stored as the tuple ``(letters, Word)``: the class tag keeps a word
@@ -59,19 +58,12 @@ class Word(tuple):
     :func:`multiply` and :func:`~opalg.weyl._monomial_of_word`."""
 
     __slots__ = ()
+    _fields = ("letters",)
 
     def __new__(cls, letters: tuple[Letter, ...] = ()) -> Word:
         if not all(isinstance(letter, Letter) for letter in letters):
             raise TypeError("a Word holds Letter values only")
         return tuple.__new__(cls, (letters, Word))
-
-    letters = property(itemgetter(0))
-
-    def __reduce__(self):
-        return Word, (self.letters,)
-
-    def __repr__(self) -> str:
-        return f"Word(letters={self.letters!r})"
 
     @classmethod
     def of(cls, *letters: Letter) -> Word:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from operator import itemgetter
 
 from .brackets import commutator_bracket, symmetrized_poisson_bracket
 from .core import (
@@ -48,7 +47,7 @@ from .core import (
 )
 from .errors import EvalError, ParseError, UnsupportedFragmentError
 from .scalars import HBAR, HbarScalar, I
-from .terms import bilinear, sum_into
+from .terms import TaggedTuple, bilinear, sum_into
 from .weyl import (
     WeylPolynomial,
     expand_polynomial,
@@ -121,25 +120,16 @@ def _int(token: Token) -> int:
 # -- AST -------------------------------------------------------------------
 
 
-class Node(tuple):
+class Node(TaggedTuple):
     """An AST node at a source position.
 
     Stored as the tuple of its fields followed by its class, the tagged-tuple
-    form of the term keys (:class:`~opalg.core.Word`): the tag keeps nodes of
-    different classes unequal, while hashing and ``==`` stay tuple's.  Read
-    it through the fields."""
+    form of the term keys (:class:`~opalg.terms.TaggedTuple`): the tag keeps
+    nodes of different classes unequal, while hashing and ``==`` stay
+    tuple's.  Read it through the fields."""
 
     __slots__ = ()
     _fields = ("line", "column")
-    line = property(itemgetter(0))
-    column = property(itemgetter(1))
-
-    def __reduce__(self):
-        return type(self), self[:-1]
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
-        return f"{type(self).__name__}({fields})"
 
 
 class SymbolNode(Node):
@@ -149,8 +139,6 @@ class SymbolNode(Node):
     def __new__(cls, line: int, column: int, name: str) -> SymbolNode:
         return tuple.__new__(cls, (line, column, name, cls))
 
-    name = property(itemgetter(2))
-
 
 class RationalNode(Node):
     __slots__ = ()
@@ -159,19 +147,13 @@ class RationalNode(Node):
     def __new__(cls, line: int, column: int, value: Fraction) -> RationalNode:
         return tuple.__new__(cls, (line, column, value, cls))
 
-    value = property(itemgetter(2))
-
 
 class BinaryNode(Node):
     __slots__ = ()
-    _fields = Node._fields + ("op", "left", "right")
+    _fields = Node._fields + ("op", "left", "right")  # op: "+", "-", "*" (also juxtaposition), "o"
 
     def __new__(cls, line: int, column: int, op: str, left: Node, right: Node) -> BinaryNode:
         return tuple.__new__(cls, (line, column, op, left, right, cls))
-
-    op = property(itemgetter(2))  # "+", "-", "*" (also juxtaposition) or "o"
-    left = property(itemgetter(3))
-    right = property(itemgetter(4))
 
 
 class PowerNode(Node):
@@ -181,9 +163,6 @@ class PowerNode(Node):
     def __new__(cls, line: int, column: int, base: Node, exponent: int) -> PowerNode:
         return tuple.__new__(cls, (line, column, base, exponent, cls))
 
-    base = property(itemgetter(2))
-    exponent = property(itemgetter(3))
-
 
 class CallNode(Node):
     __slots__ = ()
@@ -191,9 +170,6 @@ class CallNode(Node):
 
     def __new__(cls, line: int, column: int, func: str, args: tuple[Node, ...]) -> CallNode:
         return tuple.__new__(cls, (line, column, func, args, cls))
-
-    func = property(itemgetter(2))
-    args = property(itemgetter(3))
 
 
 class _Parser:

@@ -2,7 +2,11 @@
 
 Every suite runs its identity checks over exhaustive monomial families up to
 a degree bound plus a configurable number of seeded-random cases, and
-reports per-check failures with the full difference polynomial.  A case
+reports per-check failures with the full difference polynomial.  A suite
+declares each check as a row ``(name, cases)``; most cases come from one
+driver, :func:`_cases`, which turns input tuples into ``(label, residual)``
+pairs.  The cases are a lazy iterator, produced while :func:`_check` builds
+the check, so every case's work happens inside that iteration.  A case
 carries its label (its inputs in text form) as a callable that only a
 failing case calls, so a passing run renders no inputs.  Random
 generation draws Weyl and classical exponents uniformly from
@@ -65,6 +69,7 @@ _COEFF_POOL = (
     Fraction(1, 3),
     Fraction(-1, 3),
 )
+_DERIVS = (Letter.DRHO_Q, Letter.DRHO_P)
 
 
 # -- report structures -------------------------------------------------------
@@ -118,6 +123,7 @@ class SuiteReport:
 
 
 Label = Callable[[], str]
+Cases = Iterable[tuple[Label, FreePolynomial | WeylPolynomial]]
 
 
 def _label(template: str, *values) -> Label:
@@ -133,9 +139,7 @@ def _format_label(template: str, values: tuple) -> str:
     )
 
 
-def _check(
-    name: str, cases: Iterable[tuple[Label, FreePolynomial | WeylPolynomial]]
-) -> CheckResult:
+def _check(name: str, cases: Cases) -> CheckResult:
     """Build a check from (label, difference) cases; nonzero differences fail,
     and only a failing case's label is rendered."""
     count = 0
@@ -145,6 +149,27 @@ def _check(
         if not difference.is_zero:
             failures.append(Failure(label(), difference))
     return CheckResult(name, count, tuple(failures))
+
+
+def _run(*rows: tuple[str, Cases]) -> list[CheckResult]:
+    """A suite's ``(name, cases)`` rows, each built by :func:`_check` in order.
+
+    The cases of a row are a lazy iterator, so every case, its inputs
+    included, is produced while ``_check`` iterates it."""
+    return [_check(name, cases) for name, cases in rows]
+
+
+def _cases(template: str, inputs: Iterable[tuple], residual: Callable) -> Cases:
+    """One case per input tuple ``args``: its label, ``template`` over
+    ``args``, and ``residual(*args)``.  A template may skip trailing values
+    or read fields (``{0.symbol}``); ``zip(values)`` gives one-value tuples."""
+    for args in inputs:
+        yield _label(template, *args), residual(*args)
+
+
+def _holds(ok: bool) -> FreePolynomial:
+    """The residual of a recorded fact: zero when it holds, one when not."""
+    return FreePolynomial.zero() if ok else FreePolynomial.one()
 
 
 # -- random generators --------------------------------------------------------
@@ -198,7 +223,7 @@ def _count_words(n: int, m: int, deriv: Letter | None = None) -> list[Word]:
 
 def _ordering_independence(
     monomials: list[WeylMonomial], derivs: tuple[Letter | None, ...]
-) -> Iterable[tuple[Label, WeylPolynomial]]:
+) -> Cases:
     """Every arrangement of a letter multiset symmetrizes to the first one's image."""
     for mono in monomials:
         for deriv in derivs:
@@ -212,24 +237,24 @@ def _ordering_independence(
 
 def _random_cases(
     rng: random.Random, cases: int, arity: int, degree: int, identity: Callable
-) -> Iterable[tuple[Label, WeylPolynomial | FreePolynomial]]:
+) -> Cases:
     """An identity's residual on ``cases`` tuples of random Weyl polynomials."""
-    template = " , ".join(["{}"] * arity)
-    for _ in range(cases):
-        args = [_random_weyl(rng, degree) for _ in range(arity)]
-        yield _label(template, *args), identity(*args)
+    draws = ([_random_weyl(rng, degree) for _ in range(arity)] for _ in range(cases))
+    return _cases(" , ".join(["{}"] * arity), draws, identity)
 
 
 def _bilinearity(
     rng: random.Random, cases: int, degree: int, op: Callable[..., WeylPolynomial]
-) -> Iterable[tuple[Label, WeylPolynomial]]:
+) -> Cases:
     """Linearity of ``op`` in its first argument on random inputs."""
-    for _ in range(cases):
-        a = _random_coeff(rng)
-        x, y, z = (_random_weyl(rng, degree) for _ in range(3))
-        lhs = op(x.scale(a) + y, z)
-        rhs = op(x, z).scale(a) + op(y, z)
-        yield _label("{} , {} , {}", x, y, z), lhs - rhs
+
+    def residual(a: HbarScalar, x: WeylPolynomial, y: WeylPolynomial, z: WeylPolynomial):
+        return op(x.scale(a) + y, z) - (op(x, z).scale(a) + op(y, z))
+
+    draws = (
+        [_random_coeff(rng)] + [_random_weyl(rng, degree) for _ in range(3)] for _ in range(cases)
+    )
+    return _cases("{1} , {2} , {3}", draws, residual)
 
 
 def _pair_table(
@@ -252,7 +277,7 @@ def _pair_table(
 def _monomial_triples(
     max_degree: int,
     tabled: Callable[[list[WeylPolynomial]], Callable[[int, int, int], WeylPolynomial]],
-) -> Iterable[tuple[Label, WeylPolynomial]]:
+) -> Cases:
     """An identity's residual on every triple of monomials up to ``max_degree``.
 
     ``tabled(monomials)`` gives the residual of the triple at indices
@@ -268,57 +293,51 @@ def _monomial_triples(
                 yield _label("{} , {} , {}", monos[i], monos[j], monos[k]), residual(i, j, k)
 
 
+def _on_monomials(identity: Callable[..., WeylPolynomial]) -> Callable[..., WeylPolynomial]:
+    """``identity`` on the Weyl polynomials of the monomials it is given."""
+    return lambda *monos: identity(*(WeylPolynomial.from_monomial(m) for m in monos))
+
+
 def _suite_eq6(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
-    return [
-        _check("ordering-independence", _ordering_independence(_monomials(max_degree), (None,))),
-        _check(
+    return _run(
+        ("ordering-independence", _ordering_independence(_monomials(max_degree), (None,))),
+        (
             "ordering-independence-with-state-derivative",
-            _ordering_independence(
-                _monomials(max(max_degree - 1, 0)), (Letter.DRHO_Q, Letter.DRHO_P)
-            ),
+            _ordering_independence(_monomials(max(max_degree - 1, 0)), _DERIVS),
         ),
-    ]
+    )
 
 
 def _suite_eq8(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
-    def witness() -> Iterable[tuple[Label, WeylPolynomial]]:
+    def witness() -> WeylPolynomial:
         q, p = FreePolynomial.from_letters(Letter.Q), FreePolynomial.from_letters(Letter.P)
         anticomm = (q * p + p * q).scale(Fraction(1, 2))
-        rewritten = q * p - FreePolynomial.from_word(
-            Word(), HbarScalar.of(0, Fraction(1, 2), 1)
-        )
-        label = _label("(q p + p q)/2 vs q p - i hbar/2")
-        yield label, symmetrize(anticomm) - symmetrize(rewritten)
+        rewritten = q * p - FreePolynomial.from_word(Word(), HbarScalar.of(0, Fraction(1, 2), 1))
+        return symmetrize(anticomm) - symmetrize(rewritten)
 
-    def annihilation() -> Iterable[tuple[Label, WeylPolynomial]]:
-        for mono in _monomials(max_degree):
-            for power in (1, 2, 3):
-                poly = FreePolynomial.from_word(
-                    Word.of(*([Letter.Q] * mono.n + [Letter.P] * mono.m)),
-                    HbarScalar.of(1, 0, power),
-                )
-                yield _label("hbar^{} {}", power, mono), symmetrize(poly)
+    def annihilated(power: int, mono: WeylMonomial) -> WeylPolynomial:
+        word = Word.of(*([Letter.Q] * mono.n + [Letter.P] * mono.m))
+        return symmetrize(FreePolynomial.from_word(word, HbarScalar.of(1, 0, power)))
 
-    def rewrite_invariance() -> Iterable[tuple[Label, WeylPolynomial]]:
-        for _ in range(cases):
-            x = _random_free(rng, max_degree)
-            yield _label("{}", x), symmetrize(x) - symmetrize(normal_order(x))
+    def rewrite_invariance(x: FreePolynomial) -> WeylPolynomial:
+        return symmetrize(x) - symmetrize(normal_order(x))
 
-    def negative_grade() -> Iterable[tuple[Label, FreePolynomial]]:
+    def negative_grade() -> FreePolynomial:
         poly = FreePolynomial.from_word(Word.of(Letter.Q), HbarScalar.of(1, 0, -1))
         try:
             symmetrize(poly)
         except UnsupportedFragmentError:
-            yield _label("hbar^-1 q rejected"), FreePolynomial.zero()
-        else:
-            yield _label("hbar^-1 q rejected"), poly
+            return FreePolynomial.zero()
+        return poly
 
-    return [
-        _check("ccr-witness", witness()),
-        _check("hbar-annihilation", annihilation()),
-        _check("rewrite-invariance", rewrite_invariance()),
-        _check("negative-grade-rejected", negative_grade()),
-    ]
+    powers = ((power, mono) for mono in _monomials(max_degree) for power in (1, 2, 3))
+    draws = ((_random_free(rng, max_degree),) for _ in range(cases))
+    return _run(
+        ("ccr-witness", _cases("(q p + p q)/2 vs q p - i hbar/2", [()], witness)),
+        ("hbar-annihilation", _cases("hbar^{} {}", powers, annihilated)),
+        ("rewrite-invariance", _cases("{}", draws, rewrite_invariance)),
+        ("negative-grade-rejected", _cases("hbar^-1 q rejected", [()], negative_grade)),
+    )
 
 
 def _suite_eq10(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
@@ -327,12 +346,6 @@ def _suite_eq10(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
 
     def agreement(x: WeylPolynomial, y: WeylPolynomial) -> WeylPolynomial:
         return weyl_product(x, y) - two_step(x, y)
-
-    def monomial_pairs() -> Iterable[tuple[Label, WeylPolynomial]]:
-        for a in _monomials(max_degree):
-            for b in _monomials(max_degree - a.degree):
-                x, y = WeylPolynomial.from_monomial(a), WeylPolynomial.from_monomial(b)
-                yield _label("{} , {}", a, b), agreement(x, y)
 
     def unit(x: WeylPolynomial) -> WeylPolynomial:
         return weyl_product(WeylPolynomial.one(), x) - x
@@ -343,63 +356,61 @@ def _suite_eq10(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
     def associator(x: WeylPolynomial, y: WeylPolynomial, z: WeylPolynomial) -> WeylPolynomial:
         return weyl_product(weyl_product(x, y), z) - weyl_product(x, weyl_product(y, z))
 
-    # The agreement is bilinear, so the exhaustive monomial check above
+    pairs = ((a, b) for a in _monomials(max_degree) for b in _monomials(max_degree - a.degree))
+    # The agreement is bilinear, so the exhaustive monomial check
     # carries the degree load; random pairs exercise multi-term
     # coefficient handling at expansion-friendly exponents.
     bound = max(1, max_degree // 2)
-    return [
-        _check("two-step-agreement-monomials", monomial_pairs()),
-        _check("two-step-agreement-random", _random_cases(rng, cases, 2, bound, agreement)),
-        _check("unit", _random_cases(rng, cases, 1, max_degree, unit)),
-        _check("commutativity", _random_cases(rng, cases, 2, max_degree, commutator)),
-        _check("associativity", _random_cases(rng, cases, 3, max_degree, associator)),
-        _check("bilinearity", _bilinearity(rng, cases, max_degree, weyl_product)),
-    ]
+    return _run(
+        ("two-step-agreement-monomials", _cases("{} , {}", pairs, _on_monomials(agreement))),
+        ("two-step-agreement-random", _random_cases(rng, cases, 2, bound, agreement)),
+        ("unit", _random_cases(rng, cases, 1, max_degree, unit)),
+        ("commutativity", _random_cases(rng, cases, 2, max_degree, commutator)),
+        ("associativity", _random_cases(rng, cases, 3, max_degree, associator)),
+        ("bilinearity", _bilinearity(rng, cases, max_degree, weyl_product)),
+    )
 
 
 def _suite_eq11(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
-    def monomials() -> Iterable[tuple[Label, FreePolynomial]]:
-        for n in range(max_degree + 1):
-            coeffs = [Fraction(0)] * n + [Fraction(1)]
-            yield _label("V = q^{}", n), check_anticommutator_identity(coeffs).difference
+    def anticommutator(coeffs: list[Fraction]) -> FreePolynomial:
+        return check_anticommutator_identity(coeffs).difference
 
-    def random_potentials() -> Iterable[tuple[Label, FreePolynomial]]:
-        for _ in range(cases):
-            coeffs = [
-                rng.choice(_COEFF_POOL) if rng.random() < 0.7 else Fraction(0)
-                for _ in range(rng.randint(1, max_degree + 1))
-            ]
-            yield _label("V coeffs {}", coeffs), check_anticommutator_identity(coeffs).difference
+    def monomial(n: int) -> FreePolynomial:
+        return anticommutator([Fraction(0)] * n + [Fraction(1)])
 
-    return [
-        _check("anticommutator-monomials", monomials()),
-        _check("anticommutator-random", random_potentials()),
-    ]
+    def potential() -> list[Fraction]:
+        return [
+            rng.choice(_COEFF_POOL) if rng.random() < 0.7 else Fraction(0)
+            for _ in range(rng.randint(1, max_degree + 1))
+        ]
+
+    powers = ((n,) for n in range(max_degree + 1))
+    draws = ((potential(),) for _ in range(cases))
+    return _run(
+        ("anticommutator-monomials", _cases("V = q^{}", powers, monomial)),
+        ("anticommutator-random", _cases("V coeffs {}", draws, anticommutator)),
+    )
 
 
 def _suite_eq12(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
-    def closure(wrt: Letter, deriv: Letter | None) -> Iterable[tuple[Label, FreePolynomial]]:
-        bound = max_degree - (1 if deriv else 0)
-        for mono in _monomials(max(bound, 0)):
-            mono = WeylMonomial(mono.n, mono.m, deriv)
-            poly = WeylPolynomial.from_monomial(mono)
-            direct = partial_derivative(expand(mono), wrt)
-            via_basis = expand_polynomial(weyl_derivative(poly, wrt))
-            yield _label("d/d{} {}", wrt.symbol, mono), direct - via_basis
+    def closure(wrt: Letter, mono: WeylMonomial) -> FreePolynomial:
+        direct = partial_derivative(expand(mono), wrt)
+        return direct - expand_polynomial(weyl_derivative(WeylPolynomial.from_monomial(mono), wrt))
 
-    return [
-        _check("derivative-closure-q", closure(Letter.Q, None)),
-        _check("derivative-closure-p", closure(Letter.P, None)),
-        _check(
-            "derivative-closure-with-state-derivative",
-            (
-                case
-                for deriv in (Letter.DRHO_Q, Letter.DRHO_P)
-                for wrt in (Letter.Q, Letter.P)
-                for case in closure(wrt, deriv)
-            ),
-        ),
-    ]
+    def monomials(wrts: tuple[Letter, ...], derivs: tuple[Letter | None, ...]) -> Cases:
+        inputs = (
+            (wrt, WeylMonomial(mono.n, mono.m, deriv))
+            for deriv in derivs
+            for wrt in wrts
+            for mono in _monomials(max(max_degree - (1 if deriv else 0), 0))
+        )
+        return _cases("d/d{0.symbol} {1}", inputs, closure)
+
+    return _run(
+        ("derivative-closure-q", monomials((Letter.Q,), (None,))),
+        ("derivative-closure-p", monomials((Letter.P,), (None,))),
+        ("derivative-closure-with-state-derivative", monomials((Letter.Q, Letter.P), _DERIVS)),
+    )
 
 
 def _suite_eq14(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
@@ -416,101 +427,85 @@ def _suite_eq14(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
 
         return residual
 
-    def ordinary_gap() -> Iterable[tuple[Label, FreePolynomial]]:
+    def ordinary_gap() -> FreePolynomial:
         f = WeylPolynomial.from_monomial(WeylMonomial(2, 0))
         g = WeylPolynomial.from_monomial(WeylMonomial(0, 2))
         h = WeylPolynomial.from_monomial(WeylMonomial(1, 1))
-        gap = leibniz_ordinary_product_gap(f, g, h)
         # This check records that the rule *fails* for the ordinary product:
         # a zero gap would be the failure.
-        label = _label("S(q^2) , S(p^2) , q o p (ordinary-product variant stays unequal)")
-        if gap.is_zero:
-            yield label, FreePolynomial.one()
-        else:
-            yield label, FreePolynomial.zero()
+        return _holds(not leibniz_ordinary_product_gap(f, g, h).is_zero)
 
     def antisymmetry(f: WeylPolynomial, g: WeylPolynomial) -> WeylPolynomial:
         return symmetrized_poisson_bracket(f, g) + symmetrized_poisson_bracket(g, f)
 
-    return [
-        _check(
-            "leibniz-symmetric-product-monomials", _monomial_triples(max_degree, tabled_leibniz)
-        ),
-        _check(
-            "leibniz-symmetric-product-random", _random_cases(rng, cases, 3, max_degree, leibniz)
-        ),
-        _check("leibniz-ordinary-product-gap", ordinary_gap()),
-        _check("antisymmetry", _random_cases(rng, cases, 2, max_degree, antisymmetry)),
-        _check("bilinearity", _bilinearity(rng, cases, max_degree, symmetrized_poisson_bracket)),
-    ]
+    gap = "S(q^2) , S(p^2) , q o p (ordinary-product variant stays unequal)"
+    return _run(
+        ("leibniz-symmetric-product-monomials", _monomial_triples(max_degree, tabled_leibniz)),
+        ("leibniz-symmetric-product-random", _random_cases(rng, cases, 3, max_degree, leibniz)),
+        ("leibniz-ordinary-product-gap", _cases(gap, [()], ordinary_gap)),
+        ("antisymmetry", _random_cases(rng, cases, 2, max_degree, antisymmetry)),
+        ("bilinearity", _bilinearity(rng, cases, max_degree, symmetrized_poisson_bracket)),
+    )
 
 
 def _suite_eq18_19(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
-    def momentum_pairing() -> Iterable[tuple[Label, FreePolynomial]]:
-        for deriv in (Letter.DRHO_Q, Letter.DRHO_P):
-            half = HbarScalar.real(Fraction(1, 2))
-            expected = FreePolynomial(
-                [
-                    (Word.of(Letter.P, deriv), half),
-                    (Word.of(deriv, Letter.P), half),
-                ]
-            )
-            yield _label("p o {}", deriv.symbol), expand(WeylMonomial(0, 1, deriv)) - expected
+    def momentum(deriv: Letter) -> FreePolynomial:
+        half = HbarScalar.real(Fraction(1, 2))
+        pair = (Word.of(Letter.P, deriv), half), (Word.of(deriv, Letter.P), half)
+        return expand(WeylMonomial(0, 1, deriv)) - FreePolynomial(pair)
 
-    def coordinate_powers() -> Iterable[tuple[Label, FreePolynomial]]:
-        for deriv in (Letter.DRHO_Q, Letter.DRHO_P):
-            for n in range(max_degree + 1):
-                coeff = HbarScalar.real(Fraction(1, n + 1))
-                expected = FreePolynomial(
-                    (
-                        Word.of(*([Letter.Q] * k + [deriv] + [Letter.Q] * (n - k))),
-                        coeff,
-                    )
-                    for k in range(n + 1)
-                )
-                label = _label("q^{} o {}", n, deriv.symbol)
-                yield label, expand(WeylMonomial(n, 0, deriv)) - expected
+    def coordinate_power(n: int, deriv: Letter) -> FreePolynomial:
+        coeff = HbarScalar.real(Fraction(1, n + 1))
+        expected = FreePolynomial(
+            (Word.of(*([Letter.Q] * k + [deriv] + [Letter.Q] * (n - k))), coeff)
+            for k in range(n + 1)
+        )
+        return expand(WeylMonomial(n, 0, deriv)) - expected
 
-    return [
-        _check("momentum-with-state-derivative", momentum_pairing()),
-        _check("coordinate-powers-with-state-derivative", coordinate_powers()),
-    ]
+    powers = ((n, deriv) for deriv in _DERIVS for n in range(max_degree + 1))
+    return _run(
+        ("momentum-with-state-derivative", _cases("p o {0.symbol}", zip(_DERIVS), momentum)),
+        (
+            "coordinate-powers-with-state-derivative",
+            _cases("q^{0} o {1.symbol}", powers, coordinate_power),
+        ),
+    )
+
+
+def _von_neumann(f: WeylPolynomial) -> FreePolynomial:
+    return check_von_neumann_equivalence(f).difference
 
 
 def _suite_eq20(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
-    def hamiltonians() -> Iterable[tuple[Label, FreePolynomial]]:
-        for _ in range(cases):
-            mass = rng.choice((1, 2, 3, 4))
-            kinetic = WeylPolynomial.from_monomial(
-                WeylMonomial(0, 2), HbarScalar.real(Fraction(1, 2 * mass))
-            )
-            potential = WeylPolynomial(
-                (WeylMonomial(n, 0), _random_coeff(rng))
-                for n in range(rng.randint(1, max_degree + 1))
-                if rng.random() < 0.8
-            )
-            hamiltonian = kinetic + potential
-            label = _label("H = p^2/{} + {}", 2 * mass, potential)
-            yield label, check_von_neumann_equivalence(hamiltonian).difference
+    def random_potential() -> WeylPolynomial:
+        return WeylPolynomial(
+            (WeylMonomial(n, 0), _random_coeff(rng))
+            for n in range(rng.randint(1, max_degree + 1))
+            if rng.random() < 0.8
+        )
 
-    return [_check("kinetic-plus-potential", hamiltonians())]
+    def equivalence(two_m: int, potential: WeylPolynomial) -> FreePolynomial:
+        kinetic = WeylPolynomial.from_monomial(
+            WeylMonomial(0, 2), HbarScalar.real(Fraction(1, two_m))
+        )
+        return _von_neumann(kinetic + potential)
+
+    draws = ((2 * rng.choice((1, 2, 3, 4)), random_potential()) for _ in range(cases))
+    return _run(("kinetic-plus-potential", _cases("H = p^2/{} + {}", draws, equivalence)))
 
 
 def _suite_eq21(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
-    def equivalence(f: WeylPolynomial) -> FreePolynomial:
-        return check_von_neumann_equivalence(f).difference
-
-    monomials = _monomials(max_degree)
-    return [
-        _check(
+    monomials = zip(_monomials(max_degree))
+    return _run(
+        (
             "bracket-commutator-equivalence-monomials",
-            ((_label("{}", m), equivalence(WeylPolynomial.from_monomial(m))) for m in monomials),
+            _cases("{}", monomials, _on_monomials(_von_neumann)),
         ),
-        _check(
+        (
             "bracket-commutator-equivalence-random",
-            _random_cases(rng, cases, 1, max_degree // 2 or 1, equivalence),
+            _random_cases(rng, cases, 1, max_degree // 2 or 1, _von_neumann),
         ),
-    ]
+    )
 
 
 def _jacobiator(
@@ -544,23 +539,23 @@ def _suite_jacobi(max_degree: int, cases: int, rng: random.Random) -> list[Check
 
         return residual
 
-    return [
-        _check("jacobi-monomials", _monomial_triples(max_degree, tabled_jacobiator)),
-        _check("jacobi-random", _random_cases(rng, cases, 3, max_degree, jacobiator)),
-    ]
+    return _run(
+        ("jacobi-monomials", _monomial_triples(max_degree, tabled_jacobiator)),
+        ("jacobi-random", _random_cases(rng, cases, 3, max_degree, jacobiator)),
+    )
 
 
 def _suite_hermiticity(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
-    def expansions() -> Iterable[tuple[Label, FreePolynomial]]:
-        for mono in _monomials(max_degree):
-            expanded = expand(mono)
-            yield _label("{}", mono), adjoint(expanded) - expanded
+    def self_adjoint(mono: WeylMonomial) -> FreePolynomial:
+        expanded = expand(mono)
+        return adjoint(expanded) - expanded
 
-    return [_check("self-adjoint-expansions", expansions())]
+    monomials = zip(_monomials(max_degree))
+    return _run(("self-adjoint-expansions", _cases("{}", monomials, self_adjoint)))
 
 
 def _suite_obstruction(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
-    def groenewold() -> Iterable[tuple[Label, FreePolynomial | WeylPolynomial]]:
+    def groenewold() -> Cases:
         report = check_obstruction(
             (ClassicalPolynomial.from_monomial(3, 0), ClassicalPolynomial.from_monomial(0, 3)),
             (ClassicalPolynomial.from_monomial(2, 1), ClassicalPolynomial.from_monomial(1, 2)),
@@ -581,10 +576,10 @@ def _suite_obstruction(max_degree: int, cases: int, rng: random.Random) -> list[
                 report.scale,
                 report.commutator_difference,
             ),
-            FreePolynomial.zero() if discrepancy_ok else FreePolynomial.one(),
+            _holds(discrepancy_ok),
         )
 
-    def trivial_pair() -> Iterable[tuple[Label, FreePolynomial | WeylPolynomial]]:
+    def trivial_pair() -> Cases:
         report = check_obstruction(
             (ClassicalPolynomial.from_monomial(1, 0), ClassicalPolynomial.from_monomial(0, 1)),
             (ClassicalPolynomial.from_monomial(1, 0), ClassicalPolynomial.from_monomial(0, 1)),
@@ -592,38 +587,36 @@ def _suite_obstruction(max_degree: int, cases: int, rng: random.Random) -> list[
         yield _label("(q, p) vs (q, p): symmetric"), report.symmetrized_difference
         yield _label("(q, p) vs (q, p): commutator"), report.commutator_difference
 
-    def correspondence() -> Iterable[tuple[Label, WeylPolynomial]]:
-        for _ in range(cases):
-            f, g = _random_classical(rng, max_degree), _random_classical(rng, max_degree)
-            lhs = quantize(poisson_bracket_classical(f, g))
-            qf, qg = quantize(f), quantize(g)
-            rhs = symmetrized_poisson_bracket(qf, qg)
-            yield _label("{} , {}", qf, qg), lhs - rhs
+    def draw() -> tuple:
+        f, g = _random_classical(rng, max_degree), _random_classical(rng, max_degree)
+        return quantize(f), quantize(g), f, g
 
-    return [
-        _check("groenewold-pair", groenewold()),
-        _check("trivial-pair", trivial_pair()),
-        _check("classical-correspondence", correspondence()),
-    ]
+    def correspondence(qf: WeylPolynomial, qg: WeylPolynomial, f, g) -> WeylPolynomial:
+        return quantize(poisson_bracket_classical(f, g)) - symmetrized_poisson_bracket(qf, qg)
+
+    draws = (draw() for _ in range(cases))
+    return _run(
+        ("groenewold-pair", groenewold()),
+        ("trivial-pair", trivial_pair()),
+        ("classical-correspondence", _cases("{} , {}", draws, correspondence)),
+    )
 
 
 def _suite_oracle(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
-    def verdicts() -> Iterable[tuple[Label, FreePolynomial]]:
+    def draws() -> Iterable[tuple[FreePolynomial, ...]]:
         for _ in range(cases):
             a = _random_free(rng, max_degree)
             normal_a = normal_order(a)
             if rng.random() < 0.5:
-                b = normal_b = normal_a  # the normal form is idempotent
+                yield a, normal_a, normal_a, normal_a  # the normal form is idempotent
             else:
                 b = _random_free(rng, max_degree)
-                normal_b = normal_order(b)
-            agree = oracle_equal(a, b) == (normal_a == normal_b)
-            yield (
-                _label("{} vs {}", a, b),
-                FreePolynomial.zero() if agree else FreePolynomial.one(),
-            )
+                yield a, b, normal_a, normal_order(b)
 
-    return [_check("normal-form-vs-representation", verdicts())]
+    def verdict(a, b, normal_a: FreePolynomial, normal_b: FreePolynomial) -> FreePolynomial:
+        return _holds(oracle_equal(a, b) == (normal_a == normal_b))
+
+    return _run(("normal-form-vs-representation", _cases("{} vs {}", draws(), verdict)))
 
 
 _SUITES: dict[str, Callable[[int, int, random.Random], list[CheckResult]]] = {

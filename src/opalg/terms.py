@@ -21,6 +21,7 @@ checker's reference route may share a loop with its fast path, never a hook.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
 from .scalars import ZERO, HbarScalar, RationalLike, _scaled_product
@@ -48,6 +49,31 @@ def sum_into(acc: Slots, terms: Iterable[tuple[tuple[Any, int], HbarScalar]]) ->
 def read_only(self: object, name: str, *value: object) -> None:
     """``__setattr__`` and ``__delattr__`` of immutable classes."""
     raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class TaggedTuple(tuple):
+    """A value stored as the tuple of its fields followed by a class tag.
+
+    The tag keeps values of different classes unequal to each other and to
+    plain tuples, while hashing and ``==`` stay tuple's and run in C.  A
+    subclass names its fields in ``_fields`` and gets one read-only property
+    per field; it builds the stored tuple in its own ``__new__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for index, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(index)))
+
+    def __reduce__(self):
+        return type(self), self[:-1]
+
+    def __repr__(self) -> str:
+        # Index the fields: a subclass may iterate as something else.
+        fields = ", ".join(f"{name}={self[i]!r}" for i, name in enumerate(self._fields))
+        return f"{type(self).__name__}({fields})"
 
 
 class GradedTerms:

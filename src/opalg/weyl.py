@@ -19,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from operator import itemgetter
 
 from .combinatorics import multiset_permutations
 from .core import (
@@ -33,14 +32,14 @@ from .core import (
 )
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, ONE
-from .terms import GradedTerms, bilinear, linear_map, sum_into
+from .terms import GradedTerms, TaggedTuple, bilinear, linear_map, sum_into
 
 _DERIV_RANK = {None: 0, Letter.DRHO_Q: 1, Letter.DRHO_P: 2}
 # Bound once: reading a member off ``Letter`` costs about 0.1 us on a hot path.
 _LETTER_Q, _LETTER_P, _LETTER_RHO, _LETTER_DRHO_Q, _LETTER_DRHO_P = Letter
 
 
-class WeylMonomial(tuple):
+class WeylMonomial(TaggedTuple):
     """The symmetrization of any word with ``n`` q's, ``m`` p's and at most
     one state-derivative letter.
 
@@ -51,6 +50,7 @@ class WeylMonomial(tuple):
     :func:`~opalg.brackets._monomial_bracket`, unpack the tuple."""
 
     __slots__ = ()
+    _fields = ("n", "m", "deriv")
 
     def __new__(cls, n: int, m: int, deriv: Letter | None = None) -> WeylMonomial:
         if not (isinstance(n, int) and isinstance(m, int)):
@@ -60,16 +60,6 @@ class WeylMonomial(tuple):
         if deriv is not None and deriv not in DERIVATIVE_LETTERS:
             raise ValueError("deriv must be None, DRHO_Q or DRHO_P")
         return tuple.__new__(cls, (n, m, deriv, WeylMonomial))
-
-    n = property(itemgetter(0))
-    m = property(itemgetter(1))
-    deriv = property(itemgetter(2))
-
-    def __reduce__(self):
-        return WeylMonomial, (self.n, self.m, self.deriv)
-
-    def __repr__(self) -> str:
-        return f"WeylMonomial(n={self.n!r}, m={self.m!r}, deriv={self.deriv!r})"
 
     @property
     def degree(self) -> int:

@@ -244,3 +244,68 @@ def test_failure_labels_show_their_own_case(monkeypatch, suite, op_name, failing
         if check.name in failing:
             assert len(inputs) == check.cases and len(set(inputs)) > 1, check.name
     assert failing <= {check.name for check in report.checks}
+
+
+# -- lazy cases -----------------------------------------------------------------
+
+# The identity operations the suites call, looked up as module globals.
+SPIED = (
+    "symmetrize",
+    "weyl_product",
+    "symmetrized_poisson_bracket",
+    "expand",
+    "expand_polynomial",
+    "normal_order",
+    "oracle_equal",
+    "quantize",
+    "poisson_bracket_classical",
+    "leibniz_ordinary_product_gap",
+    "_leibniz",
+    "check_anticommutator_identity",
+    "check_leibniz",
+    "check_obstruction",
+    "check_von_neumann_equivalence",
+)
+
+
+def test_every_residual_is_computed_while_its_check_iterates(monkeypatch):
+    # The benchmark times a case as the time the check builder spends
+    # advancing the check's iterator, so identity work done in a suite body
+    # instead would go untimed.
+    iterating = False
+    calls, outside = Counter(), Counter()
+
+    def spy(name, op):
+        def spied(*args):
+            calls[name] += 1
+            if not iterating:
+                outside[name] += 1
+            return op(*args)
+
+        return spied
+
+    for name in SPIED:
+        monkeypatch.setattr(suites, name, spy(name, getattr(suites, name)))
+    build = suites._check
+
+    def advancing(name, cases):
+        def advance():
+            nonlocal iterating
+            iterator = iter(cases)
+            while True:
+                iterating = True
+                try:
+                    case = next(iterator)
+                except StopIteration:
+                    return
+                finally:
+                    iterating = False
+                yield case
+
+        return build(name, advance())
+
+    monkeypatch.setattr(suites, "_check", advancing)
+    report = run_suite("all", max_degree=2, cases=3, seed=0)
+    assert report.passed
+    assert set(calls) == set(SPIED)
+    assert outside == Counter()
