@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import DERIVATIVE_LETTERS, FreePolynomial, Letter, Word, _word, normal_order
+from .core import FreePolynomial, Letter, Word, _P, _Q, _from_counts, normal_order
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, INV_I_HBAR, ONE, RationalLike
-from .terms import GradedTerms, bilinear, linear_map, sum_into
+from .terms import GradedTerms, bilinear, linear_map
 from .weyl import (
     WeylMonomial,
     _monomial,
@@ -103,12 +103,50 @@ def commutator_bracket(
 
     Each operand is brought to normal form once by
     :func:`~opalg.weyl.normal_form`, which reads a Weyl operand's from its
-    exponents (McCoy) without listing its words, so the products have one
-    word pair per pair of normal-form terms rather than per pair of source
-    words.
+    exponents (McCoy) without listing its words.  The product of two normal
+    words ``H p^b`` and ``q^c T`` is out of order only at the junction:
+    it is ``sum_k k! C(b,k) C(c,k) (-i*hbar)^k H q^(c-k) p^(b-k) T``, every
+    word of which is normal.  So no product is formed and nothing is
+    normal-ordered: both orders of each term pair add their integer counts,
+    ``+`` and ``-``, to one count map under ``cf * cg``, and the leading
+    terms cancel as ints.  The README's "Why normal ordering needs no
+    rewriting" derives the junction formula.
     """
-    nf, ng = normal_form(f), normal_form(g)
-    return normal_order(nf * ng - ng * nf).scale(INV_I_HBAR)
+    sides_f, sides_g = _junction_sides(normal_form(f)), _junction_sides(normal_form(g))
+    counts_by_coeff: dict[HbarScalar, dict] = {}
+    for head_f, b_f, c_f, tail_f, cf in sides_f:
+        for head_g, b_g, c_g, tail_g, cg in sides_g:
+            counts = counts_by_coeff.setdefault(cf * cg, {})
+            _add_junction(counts, head_f, b_f, c_g, tail_g, 1)
+            _add_junction(counts, head_g, b_g, c_f, tail_f, -1)
+    return _from_counts({c * INV_I_HBAR: counts for c, counts in counts_by_coeff.items()})
+
+
+def _junction_sides(x: FreePolynomial) -> list[tuple]:
+    """Each term of the normal value ``x`` as ``(H, b, c, T, coeff)``, its
+    word being both ``H p^b`` and ``q^c T`` with ``b`` and ``c`` maximal."""
+    Q, P = Letter.Q, Letter.P
+    sides = []
+    for (word, _), coeff in x._terms.items():
+        letters = word.letters
+        size = len(letters)
+        b = c = 0
+        while b < size and letters[size - 1 - b] is P:
+            b += 1
+        while c < size and letters[c] is Q:
+            c += 1
+        sides.append((letters[: size - b], b, c, letters[c:], coeff))
+    return sides
+
+
+def _add_junction(counts: dict, head: tuple, b: int, c: int, tail: tuple, sign: int) -> None:
+    """Add ``sign`` times the normal form of ``head p^b q^c tail`` to the
+    count map ``counts`` of full-word slots ``(letters, 0, k)``."""
+    n = sign  # sign * k! C(b,k) C(c,k), exact at every step
+    for k in range(min(b, c) + 1):
+        slot = (head + _Q * (c - k) + _P * (b - k) + tail, 0, k)
+        counts[slot] = counts.get(slot, 0) + n
+        n = n * (b - k) * (c - k) // (k + 1)
 
 
 def symmetrized_poisson_bracket(
@@ -167,34 +205,37 @@ def substitute_drho(x: FreePolynomial) -> FreePolynomial:
     Words without derivative letters pass through unchanged.
 
     Each word is scanned once and its ``d`` derivative letters give all
-    ``2**d`` replacement words at once.  Each one's coefficient is
-    ``c / (i*hbar)**d`` or its negative, negated once per ``rho q`` from a
-    ``drho_p`` and once per ``p rho`` from a ``drho_q``; the two scalars
-    are made once per distinct ``(c, d)``.
+    ``2**d`` replacement words at once (the word itself when ``d = 0``).
+    Each one's coefficient is ``c / (i*hbar)**d`` or its negative, negated
+    once per ``rho q`` from a ``drho_p`` and once per ``p rho`` from a
+    ``drho_q``.  Count, then scale: each replacement word adds ``+1`` or
+    ``-1`` to its count under ``c / (i*hbar)**d``, made once per run of
+    words that share ``c``'s object and ``d``, as an expansion's words do.
+    So the telescoping cancellation between words happens in ints, and
+    :func:`~opalg.core._from_counts` makes one scalar per surviving count.
     """
     Q, P, RHO, DRHO_Q, DRHO_P = Letter
-    terms, scalars = [], {}
-    for (word, grade), coeff in x._terms.items():
+    counts_by_coeff: dict[HbarScalar, dict] = {}
+    last = last_d = None
+    for (word, _), coeff in x._terms.items():
         letters = word.letters
-        if DERIVATIVE_LETTERS.isdisjoint(letters):
-            terms.append(((word, grade), coeff))
-            continue
-        heads, start, d = [((), False)], 0, 0  # (letters before start, negated)
+        heads, start, d = [((), 1)], 0, 0  # (letters before start, sign)
         for i, letter in enumerate(letters):
             if letter is DRHO_P or letter is DRHO_Q:
-                other, is_q = (P, True) if letter is DRHO_Q else (Q, False)
-                choices = (((other, RHO), is_q), ((RHO, other), not is_q))
+                other, sign = (P, -1) if letter is DRHO_Q else (Q, 1)
+                choices = (((other, RHO), sign), ((RHO, other), -sign))
                 part, start, d = letters[start:i], i + 1, d + 1
-                heads = [(h + part + pair, neg ^ flip) for h, neg in heads for pair, flip in choices]
-        signed = scalars.get((coeff, d))
-        if signed is None:
-            c = coeff
+                heads = [(h + part + pair, s * flip) for h, s in heads for pair, flip in choices]
+        if coeff is not last or d != last_d:
+            last, last_d, c = coeff, d, coeff
             for _ in range(d):
                 c = c * INV_I_HBAR
-            signed = scalars[coeff, d] = (c, -c)
-        tail, grade = letters[start:], grade - d
-        terms += [((_word(head + tail), grade), signed[neg]) for head, neg in heads]
-    return FreePolynomial._of(sum_into({}, terms))
+            counts = counts_by_coeff.setdefault(c, {})
+        tail = letters[start:]
+        for head, sign in heads:
+            slot = (head + tail, 0, 0)
+            counts[slot] = counts.get(slot, 0) + sign
+    return _from_counts(counts_by_coeff)
 
 
 # -- checkers ------------------------------------------------------------

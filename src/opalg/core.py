@@ -263,7 +263,9 @@ def _arrangement_counts(sets: Iterable[tuple[int, int, HbarScalar]]) -> dict[Hba
 
 
 def _from_counts(counts_by_coeff: dict[HbarScalar, dict]) -> FreePolynomial:
-    """The free polynomial of per-coefficient count maps ``(head, b, k) -> n``.
+    """The free polynomial of per-coefficient count maps ``(head, b, k) -> n``,
+    each count standing for ``n c (-i*hbar)^k head p^b``; a caller that
+    counts whole words passes ``(letters, 0, k)``.
 
     Of ``c`` and ``-c``, the map of the one seen second is folded into the
     map of the one seen first with negated counts, so that their terms

@@ -25,9 +25,9 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import wraps
 from itertools import groupby
+from math import gcd
 from typing import Callable
 
 from .core import FreePolynomial, Letter, Word
@@ -75,23 +75,38 @@ def _display_terms(x: Result) -> list[tuple[object, HbarScalar]]:
 # -- shared coefficient and word formatting ----------------------------------
 
 
-def _positive_rational(value: Fraction) -> str:
-    return str(value) if value.denominator == 1 else f"({value})"
+# A rational is passed as its reduced ``(num, den)``, ``den > 0``, read from
+# the scalar's ints: ``str`` of a ``Fraction`` is ``num`` or ``num/den``.
 
 
-def _latex_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value)
-    sign = "-" if value < 0 else ""
-    return rf"{sign}\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+def _rational(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _positive_rational(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"({num}/{den})"
+
+
+def _latex_rational(num: int, den: int) -> str:
+    if den == 1:
+        return str(num)
+    sign = "-" if num < 0 else ""
+    return rf"{sign}\frac{{{abs(num)}}}{{{den}}}"
+
+
+def _parts(c: HbarScalar) -> tuple[int, int, int, int]:
+    """``re`` and ``im`` of ``c`` as reduced ``(num, den)`` pairs."""
+    re, im, den = c._re, c._im, c._den
+    g, h = gcd(re, den), gcd(im, den)
+    return re // g, den // g, im // h, den // h
 
 
 @dataclass(frozen=True)
 class _Style:
     """What differs between the text and LaTeX renderings of one term."""
 
-    magnitude: Callable[[Fraction], str]  # a lone coefficient magnitude
-    rational: Callable[[Fraction], str]  # a part of a mixed complex number
+    magnitude: Callable[[int, int], str]  # a lone coefficient magnitude
+    rational: Callable[[int, int], str]  # a part of a mixed complex number
     mixed: str  # wrapper around a mixed complex number
     power: str  # base raised to an exponent other than 1
     hbar: str
@@ -101,13 +116,15 @@ class _Style:
         return base if exponent == 1 else self.power.format(base, exponent)
 
 
+_SYMBOLS = {letter: letter.symbol for letter in Letter}
+
 _TEXT = _Style(
     magnitude=_positive_rational,
-    rational=str,
+    rational=_rational,
     mixed="({})",
     power="{}^{}",
     hbar="hbar",
-    letters={letter: letter.symbol for letter in Letter},
+    letters=_SYMBOLS,
 )
 
 _LATEX = _Style(
@@ -129,23 +146,23 @@ _LATEX = _Style(
 def _coeff_tokens(c: HbarScalar, style: _Style) -> tuple[int, list[str]]:
     """Sign of the term plus its coefficient tokens (magnitude-1 omitted)."""
     tokens: list[str] = []
-    re, im = c.re, c.im
+    re, re_den, im, im_den = _parts(c)
     if re and im:
         sign = 1
-        im_body = "i" if abs(im) == 1 else f"{style.rational(abs(im))} i"
+        im_body = "i" if im_den == 1 and abs(im) == 1 else f"{style.rational(abs(im), im_den)} i"
         op = "+" if im > 0 else "-"
-        tokens.append(style.mixed.format(f"{style.rational(re)} {op} {im_body}"))
+        tokens.append(style.mixed.format(f"{style.rational(re, re_den)} {op} {im_body}"))
     elif re:
         sign = 1 if re > 0 else -1
-        if abs(re) != 1:
-            tokens.append(style.magnitude(abs(re)))
+        if re_den != 1 or abs(re) != 1:
+            tokens.append(style.magnitude(abs(re), re_den))
     else:
         sign = 1 if im > 0 else -1
-        if abs(im) != 1:
-            tokens.append(style.magnitude(abs(im)))
+        if im_den != 1 or abs(im) != 1:
+            tokens.append(style.magnitude(abs(im), im_den))
         tokens.append("i")
-    if c.hbar_power:
-        tokens.append(style.raised(style.hbar, c.hbar_power))
+    if c._power:
+        tokens.append(style.raised(style.hbar, c._power))
     return sign, tokens
 
 
@@ -243,24 +260,29 @@ def result_to_json_dict(x: Result) -> dict:
     terms = []
     for key, run in groupby(_display_terms(x), key=lambda term: term[0]):
         if free:
-            word_json: object = [letter.symbol for letter in key]  # type: ignore[union-attr]
+            word_json: object = [_SYMBOLS[ltr] for ltr in key.letters]  # type: ignore[union-attr]
         else:
             word_json = {
                 "n": key.n,  # type: ignore[union-attr]
                 "m": key.m,  # type: ignore[union-attr]
-                "deriv": key.deriv.symbol if key.deriv else None,  # type: ignore[union-attr]
+                "deriv": _SYMBOLS[key.deriv] if key.deriv else None,  # type: ignore[union-attr]
             }
         terms.append(
             {
                 "word": word_json,
                 "coeff": {
                     "hbar_powers": {
-                        str(c.hbar_power): {"re": str(c.re), "im": str(c.im)} for _, c in run
+                        str(c._power): _json_coeff(c) for _, c in run
                     }
                 },
             }
         )
     return {"basis": "free" if free else "weyl", "terms": terms}
+
+
+def _json_coeff(c: HbarScalar) -> dict[str, str]:
+    re, re_den, im, im_den = _parts(c)
+    return {"re": _rational(re, re_den), "im": _rational(im, im_den)}
 
 
 def render_json(x: Result) -> str:

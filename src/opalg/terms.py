@@ -16,6 +16,13 @@ terms straight into a slot map and wrap it with the private, unchecked
 :meth:`GradedTerms._of`: :func:`bilinear` for products and brackets,
 :func:`linear_map` for derivatives, :func:`sum_into` for sums.  A
 checker's reference route may share a loop with its fast path, never a hook.
+
+Count, then scale: where many terms share one coefficient object, as the
+words of an expansion do, an operation pays one scalar operation per
+coefficient rather than per term.  :func:`bilinear` reuses ``cx * cy`` along
+a run of one ``cy``; the symmetrizer, the state-derivative substitution and
+the commutator count integer multiplicities per coefficient and scale once
+per surviving slot, as :func:`~opalg.core.normal_order` does.
 """
 
 from __future__ import annotations
@@ -190,11 +197,16 @@ def bilinear(x: GradedTerms, y: GradedTerms, product: Callable[[Any, Any], tuple
 
 
 def _pair_terms(x_terms, y_terms, product):
+    """Each pair's ``cx * cy`` is reused while ``cy`` is the same object as
+    the previous ``y`` term's, as along the words of one expansion."""
     for (kx, gx), cx in x_terms:
+        last = None
         for (ky, gy), cy in y_terms:
             key, factor = product(kx, ky)
             if factor == 1:
-                yield (key, gx + gy), cx * cy
+                if cy is not last:
+                    last, cxy = cy, cx * cy
+                yield (key, gx + gy), cxy
             elif factor:
                 yield (key, gx + gy), _scaled_product(cx, cy, factor)
 

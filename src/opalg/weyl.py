@@ -132,20 +132,32 @@ def symmetrize(x: FreePolynomial) -> WeylPolynomial:
     monomial of its letter counts, the source ordering being irrelevant.
     Negative grades never reach the symmetrizer in a well-formed pipeline
     (bracket prefactors stay outside it), so they are rejected loudly.
+
+    Count, then scale: the words of one monomial under one coefficient
+    object, as a product of expansions emits them, are counted as an int
+    and multiply the coefficient once.  Distinct objects, equal or
+    opposite, add as scalars.
     """
-    return WeylPolynomial._of(sum_into({}, _grade_zero_monomials(x)))
-
-
-def _grade_zero_monomials(x: FreePolynomial):
-    """The ``((monomial, 0), coeff)`` slots of ``x``'s grade-0 terms, in
-    order; a negative grade is rejected."""
+    groups: dict[int, tuple[HbarScalar, dict]] = {}  # id(coeff) -> (coeff, monomial counts)
+    last = None
     for (word, grade), coeff in x._terms.items():
-        if grade < 0:
-            raise UnsupportedFragmentError(
-                "the symmetrizer is not defined on negative hbar grades"
-            )
-        if grade == 0:
-            yield (_monomial_of_word(word), 0), coeff
+        if grade:
+            if grade < 0:
+                raise UnsupportedFragmentError(
+                    "the symmetrizer is not defined on negative hbar grades"
+                )
+            continue
+        if coeff is not last:
+            last = coeff
+            counts = groups.setdefault(id(coeff), (coeff, {}))[1]
+        monomial = _monomial_of_word(word)
+        counts[monomial] = counts.get(monomial, 0) + 1
+    terms = (
+        ((monomial, 0), coeff if n == 1 else coeff * n)
+        for coeff, counts in groups.values()
+        for monomial, n in counts.items()
+    )
+    return WeylPolynomial._of(sum_into({}, terms))
 
 
 # Bounded memo; no benchmark workload uses more than 73 keys, so it evicts none.
@@ -174,13 +186,17 @@ def expand_polynomial(x: WeylPolynomial) -> FreePolynomial:
     """Linear extension of :func:`expand` to whole Weyl polynomials.
 
     All arrangements of a monomial share one coefficient, so each Weyl term
-    makes one scalar.
+    makes one scalar.  Nothing merges: two distinct monomials of one grade
+    differ in their letter counts, so their expansions share no word.
     """
     slots: dict = {}
     for (monomial, grade), coeff in x._terms.items():
-        words = expand(monomial)._terms
+        words = expand(monomial)._terms  # slots (word, 0)
         scalar = coeff * next(iter(words.values()))
-        sum_into(slots, (((word, grade), scalar) for word, _ in words))
+        if grade:
+            slots.update(((word, grade), scalar) for word, _ in words)
+        else:
+            slots.update(dict.fromkeys(words, scalar))
     return FreePolynomial._of(slots)
 
 

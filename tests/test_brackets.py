@@ -184,6 +184,30 @@ free_operands = st.lists(free_words, min_size=1, max_size=3).flatmap(
 )
 @example(FreePolynomial.from_letters(Q, RHO, P, P, P), FreePolynomial.from_letters(Q, Q, Q, Q, P))
 @example(FreePolynomial.from_letters(*[P] * 5), FreePolynomial.from_letters(*[Q] * 5))
+# State letters on both sides of the junction; k runs up to min(b, c) = 3 in
+# q rho p^3 . q^4 drho_p p and up to 1 in the other order.
+@example(
+    FreePolynomial.from_letters(Q, RHO, P, P, P),
+    FreePolynomial.from_letters(Q, Q, Q, Q, Letter.DRHO_P, P),
+)
+@example(
+    FreePolynomial.from_letters(Letter.DRHO_Q, P, P, P, P),
+    FreePolynomial.from_letters(Q, Q, RHO, Q),
+)
+@example(
+    FreePolynomial(
+        [
+            (Word.of(RHO, P, P), HbarScalar.of(Fraction(3, 2), -1)),
+            (Word.of(Q, Q, Letter.DRHO_P, P, P, P), HbarScalar.of(0, 2, 1)),
+        ]
+    ),
+    FreePolynomial(
+        [
+            (Word.of(Q, Q, Q, Letter.DRHO_Q, Q, P), HbarScalar.of(-1, 0, -1)),
+            (Word.of(P, Q, RHO), HbarScalar.of(Fraction(3, 2), -1)),
+        ]
+    ),
+)
 @example(
     FreePolynomial.from_word(Word.of(Q, P, P, P), HbarScalar.of(2, -1, 1)),
     FreePolynomial.from_word(Word.of(Q, Q, RHO, Q), HbarScalar.of(Fraction(-1, 3), 3, -1)),
@@ -406,6 +430,24 @@ def test_substitute_matches_the_stack_reference_and_is_multiplicative():
         assert substitute_drho(x) == _substitute_drho_by_stack(x)
         assert substitute_drho(x * y) == substitute_drho(x) * substitute_drho(y)
     assert multi > 100  # words with several derivative letters were drawn
+
+
+def test_substitute_counts_shared_coefficients_like_the_stack_reference():
+    """Every word with 0, 2 or 3 derivative letters among 3 or 4 letters, under
+    one coefficient object, under an equal-valued copy or its negative
+    taking every other word, and under a coefficient with a second grade."""
+    c = HbarScalar.of(Fraction(-2, 3), 1, 1)
+    copy = HbarScalar.of(Fraction(-2, 3), 1, 1)
+    derivatives = (Letter.DRHO_Q, Letter.DRHO_P)
+    words = [
+        Word(letters)
+        for size in (3, 4)
+        for letters in product((Q, P, RHO) + derivatives, repeat=size)
+        if sum(letter in derivatives for letter in letters) in (0, 2, 3)
+    ]
+    for others in (c, copy, -c, HbarScalar.of(1, 0, 2)):
+        x = FreePolynomial((w, others if i % 2 else c) for i, w in enumerate(words))
+        assert substitute_drho(x) == _substitute_drho_by_stack(x)
 
 
 # -- von Neumann equivalence -----------------------------------------------------------

@@ -172,6 +172,33 @@ def test_weyl_operations_match_the_public_route(x, y):
         assert_matches(weyl_derivative(x, wrt), WeylPolynomial(expected))
 
 
+# One coefficient object repeated over many keys, as along an expansion's
+# words, interleaved with an equal-valued distinct copy and other objects.
+SHARED = HbarScalar.of(Fraction(-1, 2), 1)
+SHARED_POOL = [SHARED, SHARED, HbarScalar.of(Fraction(-1, 2), 1), -SHARED, HbarScalar.of(2, 0, 1)]
+
+
+def shared_values(cls, keys):
+    return st.lists(st.tuples(keys, st.sampled_from(SHARED_POOL)), max_size=8).map(cls)
+
+
+@settings(max_examples=120)
+@given(shared_values(WeylPolynomial, monomials), shared_values(WeylPolynomial, monomials))
+def test_bilinear_reuses_shared_coefficients_like_the_per_pair_route(x, y):
+    # ``_add_exponents`` gives factor 1 to every pair, ``_monomial_bracket``
+    # an int factor that may be 0, 1 or another int along one run of ``y``.
+    raises_like(weyl_product, weyl_product_reference, x, y)
+    raises_like(symmetrized_poisson_bracket, bracket_reference, x, y)
+
+
+@given(shared_values(FreePolynomial, words), shared_values(FreePolynomial, words))
+def test_free_product_reuses_shared_coefficients_like_the_per_pair_route(x, y):
+    assert_matches(
+        multiply(x, y),
+        FreePolynomial((Word(a.letters + b.letters), ca * cb) for a, ca, b, cb in pairs_of(x, y)),
+    )
+
+
 @given(classical, classical)
 def test_classical_operations_match_the_public_route(x, y):
     check_linear(x, y)

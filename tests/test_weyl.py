@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -86,6 +87,80 @@ def test_symmetrize_is_invariant_under_rewriting(raw):
         (Word.of(*letters), HbarScalar.real(c)) for letters, c in raw
     )
     assert symmetrize(x) == symmetrize(normal_order(x))
+
+
+DQ = Letter.DRHO_Q
+# Coefficient objects: one that repeats, an equal-valued distinct copy of it,
+# its negative, a multiple, and a grade-1 one that the symmetrizer drops.
+SHARED = HbarScalar.of(Fraction(2, 3), -1)
+COEFFICIENT_POOL = [
+    SHARED,
+    HbarScalar.of(Fraction(2, 3), -1),
+    -SHARED,
+    SHARED * 3,
+    HbarScalar.of(1, 0, 1),
+]
+
+
+def symmetrize_per_term(x: FreePolynomial) -> WeylPolynomial:
+    """Reference: one Weyl term per grade-0 word, summed by the public
+    constructor, so no count is taken and every coefficient is added."""
+    return WeylPolynomial(
+        (WeylMonomial(w.count(Q), w.count(P), DQ if DQ in w else None), c)
+        for w, c in x.items()
+        if c.hbar_power == 0
+    )
+
+
+def arrangements(*letters) -> list[Word]:
+    return sorted({Word.of(*perm) for perm in permutations(letters)}, key=lambda w: w.letters)
+
+
+def test_symmetrize_counts_one_coefficient_object_per_monomial():
+    words = arrangements(Q, Q, P, P) + arrangements(Q, P) + arrangements(Q, DQ)
+    x = FreePolynomial._of({(w, 0): SHARED for w in words})
+    expected = WeylPolynomial(
+        [
+            (WeylMonomial(2, 2), SHARED * 6),
+            (WeylMonomial(1, 1), SHARED * 2),
+            (WeylMonomial(1, 0, DQ), SHARED * 2),
+        ]
+    )
+    assert symmetrize(x) == expected == symmetrize_per_term(x)
+
+
+def test_symmetrize_adds_equal_distinct_objects_and_cancels_opposites():
+    copy = HbarScalar.of(Fraction(2, 3), -1)
+    assert copy == SHARED and copy is not SHARED
+    words = arrangements(Q, Q, P, P)
+    interleaved = FreePolynomial._of(
+        {(w, 0): (SHARED, copy)[i % 2] for i, w in enumerate(words)}
+    )
+    assert symmetrize(interleaved) == mono(2, 2).scale(SHARED * 6)
+    cancelling = FreePolynomial._of(
+        {(w, 0): (SHARED, -SHARED)[i % 2] for i, w in enumerate(words)}
+    )
+    assert symmetrize(cancelling).is_zero
+    leftover = FreePolynomial._of(
+        {(w, 0): -SHARED if i < 2 else SHARED for i, w in enumerate(words)}
+    )
+    assert symmetrize(leftover) == mono(2, 2).scale(SHARED * 2)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.sampled_from([Q, P, Q, P, DQ]), max_size=5).filter(
+                lambda ls: ls.count(DQ) <= 1
+            ),
+            st.sampled_from(COEFFICIENT_POOL),
+        ),
+        max_size=12,
+    )
+)
+def test_symmetrize_with_shared_coefficients_matches_the_per_term_reference(raw):
+    x = FreePolynomial((Word.of(*letters), c) for letters, c in raw)
+    assert symmetrize(x) == symmetrize_per_term(x)
 
 
 # -- expand ----------------------------------------------------------------------
@@ -292,6 +367,15 @@ mixed_weyl_polys = st.tuples(
         + [(WeylMonomial(n, m, d), c) for n, m, d, c in terms[1]]
     )
 )
+
+
+@given(st.one_of(weyl_polys, mixed_weyl_polys))
+def test_expand_polynomial_merges_no_word(x):
+    expansion = expand_polynomial(x)
+    assert len(expansion) == sum(len(expand(monomial)) for monomial, _ in x.items())
+    assert expansion == FreePolynomial(
+        (word, c * cw) for monomial, c in x.items() for word, cw in expand(monomial).items()
+    )
 
 
 @given(st.one_of(weyl_polys, mixed_weyl_polys, free_polys))
