@@ -13,14 +13,13 @@ the Groenewold-style obstruction comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import FreePolynomial, Letter, Word, _P, _Q, _from_counts, normal_order
+from .core import FreePolynomial, Letter, Word, _P, _Q, _from_counts, _junction, normal_order
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, INV_I_HBAR, ONE, RationalLike
-from .terms import GradedTerms, bilinear, linear_map
+from .terms import GradedTerms, TaggedTuple, bilinear, linear_map
 from .weyl import (
     WeylMonomial,
     _monomial,
@@ -104,8 +103,10 @@ def commutator_bracket(
     Each operand is brought to normal form once by
     :func:`~opalg.weyl.normal_form`, which reads a Weyl operand's from its
     exponents (McCoy) without listing its words.  The product of two normal
-    words ``H p^b`` and ``q^c T`` is out of order only at the junction:
-    it is ``sum_k k! C(b,k) C(c,k) (-i*hbar)^k H q^(c-k) p^(b-k) T``, every
+    words ``H p^b`` and ``q^c T`` is out of order only at the junction
+    ``p^b q^c``, whose normal form :func:`~opalg.core._junction` gives, the
+    same kernel that :func:`~opalg.core.normal_order` steps a q-run with:
+    it is ``sum_t t! C(b,t) C(c,t) (-i*hbar)^t H q^(c-t) p^(b-t) T``, every
     word of which is normal.  So no product is formed and nothing is
     normal-ordered: both orders of each term pair add their integer counts,
     ``+`` and ``-``, to one count map under ``cf * cg``, and the leading
@@ -117,8 +118,8 @@ def commutator_bracket(
     for head_f, b_f, c_f, tail_f, cf in sides_f:
         for head_g, b_g, c_g, tail_g, cg in sides_g:
             counts = counts_by_coeff.setdefault(cf * cg, {})
-            _add_junction(counts, head_f, b_f, c_g, tail_g, 1)
-            _add_junction(counts, head_g, b_g, c_f, tail_f, -1)
+            _add_product(counts, head_f, b_f, c_g, tail_g, 1)
+            _add_product(counts, head_g, b_g, c_f, tail_f, -1)
     return _from_counts({c * INV_I_HBAR: counts for c, counts in counts_by_coeff.items()})
 
 
@@ -139,14 +140,12 @@ def _junction_sides(x: FreePolynomial) -> list[tuple]:
     return sides
 
 
-def _add_junction(counts: dict, head: tuple, b: int, c: int, tail: tuple, sign: int) -> None:
+def _add_product(counts: dict, head: tuple, b: int, c: int, tail: tuple, sign: int) -> None:
     """Add ``sign`` times the normal form of ``head p^b q^c tail`` to the
-    count map ``counts`` of full-word slots ``(letters, 0, k)``."""
-    n = sign  # sign * k! C(b,k) C(c,k), exact at every step
-    for k in range(min(b, c) + 1):
-        slot = (head + _Q * (c - k) + _P * (b - k) + tail, 0, k)
-        counts[slot] = counts.get(slot, 0) + n
-        n = n * (b - k) * (c - k) // (k + 1)
+    count map ``counts`` of full-word slots ``(letters, 0, t)``."""
+    for t, m in _junction(b, c, sign):
+        slot = (head + _Q * (c - t) + _P * (b - t) + tail, 0, t)
+        counts[slot] = counts.get(slot, 0) + m
 
 
 def symmetrized_poisson_bracket(
@@ -241,21 +240,18 @@ def substitute_drho(x: FreePolynomial) -> FreePolynomial:
 # -- checkers ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EqualityReport:
+class EqualityReport(TaggedTuple):
     """Outcome of an identity check: both sides and their difference."""
 
-    lhs: object
-    rhs: object
-    difference: object
+    __slots__ = ()
+    _fields = ("lhs", "rhs", "difference")
 
     @property
     def equal(self) -> bool:
         return self.difference.is_zero  # type: ignore[attr-defined]
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(TaggedTuple):
     """Outcome of the obstruction comparison for two classical pairs.
 
     ``scale`` is the rational factor that makes the second classical bracket
@@ -265,11 +261,14 @@ class ObstructionReport:
     obstruction.
     """
 
-    classical_bracket: ClassicalPolynomial
-    scale: HbarScalar
-    symmetrized_bracket: WeylPolynomial
-    symmetrized_difference: WeylPolynomial
-    commutator_difference: FreePolynomial
+    __slots__ = ()
+    _fields = (
+        "classical_bracket",  # ClassicalPolynomial
+        "scale",  # HbarScalar
+        "symmetrized_bracket",  # WeylPolynomial
+        "symmetrized_difference",  # WeylPolynomial
+        "commutator_difference",  # FreePolynomial
+    )
 
     @property
     def commutator_min_hbar_power(self) -> int | None:

@@ -18,12 +18,13 @@ rewriting").
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from collections import defaultdict
 from math import comb
 from typing import Iterable
 
 from .errors import UnsupportedFragmentError
-from .scalars import HbarScalar, ONE, _leads_negative, minus_i_hbar_power
+from .scalars import HbarScalar, ONE, _leads_negative, times_minus_i_hbar_power
 from .terms import GradedTerms, TaggedTuple, bilinear, linear_map, sum_into
 
 
@@ -162,47 +163,80 @@ def normal_order(x: FreePolynomial) -> FreePolynomial:
     A whole set of the ``C(n+m, m)`` arrangements of ``q^n p^m`` under one
     coefficient and grade, as :func:`expand` produces it, takes McCoy's
     closed form (:func:`_arrangement_counts`).  Every other word, in source
-    order, is multiplied letter by letter onto a normal partial product: a
-    map ``(head, b, k) -> n`` of integer counts standing for
-    ``n (-i*hbar)^k head p^b``, restarted from the longest common prefix
-    with the word before.  Counts are summed per source coefficient, those
-    of ``-c`` folded into ``c``'s.  The README's "Why normal ordering needs
-    no rewriting" derives each step.
+    order, is multiplied run by run onto a normal partial product: a map
+    ``(head, b, k) -> n`` of integer counts standing for
+    ``n (-i*hbar)^k head p^b``.  A run of ``r`` p's takes ``b`` to ``b + r``;
+    a run of ``r`` q's meets ``p^b`` in one junction step (:func:`_junction`),
+    of which the two-term step of a single q is the case ``r = 1``; a run of
+    one state letter moves ``p^b`` into the head.  The partial products at
+    the previous word's run ends stay on a stack, and a word restarts from
+    the last run end within its longest common prefix with the word before.
+    Counts are summed per source coefficient, those of ``-c`` folded into
+    ``c``'s.  The README's "Why normal ordering needs no rewriting" derives
+    each step.
     """
     Q, P = Letter.Q, Letter.P
     sets, rest = _split_arrangement_sets(x._terms)
     counts_by_coeff = _arrangement_counts(sets)
     previous: tuple[Letter, ...] = ()
-    stack = [{((), 0, 0): 1}]  # stack[i]: the partial product of previous[:i]
+    ends, stack = [0], [{((), 0, 0): 1}]  # stack[i]: the partial product of previous[:ends[i]]
     for (source, _), coeff in rest:
         letters = source.letters
         shared, limit = 0, min(len(letters), len(previous))
         while shared < limit and letters[shared] is previous[shared]:
             shared += 1
-        del stack[shared + 1 :]
-        partial = stack[shared]
-        for letter in letters[shared:]:
-            if letter is P:
-                step = {}
-                for (head, b, k), n in partial.items():
-                    step[head, b + 1, k] = n
-            elif letter is Q:
-                step = defaultdict(int)
-                for (head, b, k), n in partial.items():
-                    step[head + _Q, b, k] += n
-                    if b:
-                        step[head, b - 1, k + 1] += n * b
-            else:
-                step = {}
-                for (head, b, k), n in partial.items():
-                    step[head + _P * b + (letter,), 0, k] = n
-            stack.append(step)
-            partial = step
+        kept = bisect_right(ends, shared)
+        del ends[kept:], stack[kept:]
+        end, partial = ends[-1], stack[-1]
+        run, r = None, 0
+        for letter in letters[end:] + (None,):  # None ends the last run
+            if letter is run:
+                r += 1
+                continue
+            if r:
+                if run is P:
+                    step = {}
+                    for (head, b, k), n in partial.items():
+                        step[head, b + r, k] = n
+                elif run is Q:
+                    step = defaultdict(int)
+                    if r == 1:
+                        for (head, b, k), n in partial.items():
+                            step[head + _Q, b, k] += n
+                            if b:
+                                step[head, b - 1, k + 1] += n * b
+                    else:
+                        qs = _Q * r
+                        for (head, b, k), n in partial.items():
+                            if b:
+                                for t, m in _junction(b, r, n):
+                                    step[head + _Q * (r - t), b - t, k + t] += m
+                            else:  # p^0 q^r is q^r: no kernel call
+                                step[head + qs, 0, k] += n
+                else:
+                    step, tail = {}, (run,) * r
+                    for (head, b, k), n in partial.items():
+                        step[head + _P * b + tail, 0, k] = n
+                partial = step
+                end += r
+                ends.append(end)
+                stack.append(partial)
+            run, r = letter, 1
         previous = letters
         counts = counts_by_coeff.setdefault(coeff, {})
         for slot, n in partial.items():
             counts[slot] = counts.get(slot, 0) + n
     return _from_counts(counts_by_coeff)
+
+
+def _junction(b: int, c: int, n: int) -> list[tuple[int, int]]:
+    """``n`` times the normal form of ``p^b q^c`` (McCoy), ``sum_t n t! C(b,t)
+    C(c,t) (-i*hbar)^t q^(c-t) p^(b-t)``, as its pairs ``(t, n t! C(b,t) C(c,t))``."""
+    pairs = []
+    for t in range(min(b, c) + 1):
+        pairs.append((t, n))
+        n = n * (b - t) * (c - t) // (t + 1)  # exact at every step
+    return pairs
 
 
 def _split_arrangement_sets(terms: dict) -> tuple[list, Iterable]:
@@ -271,7 +305,9 @@ def _from_counts(counts_by_coeff: dict[HbarScalar, dict]) -> FreePolynomial:
     map of the one seen first with negated counts, so that their terms
     cancel as integers; a count that cancelled to zero makes no term.  Only
     coefficients whose leading part is negative look up their opposite.
-    Any other coefficients that share a slot add as scalars.
+    Any other coefficients that share a slot add as scalars.  Each nonzero
+    count makes one scalar, ``c n (-i*hbar)^k``, reduced once
+    (:func:`~opalg.scalars.times_minus_i_hbar_power`).
     """
     if len(counts_by_coeff) > 1:
         seen = set()  # ids of the maps of the positive-leading coefficients passed
@@ -294,7 +330,7 @@ def _from_counts(counts_by_coeff: dict[HbarScalar, dict]) -> FreePolynomial:
         for (head, b, k), n in counts.items():
             if not n:
                 continue
-            scalar = coeff * minus_i_hbar_power(k, n) if k or n != 1 else coeff
+            scalar = times_minus_i_hbar_power(coeff, n, k) if k or n != 1 else coeff
             terms.append(((_word(head + _P * b), grade + k), scalar))
     return FreePolynomial._of(sum_into({}, terms))
 

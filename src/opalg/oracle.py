@@ -16,13 +16,17 @@ normal form.
 
 from __future__ import annotations
 
-from math import lcm, prod
+from math import lcm, perm
 from typing import Iterable
 
 from .core import FreePolynomial, Letter, STATE_LETTERS, Word
 from .errors import UnsupportedFragmentError
-from .scalars import HbarScalar, ONE, minus_i_hbar_power
+from .scalars import HbarScalar, ONE, _make, times_minus_i_hbar_power
 from .terms import GradedTerms, sum_into
+
+
+# Bound once: reading a member off ``Letter`` costs about 0.1 us.
+_P = Letter.P
 
 
 class TestFunction(GradedTerms):
@@ -41,72 +45,86 @@ class TestFunction(GradedTerms):
         return cls([(degree, coeff)])
 
 
-def _action(word: Word) -> tuple[list[int], int, int]:
-    """How ``word`` acts on ``x**j``, read right to left: the offsets ``o``
-    at which its ``k`` p's meet the degree, its rise ``#q - #p``, and the
-    lowest ``j`` it does not annihilate.  It maps ``x**j`` to
-    ``(-i*hbar)**k * prod(j + o) * x**(j + rise)``, which is zero exactly
-    for ``j < 1 - min(o)`` (see the README).  A state letter raises."""
+def _action(word: Word) -> tuple[list[tuple[int, int]], int, int, int]:
+    """How ``word`` acts on ``x**j``, read right to left: its p-runs as
+    ``(R, r)``, a run of ``r`` p's met at rise ``R``, its p-count ``k``, its
+    rise ``#q - #p``, and the lowest ``j`` it does not annihilate.  It maps
+    ``x**j`` to ``(-i*hbar)**k * prod(perm(j + R, r)) * x**(j + rise)``,
+    which is zero exactly for ``j < max(r - R)`` (see the README).  A state
+    letter raises."""
     letters = word.letters
     if not STATE_LETTERS.isdisjoint(letters):
         raise UnsupportedFragmentError("the polynomial representation acts on q/p words only")
-    offsets, rise, Q = [], 0, Letter.Q
-    for letter in reversed(letters):
-        if letter is Q:
-            rise += 1
-        else:
-            offsets.append(rise)
-            rise -= 1
-    return offsets, rise, 1 - min(offsets, default=1)
+    runs, rise, lowest, run, r = [], 0, 0, None, 0
+    for letter in letters[::-1] + (None,):  # None ends the last run
+        if letter is run:
+            r += 1
+            continue
+        if run is _P:
+            runs.append((rise, r))
+            lowest = max(lowest, r - rise)
+            rise -= r
+        elif r:
+            rise += r
+        run, r = letter, 1
+    return runs, letters.count(_P), rise, lowest
 
 
-def _images(terms: list, degrees: Iterable[int]) -> dict:
+def _images(terms: list, degrees: Iterable[int]) -> tuple[int, dict]:
     """The images of ``x**j`` for ``j`` in ``degrees`` under the sum of
-    ``terms``, each ``((word, grade), re, im)`` with ``Fraction`` parts for
-    ``(re + im*i) * hbar**grade * word``: one map of Gaussian integers
-    ``(re, im)`` over the common denominator of every part, keyed by
-    ``(j, image degree, grade + k)``."""
-    den = lcm(*(part.denominator for _, re, im in terms for part in (re, im)))
+    ``terms``, each ``((word, grade), c)`` for ``c * word``, read from the
+    ints of the scalar ``c``: the common denominator ``den`` of every
+    coefficient, and one map of Gaussian integers ``(re, im)`` over ``den``,
+    keyed by ``(j, image degree, grade + k)``.  Each p-run of a word is one
+    falling factorial, one C call per run."""
+    den = lcm(*(c._den for _, c in terms))
     images: dict[tuple[int, int, int], tuple[int, int]] = {}
-    for (word, grade), re, im in terms:
-        offsets, rise, lowest = _action(word)
-        k = len(offsets)
-        re, im = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
-        for _ in range(k % 4):
-            re, im = im, -re  # times -i
+    for (word, grade), c in terms:
+        runs, k, rise, lowest = _action(word)
+        c = times_minus_i_hbar_power(c, 1, k)
+        scale = den // c._den
+        re, im, grade = c._re * scale, c._im * scale, grade + k
         for j in degrees:
             if j >= lowest:
-                n = prod(j + offset for offset in offsets)
-                slot = (j, j + rise, grade + k)
+                n = 1
+                for R, r in runs:
+                    n *= perm(j + R, r)
+                slot = (j, j + rise, grade)
                 sum_re, sum_im = images.get(slot, (0, 0))
                 images[slot] = (sum_re + n * re, sum_im + n * im)
-    return images
+    return den, images
 
 
 def apply_operator(op: FreePolynomial, f: TestFunction) -> TestFunction:
-    """Act with ``op`` on ``f``, exact and linear: each term ``c * word`` maps
-    each term ``c_f * x**j`` of ``f`` to
-    ``c * c_f * (-i*hbar)**k * prod(j + o) * x**(j + rise)``.
+    """Act with ``op`` on ``f``, exact and linear: the images of ``f``'s
+    degrees under ``op`` (:func:`_images`), each scaled by the coefficients
+    of ``f`` at its degree.
 
     Every word with a state letter raises, whatever ``f`` is.
     """
+    by_degree: dict[int, list[HbarScalar]] = {}
+    for (j, _), c_f in f._terms.items():
+        by_degree.setdefault(j, []).append(c_f)
+    den, images = _images(list(op._terms.items()), by_degree)
     terms = []
-    for (word, _), c in op._terms.items():
-        offsets, rise, lowest = _action(word)
-        unit = c * minus_i_hbar_power(len(offsets))
-        for (j, _), c_f in f._terms.items():
-            if j >= lowest:
-                product = unit * c_f * prod(j + offset for offset in offsets)
-                terms.append(((j + rise, product.hbar_power), product))
+    for (j, degree, grade), (re, im) in images.items():
+        if re or im:
+            image = _make(re, im, den, grade)
+            for c_f in by_degree[j]:
+                product = image * c_f
+                terms.append(((degree, product.hbar_power), product))
     return TestFunction._of(sum_into({}, terms))
 
 
 def oracle_equal(a: FreePolynomial, b: FreePolynomial) -> bool:
     """Decide operator equality by the images of ``x**j`` for ``j`` up to one
     more than the larger total degree of the two operands, which per the
-    README is already past the faithful threshold.  Every word of both
+    README is already past the faithful threshold.  The images of ``a``'s
+    terms and of ``b``'s negated terms are summed from the scalars' ints,
+    and the operands are equal when every sum is zero.  Every word of both
     operands is read, so a state word raises even where it appears in both."""
     degrees = range(max(a.max_word_length, b.max_word_length) + 2)
-    terms = [(slot, c.re, c.im) for slot, c in a._terms.items()]
-    terms += [(slot, -c.re, -c.im) for slot, c in b._terms.items()]
-    return not any(re or im for re, im in _images(terms, degrees).values())
+    terms = list(a._terms.items())
+    terms += [(slot, -c) for slot, c in b._terms.items()]
+    _, images = _images(terms, degrees)
+    return not any(re or im for re, im in images.values())

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from functools import wraps
 from itertools import groupby
 from math import gcd
@@ -33,6 +32,7 @@ from typing import Callable
 from .core import FreePolynomial, Letter, Word
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar
+from .terms import TaggedTuple
 from .weyl import WeylMonomial, WeylPolynomial
 
 Result = FreePolynomial | WeylPolynomial
@@ -101,16 +101,18 @@ def _parts(c: HbarScalar) -> tuple[int, int, int, int]:
     return re // g, den // g, im // h, den // h
 
 
-@dataclass(frozen=True)
-class _Style:
+class _Style(TaggedTuple):
     """What differs between the text and LaTeX renderings of one term."""
 
-    magnitude: Callable[[int, int], str]  # a lone coefficient magnitude
-    rational: Callable[[int, int], str]  # a part of a mixed complex number
-    mixed: str  # wrapper around a mixed complex number
-    power: str  # base raised to an exponent other than 1
-    hbar: str
-    letters: dict[Letter, str]
+    __slots__ = ()
+    _fields = (
+        "magnitude",  # (num, den) -> str: a lone coefficient magnitude
+        "rational",  # (num, den) -> str: a part of a mixed complex number
+        "mixed",  # wrapper around a mixed complex number
+        "power",  # base raised to an exponent other than 1
+        "hbar",
+        "letters",  # Letter -> str
+    )
 
     def raised(self, base: str, exponent: int) -> str:
         return base if exponent == 1 else self.power.format(base, exponent)

@@ -225,13 +225,17 @@ def _canonical(re: int, im: int, den: int, power: int) -> HbarScalar:
     return scalar
 
 
-_MINUS_I_POWERS = ((1, 0), (0, -1), (-1, 0), (0, 1))  # (-i)^k by k mod 4, as (re, im)
-
-
-def minus_i_hbar_power(k: int, n: int = 1) -> HbarScalar:
-    """``n * (-i*hbar)**k``, for ints ``n`` and ``k >= 0``."""
-    re, im = _MINUS_I_POWERS[k % 4]
-    return _make(n * re, n * im, 1, k)
+def times_minus_i_hbar_power(c: HbarScalar, n: int, k: int) -> HbarScalar:
+    """``c * n * (-i*hbar)**k`` for an int ``n`` and ``k >= 0``, reduced once:
+    ``c``'s parts times ``n``, turned by ``(-i)**k``."""
+    re, im, turns = c._re * n, c._im * n, k % 4
+    if turns == 1:
+        re, im = im, -re
+    elif turns == 2:
+        re, im = -re, -im
+    elif turns == 3:
+        re, im = -im, re
+    return _make(re, im, c._den, c._power + k)
 
 
 ZERO = HbarScalar()

@@ -19,7 +19,6 @@ reports byte for byte.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable
@@ -49,6 +48,7 @@ from .errors import UnsupportedFragmentError
 from .oracle import oracle_equal
 from .printing import render_text, result_to_json_dict
 from .scalars import HbarScalar
+from .terms import TaggedTuple
 from .weyl import (
     WeylMonomial,
     WeylPolynomial,
@@ -75,27 +75,23 @@ _DERIVS = (Letter.DRHO_Q, Letter.DRHO_P)
 # -- report structures -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Failure:
-    input: str
-    difference: FreePolynomial | WeylPolynomial
+class Failure(TaggedTuple):
+    __slots__ = ()
+    _fields = ("input", "difference")  # str, FreePolynomial | WeylPolynomial
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    cases: int
-    failures: tuple[Failure, ...]
+class CheckResult(TaggedTuple):
+    __slots__ = ()
+    _fields = ("name", "cases", "failures")  # str, int, tuple[Failure, ...]
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    suite: str
-    checks: tuple[CheckResult, ...]
+class SuiteReport(TaggedTuple):
+    __slots__ = ()
+    _fields = ("suite", "checks")  # str, tuple[CheckResult, ...]
 
     @property
     def passed(self) -> bool:

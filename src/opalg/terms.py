@@ -64,10 +64,20 @@ class TaggedTuple(tuple):
     The tag keeps values of different classes unequal to each other and to
     plain tuples, while hashing and ``==`` stay tuple's and run in C.  A
     subclass names its fields in ``_fields`` and gets one read-only property
-    per field; it builds the stored tuple in its own ``__new__``."""
+    per field.  It is built from its fields by position or by name, as a
+    record is; a key class that checks its fields builds the stored tuple
+    in its own ``__new__``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __new__(cls, *values, **named):
+        fields = cls._fields
+        if named:
+            values += tuple(named.pop(name) for name in fields[len(values) :] if name in named)
+        if named or len(values) != len(fields):
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(fields)}")
+        return tuple.__new__(cls, (*values, cls))
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)

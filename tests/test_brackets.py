@@ -23,7 +23,7 @@ from opalg.core import FreePolynomial, IDENTITY_WORD, Letter, Word, normal_order
 from opalg.errors import UnsupportedFragmentError
 from opalg.oracle import oracle_equal
 from opalg.printing import render_json, render_text
-from opalg.scalars import HbarScalar, INV_I_HBAR, ONE
+from opalg.scalars import HbarScalar, INV_I_HBAR, I_HBAR, ONE
 from opalg.weyl import (
     WeylMonomial,
     WeylPolynomial,
@@ -164,6 +164,33 @@ def assert_same_commutator(f: FreePolynomial, g: FreePolynomial) -> None:
     assert render_json(actual) == render_json(expected)
 
 
+def run_word(*runs: tuple[Letter, int]) -> Word:
+    return Word(tuple(letter for letter, r in runs for _ in range(r)))
+
+
+# Pure q/p operands whose junctions meet long runs, with complex coefficients.
+RUN_PAIRS = [
+    (
+        FreePolynomial(
+            [
+                (run_word((Q, 2), (P, 6)), HbarScalar.of(Fraction(3, 2), -1)),
+                (run_word((P, 3)), HbarScalar.of(0, 2, 1)),
+            ]
+        ),
+        FreePolynomial.from_word(run_word((Q, 5), (P, 2)), HbarScalar.of(-1, 4)),
+    ),
+    (
+        FreePolynomial.from_word(run_word((P, 4), (Q, 3), (P, 5)), HbarScalar.of(0, -1, 2)),
+        FreePolynomial(
+            [
+                (run_word((Q, 6)), HbarScalar.of(2, 1)),
+                (run_word((Q, 1), (P, 7)), HbarScalar.of(Fraction(-1, 3), 0, -1)),
+            ]
+        ),
+    ),
+]
+
+
 # Each operand draws up to six terms from a pool of at most three words over
 # all five letters, so words repeat and may cancel; the grades run -1..2.
 graded_coeffs = st.builds(
@@ -212,8 +239,33 @@ free_operands = st.lists(free_words, min_size=1, max_size=3).flatmap(
     FreePolynomial.from_word(Word.of(Q, P, P, P), HbarScalar.of(2, -1, 1)),
     FreePolynomial.from_word(Word.of(Q, Q, RHO, Q), HbarScalar.of(Fraction(-1, 3), 3, -1)),
 )
+# Long runs at the junction, so core's kernel runs to t = min(b, c) = 5 and 6,
+# next to state letters and a term whose b or c is zero.
+@example(
+    FreePolynomial.from_word(Word.of(*[P] * 6), HbarScalar.of(1, 2)),
+    FreePolynomial.from_word(Word.of(*[Q] * 5, RHO, Q, Q), HbarScalar.of(0, 3, -1)),
+)
+@example(
+    FreePolynomial(
+        [
+            (Word.of(RHO, *[P] * 7), HbarScalar.of(Fraction(-2, 3), 1, 1)),
+            (Word.of(Q, Q), HbarScalar.of(0, -1)),
+        ]
+    ),
+    FreePolynomial.from_word(Word.of(*[Q] * 6, Letter.DRHO_Q, P), HbarScalar.of(5, -2, 2)),
+)
+@example(*RUN_PAIRS[0])
+@example(*RUN_PAIRS[1])
 def test_commutator_bracket_matches_the_reordered_difference(f, g):
     assert_same_commutator(f, g)
+
+
+@pytest.mark.parametrize("f, g", RUN_PAIRS)
+def test_commutator_bracket_of_long_runs_matches_the_oracle(f, g):
+    # The oracle shares no code with the junction kernel.
+    comm = commutator_bracket(f, g)
+    assert oracle_equal(comm.scale(I_HBAR), f * g - g * f)
+    assert not oracle_equal(comm.scale(I_HBAR), f * g)
 
 
 # The commutator operands of the ordering benchmark: expanded Weyl sums of one

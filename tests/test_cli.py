@@ -90,6 +90,19 @@ def test_eval_prints_the_same_bytes_under_every_hash_seed():
     assert outputs == [expected, expected]
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Cold start: the package's records are tagged tuples.  -S keeps any
+    # site hook from importing either module first.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(opalg.__file__)))
+    code = "import sys, opalg; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
+
+
 def test_eval_option_like_input_is_one_error_line(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["eval", "-q"])

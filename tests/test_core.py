@@ -181,6 +181,59 @@ def test_normal_order_matches_rewrite_system(alphabet, max_length):
             assert render_json(actual) == render_json(expected), str(word)
 
 
+def run_word(*runs: tuple[Letter, int]) -> Word:
+    return Word(tuple(letter for letter, r in runs for _ in range(r)))
+
+
+DQ = Letter.DRHO_Q
+# Words the walk takes run by run: p^b q^c meets in one junction step, and a
+# run of one state letter moves p^b into the head in one flush.
+RUN_WORDS = [run_word((P, b), (Q, c)) for b in range(13) for c in range(13)] + [
+    run_word((P, 3), (Q, 4), (P, 2), (Q, 5)),
+    run_word((Q, 2), (P, 3), (RHO, 3), (P, 2), (Q, 3)),
+    run_word((P, 4), (DQ, 2), (Q, 3), (RHO, 2), (P, 1), (Q, 2)),
+    run_word((P, 2), (RHO, 1), (DQ, 2), (RHO, 1), (Q, 4), (P, 3), (Q, 1)),
+]
+
+
+def test_normal_order_of_run_heavy_words_matches_rewrite_system():
+    coeff = HbarScalar.of(Fraction(-3, 2), 1, 1)
+    for word in RUN_WORDS:
+        expected = rewrite_normal_form(word).scale(coeff)
+        assert normal_order(FreePolynomial.from_word(word, coeff)) == expected, str(word)
+
+
+# A source order in which a word's common prefix with the word before ends
+# inside one of that word's runs, so the walk restarts from the run's start:
+# inside the q-run q^4 (second word) and the p-runs p^4 and p^3 (fourth and
+# sixth words) at grade 0, and inside q^4 (eighth word) at grade 1, under
+# complex coefficients.
+RUN_SPLITS = FreePolynomial(
+    [
+        (run_word((P, 2), (Q, 4), (P, 1)), HbarScalar.of(1, 2)),
+        (run_word((P, 2), (Q, 2), (P, 1), (Q, 1)), HbarScalar.of(0, -3)),
+        (run_word((Q, 3), (P, 4), (Q, 2)), HbarScalar.of(0, 1, 1)),
+        (run_word((Q, 3), (P, 2), (Q, 1)), HbarScalar.of(-1, -1)),
+        (run_word((P, 3), (Q, 2)), HbarScalar.of(Fraction(1, 2), -1)),
+        (run_word((P, 2), (Q, 1)), HbarScalar.of(2, 1)),
+        (run_word((Q, 4), (P, 2), (Q, 1)), HbarScalar.of(0, 2, 1)),
+        (run_word((Q, 2), (P, 1)), HbarScalar.of(Fraction(-1, 2), 1, 1)),
+        (run_word((Q, 2), (P, 2), (RHO, 1), (Q, 2)), HbarScalar.of(3, Fraction(1, 3), 1)),
+    ]
+)
+
+
+def test_normal_order_restarts_inside_a_run_of_the_word_before():
+    assert normal_order(RUN_SPLITS) == word_by_word(RUN_SPLITS)
+    # Each word alone, and the same words in the reverse order.
+    terms = list(RUN_SPLITS.items())
+    for word, coeff in terms:
+        single = FreePolynomial.from_word(word, coeff)
+        assert normal_order(single) == word_by_word(single), str(word)
+    reverse = FreePolynomial(terms[::-1])
+    assert normal_order(reverse) == word_by_word(RUN_SPLITS)
+
+
 # Multi-term inputs for the prefix-shared kernel: every word extends a prefix
 # of one base word, so consecutive words share prefixes and one may be a
 # prefix of another (or empty); a small pool of graded coefficients repeats.

@@ -146,6 +146,33 @@ def test_word_action_matches_the_per_letter_route(length):
         assert apply_operator(op, f) == apply_by_letters(op, f)
 
 
+def run_word(*runs: tuple[Letter, int]) -> Word:
+    return Word(tuple(letter for letter, r in runs for _ in range(r)))
+
+
+# A run of r p's acts as one falling factorial; the degrees reach past the
+# longest run, below which it annihilates x**j.
+@pytest.mark.parametrize("r", range(1, 13))
+def test_p_runs_match_the_per_letter_route(r):
+    words = [
+        run_word((P, r)),
+        run_word((Q, 2), (P, r)),
+        run_word((P, r), (Q, 3)),
+        run_word((Q, 1), (P, r), (Q, r), (P, 2)),
+        run_word((P, 2), (Q, 1), (P, r), (Q, 2), (P, 1)),
+    ]
+    functions = TEST_FUNCTIONS + [TestFunction.x_power(j) for j in (r - 1, r, r + 3)]
+    coeff = HbarScalar.of(Fraction(-2, 3), 1, 1)
+    for word in words:
+        op = FreePolynomial.from_word(word, coeff)
+        for f in functions:
+            assert apply_operator(op, f) == apply_by_letters(op, f), (str(word), f)
+        other = normal_order(op)
+        assert oracle_equal(op, other) and oracle_by_letters(op, other)
+        other = other + p_power(len(word), HBAR)
+        assert not oracle_equal(op, other) and not oracle_by_letters(op, other)
+
+
 def test_verdict_matches_normal_form_equality():
     rng = random.Random(42)
     for _ in range(100):

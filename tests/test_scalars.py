@@ -13,7 +13,7 @@ from opalg.scalars import (
     ONE,
     ZERO,
     _make,
-    minus_i_hbar_power,
+    times_minus_i_hbar_power,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -66,10 +66,12 @@ def test_conjugate_keeps_grade():
 
 @pytest.mark.parametrize("n", [1, -3, 7])
 def test_minus_i_hbar_power_is_a_repeated_product(n):
-    expected = HbarScalar.real(n)
-    for k in range(9):
-        assert minus_i_hbar_power(k, n) == expected, k
-        expected = expected * HbarScalar.of(0, -1, 1)
+    cs = [ONE, HbarScalar.real(-2), HbarScalar.of(Fraction(-3, 4), Fraction(5, 6), 2), I_HBAR]
+    for c in cs:
+        expected = c * n
+        for k in range(9):  # every k mod 4, twice
+            assert times_minus_i_hbar_power(c, n, k) == expected, (c, k)
+            expected = expected * HbarScalar.of(0, -1, 1)
 
 
 def test_inv_i_hbar_is_the_bracket_prefactor():

@@ -355,3 +355,34 @@ def test_keys_of_the_two_types_never_meet():
     assert WeylMonomial(0, 0) != Word(())
     assert len({Word(()), WeylMonomial(0, 0), (), (0, 0, None)}) == 4
     assert Q in Word.of(Q) and P not in Word.of(Q)
+
+
+# -- records -------------------------------------------------------------------
+
+
+def test_records_are_built_by_position_or_name():
+    from opalg.brackets import EqualityReport
+    from opalg.suites import CheckResult, Failure, SuiteReport
+
+    report = EqualityReport(Word.of(Q), 2, difference=FreePolynomial())
+    assert report == EqualityReport(lhs=Word.of(Q), rhs=2, difference=FreePolynomial())
+    assert report != EqualityReport(Word.of(Q), 3, FreePolynomial())
+    assert repr(report) == f"EqualityReport(lhs={Word.of(Q)!r}, rhs=2, difference=FreePolynomial(0))"
+    assert report.equal and report.rhs == 2
+    plain = EqualityReport("q", "p", 0)
+    assert pickle.loads(pickle.dumps(plain)) == plain
+    for build in (
+        lambda: EqualityReport(1, 2),
+        lambda: EqualityReport(1, 2, 3, 4),
+        lambda: EqualityReport(1, 2, diff=3),
+        lambda: EqualityReport(1, 2, 3, lhs=1),
+    ):
+        with pytest.raises(TypeError, match="^EqualityReport takes the fields lhs, rhs, difference$"):
+            build()
+    for assign in (lambda: setattr(report, "lhs", 0), lambda: setattr(report, "extra", 0)):
+        with pytest.raises(AttributeError):
+            assign()
+    failure = Failure("q", FreePolynomial.one())
+    suite = SuiteReport("eq6", (CheckResult("ordering", 1, (failure,)),))
+    assert suite == SuiteReport(suite="eq6", checks=(CheckResult("ordering", 1, (failure,)),))
+    assert not suite.passed and suite.checks[0].failures == (failure,)
