@@ -24,6 +24,7 @@ from .weyl import (
     WeylMonomial,
     _monomial,
     WeylPolynomial,
+    _normal_form_counts,
     expand_polynomial,
     normal_form,
     weyl_derivative,
@@ -100,51 +101,54 @@ def commutator_bracket(
     """The normal form of ``(f*g - g*f) / (i*hbar)``, a Weyl operand standing
     for its expansion.
 
-    Each operand is brought to normal form once by
-    :func:`~opalg.weyl.normal_form`, which reads a Weyl operand's from its
-    exponents (McCoy) without listing its words.  The product of two normal
+    Each operand's normal form is taken once, as the integer count maps
+    ``(head, b, k) -> n`` per source coefficient that
+    :func:`~opalg.weyl._normal_form_counts` gives (McCoy's closed form for
+    a Weyl operand, without listing its words).  The product of two normal
     words ``H p^b`` and ``q^c T`` is out of order only at the junction
     ``p^b q^c``, whose normal form :func:`~opalg.core._junction` gives, the
     same kernel that :func:`~opalg.core.normal_order` steps a q-run with:
     it is ``sum_t t! C(b,t) C(c,t) (-i*hbar)^t H q^(c-t) p^(b-t) T``, every
     word of which is normal.  So no product is formed and nothing is
-    normal-ordered: both orders of each term pair add their integer counts,
-    ``+`` and ``-``, to one count map under ``cf * cg``, and the leading
-    terms cancel as ints.  The README's "Why normal ordering needs no
-    rewriting" derives the junction formula.
+    normal-ordered.  Count, then scale: each pair of source coefficients
+    ``cf``, ``cg`` makes one scalar ``cf * cg``, and under it both orders of
+    each slot pair add ``+-n_f n_g`` times their junction counts to one int
+    count map, so the leading terms cancel as ints.  The README's "Why
+    normal ordering needs no rewriting" derives the junction formula.
     """
-    sides_f, sides_g = _junction_sides(normal_form(f)), _junction_sides(normal_form(g))
+    sides_f, sides_g = (_junction_sides(_normal_form_counts(x)) for x in (f, g))
     counts_by_coeff: dict[HbarScalar, dict] = {}
-    for head_f, b_f, c_f, tail_f, cf in sides_f:
-        for head_g, b_g, c_g, tail_g, cg in sides_g:
+    for cf, slots_f in sides_f.items():
+        for cg, slots_g in sides_g.items():
             counts = counts_by_coeff.setdefault(cf * cg, {})
-            _add_product(counts, head_f, b_f, c_g, tail_g, 1)
-            _add_product(counts, head_g, b_g, c_f, tail_f, -1)
+            for head_f, b_f, c_f, tail_f, k_f, n_f in slots_f:
+                for head_g, b_g, c_g, tail_g, k_g, n_g in slots_g:
+                    _add_product(counts, head_f, b_f, c_g, tail_g, n_f * n_g, k_f + k_g)
+                    _add_product(counts, head_g, b_g, c_f, tail_f, -n_f * n_g, k_f + k_g)
     return _from_counts({c * INV_I_HBAR: counts for c, counts in counts_by_coeff.items()})
 
 
-def _junction_sides(x: FreePolynomial) -> list[tuple]:
-    """Each term of the normal value ``x`` as ``(H, b, c, T, coeff)``, its
-    word being both ``H p^b`` and ``q^c T`` with ``b`` and ``c`` maximal."""
-    Q, P = Letter.Q, Letter.P
-    sides = []
-    for (word, _), coeff in x._terms.items():
-        letters = word.letters
-        size = len(letters)
-        b = c = 0
-        while b < size and letters[size - 1 - b] is P:
-            b += 1
-        while c < size and letters[c] is Q:
-            c += 1
-        sides.append((letters[: size - b], b, c, letters[c:], coeff))
+def _junction_sides(counts_by_coeff: dict[HbarScalar, dict]) -> dict[HbarScalar, list]:
+    """Each coefficient's count map as a list of its slots, each slot
+    ``(head, b, k) -> n`` as ``(H, b, c, T, k, n)``: its word is both
+    ``H p^b`` and ``q^c T`` with ``b`` and ``c`` maximal.  ``H`` is the
+    slot's head, which never ends in ``p``, so only ``c`` is counted."""
+    sides: dict[HbarScalar, list] = {}
+    for coeff, counts in counts_by_coeff.items():
+        sides[coeff] = slots = []
+        for (head, b, k), n in counts.items():
+            c = 0
+            while c < len(head) and head[c] is Letter.Q:
+                c += 1
+            slots.append((head, b, c, head[c:] + _P * b, k, n))
     return sides
 
 
-def _add_product(counts: dict, head: tuple, b: int, c: int, tail: tuple, sign: int) -> None:
-    """Add ``sign`` times the normal form of ``head p^b q^c tail`` to the
-    count map ``counts`` of full-word slots ``(letters, 0, t)``."""
-    for t, m in _junction(b, c, sign):
-        slot = (head + _Q * (c - t) + _P * (b - t) + tail, 0, t)
+def _add_product(counts: dict, head: tuple, b: int, c: int, tail: tuple, n: int, k: int) -> None:
+    """Add ``n (-i*hbar)^k`` times the normal form of ``head p^b q^c tail``
+    to the count map ``counts`` of full-word slots ``(letters, 0, k + t)``."""
+    for t, m in _junction(b, c, n):
+        slot = (head + _Q * (c - t) + _P * (b - t) + tail, 0, k + t)
         counts[slot] = counts.get(slot, 0) + m
 
 

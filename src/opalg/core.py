@@ -157,7 +157,14 @@ def multiply(a: FreePolynomial, b: FreePolynomial) -> FreePolynomial:
 
 
 def normal_order(x: FreePolynomial) -> FreePolynomial:
-    """The unique normal form: no ``p`` immediately followed by ``q``.
+    """The unique normal form: no ``p`` immediately followed by ``q``;
+    :func:`_from_counts` of :func:`_normal_counts`."""
+    return _from_counts(_normal_counts(x))
+
+
+def _normal_counts(x: FreePolynomial) -> dict[HbarScalar, dict]:
+    """The per-coefficient count maps of ``x``'s normal form, before
+    :func:`_from_counts` folds and scales them.
 
     One pass counts each word's letters (:func:`_split_arrangement_sets`).
     A whole set of the ``C(n+m, m)`` arrangements of ``q^n p^m`` under one
@@ -171,8 +178,8 @@ def normal_order(x: FreePolynomial) -> FreePolynomial:
     one state letter moves ``p^b`` into the head.  The partial products at
     the previous word's run ends stay on a stack, and a word restarts from
     the last run end within its longest common prefix with the word before.
-    Counts are summed per source coefficient, those of ``-c`` folded into
-    ``c``'s.  The README's "Why normal ordering needs no rewriting" derives
+    Counts are summed per source coefficient; a slot's head never ends in
+    ``p``.  The README's "Why normal ordering needs no rewriting" derives
     each step.
     """
     Q, P = Letter.Q, Letter.P
@@ -226,7 +233,7 @@ def normal_order(x: FreePolynomial) -> FreePolynomial:
         counts = counts_by_coeff.setdefault(coeff, {})
         for slot, n in partial.items():
             counts[slot] = counts.get(slot, 0) + n
-    return _from_counts(counts_by_coeff)
+    return counts_by_coeff
 
 
 def _junction(b: int, c: int, n: int) -> list[tuple[int, int]]:
@@ -269,22 +276,15 @@ def _split_arrangement_sets(terms: dict) -> tuple[list, Iterable]:
     return sets, [term for term, key in zip(terms.items(), keys) if key not in whole]
 
 
-def normal_order_arrangements(sets: Iterable[tuple[int, int, HbarScalar]]) -> FreePolynomial:
-    """The normal form of ``sum c A(n, m)`` over ``(n, m, c)``, ``c``
-    nonzero, where ``A(n, m)`` is the sum of all ``C(n+m, m)`` arrangements
-    of ``n`` q's and ``m`` p's, without listing them.
-
-    McCoy (*PNAS* 18 (1932) 674): ``A(n, m) / C(n+m, m)`` is
-    ``sum_k C(n,k) C(m,k) k! (-i*hbar/2)^k q^(n-k) p^(m-k)``.
-    """
-    return _from_counts(_arrangement_counts(sets))
-
-
 def _arrangement_counts(sets: Iterable[tuple[int, int, HbarScalar]]) -> dict[HbarScalar, dict]:
-    """Per-coefficient count maps of the normal forms of ``c A(n, m)``:
-    ``C(n+m, m) C(n,k) C(m,k) k! / 2^k`` at ``(q^(n-k), m-k, k)``.  Each is
-    an integer, being the sum of the integer counts of ``A(n, m)``'s words,
-    so every step's division is exact."""
+    """Per-coefficient count maps of the normal forms of ``sum c A(n, m)``
+    over ``(n, m, c)``, where ``A(n, m)`` is the sum of all ``C(n+m, m)``
+    arrangements of ``n`` q's and ``m`` p's, without listing them.
+
+    McCoy (*PNAS* 18 (1932) 674): ``A(n, m)`` counts ``C(n+m, m) C(n,k)
+    C(m,k) k! / 2^k`` at ``(q^(n-k), m-k, k)``.  Each is an integer, being
+    the sum of the integer counts of ``A(n, m)``'s words, so every step's
+    division is exact."""
     counts_by_coeff: dict[HbarScalar, dict] = {}
     for n, m, coeff in sets:
         counts = counts_by_coeff.setdefault(coeff, {})

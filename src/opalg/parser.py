@@ -397,8 +397,8 @@ def evaluate(node: Node) -> Result:
                 "negative exponents are supported on hbar only", node.line, node.column
             )
         base = _as_free(evaluate(node.base))
-        result = FreePolynomial.one()
-        for _ in range(node.exponent):
+        result = base if node.exponent else FreePolynomial.one()
+        for _ in range(node.exponent - 1):
             result = result * base
         return result
     if kind is CallNode:

@@ -20,9 +20,11 @@ checker's reference route may share a loop with its fast path, never a hook.
 Count, then scale: where many terms share one coefficient object, as the
 words of an expansion do, an operation pays one scalar operation per
 coefficient rather than per term.  :func:`bilinear` reuses ``cx * cy`` along
-a run of one ``cy``; the symmetrizer, the state-derivative substitution and
-the commutator count integer multiplicities per coefficient and scale once
-per surviving slot, as :func:`~opalg.core.normal_order` does.
+a run of one ``cy``; the symmetrizer and the state-derivative substitution
+count integer multiplicities per coefficient and scale once per surviving
+slot, as :func:`~opalg.core.normal_order` does.  The commutator takes both
+operands' normal forms as those integer count maps and pairs them: one
+``cf * cg`` per pair of source coefficients, int products per pair of slots.
 """
 
 from __future__ import annotations
@@ -110,6 +112,10 @@ class GradedTerms:
         return value
 
     __setattr__ = __delattr__ = read_only
+
+    def __reduce__(self):
+        # Copy and pickle through ``_of``: the default restore sets the slot.
+        return self._of, (self._terms,)
 
     # Subclasses override to restrict admissible (key, scalar) pairs.
     @classmethod

@@ -26,9 +26,11 @@ from .core import (
     FreePolynomial,
     Letter,
     Word,
+    _arrangement_counts,
+    _from_counts,
+    _normal_counts,
     _word,
     normal_order,
-    normal_order_arrangements,
 )
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, ONE
@@ -229,29 +231,43 @@ def weyl_derivative(x: WeylPolynomial, wrt: Letter) -> WeylPolynomial:
 
 
 def normal_form(x: FreePolynomial | WeylPolynomial) -> FreePolynomial:
-    """The normal form of ``x``, or of its expansion if ``x`` is a Weyl value;
-    the one entry to the printable canonical form for ``normal`` and ``comm``.
-
-    A free value is :func:`~opalg.core.normal_order`'s.  A Weyl value's
-    terms without a derivative letter take McCoy's closed form straight from
-    the exponents (:func:`~opalg.core.normal_order_arrangements`): the
-    expansion of ``c S(q^n p^m)`` is ``c / C(n+m, m)`` times the sum of all
-    arrangements, so no word is listed.  Only the terms with a derivative
-    letter are expanded and normal-ordered; their words hold that letter, so
-    the two normal forms share no word and their sum merges nothing.
-    """
+    """The normal form of ``x``, or of its expansion if ``x`` is a Weyl value,
+    for ``normal``: :func:`~opalg.core.normal_order` of a free value, and
+    :func:`~opalg.core._from_counts` of :func:`_normal_form_counts` of a
+    Weyl value, whose words are never listed unless they hold a derivative
+    letter."""
     if isinstance(x, FreePolynomial):
         return normal_order(x)
+    return _from_counts(_normal_form_counts(x))
+
+
+def _normal_form_counts(x: FreePolynomial | WeylPolynomial) -> dict[HbarScalar, dict]:
+    """The per-coefficient count maps ``(head, b, k) -> n`` of ``x``'s normal
+    form, as :func:`~opalg.core._normal_counts` makes them; a slot's head
+    never ends in ``p``.  ``comm`` starts here, and so does ``normal_form``
+    of a Weyl value.
+
+    A Weyl value's terms without a derivative letter take McCoy's closed
+    form straight from the exponents
+    (:func:`~opalg.core._arrangement_counts`): the expansion of
+    ``c S(q^n p^m)`` is ``c / C(n+m, m)`` times the sum of all
+    arrangements, so no word is listed.  Only the terms with a derivative
+    letter are expanded and walked; their words hold that letter, so the
+    two maps of one coefficient share no slot and merge by ``update``.
+    """
+    if isinstance(x, FreePolynomial):
+        return _normal_counts(x)
     pure, derived = [], {}
     for (w, grade), c in x._terms.items():
         if w.deriv is None:
             pure.append((w.n, w.m, c * Fraction(1, comb(w.n + w.m, w.m))))
         else:
             derived[w, grade] = c
-    result = normal_order_arrangements(pure)
+    counts_by_coeff = _arrangement_counts(pure)
     if derived:
-        result = result + normal_order(expand_polynomial(WeylPolynomial._of(derived)))
-    return result
+        for coeff, counts in _normal_counts(expand_polynomial(WeylPolynomial._of(derived))).items():
+            counts_by_coeff.setdefault(coeff, {}).update(counts)
+    return counts_by_coeff
 
 
 def normal_form_of_weyl(w: WeylMonomial) -> FreePolynomial:

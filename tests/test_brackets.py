@@ -27,6 +27,7 @@ from opalg.scalars import HbarScalar, INV_I_HBAR, I_HBAR, ONE
 from opalg.weyl import (
     WeylMonomial,
     WeylPolynomial,
+    _normal_form_counts,
     expand_polynomial,
     weyl_derivative,
     weyl_product,
@@ -157,8 +158,14 @@ def reordered_difference(f: FreePolynomial, g: FreePolynomial) -> FreePolynomial
     return normal_order(f * g - g * f).scale(INV_I_HBAR)
 
 
-def assert_same_commutator(f: FreePolynomial, g: FreePolynomial) -> None:
-    actual, expected = commutator_bracket(f, g), reordered_difference(f, g)
+def expanded(x: FreePolynomial | WeylPolynomial) -> FreePolynomial:
+    return x if isinstance(x, FreePolynomial) else expand_polynomial(x)
+
+
+def assert_same_commutator(f, g) -> None:
+    """``commutator_bracket`` of free or Weyl operands against the reordered
+    difference of their expansions, on value and on printed bytes."""
+    actual, expected = commutator_bracket(f, g), reordered_difference(expanded(f), expanded(g))
     assert actual == expected
     assert render_text(actual) == render_text(expected)
     assert render_json(actual) == render_json(expected)
@@ -306,10 +313,6 @@ weyl_operands = st.lists(
 ).map(lambda terms: WeylPolynomial((WeylMonomial(n, m, d), c) for n, m, d, c in terms))
 
 
-def expanded(x: FreePolynomial | WeylPolynomial) -> FreePolynomial:
-    return x if isinstance(x, FreePolynomial) else expand_polynomial(x)
-
-
 def assert_same_as_expanded(x, y) -> None:
     actual, expected = commutator_bracket(x, y), commutator_bracket(expanded(x), expanded(y))
     assert actual == expected
@@ -327,6 +330,123 @@ def test_commutator_bracket_of_weyl_monomials_matches_the_expanded_operands():
     ]
     for x, y in product(monomials, repeat=2):
         assert commutator_bracket(x, y) == commutator_bracket(expanded(x), expanded(y))
+
+
+# -- commutator over per-coefficient count maps ---------------------------------------
+
+
+C = HbarScalar.of(Fraction(3, 2), -1)
+MINUS_C = HbarScalar.of(Fraction(-3, 2), 1)  # -C, a distinct object
+RHO_WORD_OPERAND = FreePolynomial(
+    [(Word.of(Q, RHO, P, P), HbarScalar.of(1, 2, -1)), (Word.of(P, Letter.DRHO_Q, Q), ONE)]
+)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        # p q under C and q p under -C meet in the slot of q p.
+        FreePolynomial([(Word.of(P, Q), C), (Word.of(Q, P), MINUS_C)]),
+        # ... and the C i hbar of p q cancels a third coefficient: the normal
+        # form is zero, but every count map is nonzero.
+        FreePolynomial(
+            [(Word.of(P, Q), C), (Word.of(Q, P), MINUS_C), (IDENTITY_WORD, MINUS_C * I_HBAR)]
+        ),
+        # Equal-valued distinct objects on words that meet in one slot.
+        FreePolynomial(
+            [(Word.of(P, Q, Q), HbarScalar.of(2, 1)), (Word.of(Q, P, Q), HbarScalar.of(2, 1))]
+        ),
+    ],
+)
+@pytest.mark.parametrize("y", [q, mono(2, 1), RHO_WORD_OPERAND])
+def test_commutator_bracket_of_coefficients_that_meet_in_one_slot(x, y):
+    assert MINUS_C is not -C and MINUS_C == -C
+    assert_same_commutator(x, y)
+    assert_same_commutator(y, x)
+
+
+# c S(q p) expands under c/2, as c S(q o drho_p) does, and 2c S(q^2 p)
+# expands under 2c/3, as 4c S(q p drho_q) does: one coefficient value holds
+# pure words and derivative-letter words.
+SHARED_COEFF_WEYL = WeylPolynomial(
+    [
+        (WeylMonomial(1, 1), C),
+        (WeylMonomial(1, 0, Letter.DRHO_P), C),
+        (WeylMonomial(2, 1), C * 2),
+        (WeylMonomial(1, 1, Letter.DRHO_Q), C * 4),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "y",
+    [
+        q,
+        mono(3, 2),
+        RHO_WORD_OPERAND,
+        # Graded coefficients on both sides.
+        WeylPolynomial(
+            [
+                (WeylMonomial(2, 2), HbarScalar.of(0, 3, 2)),
+                (WeylMonomial(0, 3), HbarScalar.of(Fraction(-1, 3), 1, -1)),
+                (WeylMonomial(1, 2, Letter.DRHO_Q), HbarScalar.of(2, 0, 1)),
+            ]
+        ),
+    ],
+)
+def test_commutator_bracket_of_pure_and_derivative_terms_under_one_coefficient(y):
+    assert len(_normal_form_counts(SHARED_COEFF_WEYL)) == 2
+    assert_same_commutator(SHARED_COEFF_WEYL, y)
+    assert_same_commutator(y, SHARED_COEFF_WEYL)
+    assert_same_commutator(SHARED_COEFF_WEYL.scale(HbarScalar.of(1, -1, 1)), y)
+
+
+def test_commutator_bracket_of_state_letters_on_both_sides():
+    # Junctions meet state letters in the heads and the tails of both operands.
+    x = FreePolynomial(
+        [
+            (Word.of(Q, RHO, P, P, P), HbarScalar.of(1, 1, 1)),
+            (Word.of(Letter.DRHO_Q, Q, P, P), HbarScalar.of(0, -2, -1)),
+        ]
+    )
+    y = FreePolynomial(
+        [
+            (Word.of(Q, Q, RHO, Q, P), HbarScalar.of(Fraction(1, 2), 0, 2)),
+            (Word.of(Q, Q, Q, Letter.DRHO_P), HbarScalar.of(-1, 3)),
+        ]
+    )
+    assert_same_commutator(x, y)
+    assert_same_commutator(y, x)
+    assert_same_commutator(x, SHARED_COEFF_WEYL)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([(1, 2, 1)], [(3, 3, 1)]),
+        ([(1, 7, 4), (Fraction(-2, 3), 6, 3)], [(3, 6, 3)]),
+        ([(1, 5, 2), (-1, 4, 3)], [(Fraction(1, 2), 6, 4), (3, 3, 2)]),
+    ],
+)
+def test_commutator_bracket_makes_one_product_per_pair_of_coefficients(monkeypatch, a, b):
+    f, g = weyl_sum(a), weyl_sum(b)
+    expected = reordered_difference(f, g)
+    products = []
+    mul = HbarScalar.__mul__
+
+    def counting_mul(x, y):
+        products.append((x, y))
+        return mul(x, y)
+
+    monkeypatch.setattr(HbarScalar, "__mul__", counting_mul)
+    result = commutator_bracket(f, g)
+    monkeypatch.undo()
+    assert result == expected
+    # Each pair of source coefficients makes one product; each distinct
+    # product is divided by i hbar once.
+    pairs = [(x, y) for x, y in products if y is not INV_I_HBAR]
+    assert len(pairs) <= len(a) * len(b)
+    assert len(products) - len(pairs) <= len(pairs)
 
 
 # -- Leibniz -----------------------------------------------------------------------

@@ -185,6 +185,27 @@ def test_negative_hbar_exponent():
         ev("q^-1")
 
 
+def test_power_makes_one_product_fewer_than_its_exponent(monkeypatch):
+    from opalg import core
+
+    products = []
+    multiply = core.multiply
+
+    def counting_multiply(a, b):
+        products.append((a, b))
+        return multiply(a, b)
+
+    base = ev("q + 2 p")
+    monkeypatch.setattr(core, "multiply", counting_multiply)
+    powers = [ev(f"(q + 2 p)^{n}") for n in range(5)]
+    monkeypatch.undo()
+    assert len(products) == 0 + 0 + 1 + 2 + 3
+    assert powers[0] == FreePolynomial.one() and powers[1] == base
+    for n in range(1, 5):
+        assert powers[n] == powers[n - 1] * base
+    assert ev("(q + 2 p)^0 p") == ev("p") and ev("2^3") == ev("8")
+
+
 def test_evaluation_errors_carry_positions():
     with pytest.raises(EvalError) as excinfo:
         ev("S(rho)")

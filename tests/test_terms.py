@@ -16,7 +16,7 @@ from opalg.errors import UnsupportedFragmentError
 from opalg.oracle import TestFunction
 from opalg.parser import _mixed_sum, _scale_by_scalar
 from opalg.scalars import HBAR, HbarScalar, INV_I_HBAR, ONE
-from opalg.terms import linear_map
+from opalg.terms import GradedTerms, linear_map
 from opalg.weyl import WeylMonomial, WeylPolynomial, _monomial, weyl_derivative, weyl_product
 
 Q, P, DQ, DP = Letter.Q, Letter.P, Letter.DRHO_Q, Letter.DRHO_P
@@ -386,3 +386,34 @@ def test_records_are_built_by_position_or_name():
     suite = SuiteReport("eq6", (CheckResult("ordering", 1, (failure,)),))
     assert suite == SuiteReport(suite="eq6", checks=(CheckResult("ordering", 1, (failure,)),))
     assert not suite.passed and suite.checks[0].failures == (failure,)
+
+
+# -- copy and pickle of values -----------------------------------------------------
+
+
+def polynomials_of(value) -> list:
+    if isinstance(value, GradedTerms):
+        return [value]
+    return [value.lhs, value.rhs, value.difference]
+
+
+def test_values_copy_and_pickle_and_stay_immutable():
+    from opalg.brackets import EqualityReport, check_von_neumann_equivalence
+    from opalg.parser import evaluate, parse
+
+    free = evaluate(parse("q p + 2 p"))
+    weyl = evaluate(parse("S(q^2 p) + hbar (q o drho_p)"))
+    classical = ClassicalPolynomial([((2, 1), HbarScalar.of(1, -1)), ((0, 3), ONE)])
+    oracle = TestFunction([(2, HbarScalar.of(0, 1)), (0, HBAR)])
+    report = check_von_neumann_equivalence(evaluate(parse("S(q^2 p + 3 p)")))
+    for value in (free, weyl, classical, oracle, report, EqualityReport(free, weyl, free)):
+        protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)  # HbarScalar needs 2
+        twins = [pickle.loads(pickle.dumps(value, protocol)) for protocol in protocols]
+        for twin in twins + [copy.copy(value), copy.deepcopy(value)]:
+            assert type(twin) is type(value) and twin == value
+            for part, original in zip(polynomials_of(twin), polynomials_of(value)):
+                assert list(part.items()) == list(original.items())
+                for change in (lambda: setattr(part, "_terms", {}), lambda: delattr(part, "_terms")):
+                    with pytest.raises(AttributeError, match="is immutable"):
+                        change()
+    assert report.equal and pickle.loads(pickle.dumps(report)).equal
