@@ -87,13 +87,6 @@ class Word(TaggedTuple):
     def count(self, letter: Letter) -> int:
         return self.letters.count(letter)
 
-    def counts(self) -> tuple[int, int, int, int, int]:
-        """Occurrences of (q, p, rho, drho_q, drho_p); additive under concatenation."""
-        totals = [0, 0, 0, 0, 0]
-        for letter in self.letters:
-            totals[letter] += 1
-        return tuple(totals)  # type: ignore[return-value]
-
     @property
     def sort_key(self) -> tuple[int, tuple[Letter, ...]]:
         return (len(self.letters), self.letters)
@@ -119,9 +112,17 @@ _Q, _P = (Letter.Q,), (Letter.P,)  # one-letter tuples, to append to letters
 
 
 class FreePolynomial(GradedTerms):
-    """A finite sum of words with exact graded coefficients."""
+    """A finite sum of words with exact graded coefficients.
 
-    __slots__ = ()
+    The slot ``_sets`` is unset unless :func:`~opalg.weyl.expand_polynomial`
+    made the value from pure Weyl terms.  It then holds one ``(n, m, c)``
+    per term, in source order: the value is the sum of ``c`` times all
+    arrangements of ``q^n p^m``.  :func:`_normal_counts` reads it instead of
+    counting words.  Every other constructor (``_of``, arithmetic,
+    ``scale``, copy, pickle) makes a value without it, and values are
+    immutable, so the record cannot go stale."""
+
+    __slots__ = ("_sets",)
 
     @classmethod
     def _validate_pair(cls, key: Word, scalar: HbarScalar) -> None:
@@ -150,6 +151,9 @@ class FreePolynomial(GradedTerms):
         return max((len(word) for word, _ in self.items()), default=0)
 
 
+_set_sets = FreePolynomial._sets.__set__  # type: ignore[attr-defined]
+
+
 def multiply(a: FreePolynomial, b: FreePolynomial) -> FreePolynomial:
     """Ordinary (successive-application) product: bilinear word concatenation."""
     # ``w[0]`` is ``w.letters``, read from the layout: a hot path
@@ -166,22 +170,28 @@ def _normal_counts(x: FreePolynomial) -> dict[HbarScalar, dict]:
     """The per-coefficient count maps of ``x``'s normal form, before
     :func:`_from_counts` folds and scales them.
 
-    One pass counts each word's letters (:func:`_split_arrangement_sets`).
     A whole set of the ``C(n+m, m)`` arrangements of ``q^n p^m`` under one
-    coefficient and grade, as :func:`expand` produces it, takes McCoy's
-    closed form (:func:`_arrangement_counts`).  Every other word, in source
-    order, is multiplied run by run onto a normal partial product: a map
-    ``(head, b, k) -> n`` of integer counts standing for
-    ``n (-i*hbar)^k head p^b``.  A run of ``r`` p's takes ``b`` to ``b + r``;
-    a run of ``r`` q's meets ``p^b`` in one junction step (:func:`_junction`),
-    of which the two-term step of a single q is the case ``r = 1``; a run of
-    one state letter moves ``p^b`` into the head.  The partial products at
-    the previous word's run ends stay on a stack, and a word restarts from
-    the last run end within its longest common prefix with the word before.
-    Counts are summed per source coefficient; a slot's head never ends in
-    ``p``.  The README's "Why normal ordering needs no rewriting" derives
-    each step.
+    coefficient and grade, as :func:`~opalg.weyl.expand` produces it, takes
+    McCoy's closed form (:func:`_arrangement_counts`).  A value that
+    :func:`~opalg.weyl.expand_polynomial` made from pure Weyl terms is such
+    sets and nothing else, and names them in its record ``_sets``, so none
+    of its words is read.  Any other value's sets are found by one pass
+    that counts each word's letters (:func:`_split_arrangement_sets`).
+    Every other word, in source order, is multiplied run by run onto a
+    normal partial product: a map ``(head, b, k) -> n`` of integer counts
+    standing for ``n (-i*hbar)^k head p^b``.  A run of ``r`` p's takes ``b``
+    to ``b + r``; a run of ``r`` q's meets ``p^b`` in one junction step
+    (:func:`_junction`), of which the two-term step of a single q is the case
+    ``r = 1``; a run of one state letter moves ``p^b`` into the head.  The
+    partial products at the previous word's run ends stay on a stack, and a
+    word restarts from the last run end within its longest common prefix
+    with the word before.  Counts are summed per source coefficient; a
+    slot's head never ends in ``p``.  The README's "Why normal ordering
+    needs no rewriting" derives each step.
     """
+    sets = getattr(x, "_sets", None)
+    if sets is not None:
+        return _arrangement_counts(sets)
     Q, P = Letter.Q, Letter.P
     sets, rest = _split_arrangement_sets(x._terms)
     counts_by_coeff = _arrangement_counts(sets)
@@ -253,7 +263,8 @@ def _split_arrangement_sets(terms: dict) -> tuple[list, Iterable]:
     A whole set is all ``C(n+m, m)`` arrangements of ``n`` q's and ``m``
     p's (``n, m >= 1``) at one grade under one coefficient ``c``; the words
     of one grade are distinct, so a group of pure words of that size is
-    whole.  Each word's letters are counted once.
+    whole.  Each word's letters are counted once.  Only values without the
+    record of :func:`~opalg.weyl.expand_polynomial` are split here.
     """
     if len(terms) < 2:
         return [], terms.items()

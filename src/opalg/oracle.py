@@ -3,9 +3,9 @@
 The pure q/p algebra acts faithfully on polynomials in a formal variable x
 by ``q = multiply by x`` and ``p = -i*hbar * d/dx``, with hbar kept formal
 and all coefficients exact.  Two operators are equal exactly when their
-images of ``x**0 .. x**D`` agree, ``D`` one more than their largest word
-length; the README ("Why the oracle's finite test degree suffices") gives
-the argument and each word's closed-form action.  :func:`oracle_equal`
+images of ``x**0 .. x**D`` agree, ``D`` their largest word length; the
+README ("Why the oracle's finite test degree suffices") gives the argument
+and each word's closed-form action.  :func:`oracle_equal`
 sums the images of one operand's terms and of the other's negated terms in
 one map of Gaussian integers over a common denominator, and the operands
 are equal when every entry is zero.  The oracle never rewrites words and
@@ -117,13 +117,13 @@ def apply_operator(op: FreePolynomial, f: TestFunction) -> TestFunction:
 
 
 def oracle_equal(a: FreePolynomial, b: FreePolynomial) -> bool:
-    """Decide operator equality by the images of ``x**j`` for ``j`` up to one
-    more than the larger total degree of the two operands, which per the
-    README is already past the faithful threshold.  The images of ``a``'s
-    terms and of ``b``'s negated terms are summed from the scalars' ints,
-    and the operands are equal when every sum is zero.  Every word of both
+    """Decide operator equality by the images of ``x**j`` for ``j`` up to the
+    larger total degree of the two operands, which per the README is the
+    faithful threshold.  The images of ``a``'s terms and of ``b``'s negated
+    terms are summed from the scalars' ints, and the operands are equal
+    when every sum is zero.  Every word of both
     operands is read, so a state word raises even where it appears in both."""
-    degrees = range(max(a.max_word_length, b.max_word_length) + 2)
+    degrees = range(max(a.max_word_length, b.max_word_length) + 1)
     terms = list(a._terms.items())
     terms += [(slot, -c) for slot, c in b._terms.items()]
     _, images = _images(terms, degrees)

@@ -94,6 +94,10 @@ class HbarScalar:
     def __hash__(self) -> int:
         return hash((self._re, self._im, self._den, self._power))
 
+    def __reduce__(self):
+        # Copy and pickle by the four ints, under every pickle protocol.
+        return _make, (self._re, self._im, self._den, self._power)
+
     def __repr__(self) -> str:
         return f"HbarScalar(re={self.re!r}, im={self.im!r}, hbar_power={self._power!r})"
 

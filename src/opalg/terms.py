@@ -25,6 +25,9 @@ count integer multiplicities per coefficient and scale once per surviving
 slot, as :func:`~opalg.core.normal_order` does.  The commutator takes both
 operands' normal forms as those integer count maps and pairs them: one
 ``cf * cg`` per pair of source coefficients, int products per pair of slots.
+A value may also name what it is made of: a free value that
+:func:`~opalg.weyl.expand_polynomial` made records its arrangement sets, so
+its normal form is read off per set rather than per word.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from .core import (
     _arrangement_counts,
     _from_counts,
     _normal_counts,
+    _set_sets,
     _word,
     normal_order,
 )
@@ -190,8 +191,14 @@ def expand_polynomial(x: WeylPolynomial) -> FreePolynomial:
     All arrangements of a monomial share one coefficient, so each Weyl term
     makes one scalar.  Nothing merges: two distinct monomials of one grade
     differ in their letter counts, so their expansions share no word.
+
+    When no term has a derivative letter, the result records the
+    arrangement sets it holds, one ``(n, m, c)`` per term in source order,
+    ``c`` the per-word scalar; :func:`~opalg.core.normal_order` and ``comm``
+    read that record instead of counting the words again.
     """
     slots: dict = {}
+    sets, pure = [], True
     for (monomial, grade), coeff in x._terms.items():
         words = expand(monomial)._terms  # slots (word, 0)
         scalar = coeff * next(iter(words.values()))
@@ -199,7 +206,13 @@ def expand_polynomial(x: WeylPolynomial) -> FreePolynomial:
             slots.update(((word, grade), scalar) for word, _ in words)
         else:
             slots.update(dict.fromkeys(words, scalar))
-    return FreePolynomial._of(slots)
+        n, m, deriv, _ = monomial  # read the layout
+        sets.append((n, m, scalar))
+        pure = pure and deriv is None
+    value = FreePolynomial._of(slots)
+    if pure:
+        _set_sets(value, tuple(sets))
+    return value
 
 
 def weyl_product(x: WeylPolynomial, y: WeylPolynomial) -> WeylPolynomial:

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from opalg import core
 from opalg.brackets import (
     ClassicalPolynomial,
     check_anticommutator_identity,
@@ -447,6 +448,25 @@ def test_commutator_bracket_makes_one_product_per_pair_of_coefficients(monkeypat
     pairs = [(x, y) for x, y in products if y is not INV_I_HBAR]
     assert len(pairs) <= len(a) * len(b)
     assert len(products) - len(pairs) <= len(pairs)
+
+
+@settings(max_examples=20)
+@given(weyl_terms, weyl_terms)
+@example([(1, 7, 4), (Fraction(-2, 3), 6, 3)], [(3, 6, 3)])
+@example([(1, 2, 1), (-1, 3, 2)], [(Fraction(1, 2), 2, 1)])
+def test_commutator_bracket_of_expanded_operands_reads_their_record(a, b):
+    f, g = weyl_sum(a), weyl_sum(b)
+    expected = commutator_bracket(FreePolynomial(list(f.items())), FreePolynomial(list(g.items())))
+
+    def refuse_to_split(terms):
+        raise AssertionError("a recorded operand was split again")
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(core, "_split_arrangement_sets", refuse_to_split)
+        actual = commutator_bracket(f, g)
+    assert actual == expected
+    assert render_text(actual) == render_text(expected)
+    assert render_json(actual) == render_json(expected)
 
 
 # -- Leibniz -----------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from functools import cache
@@ -7,6 +9,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import example, given, strategies as st
 
+from opalg import core
 from opalg.core import (
     FreePolynomial,
     IDENTITY_WORD,
@@ -19,9 +22,9 @@ from opalg.core import (
     partial_derivative,
 )
 from opalg.errors import UnsupportedFragmentError
-from opalg.printing import render_json
+from opalg.printing import render_json, render_text
 from opalg.scalars import HbarScalar, I_HBAR, ONE
-from opalg.weyl import WeylMonomial, expand
+from opalg.weyl import WeylMonomial, WeylPolynomial, expand, expand_polynomial
 
 Q, P, RHO = Letter.Q, Letter.P, Letter.RHO
 
@@ -43,14 +46,6 @@ qp_polys = st.lists(st.tuples(qp_words, coeffs), max_size=4).map(FreePolynomial)
 
 
 # -- words -------------------------------------------------------------------
-
-
-def test_word_counts_are_additive_under_concatenation():
-    a = Word.of(Q, P, RHO)
-    b = Word.of(P, Letter.DRHO_Q)
-    combined = a + b
-    assert combined.counts() == tuple(x + y for x, y in zip(a.counts(), b.counts()))
-    assert combined.counts() == (1, 2, 1, 1, 0)
 
 
 def test_normal_word_predicate():
@@ -525,3 +520,82 @@ def test_adjoint_is_an_involution(x):
 @given(qp_polys, qp_polys)
 def test_adjoint_is_an_antihomomorphism(x, y):
     assert adjoint(multiply(x, y)) == multiply(adjoint(y), adjoint(x))
+
+
+# -- the arrangement-set record of expand_polynomial ------------------------------
+
+DQ, DP = Letter.DRHO_Q, Letter.DRHO_P
+RECORD_COEFFS = GRADED_COEFFS + [-ONE, HbarScalar.of(Fraction(2, 3), Fraction(-5, 7), 1)]
+HBAR_COEFF = HbarScalar.of(0, 3, 1)
+
+
+def weyl_sum(terms) -> WeylPolynomial:
+    return WeylPolynomial((WeylMonomial(n, m, deriv), c) for n, m, deriv, c in terms)
+
+
+def unrecorded(x: FreePolynomial) -> FreePolynomial:
+    return FreePolynomial(list(x.items()))
+
+
+def refuse_to_split(terms):
+    raise AssertionError("a recorded value was split again")
+
+
+# Several grades, complex coefficients, a monomial at two grades, and pure
+# sums mixed with derivative-letter terms, which leave the value unrecorded.
+weyl_sums = st.lists(
+    st.tuples(
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.sampled_from([None, None, None, DQ, DP]),
+        st.sampled_from(RECORD_COEFFS),
+    ),
+    max_size=5,
+).map(weyl_sum)
+
+
+def test_expand_polynomial_records_its_sets_in_source_order():
+    c, g = HbarScalar.of(Fraction(2, 3), -1), HBAR_COEFF
+    w = weyl_sum([(2, 1, None, c), (0, 3, None, g), (2, 1, None, g), (0, 0, None, ONE)])
+    x = expand_polynomial(w)
+    assert x._sets == ((2, 1, c / 3), (0, 3, g), (2, 1, g / 3), (0, 0, ONE))
+    assert not hasattr(expand_polynomial(weyl_sum([(1, 1, None, c), (1, 0, DQ, g)])), "_sets")
+    with pytest.raises(AttributeError, match="is immutable"):
+        x._sets = ()
+
+
+@pytest.mark.parametrize("n, m", [(0, 0), (3, 0), (0, 2), (1, 1), (4, 3), (7, 7)])
+def test_normal_order_of_an_expansion_never_splits_it(monkeypatch, n, m):
+    terms = [(n, m, None, HbarScalar.of(1, 2)), (m, n, None, HBAR_COEFF), (1, 2, None, -ONE)]
+    x = expand_polynomial(weyl_sum(terms))
+    expected = normal_order(unrecorded(x))
+    monkeypatch.setattr(core, "_split_arrangement_sets", refuse_to_split)
+    assert normal_order(x) == expected
+
+
+@given(weyl_sums)
+@example(weyl_sum([(2, 2, None, ONE), (2, 2, None, HBAR_COEFF)]))
+@example(weyl_sum([(3, 1, None, ONE), (1, 3, None, -ONE), (0, 2, None, HbarScalar.of(1, -1, 2))]))
+@example(weyl_sum([(2, 1, None, HbarScalar.of(-2, 1)), (1, 1, DQ, ONE)]))
+def test_normal_order_of_a_recorded_value_is_that_of_its_words(w):
+    x = expand_polynomial(w)
+    assert hasattr(x, "_sets") == all(m.deriv is None for m, _ in w.items())
+    recorded, counted = normal_order(x), normal_order(unrecorded(x))
+    assert recorded == counted
+    assert render_text(recorded) == render_text(counted)
+    assert render_json(recorded) == render_json(counted)
+
+
+def test_values_built_from_a_recorded_value_carry_no_record():
+    c = HbarScalar.of(Fraction(1, 2), -3)
+    x = expand_polynomial(weyl_sum([(3, 2, None, c), (1, 1, None, HBAR_COEFF), (0, 1, None, ONE)]))
+    assert hasattr(x, "_sets")
+    expected = normal_order(x)
+    twins = [x + FreePolynomial.zero(), x - FreePolynomial.zero(), copy.copy(x), copy.deepcopy(x)]
+    twins += [pickle.loads(pickle.dumps(x, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in twins:
+        assert twin == x and not hasattr(twin, "_sets")
+        assert normal_order(twin) == expected
+    scaled = x.scale(c)
+    assert not hasattr(scaled, "_sets") and not hasattr(-x, "_sets")
+    assert normal_order(scaled) == expected.scale(c)

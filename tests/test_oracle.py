@@ -273,7 +273,7 @@ def test_verdicts_over_shared_words_and_mixed_coefficients_match_the_normal_form
     assert oracle_equal(b, a) == expected
 
 
-def test_test_degrees_run_one_past_the_longest_word(monkeypatch):
+def test_test_degrees_run_to_the_longest_word(monkeypatch):
     seen = []
     images = oracle._images
 
@@ -283,7 +283,18 @@ def test_test_degrees_run_one_past_the_longest_word(monkeypatch):
 
     monkeypatch.setattr(oracle, "_images", recording)
     oracle_equal(letters("qpppqpp"), letters("qp"))
-    assert seen == [list(range(9))]
+    assert seen == [list(range(8))]
+
+
+# p^L annihilates x^0 .. x^(L-1), so only the test degree L tells it from zero.
+@pytest.mark.parametrize("length", range(9))
+def test_the_longest_word_length_is_a_needed_test_degree(length):
+    for c in (ONE, HbarScalar.of(Fraction(-2, 3), 1), HBAR):
+        assert not oracle_equal(p_power(length, c), ZERO_OP)
+        assert not oracle_equal(ZERO_OP, p_power(length, c))
+    word = FreePolynomial.from_word(Word.of(*((Q, P) * length)[:length]))
+    assert not oracle_equal(word, word + p_power(length, HBAR))
+    assert not oracle_equal(word + p_power(length, HBAR), word)
 
 
 def test_the_oracle_never_calls_normal_order(monkeypatch):

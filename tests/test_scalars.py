@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -276,6 +278,19 @@ def test_scalars_are_immutable():
         with pytest.raises(AttributeError):
             setattr(x, name, 0)
     assert x == HbarScalar.of(1, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "x", [ZERO, ONE, INV_I_HBAR, HbarScalar.of(Fraction(-2, 3), Fraction(5, 7), 3)], ids=repr
+)
+def test_scalars_round_trip_on_every_pickle_protocol(x):
+    pickled = [pickle.loads(pickle.dumps(x, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in pickled + [copy.copy(x), copy.deepcopy(x)]:
+        assert type(twin) is HbarScalar and twin == x and hash(twin) == hash(x)
+        assert (twin._re, twin._im, twin._den, twin._power) == (x._re, x._im, x._den, x._power)
+        for name in ("re", "im", "hbar_power", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(twin, name, 0)
 
 
 @pytest.mark.parametrize("bad", [1.5, "1", None, complex(1, 0)])

@@ -407,7 +407,7 @@ def test_values_copy_and_pickle_and_stay_immutable():
     oracle = TestFunction([(2, HbarScalar.of(0, 1)), (0, HBAR)])
     report = check_von_neumann_equivalence(evaluate(parse("S(q^2 p + 3 p)")))
     for value in (free, weyl, classical, oracle, report, EqualityReport(free, weyl, free)):
-        protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)  # HbarScalar needs 2
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
         twins = [pickle.loads(pickle.dumps(value, protocol)) for protocol in protocols]
         for twin in twins + [copy.copy(value), copy.deepcopy(value)]:
             assert type(twin) is type(value) and twin == value
