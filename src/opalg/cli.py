@@ -10,11 +10,14 @@ import argparse
 import json
 import re
 import sys
+from typing import TYPE_CHECKING
 
 from .errors import EvalError, ParseError, UnsupportedFragmentError
 from .parser import evaluate, parse
 from .printing import render, render_text
-from .suites import SUITE_NAMES, SuiteReport, run_suite
+
+if TYPE_CHECKING:
+    from .suites import SuiteReport
 
 # RecursionError (input nested too deep for the recursive parser or evaluator)
 # and MemoryError are reported like any other input that cannot be evaluated.
@@ -41,6 +44,24 @@ def cmd_eval(expr: str, fmt: str) -> int:
         return 2
     print(text)
     return 0
+
+
+def run_suite(suite: str, **params) -> SuiteReport:
+    """:func:`opalg.suites.run_suite`, imported on the verify path only: the
+    suites and their ``random`` cost ``eval`` and the REPL nothing."""
+    from . import suites
+
+    return suites.run_suite(suite, **params)
+
+
+class _SuiteChoices:
+    """The ``--suite`` choices, read from :data:`opalg.suites.SUITE_NAMES`
+    when argparse checks or prints them, which only ``verify`` does."""
+
+    def __iter__(self):
+        from . import suites
+
+        return iter(suites.SUITE_NAMES + ("all",))
 
 
 def cmd_verify(suite: str, max_degree: int, cases: int, seed: int, fmt: str) -> int:
@@ -126,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run identity verification suites")
     p_verify.add_argument(
-        "--suite", choices=SUITE_NAMES + ("all",), default="all"
+        "--suite", choices=_SuiteChoices(), default="all"
     )
     p_verify.add_argument("--max-degree", type=int, default=6)
     p_verify.add_argument("--cases", type=int, default=200)

@@ -25,7 +25,7 @@ from typing import Iterable
 
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, ONE, _leads_negative, times_minus_i_hbar_power
-from .terms import GradedTerms, TaggedTuple, bilinear, linear_map, sum_into
+from .terms import GradedTerms, TaggedTuple, _get_terms, _set_terms, bilinear, linear_map, sum_into
 
 
 class Letter(enum.IntEnum):
@@ -120,9 +120,25 @@ class FreePolynomial(GradedTerms):
     arrangements of ``q^n p^m``.  :func:`_normal_counts` reads it instead of
     counting words.  Every other constructor (``_of``, arithmetic,
     ``scale``, copy, pickle) makes a value without it, and values are
-    immutable, so the record cannot go stale."""
+    immutable, so the record cannot go stale.
+
+    Such a value holds only its record at first: its slot map ``_terms``
+    is listed from the record (:func:`~opalg.weyl._listed`) the first time
+    anything reads it, and kept.  Normal forms and ``comm`` read the record
+    alone, so the words of an expansion they take are never listed."""
 
     __slots__ = ("_sets",)
+
+    def __getattr__(self, name: str):
+        # Reached only when a slot is unset, so a listed value reads
+        # ``_terms`` at C speed.
+        if name != "_terms":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        from .weyl import _listed
+
+        terms = _listed(self._sets)
+        _set_terms(self, terms)
+        return terms
 
     @classmethod
     def _validate_pair(cls, key: Word, scalar: HbarScalar) -> None:
@@ -151,6 +167,7 @@ class FreePolynomial(GradedTerms):
         return max((len(word) for word, _ in self.items()), default=0)
 
 
+_get_sets = FreePolynomial._sets.__get__  # type: ignore[attr-defined]
 _set_sets = FreePolynomial._sets.__set__  # type: ignore[attr-defined]
 
 
@@ -189,11 +206,20 @@ def _normal_counts(x: FreePolynomial) -> dict[HbarScalar, dict]:
     slot's head never ends in ``p``.  The README's "Why normal ordering
     needs no rewriting" derives each step.
     """
-    sets = getattr(x, "_sets", None)
-    if sets is not None:
-        return _arrangement_counts(sets)
+    # Each slot is read through its own getter, so a miss never reaches
+    # ``__getattr__``: a value that holds only its record has no slot map
+    # yet, and only a value of several terms may hold whole sets.
+    try:
+        terms = _get_terms(x)
+    except AttributeError:
+        return _arrangement_counts(x._sets)
+    if len(terms) > 1:
+        try:
+            return _arrangement_counts(_get_sets(x))
+        except AttributeError:
+            pass
     Q, P = Letter.Q, Letter.P
-    sets, rest = _split_arrangement_sets(x._terms)
+    sets, rest = _split_arrangement_sets(terms)
     counts_by_coeff = _arrangement_counts(sets)
     previous: tuple[Letter, ...] = ()
     ends, stack = [0], [{((), 0, 0): 1}]  # stack[i]: the partial product of previous[:ends[i]]

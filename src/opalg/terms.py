@@ -27,7 +27,10 @@ operands' normal forms as those integer count maps and pairs them: one
 ``cf * cg`` per pair of source coefficients, int products per pair of slots.
 A value may also name what it is made of: a free value that
 :func:`~opalg.weyl.expand_polynomial` made records its arrangement sets, so
-its normal form is read off per set rather than per word.
+its normal form is read off per set rather than per word.  Such a value
+holds only that record until something reads its slot map, which is then
+listed from the record once and set through ``_set_terms``; normal forms
+and commutators never read it.
 """
 
 from __future__ import annotations
@@ -205,6 +208,7 @@ class GradedTerms:
         return f"{type(self).__name__}({parts})"
 
 
+_get_terms = GradedTerms._terms.__get__  # type: ignore[attr-defined]
 _set_terms = GradedTerms._terms.__set__  # type: ignore[attr-defined]
 
 

@@ -103,6 +103,28 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert child.stdout == "[]\n"
 
 
+def test_cli_import_loads_neither_the_suites_nor_random():
+    # eval and the REPL run no suite; only the verify path imports them.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(opalg.__file__)))
+    code = "import sys, opalg.cli; print(sorted({'opalg.suites', 'random'} & set(sys.modules)))"
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
+
+
+def test_suite_choices_are_the_suite_names_and_all(capsys):
+    assert list(cli._SuiteChoices()) == [*suites.SUITE_NAMES, "all"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--suite", "eq7"])
+    assert excinfo.value.code == 2
+    names = ", ".join(repr(name) for name in (*suites.SUITE_NAMES, "all"))
+    expected = f"error: argument --suite: invalid choice: 'eq7' (choose from {names})\n"
+    assert capsys.readouterr().err == expected
+
+
 def test_eval_option_like_input_is_one_error_line(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["eval", "-q"])

@@ -9,7 +9,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import example, given, strategies as st
 
-from opalg import core
+from opalg import core, weyl
 from opalg.core import (
     FreePolynomial,
     IDENTITY_WORD,
@@ -22,9 +22,10 @@ from opalg.core import (
     partial_derivative,
 )
 from opalg.errors import UnsupportedFragmentError
-from opalg.printing import render_json, render_text
+from opalg.printing import render, render_json, render_text
 from opalg.scalars import HbarScalar, I_HBAR, ONE
-from opalg.weyl import WeylMonomial, WeylPolynomial, expand, expand_polynomial
+from opalg.terms import _get_terms
+from opalg.weyl import WeylMonomial, WeylPolynomial, expand, expand_polynomial, normal_form
 
 Q, P, RHO = Letter.Q, Letter.P, Letter.RHO
 
@@ -599,3 +600,110 @@ def test_values_built_from_a_recorded_value_carry_no_record():
     scaled = x.scale(c)
     assert not hasattr(scaled, "_sets") and not hasattr(-x, "_sets")
     assert normal_order(scaled) == expected.scale(c)
+
+
+# -- values that hold only their record -------------------------------------------
+
+
+def holds_only_its_record(x: FreePolynomial) -> bool:
+    try:
+        _get_terms(x)
+    except AttributeError:
+        return hasattr(x, "_sets")
+    return False
+
+
+# Several grades, complex coefficients, a monomial at two grades, zero, and
+# single-term and multi-term values, none with a derivative letter.
+pure_weyl_sums = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.none(), st.sampled_from(RECORD_COEFFS)),
+    max_size=5,
+).map(weyl_sum)
+
+
+@given(pure_weyl_sums)
+@example(weyl_sum([(2, 2, None, HbarScalar.of(1, -1)), (2, 2, None, HBAR_COEFF)]))
+@example(weyl_sum([(3, 1, None, HbarScalar.of(Fraction(2, 3), Fraction(-5, 7), 1))]))
+@example(weyl_sum([(0, 0, None, ONE), (1, 0, None, HBAR_COEFF), (0, 3, None, -ONE)]))
+def test_a_record_only_value_behaves_like_its_listed_words(w):
+    listed = unrecorded(expand_polynomial(w))
+    # Source order of the Weyl terms, then each expansion's word order.
+    words = [(word, c * weight) for m, c in w.items() for word, weight in expand(m).items()]
+    assert list(listed.items()) == list(FreePolynomial(words).items())
+
+    def fresh() -> FreePolynomial:
+        x = expand_polynomial(w)
+        assert holds_only_its_record(x)
+        return x
+
+    assert list(fresh().items()) == list(listed.items())
+    assert fresh() == listed and listed == fresh()
+    assert len(fresh()) == len(listed)
+    assert bool(fresh()) is bool(listed)
+    assert fresh().is_zero is listed.is_zero
+    for fmt in ("text", "latex", "json"):
+        assert render(fresh(), fmt) == render(listed, fmt)
+    twins = [copy.copy(fresh()), copy.deepcopy(fresh())]
+    twins += [pickle.loads(pickle.dumps(fresh(), protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in twins:
+        assert not hasattr(twin, "_sets")
+        assert list(twin.items()) == list(listed.items())
+
+
+def test_a_record_only_value_lists_its_words_once_and_keeps_its_record():
+    x = expand_polynomial(weyl_sum([(2, 1, None, HBAR_COEFF), (1, 1, None, ONE)]))
+    record = x._sets
+    first = x._terms
+    assert x._terms is first and x._sets is record
+    assert not holds_only_its_record(x)
+    with pytest.raises(AttributeError, match="has no attribute 'letters'"):
+        x.letters
+
+
+def refuse_to_expand(w):
+    raise AssertionError(f"the words of {w} were listed")
+
+
+@pytest.mark.parametrize("n, m", [(0, 0), (3, 0), (1, 1), (4, 3), (7, 7)])
+def test_normal_forms_and_comm_of_expansions_never_list_their_words(monkeypatch, n, m):
+    from opalg.brackets import commutator_bracket
+
+    v = weyl_sum([(n, m, None, HbarScalar.of(1, 2)), (m, n, None, HBAR_COEFF), (1, 2, None, -ONE)])
+    w = weyl_sum([(2, 3, None, HbarScalar.of(Fraction(1, 2))), (1, 0, None, HBAR_COEFF)])
+    listed_v, listed_w = unrecorded(expand_polynomial(v)), unrecorded(expand_polynomial(w))
+    expected = [normal_order(listed_v), normal_order(listed_v), commutator_bracket(listed_v, listed_w)]
+    monkeypatch.setattr(weyl, "expand", refuse_to_expand)
+    actual = [
+        normal_order(expand_polynomial(v)),
+        normal_form(expand_polynomial(v)),
+        commutator_bracket(expand_polynomial(v), expand_polynomial(w)),
+    ]
+    assert actual == expected
+
+
+def test_a_value_with_a_derivative_letter_is_listed_at_once_without_a_record(monkeypatch):
+    received = []
+
+    def recording(w):
+        received.append(w)
+        return expand(w)
+
+    monkeypatch.setattr(weyl, "expand", recording)
+    x = expand_polynomial(weyl_sum([(1, 1, None, HBAR_COEFF), (1, 0, DQ, ONE), (0, 2, DP, -ONE)]))
+    assert received == [WeylMonomial(1, 1), WeylMonomial(1, 0, DQ), WeylMonomial(0, 2, DP)]
+    assert list(_get_terms(x)) and not hasattr(x, "_sets")
+
+
+def test_normal_order_reads_each_slot_without_reaching_getattr(monkeypatch):
+    c = HbarScalar.of(Fraction(1, 2), -3)
+    w = weyl_sum([(3, 2, None, c), (1, 1, None, HBAR_COEFF), (0, 1, None, ONE)])
+    listed = expand_polynomial(w)
+    assert listed._terms
+    values = [expand_polynomial(w), listed, unrecorded(listed), FreePolynomial.from_letters(P, Q)]
+    expected = [normal_order(value) for value in values]
+
+    def refuse(self, name):
+        raise AssertionError(f"{name} reached __getattr__")
+
+    monkeypatch.setattr(FreePolynomial, "__getattr__", refuse)
+    assert [normal_order(value) for value in values] == expected
