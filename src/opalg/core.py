@@ -25,7 +25,7 @@ from typing import Iterable
 
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, ONE, _leads_negative, times_minus_i_hbar_power
-from .terms import GradedTerms, TaggedTuple, _get_terms, _set_terms, bilinear, linear_map, sum_into
+from .terms import GradedTerms, TaggedTuple, _set_terms, bilinear, linear_map, sum_into
 
 
 class Letter(enum.IntEnum):
@@ -130,8 +130,10 @@ class FreePolynomial(GradedTerms):
     __slots__ = ("_sets",)
 
     def __getattr__(self, name: str):
-        # Reached only when a slot is unset, so a listed value reads
-        # ``_terms`` at C speed.
+        # Reached only when a slot is unset, so a listed value never calls
+        # it.  Defining it still costs every FreePolynomial attribute read:
+        # CPython 3.11 does not specialize attribute reads on a class that
+        # has it, so a set slot reads through the generic lookup.
         if name != "_terms":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         from .weyl import _listed
@@ -167,6 +169,7 @@ class FreePolynomial(GradedTerms):
         return max((len(word) for word, _ in self.items()), default=0)
 
 
+_get_terms = GradedTerms._terms.__get__  # type: ignore[attr-defined]
 _get_sets = FreePolynomial._sets.__get__  # type: ignore[attr-defined]
 _set_sets = FreePolynomial._sets.__set__  # type: ignore[attr-defined]
 
@@ -206,12 +209,12 @@ def _normal_counts(x: FreePolynomial) -> dict[HbarScalar, dict]:
     slot's head never ends in ``p``.  The README's "Why normal ordering
     needs no rewriting" derives each step.
     """
-    # Each slot is read through its own getter, so a miss never reaches
-    # ``__getattr__``: a value that holds only its record has no slot map
-    # yet, and only a value of several terms may hold whole sets.
+    # Each slot is read through its own getter, which raises rather than
+    # reaching ``__getattr__``.  A record saves work only on several words,
+    # so a single word, the common input, raises nothing.
     try:
         terms = _get_terms(x)
-    except AttributeError:
+    except AttributeError:  # the value holds only its record
         return _arrangement_counts(x._sets)
     if len(terms) > 1:
         try:

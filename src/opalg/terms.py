@@ -208,7 +208,6 @@ class GradedTerms:
         return f"{type(self).__name__}({parts})"
 
 
-_get_terms = GradedTerms._terms.__get__  # type: ignore[attr-defined]
 _set_terms = GradedTerms._terms.__set__  # type: ignore[attr-defined]
 
 

@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -80,3 +81,21 @@ def test_seeds_parse_as_ranges_and_single_values(tool):
 def test_the_tool_imports_nothing_from_opalg():
     imports = [line for line in TOOL.read_text().splitlines() if line.startswith(("import ", "from "))]
     assert imports and not any("opalg" in line for line in imports)
+
+
+def test_a_checkout_with_an_untracked_or_changed_file_is_refused(tool, tmp_path):
+    def git(*args):
+        subprocess.run(["git", *args], cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    (tmp_path / "a.py").write_text("x = 1\n")
+    git("add", "a.py")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "a")
+    assert len(tool.checkout_commit(tmp_path)) == 40
+    (tmp_path / "new.py").write_text("y = 2\n")
+    with pytest.raises(SystemExit, match="new.py"):
+        tool.checkout_commit(tmp_path)
+    (tmp_path / "new.py").unlink()
+    (tmp_path / "a.py").write_text("x = 2\n")
+    with pytest.raises(SystemExit, match="a.py"):
+        tool.checkout_commit(tmp_path)

@@ -24,7 +24,7 @@ from opalg.core import (
 from opalg.errors import UnsupportedFragmentError
 from opalg.printing import render, render_json, render_text
 from opalg.scalars import HbarScalar, I_HBAR, ONE
-from opalg.terms import _get_terms
+from opalg.terms import GradedTerms
 from opalg.weyl import WeylMonomial, WeylPolynomial, expand, expand_polynomial, normal_form
 
 Q, P, RHO = Letter.Q, Letter.P, Letter.RHO
@@ -603,6 +603,9 @@ def test_values_built_from_a_recorded_value_carry_no_record():
 
 
 # -- values that hold only their record -------------------------------------------
+
+
+_get_terms = GradedTerms._terms.__get__  # reads the slot, never ``__getattr__``
 
 
 def holds_only_its_record(x: FreePolynomial) -> bool:

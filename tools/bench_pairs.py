@@ -6,21 +6,22 @@ checkout; the two runs of a pair alternate which one goes first, so that a
 drift of the machine's speed does not favour one side.  Each pair is
 printed as it finishes, then per workload and end-to-end metric the two
 medians, the parent's quartiles and in how many pairs the change was better
-(the direction of each metric comes from the change checkout's
-``BENCHMARK.json``).  The output file holds the environment, both commits,
-every run's full result line and the summary.
+(the direction of each metric, and the run length ``N``, come from the
+change checkout's ``BENCHMARK.json``).  The output file holds the
+environment, both commits, every run's full result line and the summary.
+Both checkouts must be clean, so that each recorded commit is the tree
+that was measured.
 
 Each run imports ``opalg`` from its own checkout's ``src/``; this script
 imports nothing from ``opalg`` and writes nothing under ``perfbench/``.
 
 usage: python tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json
-           [--workloads W [W ...]] [--seeds 82-86,182-186] [--seconds 10]
+           [--workloads W [W ...]] [--seeds 82-86,182-186]
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -117,17 +118,17 @@ def summary_lines(summary: dict) -> list[str]:
     return lines
 
 
-def checkout_state(checkout: Path) -> dict:
-    """The commit of ``checkout`` and whether its working tree differs from it."""
+def checkout_commit(checkout: Path) -> str:
+    """The commit of ``checkout``, which must have no uncommitted or
+    untracked file (ignored files aside)."""
 
     def git(*args: str) -> str:
         return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True, check=True).stdout
 
-    diff = git("diff", "HEAD")
-    return {
-        "commit": git("rev-parse", "HEAD").strip(),
-        "uncommitted_diff_sha256": hashlib.sha256(diff.encode()).hexdigest() if diff else None,
-    }
+    dirty = git("status", "--porcelain", "--untracked-files=all")
+    if dirty:
+        raise SystemExit(f"{checkout} has changes that are not committed:\n{dirty}")
+    return git("rev-parse", "HEAD").strip()
 
 
 def environment() -> dict:
@@ -148,7 +149,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workloads", nargs="+", default=["ordering_large"])
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("82-86,182-186"))
-    parser.add_argument("--seconds", type=int, default=10)
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -156,8 +156,8 @@ def main(argv: list[str] | None = None) -> int:
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
     record = {
         "environment": environment(),
-        "seconds": args.seconds,
-        **{side: checkout_state(checkouts[side]) for side in SIDES},
+        "seconds": bench["run_seconds"],
+        **{side: {"commit": checkout_commit(checkouts[side])} for side in SIDES},
         "runs": [],
     }
     for workload in args.workloads:
@@ -165,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
             order = SIDES if index % 2 == 0 else SIDES[::-1]
             results = {}
             for side in order:
-                results[side] = run_once(checkouts[side], workload, seed, args.seconds)
+                results[side] = run_once(checkouts[side], workload, seed, bench["run_seconds"])
                 record["runs"].append({"workload": workload, "seed": seed, "side": side,
                                        "first": order[0], "result": results[side]})
             print(pair_line(workload, seed, order[0], results, [*directions, "failed_share"]), flush=True)
