@@ -18,7 +18,6 @@ rewriting").
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from collections import defaultdict
 from math import comb
 from typing import Iterable
@@ -198,16 +197,15 @@ def _normal_counts(x: FreePolynomial) -> dict[HbarScalar, dict]:
     of its words is read.  Any other value's sets are found by one pass
     that counts each word's letters (:func:`_split_arrangement_sets`).
     Every other word, in source order, is multiplied run by run onto a
-    normal partial product: a map ``(head, b, k) -> n`` of integer counts
-    standing for ``n (-i*hbar)^k head p^b``.  A run of ``r`` p's takes ``b``
-    to ``b + r``; a run of ``r`` q's meets ``p^b`` in one junction step
-    (:func:`_junction`), of which the two-term step of a single q is the case
-    ``r = 1``; a run of one state letter moves ``p^b`` into the head.  The
-    partial products at the previous word's run ends stay on a stack, and a
-    word restarts from the last run end within its longest common prefix
-    with the word before.  Counts are summed per source coefficient; a
-    slot's head never ends in ``p``.  The README's "Why normal ordering
-    needs no rewriting" derives each step.
+    normal partial product that starts as the empty product: a map
+    ``(head, b, k) -> n`` of integer counts standing for ``n (-i*hbar)^k
+    head p^b``.  A run of ``r`` p's takes ``b`` to ``b + r``; a run of ``r``
+    q's meets ``p^b`` in one junction step (:func:`_junction`), of which the
+    two-term step of a single q is the case ``r = 1``; a run of one state
+    letter moves ``p^b`` into the head.  No state passes from one word to
+    the next.  Counts are summed per source coefficient; a slot's head never
+    ends in ``p``.  The README's "Why normal ordering needs no rewriting"
+    derives each step.
     """
     # Each slot is read through its own getter, which raises rather than
     # reaching ``__getattr__``.  A record saves work only on several words,
@@ -224,18 +222,10 @@ def _normal_counts(x: FreePolynomial) -> dict[HbarScalar, dict]:
     Q, P = Letter.Q, Letter.P
     sets, rest = _split_arrangement_sets(terms)
     counts_by_coeff = _arrangement_counts(sets)
-    previous: tuple[Letter, ...] = ()
-    ends, stack = [0], [{((), 0, 0): 1}]  # stack[i]: the partial product of previous[:ends[i]]
     for (source, _), coeff in rest:
-        letters = source.letters
-        shared, limit = 0, min(len(letters), len(previous))
-        while shared < limit and letters[shared] is previous[shared]:
-            shared += 1
-        kept = bisect_right(ends, shared)
-        del ends[kept:], stack[kept:]
-        end, partial = ends[-1], stack[-1]
+        partial = {((), 0, 0): 1}
         run, r = None, 0
-        for letter in letters[end:] + (None,):  # None ends the last run
+        for letter in source.letters + (None,):  # None ends the last run
             if letter is run:
                 r += 1
                 continue
@@ -264,11 +254,7 @@ def _normal_counts(x: FreePolynomial) -> dict[HbarScalar, dict]:
                     for (head, b, k), n in partial.items():
                         step[head + _P * b + tail, 0, k] = n
                 partial = step
-                end += r
-                ends.append(end)
-                stack.append(partial)
             run, r = letter, 1
-        previous = letters
         counts = counts_by_coeff.setdefault(coeff, {})
         for slot, n in partial.items():
             counts[slot] = counts.get(slot, 0) + n

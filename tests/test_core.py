@@ -200,10 +200,10 @@ def test_normal_order_of_run_heavy_words_matches_rewrite_system():
 
 
 # A source order in which a word's common prefix with the word before ends
-# inside one of that word's runs, so the walk restarts from the run's start:
-# inside the q-run q^4 (second word) and the p-runs p^4 and p^3 (fourth and
-# sixth words) at grade 0, and inside q^4 (eighth word) at grade 1, under
-# complex coefficients.
+# inside one of that word's runs: inside the q-run q^4 (second word) and the
+# p-runs p^4 and p^3 (fourth and sixth words) at grade 0, and inside q^4
+# (eighth word) at grade 1, under complex coefficients.  Each word is walked
+# from the empty product, so its normal form must not depend on its neighbour.
 RUN_SPLITS = FreePolynomial(
     [
         (run_word((P, 2), (Q, 4), (P, 1)), HbarScalar.of(1, 2)),
@@ -230,9 +230,9 @@ def test_normal_order_restarts_inside_a_run_of_the_word_before():
     assert normal_order(reverse) == word_by_word(RUN_SPLITS)
 
 
-# Multi-term inputs for the prefix-shared kernel: every word extends a prefix
-# of one base word, so consecutive words share prefixes and one may be a
-# prefix of another (or empty); a small pool of graded coefficients repeats.
+# Multi-term inputs for the walk: every word extends a prefix of one base
+# word, so consecutive words share prefixes and one may be a prefix of another
+# (or empty); a small pool of graded coefficients repeats.
 GRADED_COEFFS = [ONE, HbarScalar.of(-2, 1), HbarScalar.of(0, 3, 1), HbarScalar.of(1, -1, 2)]
 sharing_polys = st.builds(
     lambda base, parts: FreePolynomial(
@@ -267,6 +267,30 @@ def test_normal_order_of_sums_is_the_sum_of_word_normal_forms(x):
     for word, coeff in x.items():
         expected = expected + rewrite_normal_form(word).scale(coeff)
     assert normal_order(x) == expected
+
+
+def power(x: FreePolynomial, n: int) -> FreePolynomial:
+    result = x
+    for _ in range(n - 1):
+        result = multiply(result, x)
+    return result
+
+
+# Products built through multiply: each of f's words is followed by every
+# word of g, so runs of consecutive words share f's word as a prefix.
+@pytest.mark.parametrize(
+    "x",
+    [
+        multiply(power(q + p, 3), power(q - p.scale(2), 3)),
+        power(q * p + (p * q).scale(2) + (q * q * p).scale(3), 3),
+        power(q + p + rho, 4),
+        power(q + p.scale(HbarScalar.of(0, 1, 1)) + rho, 5),
+    ],
+    ids=["(q+p)^3(q-2p)^3", "(qp+2pq+3qqp)^3", "(q+p+rho)^4", "(q+i hbar p+rho)^5"],
+)
+def test_normal_order_of_products_is_the_sum_of_word_normal_forms(x):
+    assert len(x) >= 27
+    assert normal_order(x) == word_by_word(x)
 
 
 def mccoy_form(n: int, m: int) -> FreePolynomial:
