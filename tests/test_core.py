@@ -289,7 +289,6 @@ def power(x: FreePolynomial, n: int) -> FreePolynomial:
     ids=["(q+p)^3(q-2p)^3", "(qp+2pq+3qqp)^3", "(q+p+rho)^4", "(q+i hbar p+rho)^5"],
 )
 def test_normal_order_of_products_is_the_sum_of_word_normal_forms(x):
-    assert len(x) >= 27
     assert normal_order(x) == word_by_word(x)
 
 
