@@ -33,7 +33,7 @@ from .core import (
     partial_derivative,
 )
 from .errors import EvalError, ParseError, UnsupportedFragmentError
-from .oracle import TestFunction, apply_operator, oracle_equal
+from .oracle import oracle_equal
 from .parser import evaluate, parse
 from .printing import render, render_json, render_latex, render_text, result_to_json_dict
 from .scalars import HBAR, HbarScalar, I, I_HBAR, INV_I_HBAR, ONE, ZERO
@@ -64,14 +64,12 @@ __all__ = [
     "ONE",
     "ObstructionReport",
     "ParseError",
-    "TestFunction",
     "UnsupportedFragmentError",
     "Word",
     "WeylMonomial",
     "WeylPolynomial",
     "ZERO",
     "adjoint",
-    "apply_operator",
     "check_anticommutator_identity",
     "check_leibniz",
     "check_obstruction",

@@ -116,15 +116,16 @@ class FreePolynomial(GradedTerms):
     The slot ``_sets`` is unset unless :func:`~opalg.weyl.expand_polynomial`
     made the value from pure Weyl terms.  It then holds one ``(n, m, c)``
     per term, in source order: the value is the sum of ``c`` times all
-    arrangements of ``q^n p^m``.  :func:`_normal_counts` reads it instead of
-    counting words.  Every other constructor (``_of``, arithmetic,
-    ``scale``, copy, pickle) makes a value without it, and values are
-    immutable, so the record cannot go stale.
+    arrangements of ``q^n p^m``.  Every other constructor (``_of``,
+    arithmetic, ``scale``, copy, pickle) makes a value without it, and
+    values are immutable, so the record cannot go stale.
 
     Such a value holds only its record at first: its slot map ``_terms``
     is listed from the record (:func:`~opalg.weyl._listed`) the first time
-    anything reads it, and kept.  Normal forms and ``comm`` read the record
-    alone, so the words of an expansion they take are never listed."""
+    anything reads it, and kept.  :func:`_normal_counts` reads the record
+    of a value that holds nothing else, so the words of an expansion that
+    normal forms and ``comm`` take are never listed; once listed, its words
+    are counted like any other value's."""
 
     __slots__ = ("_sets",)
 
@@ -169,7 +170,6 @@ class FreePolynomial(GradedTerms):
 
 
 _get_terms = GradedTerms._terms.__get__  # type: ignore[attr-defined]
-_get_sets = FreePolynomial._sets.__get__  # type: ignore[attr-defined]
 _set_sets = FreePolynomial._sets.__set__  # type: ignore[attr-defined]
 
 
@@ -193,9 +193,10 @@ def _normal_counts(x: FreePolynomial) -> dict[HbarScalar, dict]:
     coefficient and grade, as :func:`~opalg.weyl.expand` produces it, takes
     McCoy's closed form (:func:`_arrangement_counts`).  A value that
     :func:`~opalg.weyl.expand_polynomial` made from pure Weyl terms is such
-    sets and nothing else, and names them in its record ``_sets``, so none
-    of its words is read.  Any other value's sets are found by one pass
-    that counts each word's letters (:func:`_split_arrangement_sets`).
+    sets and nothing else, and names them in its record ``_sets``; while it
+    holds only that record, none of its words is read.  Any other value's
+    sets, a listed expansion's too, are found by one pass that counts each
+    word's letters (:func:`_split_arrangement_sets`).
     Every other word, in source order, is multiplied run by run onto a
     normal partial product that starts as the empty product: a map
     ``(head, b, k) -> n`` of integer counts standing for ``n (-i*hbar)^k
@@ -207,18 +208,12 @@ def _normal_counts(x: FreePolynomial) -> dict[HbarScalar, dict]:
     ends in ``p``.  The README's "Why normal ordering needs no rewriting"
     derives each step.
     """
-    # Each slot is read through its own getter, which raises rather than
-    # reaching ``__getattr__``.  A record saves work only on several words,
-    # so a single word, the common input, raises nothing.
+    # The slot map is read through its getter, which raises rather than
+    # reaching ``__getattr__``, so a listed value raises nothing.
     try:
         terms = _get_terms(x)
     except AttributeError:  # the value holds only its record
         return _arrangement_counts(x._sets)
-    if len(terms) > 1:
-        try:
-            return _arrangement_counts(_get_sets(x))
-        except AttributeError:
-            pass
     Q, P = Letter.Q, Letter.P
     sets, rest = _split_arrangement_sets(terms)
     counts_by_coeff = _arrangement_counts(sets)
@@ -278,8 +273,9 @@ def _split_arrangement_sets(terms: dict) -> tuple[list, Iterable]:
     A whole set is all ``C(n+m, m)`` arrangements of ``n`` q's and ``m``
     p's (``n, m >= 1``) at one grade under one coefficient ``c``; the words
     of one grade are distinct, so a group of pure words of that size is
-    whole.  Each word's letters are counted once.  Only values without the
-    record of :func:`~opalg.weyl.expand_polynomial` are split here.
+    whole.  Each word's letters are counted once.  Every listed value is
+    split here, including an expansion of
+    :func:`~opalg.weyl.expand_polynomial` whose words were already read.
     """
     if len(terms) < 2:
         return [], terms.items()

@@ -5,10 +5,11 @@ by ``q = multiply by x`` and ``p = -i*hbar * d/dx``, with hbar kept formal
 and all coefficients exact.  Two operators are equal exactly when their
 images of ``x**0 .. x**D`` agree, ``D`` their largest word length; the
 README ("Why the oracle's finite test degree suffices") gives the argument
-and each word's closed-form action.  :func:`oracle_equal`
-sums the images of one operand's terms and of the other's negated terms in
-one map of Gaussian integers over a common denominator, and the operands
-are equal when every entry is zero.  The oracle never rewrites words and
+and each word's closed-form action.  The oracle decides equality and
+nothing else: :func:`oracle_equal`, its one entry, sums the images of one
+operand's terms and of the other's negated terms (:func:`_images`) in one
+map of Gaussian integers over a common denominator, and the operands are
+equal when every entry is zero.  The oracle never rewrites words and
 never calls the normal form.  State words have no faithful finite action
 here and are rejected; identities involving them are settled by the free
 normal form.
@@ -21,28 +22,11 @@ from typing import Iterable
 
 from .core import FreePolynomial, Letter, STATE_LETTERS, Word
 from .errors import UnsupportedFragmentError
-from .scalars import HbarScalar, ONE, _make, times_minus_i_hbar_power
-from .terms import GradedTerms, sum_into
+from .scalars import times_minus_i_hbar_power
 
 
 # Bound once: reading a member off ``Letter`` costs about 0.1 us.
 _P = Letter.P
-
-
-class TestFunction(GradedTerms):
-    """An exact polynomial in x, keyed by degree, with graded coefficients."""
-
-    __test__ = False  # not a pytest class, despite the name
-    __slots__ = ()
-
-    @classmethod
-    def _validate_pair(cls, key: int, scalar: HbarScalar) -> None:
-        if not isinstance(key, int) or key < 0:
-            raise TypeError("TestFunction keys are non-negative integer degrees")
-
-    @classmethod
-    def x_power(cls, degree: int, coeff: HbarScalar = ONE) -> TestFunction:
-        return cls([(degree, coeff)])
 
 
 def _action(word: Word) -> tuple[list[tuple[int, int]], int, int, int]:
@@ -93,27 +77,6 @@ def _images(terms: list, degrees: Iterable[int]) -> tuple[int, dict]:
                 sum_re, sum_im = images.get(slot, (0, 0))
                 images[slot] = (sum_re + n * re, sum_im + n * im)
     return den, images
-
-
-def apply_operator(op: FreePolynomial, f: TestFunction) -> TestFunction:
-    """Act with ``op`` on ``f``, exact and linear: the images of ``f``'s
-    degrees under ``op`` (:func:`_images`), each scaled by the coefficients
-    of ``f`` at its degree.
-
-    Every word with a state letter raises, whatever ``f`` is.
-    """
-    by_degree: dict[int, list[HbarScalar]] = {}
-    for (j, _), c_f in f._terms.items():
-        by_degree.setdefault(j, []).append(c_f)
-    den, images = _images(list(op._terms.items()), by_degree)
-    terms = []
-    for (j, degree, grade), (re, im) in images.items():
-        if re or im:
-            image = _make(re, im, den, grade)
-            for c_f in by_degree[j]:
-                product = image * c_f
-                terms.append(((degree, product.hbar_power), product))
-    return TestFunction._of(sum_into({}, terms))
 
 
 def oracle_equal(a: FreePolynomial, b: FreePolynomial) -> bool:

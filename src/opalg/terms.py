@@ -1,10 +1,10 @@
 """Shared representation for exact linear combinations with graded coefficients.
 
-Every algebraic value in this package (free polynomials, Weyl polynomials,
-classical polynomials, oracle test functions) is a finite sum of hashable
-basis keys weighted by :class:`~opalg.scalars.HbarScalar`.  Coefficients of
-different hbar grade never merge, so terms are stored in one flat map from
-``(key, grade)`` to a homogeneous scalar.  Construction normalizes eagerly:
+Every algebraic value in this package (free, Weyl and classical
+polynomials) is a finite sum of hashable basis keys weighted by
+:class:`~opalg.scalars.HbarScalar`.  Coefficients of different hbar grade
+never merge, so terms are stored in one flat map from ``(key, grade)`` to
+a homogeneous scalar.  Construction normalizes eagerly:
 terms in the same slot merge and zero coefficients are pruned, so equal
 values have equal maps and structural equality coincides with algebraic
 equality.  Terms are kept in insertion order, which is deterministic for
@@ -30,7 +30,7 @@ A value may also name what it is made of: a free value that
 its normal form is read off per set rather than per word.  Such a value
 holds only that record until something reads its slot map, which is then
 listed from the record once and set through ``_set_terms``; normal forms
-and commutators never read it.
+and commutators of a value that holds only its record never list it.
 """
 
 from __future__ import annotations

@@ -200,9 +200,9 @@ def expand_polynomial(x: WeylPolynomial) -> FreePolynomial:
     of the arrangement sets it stands for, one ``(n, m, c)`` per term in
     source order, ``c`` the per-word scalar.  Its words are listed
     (:func:`_listed`) the first time anything reads them;
-    :func:`~opalg.core.normal_order` and ``comm`` read the record instead,
-    and never list them.  A value with a derivative letter is listed here
-    and has no record.
+    :func:`~opalg.core.normal_order` and ``comm`` of a value not yet listed
+    read the record instead, and never list them.  A value with a
+    derivative letter is listed here and has no record.
     """
     terms = [(monomial, coeff * _weight(monomial)) for (monomial, _), coeff in x._terms.items()]
     if any(monomial.deriv is not None for monomial, _ in terms):

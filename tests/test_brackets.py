@@ -455,8 +455,11 @@ def test_commutator_bracket_makes_one_product_per_pair_of_coefficients(monkeypat
 @example([(1, 7, 4), (Fraction(-2, 3), 6, 3)], [(3, 6, 3)])
 @example([(1, 2, 1), (-1, 3, 2)], [(Fraction(1, 2), 2, 1)])
 def test_commutator_bracket_of_expanded_operands_reads_their_record(a, b):
+    # Second expansions are listed for the reference, so ``f`` and ``g`` hold
+    # only their records.
+    listed_f, listed_g = (FreePolynomial(list(weyl_sum(terms).items())) for terms in (a, b))
+    expected = commutator_bracket(listed_f, listed_g)
     f, g = weyl_sum(a), weyl_sum(b)
-    expected = commutator_bracket(FreePolynomial(list(f.items())), FreePolynomial(list(g.items())))
 
     def refuse_to_split(terms):
         raise AssertionError("a recorded operand was split again")

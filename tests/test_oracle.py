@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 from opalg import core, oracle
 from opalg.core import FreePolynomial, IDENTITY_WORD, Letter, Word, normal_order
 from opalg.errors import UnsupportedFragmentError
-from opalg.oracle import TestFunction, apply_operator, oracle_equal
-from opalg.scalars import HBAR, HbarScalar, I_HBAR, ONE
-from opalg.terms import linear_map
+from opalg.oracle import oracle_equal
+from opalg.scalars import HBAR, HbarScalar, I_HBAR, ONE, _make
+from opalg.terms import GradedTerms, linear_map
 from opalg.weyl import WeylMonomial, expand
 
 Q, P = Letter.Q, Letter.P
@@ -19,24 +19,39 @@ q = FreePolynomial.from_letters(Q)
 p = FreePolynomial.from_letters(P)
 
 
+# The per-letter reference acts on this carrier: a polynomial in x, keyed
+# by degree, with graded coefficients.
+class Degrees(GradedTerms):
+    __slots__ = ()
+
+
+def x_power(degree: int, coeff: HbarScalar = ONE) -> Degrees:
+    return Degrees([(degree, coeff)])
+
+
+def images(op: FreePolynomial, degrees) -> dict[int, Degrees]:
+    """The kernel's images of ``x**j`` under ``op``, one carrier per ``j``."""
+    degrees = list(degrees)
+    den, found = oracle._images(list(op._terms.items()), degrees)
+    pairs = {j: [] for j in degrees}
+    for (j, degree, grade), (re, im) in found.items():
+        pairs[j].append((degree, _make(re, im, den, grade)))
+    return {j: Degrees(terms) for j, terms in pairs.items()}
+
+
 def test_p_on_constant():
     pq = FreePolynomial.from_word(Word.of(P, Q))
-    assert apply_operator(pq, TestFunction.x_power(0)) == TestFunction.x_power(
-        0, HbarScalar.of(0, -1, 1)
-    )
+    assert images(pq, [0]) == {0: x_power(0, HbarScalar.of(0, -1, 1))}
 
 
 def test_ccr_acts_as_i_hbar():
     commutator = q * p - p * q
-    rng = random.Random(3)
-    for _ in range(20):
-        f = TestFunction(
-            (rng.randint(0, 6), HbarScalar.real(Fraction(rng.randint(-4, 4), rng.randint(1, 3))))
-            for _ in range(3)
-        )
-        assert apply_operator(commutator, f) == f.scale(I_HBAR)
+    for j, image in images(commutator, range(9)).items():
+        assert image == x_power(j, I_HBAR)
 
 
+# A word maps x**j to c x**d or to zero, so the image of a b is c times a's
+# image of x**d.
 def test_representation_is_a_homomorphism():
     rng = random.Random(5)
     for _ in range(20):
@@ -46,8 +61,11 @@ def test_representation_is_a_homomorphism():
         b = FreePolynomial.from_word(
             Word.of(*(rng.choice((Q, P)) for _ in range(rng.randint(0, 5))))
         )
-        f = TestFunction.x_power(rng.randint(0, 4))
-        assert apply_operator(a * b, f) == apply_operator(a, apply_operator(b, f))
+        j = rng.randint(0, 4)
+        expected = Degrees()
+        for d, c in images(b, [j])[j].items():  # one term, or none
+            expected = images(a, [d])[d].scale(c)
+        assert images(a * b, [j])[j] == expected
 
 
 def test_representation_respects_the_relation():
@@ -55,8 +73,7 @@ def test_representation_respects_the_relation():
     for _ in range(30):
         word = Word.of(*(rng.choice((Q, P)) for _ in range(rng.randint(0, 7))))
         x = FreePolynomial.from_word(word)
-        f = TestFunction.x_power(rng.randint(0, 8))
-        assert apply_operator(normal_order(x), f) == apply_operator(x, f)
+        assert images(normal_order(x), range(9)) == images(x, range(9))
 
 
 def test_half_anticommutator_equals_rewritten_form():
@@ -77,7 +94,7 @@ def test_symmetric_expansion_equals_its_normal_form():
 def test_state_words_are_rejected():
     message = r"^the polynomial representation acts on q/p words only$"
     with pytest.raises(UnsupportedFragmentError, match=message):
-        apply_operator(FreePolynomial.from_letters(Letter.RHO), TestFunction.x_power(0))
+        images(FreePolynomial.from_letters(Letter.RHO), [0])
     drho_p = FreePolynomial.from_letters(Letter.DRHO_P)
     # Both operands act on x**0 first, so a state word raises even where the
     # q/p parts already differ there (1 against q), and where it appears in
@@ -88,30 +105,32 @@ def test_state_words_are_rejected():
             oracle_equal(a, b)
 
 
+# The kernel reads every word before any degree, so a state word raises
+# even where p annihilates x**0 first, and with no degree to act on.
 def test_state_words_raise_whatever_they_act_on():
     message = r"^the polynomial representation acts on q/p words only$"
-    rho_p = FreePolynomial.from_letters(Letter.RHO, P)  # p first annihilates x**0
+    rho_p = FreePolynomial.from_letters(Letter.RHO, P)
     drho_q = FreePolynomial.from_letters(Letter.DRHO_Q)
     for op in (rho_p, drho_q, q + rho_p):
-        for f in (TestFunction.x_power(0), TestFunction.zero()):
+        for degrees in ([0], []):
             with pytest.raises(UnsupportedFragmentError, match=message):
-                apply_operator(op, f)
+                images(op, degrees)
 
 
 # Reference: the per-letter route, one linear map per letter.
 MINUS_I_HBAR = HbarScalar.of(0, -1, 1)
 
 
-def times_x(f: TestFunction) -> TestFunction:
+def times_x(f: Degrees) -> Degrees:
     return linear_map(f, lambda degree: [(degree + 1, 1)])
 
 
-def differentiate(f: TestFunction) -> TestFunction:
+def differentiate(f: Degrees) -> Degrees:
     return linear_map(f, lambda degree: [(degree - 1, degree)] if degree else ())
 
 
-def apply_by_letters(op: FreePolynomial, f: TestFunction) -> TestFunction:
-    result = TestFunction.zero()
+def apply_by_letters(op: FreePolynomial, f: Degrees) -> Degrees:
+    result = Degrees()
     for word, coeff in op.items():
         g = f
         for letter in reversed(word.letters):
@@ -120,30 +139,24 @@ def apply_by_letters(op: FreePolynomial, f: TestFunction) -> TestFunction:
     return result
 
 
-TEST_FUNCTIONS = [
-    TestFunction.x_power(0),
-    TestFunction(
-        [
-            (0, ONE),
-            (2, HbarScalar.of(2, -1, 1)),
-            (3, HbarScalar.real(Fraction(-1, 2))),
-            (5, HbarScalar.of(0, 3, 2)),
-            (8, HbarScalar.of(1, 1)),
-        ]
-    ),
-]
+def assert_images_match_the_per_letter_route(op: FreePolynomial, degrees) -> None:
+    for j, image in images(op, degrees).items():
+        assert image == apply_by_letters(op, x_power(j)), (str(op), j)
+
+
+# The degrees of the test functions x**0 and 1 + x**2 + x**3 + x**5 + x**8.
+TEST_DEGREES = [0, 2, 3, 5, 8]
 
 
 @pytest.mark.parametrize("length", range(9))
 def test_word_action_matches_the_per_letter_route(length):
     coeffs = itertools.cycle([ONE, HbarScalar.of(-2, 1), HbarScalar.of(0, 1, 1)])
     words = [Word(letters) for letters in itertools.product((Q, P), repeat=length)]
-    for f in TEST_FUNCTIONS:
-        for word in words:
-            op = FreePolynomial.from_word(word, HbarScalar.of(3, -1, 1))
-            assert apply_operator(op, f) == apply_by_letters(op, f), str(word)
-        op = FreePolynomial(zip(words, coeffs))
-        assert apply_operator(op, f) == apply_by_letters(op, f)
+    for word in words:
+        assert_images_match_the_per_letter_route(
+            FreePolynomial.from_word(word, HbarScalar.of(3, -1, 1)), TEST_DEGREES
+        )
+    assert_images_match_the_per_letter_route(FreePolynomial(zip(words, coeffs)), TEST_DEGREES)
 
 
 def run_word(*runs: tuple[Letter, int]) -> Word:
@@ -161,12 +174,11 @@ def test_p_runs_match_the_per_letter_route(r):
         run_word((Q, 1), (P, r), (Q, r), (P, 2)),
         run_word((P, 2), (Q, 1), (P, r), (Q, 2), (P, 1)),
     ]
-    functions = TEST_FUNCTIONS + [TestFunction.x_power(j) for j in (r - 1, r, r + 3)]
+    degrees = sorted(set(TEST_DEGREES) | {r - 1, r, r + 3})
     coeff = HbarScalar.of(Fraction(-2, 3), 1, 1)
     for word in words:
         op = FreePolynomial.from_word(word, coeff)
-        for f in functions:
-            assert apply_operator(op, f) == apply_by_letters(op, f), (str(word), f)
+        assert_images_match_the_per_letter_route(op, degrees)
         other = normal_order(op)
         assert oracle_equal(op, other) and oracle_by_letters(op, other)
         other = other + p_power(len(word), HBAR)
@@ -194,7 +206,7 @@ def oracle_by_letters(a: FreePolynomial, b: FreePolynomial) -> bool:
     """The same decision through the per-letter route, one test degree at a time."""
     degree = max(a.max_word_length, b.max_word_length) + 1
     return all(
-        apply_by_letters(a, TestFunction.x_power(j)) == apply_by_letters(b, TestFunction.x_power(j))
+        apply_by_letters(a, x_power(j)) == apply_by_letters(b, x_power(j))
         for j in range(degree + 1)
     )
 

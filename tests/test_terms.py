@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from opalg.brackets import ClassicalPolynomial, symmetrized_poisson_bracket
 from opalg.core import FreePolynomial, Letter, Word, _word, adjoint, multiply, normal_order, partial_derivative
 from opalg.errors import UnsupportedFragmentError
-from opalg.oracle import TestFunction
 from opalg.parser import _mixed_sum, _scale_by_scalar
 from opalg.scalars import HBAR, HbarScalar, INV_I_HBAR, ONE
 from opalg.terms import GradedTerms, linear_map
@@ -22,6 +21,17 @@ from opalg.weyl import WeylMonomial, WeylPolynomial, _monomial, weyl_derivative,
 Q, P, DQ, DP = Letter.Q, Letter.P, Letter.DRHO_Q, Letter.DRHO_P
 
 parts = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+
+
+class Degrees(GradedTerms):
+    """The int-keyed value of these tests: a polynomial in x keyed by degree."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _validate_pair(cls, key: int, scalar: HbarScalar) -> None:
+        if not isinstance(key, int) or key < 0:
+            raise TypeError("degrees are non-negative integers")
 
 
 def scalars(grades=(-1, 0, 1, 2)):
@@ -47,7 +57,7 @@ monomials = st.builds(WeylMonomial, small, small, st.sampled_from([None, None, D
 free = values(FreePolynomial, words)
 weyl = values(WeylPolynomial, monomials)
 classical = values(ClassicalPolynomial, st.tuples(small, small), grades=(0,))
-functions = values(TestFunction, st.integers(0, 5))
+functions = values(Degrees, st.integers(0, 5))
 
 
 def assert_normalized(r):
@@ -220,9 +230,9 @@ def test_classical_operations_match_the_public_route(x, y):
 def test_test_function_maps_match_the_public_route(f, g):
     check_linear(f, g)
     times_x = linear_map(f, lambda d: [(d + 1, 1)])
-    assert_matches(times_x, TestFunction((d + 1, c) for d, c in f.items()))
+    assert_matches(times_x, Degrees((d + 1, c) for d, c in f.items()))
     derivative = linear_map(f, lambda d: [(d - 1, d)] if d else ())
-    assert_matches(derivative, TestFunction((d - 1, c * d) for d, c in f.items() if d))
+    assert_matches(derivative, Degrees((d - 1, c * d) for d, c in f.items() if d))
 
 
 # Multiples of the identity with several grades, as the evaluator meets them.
@@ -260,7 +270,7 @@ def test_evaluator_scaling_matches_the_public_route(s, t, x, y):
         (lambda: ClassicalPolynomial([(Word.of(Q, P), ONE)]), TypeError),
         (lambda: ClassicalPolynomial.from_monomial(1, 0).scale(HBAR), ValueError),
         (lambda: FreePolynomial.one().scale(0.5), TypeError),
-        (lambda: TestFunction([(-1, ONE)]), TypeError),
+        (lambda: Degrees([(-1, ONE)]), TypeError),
     ],
     ids=[
         "negative-exponent",
@@ -404,9 +414,9 @@ def test_values_copy_and_pickle_and_stay_immutable():
     free = evaluate(parse("q p + 2 p"))
     weyl = evaluate(parse("S(q^2 p) + hbar (q o drho_p)"))
     classical = ClassicalPolynomial([((2, 1), HbarScalar.of(1, -1)), ((0, 3), ONE)])
-    oracle = TestFunction([(2, HbarScalar.of(0, 1)), (0, HBAR)])
+    degrees = Degrees([(2, HbarScalar.of(0, 1)), (0, HBAR)])
     report = check_von_neumann_equivalence(evaluate(parse("S(q^2 p + 3 p)")))
-    for value in (free, weyl, classical, oracle, report, EqualityReport(free, weyl, free)):
+    for value in (free, weyl, classical, degrees, report, EqualityReport(free, weyl, free)):
         protocols = range(pickle.HIGHEST_PROTOCOL + 1)
         twins = [pickle.loads(pickle.dumps(value, protocol)) for protocol in protocols]
         for twin in twins + [copy.copy(value), copy.deepcopy(value)]:
