@@ -16,7 +16,6 @@ from .brackets import (
     check_obstruction,
     check_von_neumann_equivalence,
     commutator_bracket,
-    dequantize,
     leibniz_ordinary_product_gap,
     poisson_bracket_classical,
     quantize,
@@ -75,7 +74,6 @@ __all__ = [
     "check_obstruction",
     "check_von_neumann_equivalence",
     "commutator_bracket",
-    "dequantize",
     "evaluate",
     "expand",
     "expand_polynomial",

@@ -184,22 +184,6 @@ def quantize(f: ClassicalPolynomial) -> WeylPolynomial:
     return WeylPolynomial((WeylMonomial(n, m), c) for (n, m), c in f.items())
 
 
-def dequantize(F: WeylPolynomial) -> ClassicalPolynomial:
-    """Inverse of :func:`quantize`; defined on pure, grade-0 polynomials only."""
-    pairs = []
-    for monomial, coeff in F.items():
-        if monomial.deriv is not None:
-            raise UnsupportedFragmentError(
-                "cannot dequantize a term carrying a state-derivative letter"
-            )
-        if coeff.hbar_power != 0:
-            raise UnsupportedFragmentError(
-                "cannot dequantize a term with a nonzero hbar grade"
-            )
-        pairs.append(((monomial.n, monomial.m), coeff))
-    return ClassicalPolynomial(pairs)
-
-
 def substitute_drho(x: FreePolynomial) -> FreePolynomial:
     """Replace state-derivative letters by their commutator expressions.
 

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from .errors import EvalError, ParseError, UnsupportedFragmentError
 from .parser import evaluate, parse
-from .printing import render, render_text
+from .printing import _RENDERERS, render, render_text
 
 if TYPE_CHECKING:
     from .suites import SuiteReport
@@ -77,10 +77,10 @@ def cmd_verify(suite: str, max_degree: int, cases: int, seed: int, fmt: str) -> 
     return 0 if report.passed else 1
 
 
-_REPL_HELP = """\
+_REPL_HELP = f"""\
 Enter an expression to evaluate it, or a directive:
   :help            show this message
-  :format FORMAT   set the output format (text, latex, json)
+  :format FORMAT   set the output format ({', '.join(_RENDERERS)})
   :quit            leave the session"""
 
 
@@ -106,10 +106,10 @@ def cmd_repl(stdin=None, stdout=None) -> int:
             if parts[0] == ":help":
                 print(_REPL_HELP, file=stdout)
             elif parts[0] == ":format":
-                if len(parts) == 2 and parts[1] in ("text", "latex", "json"):
+                if len(parts) == 2 and parts[1] in _RENDERERS:
                     fmt = parts[1]
                 else:
-                    print("usage: :format text|latex|json", file=stdout)
+                    print(f"usage: :format {'|'.join(_RENDERERS)}", file=stdout)
             else:
                 print(f"unknown directive {parts[0]!r} (try :help)", file=stdout)
             continue
@@ -141,9 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate one expression and print it")
     p_eval.add_argument("expr", help="expression in the surface grammar")
-    p_eval.add_argument(
-        "--format", choices=("text", "latex", "json"), default="text", dest="fmt"
-    )
+    p_eval.add_argument("--format", choices=_RENDERERS, default="text", dest="fmt")
 
     p_verify = sub.add_parser("verify", help="run identity verification suites")
     p_verify.add_argument(

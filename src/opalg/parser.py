@@ -64,17 +64,9 @@ _FUNC_ARITY = {"S": 1, "dq": 1, "dp": 1, "normal": 1, "pb": 2, "comm": 2}
 
 # -- tokens ----------------------------------------------------------------
 
+# An operator token's kind is its character; the ring operator's is "o".
 _NAME = "name"
 _UINT = "uint"
-_PLUS = "+"
-_MINUS = "-"
-_STAR = "*"
-_CIRC = "o"
-_CARET = "^"
-_SLASH = "/"
-_LPAREN = "("
-_RPAREN = ")"
-_COMMA = ","
 _EOF = "eof"
 
 Token = tuple[str, str, int, int]  # (kind, text, line, column)
@@ -93,9 +85,9 @@ def _tokenize(source: str) -> list[Token]:
             while j < end and (source[j].isalnum() or source[j] == "_"):
                 j += 1
             text = source[i:j]
-            tokens.append((_CIRC if text == "o" else _NAME, text, line, column))
+            tokens.append(("o" if text == "o" else _NAME, text, line, column))
         elif ch in "+-*^/(),∘":  # the ring operator is a synonym for "o"
-            tokens.append((_CIRC if ch == "∘" else ch, ch, line, column))
+            tokens.append(("o" if ch == "∘" else ch, ch, line, column))
         elif ch == "\n":
             line, line_start = line + 1, j
         elif not ch.isspace():
@@ -200,7 +192,7 @@ class _Parser:
         node = self.term()
         while True:
             kind, _, line, column = self.tokens[self.pos]
-            if kind != _PLUS and kind != _MINUS:
+            if kind != "+" and kind != "-":
                 return node
             self.pos += 1
             node = BinaryNode(line, column, kind, node, self.term())
@@ -210,11 +202,11 @@ class _Parser:
         first = None  # the first product operator; the other may not follow
         while True:
             kind, _, line, column = self.tokens[self.pos]
-            if kind == _STAR or kind == _CIRC:
+            if kind == "*" or kind == "o":
                 self.pos += 1
                 op = kind
-            elif kind == _NAME or kind == _UINT or kind == _LPAREN:
-                op = _STAR  # juxtaposition
+            elif kind == _NAME or kind == _UINT or kind == "(":
+                op = "*"  # juxtaposition
             else:
                 return node
             first = first or op
@@ -227,11 +219,11 @@ class _Parser:
     def factor(self) -> Node:
         node = self.atom()
         kind, _, line, column = self.tokens[self.pos]
-        if kind != _CARET:
+        if kind != "^":
             return node
         self.pos += 1
         sign = 1
-        if self.tokens[self.pos][0] == _MINUS:
+        if self.tokens[self.pos][0] == "-":
             self.pos += 1
             sign = -1
         exponent = _int(self.expect(_UINT, "an integer exponent"))
@@ -249,11 +241,11 @@ class _Parser:
             raise ParseError(f"unknown symbol {text!r}", line, column)
         if kind == _UINT:
             return self._rational(token, 1)
-        if kind == _MINUS:
+        if kind == "-":
             return self._rational(self.expect(_UINT, "a number after '-'"), -1)
-        if kind == _LPAREN:
+        if kind == "(":
             node = self.expr()
-            self.expect(_RPAREN, "')'")
+            self.expect(")", "')'")
             return node
         raise ParseError(
             f"unexpected {text!r}" if text else "unexpected end of input", line, column
@@ -261,7 +253,7 @@ class _Parser:
 
     def _rational(self, number: Token, sign: int) -> RationalNode:
         numerator, denominator = sign * _int(number), 1
-        if self.tokens[self.pos][0] == _SLASH:
+        if self.tokens[self.pos][0] == "/":
             self.pos += 1
             token = self.expect(_UINT, "a denominator")
             denominator = _int(token)
@@ -270,12 +262,12 @@ class _Parser:
         return RationalNode(number[2], number[3], Fraction(numerator, denominator))
 
     def _call(self, func: Token) -> CallNode:
-        self.expect(_LPAREN, "'(' after function name")
+        self.expect("(", "'(' after function name")
         args = [self.expr()]
-        while self.tokens[self.pos][0] == _COMMA:
+        while self.tokens[self.pos][0] == ",":
             self.pos += 1
             args.append(self.expr())
-        self.expect(_RPAREN, "')'")
+        self.expect(")", "')'")
         _, name, line, column = func
         arity = _FUNC_ARITY[name]
         if len(args) != arity:
@@ -361,11 +353,11 @@ def evaluate(node: Node) -> Result:
         value = evaluate(node)
         run = None  # the slot map that a run of same-type sum links adds into
         for link in reversed(spine):
-            if link.op == _CIRC:
+            if link.op == "o":
                 a = _as_weyl(value, link.left)
                 b = _as_weyl(evaluate(link.right), link.right)
                 value = _guarded(weyl_product, link, a, b)
-            elif link.op == _STAR:
+            elif link.op == "*":
                 b = evaluate(link.right)
                 if _is_scalar(value):
                     value = _scale_by_scalar(value, b)
@@ -375,7 +367,7 @@ def evaluate(node: Node) -> Result:
                     value = _as_free(value) * _as_free(b)
             else:
                 b = evaluate(link.right)
-                if link.op == _MINUS:
+                if link.op == "-":
                     b = -b
                 if type(b) is not type(value):
                     value = _mixed_sum(value, b)

@@ -37,8 +37,6 @@ from .weyl import WeylMonomial, WeylPolynomial
 
 Result = FreePolynomial | WeylPolynomial
 
-_FORMATS = ("text", "latex", "json")
-
 
 def _printable(render: Callable) -> Callable:
     """``render`` with a coefficient too long for ``str`` reported as a user
@@ -54,16 +52,6 @@ def _printable(render: Callable) -> Callable:
             raise UnsupportedFragmentError(message) from exc
 
     return checked
-
-
-def render(x: Result, fmt: str = "text") -> str:
-    if fmt == "text":
-        return render_text(x)
-    if fmt == "latex":
-        return render_latex(x)
-    if fmt == "json":
-        return render_json(x)
-    raise ValueError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
 
 
 def _display_terms(x: Result) -> list[tuple[object, HbarScalar]]:
@@ -289,3 +277,15 @@ def _json_coeff(c: HbarScalar) -> dict[str, str]:
 
 def render_json(x: Result) -> str:
     return json.dumps(result_to_json_dict(x))
+
+
+# The output formats, in the order that messages list them; the command line
+# reads its choices from here.
+_RENDERERS = {"text": render_text, "latex": render_latex, "json": render_json}
+
+
+def render(x: Result, fmt: str = "text") -> str:
+    renderer = _RENDERERS.get(fmt)
+    if renderer is None:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {tuple(_RENDERERS)}")
+    return renderer(x)

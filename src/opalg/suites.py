@@ -43,7 +43,6 @@ from .core import (
     normal_order,
     partial_derivative,
 )
-from .combinatorics import multiset_permutations
 from .errors import UnsupportedFragmentError
 from .oracle import oracle_equal
 from .printing import render_text, result_to_json_dict
@@ -209,22 +208,18 @@ def _monomials(max_degree: int) -> list[WeylMonomial]:
     ]
 
 
-def _count_words(n: int, m: int, deriv: Letter | None = None) -> list[Word]:
-    letters = [Letter.Q] * n + [Letter.P] * m + ([deriv] if deriv else [])
-    return [Word(arrangement) for arrangement in multiset_permutations(letters)]
-
-
 # -- suites --------------------------------------------------------------------
 
 
 def _ordering_independence(
     monomials: list[WeylMonomial], derivs: tuple[Letter | None, ...]
 ) -> Cases:
-    """Every arrangement of a letter multiset symmetrizes to the first one's image."""
+    """Every arrangement of a letter multiset, listed as the words of its
+    monomial's expansion, symmetrizes to the first one's image."""
     for mono in monomials:
         for deriv in derivs:
             reference = None
-            for word in _count_words(mono.n, mono.m, deriv):
+            for word, _ in expand(WeylMonomial(mono.n, mono.m, deriv)).items():
                 image = symmetrize(FreePolynomial.from_word(word))
                 if reference is None:
                     reference = image

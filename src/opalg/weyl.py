@@ -31,7 +31,6 @@ from .core import (
     _normal_counts,
     _set_sets,
     _word,
-    normal_order,
 )
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, ONE
@@ -262,12 +261,10 @@ def weyl_derivative(x: WeylPolynomial, wrt: Letter) -> WeylPolynomial:
 
 def normal_form(x: FreePolynomial | WeylPolynomial) -> FreePolynomial:
     """The normal form of ``x``, or of its expansion if ``x`` is a Weyl value,
-    for ``normal``: :func:`~opalg.core.normal_order` of a free value, and
-    :func:`~opalg.core._from_counts` of :func:`_normal_form_counts` of a
-    Weyl value, whose words are never listed unless they hold a derivative
-    letter."""
-    if isinstance(x, FreePolynomial):
-        return normal_order(x)
+    for ``normal``: :func:`~opalg.core._from_counts` of
+    :func:`_normal_form_counts`, which for a free value is
+    :func:`~opalg.core.normal_order`.  A Weyl value's words are never listed
+    unless they hold a derivative letter."""
     return _from_counts(_normal_form_counts(x))
 
 

@@ -99,3 +99,49 @@ def test_a_checkout_with_an_untracked_or_changed_file_is_refused(tool, tmp_path)
     (tmp_path / "a.py").write_text("x = 2\n")
     with pytest.raises(SystemExit, match="a.py"):
         tool.checkout_commit(tmp_path)
+
+
+def test_compare_prints_change_medians_against_an_earlier_record(tool):
+    summary = tool.summarize(canned_runs(), DIRECTIONS)
+    earlier_runs = [{**run, "result": result(100, 0.25)} if run["side"] == "change" else run for run in canned_runs()]
+    earlier = tool.summarize(earlier_runs, DIRECTIONS)
+    ops = "  ops_per_s        change median 100 -> 125 (+25.0%, higher is better)"
+    assert tool.compare_lines(summary, earlier) == [
+        "ordering_large:",
+        ops,
+        "  latency_p50_ms   change median 0.25 -> 0.17 (-32.0%, lower is better)",
+        "  failed_share     change median 0 -> 0 (n/a, lower is better)",
+    ]
+    # Only the workloads and metrics that both records hold are compared.
+    partial = {"ordering_large": {"ops_per_s": earlier["ordering_large"]["ops_per_s"]}, "verify_all": earlier["ordering_large"]}
+    assert tool.compare_lines(summary, partial) == ["ordering_large:", ops]
+    assert tool.compare_lines(summary, {}) == []
+
+
+DIGESTS = [
+    "eval_stream seed 1 text      aaaa",
+    "eval_stream seed 1 json      bbbb",
+    "verify --suite all --seed 1 text  cccc",
+]
+
+
+def test_tool_outputs_reads_the_digest_lines_and_the_code_line_total(tool, tmp_path):
+    calls = []
+
+    def stub(checkout, script):
+        calls.append((checkout, script))
+        if script == "output_digest.py":
+            return "\n".join(DIGESTS) + "\n"
+        return "__init__.py              88\ncore.py                 214\ntotal                  2136\n"
+
+    assert tool.tool_outputs(tmp_path, run=stub) == {"digests": DIGESTS, "code_lines": 2136}
+    assert calls == [(tmp_path, "output_digest.py"), (tmp_path, "code_lines.py")]
+
+
+def test_digest_line_says_whether_the_sides_match_and_names_each_difference(tool):
+    assert tool.digest_line(DIGESTS, list(DIGESTS)) == "output digests: all 3 match"
+    changed = [DIGESTS[0], "eval_stream seed 1 json      dddd", DIGESTS[2]]
+    assert tool.digest_line(DIGESTS, changed) == "output digests: 1 differ: eval_stream seed 1 json"
+    assert tool.digest_line(DIGESTS, DIGESTS[:2]) == (
+        "output digests: 1 differ: verify --suite all --seed 1 text"
+    )

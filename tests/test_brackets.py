@@ -13,7 +13,6 @@ from opalg.brackets import (
     check_obstruction,
     check_von_neumann_equivalence,
     commutator_bracket,
-    dequantize,
     leibniz_ordinary_product_gap,
     poisson_bracket_classical,
     quantize,
@@ -723,18 +722,6 @@ def test_equivalence_sides_match_the_expanding_routes():
 
 def test_quantize_preserves_exponents():
     assert quantize(cmono(2, 1)) == mono(2, 1)
-
-
-def test_quantize_dequantize_round_trip():
-    f = cmono(2, 1, 3) + cmono(0, 4, -1)
-    assert dequantize(quantize(f)) == f
-
-
-def test_dequantize_rejects_hbar_and_derivative_terms():
-    with pytest.raises(UnsupportedFragmentError):
-        dequantize(WeylPolynomial([(WeylMonomial(1, 0), HbarScalar.of(1, 0, 1))]))
-    with pytest.raises(UnsupportedFragmentError):
-        dequantize(mono(1, 0, Letter.DRHO_Q))
 
 
 def test_quantization_intertwines_the_brackets():

@@ -6,17 +6,17 @@ import re
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import opalg
-from opalg import cli, suites
+from opalg import cli, printing, suites
 from opalg.cli import cmd_repl, main
 from opalg.core import IDENTITY_WORD
 from opalg.parser import evaluate, parse
-from opalg.printing import render_json
+from opalg.printing import render, render_json, render_text
 from opalg.scalars import HbarScalar
 from opalg.weyl import WeylMonomial, normal_form
 
@@ -382,6 +382,47 @@ def test_repl_session():
     assert r"\hat q \circ \hat p" in lines
     assert any(line.startswith("error:") for line in lines)
     assert any(":format FORMAT" in line for line in lines)
+
+
+def format_messages(value) -> tuple[str, str, str]:
+    """render's unknown-format error, the REPL's ``:format`` usage line and
+    the ``eval --format`` choice error, for the format ``xml``."""
+    with pytest.raises(ValueError) as excinfo:
+        render(value, "xml")
+    stdout = io.StringIO()
+    cmd_repl(stdin=io.StringIO(":format xml\n"), stdout=stdout)
+    code, out = run_cli_error(["eval", "q", "--format", "xml"])
+    assert code == 2
+    return str(excinfo.value), stdout.getvalue(), out
+
+
+def run_cli_error(argv):
+    buffer = io.StringIO()
+    with redirect_stdout(buffer), redirect_stderr(buffer), pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    return excinfo.value.code, buffer.getvalue()
+
+
+def test_format_names_follow_the_printing_table(monkeypatch):
+    value = evaluate(parse("q p"))
+    assert format_messages(value) == (
+        "unknown format 'xml'; expected one of ('text', 'latex', 'json')",
+        "usage: :format text|latex|json\n",
+        "error: argument --format: invalid choice: 'xml' (choose from 'text', 'latex', 'json')\n",
+    )
+    assert "  :format FORMAT   set the output format (text, latex, json)" in cli._REPL_HELP.splitlines()
+    # A format added to the table is accepted and listed everywhere.
+    monkeypatch.setitem(printing._RENDERERS, "upper", lambda x: render_text(x).upper())
+    assert format_messages(value) == (
+        "unknown format 'xml'; expected one of ('text', 'latex', 'json', 'upper')",
+        "usage: :format text|latex|json|upper\n",
+        "error: argument --format: invalid choice: 'xml' (choose from 'text', 'latex', 'json', 'upper')\n",
+    )
+    assert run_cli(["eval", "q p", "--format", "upper"]) == (0, "Q P\n")
+    stdout = io.StringIO()
+    cmd_repl(stdin=io.StringIO(":format upper\nq p\n"), stdout=stdout)
+    assert stdout.getvalue() == "Q P\n"
+    assert render(value, "upper") == "Q P"
 
 
 def test_repl_keeps_reading_after_too_deep_input():

@@ -708,6 +708,20 @@ def test_normal_forms_and_comm_of_expansions_never_list_their_words(monkeypatch,
     assert actual == expected
 
 
+@pytest.mark.parametrize("n, m", [(0, 0), (3, 0), (1, 1), (4, 3), (7, 7)])
+def test_normal_form_and_comm_of_weyl_operands_never_list_their_words(monkeypatch, n, m):
+    # The same guarantee on the Weyl operands that ``normal`` and ``comm``
+    # take: it holds without an expansion record.
+    from opalg.brackets import commutator_bracket
+
+    v = weyl_sum([(n, m, None, HbarScalar.of(1, 2)), (m, n, None, HBAR_COEFF), (1, 2, None, -ONE)])
+    w = weyl_sum([(2, 3, None, HbarScalar.of(Fraction(1, 2))), (1, 0, None, HBAR_COEFF)])
+    expected = [normal_form(v), commutator_bracket(v, w), commutator_bracket(w, v)]
+    assert expected[0] == normal_order(unrecorded(expand_polynomial(v)))
+    monkeypatch.setattr(weyl, "expand", refuse_to_expand)
+    assert [normal_form(v), commutator_bracket(v, w), commutator_bracket(w, v)] == expected
+
+
 def test_a_value_with_a_derivative_letter_is_listed_at_once_without_a_record(monkeypatch):
     received = []
 

@@ -200,6 +200,15 @@ def test_expansion_word_count():
             assert len(set(words)) == len(words)
 
 
+@pytest.mark.parametrize("deriv", [None, Letter.DRHO_Q, Letter.DRHO_P])
+def test_expansion_lists_each_distinct_arrangement_once_in_lexicographic_order(deriv):
+    for n in range(7):
+        for m in range(7 - n):
+            letters = [Q] * n + [P] * m + ([deriv] if deriv else [])
+            words = [word.letters for word, _ in expand(WeylMonomial(n, m, deriv)).items()]
+            assert words == sorted(set(permutations(letters))), (n, m, deriv)
+
+
 def test_derivative_letter_pairing_with_momentum():
     half = HbarScalar.real(Fraction(1, 2))
     expected = FreePolynomial(

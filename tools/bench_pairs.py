@@ -8,15 +8,18 @@ printed as it finishes, then per workload and end-to-end metric the two
 medians, the parent's quartiles and in how many pairs the change was better
 (the direction of each metric, and the run length ``N``, come from the
 change checkout's ``BENCHMARK.json``).  The output file holds the
-environment, both commits, every run's full result line and the summary.
-Both checkouts must be clean, so that each recorded commit is the tree
-that was measured.
+environment, both commits, each side's ``tools/output_digest.py`` lines and
+``tools/code_lines.py`` total, every run's full result line and the
+summary; the script prints whether the two sides' digests match.  Both
+checkouts must be clean, so that each recorded commit is the tree that was
+measured.  With ``--compare`` an earlier record's change medians are
+printed beside this record's, per workload and end-to-end metric.
 
 Each run imports ``opalg`` from its own checkout's ``src/``; this script
 imports nothing from ``opalg`` and writes nothing under ``perfbench/``.
 
 usage: python tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json
-           [--workloads W [W ...]] [--seeds 82-86,182-186]
+           [--workloads W [W ...]] [--seeds 82-86,182-186] [--compare BENCH_<m>.json]
 """
 
 from __future__ import annotations
@@ -51,6 +54,28 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(command)} in {checkout} exited {done.returncode}:\n{done.stderr}")
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def run_tool(checkout: Path, script: str) -> str:
+    """What ``tools/<script>`` in ``checkout`` prints."""
+    command = [sys.executable, f"tools/{script}"]
+    return subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True).stdout
+
+
+def tool_outputs(checkout: Path, run=run_tool) -> dict:
+    """The output digest lines and the code-line total of ``checkout``."""
+    digests = run(checkout, "output_digest.py").splitlines()
+    total = run(checkout, "code_lines.py").splitlines()[-1].split()[-1]
+    return {"digests": digests, "code_lines": int(total)}
+
+
+def digest_line(parent: list[str], change: list[str]) -> str:
+    """Whether the two sides' digest lines match, naming each part that differs."""
+    if parent == change:
+        return f"output digests: all {len(parent)} match"
+    before, after = (dict(line.rsplit(maxsplit=1) for line in lines) for lines in (parent, change))
+    differ = sorted(name for name in before.keys() | after.keys() if before.get(name) != after.get(name))
+    return f"output digests: {len(differ)} differ: {', '.join(differ)}"
 
 
 def metric(result: dict, name: str) -> float:
@@ -118,6 +143,24 @@ def summary_lines(summary: dict) -> list[str]:
     return lines
 
 
+def compare_lines(summary: dict, previous: dict) -> list[str]:
+    """Per workload and metric of ``summary`` that ``previous`` (an earlier
+    record's summary) also has: the earlier change median, this one and the
+    relative change between them."""
+    lines = []
+    for workload, rows in summary.items():
+        earlier = previous.get(workload, {})
+        shared = [name for name in rows if name in earlier]
+        if not shared:
+            continue
+        lines.append(f"{workload}:")
+        for name in shared:
+            old, new = earlier[name]["change_median"], rows[name]["change_median"]
+            pct = f"{100 * (new - old) / old:+.1f}%" if old else "n/a"
+            lines.append(f"  {name:16s} change median {old:.6g} -> {new:.6g} ({pct}, {rows[name]['better']} is better)")
+    return lines
+
+
 def checkout_commit(checkout: Path) -> str:
     """The commit of ``checkout``, which must have no uncommitted or
     untracked file (ignored files aside)."""
@@ -149,17 +192,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workloads", nargs="+", default=["ordering_large"])
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("82-86,182-186"))
+    parser.add_argument("--compare", type=Path, help="an earlier BENCH_<n>.json to print change medians against")
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    previous = json.loads(args.compare.read_text())["summary"] if args.compare else None
     record = {
         "environment": environment(),
         "seconds": bench["run_seconds"],
         **{side: {"commit": checkout_commit(checkouts[side])} for side in SIDES},
         "runs": [],
     }
+    for side in SIDES:
+        record[side].update(tool_outputs(checkouts[side]))
+    print(digest_line(record["parent"]["digests"], record["change"]["digests"]))
+    print(f"code lines: {record['parent']['code_lines']} -> {record['change']['code_lines']}", flush=True)
     for workload in args.workloads:
         for index, seed in enumerate(args.seeds):
             order = SIDES if index % 2 == 0 else SIDES[::-1]
@@ -171,6 +220,9 @@ def main(argv: list[str] | None = None) -> int:
             print(pair_line(workload, seed, order[0], results, [*directions, "failed_share"]), flush=True)
     record["summary"] = summarize(record["runs"], directions)
     print("\n".join(summary_lines(record["summary"])))
+    if previous is not None:
+        print(f"against {args.compare.name}:")
+        print("\n".join(compare_lines(record["summary"], previous)))
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
