@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -384,28 +384,22 @@ def test_repl_session():
     assert any(":format FORMAT" in line for line in lines)
 
 
-def format_messages(value) -> tuple[str, str, str]:
+def format_messages(value, capsys) -> tuple[str, str, str]:
     """render's unknown-format error, the REPL's ``:format`` usage line and
     the ``eval --format`` choice error, for the format ``xml``."""
     with pytest.raises(ValueError) as excinfo:
         render(value, "xml")
     stdout = io.StringIO()
     cmd_repl(stdin=io.StringIO(":format xml\n"), stdout=stdout)
-    code, out = run_cli_error(["eval", "q", "--format", "xml"])
-    assert code == 2
-    return str(excinfo.value), stdout.getvalue(), out
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eval", "q", "--format", "xml"])
+    assert exit_info.value.code == 2
+    return str(excinfo.value), stdout.getvalue(), capsys.readouterr().err
 
 
-def run_cli_error(argv):
-    buffer = io.StringIO()
-    with redirect_stdout(buffer), redirect_stderr(buffer), pytest.raises(SystemExit) as excinfo:
-        main(argv)
-    return excinfo.value.code, buffer.getvalue()
-
-
-def test_format_names_follow_the_printing_table(monkeypatch):
+def test_format_names_follow_the_printing_table(monkeypatch, capsys):
     value = evaluate(parse("q p"))
-    assert format_messages(value) == (
+    assert format_messages(value, capsys) == (
         "unknown format 'xml'; expected one of ('text', 'latex', 'json')",
         "usage: :format text|latex|json\n",
         "error: argument --format: invalid choice: 'xml' (choose from 'text', 'latex', 'json')\n",
@@ -413,7 +407,7 @@ def test_format_names_follow_the_printing_table(monkeypatch):
     assert "  :format FORMAT   set the output format (text, latex, json)" in cli._REPL_HELP.splitlines()
     # A format added to the table is accepted and listed everywhere.
     monkeypatch.setitem(printing._RENDERERS, "upper", lambda x: render_text(x).upper())
-    assert format_messages(value) == (
+    assert format_messages(value, capsys) == (
         "unknown format 'xml'; expected one of ('text', 'latex', 'json', 'upper')",
         "usage: :format text|latex|json|upper\n",
         "error: argument --format: invalid choice: 'xml' (choose from 'text', 'latex', 'json', 'upper')\n",
