@@ -113,8 +113,13 @@ def commutator_bracket(
     normal-ordered.  Count, then scale: each pair of source coefficients
     ``cf``, ``cg`` makes one scalar ``cf * cg``, and under it both orders of
     each slot pair add ``+-n_f n_g`` times their junction counts to one int
-    count map, so the leading terms cancel as ints.  The README's "Why
-    normal ordering needs no rewriting" derives the junction formula.
+    count map.  Of two pure words ``u = q^a p^b`` and ``v = q^c p^d`` (the
+    head all q's), term ``t`` of ``u v`` and of ``v u`` land on the same
+    word ``q^(a+c-t) p^(b+d-t)``, so one loop over ``t >= 1`` adds
+    ``n_f n_g t! (C(b,t) C(c,t) - C(d,t) C(a,t))`` and the ``t = 0`` terms,
+    equal and opposite, are never built.  A pair with a state letter takes
+    the junction of each order.  The README's "Why normal ordering needs no
+    rewriting" derives the junction formula.
     """
     sides_f, sides_g = (_junction_sides(_normal_form_counts(x)) for x in (f, g))
     counts_by_coeff: dict[HbarScalar, dict] = {}
@@ -122,9 +127,13 @@ def commutator_bracket(
         for cg, slots_g in sides_g.items():
             counts = counts_by_coeff.setdefault(cf * cg, {})
             for head_f, b_f, c_f, tail_f, k_f, n_f in slots_f:
+                pure_f = c_f == len(head_f)  # the head is all q's
                 for head_g, b_g, c_g, tail_g, k_g, n_g in slots_g:
-                    _add_product(counts, head_f, b_f, c_g, tail_g, n_f * n_g, k_f + k_g)
-                    _add_product(counts, head_g, b_g, c_f, tail_f, -n_f * n_g, k_f + k_g)
+                    if pure_f and c_g == len(head_g):
+                        _add_pure_pair(counts, c_f, b_f, c_g, b_g, n_f * n_g, k_f + k_g)
+                    else:
+                        _add_product(counts, head_f, b_f, c_g, tail_g, n_f * n_g, k_f + k_g)
+                        _add_product(counts, head_g, b_g, c_f, tail_f, -n_f * n_g, k_f + k_g)
     return _from_counts({c * INV_I_HBAR: counts for c, counts in counts_by_coeff.items()})
 
 
@@ -150,6 +159,19 @@ def _add_product(counts: dict, head: tuple, b: int, c: int, tail: tuple, n: int,
     for t, m in _junction(b, c, n):
         slot = (head + _Q * (c - t) + _P * (b - t) + tail, 0, k + t)
         counts[slot] = counts.get(slot, 0) + m
+
+
+def _add_pure_pair(counts: dict, a: int, b: int, c: int, d: int, n: int, k: int) -> None:
+    """Add ``n (-i*hbar)^k`` times the normal form of ``u v - v u``, for
+    ``u = q^a p^b`` and ``v = q^c p^d``, to ``counts`` at the slots
+    ``(q^(a+c-t), b+d-t, k+t)`` of ``t >= 1`` whose two counts differ."""
+    x = y = n
+    for t in range(1, max(min(b, c), min(a, d)) + 1):
+        x = x * (b - t + 1) * (c - t + 1) // t  # exact at every step
+        y = y * (d - t + 1) * (a - t + 1) // t
+        if x != y:
+            slot = (_Q * (a + c - t), b + d - t, k + t)
+            counts[slot] = counts.get(slot, 0) + x - y
 
 
 def symmetrized_poisson_bracket(

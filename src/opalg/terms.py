@@ -25,6 +25,9 @@ count integer multiplicities per coefficient and scale once per surviving
 slot, as :func:`~opalg.core.normal_order` does.  The commutator takes both
 operands' normal forms as those integer count maps and pairs them: one
 ``cf * cg`` per pair of source coefficients, int products per pair of slots.
+Both orders of two pure slots ``q^a p^b``, ``q^c p^d`` land on the same
+words, so one count per ``t >= 1``, ``t! (C(b,t) C(c,t) - C(d,t) C(a,t))``,
+stands for both, and the cancelling ``t = 0`` pair is never counted.
 A value may also name what it is made of: a free value that
 :func:`~opalg.weyl.expand_polynomial` made records its arrangement sets, so
 its normal form is read off per set rather than per word.  Such a value

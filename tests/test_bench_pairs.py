@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -145,3 +146,103 @@ def test_digest_line_says_whether_the_sides_match_and_names_each_difference(tool
     assert tool.digest_line(DIGESTS, DIGESTS[:2]) == (
         "output digests: 1 differ: verify --suite all --seed 1 text"
     )
+
+
+class FakeRunner:
+    """Stands in for ``subprocess.run``: records each command and answers
+    with canned ``perfbench/run.py`` output."""
+
+    def __init__(self, stdout: str, returncode: int = 0):
+        self.stdout, self.returncode, self.commands = stdout, returncode, []
+
+    def __call__(self, command, **kwargs):
+        self.commands.append((command, kwargs["cwd"]))
+        return subprocess.CompletedProcess(command, self.returncode, self.stdout, "boom")
+
+
+ORDERING_OUTPUT = """workload ordering_large, seed 7, seconds 10, trace 0
+failed_share 0 (0 of 400 operations)
+stress_failed 1 count (of 3 inputs, run apart from the timed region)
+  stress normal(p^200 q^200)       ok (0.4 s)
+  stress S(q^100000 p^100000)      time limit (5.1 s)
+  stress comm(S(q^12 p^10), S(q^9 p^11)) ok (0.3 s)
+ops_per_s                                        9000 1/s
+{"correct": true, "attempted": 400, "failed": 0, "metrics": {"ops_per_s": {"value": 9000, "unit": "1/s"}}}
+"""
+
+
+def test_run_once_keeps_the_result_line_and_the_stress_lines(tool, tmp_path):
+    runner = FakeRunner(ORDERING_OUTPUT)
+    result, stress = tool.run_once(tmp_path, "ordering_large", 7, 10, run=runner)
+    assert result["metrics"]["ops_per_s"]["value"] == 9000
+    assert stress == [
+        "stress_failed 1 count (of 3 inputs, run apart from the timed region)",
+        "stress normal(p^200 q^200)       ok (0.4 s)",
+        "stress S(q^100000 p^100000)      time limit (5.1 s)",
+        "stress comm(S(q^12 p^10), S(q^9 p^11)) ok (0.3 s)",
+    ]
+    (command, cwd), = runner.commands
+    assert cwd == tmp_path
+    assert command[1:] == ["perfbench/run.py", "--workload", "ordering_large", "--seed", "7",
+                           "--seconds", "10", "--trace", "0"]
+    # A workload that prints no stress table keeps no stress lines.
+    plain = "workload verify_all, seed 7\n" + ORDERING_OUTPUT.splitlines()[-1] + "\n"
+    assert tool.run_once(tmp_path, "verify_all", 7, 10, run=FakeRunner(plain))[1] == []
+    with pytest.raises(RuntimeError, match="exited 1:\nboom"):
+        tool.run_once(tmp_path, "ordering_large", 7, 10, run=FakeRunner("", returncode=1))
+
+
+TRACED_RESULT = {
+    "correct": True, "attempted": 100, "failed": 0,
+    "metrics": {
+        "scalars.mul.calls": {"value": 323, "unit": "count"},
+        "scalars.mul.self_s": {"value": 0.01, "unit": "s"},
+        "weyl.expand_polynomial.calls": {"value": 150, "unit": "count"},
+        "terms.pairs_in": {"value": 0, "unit": "count"},
+        "trace.overhead_pct": {"value": 17.0, "unit": "%"},
+    },
+}
+
+
+def test_a_traced_run_gives_its_work_counts_and_the_deltas_are_printed(tool, tmp_path):
+    runner = FakeRunner("workload ordering_large, seed 7, seconds 10, trace 1\n" + json.dumps(TRACED_RESULT) + "\n")
+    result, stress = tool.run_once(tmp_path, "ordering_large", 7, 10, trace=1, run=runner)
+    assert runner.commands[0][0][-2:] == ["--trace", "1"] and stress == []
+    parent = tool.work_counts(result)
+    assert parent == {"scalars.mul.calls": 323, "weyl.expand_polynomial.calls": 150, "terms.pairs_in": 0}
+    change = {**parent, "scalars.mul.calls": 300, "terms.pairs_in": 12}
+    assert tool.count_lines("ordering_large", parent, change) == [
+        "work counts, ordering_large: 2 of 3 differ",
+        f"  {'scalars.mul.calls':48s} 323 -> 300 (-23)",
+        f"  {'terms.pairs_in':48s} 0 -> 12 (+12)",
+    ]
+    assert tool.count_lines("ordering_large", parent, dict(parent)) == ["work counts, ordering_large: 0 of 3 differ"]
+    # A count that only one side reports reads 0 on the other.
+    assert tool.count_lines("eval_stream", {}, {"weyl.normal_form.calls": 5})[1:] == [
+        f"  {'weyl.normal_form.calls':48s} 0 -> 5 (+5)"
+    ]
+
+
+def test_the_record_holds_each_runs_stress_lines_and_each_sides_work_counts(tool, tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "end_to_end": [{"name": "ops_per_s", "better": "higher"}]}))
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, seconds, trace=0):
+        calls.append((workload, seed, trace))
+        if trace:
+            return {"metrics": {"scalars.mul.calls": {"value": len(calls), "unit": "count"}}}, []
+        return result(100 + seed, 0.2), [f"stress_failed 0 count (seed {seed})"]
+
+    monkeypatch.setattr(tool, "run_once", fake_run_once)
+    monkeypatch.setattr(tool, "checkout_commit", lambda checkout: "0" * 40)
+    monkeypatch.setattr(tool, "tool_outputs", lambda checkout: {"digests": DIGESTS, "code_lines": 2136})
+    out = tmp_path / "BENCH.json"
+    tool.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out), "--seeds", "3-4"])
+    record = json.loads(out.read_text())
+    # One traced run per side, on the first seed, before the pairs.
+    assert calls[:2] == [("ordering_large", 3, 1)] * 2 and all(not trace for _, _, trace in calls[2:])
+    assert (record["counts_seed"], record["parent"]["counts"], record["change"]["counts"]) == (
+        3, {"ordering_large": {"scalars.mul.calls": 1}}, {"ordering_large": {"scalars.mul.calls": 2}})
+    assert [run["stress"] for run in record["runs"]] == [[f"stress_failed 0 count (seed {s})"] for s in (3, 3, 4, 4)]
+    assert f"  {'scalars.mul.calls':48s} 1 -> 2 (+1)" in capsys.readouterr().out.splitlines()

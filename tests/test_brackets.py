@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from opalg import core
+from opalg import brackets, core
 from opalg.brackets import (
     ClassicalPolynomial,
     check_anticommutator_identity,
@@ -418,6 +418,63 @@ def test_commutator_bracket_of_state_letters_on_both_sides():
     assert_same_commutator(x, y)
     assert_same_commutator(y, x)
     assert_same_commutator(x, SHARED_COEFF_WEYL)
+
+
+# -- both orders of two pure words at once --------------------------------------------
+
+
+def pure_word(a: int, b: int) -> Word:
+    return run_word((Q, a), (P, b))
+
+
+G = HbarScalar.of(Fraction(1, 3), 2, -1)
+
+
+@pytest.mark.parametrize("a, b", list(product(range(5), repeat=2)))
+def test_commutator_bracket_of_every_pair_of_short_pure_words(a, b):
+    # q^c p^d under G and q^(c+1) p^(d+1) under -G share their junction
+    # slots one t apart, and C G and -C G fold into one count map.
+    f = FreePolynomial.from_word(pure_word(a, b), C)
+    for c, d in product(range(5), repeat=2):
+        g = FreePolynomial([(pure_word(c, d), G), (pure_word(c + 1, d + 1), -G)])
+        assert_same_commutator(f, g)
+        assert_same_commutator(g, f)
+
+
+def spy(monkeypatch, name: str) -> list:
+    calls, kernel = [], getattr(brackets, name)
+
+    def record(counts, *args):
+        calls.append(args)
+        return kernel(counts, *args)
+
+    monkeypatch.setattr(brackets, name, record)
+    return calls
+
+
+def test_pure_slot_pairs_never_reach_the_general_product(monkeypatch):
+    products, pure_pairs = spy(monkeypatch, "_add_product"), spy(monkeypatch, "_add_pure_pair")
+    f, g = weyl_sum([(1, 7, 4), (Fraction(-2, 3), 6, 3)]), weyl_sum([(3, 6, 3)])
+    assert_same_commutator(f, g)
+    assert_same_commutator(mono(4, 3), mono(2, 5).scale(G))
+    assert not products and pure_pairs
+
+
+def test_state_letters_still_take_the_general_product(monkeypatch):
+    # One coefficient heads a pure term and a state term: only the pairs
+    # with a state letter take the general product, once per order.
+    x = FreePolynomial([(pure_word(2, 1), C), (Word.of(Q, RHO, P), C)])
+    y = FreePolynomial.from_word(pure_word(1, 2), G)
+    products, pure_pairs = spy(monkeypatch, "_add_product"), spy(monkeypatch, "_add_pure_pair")
+    assert commutator_bracket(x, y) == reordered_difference(x, y)
+    assert (len(products), len(pure_pairs)) == (2, 1)
+    assert all(RHO in head + tail for head, _, _, tail, _, _ in products)
+    products.clear()
+    # Operands with state letters on both sides take it for every pair.
+    x = FreePolynomial([(Word.of(Q, RHO, P, P, P), ONE), (Word.of(Letter.DRHO_Q, Q, P, P), C)])
+    y = FreePolynomial([(Word.of(Q, Q, RHO, Q, P), G), (Word.of(Q, Q, Q, Letter.DRHO_P), -G)])
+    assert commutator_bracket(x, y) == reordered_difference(x, y)
+    assert len(products) == 2 * 2 * 2 and len(pure_pairs) == 1
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,14 @@ medians, the parent's quartiles and in how many pairs the change was better
 (the direction of each metric, and the run length ``N``, come from the
 change checkout's ``BENCHMARK.json``).  The output file holds the
 environment, both commits, each side's ``tools/output_digest.py`` lines and
-``tools/code_lines.py`` total, every run's full result line and the
-summary; the script prints whether the two sides' digests match.  Both
+``tools/code_lines.py`` total, every run's full result line with its
+``stress`` lines (the stress table an ``ordering_large`` run prints) and
+the summary; the script prints whether the two sides' digests match.
+Before the pairs, one ``--trace 1`` run per side and workload, on the
+first seed, gives the work counts: the traced run's count metrics (each
+layer's ``.calls`` and the other counters), which are the same in every
+run of a seed.  Both sides' counts go in the record and the script prints
+each count that differs.  Both
 checkouts must be clean, so that each recorded commit is the tree that was
 measured.  With ``--compare`` an earlier record's change medians are
 printed beside this record's, per workload and end-to-end metric.
@@ -46,14 +52,32 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One ``perfbench/run.py`` run in ``checkout``: its JSON result line."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int = 0,
+             run=subprocess.run) -> tuple[dict, list[str]]:
+    """One ``perfbench/run.py`` run in ``checkout``: its JSON result line and
+    its ``stress`` lines, stripped."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds)]
-    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=False)
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    done = run(command, cwd=checkout, capture_output=True, text=True, check=False)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(command)} in {checkout} exited {done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout.splitlines()[-1])
+    *lines, last = done.stdout.splitlines()
+    return json.loads(last), [line.strip() for line in lines if line.lstrip().startswith("stress")]
+
+
+def work_counts(result: dict) -> dict[str, int]:
+    """The count metrics of a traced run's result."""
+    return {name: m["value"] for name, m in result["metrics"].items() if m["unit"] == "count"}
+
+
+def count_lines(workload: str, parent: dict[str, int], change: dict[str, int]) -> list[str]:
+    """Each work count that differs between the two sides, with its delta."""
+    differ = sorted(name for name in parent.keys() | change.keys() if parent.get(name) != change.get(name))
+    lines = [f"work counts, {workload}: {len(differ)} of {len(parent.keys() | change.keys())} differ"]
+    for name in differ:
+        old, new = parent.get(name, 0), change.get(name, 0)
+        lines.append(f"  {name:48s} {old} -> {new} ({new - old:+})")
+    return lines
 
 
 def run_tool(checkout: Path, script: str) -> str:
@@ -209,14 +233,20 @@ def main(argv: list[str] | None = None) -> int:
         record[side].update(tool_outputs(checkouts[side]))
     print(digest_line(record["parent"]["digests"], record["change"]["digests"]))
     print(f"code lines: {record['parent']['code_lines']} -> {record['change']['code_lines']}", flush=True)
+    record["counts_seed"] = args.seeds[0]
+    for workload in args.workloads:
+        for side in SIDES:
+            traced, _ = run_once(checkouts[side], workload, args.seeds[0], bench["run_seconds"], trace=1)
+            record[side].setdefault("counts", {})[workload] = work_counts(traced)
+        print("\n".join(count_lines(workload, *(record[side]["counts"][workload] for side in SIDES))), flush=True)
     for workload in args.workloads:
         for index, seed in enumerate(args.seeds):
             order = SIDES if index % 2 == 0 else SIDES[::-1]
             results = {}
             for side in order:
-                results[side] = run_once(checkouts[side], workload, seed, bench["run_seconds"])
+                results[side], stress = run_once(checkouts[side], workload, seed, bench["run_seconds"])
                 record["runs"].append({"workload": workload, "seed": seed, "side": side,
-                                       "first": order[0], "result": results[side]})
+                                       "first": order[0], "result": results[side], "stress": stress})
             print(pair_line(workload, seed, order[0], results, [*directions, "failed_share"]), flush=True)
     record["summary"] = summarize(record["runs"], directions)
     print("\n".join(summary_lines(record["summary"])))
