@@ -16,10 +16,10 @@ Before the pairs, one ``--trace 1`` run per side and workload, on the
 first seed, gives the work counts: the traced run's count metrics (each
 layer's ``.calls`` and the other counters), which are the same in every
 run of a seed.  Both sides' counts go in the record and the script prints
-each count that differs.  Both
-checkouts must be clean, so that each recorded commit is the tree that was
-measured.  With ``--compare`` an earlier record's change medians are
-printed beside this record's, per workload and end-to-end metric.
+each count that differs.  Both checkouts must be clean, so that each
+recorded commit is the tree that was measured.  With ``--compare`` an
+earlier record's change medians are printed beside this record's, per
+workload and end-to-end metric.
 
 Each run imports ``opalg`` from its own checkout's ``src/``; this script
 imports nothing from ``opalg`` and writes nothing under ``perfbench/``.
@@ -72,8 +72,9 @@ def work_counts(result: dict) -> dict[str, int]:
 
 def count_lines(workload: str, parent: dict[str, int], change: dict[str, int]) -> list[str]:
     """Each work count that differs between the two sides, with its delta."""
-    differ = sorted(name for name in parent.keys() | change.keys() if parent.get(name) != change.get(name))
-    lines = [f"work counts, {workload}: {len(differ)} of {len(parent.keys() | change.keys())} differ"]
+    names = parent.keys() | change.keys()
+    differ = sorted(name for name in names if parent.get(name) != change.get(name))
+    lines = [f"work counts, {workload}: {len(differ)} of {len(names)} differ"]
     for name in differ:
         old, new = parent.get(name, 0), change.get(name, 0)
         lines.append(f"  {name:48s} {old} -> {new} ({new - old:+})")
