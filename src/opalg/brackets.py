@@ -19,12 +19,14 @@ from typing import Sequence
 from .core import FreePolynomial, Letter, Word, _P, _Q, _from_counts, _junction, normal_order
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, INV_I_HBAR, ONE, RationalLike
-from .terms import GradedTerms, TaggedTuple, bilinear, linear_map
+from .terms import GradedTerms, TaggedTuple, bilinear, bilinear_sum, linear_map
 from .weyl import (
     WeylMonomial,
+    _add_exponents,
     _monomial,
     WeylPolynomial,
     _normal_form_counts,
+    _product_difference,
     expand_polynomial,
     normal_form,
     weyl_derivative,
@@ -201,6 +203,14 @@ def _monomial_bracket(a: WeylMonomial, b: WeylMonomial) -> tuple[WeylMonomial | 
     return _monomial(a_n + b_n - 1, a_m + b_m - 1, deriv), ad - bc
 
 
+def _bracket_sum(*pairs: tuple[WeylPolynomial, WeylPolynomial]) -> WeylPolynomial:
+    """``{x, y}`` summed over the ``pairs`` ``(x, y)`` in one slot map
+    (:func:`~opalg.terms.bilinear_sum`): the Jacobiator
+    ``{f,{g,h}} + {g,{h,f}} + {h,{f,g}}`` of inner brackets in hand, or the
+    antisymmetry residual ``{f,g} + {g,f}``."""
+    return bilinear_sum(WeylPolynomial, [(x, y, _monomial_bracket, 1) for x, y in pairs])
+
+
 def quantize(f: ClassicalPolynomial) -> WeylPolynomial:
     """The exponent-preserving map from classical monomials to the Weyl basis."""
     return WeylPolynomial((WeylMonomial(n, m), c) for (n, m), c in f.items())
@@ -289,9 +299,12 @@ class ObstructionReport(TaggedTuple):
 def check_leibniz(
     f: WeylPolynomial, g: WeylPolynomial, h: WeylPolynomial
 ) -> EqualityReport:
-    """Leibniz rule for the symmetric bracket over the symmetric product."""
+    """Leibniz rule for the symmetric bracket over the symmetric product, with
+    both sides built as values: the reference for :func:`_leibniz`."""
+    lhs = symmetrized_poisson_bracket(f, weyl_product(g, h))
     fg, fh = symmetrized_poisson_bracket(f, g), symmetrized_poisson_bracket(f, h)
-    return _leibniz(f, g, h, weyl_product(g, h), fg, fh)
+    rhs = weyl_product(fg, h) + weyl_product(g, fh)
+    return EqualityReport(lhs, rhs, lhs - rhs)
 
 
 def _leibniz(
@@ -301,13 +314,13 @@ def _leibniz(
     gh: WeylPolynomial,
     fg: WeylPolynomial,
     fh: WeylPolynomial,
-) -> EqualityReport:
-    """``{f, g o h}`` against ``{f,g} o h + g o {f,h}``, given the pair values
-    ``gh = g o h``, ``fg = {f,g}`` and ``fh = {f,h}``, which a caller that
-    meets the same pairs again can compute once."""
-    lhs = symmetrized_poisson_bracket(f, gh)
-    rhs = weyl_product(fg, h) + weyl_product(g, fh)
-    return EqualityReport(lhs, rhs, lhs - rhs)
+) -> WeylPolynomial:
+    """The Leibniz residual ``{f, g o h} - {f,g} o h - g o {f,h}``, given the
+    pair values ``gh = g o h``, ``fg = {f,g}`` and ``fh = {f,h}``, which a
+    caller that meets the same pairs again can compute once.  Its three
+    terms are summed in one slot map (:func:`~opalg.terms.bilinear_sum`)."""
+    parts = (f, gh, _monomial_bracket, 1), (fg, h, _add_exponents, -1), (g, fh, _add_exponents, -1)
+    return bilinear_sum(WeylPolynomial, parts)
 
 
 def leibniz_ordinary_product_gap(
@@ -361,7 +374,7 @@ def check_von_neumann_equivalence(F: WeylPolynomial) -> EqualityReport:
                 "the equivalence check takes a pure observable (no derivative letters)"
             )
     dq, dp = weyl_derivative(F, Letter.Q), weyl_derivative(F, Letter.P)
-    lhs_weyl = weyl_product(dq, _DRHO_P_MONO) - weyl_product(_DRHO_Q_MONO, dp)
+    lhs_weyl = _product_difference(dq, _DRHO_P_MONO, _DRHO_Q_MONO, dp)
     lhs = normal_order(substitute_drho(expand_polynomial(lhs_weyl)))
     rhs = commutator_bracket(F, _RHO)
     return EqualityReport(lhs, rhs, lhs - rhs)

@@ -25,6 +25,7 @@ from typing import Callable, Iterable
 
 from .brackets import (
     ClassicalPolynomial,
+    _bracket_sum,
     _leibniz,
     check_anticommutator_identity,
     check_leibniz,
@@ -51,6 +52,7 @@ from .terms import TaggedTuple
 from .weyl import (
     WeylMonomial,
     WeylPolynomial,
+    _product_difference,
     expand,
     expand_polynomial,
     symmetrize,
@@ -342,10 +344,10 @@ def _suite_eq10(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
         return weyl_product(WeylPolynomial.one(), x) - x
 
     def commutator(x: WeylPolynomial, y: WeylPolynomial) -> WeylPolynomial:
-        return weyl_product(x, y) - weyl_product(y, x)
+        return _product_difference(x, y, y, x)
 
     def associator(x: WeylPolynomial, y: WeylPolynomial, z: WeylPolynomial) -> WeylPolynomial:
-        return weyl_product(weyl_product(x, y), z) - weyl_product(x, weyl_product(y, z))
+        return _product_difference(weyl_product(x, y), z, x, weyl_product(y, z))
 
     pairs = ((a, b) for a in _monomials(max_degree) for b in _monomials(max_degree - a.degree))
     # The agreement is bilinear, so the exhaustive monomial check
@@ -414,7 +416,7 @@ def _suite_eq14(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
 
         def residual(i: int, j: int, k: int) -> WeylPolynomial:
             f, g, h = monos[i], monos[j], monos[k]
-            return _leibniz(f, g, h, product(j, k), bracket(i, j), bracket(i, k)).difference
+            return _leibniz(f, g, h, product(j, k), bracket(i, j), bracket(i, k))
 
         return residual
 
@@ -427,7 +429,7 @@ def _suite_eq14(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
         return _holds(not leibniz_ordinary_product_gap(f, g, h).is_zero)
 
     def antisymmetry(f: WeylPolynomial, g: WeylPolynomial) -> WeylPolynomial:
-        return symmetrized_poisson_bracket(f, g) + symmetrized_poisson_bracket(g, f)
+        return _bracket_sum((f, g), (g, f))
 
     gap = "S(q^2) , S(p^2) , q o p (ordinary-product variant stays unequal)"
     return _run(
@@ -499,34 +501,17 @@ def _suite_eq21(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
     )
 
 
-def _jacobiator(
-    f: WeylPolynomial,
-    g: WeylPolynomial,
-    h: WeylPolynomial,
-    gh: WeylPolynomial,
-    hf: WeylPolynomial,
-    fg: WeylPolynomial,
-) -> WeylPolynomial:
-    """``{f,{g,h}} + {g,{h,f}} + {h,{f,g}}``, given the inner brackets."""
-    return (
-        symmetrized_poisson_bracket(f, gh)
-        + symmetrized_poisson_bracket(g, hf)
-        + symmetrized_poisson_bracket(h, fg)
-    )
-
-
 def _suite_jacobi(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
     def jacobiator(f: WeylPolynomial, g: WeylPolynomial, h: WeylPolynomial) -> WeylPolynomial:
         bracket = symmetrized_poisson_bracket
-        return _jacobiator(f, g, h, bracket(g, h), bracket(h, f), bracket(f, g))
+        return _bracket_sum((f, bracket(g, h)), (g, bracket(h, f)), (h, bracket(f, g)))
 
     def tabled_jacobiator(monos: list[WeylPolynomial]) -> Callable[[int, int, int], WeylPolynomial]:
         bracket = _pair_table(symmetrized_poisson_bracket, monos)
 
         def residual(i: int, j: int, k: int) -> WeylPolynomial:
-            return _jacobiator(
-                monos[i], monos[j], monos[k], bracket(j, k), bracket(k, i), bracket(i, j)
-            )
+            f, g, h = monos[i], monos[j], monos[k]
+            return _bracket_sum((f, bracket(j, k)), (g, bracket(k, i)), (h, bracket(i, j)))
 
         return residual
 

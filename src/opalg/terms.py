@@ -16,6 +16,10 @@ terms straight into a slot map and wrap it with the private, unchecked
 :meth:`GradedTerms._of`: :func:`bilinear` for products and brackets,
 :func:`linear_map` for derivatives, :func:`sum_into` for sums.  A
 checker's reference route may share a loop with its fast path, never a hook.
+A residual that is a signed sum of products and brackets of values already
+in hand, such as the Jacobiator or the Leibniz residual, is one
+:func:`bilinear_sum`: its parts run through the same pair loop into one
+slot map, so no product is made as a value and no map is copied to add it.
 
 Count, then scale: where many terms share one coefficient object, as the
 words of an expansion do, an operation pays one scalar operation per
@@ -219,6 +223,20 @@ def bilinear(x: GradedTerms, y: GradedTerms, product: Callable[[Any, Any], tuple
     result key and an integer factor (zero drops the pair).  Term pairs are
     summed in the order ``x``'s terms then ``y``'s; the result has ``x``'s type."""
     return x._of(sum_into({}, _pair_terms(x._terms.items(), y._terms.items(), product)))
+
+
+def bilinear_sum(cls, parts: Iterable[tuple[GradedTerms, GradedTerms, Callable, int]]):
+    """``sum sign * bilinear(x, y, product)`` over ``parts`` of
+    ``(x, y, product, sign)``, ``sign`` 1 or -1, as a ``cls`` value: every
+    part's term pairs are summed, in part order, into one slot map.  A
+    negative part negates ``x``'s coefficients, once per term of ``x``."""
+    acc: Slots = {}
+    for x, y, product, sign in parts:
+        x_terms = x._terms.items()
+        if sign < 0:
+            x_terms = [(slot, -c) for slot, c in x_terms]
+        sum_into(acc, _pair_terms(x_terms, y._terms.items(), product))
+    return cls._of(acc)
 
 
 def _pair_terms(x_terms, y_terms, product):

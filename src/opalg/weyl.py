@@ -34,7 +34,7 @@ from .core import (
 )
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, ONE
-from .terms import GradedTerms, TaggedTuple, bilinear, linear_map, sum_into
+from .terms import GradedTerms, TaggedTuple, bilinear, bilinear_sum, linear_map, sum_into
 
 _DERIV_RANK = {None: 0, Letter.DRHO_Q: 1, Letter.DRHO_P: 2}
 # Bound once: reading a member off ``Letter`` costs about 0.1 us on a hot path.
@@ -247,6 +247,13 @@ def _add_exponents(a: WeylMonomial, b: WeylMonomial) -> tuple[WeylMonomial, int]
             "cannot multiply two terms that both carry a state-derivative letter"
         )
     return _monomial(a_n + b_n, a_m + b_m, a_deriv if a_deriv is not None else b_deriv), 1
+
+
+def _product_difference(
+    a: WeylPolynomial, b: WeylPolynomial, c: WeylPolynomial, d: WeylPolynomial
+) -> WeylPolynomial:
+    """``a o b - c o d``, summed in one slot map (:func:`~opalg.terms.bilinear_sum`)."""
+    return bilinear_sum(WeylPolynomial, ((a, b, _add_exponents, 1), (c, d, _add_exponents, -1)))
 
 
 def weyl_derivative(x: WeylPolynomial, wrt: Letter) -> WeylPolynomial:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -28,6 +29,7 @@ from opalg.weyl import (
     WeylMonomial,
     WeylPolynomial,
     _normal_form_counts,
+    _product_difference,
     expand_polynomial,
     weyl_derivative,
     weyl_product,
@@ -561,6 +563,40 @@ def test_leibniz_fails_for_the_ordinary_product():
     )
     assert gap == expected
     assert oracle_equal(gap, expected)
+
+
+def assert_same_or_same_error(summed, reference) -> None:
+    """``summed()`` equals ``reference()``, or raises the error it raises."""
+    try:
+        expected = reference()
+    except UnsupportedFragmentError as exc:
+        with pytest.raises(UnsupportedFragmentError, match=f"^{re.escape(str(exc))}$"):
+            summed()
+        return
+    assert summed() == expected
+
+
+@settings(max_examples=150)
+@given(weyl_operands, weyl_operands, weyl_operands)
+def test_summed_residuals_match_the_value_routes(f, g, h):
+    # The suites sum each residual's outer brackets and products in one term
+    # map; the references build every bracket and product as a value.
+    bracket, product = symmetrized_poisson_bracket, weyl_product
+    inner = [(f, g, h), (g, h, f), (h, f, g)]  # {x, {y, z}} over the cyclic shifts
+    cases = [
+        (
+            lambda: brackets._leibniz(f, g, h, product(g, h), bracket(f, g), bracket(f, h)),
+            lambda: check_leibniz(f, g, h).difference,
+        ),
+        (
+            lambda: brackets._bracket_sum(*((x, bracket(y, z)) for x, y, z in inner)),
+            lambda: sum((bracket(x, bracket(y, z)) for x, y, z in inner), WeylPolynomial()),
+        ),
+        (lambda: brackets._bracket_sum((f, g), (g, f)), lambda: bracket(f, g) + bracket(g, f)),
+        (lambda: _product_difference(f, g, h, f), lambda: product(f, g) - product(h, f)),
+    ]
+    for summed, reference in cases:
+        assert_same_or_same_error(summed, reference)
 
 
 # -- anti-commutator form -----------------------------------------------------------

@@ -337,9 +337,10 @@ def test_verification_failure_exits_1(monkeypatch, capsys):
 
 
 # The sha256 of `opalg verify --suite eq10 --max-degree 2 --cases 3 --seed 1`
-# with `weyl_product(x, y) + x` standing in for the symmetric product: every
-# check but bilinearity fails, so the digests pin each failure's input label
-# and difference, byte for byte.
+# with `weyl_product(x, y) + x` standing in for the symmetric product, also
+# in the difference `a o b - c o d` that commutativity and associativity sum
+# in one term map: every check but bilinearity fails, so the digests pin each
+# failure's input label and difference, byte for byte.
 FAILURE_REPORT_DIGESTS = {
     "text": "46d45d4e81b0b55156c9f96c399f7ad099ac60521bff3fe541c46768656fedc2",
     "json": "213b9d09d44be9704eea6295373a0d5cf54641b829265ad360b5a50ff363a8cf",
@@ -349,7 +350,14 @@ FAILURE_REPORT_DIGESTS = {
 @pytest.mark.parametrize("fmt", sorted(FAILURE_REPORT_DIGESTS))
 def test_verify_failure_report_is_pinned(monkeypatch, fmt):
     product = suites.weyl_product
-    monkeypatch.setattr(suites, "weyl_product", lambda x, y: product(x, y) + x)
+
+    def faulty(x, y):
+        return product(x, y) + x
+
+    monkeypatch.setattr(suites, "weyl_product", faulty)
+    monkeypatch.setattr(
+        suites, "_product_difference", lambda a, b, c, d: faulty(a, b) - faulty(c, d)
+    )
     code, out = run_cli(
         ["verify", "--suite", "eq10", "--max-degree", "2", "--cases", "3", "--seed", "1",
          "--format", fmt]

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from opalg import brackets, suites
+from opalg import brackets, suites, weyl
 from opalg.suites import SUITE_NAMES, run_suite
 from opalg.weyl import WeylPolynomial
 
@@ -179,20 +179,29 @@ def direct_stream(residual) -> list:
 
 @pytest.mark.parametrize("perturbed", ["symmetrized_poisson_bracket", "weyl_product"])
 def test_tabled_monomial_triples_match_the_direct_formulas(monkeypatch, perturbed):
-    spy = PairSpy()
+    # The pair tables take their values from the suite's operations, while a
+    # residual sums its outer brackets and products from the key hooks.  So
+    # the perturbation reaches the tabled pairs only, and the direct
+    # reference applies it to them alone.
+    bracket, product = brackets.symmetrized_poisson_bracket, brackets.weyl_product
+    spy, tabled_op = PairSpy(), {}
     for name, op_name in [("bracket", "symmetrized_poisson_bracket"), ("product", "weyl_product")]:
-        op = getattr(brackets, op_name)
-        op = spy.wrap(name, plus_first(op) if op_name == perturbed else op)
-        monkeypatch.setattr(brackets, op_name, op)
-        monkeypatch.setattr(suites, op_name, op)
-    bracket = brackets.symmetrized_poisson_bracket
+        op = getattr(suites, op_name)
+        tabled_op[name] = plus_first(op) if op_name == perturbed else op
+        monkeypatch.setattr(suites, op_name, spy.wrap(name, tabled_op[name]))
+    pair_bracket, pair_product = tabled_op["bracket"], tabled_op["product"]
     n = len(suites._monomials(TRIPLE_DEGREE))
 
     def leibniz(f, g, h):
-        return brackets.check_leibniz(f, g, h).difference
+        lhs = bracket(f, pair_product(g, h))
+        return lhs - (product(pair_bracket(f, g), h) + product(g, pair_bracket(f, h)))
 
     def jacobiator(f, g, h):
-        return bracket(f, bracket(g, h)) + bracket(g, bracket(h, f)) + bracket(h, bracket(f, g))
+        return (
+            bracket(f, pair_bracket(g, h))
+            + bracket(g, pair_bracket(h, f))
+            + bracket(h, pair_bracket(f, g))
+        )
 
     for suite, residual, pairs in [
         ("eq14", leibniz, {"bracket", "product"}),
@@ -224,7 +233,13 @@ def test_failure_labels_show_their_own_case(monkeypatch, suite, op_name, failing
     # so the builder calls every failing case's label after later cases were
     # made: a label that read its generator's loop variables would show the
     # last case's inputs.
-    monkeypatch.setattr(suites, op_name, plus_first(getattr(suites, op_name)))
+    if op_name == "symmetrized_poisson_bracket":
+        # The pair tables and the summed Jacobiator both take the bracket's
+        # key hook.  As the symmetric product, it makes every Jacobiator
+        # 3 f o g o h, which is nonzero.
+        monkeypatch.setattr(brackets, "_monomial_bracket", weyl._add_exponents)
+    else:
+        monkeypatch.setattr(suites, op_name, plus_first(getattr(suites, op_name)))
     drawn = {}
     build = suites._check
 
@@ -261,6 +276,8 @@ SPIED = (
     "poisson_bracket_classical",
     "leibniz_ordinary_product_gap",
     "_leibniz",
+    "_bracket_sum",
+    "_product_difference",
     "check_anticommutator_identity",
     "check_leibniz",
     "check_obstruction",

@@ -10,13 +10,20 @@ from itertools import chain
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opalg.brackets import ClassicalPolynomial, symmetrized_poisson_bracket
+from opalg.brackets import ClassicalPolynomial, _monomial_bracket, symmetrized_poisson_bracket
 from opalg.core import FreePolynomial, Letter, Word, _word, adjoint, multiply, normal_order, partial_derivative
 from opalg.errors import UnsupportedFragmentError
 from opalg.parser import _mixed_sum, _scale_by_scalar
 from opalg.scalars import HBAR, HbarScalar, INV_I_HBAR, ONE
-from opalg.terms import GradedTerms, linear_map
-from opalg.weyl import WeylMonomial, WeylPolynomial, _monomial, weyl_derivative, weyl_product
+from opalg.terms import GradedTerms, bilinear, bilinear_sum, linear_map
+from opalg.weyl import (
+    WeylMonomial,
+    WeylPolynomial,
+    _add_exponents,
+    _monomial,
+    weyl_derivative,
+    weyl_product,
+)
 
 Q, P, DQ, DP = Letter.Q, Letter.P, Letter.DRHO_Q, Letter.DRHO_P
 
@@ -113,7 +120,9 @@ def raises_like(op, reference, *args):
     assert_matches(op(*args), expected)
 
 
-def weyl_product_reference(x, y):
+def weyl_product_terms(x, y):
+    """The per-pair ``(key, scalar)`` terms of the symmetric product, built
+    through the public key constructor."""
     out = []
     for a, ca, b, cb in pairs_of(x, y):
         if a.deriv is not None and b.deriv is not None:
@@ -121,10 +130,10 @@ def weyl_product_reference(x, y):
                 "cannot multiply two terms that both carry a state-derivative letter"
             )
         out.append((WeylMonomial(a.n + b.n, a.m + b.m, a.deriv or b.deriv), ca * cb))
-    return WeylPolynomial(out)
+    return out
 
 
-def bracket_reference(x, y):
+def bracket_terms(x, y):
     out = []
     for a, ca, b, cb in pairs_of(x, y):
         ad, bc = a.n * b.m, a.m * b.n
@@ -135,7 +144,15 @@ def bracket_reference(x, y):
         if ad != bc:
             key = WeylMonomial(a.n + b.n - 1, a.m + b.m - 1, a.deriv or b.deriv)
             out.append((key, ca * cb * (ad - bc)))
-    return WeylPolynomial(out)
+    return out
+
+
+def weyl_product_reference(x, y):
+    return WeylPolynomial(weyl_product_terms(x, y))
+
+
+def bracket_reference(x, y):
+    return WeylPolynomial(bracket_terms(x, y))
 
 
 @given(free, free)
@@ -207,6 +224,95 @@ def test_free_product_reuses_shared_coefficients_like_the_per_pair_route(x, y):
         multiply(x, y),
         FreePolynomial((Word(a.letters + b.letters), ca * cb) for a, ca, b, cb in pairs_of(x, y)),
     )
+
+
+# -- signed sums of products in one slot map ---------------------------------------
+
+
+def free_product_terms(x, y):
+    return [(Word(a.letters + b.letters), ca * cb) for a, ca, b, cb in pairs_of(x, y)]
+
+
+def classical_product_terms(x, y):
+    return [((a[0] + b[0], a[1] + b[1]), ca * cb) for a, ca, b, cb in pairs_of(x, y)]
+
+
+# Per value type: the operands, and each product as (key hook, per-pair
+# reference).  The Weyl hooks are the package's own.
+KERNEL_CASES = {
+    WeylPolynomial: (
+        st.one_of(weyl, shared_values(WeylPolynomial, monomials), st.just(WeylPolynomial())),
+        [(_add_exponents, weyl_product_terms), (_monomial_bracket, bracket_terms)],
+    ),
+    FreePolynomial: (
+        st.one_of(free, shared_values(FreePolynomial, words), st.just(FreePolynomial())),
+        [(lambda a, b: (_word(a.letters + b.letters), 1), free_product_terms)],
+    ),
+    ClassicalPolynomial: (
+        st.one_of(classical, st.just(ClassicalPolynomial())),
+        [(lambda a, b: ((a[0] + b[0], a[1] + b[1]), 1), classical_product_terms)],
+    ),
+}
+
+
+@st.composite
+def signed_parts(draw):
+    """A value type and parts ``(x, y, hook index, sign)``; a part may be
+    followed by its opposite, so that parts cancel to zero."""
+    cls = draw(st.sampled_from(list(KERNEL_CASES)))
+    operands, hooks = KERNEL_CASES[cls]
+    parts = []
+    for _ in range(draw(st.integers(0, 4))):
+        part = (draw(operands), draw(operands), draw(st.integers(0, len(hooks) - 1)))
+        sign = draw(st.sampled_from([1, -1]))
+        parts.append((*part, sign))
+        if draw(st.booleans()):
+            parts.append((*part, -sign))
+    return cls, parts
+
+
+def summed_reference(cls, parts):
+    """The public constructor over every part's per-pair reference terms,
+    signed, in part order."""
+    hooks = KERNEL_CASES[cls][1]
+    terms = []
+    for x, y, hook, sign in parts:
+        terms += [(key, c if sign > 0 else -c) for key, c in hooks[hook][1](x, y)]
+    return cls(terms)
+
+
+def summed(cls, parts):
+    hooks = KERNEL_CASES[cls][1]
+    return bilinear_sum(cls, [(x, y, hooks[hook][0], sign) for x, y, hook, sign in parts])
+
+
+@settings(max_examples=200)
+@given(signed_parts())
+def test_bilinear_sum_matches_the_public_route(drawn):
+    cls, parts = drawn
+    raises_like(summed, summed_reference, cls, parts)
+
+
+@pytest.mark.parametrize("hook", [0, 1], ids=["product", "bracket"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_bilinear_sum_of_two_derivative_letters_raises_like_the_public_route(hook, sign):
+    x = WeylPolynomial([(WeylMonomial(1, 0, DQ), ONE)])
+    y = WeylPolynomial([(WeylMonomial(0, 1, DP), HBAR)])
+    parts = [(x, x.scale(0), hook, 1), (x, y, hook, sign)]
+    with pytest.raises(UnsupportedFragmentError):
+        summed_reference(WeylPolynomial, parts)
+    raises_like(summed, summed_reference, WeylPolynomial, parts)
+
+
+def test_bilinear_sum_of_opposite_parts_is_zero():
+    x = WeylPolynomial([(WeylMonomial(2, 1), SHARED), (WeylMonomial(0, 3, DQ), -SHARED)])
+    y = WeylPolynomial([(WeylMonomial(1, 1), HBAR), (WeylMonomial(0, 2), SHARED)])
+    for hook in (_add_exponents, _monomial_bracket):
+        parts = [(x, y, hook, 1), (x, y, hook, -1)]
+        assert bilinear_sum(WeylPolynomial, parts) == WeylPolynomial()
+        assert bilinear_sum(WeylPolynomial, parts[:1]) == bilinear(x, y, hook)
+        assert bilinear_sum(WeylPolynomial, parts[1:]) == -bilinear(x, y, hook)
+    assert bilinear_sum(WeylPolynomial, []) == WeylPolynomial()
 
 
 @given(classical, classical)
