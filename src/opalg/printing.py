@@ -15,6 +15,11 @@ Text and LaTeX share one coefficient and one word formatter, driven by a
 style record.  Weyl-monomial bodies and leading-sign rules stay separate:
 text must parse back, so it parenthesizes products and folds in the minus.
 
+:func:`render_json` writes the JSON document itself, in one pass over the
+sorted terms, byte for byte what ``json.dumps`` would write with its default
+separators.  :func:`result_to_json_dict` parses that document, so the JSON
+format has one writer.
+
 A coefficient with more digits than the interpreter converts to a string
 (``sys.get_int_max_str_digits()``) cannot be printed in any format; every
 renderer reports it as an :class:`UnsupportedFragmentError`.
@@ -244,39 +249,36 @@ def render_latex(x: Result) -> str:
 # -- JSON ----------------------------------------------------------------------
 
 
+# No string of the document needs escaping: each is a letter symbol or a
+# rational of ASCII digits, ``/`` and ``-``.
+
+_JSON_SYMBOLS = {letter: f'"{symbol}"' for letter, symbol in _SYMBOLS.items()}
+
+
+def _json_coeff(c: HbarScalar) -> str:
+    re, re_den, im, im_den = _parts(c)
+    return f'{{"re": "{_rational(re, re_den)}", "im": "{_rational(im, im_den)}"}}'
+
+
 @_printable
-def result_to_json_dict(x: Result) -> dict:
+def render_json(x: Result) -> str:
     free = isinstance(x, FreePolynomial)
     terms = []
     for key, run in groupby(_display_terms(x), key=lambda term: term[0]):
         if free:
-            word_json: object = [_SYMBOLS[ltr] for ltr in key.letters]  # type: ignore[union-attr]
+            word = f"[{', '.join([_JSON_SYMBOLS[letter] for letter in key.letters])}]"  # type: ignore[union-attr]
         else:
-            word_json = {
-                "n": key.n,  # type: ignore[union-attr]
-                "m": key.m,  # type: ignore[union-attr]
-                "deriv": _SYMBOLS[key.deriv] if key.deriv else None,  # type: ignore[union-attr]
-            }
-        terms.append(
-            {
-                "word": word_json,
-                "coeff": {
-                    "hbar_powers": {
-                        str(c._power): _json_coeff(c) for _, c in run
-                    }
-                },
-            }
-        )
-    return {"basis": "free" if free else "weyl", "terms": terms}
+            deriv = _JSON_SYMBOLS[key.deriv] if key.deriv else "null"  # type: ignore[union-attr]
+            word = f'{{"n": {key.n}, "m": {key.m}, "deriv": {deriv}}}'  # type: ignore[union-attr]
+        grades = ", ".join([f'"{c._power}": {_json_coeff(c)}' for _, c in run])
+        terms.append(f'{{"word": {word}, "coeff": {{"hbar_powers": {{{grades}}}}}}}')
+    basis = "free" if free else "weyl"
+    return f'{{"basis": "{basis}", "terms": [{", ".join(terms)}]}}'
 
 
-def _json_coeff(c: HbarScalar) -> dict[str, str]:
-    re, re_den, im, im_den = _parts(c)
-    return {"re": _rational(re, re_den), "im": _rational(im, im_den)}
-
-
-def render_json(x: Result) -> str:
-    return json.dumps(result_to_json_dict(x))
+def result_to_json_dict(x: Result) -> dict:
+    """The JSON document of ``x`` as Python objects, keys in document order."""
+    return json.loads(render_json(x))
 
 
 # The output formats, in the order that messages list them; the command line

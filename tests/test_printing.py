@@ -1,12 +1,22 @@
 import json
+import sys
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import given, strategies as st
 
 from opalg.core import FreePolynomial, IDENTITY_WORD, Letter, Word
+from opalg.errors import UnsupportedFragmentError
 from opalg.parser import evaluate, parse
-from opalg.printing import render, render_json, render_latex, render_text, result_to_json_dict
+from opalg.printing import (
+    _display_terms,
+    render,
+    render_json,
+    render_latex,
+    render_text,
+    result_to_json_dict,
+)
 from opalg.scalars import HbarScalar
 from opalg.weyl import WeylMonomial, WeylPolynomial
 
@@ -969,3 +979,89 @@ def test_golden_renders(source, text, latex, json_text):
     assert render_text(value) == text
     assert render_latex(value) == latex
     assert render_json(value) == json_text
+
+
+# -- the JSON writer against an independent reference --------------------------
+
+
+def reference_json_dict(x) -> dict:
+    """The JSON document of ``x`` built as Python objects from the public
+    fields of its terms, in the printer's term order, for ``json.dumps``."""
+    free = isinstance(x, FreePolynomial)
+    terms = []
+    for key, run in groupby(_display_terms(x), key=lambda term: term[0]):
+        if free:
+            word: object = [letter.symbol for letter in key.letters]
+        else:
+            word = {"n": key.n, "m": key.m, "deriv": key.deriv.symbol if key.deriv else None}
+        grades = {str(c.hbar_power): {"re": str(c.re), "im": str(c.im)} for _, c in run}
+        terms.append({"word": word, "coeff": {"hbar_powers": grades}})
+    return {"basis": "free" if free else "weyl", "terms": terms}
+
+
+def assert_json_document(x) -> None:
+    document = render_json(x)
+    assert document == json.dumps(reference_json_dict(x))
+    assert json.dumps(json.loads(document)) == document
+    parsed = result_to_json_dict(x)
+    assert parsed == reference_json_dict(x)
+    assert json.dumps(parsed) == document  # and so its keys are in document order
+
+
+@pytest.mark.parametrize(
+    "source", [row[0] for row in GOLDEN + COEFFICIENT_GOLDEN]
+)
+def test_json_writer_matches_the_reference_on_the_golden_sources(source):
+    assert_json_document(ev(source))
+
+
+@pytest.mark.parametrize("deriv", [None, Letter.DRHO_Q, Letter.DRHO_P])
+def test_json_writer_matches_the_reference_on_one_key_at_several_grades(deriv):
+    c = HbarScalar.of(Fraction(-2, 3), Fraction(5, 2))
+    grades = [(-2, c), (-1, c.conjugate()), (0, HbarScalar.real(7)), (3, HbarScalar.imag(-1))]
+    for cls, key in ((WeylPolynomial, WeylMonomial(1, 2, deriv)), (FreePolynomial, Word.of(Q, deriv or P))):
+        x = cls([(key, HbarScalar.of(c.re, c.im, grade)) for grade, c in grades])
+        assert_json_document(x)
+        assert len(result_to_json_dict(x)["terms"]) == 1
+
+
+_nonzero_parts = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+_json_coefficients = st.one_of(
+    st.builds(lambda re: (re, 0), _nonzero_parts),
+    st.builds(lambda im: (0, im), _nonzero_parts),
+    st.tuples(_nonzero_parts, _nonzero_parts),
+)
+_json_terms = {
+    FreePolynomial: st.lists(st.sampled_from(list(Letter)), max_size=3).map(
+        lambda letters: Word(tuple(letters))
+    ),
+    WeylPolynomial: _monomials,
+}
+
+
+@pytest.mark.parametrize("cls", [FreePolynomial, WeylPolynomial], ids=["free", "weyl"])
+@given(data=st.data())
+def test_json_writer_matches_the_reference_on_drawn_values(cls, data):
+    terms = data.draw(
+        st.lists(st.tuples(_json_terms[cls], _json_coefficients, st.integers(-2, 3)), max_size=6)
+    )
+    x = cls([(key, HbarScalar.of(re, im, grade)) for key, (re, im), grade in terms])
+    assert_json_document(x)
+
+
+def test_json_writer_matches_the_reference_on_zero_values():
+    for cls in (FreePolynomial, WeylPolynomial):
+        assert_json_document(cls.zero())
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="str() writes ints of any length here",
+)
+def test_json_dict_of_a_too_long_coefficient_is_a_user_error():
+    x = ev("2^15000")  # 4,516 digits
+    limit = sys.get_int_max_str_digits()
+    message = f"^coefficient too long to print \\(more than {limit} digits\\)$"
+    for convert in (result_to_json_dict, render_json):
+        with pytest.raises(UnsupportedFragmentError, match=message):
+            convert(x)
