@@ -59,8 +59,6 @@ from .weyl import (
 
 Result = FreePolynomial | WeylPolynomial
 
-_FUNC_ARITY = {"S": 1, "dq": 1, "dp": 1, "normal": 1, "pb": 2, "comm": 2}
-
 
 # -- tokens ----------------------------------------------------------------
 
@@ -236,7 +234,7 @@ class _Parser:
         if kind == _NAME:
             if text in _SYMBOL_VALUES:
                 return SymbolNode(line, column, text)
-            if text in _FUNC_ARITY:
+            if text in _FUNCTIONS:
                 return self._call(token)
             raise ParseError(f"unknown symbol {text!r}", line, column)
         if kind == _UINT:
@@ -269,7 +267,7 @@ class _Parser:
             args.append(self.expr())
         self.expect(")", "')'")
         _, name, line, column = func
-        arity = _FUNC_ARITY[name]
+        arity = _FUNCTIONS[name][0]
         if len(args) != arity:
             raise ParseError(
                 f"{name} takes {arity} argument{'s' if arity > 1 else ''}, got {len(args)}",
@@ -394,25 +392,33 @@ def evaluate(node: Node) -> Result:
             result = result * base
         return result
     if kind is CallNode:
-        return _call(node)
+        function = _FUNCTIONS.get(node.func)
+        if function is None:
+            raise TypeError(f"unknown function {node.func!r}")
+        return function[1](node)
     raise TypeError(f"unknown AST node {type(node).__name__}")
 
 
-def _call(node: CallNode) -> Result:
-    if node.func == "S":
-        return _as_weyl(evaluate(node.args[0]), node)
-    if node.func == "pb":
-        a = _as_weyl(evaluate(node.args[0]), node.args[0])
-        b = _as_weyl(evaluate(node.args[1]), node.args[1])
-        return _guarded(symmetrized_poisson_bracket, node, a, b)
-    if node.func == "comm":
-        return commutator_bracket(evaluate(node.args[0]), evaluate(node.args[1]))
-    if node.func == "normal":
-        return normal_form(evaluate(node.args[0]))
-    if node.func in ("dq", "dp"):
-        wrt = Letter.Q if node.func == "dq" else Letter.P
-        value = evaluate(node.args[0])
-        if isinstance(value, WeylPolynomial):
-            return weyl_derivative(value, wrt)
-        return partial_derivative(value, wrt)
-    raise TypeError(f"unknown function {node.func!r}")
+def _pb(node: CallNode) -> Result:
+    a = _as_weyl(evaluate(node.args[0]), node.args[0])
+    b = _as_weyl(evaluate(node.args[1]), node.args[1])
+    return _guarded(symmetrized_poisson_bracket, node, a, b)
+
+
+def _derivative(node: CallNode, wrt: Letter) -> Result:
+    value = evaluate(node.args[0])
+    if isinstance(value, WeylPolynomial):
+        return weyl_derivative(value, wrt)
+    return partial_derivative(value, wrt)
+
+
+# The grammar's functions: name -> (arity, evaluator of a CallNode).  The
+# evaluators read the functions they call from the module when they run.
+_FUNCTIONS = {
+    "S": (1, lambda node: _as_weyl(evaluate(node.args[0]), node)),
+    "dq": (1, lambda node: _derivative(node, Letter.Q)),
+    "dp": (1, lambda node: _derivative(node, Letter.P)),
+    "normal": (1, lambda node: normal_form(evaluate(node.args[0]))),
+    "pb": (2, _pb),
+    "comm": (2, lambda node: commutator_bracket(evaluate(node.args[0]), evaluate(node.args[1]))),
+}

@@ -92,6 +92,29 @@ def test_arity_errors():
         parse("S(q, p)")
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("S(q, p)", "1:1: S takes 1 argument, got 2"),
+        ("dq(q, p)", "1:1: dq takes 1 argument, got 2"),
+        ("dp(q, p, q)", "1:1: dp takes 1 argument, got 3"),
+        ("normal(q, p)", "1:1: normal takes 1 argument, got 2"),
+        ("pb(q)", "1:1: pb takes 2 arguments, got 1"),
+        ("q + comm(q, p, q)", "1:5: comm takes 2 arguments, got 3"),
+    ],
+)
+def test_arity_messages(source, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse(source)
+    assert str(excinfo.value) == message
+
+
+def test_unknown_function_in_a_hand_built_call_is_a_type_error():
+    node = CallNode(1, 1, "exp", (SymbolNode(1, 5, "q"),))
+    with pytest.raises(TypeError, match="^unknown function 'exp'$"):
+        evaluate(node)
+
+
 def test_lexical_error_has_position():
     with pytest.raises(ParseError) as excinfo:
         parse("q + $")
