@@ -1,13 +1,16 @@
 """Command line: one-shot evaluation, verification suites, and a REPL.
 
 Exit codes: 0 on success (all checks passed), 1 on a verification failure,
-2 on a usage, parse, or evaluation error.
+2 on a usage, parse, or evaluation error, 130 on an interrupt (Ctrl-C) and
+141 when standard output is closed before everything is written (a reader
+such as ``head`` has gone).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import TYPE_CHECKING
@@ -22,6 +25,18 @@ if TYPE_CHECKING:
 # RecursionError (input nested too deep for the recursive parser or evaluator)
 # and MemoryError are reported like any other input that cannot be evaluated.
 _USER_ERRORS = (ParseError, EvalError, UnsupportedFragmentError, RecursionError, MemoryError)
+
+# 128 plus the number of the signal a shell would report.
+EXIT_INTERRUPTED = 130  # SIGINT
+EXIT_OUTPUT_CLOSED = 141  # SIGPIPE
+
+
+def _error_line(exc: BaseException) -> str:
+    """The ``error:`` line of a user error.  The traceback goes first: after a
+    MemoryError it holds the frames, and so the partial term maps, of the
+    evaluation that ran out, and the line needs memory to be built."""
+    exc.__traceback__ = None
+    return f"error: {str(exc) or type(exc).__name__}"
 
 
 def _format_report_text(report: SuiteReport) -> str:
@@ -40,7 +55,7 @@ def cmd_eval(expr: str, fmt: str) -> int:
     try:
         text = render(evaluate(parse(expr)), fmt)
     except _USER_ERRORS as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        print(_error_line(exc), file=sys.stderr)
         return 2
     print(text)
     return 0
@@ -68,7 +83,7 @@ def cmd_verify(suite: str, max_degree: int, cases: int, seed: int, fmt: str) -> 
     try:
         report = run_suite(suite, max_degree=max_degree, cases=cases, seed=seed)
     except (ValueError, RecursionError, MemoryError) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        print(_error_line(exc), file=sys.stderr)
         return 2
     if fmt == "json":
         print(json.dumps(report.to_json_dict()))
@@ -116,7 +131,7 @@ def cmd_repl(stdin=None, stdout=None) -> int:
         try:
             print(render(evaluate(parse(line)), fmt), file=stdout)
         except _USER_ERRORS as exc:
-            print(f"error: {str(exc) or type(exc).__name__}", file=stdout)
+            print(_error_line(exc), file=stdout)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -158,11 +173,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "eval":
-        return cmd_eval(args.expr, args.fmt)
-    if args.command == "verify":
-        return cmd_verify(args.suite, args.max_degree, args.cases, args.seed, args.fmt)
-    return cmd_repl()
+    try:
+        if args.command == "eval":
+            code = cmd_eval(args.expr, args.fmt)
+        elif args.command == "verify":
+            code = cmd_verify(args.suite, args.max_degree, args.cases, args.seed, args.fmt)
+        else:
+            code = cmd_repl()
+        sys.stdout.flush()  # a closed output shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Nothing more can reach the reader; stdout goes to devnull so that
+        # the interpreter's own flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OUTPUT_CLOSED
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -3,9 +3,11 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
+import weakref
 from contextlib import redirect_stdout
 
 import pytest
@@ -477,6 +479,98 @@ def test_repl_keeps_reading_after_memory_error(monkeypatch):
 
 def test_repl_eof_terminates():
     assert cmd_repl(stdin=io.StringIO(""), stdout=io.StringIO()) == 0
+
+
+# -- the exit contract at the process boundary -------------------------------
+
+
+def _child(code: str, **kwargs) -> subprocess.Popen:
+    """A Python child running ``code`` against this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(opalg.__file__)))
+    return subprocess.Popen(
+        [sys.executable, "-c", code],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src}, **kwargs,
+    )
+
+
+_MAIN = "import sys; from opalg import cli; sys.exit(cli.main({argv!r}))"
+
+
+@pytest.mark.parametrize(
+    "argv, stdin", [(["eval", "(q+p)^12"], b""), (["repl"], b"(q+p)^12\n")], ids=["eval", "repl"]
+)
+def test_closed_output_ends_quietly(argv, stdin):
+    # The text of (q+p)^12 is about 86 kB, more than a pipe holds, so the
+    # child is still writing when the reader goes.
+    child = _child(_MAIN.format(argv=argv))
+    child.stdin.write(stdin)
+    child.stdin.close()
+    assert child.stdout.read(1) == b"p"
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=120) == cli.EXIT_OUTPUT_CLOSED == 141
+    assert err == b""
+
+
+def test_interrupt_ends_with_one_error_line():
+    # (q+p)^18 lists 262,144 words, seconds of work; the child says when it
+    # is about to start, and is interrupted well inside it.
+    code = "import sys; print('ready', file=sys.stderr, flush=True); " + _MAIN.format(
+        argv=["eval", "(q+p)^18"]
+    )
+    child = _child(code)
+    assert child.stderr.readline() == b"ready\n"
+    time.sleep(0.5)
+    child.send_signal(signal.SIGINT)
+    out, err = child.communicate(timeout=120)
+    assert child.returncode == cli.EXIT_INTERRUPTED == 130
+    assert out == b""
+    assert err == b"error: interrupted\n"
+
+
+def test_memory_error_under_an_address_space_limit_is_one_error_line():
+    pytest.importorskip("resource")  # the child lowers its own limit
+    limit = 200 * 2**20
+    code = (
+        "import resource; "
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+        + _MAIN.format(argv=["eval", "S(q^12 p^12) q"])
+    )
+    child = _child(code)
+    out, err = child.communicate(timeout=120)
+    assert child.returncode == 2
+    assert out == b""
+    assert err == b"error: MemoryError\n"
+
+
+def test_memory_error_line_is_built_after_the_failed_frames_are_freed(monkeypatch):
+    # The frames of an evaluation that ran out of memory hold its partial
+    # term maps; they must be gone before the error line needs memory.
+    class Partial:
+        pass
+
+    partials, alive_at_write = [], []
+
+    def evaluate(node):
+        partial = Partial()
+        partials.append(weakref.ref(partial))
+        raise MemoryError
+
+    class Stream(io.StringIO):
+        def write(self, text):
+            alive_at_write.append(partials[-1]() is not None)
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "evaluate", evaluate)
+    monkeypatch.setattr(sys, "stderr", Stream())
+    assert main(["eval", "q"]) == 2
+    stdout = Stream()
+    assert cmd_repl(stdin=io.StringIO("q\n"), stdout=stdout) == 0
+    assert sys.stderr.getvalue() == stdout.getvalue() == "error: MemoryError\n"
+    assert len(partials) == 2
+    assert alive_at_write and not any(alive_at_write)
 
 
 # -- exit contract under fuzzed input ----------------------------------------
