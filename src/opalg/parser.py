@@ -413,7 +413,8 @@ def _derivative(node: CallNode, wrt: Letter) -> Result:
 
 
 # The grammar's functions: name -> (arity, evaluator of a CallNode).  The
-# evaluators read the functions they call from the module when they run.
+# evaluators look up what they call when they run, so that rebinding a module
+# global (as the benchmark's tracer does) reaches them.
 _FUNCTIONS = {
     "S": (1, lambda node: _as_weyl(evaluate(node.args[0]), node)),
     "dq": (1, lambda node: _derivative(node, Letter.Q)),
