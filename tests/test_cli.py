@@ -484,13 +484,13 @@ def test_repl_eof_terminates():
 # -- the exit contract at the process boundary -------------------------------
 
 
-def _child(code: str, **kwargs) -> subprocess.Popen:
+def _child(code: str) -> subprocess.Popen:
     """A Python child running ``code`` against this checkout's package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(opalg.__file__)))
     return subprocess.Popen(
         [sys.executable, "-c", code],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": src}, **kwargs,
+        env={**os.environ, "PYTHONPATH": src},
     )
 
 
@@ -516,9 +516,10 @@ def test_closed_output_ends_quietly(argv, stdin):
 
 def test_interrupt_ends_with_one_error_line():
     # (q+p)^18 lists 262,144 words, seconds of work; the child says when it
-    # is about to start, and is interrupted well inside it.
-    code = "import sys; print('ready', file=sys.stderr, flush=True); " + _MAIN.format(
-        argv=["eval", "(q+p)^18"]
+    # has imported the package, and is interrupted well inside the work.
+    code = (
+        "import sys; from opalg import cli; print('ready', file=sys.stderr, flush=True); "
+        "sys.exit(cli.main(['eval', '(q+p)^18']))"
     )
     child = _child(code)
     assert child.stderr.readline() == b"ready\n"

@@ -1008,9 +1008,7 @@ def assert_json_document(x) -> None:
     assert json.dumps(parsed) == document  # and so its keys are in document order
 
 
-@pytest.mark.parametrize(
-    "source", [row[0] for row in GOLDEN + COEFFICIENT_GOLDEN]
-)
+@pytest.mark.parametrize("source", [row[0] for row in GOLDEN + COEFFICIENT_GOLDEN])
 def test_json_writer_matches_the_reference_on_the_golden_sources(source):
     assert_json_document(ev(source))
 
@@ -1031,7 +1029,7 @@ _json_coefficients = st.one_of(
     st.builds(lambda im: (0, im), _nonzero_parts),
     st.tuples(_nonzero_parts, _nonzero_parts),
 )
-_json_terms = {
+_json_keys = {
     FreePolynomial: st.lists(st.sampled_from(list(Letter)), max_size=3).map(
         lambda letters: Word(tuple(letters))
     ),
@@ -1043,7 +1041,7 @@ _json_terms = {
 @given(data=st.data())
 def test_json_writer_matches_the_reference_on_drawn_values(cls, data):
     terms = data.draw(
-        st.lists(st.tuples(_json_terms[cls], _json_coefficients, st.integers(-2, 3)), max_size=6)
+        st.lists(st.tuples(_json_keys[cls], _json_coefficients, st.integers(-2, 3)), max_size=6)
     )
     x = cls([(key, HbarScalar.of(re, im, grade)) for key, (re, im), grade in terms])
     assert_json_document(x)
