@@ -11,9 +11,11 @@ and every render sorts them once by the key's ``sort_key`` and then the
 hbar grade, highest first (leading term first, the identity term last).
 Text, LaTeX and JSON read that one list, so their orders always agree.
 
-Text and LaTeX share one coefficient and one word formatter, driven by a
-style record.  Weyl-monomial bodies and leading-sign rules stay separate:
-text must parse back, so it parenthesizes products and folds in the minus.
+Text and LaTeX share one term loop (:func:`_render`), driven by a style
+record that also holds what differs between them: the Weyl-monomial body
+and the rule for a leading negative term.  Text must parse back, so it
+parenthesizes products and folds the minus into a leading number; LaTeX
+writes it as a ``- `` prefix.
 
 :func:`render_json` writes the JSON document itself, in one pass over the
 sorted terms, byte for byte what ``json.dumps`` would write with its default
@@ -105,6 +107,8 @@ class _Style(TaggedTuple):
         "power",  # base raised to an exponent other than 1
         "hbar",
         "letters",  # Letter -> str
+        "weyl",  # WeylMonomial -> str: the body of a Weyl monomial
+        "negative",  # list[str] -> str: the parts of a leading negative term
     )
 
     def raised(self, base: str, exponent: int) -> str:
@@ -112,30 +116,6 @@ class _Style(TaggedTuple):
 
 
 _SYMBOLS = {letter: letter.symbol for letter in Letter}
-
-_TEXT = _Style(
-    magnitude=_positive_rational,
-    rational=_rational,
-    mixed="({})",
-    power="{}^{}",
-    hbar="hbar",
-    letters=_SYMBOLS,
-)
-
-_LATEX = _Style(
-    magnitude=_latex_rational,
-    rational=_latex_rational,
-    mixed=r"\left({}\right)",
-    power="{}^{{{}}}",
-    hbar=r"\hbar",
-    letters={
-        Letter.Q: r"\hat q",
-        Letter.P: r"\hat p",
-        Letter.RHO: r"\hat \rho",
-        Letter.DRHO_Q: r"\frac{\partial \hat \rho}{\partial \hat q}",
-        Letter.DRHO_P: r"\frac{\partial \hat \rho}{\partial \hat p}",
-    },
-)
 
 
 def _coeff_tokens(c: HbarScalar, style: _Style) -> tuple[int, list[str]]:
@@ -169,7 +149,7 @@ def _word(word: Word, style: _Style) -> str:
     )
 
 
-# -- text --------------------------------------------------------------------
+# -- what text and LaTeX write differently -------------------------------------
 
 
 def _weyl_monomial_text(m: WeylMonomial) -> str:
@@ -183,37 +163,11 @@ def _weyl_monomial_text(m: WeylMonomial) -> str:
     return f"S({m.deriv.symbol})" if m.deriv else ""
 
 
-@_printable
-def render_text(x: Result) -> str:
-    terms = _display_terms(x)
-    if not terms:
-        return "0"
-    free = isinstance(x, FreePolynomial)
-    rendered: list[str] = []
-    for index, (key, coeff) in enumerate(terms):
-        sign, tokens = _coeff_tokens(coeff, _TEXT)
-        body = _word(key, _TEXT) if free else _weyl_monomial_text(key)  # type: ignore[arg-type]
-        leading = index == 0
-        # A coefficient juxtaposed against a symmetric product would mix the
-        # two product operators in one term; parenthesize the monomial.
-        if " o " in body and (tokens or (leading and sign < 0)):
-            body = f"({body})"
-        parts = tokens + ([body] if body else [])
-        if leading:
-            if sign < 0:
-                if parts and (parts[0][0].isdigit() or parts[0].startswith("(") and parts[0][1].isdigit()):
-                    head = parts[0][1:-1] if parts[0].startswith("(") else parts[0]
-                    parts = [f"-{head}"] + parts[1:]
-                else:
-                    parts = ["-1"] + parts
-            rendered.append(" ".join(parts) if parts else ("1" if sign > 0 else "-1"))
-        else:
-            joiner = "+" if sign > 0 else "-"
-            rendered.append(f"{joiner} {' '.join(parts) if parts else '1'}")
-    return " ".join(rendered)
-
-
-# -- LaTeX ---------------------------------------------------------------------
+def _negative_text(parts: list[str]) -> str:
+    """The minus folds into a leading number, else it is written ``-1``."""
+    if parts and parts[0].lstrip("(")[:1].isdigit():  # a magnitude, ``n`` or ``(n/d)``
+        return " ".join([f"-{parts[0].strip('()')}"] + parts[1:])
+    return " ".join(["-1"] + parts)
 
 
 def _latex_weyl_monomial(m: WeylMonomial) -> str:
@@ -227,23 +181,71 @@ def _latex_weyl_monomial(m: WeylMonomial) -> str:
     return r" \circ ".join(parts)
 
 
-@_printable
-def render_latex(x: Result) -> str:
+_TEXT = _Style(
+    magnitude=_positive_rational,
+    rational=_rational,
+    mixed="({})",
+    power="{}^{}",
+    hbar="hbar",
+    letters=_SYMBOLS,
+    weyl=_weyl_monomial_text,
+    negative=_negative_text,
+)
+
+_LATEX = _Style(
+    magnitude=_latex_rational,
+    rational=_latex_rational,
+    mixed=r"\left({}\right)",
+    power="{}^{{{}}}",
+    hbar=r"\hbar",
+    letters={
+        Letter.Q: r"\hat q",
+        Letter.P: r"\hat p",
+        Letter.RHO: r"\hat \rho",
+        Letter.DRHO_Q: r"\frac{\partial \hat \rho}{\partial \hat q}",
+        Letter.DRHO_P: r"\frac{\partial \hat \rho}{\partial \hat p}",
+    },
+    weyl=_latex_weyl_monomial,
+    negative=lambda parts: f"- {' '.join(parts) or '1'}",
+)
+
+
+# -- text and LaTeX ------------------------------------------------------------
+
+
+def _render(x: Result, style: _Style) -> str:
     terms = _display_terms(x)
     if not terms:
         return "0"
     free = isinstance(x, FreePolynomial)
-    out: list[str] = []
-    for index, (key, coeff) in enumerate(terms):
-        sign, tokens = _coeff_tokens(coeff, _LATEX)
-        body = _word(key, _LATEX) if free else _latex_weyl_monomial(key)  # type: ignore[arg-type]
-        parts = tokens + ([body] if body else [])
-        text = " ".join(parts) if parts else "1"
-        if index == 0:
-            out.append(f"- {text}" if sign < 0 else text)
+    rendered: list[str] = []
+    for key, coeff in terms:
+        sign, tokens = _coeff_tokens(coeff, style)
+        body = _word(key, style) if free else style.weyl(key)
+        leading = not rendered
+        # A coefficient juxtaposed against a symmetric product would mix the
+        # two product operators in one term; parenthesize the monomial.
+        # Only text writes " o ".
+        if " o " in body and (tokens or (leading and sign < 0)):
+            body = f"({body})"
+        parts = tokens + [body] if body else tokens
+        if leading and sign < 0:
+            rendered.append(style.negative(parts))
+        elif leading:
+            rendered.append(" ".join(parts) or "1")
         else:
-            out.append(f"{'+' if sign > 0 else '-'} {text}")
-    return " ".join(out)
+            rendered.append(f"{'+' if sign > 0 else '-'} {' '.join(parts) or '1'}")
+    return " ".join(rendered)
+
+
+@_printable
+def render_text(x: Result) -> str:
+    return _render(x, _TEXT)
+
+
+@_printable
+def render_latex(x: Result) -> str:
+    return _render(x, _LATEX)
 
 
 # -- JSON ----------------------------------------------------------------------

@@ -10,7 +10,13 @@ from opalg.core import FreePolynomial, IDENTITY_WORD, Letter, Word
 from opalg.errors import UnsupportedFragmentError
 from opalg.parser import evaluate, parse
 from opalg.printing import (
+    _LATEX,
+    _TEXT,
+    _coeff_tokens,
     _display_terms,
+    _latex_weyl_monomial,
+    _weyl_monomial_text,
+    _word,
     render,
     render_json,
     render_latex,
@@ -1050,6 +1056,90 @@ def test_json_writer_matches_the_reference_on_drawn_values(cls, data):
 def test_json_writer_matches_the_reference_on_zero_values():
     for cls in (FreePolynomial, WeylPolynomial):
         assert_json_document(cls.zero())
+
+
+# -- the shared text/LaTeX loop against the two per-format loops ---------------
+
+
+def reference_render_text(x) -> str:
+    """The text render as its own term loop, with the text rules inline."""
+    terms = _display_terms(x)
+    if not terms:
+        return "0"
+    free = isinstance(x, FreePolynomial)
+    rendered: list[str] = []
+    for index, (key, coeff) in enumerate(terms):
+        sign, tokens = _coeff_tokens(coeff, _TEXT)
+        body = _word(key, _TEXT) if free else _weyl_monomial_text(key)
+        leading = index == 0
+        if " o " in body and (tokens or (leading and sign < 0)):
+            body = f"({body})"
+        parts = tokens + ([body] if body else [])
+        if leading:
+            if sign < 0:
+                if parts and (parts[0][0].isdigit() or parts[0].startswith("(") and parts[0][1].isdigit()):
+                    head = parts[0][1:-1] if parts[0].startswith("(") else parts[0]
+                    parts = [f"-{head}"] + parts[1:]
+                else:
+                    parts = ["-1"] + parts
+            rendered.append(" ".join(parts) if parts else ("1" if sign > 0 else "-1"))
+        else:
+            joiner = "+" if sign > 0 else "-"
+            rendered.append(f"{joiner} {' '.join(parts) if parts else '1'}")
+    return " ".join(rendered)
+
+
+def reference_render_latex(x) -> str:
+    """The LaTeX render as its own term loop, with the LaTeX rules inline."""
+    terms = _display_terms(x)
+    if not terms:
+        return "0"
+    free = isinstance(x, FreePolynomial)
+    out: list[str] = []
+    for index, (key, coeff) in enumerate(terms):
+        sign, tokens = _coeff_tokens(coeff, _LATEX)
+        body = _word(key, _LATEX) if free else _latex_weyl_monomial(key)
+        parts = tokens + ([body] if body else [])
+        text = " ".join(parts) if parts else "1"
+        if index == 0:
+            out.append(f"- {text}" if sign < 0 else text)
+        else:
+            out.append(f"{'+' if sign > 0 else '-'} {text}")
+    return " ".join(out)
+
+
+def assert_reference_renders(x) -> None:
+    assert render_text(x) == reference_render_text(x)
+    assert render_latex(x) == reference_render_latex(x)
+
+
+@pytest.mark.parametrize("source", [row[0] for row in GOLDEN + COEFFICIENT_GOLDEN])
+def test_text_and_latex_match_the_reference_loops_on_the_golden_sources(source):
+    assert_reference_renders(ev(source))
+
+
+# Real, imaginary and mixed coefficients with rational and unit magnitudes of
+# either sign, often at grade 0, so that a lone -1 or -i leads; keys with the
+# empty (identity) body, state and derivative letters, and Weyl bodies with
+# " o ".  Each value is also rendered negated.
+_unit_or_rational = st.one_of(st.sampled_from([1, -1]), _nonzero_parts)
+_render_coefficients = st.one_of(
+    st.builds(lambda re: (re, 0), _unit_or_rational),
+    st.builds(lambda im: (0, im), _unit_or_rational),
+    st.tuples(_unit_or_rational, _unit_or_rational),
+)
+_render_grades = st.one_of(st.just(0), st.integers(-2, 3))
+
+
+@pytest.mark.parametrize("cls", [FreePolynomial, WeylPolynomial], ids=["free", "weyl"])
+@given(data=st.data())
+def test_text_and_latex_match_the_reference_loops_on_drawn_values(cls, data):
+    terms = data.draw(
+        st.lists(st.tuples(_json_keys[cls], _render_coefficients, _render_grades), max_size=4)
+    )
+    x = cls([(key, HbarScalar.of(re, im, grade)) for key, (re, im), grade in terms])
+    assert_reference_renders(x)
+    assert_reference_renders(-x)
 
 
 @pytest.mark.skipif(
