@@ -304,17 +304,17 @@ def _arrangement_counts(sets: Iterable[tuple[int, int, HbarScalar]]) -> dict[Hba
     arrangements of ``n`` q's and ``m`` p's, without listing them.
 
     McCoy (*PNAS* 18 (1932) 674): ``A(n, m)`` counts ``C(n+m, m) C(n,k)
-    C(m,k) k! / 2^k`` at ``(q^(n-k), m-k, k)``.  Each is an integer, being
-    the sum of the integer counts of ``A(n, m)``'s words, so every step's
-    division is exact."""
+    C(m,k) k! / 2^k`` at ``(q^(n-k), m-k, k)``.  That is the junction count
+    of :func:`_junction` ``(n, m, C(n+m, m))`` at ``t = k`` shifted right by
+    ``k``, so one ratio recurrence serves the walk, ``comm`` and McCoy.
+    Each count is an integer, being the sum of the integer counts of
+    ``A(n, m)``'s words, so the shift is exact."""
     counts_by_coeff: dict[HbarScalar, dict] = {}
     for n, m, coeff in sets:
         counts = counts_by_coeff.setdefault(coeff, {})
-        total = comb(n + m, m)
-        for k in range(min(n, m) + 1):
+        for k, total in _junction(n, m, comb(n + m, m)):
             slot = (_Q * (n - k), m - k, k)
-            counts[slot] = counts.get(slot, 0) + total
-            total = total * (n - k) * (m - k) // (2 * (k + 1))
+            counts[slot] = counts.get(slot, 0) + (total >> k)
     return counts_by_coeff
 
 
@@ -323,29 +323,20 @@ def _from_counts(counts_by_coeff: dict[HbarScalar, dict]) -> FreePolynomial:
     each count standing for ``n c (-i*hbar)^k head p^b``; a caller that
     counts whole words passes ``(letters, 0, k)``.
 
-    Of ``c`` and ``-c``, the map of the one seen second is folded into the
-    map of the one seen first with negated counts, so that their terms
-    cancel as integers; a count that cancelled to zero makes no term.  Only
-    coefficients whose leading part is negative look up their opposite.
-    Any other coefficients that share a slot add as scalars.  Each nonzero
-    count makes one scalar, ``c n (-i*hbar)^k``, reduced once
+    Of ``c`` and ``-c``, the map of the one whose leading part is negative
+    is folded into the map of its opposite with negated counts, always in
+    that direction, so that their terms cancel as integers; a count that
+    cancelled to zero makes no term.  Any other coefficients that share a
+    slot add as scalars.  Each nonzero count makes one scalar, ``c n
+    (-i*hbar)^k``, reduced once
     (:func:`~opalg.scalars.times_minus_i_hbar_power`).
     """
     if len(counts_by_coeff) > 1:
-        seen = set()  # ids of the maps of the positive-leading coefficients passed
-        for coeff, counts in list(counts_by_coeff.items()):
-            if not _leads_negative(coeff):
-                seen.add(id(counts))
-                continue
-            opposite = -coeff
-            opposite_counts = counts_by_coeff.get(opposite)
-            if opposite_counts is None:
-                continue
-            if id(opposite_counts) in seen:
-                counts, opposite_counts, opposite = opposite_counts, counts, coeff
-            del counts_by_coeff[opposite]
-            for slot, n in opposite_counts.items():
-                counts[slot] = counts.get(slot, 0) - n
+        for coeff in [c for c in counts_by_coeff if _leads_negative(c)]:
+            opposite_counts = counts_by_coeff.get(-coeff)
+            if opposite_counts is not None:
+                for slot, n in counts_by_coeff.pop(coeff).items():
+                    opposite_counts[slot] = opposite_counts.get(slot, 0) - n
     terms = []
     for coeff, counts in counts_by_coeff.items():
         grade = coeff.hbar_power

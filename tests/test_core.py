@@ -9,7 +9,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import example, given, strategies as st
 
-from opalg import core, weyl
+from opalg import brackets, core, weyl
 from opalg.core import (
     FreePolynomial,
     IDENTITY_WORD,
@@ -23,7 +23,7 @@ from opalg.core import (
 )
 from opalg.errors import UnsupportedFragmentError
 from opalg.printing import render, render_json, render_text
-from opalg.scalars import HbarScalar, I_HBAR, ONE
+from opalg.scalars import HbarScalar, INV_I_HBAR, I_HBAR, ONE
 from opalg.terms import GradedTerms
 from opalg.weyl import WeylMonomial, WeylPolynomial, expand, expand_polynomial, normal_form
 
@@ -438,10 +438,7 @@ def test_normal_order_of_arrangement_sets_is_the_sum_of_word_normal_forms(x, y):
         assert normal_order(z) == word_by_word(z)
 
 
-def test_normal_order_cancels_c_against_minus_c_as_integer_counts(monkeypatch):
-    # q^2 p^2 under 1 and the leading term of p^2 q^2 under -1 meet in one slot.
-    x = q * q * p * p - p * p * q * q
-    expected = word_by_word(x)
+def normal_order_without_scalar_adds(monkeypatch, x: FreePolynomial) -> FreePolynomial:
     calls = []
     add = HbarScalar.__add__
 
@@ -453,7 +450,62 @@ def test_normal_order_cancels_c_against_minus_c_as_integer_counts(monkeypatch):
     result = normal_order(x)
     monkeypatch.undo()
     assert calls == []
-    assert result == expected
+    return result
+
+
+def test_normal_order_cancels_c_against_minus_c_as_integer_counts(monkeypatch):
+    # q^2 p^2 under 1 and the leading term of p^2 q^2 under -1 meet in one slot.
+    x = q * q * p * p - p * p * q * q
+    expected = word_by_word(x)
+    assert normal_order_without_scalar_adds(monkeypatch, x) == expected
+
+
+QQPP, PPQQ, QRHO = Word.of(Q, Q, P, P), Word.of(P, P, Q, Q), Word.of(Q, RHO)
+C = HbarScalar.of(Fraction(2, 3), -1)
+
+
+# The source order sets the order in which the coefficients reach the fold:
+# -c before c, or a third coefficient, on a slot of its own, between them.
+@pytest.mark.parametrize(
+    "source",
+    [
+        [(PPQQ, -ONE), (QQPP, ONE)],
+        [(QQPP, ONE), (QRHO, HbarScalar.real(2)), (PPQQ, -ONE)],
+        [(PPQQ, -ONE), (QRHO, HbarScalar.real(2)), (QQPP, ONE)],
+        [(PPQQ, -C), (QRHO, I_HBAR), (QQPP, C)],
+        [(QQPP, C), (QRHO, I_HBAR), (PPQQ, -C)],
+    ],
+    ids=[
+        "negative-first",
+        "third-between",
+        "negative-first-third-between",
+        "complex-negative-first",
+        "complex-third-between",
+    ],
+)
+def test_normal_order_cancels_c_against_minus_c_in_any_order(monkeypatch, source):
+    x = FreePolynomial(source)
+    expected = word_by_word(x)
+    assert normal_order_without_scalar_adds(monkeypatch, x) == expected
+
+
+def test_commutator_cancels_c_against_minus_c_from_its_coefficient_pairs(monkeypatch):
+    # c q^2 - c p^2 against q p: the pairs make c and -c, which reach the
+    # fold as c / (i*hbar) and -c / (i*hbar).
+    f = FreePolynomial([(Word.of(Q, Q), C), (Word.of(P, P), -C)])
+    g = q * p
+    reached = []
+    from_counts = brackets._from_counts
+
+    def spy(counts_by_coeff):
+        reached.append(list(counts_by_coeff))
+        return from_counts(counts_by_coeff)
+
+    monkeypatch.setattr(brackets, "_from_counts", spy)
+    result = brackets.commutator_bracket(f, g)
+    monkeypatch.undo()
+    assert reached == [[C * INV_I_HBAR, -C * INV_I_HBAR]]
+    assert result == normal_order((f * g - g * f).scale(INV_I_HBAR))
 
 
 def binomial_sum(a: int, b: int) -> FreePolynomial:
