@@ -386,8 +386,11 @@ def check_obstruction(
 ) -> ObstructionReport:
     """Compare the two quantum brackets on two classically equivalent pairs.
 
-    The second pair is normalized by the rational scale that makes the
-    classical brackets match exactly (an error if no such scale exists).
+    The second pair is normalized by the scale that makes the classical
+    brackets match exactly: 1 when the second bracket is zero, otherwise
+    the ratio of the two brackets' coefficients at the second bracket's
+    first key.  A zero scale, or one under which the brackets still differ,
+    is an error, so exactly one zero bracket is refused.
     The symmetric brackets of the quantized pairs must then agree exactly,
     while the commutator brackets of the quantizations may differ;
     the difference is reported in normal form.
@@ -396,18 +399,12 @@ def check_obstruction(
     f3, f4 = pair_b
     bracket_a = poisson_bracket_classical(f1, f2)
     bracket_b = poisson_bracket_classical(f3, f4)
-    if bracket_a.is_zero and bracket_b.is_zero:
-        scale = ONE
-    elif bracket_a.is_zero or bracket_b.is_zero:
-        raise ValueError("classical brackets are not related by a scale")
-    else:
+    scale = ONE
+    if bracket_b:
         key, coeff_b = next(iter(bracket_b.items()))
-        coeff_a = bracket_a.coefficient(key)
-        if coeff_a.is_zero:
-            raise ValueError("classical brackets are not related by a scale")
-        scale = coeff_a / coeff_b
-        if bracket_a != bracket_b.scale(scale):
-            raise ValueError("classical brackets are not related by a scale")
+        scale = bracket_a.coefficient(key) / coeff_b
+    if not scale or bracket_a != bracket_b.scale(scale):
+        raise ValueError("classical brackets are not related by a scale")
 
     q1, q2, q3, q4 = (quantize(f) for f in (f1, f2, f3, f4))
     sym_a = symmetrized_poisson_bracket(q1, q2)

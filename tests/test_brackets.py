@@ -857,9 +857,43 @@ def test_trivial_pair_shows_no_discrepancy():
     assert report.symmetrized_bracket == WeylPolynomial.one()
 
 
+NOT_A_SCALE = "^classical brackets are not related by a scale$"
+
+
 def test_obstruction_rejects_unrelated_pairs():
-    with pytest.raises(ValueError):
+    # {q, p} = 1 has no term at the key q of {q^2, p} = 2q.
+    with pytest.raises(ValueError, match=NOT_A_SCALE):
         check_obstruction((cmono(1, 0), cmono(0, 1)), (cmono(2, 0), cmono(0, 1)))
+
+
+def test_obstruction_of_two_zero_classical_brackets_takes_scale_one():
+    report = check_obstruction((cmono(1, 0), cmono(2, 0)), (cmono(0, 2), cmono(0, 3)))
+    assert report.scale == ONE
+    assert report.classical_bracket.is_zero
+    assert report.symmetrized_difference.is_zero
+    assert report.commutator_difference.is_zero
+
+
+@pytest.mark.parametrize(
+    "pair_a, pair_b",
+    [
+        ((cmono(1, 0), cmono(1, 0)), (cmono(1, 0), cmono(0, 1))),
+        ((cmono(1, 0), cmono(0, 1)), (cmono(1, 0), cmono(1, 0))),
+    ],
+    ids=["first-zero", "second-zero"],
+)
+def test_obstruction_rejects_exactly_one_zero_classical_bracket(pair_a, pair_b):
+    with pytest.raises(ValueError, match=NOT_A_SCALE):
+        check_obstruction(pair_a, pair_b)
+
+
+def test_obstruction_rejects_brackets_that_share_a_key_but_are_not_proportional():
+    # {q^2 + q, p} = 2q + 1 and {q^2 + 3q, p} = 2q + 3: equal at q, not at 1.
+    f_a = cmono(2, 0) + cmono(1, 0)
+    f_b = cmono(2, 0) + cmono(1, 0, 3)
+    assert poisson_bracket_classical(f_a, cmono(0, 1)) == cmono(1, 0, 2) + cmono(0, 0)
+    with pytest.raises(ValueError, match=NOT_A_SCALE):
+        check_obstruction((f_a, cmono(0, 1)), (f_b, cmono(0, 1)))
 
 
 # -- Lie algebra laws ----------------------------------------------------------------
