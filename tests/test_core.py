@@ -461,7 +461,7 @@ def test_normal_order_cancels_c_against_minus_c_as_integer_counts(monkeypatch):
 
 
 QQPP, PPQQ, QRHO = Word.of(Q, Q, P, P), Word.of(P, P, Q, Q), Word.of(Q, RHO)
-C = HbarScalar.of(Fraction(2, 3), -1)
+COMPLEX_C = HbarScalar.of(Fraction(2, 3), -1)
 
 
 # The source order sets the order in which the coefficients reach the fold:
@@ -472,8 +472,8 @@ C = HbarScalar.of(Fraction(2, 3), -1)
         [(PPQQ, -ONE), (QQPP, ONE)],
         [(QQPP, ONE), (QRHO, HbarScalar.real(2)), (PPQQ, -ONE)],
         [(PPQQ, -ONE), (QRHO, HbarScalar.real(2)), (QQPP, ONE)],
-        [(PPQQ, -C), (QRHO, I_HBAR), (QQPP, C)],
-        [(QQPP, C), (QRHO, I_HBAR), (PPQQ, -C)],
+        [(PPQQ, -COMPLEX_C), (QRHO, I_HBAR), (QQPP, COMPLEX_C)],
+        [(QQPP, COMPLEX_C), (QRHO, I_HBAR), (PPQQ, -COMPLEX_C)],
     ],
     ids=[
         "negative-first",
@@ -492,7 +492,7 @@ def test_normal_order_cancels_c_against_minus_c_in_any_order(monkeypatch, source
 def test_commutator_cancels_c_against_minus_c_from_its_coefficient_pairs(monkeypatch):
     # c q^2 - c p^2 against q p: the pairs make c and -c, which reach the
     # fold as c / (i*hbar) and -c / (i*hbar).
-    f = FreePolynomial([(Word.of(Q, Q), C), (Word.of(P, P), -C)])
+    f = FreePolynomial([(Word.of(Q, Q), COMPLEX_C), (Word.of(P, P), -COMPLEX_C)])
     g = q * p
     reached = []
     from_counts = brackets._from_counts
@@ -504,7 +504,7 @@ def test_commutator_cancels_c_against_minus_c_from_its_coefficient_pairs(monkeyp
     monkeypatch.setattr(brackets, "_from_counts", spy)
     result = brackets.commutator_bracket(f, g)
     monkeypatch.undo()
-    assert reached == [[C * INV_I_HBAR, -C * INV_I_HBAR]]
+    assert reached == [[COMPLEX_C * INV_I_HBAR, -COMPLEX_C * INV_I_HBAR]]
     assert result == normal_order((f * g - g * f).scale(INV_I_HBAR))
 
 
