@@ -158,7 +158,7 @@ def _junction_sides(counts_by_coeff: dict[HbarScalar, dict]) -> dict[HbarScalar,
 def _add_product(counts: dict, head: tuple, b: int, c: int, tail: tuple, n: int, k: int) -> None:
     """Add ``n (-i*hbar)^k`` times the normal form of ``head p^b q^c tail``
     to the count map ``counts`` of full-word slots ``(letters, 0, k + t)``."""
-    for t, m in _junction(b, c, n):
+    for t, m in enumerate(_junction(b, c, n)):
         slot = (head + _Q * (c - t) + _P * (b - t) + tail, 0, k + t)
         counts[slot] = counts.get(slot, 0) + m
 

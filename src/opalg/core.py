@@ -200,13 +200,13 @@ def _normal_counts(x: FreePolynomial) -> dict[HbarScalar, dict]:
     Every other word, in source order, is multiplied run by run onto a
     normal partial product that starts as the empty product: a map
     ``(head, b, k) -> n`` of integer counts standing for ``n (-i*hbar)^k
-    head p^b``.  A run of ``r`` p's takes ``b`` to ``b + r``; a run of ``r``
-    q's meets ``p^b`` in one junction step (:func:`_junction`), of which the
-    two-term step of a single q is the case ``r = 1``; a run of one state
-    letter moves ``p^b`` into the head.  No state passes from one word to
-    the next.  Counts are summed per source coefficient; a slot's head never
-    ends in ``p``.  The README's "Why normal ordering needs no rewriting"
-    derives each step.
+    head p^b``.  A run of ``r`` p's takes ``b`` to ``b + r``; every run of
+    ``r`` q's, a single q or one after ``p^0`` too, meets ``p^b`` in one
+    junction step (:func:`_junction`); a run of one state letter moves
+    ``p^b`` into the head.  No state passes from one word to the next.
+    Counts are summed per source coefficient; a slot's head never ends in
+    ``p``.  The README's "Why normal ordering needs no rewriting" derives
+    each step.
     """
     # The slot map is read through its getter, which raises rather than
     # reaching ``__getattr__``, so a listed value raises nothing.
@@ -231,19 +231,9 @@ def _normal_counts(x: FreePolynomial) -> dict[HbarScalar, dict]:
                         step[head, b + r, k] = n
                 elif run is Q:
                     step = defaultdict(int)
-                    if r == 1:
-                        for (head, b, k), n in partial.items():
-                            step[head + _Q, b, k] += n
-                            if b:
-                                step[head, b - 1, k + 1] += n * b
-                    else:
-                        qs = _Q * r
-                        for (head, b, k), n in partial.items():
-                            if b:
-                                for t, m in _junction(b, r, n):
-                                    step[head + _Q * (r - t), b - t, k + t] += m
-                            else:  # p^0 q^r is q^r: no kernel call
-                                step[head + qs, 0, k] += n
+                    for (head, b, k), n in partial.items():
+                        for t, m in enumerate(_junction(b, r, n)):
+                            step[head + _Q * (r - t), b - t, k + t] += m
                 else:
                     step, tail = {}, (run,) * r
                     for (head, b, k), n in partial.items():
@@ -256,14 +246,15 @@ def _normal_counts(x: FreePolynomial) -> dict[HbarScalar, dict]:
     return counts_by_coeff
 
 
-def _junction(b: int, c: int, n: int) -> list[tuple[int, int]]:
+def _junction(b: int, c: int, n: int) -> list[int]:
     """``n`` times the normal form of ``p^b q^c`` (McCoy), ``sum_t n t! C(b,t)
-    C(c,t) (-i*hbar)^t q^(c-t) p^(b-t)``, as its pairs ``(t, n t! C(b,t) C(c,t))``."""
-    pairs = []
+    C(c,t) (-i*hbar)^t q^(c-t) p^(b-t)``, as its counts ``n t! C(b,t) C(c,t)``
+    in order of ``t``; a caller takes ``t`` from ``enumerate``."""
+    counts = []
     for t in range(min(b, c) + 1):
-        pairs.append((t, n))
+        counts.append(n)
         n = n * (b - t) * (c - t) // (t + 1)  # exact at every step
-    return pairs
+    return counts
 
 
 def _split_arrangement_sets(terms: dict) -> tuple[list, Iterable]:
@@ -312,7 +303,7 @@ def _arrangement_counts(sets: Iterable[tuple[int, int, HbarScalar]]) -> dict[Hba
     counts_by_coeff: dict[HbarScalar, dict] = {}
     for n, m, coeff in sets:
         counts = counts_by_coeff.setdefault(coeff, {})
-        for k, total in _junction(n, m, comb(n + m, m)):
+        for k, total in enumerate(_junction(n, m, comb(n + m, m))):
             slot = (_Q * (n - k), m - k, k)
             counts[slot] = counts.get(slot, 0) + (total >> k)
     return counts_by_coeff

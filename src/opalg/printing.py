@@ -11,11 +11,13 @@ and every render sorts them once by the key's ``sort_key`` and then the
 hbar grade, highest first (leading term first, the identity term last).
 Text, LaTeX and JSON read that one list, so their orders always agree.
 
-Text and LaTeX share one term loop (:func:`_render`), driven by a style
-record that also holds what differs between them: the Weyl-monomial body
-and the rule for a leading negative term.  Text must parse back, so it
-parenthesizes products and folds the minus into a leading number; LaTeX
-writes it as a ``- `` prefix.
+Text and LaTeX share one term loop (:func:`_render`) and one Weyl body
+(:func:`_weyl`), driven by a style record that also holds what differs
+between them: the operator that joins a Weyl body's factors and the wrapper
+of a lone factor (``" o "`` and ``S(...)`` in text), and the rule for a
+leading negative term.  Text must parse back, so it parenthesizes products
+and folds the minus into a leading number; LaTeX writes it as a ``- ``
+prefix.
 
 :func:`render_json` writes the JSON document itself, in one pass over the
 sorted terms, byte for byte what ``json.dumps`` would write with its default
@@ -40,7 +42,7 @@ from .core import FreePolynomial, Letter, Word
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar
 from .terms import TaggedTuple
-from .weyl import WeylMonomial, WeylPolynomial
+from .weyl import WeylMonomial, WeylPolynomial, _LETTER_P, _LETTER_Q
 
 Result = FreePolynomial | WeylPolynomial
 
@@ -107,7 +109,8 @@ class _Style(TaggedTuple):
         "power",  # base raised to an exponent other than 1
         "hbar",
         "letters",  # Letter -> str
-        "weyl",  # WeylMonomial -> str: the body of a Weyl monomial
+        "circle",  # joins the factors of a Weyl body
+        "lone",  # wrapper of a Weyl body's first factor when it has < 2 powers
         "negative",  # list[str] -> str: the parts of a leading negative term
     )
 
@@ -149,18 +152,23 @@ def _word(word: Word, style: _Style) -> str:
     )
 
 
+def _weyl(key: WeylMonomial, style: _Style) -> str:
+    """The q power, the p power and the derivative letter that ``key`` has,
+    joined by ``style.circle``; with fewer than two powers the first factor
+    is wrapped in ``style.lone``."""
+    n, m, deriv, _ = key  # read the layout: a hot path
+    letters, raised = style.letters, style.raised
+    parts = [raised(letters[_LETTER_Q], n)] if n else []
+    if m:
+        parts.append(raised(letters[_LETTER_P], m))
+    if deriv is not None:
+        parts.append(letters[deriv])
+    if parts and not (n and m):
+        parts[0] = style.lone.format(parts[0])
+    return style.circle.join(parts)
+
+
 # -- what text and LaTeX write differently -------------------------------------
-
-
-def _weyl_monomial_text(m: WeylMonomial) -> str:
-    if m.n and m.m:
-        text = f"{_TEXT.raised('q', m.n)} o {_TEXT.raised('p', m.m)}"
-        return f"{text} o {m.deriv.symbol}" if m.deriv else text
-    if m.n or m.m:
-        inner = _TEXT.raised("q", m.n) if m.n else _TEXT.raised("p", m.m)
-        text = f"S({inner})"
-        return f"{text} o {m.deriv.symbol}" if m.deriv else text
-    return f"S({m.deriv.symbol})" if m.deriv else ""
 
 
 def _negative_text(parts: list[str]) -> str:
@@ -170,17 +178,6 @@ def _negative_text(parts: list[str]) -> str:
     return " ".join(["-1"] + parts)
 
 
-def _latex_weyl_monomial(m: WeylMonomial) -> str:
-    parts: list[str] = []
-    if m.n:
-        parts.append(_LATEX.raised(_LATEX.letters[Letter.Q], m.n))
-    if m.m:
-        parts.append(_LATEX.raised(_LATEX.letters[Letter.P], m.m))
-    if m.deriv:
-        parts.append(_LATEX.letters[m.deriv])
-    return r" \circ ".join(parts)
-
-
 _TEXT = _Style(
     magnitude=_positive_rational,
     rational=_rational,
@@ -188,7 +185,8 @@ _TEXT = _Style(
     power="{}^{}",
     hbar="hbar",
     letters=_SYMBOLS,
-    weyl=_weyl_monomial_text,
+    circle=" o ",
+    lone="S({})",
     negative=_negative_text,
 )
 
@@ -205,7 +203,8 @@ _LATEX = _Style(
         Letter.DRHO_Q: r"\frac{\partial \hat \rho}{\partial \hat q}",
         Letter.DRHO_P: r"\frac{\partial \hat \rho}{\partial \hat p}",
     },
-    weyl=_latex_weyl_monomial,
+    circle=r" \circ ",
+    lone="{}",
     negative=lambda parts: f"- {' '.join(parts) or '1'}",
 )
 
@@ -221,7 +220,7 @@ def _render(x: Result, style: _Style) -> str:
     rendered: list[str] = []
     for key, coeff in terms:
         sign, tokens = _coeff_tokens(coeff, style)
-        body = _word(key, style) if free else style.weyl(key)
+        body = _word(key, style) if free else _weyl(key, style)
         leading = not rendered
         # A coefficient juxtaposed against a symmetric product would mix the
         # two product operators in one term; parenthesize the monomial.

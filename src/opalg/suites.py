@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterable
 
 from .brackets import (
@@ -254,17 +254,10 @@ def _pair_table(
     op: Callable[[WeylPolynomial, WeylPolynomial], WeylPolynomial], values: list[WeylPolynomial]
 ) -> Callable[[int, int], WeylPolynomial]:
     """``op`` on ordered pairs of ``values``, looked up by index; each pair is
-    computed on first use, so no one lookup carries the whole table."""
-    n = len(values)
-    table: list[WeylPolynomial | None] = [None] * (n * n)
-
-    def pair(i: int, j: int) -> WeylPolynomial:
-        value = table[i * n + j]
-        if value is None:
-            value = table[i * n + j] = op(values[i], values[j])
-        return value
-
-    return pair
+    computed on first use and kept, so no one lookup carries the whole table.
+    The cache is the table's own and lives only as long as the check that
+    holds the table."""
+    return cache(lambda i, j: op(values[i], values[j]))
 
 
 def _monomial_triples(

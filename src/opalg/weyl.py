@@ -48,8 +48,9 @@ class WeylMonomial(TaggedTuple):
     Stored as the tuple ``(n, m, deriv, WeylMonomial)``: the class tag keeps
     a key unequal to any plain tuple and to a :class:`~opalg.core.Word`,
     while hashing and ``==`` stay tuple's.  Read it through the fields; only
-    the package's hot key hooks, :func:`_add_exponents` and
-    :func:`~opalg.brackets._monomial_bracket`, unpack the tuple."""
+    the package's hot paths, the key hooks :func:`_add_exponents` and
+    :func:`~opalg.brackets._monomial_bracket`, :func:`_weight` and the
+    printer's :func:`~opalg.printing._weyl`, unpack the tuple."""
 
     __slots__ = ()
     _fields = ("n", "m", "deriv")
@@ -219,15 +220,12 @@ def _listed(sets) -> dict:
 
 def _word_slots(terms) -> dict:
     """The slots of ``c`` times every word of ``expand(w)``, over ``(w, c)``
-    in order, words in lexicographic order, each at ``c``'s grade."""
+    in order, words in lexicographic order, each at ``c``'s grade: one
+    generator writes the terms of every grade, grade 0 included."""
     slots: dict = {}
     for monomial, scalar in terms:
-        words = expand(monomial)._terms  # slots (word, 0)
         grade = scalar.hbar_power
-        if grade:
-            slots.update(((word, grade), scalar) for word, _ in words)
-        else:
-            slots.update(dict.fromkeys(words, scalar))
+        slots.update(((word, grade), scalar) for word, _ in expand(monomial)._terms)
     return slots
 
 

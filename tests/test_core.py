@@ -162,6 +162,9 @@ def rewrite_normal_form(word: Word) -> FreePolynomial:
     return FreePolynomial.from_word(word)
 
 
+# Every word up to the length, so the walk's q-runs of every kind are drawn:
+# a single q after a p run (``p p q``), a q run at b = 0 (``q q``, ``rho q q``)
+# and a long run after a long p run (``p^4 q^4``).
 @pytest.mark.parametrize(
     "alphabet, max_length",
     [((Q, P, RHO), 8), (tuple(Letter), 6)],
@@ -175,6 +178,14 @@ def test_normal_order_matches_rewrite_system(alphabet, max_length):
             expected = rewrite_normal_form(word).scale(coeff)
             actual = normal_order(FreePolynomial.from_word(word, coeff))
             assert render_json(actual) == render_json(expected), str(word)
+
+
+@pytest.mark.parametrize("n", [1, 3, -2])
+def test_junction_counts_are_mccoys_in_order_of_t(n):
+    for b in range(11):
+        for c in range(11):
+            expected = [n * factorial(t) * comb(b, t) * comb(c, t) for t in range(min(b, c) + 1)]
+            assert core._junction(b, c, n) == expected, (b, c)
 
 
 def run_word(*runs: tuple[Letter, int]) -> Word:

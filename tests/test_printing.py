@@ -14,8 +14,7 @@ from opalg.printing import (
     _TEXT,
     _coeff_tokens,
     _display_terms,
-    _latex_weyl_monomial,
-    _weyl_monomial_text,
+    _weyl,
     _word,
     render,
     render_json,
@@ -1059,6 +1058,39 @@ def test_json_writer_matches_the_reference_on_zero_values():
 
 
 # -- the shared text/LaTeX loop against the two per-format loops ---------------
+
+
+def _weyl_monomial_text(m: WeylMonomial) -> str:
+    """The text Weyl body, with the text rules inline."""
+    if m.n and m.m:
+        text = f"{_TEXT.raised('q', m.n)} o {_TEXT.raised('p', m.m)}"
+        return f"{text} o {m.deriv.symbol}" if m.deriv else text
+    if m.n or m.m:
+        inner = _TEXT.raised("q", m.n) if m.n else _TEXT.raised("p", m.m)
+        text = f"S({inner})"
+        return f"{text} o {m.deriv.symbol}" if m.deriv else text
+    return f"S({m.deriv.symbol})" if m.deriv else ""
+
+
+def _latex_weyl_monomial(m: WeylMonomial) -> str:
+    """The LaTeX Weyl body, with the LaTeX rules inline."""
+    parts: list[str] = []
+    if m.n:
+        parts.append(_LATEX.raised(_LATEX.letters[Letter.Q], m.n))
+    if m.m:
+        parts.append(_LATEX.raised(_LATEX.letters[Letter.P], m.m))
+    if m.deriv:
+        parts.append(_LATEX.letters[m.deriv])
+    return r" \circ ".join(parts)
+
+
+@pytest.mark.parametrize("deriv", [None, Letter.DRHO_Q, Letter.DRHO_P], ids=["none", "drho_q", "drho_p"])
+def test_one_weyl_body_matches_the_per_format_bodies(deriv):
+    for n in range(5):
+        for m in range(5):  # n = m = 0: the empty key, or a lone derivative letter
+            key = WeylMonomial(n, m, deriv)
+            assert _weyl(key, _TEXT) == _weyl_monomial_text(key), key
+            assert _weyl(key, _LATEX) == _latex_weyl_monomial(key), key
 
 
 def reference_render_text(x) -> str:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import weakref
 from collections import Counter
 
 import pytest
@@ -33,6 +34,23 @@ def test_reports_are_deterministic():
     a = run_suite("all", max_degree=2, cases=10, seed=1)
     b = run_suite("all", max_degree=2, cases=10, seed=1)
     assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+
+
+def test_pair_tables_are_freed_when_their_check_ends(monkeypatch):
+    # The one cache of a check, each pair table, must not outlive the run.
+    refs = []
+
+    def recorded(op, values):
+        table = pair_table(op, values)
+        refs.append(weakref.ref(table))
+        return table
+
+    pair_table = suites._pair_table
+    monkeypatch.setattr(suites, "_pair_table", recorded)
+    for name in ("eq14", "jacobi"):
+        assert run_suite(name, max_degree=3, cases=1).passed
+    assert refs
+    assert all(ref() is None for ref in refs)
 
 
 def test_different_seeds_change_random_inputs(monkeypatch):
