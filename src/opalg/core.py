@@ -250,10 +250,10 @@ def _junction(b: int, c: int, n: int) -> list[int]:
     """``n`` times the normal form of ``p^b q^c`` (McCoy), ``sum_t n t! C(b,t)
     C(c,t) (-i*hbar)^t q^(c-t) p^(b-t)``, as its counts ``n t! C(b,t) C(c,t)``
     in order of ``t``; a caller takes ``t`` from ``enumerate``."""
-    counts = []
-    for t in range(min(b, c) + 1):
-        counts.append(n)
+    counts = [n]
+    for t in range(min(b, c)):
         n = n * (b - t) * (c - t) // (t + 1)  # exact at every step
+        counts.append(n)
     return counts
 
 

@@ -220,12 +220,18 @@ def _listed(sets) -> dict:
 
 def _word_slots(terms) -> dict:
     """The slots of ``c`` times every word of ``expand(w)``, over ``(w, c)``
-    in order, words in lexicographic order, each at ``c``'s grade: one
-    generator writes the terms of every grade, grade 0 included."""
+    in order, words in lexicographic order, each at ``c``'s grade.  Grade 0
+    keeps the memo's slots ``(word, 0)`` as they are, through
+    ``dict.fromkeys``, which writes them about twice as fast as the
+    generator that moves the words of a higher grade."""
     slots: dict = {}
     for monomial, scalar in terms:
+        words = expand(monomial)._terms  # slots (word, 0)
         grade = scalar.hbar_power
-        slots.update(((word, grade), scalar) for word, _ in expand(monomial)._terms)
+        if grade:
+            slots.update(((word, grade), scalar) for word, _ in words)
+        else:
+            slots.update(dict.fromkeys(words, scalar))
     return slots
 
 
