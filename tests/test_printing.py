@@ -1084,7 +1084,9 @@ def _latex_weyl_monomial(m: WeylMonomial) -> str:
     return r" \circ ".join(parts)
 
 
-@pytest.mark.parametrize("deriv", [None, Letter.DRHO_Q, Letter.DRHO_P], ids=["none", "drho_q", "drho_p"])
+@pytest.mark.parametrize(
+    "deriv", [None, Letter.DRHO_Q, Letter.DRHO_P], ids=["none", "drho_q", "drho_p"]
+)
 def test_one_weyl_body_matches_the_per_format_bodies(deriv):
     for n in range(5):
         for m in range(5):  # n = m = 0: the empty key, or a lone derivative letter
