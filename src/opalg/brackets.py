@@ -19,7 +19,7 @@ from typing import Sequence
 from .core import FreePolynomial, Letter, Word, _P, _Q, _from_counts, _junction, normal_order
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, INV_I_HBAR, ONE, RationalLike
-from .terms import GradedTerms, TaggedTuple, bilinear, bilinear_sum, linear_map
+from .terms import GradedTerms, TaggedTuple, bilinear, bilinear_sum
 from .weyl import (
     WeylMonomial,
     _add_exponents,
@@ -46,6 +46,7 @@ class ClassicalPolynomial(GradedTerms):
     """
 
     __slots__ = ()
+    _unit = (0, 0)
 
     @classmethod
     def _validate_pair(cls, key: tuple[int, int], scalar: HbarScalar) -> None:
@@ -57,10 +58,6 @@ class ClassicalPolynomial(GradedTerms):
             raise TypeError("ClassicalPolynomial keys are (q_degree, p_degree) pairs")
         if scalar.hbar_power != 0:
             raise ValueError("classical coefficients cannot carry an hbar grade")
-
-    @classmethod
-    def one(cls) -> ClassicalPolynomial:
-        return cls.from_monomial(0, 0)
 
     @classmethod
     def from_monomial(
@@ -81,11 +78,9 @@ class ClassicalPolynomial(GradedTerms):
         return super().scale(factor)
 
     def derivative(self, wrt: Letter) -> ClassicalPolynomial:
-        if wrt not in (Letter.Q, Letter.P):
-            raise ValueError("partial derivatives are taken with respect to Q or P")
-        if wrt is Letter.Q:
-            return linear_map(self, lambda k: [((k[0] - 1, k[1]), k[0])] if k[0] else ())
-        return linear_map(self, lambda k: [((k[0], k[1] - 1), k[1])] if k[1] else ())
+        """:func:`~opalg.weyl.weyl_derivative`'s exponent rule: a classical
+        key holds its exponents where a Weyl key does."""
+        return weyl_derivative(self, wrt)
 
 
 def poisson_bracket_classical(

@@ -128,6 +128,7 @@ class FreePolynomial(GradedTerms):
     are counted like any other value's."""
 
     __slots__ = ("_sets",)
+    _key_type, _unit = Word, IDENTITY_WORD
 
     def __getattr__(self, name: str):
         # Reached only when a slot is unset, so a listed value never calls
@@ -141,15 +142,6 @@ class FreePolynomial(GradedTerms):
         terms = _listed(self._sets)
         _set_terms(self, terms)
         return terms
-
-    @classmethod
-    def _validate_pair(cls, key: Word, scalar: HbarScalar) -> None:
-        if not isinstance(key, Word):
-            raise TypeError("FreePolynomial keys must be Word values")
-
-    @classmethod
-    def one(cls) -> FreePolynomial:
-        return cls.from_word(IDENTITY_WORD)
 
     @classmethod
     def from_word(cls, word: Word, coeff: HbarScalar = ONE) -> FreePolynomial:

@@ -296,9 +296,9 @@ _SYMBOL_VALUES = {
 
 
 def _is_scalar(value: Result) -> bool:
-    if isinstance(value, FreePolynomial):
-        return all(not word.letters for word, _ in value._terms)
-    return all(not (m.n or m.m) and m.deriv is None for m, _ in value._terms)
+    """Whether ``value`` is a number times its basis's unit, as ``0`` and ``hbar/2`` are."""
+    unit = value._unit
+    return all(key == unit for key, _ in value._terms)
 
 
 def _scale_by_scalar(scalar: Result, target: Result) -> Result:

@@ -48,7 +48,7 @@ class HbarScalar:
         im_num, im_den = _ratio(im)
         if not isinstance(hbar_power, int):
             raise TypeError("hbar_power must be an int")
-        return _make(re_num * im_den, im_num * re_den, re_den * im_den, hbar_power)
+        return _make(re_num * im_den, im_num * re_den, re_den * im_den, int(hbar_power))
 
     @classmethod
     def of(cls, re: RationalLike, im: RationalLike = 0, hbar_power: int = 0) -> HbarScalar:

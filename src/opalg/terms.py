@@ -46,7 +46,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
-from .scalars import ZERO, HbarScalar, RationalLike, _scaled_product
+from .scalars import ONE, ZERO, HbarScalar, RationalLike, _scaled_product
 
 TermPairs = Iterable[tuple[Any, HbarScalar]]
 Slots = dict[tuple[Any, int], HbarScalar]
@@ -109,9 +109,14 @@ class TaggedTuple(tuple):
 
 
 class GradedTerms:
-    """Base class: an immutable, normalized sum of weighted keys."""
+    """Base class: an immutable, normalized sum of weighted keys.
+
+    A basis names its key class in ``_key_type``, which the public
+    constructor checks every key against, and its identity key in
+    ``_unit``, which :meth:`one` weights by one."""
 
     __slots__ = ("_terms",)
+    _key_type: type = object
 
     def __init__(self, pairs: TermPairs = ()):
         _set_terms(self, sum_into({}, self._checked_slots(pairs)))
@@ -130,10 +135,11 @@ class GradedTerms:
         # Copy and pickle through ``_of``: the default restore sets the slot.
         return self._of, (self._terms,)
 
-    # Subclasses override to restrict admissible (key, scalar) pairs.
+    # A subclass overrides this to restrict (key, scalar) pairs further.
     @classmethod
     def _validate_pair(cls, key: Any, scalar: HbarScalar) -> None:
-        pass
+        if not isinstance(key, cls._key_type):
+            raise TypeError(f"{cls.__name__} keys must be {cls._key_type.__name__} values")
 
     @classmethod
     def _checked_slots(cls, pairs: TermPairs):
@@ -177,6 +183,11 @@ class GradedTerms:
     @classmethod
     def zero(cls):
         return cls()
+
+    @classmethod
+    def one(cls):
+        """The unit key ``_unit`` with coefficient one."""
+        return cls([(cls._unit, ONE)])
 
     def __add__(self, other):
         if type(other) is not type(self):

@@ -36,7 +36,6 @@ from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, ONE
 from .terms import GradedTerms, TaggedTuple, bilinear, bilinear_sum, linear_map, sum_into
 
-_DERIV_RANK = {None: 0, Letter.DRHO_Q: 1, Letter.DRHO_P: 2}
 # Bound once: reading a member off ``Letter`` costs about 0.1 us on a hot path.
 _LETTER_Q, _LETTER_P, _LETTER_RHO, _LETTER_DRHO_Q, _LETTER_DRHO_P = Letter
 
@@ -50,7 +49,8 @@ class WeylMonomial(TaggedTuple):
     while hashing and ``==`` stay tuple's.  Read it through the fields; only
     the package's hot paths, the key hooks :func:`_add_exponents` and
     :func:`~opalg.brackets._monomial_bracket`, :func:`_weight` and the
-    printer's :func:`~opalg.printing._weyl`, unpack the tuple."""
+    printer's :func:`~opalg.printing._weyl`, unpack the tuple, and
+    :func:`weyl_derivative` indexes it as it does a classical key."""
 
     __slots__ = ()
     _fields = ("n", "m", "deriv")
@@ -62,7 +62,7 @@ class WeylMonomial(TaggedTuple):
             raise ValueError("exponents must be non-negative")
         if deriv is not None and deriv not in DERIVATIVE_LETTERS:
             raise ValueError("deriv must be None, DRHO_Q or DRHO_P")
-        return tuple.__new__(cls, (n, m, deriv, WeylMonomial))
+        return tuple.__new__(cls, (int(n), int(m), deriv, WeylMonomial))  # True prints as 1
 
     @property
     def degree(self) -> int:
@@ -70,7 +70,9 @@ class WeylMonomial(TaggedTuple):
 
     @property
     def sort_key(self) -> tuple[int, int, int]:
-        return (self.n, self.m, _DERIV_RANK[self.deriv])
+        """``(n, m, deriv)``, no derivative letter as 0: ``Letter`` orders
+        ``drho_q`` before ``drho_p``, and both after 0."""
+        return (self.n, self.m, self.deriv or 0)
 
     def __str__(self) -> str:
         parts = []
@@ -92,15 +94,7 @@ class WeylPolynomial(GradedTerms):
     """A finite sum of Weyl basis monomials with exact graded coefficients."""
 
     __slots__ = ()
-
-    @classmethod
-    def _validate_pair(cls, key: WeylMonomial, scalar: HbarScalar) -> None:
-        if not isinstance(key, WeylMonomial):
-            raise TypeError("WeylPolynomial keys must be WeylMonomial values")
-
-    @classmethod
-    def one(cls) -> WeylPolynomial:
-        return cls.from_monomial(WeylMonomial(0, 0))
+    _key_type, _unit = WeylMonomial, WeylMonomial(0, 0)
 
     @classmethod
     def from_monomial(cls, monomial: WeylMonomial, coeff: HbarScalar = ONE) -> WeylPolynomial:
@@ -262,12 +256,20 @@ def _product_difference(
 
 def weyl_derivative(x: WeylPolynomial, wrt: Letter) -> WeylPolynomial:
     """Partial derivative in the Weyl basis: the symmetrization is preserved,
-    so ``q**n o p**m`` maps to ``n * q**(n-1) o p**m`` and symmetrically."""
+    so ``q**n o p**m`` maps to ``n * q**(n-1) o p**m`` and symmetrically.
+
+    It reads the key layout: a key holds q's exponent at index ``Letter.Q``
+    and p's at ``Letter.P``, a :class:`WeylMonomial` and a classical
+    ``(n, m)`` key alike, so the classical mirror's derivative is this one
+    (:meth:`~opalg.brackets.ClassicalPolynomial.derivative`)."""
     if wrt not in (Letter.Q, Letter.P):
         raise ValueError("partial derivatives are taken with respect to Q or P")
-    if wrt is Letter.Q:
-        return linear_map(x, lambda w: [(_monomial(w.n - 1, w.m, w.deriv), w.n)] if w.n else ())
-    return linear_map(x, lambda w: [(_monomial(w.n, w.m - 1, w.deriv), w.m)] if w.m else ())
+
+    def lowered(key):
+        e = key[wrt]
+        return [(tuple.__new__(type(key), key[:wrt] + (e - 1,) + key[wrt + 1 :]), e)] if e else ()
+
+    return linear_map(x, lowered)
 
 
 def normal_form(x: FreePolynomial | WeylPolynomial) -> FreePolynomial:

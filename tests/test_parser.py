@@ -14,6 +14,7 @@ from opalg.parser import (
     PowerNode,
     RationalNode,
     SymbolNode,
+    _is_scalar,
     _tokenize,
     evaluate,
     parse,
@@ -185,6 +186,19 @@ def test_scalar_sums_preserve_the_weyl_basis():
     assert isinstance(result, WeylPolynomial)
     assert result == WeylPolynomial.from_monomial(WeylMonomial(1, 1)) + WeylPolynomial.one()
     assert ev("q - q + S(q)") == WeylPolynomial.from_monomial(WeylMonomial(1, 0))
+
+
+@pytest.mark.parametrize("unit", [IDENTITY_WORD, WeylMonomial(0, 0)])
+@pytest.mark.parametrize("grades", [(), (-1,), (0,), (2,), (-1, 0, 2)])
+def test_unit_only_values_are_scalars(unit, grades):
+    cls = FreePolynomial if unit is IDENTITY_WORD else WeylPolynomial
+    value = cls([(unit, HbarScalar.of(g + 2, 1, g)) for g in grades])
+    assert len(value) == len(grades) and _is_scalar(value)
+
+
+@pytest.mark.parametrize("source", ["q", "S(q)", "rho", "drho_q", "S(drho_q)", "1 + q"])
+def test_values_with_a_letter_are_not_scalars(source):
+    assert not _is_scalar(ev(source))
 
 
 def test_mixed_sum_expands_to_free_form():

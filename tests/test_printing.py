@@ -1187,3 +1187,19 @@ def test_json_dict_of_a_too_long_coefficient_is_a_user_error():
     for convert in (result_to_json_dict, render_json):
         with pytest.raises(UnsupportedFragmentError, match=message):
             convert(x)
+
+
+def test_bool_exponents_and_grades_render_as_their_int_twins():
+    pairs = [
+        (WeylMonomial(True, 2), WeylMonomial(1, 2)),
+        (WeylMonomial(False, True, Letter.DRHO_Q), WeylMonomial(0, 1, Letter.DRHO_Q)),
+    ]
+    values = [(WeylPolynomial.from_monomial(b), WeylPolynomial.from_monomial(i)) for b, i in pairs]
+    values += [
+        (cls.one().scale(HbarScalar(1, 0, True)), cls.one().scale(HbarScalar(1, 0, 1)))
+        for cls in (FreePolynomial, WeylPolynomial)
+    ]
+    for built, twin in values:
+        assert result_to_json_dict(built) == json.loads(render_json(built))
+        for fmt in ("text", "latex", "json"):
+            assert render(built, fmt) == render(twin, fmt)

@@ -397,6 +397,48 @@ def test_public_constructors_keep_their_checks(build, error):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: FreePolynomial([(WeylMonomial(0, 0), ONE)]),
+            TypeError,
+            "FreePolynomial keys must be Word values",
+        ),
+        (
+            lambda: WeylPolynomial([((1, 1), ONE)]),
+            TypeError,
+            "WeylPolynomial keys must be WeylMonomial values",
+        ),
+        (
+            lambda: weyl_derivative(WeylPolynomial.one(), Letter.RHO),
+            ValueError,
+            "partial derivatives are taken with respect to Q or P",
+        ),
+        (
+            lambda: ClassicalPolynomial.one().derivative(DQ),
+            ValueError,
+            "partial derivatives are taken with respect to Q or P",
+        ),
+    ],
+    ids=["weyl-key-in-free", "tuple-key-in-weyl", "weyl-derivative-wrt", "classical-derivative-wrt"],
+)
+def test_shared_checks_keep_their_messages(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
+
+
+def test_one_of_each_basis_is_its_unit_key_weighted_by_one():
+    olds = [
+        FreePolynomial.from_word(Word()),
+        WeylPolynomial.from_monomial(WeylMonomial(0, 0)),
+        ClassicalPolynomial.from_monomial(0, 0),
+    ]
+    for old in olds:
+        one = type(old).one()
+        assert type(one) is type(old) and list(one._terms.items()) == list(old._terms.items())
+
+
 # -- keys ----------------------------------------------------------------------
 
 
