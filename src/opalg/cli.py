@@ -13,14 +13,10 @@ import json
 import os
 import re
 import sys
-from typing import TYPE_CHECKING
 
 from .errors import EvalError, ParseError, UnsupportedFragmentError
 from .parser import evaluate, parse
-from .printing import _RENDERERS, render, render_text
-
-if TYPE_CHECKING:
-    from .suites import SuiteReport
+from .printing import _RENDERERS, render
 
 # RecursionError (input nested too deep for the recursive parser or evaluator)
 # and MemoryError are reported like any other input that cannot be evaluated.
@@ -39,29 +35,23 @@ def _error_line(exc: BaseException) -> str:
     return f"error: {str(exc) or type(exc).__name__}"
 
 
-def _format_report_text(report: SuiteReport) -> str:
-    lines = [f"suite {report.suite}"]
-    for check in report.checks:
-        status = "PASS" if check.passed else "FAIL"
-        lines.append(f"  {check.name:55s} {status} ({check.cases} cases)")
-        for failure in check.failures:
-            lines.append(f"    input:      {failure.input}")
-            lines.append(f"    difference: {render_text(failure.difference)}")
-    lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")
-    return "\n".join(lines)
+def _evaluated(source: str, fmt: str) -> tuple[bool, str]:
+    """``(True, line)`` with ``source`` evaluated and rendered in ``fmt``, or
+    ``(False, line)`` with the ``error:`` line of a user error.  The one step
+    of ``eval`` and the REPL, which differ only in where they print it."""
+    try:
+        return True, render(evaluate(parse(source)), fmt)
+    except _USER_ERRORS as exc:
+        return False, _error_line(exc)
 
 
 def cmd_eval(expr: str, fmt: str) -> int:
-    try:
-        text = render(evaluate(parse(expr)), fmt)
-    except _USER_ERRORS as exc:
-        print(_error_line(exc), file=sys.stderr)
-        return 2
-    print(text)
-    return 0
+    ok, line = _evaluated(expr, fmt)
+    print(line, file=sys.stdout if ok else sys.stderr)
+    return 0 if ok else 2
 
 
-def run_suite(suite: str, **params) -> SuiteReport:
+def run_suite(suite: str, **params):
     """:func:`opalg.suites.run_suite`, imported on the verify path only: the
     suites and their ``random`` cost ``eval`` and the REPL nothing."""
     from . import suites
@@ -85,10 +75,7 @@ def cmd_verify(suite: str, max_degree: int, cases: int, seed: int, fmt: str) -> 
     except (ValueError, RecursionError, MemoryError) as exc:
         print(_error_line(exc), file=sys.stderr)
         return 2
-    if fmt == "json":
-        print(json.dumps(report.to_json_dict()))
-    else:
-        print(_format_report_text(report))
+    print(json.dumps(report.to_json_dict()) if fmt == "json" else report.to_text())
     return 0 if report.passed else 1
 
 
@@ -128,10 +115,7 @@ def cmd_repl(stdin=None, stdout=None) -> int:
             else:
                 print(f"unknown directive {parts[0]!r} (try :help)", file=stdout)
             continue
-        try:
-            print(render(evaluate(parse(line)), fmt), file=stdout)
-        except _USER_ERRORS as exc:
-            print(_error_line(exc), file=stdout)
+        print(_evaluated(line, fmt)[1], file=stdout)
 
 
 class _ArgumentParser(argparse.ArgumentParser):

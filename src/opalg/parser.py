@@ -352,9 +352,7 @@ def evaluate(node: Node) -> Result:
         run = None  # the slot map that a run of same-type sum links adds into
         for link in reversed(spine):
             if link.op == "o":
-                a = _as_weyl(value, link.left)
-                b = _as_weyl(evaluate(link.right), link.right)
-                value = _guarded(weyl_product, link, a, b)
+                value = _weyl_pair(weyl_product, link, value, link.left, link.right)
             elif link.op == "*":
                 b = evaluate(link.right)
                 if _is_scalar(value):
@@ -399,10 +397,16 @@ def evaluate(node: Node) -> Result:
     raise TypeError(f"unknown AST node {type(node).__name__}")
 
 
+def _weyl_pair(op, node: Node, a: Result, left: Node, right: Node) -> WeylPolynomial:
+    """``op`` of two Weyl operands, guarded at ``node``: ``a``, the value of
+    ``left``, symmetrized at ``left``, then ``right`` evaluated and
+    symmetrized at ``right``.  The one operand step of ``o`` and ``pb``; its
+    order decides which error a doubly bad input reports."""
+    return _guarded(op, node, _as_weyl(a, left), _as_weyl(evaluate(right), right))
+
+
 def _pb(node: CallNode) -> Result:
-    a = _as_weyl(evaluate(node.args[0]), node.args[0])
-    b = _as_weyl(evaluate(node.args[1]), node.args[1])
-    return _guarded(symmetrized_poisson_bracket, node, a, b)
+    return _weyl_pair(symmetrized_poisson_bracket, node, evaluate(node.args[0]), *node.args)
 
 
 def _derivative(node: CallNode, wrt: Letter) -> Result:

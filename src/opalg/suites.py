@@ -98,6 +98,20 @@ class SuiteReport(TaggedTuple):
     def passed(self) -> bool:
         return all(check.passed for check in self.checks)
 
+    def to_text(self) -> str:
+        """The report as ``verify`` prints it in text: one line per check,
+        each failure's input and difference under its check, and the verdict
+        last."""
+        lines = [f"suite {self.suite}"]
+        for check in self.checks:
+            status = "PASS" if check.passed else "FAIL"
+            lines.append(f"  {check.name:55s} {status} ({check.cases} cases)")
+            for failure in check.failures:
+                lines.append(f"    input:      {failure.input}")
+                lines.append(f"    difference: {render_text(failure.difference)}")
+        lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")
+        return "\n".join(lines)
+
     def to_json_dict(self) -> dict:
         return {
             "suite": self.suite,

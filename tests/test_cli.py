@@ -481,6 +481,33 @@ def test_repl_eof_terminates():
     assert cmd_repl(stdin=io.StringIO(""), stdout=io.StringIO()) == 0
 
 
+@pytest.mark.parametrize(
+    "source, fmt, ok",
+    [
+        ("q p", "text", True),
+        ("q p", "latex", True),
+        ("q p", "json", True),
+        ("1/0", "text", False),  # ParseError
+        ("q^-1", "text", False),  # EvalError
+        ("S(rho)", "text", False),  # UnsupportedFragmentError, raised at the call
+        (DEEP, "text", False),  # RecursionError
+        pytest.param(HUGE, "json", False, marks=needs_digit_limit),  # too long to print
+    ],
+    ids=["text", "latex", "json", "parse", "eval", "fragment", "deep", "coefficient"],
+)
+def test_eval_and_repl_print_the_same_line(capsys, source, fmt, ok):
+    code = cli.cmd_eval(source, fmt)
+    captured = capsys.readouterr()
+    shown, silent = (captured.out, captured.err) if ok else (captured.err, captured.out)
+    assert code == (0 if ok else 2)
+    assert silent == ""
+    assert len(shown.splitlines()) == 1
+    assert shown.startswith("error: ") != ok
+    stdout = io.StringIO()
+    assert cmd_repl(stdin=io.StringIO(f":format {fmt}\n{source}\n"), stdout=stdout) == 0
+    assert stdout.getvalue() == shown
+
+
 # -- the exit contract at the process boundary -------------------------------
 
 

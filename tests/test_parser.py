@@ -253,6 +253,35 @@ def test_evaluation_errors_carry_positions():
         ev("(q o drho_q) o (p o drho_p)")
 
 
+_BARE_STATE = "the symmetrizer is not defined on words containing the bare state symbol"
+
+
+# ``o`` and ``pb`` symmetrize their left operand, then evaluate and symmetrize
+# the right, then apply the product or bracket at the operator's node.  An
+# input with two bad steps reports the first one in that order, at its node.
+_OPERAND_ERRORS = [
+    ("pb(rho, q^-1)", f"1:4: {_BARE_STATE}"),
+    (
+        "pb(q o drho_p, p o drho_q)",
+        "1:1: cannot multiply two terms that both carry a state-derivative letter",
+    ),
+    ("rho o q", f"1:1: {_BARE_STATE}"),
+    ("q o (rho)", f"1:6: {_BARE_STATE}"),
+    ("(q rho) o q^-1", f"1:4: {_BARE_STATE}"),
+    ("pb(q, rho)", f"1:7: {_BARE_STATE}"),
+    ("S(rho)", f"1:1: {_BARE_STATE}"),
+]
+
+
+@pytest.mark.parametrize(
+    "source, message", _OPERAND_ERRORS, ids=[source for source, _ in _OPERAND_ERRORS]
+)
+def test_weyl_operand_order_and_error_positions(source, message):
+    with pytest.raises(EvalError) as excinfo:
+        ev(source)
+    assert str(excinfo.value) == message
+
+
 # -- round trip ------------------------------------------------------------------
 
 

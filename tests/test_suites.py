@@ -1,11 +1,13 @@
 import hashlib
+import io
 import json
 import weakref
 from collections import Counter
+from contextlib import redirect_stdout
 
 import pytest
 
-from opalg import brackets, suites, weyl
+from opalg import brackets, cli, suites, weyl
 from opalg.suites import SUITE_NAMES, run_suite
 from opalg.weyl import WeylPolynomial
 
@@ -70,6 +72,17 @@ def test_report_json_shape():
         assert set(check) == {"name", "cases", "failures"}
         for failure in check["failures"]:
             assert set(failure) == {"input", "difference"}
+
+
+def test_report_text_is_what_verify_prints():
+    text = run_suite("eq6", max_degree=2, cases=1).to_text()
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        assert cli.main(["verify", "--suite", "eq6", "--max-degree", "2", "--cases", "1"]) == 0
+    assert buffer.getvalue() == text + "\n"
+    lines = text.splitlines()
+    assert lines[0] == "suite eq6"
+    assert lines[-1] == "result: PASS"
 
 
 def test_invalid_configuration_is_rejected():
