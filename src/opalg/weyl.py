@@ -48,7 +48,7 @@ class WeylMonomial(TaggedTuple):
     a key unequal to any plain tuple and to a :class:`~opalg.core.Word`,
     while hashing and ``==`` stay tuple's.  Read it through the fields; only
     the package's hot paths, the key hooks :func:`_add_exponents` and
-    :func:`~opalg.brackets._monomial_bracket`, :func:`_weight` and the
+    :func:`~opalg.brackets._monomial_bracket`, :func:`_word_count` and the
     printer's :func:`~opalg.printing._weyl`, unpack the tuple, and
     :func:`weyl_derivative` indexes it as it does a classical key."""
 
@@ -157,17 +157,7 @@ def symmetrize(x: FreePolynomial) -> WeylPolynomial:
     return WeylPolynomial._of(sum_into({}, terms))
 
 
-# Bounded memo that evicts nothing on the benchmark: in traced runs of seeds
-# 1-3, verify_all fills 72 keys, eval_stream 15-16 and ordering_large none,
-# as it only normal-orders and commutes expansions, which read their record.
-@lru_cache(maxsize=256)
-def expand(w: WeylMonomial) -> FreePolynomial:
-    """The symmetric average as an explicit free polynomial.
-
-    All distinct arrangements of ``n`` q's, ``m`` p's and the optional
-    derivative letter, in lexicographic order, each weighted by
-    ``n! * m! / (n + m + e)!`` where ``e`` counts the derivative letter.
-    """
+def _expansion(w: WeylMonomial) -> FreePolynomial:
     letters: list[Letter] = [Letter.Q] * w.n + [Letter.P] * w.m
     if w.deriv is not None:
         letters.append(w.deriv)
@@ -177,10 +167,40 @@ def expand(w: WeylMonomial) -> FreePolynomial:
     )
 
 
+# The memo keeps expansions of at most _MEMO_WORDS words, so it holds at most
+# 256 * 280 = 71,680 words.  280 is the largest key of the acceptance tests'
+# degree 8: degree 7 and a derivative letter, C(7, 3) * 8 words.  In traced
+# runs of seeds 1-3, verify_all's 72 keys hold at most 60 words and
+# eval_stream's 15-16 at most 6, so nothing is evicted; ordering_large makes
+# no key, as it only normal-orders and commutes expansions, which read their
+# record.  A larger expansion is built at each call.
+_MEMO_WORDS = 280
+_expansion_memo = lru_cache(maxsize=256)(_expansion)
+
+
+def expand(w: WeylMonomial) -> FreePolynomial:
+    """The symmetric average as an explicit free polynomial.
+
+    All distinct arrangements of ``n`` q's, ``m`` p's and the optional
+    derivative letter, in lexicographic order, each weighted by
+    ``n! * m! / (n + m + e)!`` where ``e`` counts the derivative letter.
+    ``expand.cache_info()`` reports the memo of the small expansions.
+    """
+    return (_expansion_memo if _word_count(w) <= _MEMO_WORDS else _expansion)(w)
+
+
+expand.cache_info = _expansion_memo.cache_info
+
+
+def _word_count(w: WeylMonomial) -> int:
+    """The number of words of ``expand(w)``, ``(n + m + e)! / (n! m!)``."""
+    n, m, deriv, _ = w  # read the layout
+    return comb(n + m, m) * (1 if deriv is None else n + m + 1)
+
+
 def _weight(w: WeylMonomial) -> Fraction:
     """The coefficient of each word of ``expand(w)``, ``n! m! / (n + m + e)!``."""
-    n, m, deriv, _ = w  # read the layout
-    return Fraction(1, comb(n + m, m) * (1 if deriv is None else n + m + 1))
+    return Fraction(1, _word_count(w))
 
 
 def expand_polynomial(x: WeylPolynomial) -> FreePolynomial:

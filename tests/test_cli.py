@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -14,9 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import opalg
-from opalg import cli, printing, suites
+from opalg import cli, printing, suites, weyl
 from opalg.cli import cmd_repl, main
-from opalg.core import IDENTITY_WORD
+from opalg.core import IDENTITY_WORD, FreePolynomial
 from opalg.parser import evaluate, parse
 from opalg.printing import render, render_json, render_text
 from opalg.scalars import HbarScalar
@@ -105,26 +106,61 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert child.stdout == "[]\n"
 
 
+# Runs one eval and a one-line REPL session, then prints which of the suites
+# and ``random`` are loaded.
+_EVAL_AND_REPL = """
+import io, sys
+from opalg.cli import cmd_repl, main
+main(["eval", "q p"])
+cmd_repl(io.StringIO("S(q) o p\\n"), io.StringIO())
+print(sorted({"opalg.suites", "random"} & set(sys.modules)))
+"""
+
+
 def test_cli_import_loads_neither_the_suites_nor_random():
     # eval and the REPL run no suite; only the verify path imports them.
     src = os.path.dirname(os.path.dirname(os.path.abspath(opalg.__file__)))
-    code = "import sys, opalg.cli; print(sorted({'opalg.suites', 'random'} & set(sys.modules)))"
     child = subprocess.run(
-        [sys.executable, "-S", "-c", code],
+        [sys.executable, "-S", "-c", _EVAL_AND_REPL],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout == "[]\n"
+    assert child.stdout == "q p\n[]\n"
 
 
 def test_suite_choices_are_the_suite_names_and_all(capsys):
-    assert list(cli._SuiteChoices()) == [*suites.SUITE_NAMES, "all"]
-    with pytest.raises(SystemExit) as excinfo:
-        main(["verify", "--suite", "eq7"])
-    assert excinfo.value.code == 2
+    # argparse takes any --suite; run_suite rejects an unknown one.
+    assert len(suites.SUITE_NAMES) == 13
+    assert main(["verify", "--suite", "eq7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
     names = ", ".join(repr(name) for name in (*suites.SUITE_NAMES, "all"))
-    expected = f"error: argument --suite: invalid choice: 'eq7' (choose from {names})\n"
-    assert capsys.readouterr().err == expected
+    assert captured.err == f"error: unknown suite 'eq7'; expected one of ({names})\n"
+
+
+def _held_expansions() -> list:
+    """The expansions that the ``expand`` memo holds: the C ``lru_cache``
+    reports its results among its referents."""
+    memo = weyl._expansion_memo
+    held = [x for x in gc.get_referents(memo) if isinstance(x, FreePolynomial)]
+    assert len(held) == memo.cache_info().currsize
+    return held
+
+
+def test_expansion_memo_holds_no_expansion_above_its_word_bound():
+    # S(q^6 p^6) q lists 924 words and S(q^4 p^4 drho_q) p 630; S(q^2 p) q 3.
+    sources = ["S(q^6 p^6) q", "S(q^4 p^4 drho_q) p", "S(q^2 p) q"]
+    weyl._expansion_memo.cache_clear()
+    for source in sources:
+        ok, line = cli._evaluated(source, "text")
+        assert ok, line
+    session = io.StringIO()
+    assert cmd_repl(io.StringIO("\n".join(sources) + "\n"), session) == 0
+    assert "(1/924)" in session.getvalue() and "(1/630)" in session.getvalue()
+    held = _held_expansions()
+    assert [len(x) for x in held] == [3]
+    assert all(len(x) <= weyl._MEMO_WORDS for x in held)
+    assert sum(map(len, held)) <= weyl._MEMO_WORDS * weyl.expand.cache_info().maxsize
 
 
 def test_eval_option_like_input_is_one_error_line(capsys):
@@ -308,7 +344,7 @@ def test_verify_memory_error_exits_2(monkeypatch, capsys):
     def run_suite(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "run_suite", run_suite)
+    monkeypatch.setattr(suites, "run_suite", run_suite)
     assert main(["verify", "--suite", "eq6"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -317,7 +353,6 @@ def test_verify_memory_error_exits_2(monkeypatch, capsys):
 
 
 def test_verification_failure_exits_1(monkeypatch, capsys):
-    from opalg.core import FreePolynomial
     from opalg.suites import CheckResult, Failure, SuiteReport
 
     broken = SuiteReport(
@@ -330,7 +365,7 @@ def test_verification_failure_exits_1(monkeypatch, capsys):
             ),
         ),
     )
-    monkeypatch.setattr(cli, "run_suite", lambda *a, **k: broken)
+    monkeypatch.setattr(suites, "run_suite", lambda *a, **k: broken)
     assert main(["verify", "--suite", "eq6"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out

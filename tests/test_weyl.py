@@ -189,6 +189,18 @@ def test_expansion_of_identity():
 def test_expansion_memo_is_bounded():
     maxsize = expand.cache_info().maxsize
     assert maxsize is not None and maxsize > 0
+    # Every key up to the acceptance tests' degree 8 is kept; its largest
+    # expansion, degree 7 and a derivative letter, has C(7, 3) * 8 words.
+    for deriv in (None, Letter.DRHO_Q, Letter.DRHO_P):
+        for n in range(9):
+            for m in range(9 - n - (deriv is not None)):
+                w = WeylMonomial(n, m, deriv)
+                assert expand(w) is expand(w), w
+    assert len(expand(WeylMonomial(3, 4, Letter.DRHO_P))) == weyl._MEMO_WORDS
+    large = WeylMonomial(6, 6)
+    before = expand.cache_info()
+    assert expand(large) is not expand(large)
+    assert expand.cache_info() == before
 
 
 def test_expansion_word_count():
