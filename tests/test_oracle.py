@@ -30,12 +30,15 @@ def x_power(degree: int, coeff: HbarScalar = ONE) -> Degrees:
 
 
 def images(op: FreePolynomial, degrees) -> dict[int, Degrees]:
-    """The kernel's images of ``x**j`` under ``op``, one carrier per ``j``."""
+    """The kernel's images of ``x**j`` under ``op``, one carrier per ``j``,
+    rebuilt from each group's sums at ``(j, j + rise, grade + k)``."""
     degrees = list(degrees)
-    den, found = oracle._images(list(op._terms.items()), degrees)
+    den, groups = oracle._groups((op._terms, 1))
     pairs = {j: [] for j in degrees}
-    for (j, degree, grade), (re, im) in found.items():
-        pairs[j].append((degree, _make(re, im, den, grade)))
+    for (rise, grade), members in groups.items():
+        for j, re, im in oracle._sums(members, max(degrees, default=-1)):
+            if j in pairs:
+                pairs[j].append((j + rise, _make(re, im, den, grade)))
     return {j: Degrees(terms) for j, terms in pairs.items()}
 
 
@@ -287,15 +290,15 @@ def test_verdicts_over_shared_words_and_mixed_coefficients_match_the_normal_form
 
 def test_test_degrees_run_to_the_longest_word(monkeypatch):
     seen = []
-    images = oracle._images
+    sums = oracle._sums
 
-    def recording(terms, degrees):
-        seen.append(list(degrees))
-        return images(terms, degrees)
+    def recording(members, top):
+        seen.append(top)
+        return sums(members, top)
 
-    monkeypatch.setattr(oracle, "_images", recording)
+    monkeypatch.setattr(oracle, "_sums", recording)
     oracle_equal(letters("qpppqpp"), letters("qp"))
-    assert seen == [list(range(8))]
+    assert seen == [7]
 
 
 # p^L annihilates x^0 .. x^(L-1), so only the test degree L tells it from zero.
@@ -307,6 +310,38 @@ def test_the_longest_word_length_is_a_needed_test_degree(length):
     word = FreePolynomial.from_word(Word.of(*((Q, P) * length)[:length]))
     assert not oracle_equal(word, word + p_power(length, HBAR))
     assert not oracle_equal(word + p_power(length, HBAR), word)
+
+
+# A = 1 - (i/hbar) q p - (1/(2 hbar^2)) q^2 p^2 is one group, rise 0 and
+# grade + k 0, whose members first act at x**0, x**1 and x**2.  It
+# annihilates x**1 and x**2 but not x**0, so a group's sums must start at
+# its lowest member's first degree, not at any later one.
+def test_a_group_is_summed_from_its_lowest_member():
+    a = (
+        FreePolynomial.one()
+        + letters("qp").scale(HbarScalar.of(0, -1, -1))
+        + letters("qqpp").scale(HbarScalar.of(Fraction(-1, 2), 0, -2))
+    )
+    assert images(a, range(3)) == {0: x_power(0), 1: Degrees(), 2: Degrees()}
+    assert not oracle_equal(a, ZERO_OP)
+    assert not oracle_equal(ZERO_OP, a)
+
+
+# c hbar^t q^(a-t) p^(b-t), a and b the q- and p-counts of w, has w's rise
+# and w's grade + k, so a perturbation by it shows only through the sums
+# of w's own group.
+@pytest.mark.parametrize("length", range(8))
+def test_a_perturbation_inside_the_word_s_own_group_is_seen(length):
+    parts = itertools.cycle([(1, 0), (Fraction(-2, 3), 0), (0, Fraction(5, 2))])
+    for word_letters in itertools.product((Q, P), repeat=length):
+        word = FreePolynomial.from_word(Word(word_letters))
+        normal = normal_order(word)
+        assert oracle_equal(word, normal) and oracle_equal(normal, word)
+        a, b = word_letters.count(Q), word_letters.count(P)
+        for t in range(min(a, b) + 1):
+            shifted = letters("q" * (a - t) + "p" * (b - t)).scale(HbarScalar.of(*next(parts), t))
+            assert not oracle_equal(word, normal + shifted)
+            assert not oracle_equal(normal + shifted, word)
 
 
 def test_the_oracle_never_calls_normal_order(monkeypatch):
