@@ -158,7 +158,7 @@ class FreePolynomial(GradedTerms):
 
     @property
     def max_word_length(self) -> int:
-        return max((len(word) for word, _ in self.items()), default=0)
+        return max((len(word) for word, _ in self._terms), default=0)
 
 
 _get_terms = GradedTerms._terms.__get__  # type: ignore[attr-defined]

@@ -27,9 +27,14 @@ Evaluation produces either a free polynomial or a Weyl polynomial:
   closed form) and expands one that carries a derivative letter.
 * ``S`` symmetrizes a free operand and leaves a Weyl operand unchanged.
 * ``dq``/``dp`` differentiate within the operand's own basis.
-* Mixed sums and ordinary products preserve operator meaning: a pure scalar
-  operand rescales the other side in place, any other Weyl operand is
-  expanded to its free form first.
+* The basis rules of ``*``, ``^`` and ``+``/``-``: a power is always free; a
+  scalar factor or summand (a number times its basis's unit) takes the other
+  operand's basis, so that of two scalars a product takes the right factor's
+  basis and a sum the Weyl one; any other mix of free and Weyl goes free.
+
+Every product of two values is one :func:`_times`, every expansion one
+:func:`_as_free`, and every run of ``+``/``-`` links adds into one copied
+slot map.
 """
 
 from __future__ import annotations
@@ -301,8 +306,15 @@ def _is_scalar(value: Result) -> bool:
     return all(key == unit for key, _ in value._terms)
 
 
-def _scale_by_scalar(scalar: Result, target: Result) -> Result:
-    return bilinear(target, scalar, lambda key, _: (key, 1))
+def _times(a: Result, b: Result) -> Result:
+    """The ordinary product ``a b``, the evaluator's only product of two
+    values: a scalar factor rescales the other in the other's basis, any
+    other pair multiplies as free values."""
+    if _is_scalar(a):
+        a, b = b, a  # the scalar rescales the other factor
+    elif not _is_scalar(b):
+        return _as_free(a) * _as_free(b)
+    return bilinear(a, b, lambda key, _: (key, 1))
 
 
 def _as_free(value: Result) -> FreePolynomial:
@@ -324,13 +336,14 @@ def _guarded(func, node: Node, *args):
         raise EvalError(str(exc), node.line, node.column) from exc
 
 
-def _mixed_sum(a: Result, b: Result) -> Result:
-    """``a + b`` for one free and one Weyl value."""
-    free, weyl = (a, b) if isinstance(a, FreePolynomial) else (b, a)
-    if _is_scalar(free):
-        converted = _scale_by_scalar(free, WeylPolynomial.one())
-        return converted + weyl if free is a else weyl + converted  # type: ignore[operator]
-    return _as_free(a) + _as_free(b)
+def _one_basis(a: Result, b: Result) -> tuple[Result, Result]:
+    """The summands ``a``, ``b`` of one free and one Weyl value in one
+    basis: a free scalar joins the Weyl basis, any other mix goes free."""
+    if isinstance(a, FreePolynomial) and _is_scalar(a):
+        return _times(a, WeylPolynomial.one()), b
+    if isinstance(b, FreePolynomial) and _is_scalar(b):
+        return a, _times(b, WeylPolynomial.one())
+    return _as_free(a), _as_free(b)
 
 
 def evaluate(node: Node) -> Result:
@@ -354,20 +367,13 @@ def evaluate(node: Node) -> Result:
             if link.op == "o":
                 value = _weyl_pair(weyl_product, link, value, link.left, link.right)
             elif link.op == "*":
-                b = evaluate(link.right)
-                if _is_scalar(value):
-                    value = _scale_by_scalar(value, b)
-                elif _is_scalar(b):
-                    value = _scale_by_scalar(b, value)
-                else:
-                    value = _as_free(value) * _as_free(b)
+                value = _times(value, evaluate(link.right))
             else:
                 b = evaluate(link.right)
                 if link.op == "-":
                     b = -b
                 if type(b) is not type(value):
-                    value = _mixed_sum(value, b)
-                    continue
+                    value, b = _one_basis(value, b)
                 # One copy of the map per run of same-type links, summed into
                 # in place, keeps a long sum linear in its term count.
                 if value._terms is not run:
@@ -387,7 +393,7 @@ def evaluate(node: Node) -> Result:
         base = _as_free(evaluate(node.base))
         result = base if node.exponent else FreePolynomial.one()
         for _ in range(node.exponent - 1):
-            result = result * base
+            result = _times(result, base)
         return result
     if kind is CallNode:
         function = _FUNCTIONS.get(node.func)

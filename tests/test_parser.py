@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -19,7 +20,7 @@ from opalg.parser import (
     evaluate,
     parse,
 )
-from opalg.printing import render_text
+from opalg.printing import render_json, render_text
 from opalg.scalars import HBAR, I, HbarScalar, I_HBAR
 from opalg.terms import GradedTerms
 from opalg.weyl import WeylMonomial, WeylPolynomial, expand_polynomial
@@ -188,6 +189,41 @@ def test_scalar_sums_preserve_the_weyl_basis():
     assert ev("q - q + S(q)") == WeylPolynomial.from_monomial(WeylMonomial(1, 0))
 
 
+# The basis rules: a power is always free; a scalar factor or summand takes
+# the other operand's basis; any other mix of free and Weyl goes free.
+@pytest.mark.parametrize(
+    "source, text, basis",
+    [
+        ("S(2)^2", "4", "free"),
+        ("S(2) S(2)", "4", "weyl"),
+        ("2 S(2)", "4", "weyl"),
+        ("S(2) 2", "4", "free"),
+        ("S(2) + 2", "4", "weyl"),
+        ("S(q)^1", "q", "free"),
+        ("2 S(q)", "2 S(q)", "weyl"),
+        ("S(q) 2", "2 S(q)", "weyl"),
+        ("(1 + hbar) S(q)", "hbar S(q) + S(q)", "weyl"),
+        ("0 S(q)", "0", "weyl"),
+        ("S(q) S(p)", "q p", "free"),
+        ("(S(q) + 1)^2", "q^2 + 2 q + 1", "free"),
+        ("2 + S(q)", "S(q) + 2", "weyl"),
+        ("S(q) + 2", "S(q) + 2", "weyl"),
+        ("q + S(q)", "2 q", "free"),
+        ("S(q) - 1 + q", "2 q - 1", "free"),
+    ],
+)
+def test_basis_rules(source, text, basis):
+    value = ev(source)
+    assert render_text(value) == text
+    assert json.loads(render_json(value))["basis"] == basis
+
+
+def test_a_scalar_summand_keeps_the_operand_order():
+    one, q = WeylMonomial(0, 0), WeylMonomial(1, 0)
+    assert [key for key, _ in ev("2 + S(q)").items()] == [one, q]
+    assert [key for key, _ in ev("S(q) + 2").items()] == [q, one]
+
+
 @pytest.mark.parametrize("unit", [IDENTITY_WORD, WeylMonomial(0, 0)])
 @pytest.mark.parametrize("grades", [(), (-1,), (0,), (2,), (-1, 0, 2)])
 def test_unit_only_values_are_scalars(unit, grades):
@@ -241,6 +277,44 @@ def test_power_makes_one_product_fewer_than_its_exponent(monkeypatch):
     for n in range(1, 5):
         assert powers[n] == powers[n - 1] * base
     assert ev("(q + 2 p)^0 p") == ev("p") and ev("2^3") == ev("8")
+
+
+# Products, expansions and listed expansions made while evaluating: every
+# product of two values is one ``_times`` call, every expansion one
+# ``expand_polynomial`` call from ``_as_free``, every listing one ``_word_slots``.
+@pytest.mark.parametrize(
+    "source, products, expansions, listings",
+    [
+        ("q p q", 2, 0, 0),
+        ("(q + p)^3", 2, 0, 0),
+        ("2 + S(q)", 1, 0, 0),
+        ("S(q) + 2", 1, 0, 0),
+        ("q o p", 0, 0, 0),
+        ("S(q p) + q", 1, 1, 1),
+        ("normal(S(q^9 p^9)^1)", 17, 1, 0),
+    ],
+)
+def test_each_link_allocates_through_one_helper(monkeypatch, source, products, expansions, listings):
+    from opalg import parser, weyl
+
+    calls = {}
+
+    def counted(module, name):
+        func = getattr(module, name)
+
+        def counting(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return func(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    counted(parser, "_times")
+    counted(parser, "expand_polynomial")
+    counted(weyl, "_word_slots")
+    ev(source)
+    assert calls.get("_times", 0) == products
+    assert calls.get("expand_polynomial", 0) == expansions
+    assert calls.get("_word_slots", 0) == listings
 
 
 def test_evaluation_errors_carry_positions():

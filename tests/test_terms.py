@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from opalg.brackets import ClassicalPolynomial, _monomial_bracket, symmetrized_poisson_bracket
 from opalg.core import FreePolynomial, Letter, Word, _word, adjoint, multiply, normal_order, partial_derivative
 from opalg.errors import UnsupportedFragmentError
-from opalg.parser import _mixed_sum, _scale_by_scalar
+from opalg.parser import _one_basis, _times
 from opalg.scalars import HBAR, HbarScalar, INV_I_HBAR, ONE
 from opalg.terms import GradedTerms, bilinear, bilinear_sum, linear_map
 from opalg.weyl import (
@@ -351,13 +351,15 @@ def test_evaluator_scaling_matches_the_public_route(s, t, x, y):
     for scalar in (s, t):
         for target in (x, y):
             assert_matches(
-                _scale_by_scalar(scalar, target),
+                _times(scalar, target),
                 type(target)((k, c * f) for k, c in target.items() for _, f in scalar.items()),
             )
     # A free scalar beside a Weyl value in a sum becomes a Weyl scalar first.
     converted = WeylPolynomial((WeylMonomial(0, 0), c) for _, c in s.items())
-    assert_matches(_mixed_sum(s, y), converted + y)
-    assert_matches(_mixed_sum(y, s), y + converted)
+    (first, kept), (kept_first, last) = _one_basis(s, y), _one_basis(y, s)
+    assert kept is y and kept_first is y
+    assert_matches(first, converted)
+    assert_matches(last, converted)
 
 
 # -- public checks -----------------------------------------------------------
