@@ -302,8 +302,12 @@ _SYMBOL_VALUES = {
 
 def _is_scalar(value: Result) -> bool:
     """Whether ``value`` is a number times its basis's unit, as ``0`` and ``hbar/2`` are."""
-    unit = value._unit
-    return all(key == unit for key, _ in value._terms)
+    # A plain loop: every product and power step asks this twice, and
+    # ``all()`` over a generator cost about 4% of evaluating eval_stream.
+    for key, _ in value._terms:
+        if key != value._unit:
+            return False
+    return True
 
 
 def _times(a: Result, b: Result) -> Result:
