@@ -302,8 +302,9 @@ _SYMBOL_VALUES = {
 
 def _is_scalar(value: Result) -> bool:
     """Whether ``value`` is a number times its basis's unit, as ``0`` and ``hbar/2`` are."""
-    # A plain loop: every product and power step asks this twice, and
-    # ``all()`` over a generator cost about 4% of evaluating eval_stream.
+    # A plain loop: ``_times`` asks this up to twice per product and power
+    # step, and ``all()`` over a generator cost about 4% of evaluating the
+    # eval_stream expressions.
     for key, _ in value._terms:
         if key != value._unit:
             return False
