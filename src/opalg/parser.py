@@ -375,16 +375,19 @@ def evaluate(node: Node) -> Result:
                 value = _times(value, evaluate(link.right))
             else:
                 b = evaluate(link.right)
-                if link.op == "-":
-                    b = -b
                 if type(b) is not type(value):
                     value, b = _one_basis(value, b)
                 # One copy of the map per run of same-type links, summed into
-                # in place, keeps a long sum linear in its term count.
+                # in place, keeps a long sum linear in its term count; a
+                # ``-`` link adds the right operand's terms negated, with no
+                # negated value built.
                 if value._terms is not run:
                     run = dict(value._terms)
                     value = value._of(run)
-                sum_into(run, b._terms.items())
+                terms = b._terms.items()
+                if link.op == "-":
+                    terms = ((slot, -c) for slot, c in terms)
+                sum_into(run, terms)
         return value
     if kind is PowerNode:
         if node.exponent < 0:

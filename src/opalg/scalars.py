@@ -13,7 +13,8 @@ shared denominator, and the grade ``_power``.  Every value is kept in the
 canonical form ``_den > 0`` and ``gcd(_re, _im, _den) == 1``, and zero is
 ``(0, 0, 1)`` at grade 0, so equal values have equal fields.  Arithmetic
 works on the ints and reduces each result once, with one three-argument gcd
-in :func:`_make`; ``re`` and ``im`` are built as ``Fraction`` only when read.
+in :func:`_make` (none over a unit denominator); ``re`` and ``im`` are built
+as ``Fraction`` only when read.
 """
 
 from __future__ import annotations
@@ -191,13 +192,16 @@ def _make(re: int, im: int, den: int, power: int) -> HbarScalar:
     """The scalar ``(re + im*i)/den * hbar**power``; ``den`` must be positive.
 
     The only normalisation: divide out ``gcd(re, im, den)``, and give zero
-    grade 0.  Arguments are trusted ints, so nothing is validated.
+    grade 0.  A unit ``den``, the common case of integral coefficients, is
+    already reduced, so the gcd runs only for ``den != 1``.  Arguments are
+    trusted ints, so nothing is validated.
     """
-    g = gcd(re, im, den)
-    if g != 1:
-        re //= g
-        im //= g
-        den //= g
+    if den != 1:
+        g = gcd(re, im, den)
+        if g != 1:
+            re //= g
+            im //= g
+            den //= g
     scalar = _new(HbarScalar)
     scalar._re = re
     scalar._im = im

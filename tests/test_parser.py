@@ -418,6 +418,55 @@ def test_a_long_sum_copies_linearly_many_terms(monkeypatch):
     assert copied <= 2 * 2000
 
 
+def free_json(*terms):
+    """The JSON of a free value of grade-0 real coefficients, ``(letters, re)`` per term."""
+    coeff = '{{"hbar_powers": {{"0": {{"re": "{}", "im": "0"}}}}}}'
+    return '{"basis": "free", "terms": [%s]}' % ", ".join(
+        f'{{"word": {json.dumps(list(letters))}, "coeff": {coeff.format(re)}}}' for letters, re in terms
+    )
+
+
+def weyl_json(*terms):
+    """The JSON of a Weyl value of grade-0 real coefficients, ``(n, m, re)`` per term."""
+    coeff = '{{"hbar_powers": {{"0": {{"re": "{}", "im": "0"}}}}}}'
+    return '{"basis": "weyl", "terms": [%s]}' % ", ".join(
+        f'{{"word": {{"n": {n}, "m": {m}, "deriv": null}}, "coeff": {coeff.format(re)}}}'
+        for n, m, re in terms
+    )
+
+
+# A ``-`` link adds its right operand's terms negated, a mixed pair first
+# brought to one basis; the printed forms are those of negating the operand.
+@pytest.mark.parametrize(
+    "source, text, as_json",
+    [
+        ("q - p", "-1 p + q", free_json(("p", -1), ("q", 1))),
+        ("S(q) - 1", "S(q) - 1", weyl_json((1, 0, 1), (0, 0, -1))),
+        ("1 - S(q)", "-1 S(q) + 1", weyl_json((1, 0, -1), (0, 0, 1))),
+        ("S(q) - q", "0", free_json()),
+        (
+            "(q + p)^3 - q",
+            "p^3 + p^2 q + p q p + p q^2 + q p^2 + q p q + q^2 p + q^3 - q",
+            free_json(*[(w, 1) for w in itertools.product("pq", repeat=3)], ("q", -1)),
+        ),
+    ],
+    ids=["q - p", "S(q) - 1", "1 - S(q)", "S(q) - q", "(q + p)^3 - q"],
+)
+def test_a_difference_builds_no_negated_value(monkeypatch, source, text, as_json):
+    negated = 0
+    neg = GradedTerms.__neg__
+
+    def counting_neg(self):
+        nonlocal negated
+        negated += 1
+        return neg(self)
+
+    monkeypatch.setattr(GradedTerms, "__neg__", counting_neg)
+    value = ev(source)
+    assert negated == 0
+    assert (render_text(value), render_json(value)) == (text, as_json)
+
+
 def test_printed_text_of_a_4096_term_power_reads_back():
     x = ev("(q+p)^12")
     assert ev(render_text(x)) == x

@@ -315,6 +315,42 @@ def test_bilinear_sum_of_opposite_parts_is_zero():
     assert bilinear_sum(WeylPolynomial, []) == WeylPolynomial()
 
 
+def test_the_pair_loop_counts_then_scales(monkeypatch):
+    """One ``cx * cy`` per term of ``x`` along a ``y`` of one coefficient
+    object, one negation per term of a negative part's ``x``, and no scalar
+    at all for a pair whose factor is 0."""
+    from opalg import terms
+
+    made = {"mul": 0, "neg": 0, "scaled": 0}
+
+    def counting(name, func):
+        def counted(*args):
+            made[name] += 1
+            return func(*args)
+
+        return counted
+
+    monkeypatch.setattr(HbarScalar, "__mul__", counting("mul", HbarScalar.__mul__))
+    monkeypatch.setattr(HbarScalar, "__neg__", counting("neg", HbarScalar.__neg__))
+    monkeypatch.setattr(terms, "_scaled_product", counting("scaled", terms._scaled_product))
+
+    def count(run):
+        made.update(dict.fromkeys(made, 0))
+        run()
+        return made["mul"], made["neg"], made["scaled"]
+
+    x = WeylPolynomial([(WeylMonomial(0, 1), HBAR), (WeylMonomial(0, 2), INV_I_HBAR)])
+    y = WeylPolynomial([(WeylMonomial(k, 0), SHARED) for k in range(5)])
+    assert (len(x), len(y)) == (2, 5)
+    assert count(lambda: bilinear(x, y, _add_exponents)) == (2, 0, 0)
+    assert count(lambda: bilinear_sum(WeylPolynomial, [(x, y, _add_exponents, -1)])) == (2, 2, 0)
+    # q^2 p and q^4 p^2 commute: 2 * 2 == 1 * 4.
+    a = WeylPolynomial([(WeylMonomial(2, 1), SHARED)])
+    b = WeylPolynomial([(WeylMonomial(4, 2), HBAR)])
+    assert _monomial_bracket(WeylMonomial(2, 1), WeylMonomial(4, 2))[1] == 0
+    assert count(lambda: bilinear(a, b, _monomial_bracket)) == (0, 0, 0)
+
+
 @given(classical, classical)
 def test_classical_operations_match_the_public_route(x, y):
     check_linear(x, y)
