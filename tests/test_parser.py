@@ -467,6 +467,18 @@ def test_a_difference_builds_no_negated_value(monkeypatch, source, text, as_json
     assert (render_text(value), render_json(value)) == (text, as_json)
 
 
+def test_a_difference_negates_once_per_term_of_its_right_operand():
+    # As ``-b`` did: ``S(q p)``, which ``_one_basis`` expands, is one term,
+    # so its two words keep one negated coefficient object; the two terms of
+    # the free ``q S(q p)`` share one object but get one negation each.
+    # Which objects are shared decides how many scalar operations a later
+    # product or ``S`` of the sum makes.
+    value = ev("q - S(q p) - q S(q p)")
+    assert [str(word) for word, _ in value.items()] == ["q", "q p", "p q", "q q p", "q p q"]
+    _, qp, pq, qqp, qpq = (c for _, c in value.items())
+    assert qp is pq and qqp is not qpq and qqp == qpq == HbarScalar.real(Fraction(-1, 2))
+
+
 def test_printed_text_of_a_4096_term_power_reads_back():
     x = ev("(q+p)^12")
     assert ev(render_text(x)) == x
