@@ -418,19 +418,21 @@ def test_a_long_sum_copies_linearly_many_terms(monkeypatch):
     assert copied <= 2 * 2000
 
 
+# A grade-0 real coefficient as ``render_json`` writes it.
+REAL_COEFF = '{{"hbar_powers": {{"0": {{"re": "{}", "im": "0"}}}}}}'
+
+
 def free_json(*terms):
     """The JSON of a free value of grade-0 real coefficients, ``(letters, re)`` per term."""
-    coeff = '{{"hbar_powers": {{"0": {{"re": "{}", "im": "0"}}}}}}'
     return '{"basis": "free", "terms": [%s]}' % ", ".join(
-        f'{{"word": {json.dumps(list(letters))}, "coeff": {coeff.format(re)}}}' for letters, re in terms
+        f'{{"word": {json.dumps(list(letters))}, "coeff": {REAL_COEFF.format(re)}}}' for letters, re in terms
     )
 
 
 def weyl_json(*terms):
     """The JSON of a Weyl value of grade-0 real coefficients, ``(n, m, re)`` per term."""
-    coeff = '{{"hbar_powers": {{"0": {{"re": "{}", "im": "0"}}}}}}'
     return '{"basis": "weyl", "terms": [%s]}' % ", ".join(
-        f'{{"word": {{"n": {n}, "m": {m}, "deriv": null}}, "coeff": {coeff.format(re)}}}'
+        f'{{"word": {{"n": {n}, "m": {m}, "deriv": null}}, "coeff": {REAL_COEFF.format(re)}}}'
         for n, m, re in terms
     )
 

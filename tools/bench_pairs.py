@@ -3,8 +3,8 @@
 For every workload and seed given (by default every workload that the
 change checkout's ``BENCHMARK.json`` names), ``perfbench/run.py --workload W
 --seed S --seconds N`` runs once in the parent checkout and once in the
-change checkout; the two runs of a pair alternate which one goes first, so that a
-drift of the machine's speed does not favour one side.  Each pair is
+change checkout; the two runs of a pair alternate which one goes first, so
+that a drift of the machine's speed does not favour one side.  Each pair is
 printed as it finishes, then per workload and end-to-end metric the two
 medians, the parent's quartiles and in how many pairs the change was better
 (the direction of each metric, and the run length ``N``, come from the
