@@ -351,21 +351,6 @@ def _one_basis(a: Result, b: Result) -> tuple[Result, Result]:
     return _as_free(a), _as_free(b)
 
 
-def _negated(terms, converted: bool):
-    """A ``-`` link's summand terms, each coefficient negated, with no
-    negated value built: one ``-c`` per term of the right operand, as ``-b``
-    makes.  Where ``_one_basis`` converted the operand, each of its terms
-    became one run of terms under one coefficient object (the words of an
-    expansion), so ``converted`` negates once per run."""
-    last = None
-    for slot, c in terms:
-        if c is not last:
-            negated = -c
-            if converted:
-                last = c
-        yield slot, negated
-
-
 def evaluate(node: Node) -> Result:
     """Evaluate an AST into a free or Weyl polynomial."""
     kind = type(node)
@@ -389,18 +374,17 @@ def evaluate(node: Node) -> Result:
             elif link.op == "*":
                 value = _times(value, evaluate(link.right))
             else:
-                b = summand = evaluate(link.right)
+                b = evaluate(link.right)
+                if link.op == "-":
+                    b = -b
                 if type(b) is not type(value):
-                    value, summand = _one_basis(value, b)
+                    value, b = _one_basis(value, b)
                 # One copy of the map per run of same-type links, summed into
                 # in place, keeps a long sum linear in its term count.
                 if value._terms is not run:
                     run = dict(value._terms)
                     value = value._of(run)
-                terms = summand._terms.items()
-                if link.op == "-":
-                    terms = _negated(terms, summand is not b)
-                sum_into(run, terms)
+                sum_into(run, b._terms.items())
         return value
     if kind is PowerNode:
         if node.exponent < 0:

@@ -225,8 +225,7 @@ def test_a_traced_run_gives_its_work_counts_and_the_deltas_are_printed(tool, tmp
 
 def test_the_record_holds_each_runs_stress_lines_and_each_sides_work_counts(tool, tmp_path, monkeypatch, capsys):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
-        {"run_seconds": 1, "workloads": [{"name": "ordering_large"}],
-         "end_to_end": [{"name": "ops_per_s", "better": "higher"}]}))
+        {"run_seconds": 1, "end_to_end": [{"name": "ops_per_s", "better": "higher"}]}))
     calls = []
 
     def fake_run_once(checkout, workload, seed, seconds, trace=0):
@@ -247,28 +246,3 @@ def test_the_record_holds_each_runs_stress_lines_and_each_sides_work_counts(tool
         3, {"ordering_large": {"scalars.mul.calls": 1}}, {"ordering_large": {"scalars.mul.calls": 2}})
     assert [run["stress"] for run in record["runs"]] == [[f"stress_failed 0 count (seed {s})"] for s in (3, 3, 4, 4)]
     assert f"  {'scalars.mul.calls':48s} 1 -> 2 (+1)" in capsys.readouterr().out.splitlines()
-
-
-def test_a_run_without_workloads_records_every_workload_of_the_benchmark(tool, tmp_path, monkeypatch):
-    # The repository's workloads, with the end-to-end metrics that ``result`` gives.
-    bench = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
-    bench["end_to_end"] = [{"name": "ops_per_s", "better": "higher"}]
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
-    names = [w["name"] for w in bench["workloads"]]
-    assert len(names) == 3
-
-    def fake_run_once(checkout, workload, seed, seconds, trace=0):
-        if trace:
-            return {"metrics": {"scalars.mul.calls": {"value": 1, "unit": "count"}}}, []
-        return result(100 + seed, 0.2), []
-
-    monkeypatch.setattr(tool, "run_once", fake_run_once)
-    monkeypatch.setattr(tool, "checkout_commit", lambda checkout: "0" * 40)
-    monkeypatch.setattr(tool, "tool_outputs", lambda checkout: {"digests": DIGESTS, "code_lines": 2136})
-    out = tmp_path / "BENCH.json"
-    tool.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out), "--seeds", "3-4"])
-    record = json.loads(out.read_text())
-    assert list(record["parent"]["counts"]) == list(record["change"]["counts"]) == names
-    assert [(run["workload"], run["seed"]) for run in record["runs"][::2]] == [
-        (name, seed) for name in names for seed in (3, 4)]
-    assert sorted(record["summary"]) == sorted(names)

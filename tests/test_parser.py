@@ -418,69 +418,6 @@ def test_a_long_sum_copies_linearly_many_terms(monkeypatch):
     assert copied <= 2 * 2000
 
 
-# A grade-0 real coefficient as ``render_json`` writes it.
-REAL_COEFF = '{{"hbar_powers": {{"0": {{"re": "{}", "im": "0"}}}}}}'
-
-
-def free_json(*terms):
-    """The JSON of a free value of grade-0 real coefficients, ``(letters, re)`` per term."""
-    return '{"basis": "free", "terms": [%s]}' % ", ".join(
-        f'{{"word": {json.dumps(list(letters))}, "coeff": {REAL_COEFF.format(re)}}}' for letters, re in terms
-    )
-
-
-def weyl_json(*terms):
-    """The JSON of a Weyl value of grade-0 real coefficients, ``(n, m, re)`` per term."""
-    return '{"basis": "weyl", "terms": [%s]}' % ", ".join(
-        f'{{"word": {{"n": {n}, "m": {m}, "deriv": null}}, "coeff": {REAL_COEFF.format(re)}}}'
-        for n, m, re in terms
-    )
-
-
-# A ``-`` link adds its right operand's terms negated, a mixed pair first
-# brought to one basis; the printed forms are those of negating the operand.
-@pytest.mark.parametrize(
-    "source, text, as_json",
-    [
-        ("q - p", "-1 p + q", free_json(("p", -1), ("q", 1))),
-        ("S(q) - 1", "S(q) - 1", weyl_json((1, 0, 1), (0, 0, -1))),
-        ("1 - S(q)", "-1 S(q) + 1", weyl_json((1, 0, -1), (0, 0, 1))),
-        ("S(q) - q", "0", free_json()),
-        (
-            "(q + p)^3 - q",
-            "p^3 + p^2 q + p q p + p q^2 + q p^2 + q p q + q^2 p + q^3 - q",
-            free_json(*[(w, 1) for w in itertools.product("pq", repeat=3)], ("q", -1)),
-        ),
-    ],
-    ids=["q - p", "S(q) - 1", "1 - S(q)", "S(q) - q", "(q + p)^3 - q"],
-)
-def test_a_difference_builds_no_negated_value(monkeypatch, source, text, as_json):
-    negated = 0
-    neg = GradedTerms.__neg__
-
-    def counting_neg(self):
-        nonlocal negated
-        negated += 1
-        return neg(self)
-
-    monkeypatch.setattr(GradedTerms, "__neg__", counting_neg)
-    value = ev(source)
-    assert negated == 0
-    assert (render_text(value), render_json(value)) == (text, as_json)
-
-
-def test_a_difference_negates_once_per_term_of_its_right_operand():
-    # As ``-b`` did: ``S(q p)``, which ``_one_basis`` expands, is one term,
-    # so its two words keep one negated coefficient object; the two terms of
-    # the free ``q S(q p)`` share one object but get one negation each.
-    # Which objects are shared decides how many scalar operations a later
-    # product or ``S`` of the sum makes.
-    value = ev("q - S(q p) - q S(q p)")
-    assert [str(word) for word, _ in value.items()] == ["q", "q p", "p q", "q q p", "q p q"]
-    _, qp, pq, qqp, qpq = (c for _, c in value.items())
-    assert qp is pq and qqp is not qpq and qqp == qpq == HbarScalar.real(Fraction(-1, 2))
-
-
 def test_printed_text_of_a_4096_term_power_reads_back():
     x = ev("(q+p)^12")
     assert ev(render_text(x)) == x
