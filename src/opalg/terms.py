@@ -16,13 +16,11 @@ terms straight into a slot map and wrap it with the private, unchecked
 :meth:`GradedTerms._of`: :func:`bilinear` for products and brackets,
 :func:`linear_map` for derivatives, :func:`sum_into` for sums.  A
 checker's reference route may share a loop with its fast path, never a hook.
-:func:`bilinear_sum` is the one pair loop: a product or bracket is its
-one-part case, and a residual that is a signed sum of products and brackets
-of values already in hand, such as the Jacobiator or the Leibniz residual,
-runs all its parts into one slot map, so no product is made as a value and
-no map is copied to add it.  The loop adds each pair's scalar into the map
-itself, with :func:`sum_into`'s merge inlined, since a call per pair cost
-more than the bracket arithmetic of the residuals' one-term parts.
+A product or bracket is the one-part case of :func:`bilinear_sum`.  A
+residual that is a signed sum of products and brackets of values already in
+hand, such as the Jacobiator or the Leibniz residual, runs all its parts
+through the same pair loop into one slot map, so no product is made as a
+value and no map is copied to add it.
 
 Count, then scale: where many terms share one coefficient object, as the
 words of an expansion do, an operation pays one scalar operation per
@@ -243,43 +241,29 @@ def bilinear_sum(cls, parts: Iterable[tuple[GradedTerms, GradedTerms, Callable, 
     """``sum sign * bilinear(x, y, product)`` over ``parts`` of
     ``(x, y, product, sign)``, ``sign`` 1 or -1, as a ``cls`` value: every
     part's term pairs are summed, in part order, into one slot map.  A
-    negative part negates ``x``'s coefficients, once per term of ``x``.
-
-    The package's one pair loop.  Each pair's ``cx * cy`` is reused while
-    ``cy`` is the same object as the previous ``y`` term's, as along the
-    words of one expansion.  :func:`sum_into`'s merge is inlined: a call per
-    pair, or a generator step per pair, was most of the cost of the small
-    parts that the verify residuals sum."""
+    negative part negates ``x``'s coefficients, once per term of ``x``."""
     acc: Slots = {}
-    get = acc.get
     for x, y, product, sign in parts:
         x_terms = x._terms.items()
         if sign < 0:
             x_terms = [(slot, -c) for slot, c in x_terms]
-        y_terms = y._terms.items()
-        for (kx, gx), cx in x_terms:
-            last = None
-            for (ky, gy), cy in y_terms:
-                key, factor = product(kx, ky)
-                if factor == 1:
-                    if cy is not last:
-                        last, cxy = cy, cx * cy
-                    scalar = cxy
-                elif factor:
-                    scalar = _scaled_product(cx, cy, factor)
-                else:
-                    continue
-                slot = key, gx + gy
-                current = get(slot)
-                if current is None:
-                    acc[slot] = scalar
-                else:
-                    total = current + scalar
-                    if total:
-                        acc[slot] = total
-                    else:
-                        del acc[slot]
+        sum_into(acc, _pair_terms(x_terms, y._terms.items(), product))
     return cls._of(acc)
+
+
+def _pair_terms(x_terms, y_terms, product):
+    """Each pair's ``cx * cy`` is reused while ``cy`` is the same object as
+    the previous ``y`` term's, as along the words of one expansion."""
+    for (kx, gx), cx in x_terms:
+        last = None
+        for (ky, gy), cy in y_terms:
+            key, factor = product(kx, ky)
+            if factor == 1:
+                if cy is not last:
+                    last, cxy = cy, cx * cy
+                yield (key, gx + gy), cxy
+            elif factor:
+                yield (key, gx + gy), _scaled_product(cx, cy, factor)
 
 
 def linear_map(x: GradedTerms, image: Callable[[Any], Iterable[tuple[Any, int]]]):
