@@ -339,11 +339,16 @@ def check_anticommutator_identity(
     coeffs: Sequence[HbarScalar | RationalLike],
 ) -> EqualityReport:
     """For ``V = sum c_n q**n``: half the anti-commutator of V with p equals
-    the symmetric product ``sum c_n q**n o p``, compared in normal form."""
+    the symmetric product ``sum c_n q**n o p``, compared in normal form.
+
+    ``V p`` and ``p V`` are normal-ordered apart and then added, so that the
+    left side walks its words: normal-ordered as one value, ``(q p + p q)/2``
+    is a whole arrangement set and would take McCoy's closed form, the route
+    of the right side."""
     scalars = [c if isinstance(c, HbarScalar) else HbarScalar.real(c) for c in coeffs]
     v = FreePolynomial((Word.of(*([Letter.Q] * n)), c) for n, c in enumerate(scalars))
     p = FreePolynomial.from_letters(Letter.P)
-    lhs = normal_order((v * p + p * v).scale(Fraction(1, 2)))
+    lhs = (normal_order(v * p) + normal_order(p * v)).scale(Fraction(1, 2))
     weyl = WeylPolynomial((WeylMonomial(n, 1), c) for n, c in enumerate(scalars))
     rhs = normal_form(weyl)
     return EqualityReport(lhs, rhs, lhs - rhs)

@@ -127,7 +127,7 @@ class HbarScalar:
         )
 
     def __neg__(self) -> HbarScalar:
-        return _canonical(-self._re, -self._im, self._den, self._power)
+        return _make(-self._re, -self._im, self._den, self._power)
 
     def __sub__(self, other: HbarScalar) -> HbarScalar:
         return self + (-other)
@@ -166,7 +166,7 @@ class HbarScalar:
 
     def conjugate(self) -> HbarScalar:
         """Complex conjugate; hbar is real, so the grade is unchanged."""
-        return _canonical(self._re, -self._im, self._den, self._power)
+        return _make(self._re, -self._im, self._den, self._power)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -191,10 +191,11 @@ _new = object.__new__
 def _make(re: int, im: int, den: int, power: int) -> HbarScalar:
     """The scalar ``(re + im*i)/den * hbar**power``; ``den`` must be positive.
 
-    The only normalisation: divide out ``gcd(re, im, den)``, and give zero
-    grade 0.  A unit ``den``, the common case of integral coefficients, is
-    already reduced, so the gcd runs only for ``den != 1``.  Arguments are
-    trusted ints, so nothing is validated.
+    Every scalar is built here, negations and conjugates too.  The only
+    normalisation: divide out ``gcd(re, im, den)``, and give zero grade 0.
+    A unit ``den``, the common case of integral coefficients, is already
+    reduced, so the gcd runs only for ``den != 1``.  Arguments are trusted
+    ints, so nothing is validated.
     """
     if den != 1:
         g = gcd(re, im, den)
@@ -220,17 +221,6 @@ def _leads_negative(x: HbarScalar) -> bool:
     """Whether the first nonzero part of ``x``, ``re`` then ``im``, is
     negative: of a nonzero ``c`` and ``-c``, exactly one leads negative."""
     return x._re < 0 or (not x._re and x._im < 0)
-
-
-def _canonical(re: int, im: int, den: int, power: int) -> HbarScalar:
-    """The scalar of fields already in canonical form, such as a canonical
-    scalar's with the sign of ``re`` or ``im`` changed; nothing is reduced."""
-    scalar = _new(HbarScalar)
-    scalar._re = re
-    scalar._im = im
-    scalar._den = den
-    scalar._power = power
-    return scalar
 
 
 def times_minus_i_hbar_power(c: HbarScalar, n: int, k: int) -> HbarScalar:

@@ -18,6 +18,7 @@ reports byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from functools import cache, partial
@@ -274,23 +275,23 @@ def _pair_table(
     return cache(lambda i, j: op(values[i], values[j]))
 
 
-def _monomial_triples(
-    max_degree: int,
-    tabled: Callable[[list[WeylPolynomial]], Callable[[int, int, int], WeylPolynomial]],
-) -> Cases:
+def _monomial_triples(max_degree: int, residual: Callable[..., WeylPolynomial]) -> Cases:
     """An identity's residual on every triple of monomials up to ``max_degree``.
 
-    ``tabled(monomials)`` gives the residual of the triple at indices
-    ``(i, j, k)``; it looks up the values that depend on only two of the
-    three in :func:`_pair_table` tables, which live as long as this run.
+    ``residual(values, product, bracket, i, j, k)`` is the identity on the
+    Weyl values at indices ``(i, j, k)``; it looks up each symmetric product
+    and bracket of two of the three in the :func:`_pair_table` tables
+    ``product`` and ``bracket``, which live as long as this run.  A table
+    computes a pair only when it is first looked up, so a table that the
+    residual never reads computes nothing.
     """
     monos = _monomials(max_degree)
-    residual = tabled([WeylPolynomial.from_monomial(m) for m in monos])
-    indices = range(len(monos))
-    for i in indices:
-        for j in indices:
-            for k in indices:
-                yield _label("{} , {} , {}", monos[i], monos[j], monos[k]), residual(i, j, k)
+    values = [WeylPolynomial.from_monomial(m) for m in monos]
+    product = _pair_table(weyl_product, values)
+    bracket = _pair_table(symmetrized_poisson_bracket, values)
+    for i, j, k in itertools.product(range(len(monos)), repeat=3):
+        label = _label("{} , {} , {}", monos[i], monos[j], monos[k])
+        yield label, residual(values, product, bracket, i, j, k)
 
 
 def _on_monomials(identity: Callable[..., WeylPolynomial]) -> Callable[..., WeylPolynomial]:
@@ -417,15 +418,9 @@ def _suite_eq14(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
     def leibniz(f: WeylPolynomial, g: WeylPolynomial, h: WeylPolynomial) -> WeylPolynomial:
         return check_leibniz(f, g, h).difference
 
-    def tabled_leibniz(monos: list[WeylPolynomial]) -> Callable[[int, int, int], WeylPolynomial]:
-        product = _pair_table(weyl_product, monos)
-        bracket = _pair_table(symmetrized_poisson_bracket, monos)
-
-        def residual(i: int, j: int, k: int) -> WeylPolynomial:
-            f, g, h = monos[i], monos[j], monos[k]
-            return _leibniz(f, g, h, product(j, k), bracket(i, j), bracket(i, k))
-
-        return residual
+    def monomial_leibniz(values, product, bracket, i: int, j: int, k: int) -> WeylPolynomial:
+        f, g, h = values[i], values[j], values[k]
+        return _leibniz(f, g, h, product(j, k), bracket(i, j), bracket(i, k))
 
     def ordinary_gap() -> FreePolynomial:
         f = WeylPolynomial.from_monomial(WeylMonomial(2, 0))
@@ -440,7 +435,7 @@ def _suite_eq14(max_degree: int, cases: int, rng: random.Random) -> list[CheckRe
 
     gap = "S(q^2) , S(p^2) , q o p (ordinary-product variant stays unequal)"
     return _run(
-        ("leibniz-symmetric-product-monomials", _monomial_triples(max_degree, tabled_leibniz)),
+        ("leibniz-symmetric-product-monomials", _monomial_triples(max_degree, monomial_leibniz)),
         ("leibniz-symmetric-product-random", _random_cases(rng, cases, 3, max_degree, leibniz)),
         ("leibniz-ordinary-product-gap", _cases(gap, [()], ordinary_gap)),
         ("antisymmetry", _random_cases(rng, cases, 2, max_degree, antisymmetry)),
@@ -513,17 +508,12 @@ def _suite_jacobi(max_degree: int, cases: int, rng: random.Random) -> list[Check
         bracket = symmetrized_poisson_bracket
         return _bracket_sum((f, bracket(g, h)), (g, bracket(h, f)), (h, bracket(f, g)))
 
-    def tabled_jacobiator(monos: list[WeylPolynomial]) -> Callable[[int, int, int], WeylPolynomial]:
-        bracket = _pair_table(symmetrized_poisson_bracket, monos)
-
-        def residual(i: int, j: int, k: int) -> WeylPolynomial:
-            f, g, h = monos[i], monos[j], monos[k]
-            return _bracket_sum((f, bracket(j, k)), (g, bracket(k, i)), (h, bracket(i, j)))
-
-        return residual
+    def monomial_jacobiator(values, product, bracket, i: int, j: int, k: int) -> WeylPolynomial:
+        f, g, h = values[i], values[j], values[k]
+        return _bracket_sum((f, bracket(j, k)), (g, bracket(k, i)), (h, bracket(i, j)))
 
     return _run(
-        ("jacobi-monomials", _monomial_triples(max_degree, tabled_jacobiator)),
+        ("jacobi-monomials", _monomial_triples(max_degree, monomial_jacobiator)),
         ("jacobi-random", _random_cases(rng, cases, 3, max_degree, jacobiator)),
     )
 
@@ -621,9 +611,7 @@ _SUITES: dict[str, Callable[[int, int, random.Random], list[CheckResult]]] = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(
-    suite: str, max_degree: int = 6, cases: int = 200, seed: int = 0
-) -> SuiteReport:
+def run_suite(suite: str, max_degree: int = 6, cases: int = 200, seed: int = 0) -> SuiteReport:
     """Run one named suite (or ``all``) and return its report."""
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES + ('all',)}")

@@ -225,7 +225,8 @@ def test_a_traced_run_gives_its_work_counts_and_the_deltas_are_printed(tool, tmp
 
 def test_the_record_holds_each_runs_stress_lines_and_each_sides_work_counts(tool, tmp_path, monkeypatch, capsys):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
-        {"run_seconds": 1, "end_to_end": [{"name": "ops_per_s", "better": "higher"}]}))
+        {"run_seconds": 1, "workloads": [{"name": "ordering_large"}],
+         "end_to_end": [{"name": "ops_per_s", "better": "higher"}]}))
     calls = []
 
     def fake_run_once(checkout, workload, seed, seconds, trace=0):
@@ -246,3 +247,47 @@ def test_the_record_holds_each_runs_stress_lines_and_each_sides_work_counts(tool
         3, {"ordering_large": {"scalars.mul.calls": 1}}, {"ordering_large": {"scalars.mul.calls": 2}})
     assert [run["stress"] for run in record["runs"]] == [[f"stress_failed 0 count (seed {s})"] for s in (3, 3, 4, 4)]
     assert f"  {'scalars.mul.calls':48s} 1 -> 2 (+1)" in capsys.readouterr().out.splitlines()
+
+
+def fake_pair_run(tool, monkeypatch) -> list:
+    """Replaces every step of ``main`` that reads a checkout or runs a
+    command with a stand-in; returns the list of the steps taken."""
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, seconds, trace=0):
+        calls.append(("run_once", workload, seed, trace))
+        return result(100 + seed, 0.2), []
+
+    monkeypatch.setattr(tool, "run_once", fake_run_once)
+    monkeypatch.setattr(tool, "checkout_commit", lambda checkout: calls.append(("commit",)) or "0" * 40)
+    monkeypatch.setattr(
+        tool, "tool_outputs", lambda checkout: calls.append(("tools",)) or {"digests": DIGESTS, "code_lines": 1})
+    return calls
+
+
+def test_without_workloads_every_workload_of_benchmark_json_is_recorded(tool, tmp_path, monkeypatch):
+    # The workloads are the repository's own; the one metric is what the
+    # stand-in results carry.
+    workloads = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())["workloads"]
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": workloads, "end_to_end": [{"name": "ops_per_s", "better": "higher"}]}))
+    names = [workload["name"] for workload in workloads]
+    fake_pair_run(tool, monkeypatch)
+    out = tmp_path / "BENCH.json"
+    tool.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out), "--seeds", "3"])
+    record = json.loads(out.read_text())
+    assert list(record["summary"]) == names
+    assert list(record["parent"]["counts"]) == list(record["change"]["counts"]) == names
+
+
+def test_an_existing_out_is_refused_before_anything_is_inspected_or_run(tool, tmp_path, monkeypatch, capsys):
+    calls = fake_pair_run(tool, monkeypatch)
+    out = tmp_path / "BENCH_1.json"
+    out.write_bytes(b'{"runs": []}\n')
+    missing = str(tmp_path / "no-checkout")
+    assert tool.main(["--parent", missing, "--change", missing, "--out", str(out)]) == 2
+    assert out.read_bytes() == b'{"runs": []}\n'
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {out} exists; a record is never overwritten"]

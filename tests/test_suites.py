@@ -7,7 +7,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from opalg import brackets, cli, suites, weyl
+from opalg import brackets, cli, core, suites, weyl
+from opalg.parser import evaluate, parse
+from opalg.printing import render_text
 from opalg.suites import SUITE_NAMES, run_suite
 from opalg.weyl import WeylPolynomial
 
@@ -357,3 +359,30 @@ def test_every_residual_is_computed_while_its_check_iterates(monkeypatch):
     assert report.passed
     assert set(calls) == set(SPIED)
     assert outside == Counter()
+
+
+# -- McCoy's closed form --------------------------------------------------------
+
+
+def test_eq11_catches_a_wrong_mccoy_constant(monkeypatch):
+    # The mutant counts one extra -i hbar at slot ((), 0, 1) of every whole
+    # arrangement set {q p, p q}.  eq11's V = q case sees it only if its two
+    # sides take different routes: the left side walks its words, the right
+    # side takes McCoy's closed form.
+    arrangement_counts = weyl._arrangement_counts
+
+    def mutant(sets):
+        sets = list(sets)
+        counts_by_coeff = arrangement_counts(sets)
+        for n, m, coeff in sets:
+            if (n, m) == (1, 1):
+                counts = counts_by_coeff[coeff]
+                counts[(), 0, 1] = counts.get(((), 0, 1), 0) + 1
+        return counts_by_coeff
+
+    for module in (core, weyl):
+        monkeypatch.setattr(module, "_arrangement_counts", mutant)
+    assert render_text(evaluate(parse("normal(S(q p))"))) == "q p - i hbar"
+    for seed in (1, 2, 3):
+        report = run_suite("eq11", seed=seed)
+        assert not report.passed, seed

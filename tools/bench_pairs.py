@@ -1,9 +1,10 @@
 """Run the benchmark in two checkouts, alternately, and write a BENCH_<n>.json.
 
-For every workload and seed given, ``perfbench/run.py --workload W --seed S
---seconds N`` runs once in the parent checkout and once in the change
-checkout; the two runs of a pair alternate which one goes first, so that a
-drift of the machine's speed does not favour one side.  Each pair is
+For every workload and seed given (by default every workload that the
+change checkout's ``BENCHMARK.json`` names), ``perfbench/run.py --workload W
+--seed S --seconds N`` runs once in the parent checkout and once in the
+change checkout; the two runs of a pair alternate which one goes first, so
+that a drift of the machine's speed does not favour one side.  Each pair is
 printed as it finishes, then per workload and end-to-end metric the two
 medians, the parent's quartiles and in how many pairs the change was better
 (the direction of each metric, and the run length ``N``, come from the
@@ -19,7 +20,9 @@ run of a seed.  Both sides' counts go in the record and the script prints
 each count that differs.  Both checkouts must be clean, so that each
 recorded commit is the tree that was measured.  With ``--compare`` an
 earlier record's change medians are printed beside this record's, per
-workload and end-to-end metric.
+workload and end-to-end metric.  An ``--out`` that already exists is
+refused, with exit status 2, before anything is inspected or run, so that no
+record is overwritten.
 
 Each run imports ``opalg`` from its own checkout's ``src/``; this script
 imports nothing from ``opalg`` and writes nothing under ``perfbench/``.
@@ -215,14 +218,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workloads", nargs="+", default=["ordering_large"])
+    parser.add_argument("--workloads", nargs="+", help="default: every workload of BENCHMARK.json")
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("82-86,182-186"))
     parser.add_argument("--compare", type=Path, help="an earlier BENCH_<n>.json to print change medians against")
     args = parser.parse_args(argv)
+    if args.out.exists():
+        print(f"error: {args.out} exists; a record is never overwritten", file=sys.stderr)
+        return 2
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     previous = json.loads(args.compare.read_text())["summary"] if args.compare else None
     record = {
         "environment": environment(),
@@ -235,12 +242,12 @@ def main(argv: list[str] | None = None) -> int:
     print(digest_line(record["parent"]["digests"], record["change"]["digests"]))
     print(f"code lines: {record['parent']['code_lines']} -> {record['change']['code_lines']}", flush=True)
     record["counts_seed"] = args.seeds[0]
-    for workload in args.workloads:
+    for workload in workloads:
         for side in SIDES:
             traced, _ = run_once(checkouts[side], workload, args.seeds[0], bench["run_seconds"], trace=1)
             record[side].setdefault("counts", {})[workload] = work_counts(traced)
         print("\n".join(count_lines(workload, *(record[side]["counts"][workload] for side in SIDES))), flush=True)
-    for workload in args.workloads:
+    for workload in workloads:
         for index, seed in enumerate(args.seeds):
             order = SIDES if index % 2 == 0 else SIDES[::-1]
             results = {}
