@@ -110,51 +110,50 @@ def commutator_bracket(
     normal-ordered.  Count, then scale: each pair of source coefficients
     ``cf``, ``cg`` makes one scalar ``cf * cg``, and under it both orders of
     each slot pair add ``+-n_f n_g`` times their junction counts to one int
-    count map.  Of two pure words ``u = q^a p^b`` and ``v = q^c p^d`` (the
-    head all q's), term ``t`` of ``u v`` and of ``v u`` land on the same
-    word ``q^(a+c-t) p^(b+d-t)``, so one loop over ``t >= 1`` adds
-    ``n_f n_g t! (C(b,t) C(c,t) - C(d,t) C(a,t))`` and the ``t = 0`` terms,
-    equal and opposite, are never built.  A pair with a state letter takes
-    the junction of each order.  The README's "Why normal ordering needs no
-    rewriting" derives the junction formula.
+    count map.
+
+    The route is chosen once per call, from one scan of both count maps.
+    When every head is all q's, every word is ``q^a p^b`` with ``a`` its
+    head's length, and of two such words ``u = q^a p^b`` and ``v = q^c
+    p^d`` term ``t`` of ``u v`` and of ``v u`` land on the same word
+    ``q^(a+c-t) p^(b+d-t)``: one loop over ``t >= 1``
+    (:func:`_add_pure_pair`) adds ``n_f n_g t! (C(b,t) C(c,t) - C(d,t)
+    C(a,t))``, and the ``t = 0`` terms, equal and opposite, are never built.
+    Otherwise every slot pair, a pure one too, takes the junction product
+    :func:`_add_product` once per order.  That product never continues
+    :func:`~opalg.core.normal_order`'s walk, so eq20 and eq21 of ``verify``,
+    whose other side walks its state words, see a wrong state step of the
+    walk.  The README's "Why normal ordering needs no rewriting" derives the
+    junction formula.
     """
-    sides_f, sides_g = (_junction_sides(_normal_form_counts(x)) for x in (f, g))
+    sides = _normal_form_counts(f), _normal_form_counts(g)
+    pure = all(h == _Q * len(h) for side in sides for slots in side.values() for h, _, _ in slots)
     counts_by_coeff: dict[HbarScalar, dict] = {}
-    for cf, slots_f in sides_f.items():
-        for cg, slots_g in sides_g.items():
+    for cf, slots_f in sides[0].items():
+        for cg, slots_g in sides[1].items():
             counts = counts_by_coeff.setdefault(cf * cg, {})
-            for head_f, b_f, c_f, tail_f, k_f, n_f in slots_f:
-                pure_f = c_f == len(head_f)  # the head is all q's
-                for head_g, b_g, c_g, tail_g, k_g, n_g in slots_g:
-                    if pure_f and c_g == len(head_g):
-                        _add_pure_pair(counts, c_f, b_f, c_g, b_g, n_f * n_g, k_f + k_g)
+            for (head_f, b_f, k_f), n_f in slots_f.items():
+                for (head_g, b_g, k_g), n_g in slots_g.items():
+                    n, k = n_f * n_g, k_f + k_g
+                    if pure:
+                        _add_pure_pair(counts, len(head_f), b_f, len(head_g), b_g, n, k)
                     else:
-                        _add_product(counts, head_f, b_f, c_g, tail_g, n_f * n_g, k_f + k_g)
-                        _add_product(counts, head_g, b_g, c_f, tail_f, -n_f * n_g, k_f + k_g)
+                        _add_product(counts, head_f, b_f, head_g + _P * b_g, n, k)
+                        _add_product(counts, head_g, b_g, head_f + _P * b_f, -n, k)
     return _from_counts({c * INV_I_HBAR: counts for c, counts in counts_by_coeff.items()})
 
 
-def _junction_sides(counts_by_coeff: dict[HbarScalar, dict]) -> dict[HbarScalar, list]:
-    """Each coefficient's count map as a list of its slots, each slot
-    ``(head, b, k) -> n`` as ``(H, b, c, T, k, n)``: its word is both
-    ``H p^b`` and ``q^c T`` with ``b`` and ``c`` maximal.  ``H`` is the
-    slot's head, which never ends in ``p``, so only ``c`` is counted."""
-    sides: dict[HbarScalar, list] = {}
-    for coeff, counts in counts_by_coeff.items():
-        sides[coeff] = slots = []
-        for (head, b, k), n in counts.items():
-            c = 0
-            while c < len(head) and head[c] is Letter.Q:
-                c += 1
-            slots.append((head, b, c, head[c:] + _P * b, k, n))
-    return sides
-
-
-def _add_product(counts: dict, head: tuple, b: int, c: int, tail: tuple, n: int, k: int) -> None:
-    """Add ``n (-i*hbar)^k`` times the normal form of ``head p^b q^c tail``
-    to the count map ``counts`` of full-word slots ``(letters, 0, k + t)``."""
+def _add_product(counts: dict, head: tuple, b: int, word: tuple, n: int, k: int) -> None:
+    """Add ``n (-i*hbar)^k`` times the normal form of ``head p^b word`` to the
+    count map ``counts`` of full-word slots ``(letters, 0, k + t)``, for a
+    normal ``word`` ``q^c T`` with ``c`` maximal: only ``p^b q^c`` is out of
+    order.  This junction product is the commutator's own; the walk of
+    :func:`~opalg.core.normal_order` never reaches it."""
+    c = 0
+    while c < len(word) and word[c] is Letter.Q:
+        c += 1
     for t, m in enumerate(_junction(b, c, n)):
-        slot = (head + _Q * (c - t) + _P * (b - t) + tail, 0, k + t)
+        slot = (head + _Q * (c - t) + _P * (b - t) + word[c:], 0, k + t)
         counts[slot] = counts.get(slot, 0) + m
 
 
@@ -367,6 +366,13 @@ def check_von_neumann_equivalence(F: WeylPolynomial) -> EqualityReport:
     McCoy's closed form without expanding it.  So the two sides share no
     route: only the left side expands.  Both are compared exactly in the
     free algebra over q, p, rho.
+
+    ``rho`` holds a state letter, so the commutator chooses its junction
+    product for every slot pair, and it reaches the walk of
+    :func:`~opalg.core.normal_order` only through ``normal(rho)``, whose
+    state step moves ``p^0``.  The walk's state step with ``b > 0`` runs on
+    the left side only, so this check sees a wrong one; a commutator that
+    continued the walk for state words would run it on both sides.
     """
     for monomial, _ in F.items():
         if monomial.deriv is not None:

@@ -463,20 +463,31 @@ def test_pure_slot_pairs_never_reach_the_general_product(monkeypatch):
 
 
 def test_state_letters_still_take_the_general_product(monkeypatch):
-    # One coefficient heads a pure term and a state term: only the pairs
-    # with a state letter take the general product, once per order.
+    # The route is chosen once per call. One state letter in either operand
+    # sends every slot pair through the general product once per order, the
+    # pair of pure words q^2 p and q p^2 included.
     x = FreePolynomial([(pure_word(2, 1), C), (Word.of(Q, RHO, P), C)])
     y = FreePolynomial.from_word(pure_word(1, 2), G)
     products, pure_pairs = spy(monkeypatch, "_add_product"), spy(monkeypatch, "_add_pure_pair")
     assert commutator_bracket(x, y) == reordered_difference(x, y)
-    assert (len(products), len(pure_pairs)) == (2, 1)
-    assert all(RHO in head + tail for head, _, _, tail, _, _ in products)
+    assert (len(products), len(pure_pairs)) == (2 * 2, 0)
+    assert ((Q, Q), 1, (Q, P, P), 1, 0) in products
+    assert ((Q,), 2, (Q, Q, P), -1, 0) in products
+    products.clear()
+    # So does a state letter on the right only, as in eq20 and eq21's F and
+    # rho: normal(S(q^2 p)) = q^2 p - i hbar q has two slots.
+    assert_same_commutator(mono(2, 1), FreePolynomial.from_letters(RHO))
+    assert (len(products), len(pure_pairs)) == (2 * 2, 0)
     products.clear()
     # Operands with state letters on both sides take it for every pair.
     x = FreePolynomial([(Word.of(Q, RHO, P, P, P), ONE), (Word.of(Letter.DRHO_Q, Q, P, P), C)])
     y = FreePolynomial([(Word.of(Q, Q, RHO, Q, P), G), (Word.of(Q, Q, Q, Letter.DRHO_P), -G)])
     assert commutator_bracket(x, y) == reordered_difference(x, y)
-    assert len(products) == 2 * 2 * 2 and len(pure_pairs) == 1
+    assert (len(products), len(pure_pairs)) == (2 * 2 * 2, 0)
+    products.clear()
+    # Two pure operands never reach it, a free and a Weyl one included.
+    assert_same_commutator(FreePolynomial.from_word(pure_word(2, 1), C), mono(1, 2))
+    assert (len(products), len(pure_pairs)) == (0, 2)
 
 
 @pytest.mark.parametrize(

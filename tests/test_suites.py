@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import io
 import json
 import weakref
@@ -386,3 +387,34 @@ def test_eq11_catches_a_wrong_mccoy_constant(monkeypatch):
     for seed in (1, 2, 3):
         report = run_suite("eq11", seed=seed)
         assert not report.passed, seed
+
+
+# -- the walk's state step --------------------------------------------------------
+
+
+STATE_STEP = "step[head + _P * b + tail, 0, k] = n"
+
+
+def test_eq20_and_eq21_catch_a_walk_state_step_mutant(monkeypatch):
+    # The mutant moves p^b past the state letters of the walk's state step.
+    # eq20 and eq21 see it only if the commutator side does not walk its
+    # state words: the symmetric side walks them, and the commutator meets
+    # a state letter only in its own junction product.
+    walks = [
+        f
+        for f in vars(core).values()
+        if inspect.isfunction(f) and f.__module__ == core.__name__
+        if STATE_STEP in inspect.getsource(f)
+    ]
+    assert len(walks) == 1
+    name, namespace = walks[0].__name__, dict(vars(core))
+    mutant = inspect.getsource(walks[0]).replace(STATE_STEP, "step[head + tail + _P * b, 0, k] = n")
+    exec(mutant, namespace)
+    comm = render_text(evaluate(parse("comm(S(q p^2), rho)")))
+    for module in (core, weyl):
+        monkeypatch.setattr(module, name, namespace[name])
+    assert render_text(evaluate(parse("normal(p rho)"))) == "rho p"
+    assert render_text(evaluate(parse("comm(S(q p^2), rho)"))) == comm
+    for seed in (1, 2, 3):
+        for suite in ("eq20", "eq21"):
+            assert not run_suite(suite, seed=seed).passed, (suite, seed)
