@@ -169,20 +169,12 @@ class HbarScalar:
         return _make(self._re, -self._im, self._den, self._power)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        re, im = self.re, self.im
-        if im == 0:
-            num = str(re)
-        elif re == 0:
-            num = f"{im}i"
-        else:
-            sign = "+" if im > 0 else "-"
-            num = f"({re}{sign}{abs(im)}i)"
-        if self._power == 0:
-            return num
-        suffix = "hbar" if self._power == 1 else f"hbar^{self._power}"
-        return f"{num}*{suffix}"
+        """The text printer's form of ``self`` times the identity word, as
+        ``opalg eval`` prints it: ``(-1/2 + 3 i) hbar^2``."""
+        from .core import FreePolynomial
+        from .printing import render_text
+
+        return render_text(FreePolynomial.one().scale(self))
 
 
 _new = object.__new__
