@@ -257,14 +257,12 @@ def test_repr_keeps_the_field_text():
     assert repr(INV_I_HBAR) == "HbarScalar(re=Fraction(0, 1), im=Fraction(-1, 1), hbar_power=-1)"
 
 
-@given(st.one_of(scalars, big_scalars, st.sampled_from([ZERO, HBAR, INV_I_HBAR])))
+@given(st.one_of(scalars, big_scalars))
 @example(ZERO)
 @example(HBAR)
 @example(INV_I_HBAR)
 @example(HbarScalar.of(Fraction(1, 2)))
 def test_str_prints_a_scalar_as_eval_does(c):
-    # One coefficient formatter: str() is the text printer's, and it parses
-    # back to the scalar times the identity word, negative grades included.
     value = FreePolynomial.one().scale(c)
     assert str(c) == render_text(value)
     assert evaluate(parse(str(c))) == value
