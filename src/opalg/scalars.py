@@ -130,6 +130,8 @@ class HbarScalar:
         return _make(-self._re, -self._im, self._den, self._power)
 
     def __sub__(self, other: HbarScalar) -> HbarScalar:
+        if not isinstance(other, HbarScalar):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: HbarScalar | RationalLike) -> HbarScalar:

@@ -16,19 +16,22 @@ terms straight into a slot map and wrap it with the private, unchecked
 :meth:`GradedTerms._of`: :func:`bilinear` for products and brackets,
 :func:`linear_map` for derivatives, :func:`sum_into` for sums.  A
 checker's reference route may share a loop with its fast path, never a hook.
-A product or bracket is the one-part case of :func:`bilinear_sum`.  A
-residual that is a signed sum of products and brackets of values already in
-hand, such as the Jacobiator or the Leibniz residual, runs all its parts
-through the same pair loop into one slot map, so no product is made as a
-value and no map is copied to add it.
+A product or bracket is the one-part case of :func:`bilinear_sum`, the one
+pair loop, which merges each pair's scalar into the slot map itself rather
+than through :func:`sum_into`.  A residual that is a signed sum of products
+and brackets of values already in hand, such as the Jacobiator or the
+Leibniz residual, runs all its parts through that loop into one slot map,
+each part's sign riding in its pairs' factors, so no product is made as a
+value, no operand is negated and no map is copied to add it.
 
 Count, then scale: where many terms share one coefficient object, as the
 words of an expansion do, an operation pays one scalar operation per
-coefficient rather than per term.  The pair loop reuses ``cx * cy`` along
-a run of one ``cy``; the symmetrizer and the state-derivative substitution
-count integer multiplicities per coefficient and scale once per surviving
-slot, as :func:`~opalg.core.normal_order` does.  The commutator takes both
-operands' normal forms as those integer count maps and pairs them: one
+coefficient rather than per term.  The pair loop reuses ``cx * cy``, or
+``-(cx * cy)`` in a negative part, along a run of one ``cy``; the
+symmetrizer and the state-derivative substitution count integer
+multiplicities per coefficient and scale once per surviving slot, as
+:func:`~opalg.core.normal_order` does.  The commutator takes both operands'
+normal forms as those integer count maps and pairs them: one
 ``cf * cg`` per pair of source coefficients, int products per pair of slots.
 Both orders of two pure slots ``q^a p^b``, ``q^c p^d`` land on the same
 words, so one count per ``t >= 1``, ``t! (C(b,t) C(c,t) - C(d,t) C(a,t))``,
@@ -240,30 +243,38 @@ def bilinear(x: GradedTerms, y: GradedTerms, product: Callable[[Any, Any], tuple
 def bilinear_sum(cls, parts: Iterable[tuple[GradedTerms, GradedTerms, Callable, int]]):
     """``sum sign * bilinear(x, y, product)`` over ``parts`` of
     ``(x, y, product, sign)``, ``sign`` 1 or -1, as a ``cls`` value: every
-    part's term pairs are summed, in part order, into one slot map.  A
-    negative part negates ``x``'s coefficients, once per term of ``x``."""
+    part's term pairs are summed, in part order, straight into one slot map,
+    and a slot whose sum cancels is deleted, as :func:`sum_into` does.  The
+    sign rides in each pair's factor, so ``x`` is never negated.  A pair's
+    ``cx * cy``, or ``-(cx * cy)`` in a negative part, is reused while ``cy``
+    is the same object as the previous ``y`` term's, as along the words of
+    one expansion."""
     acc: Slots = {}
     for x, y, product, sign in parts:
-        x_terms = x._terms.items()
-        if sign < 0:
-            x_terms = [(slot, -c) for slot, c in x_terms]
-        sum_into(acc, _pair_terms(x_terms, y._terms.items(), product))
+        y_terms = y._terms.items()
+        for (kx, gx), cx in x._terms.items():
+            last = None
+            for (ky, gy), cy in y_terms:
+                key, factor = product(kx, ky)
+                if factor == 1:
+                    if cy is not last:
+                        last, cxy = cy, cx * cy if sign > 0 else _scaled_product(cx, cy, -1)
+                    scalar = cxy
+                elif factor:
+                    scalar = _scaled_product(cx, cy, factor * sign)
+                else:
+                    continue
+                slot = (key, gx + gy)
+                current = acc.get(slot)
+                if current is None:
+                    acc[slot] = scalar
+                else:
+                    total = current + scalar
+                    if total:
+                        acc[slot] = total
+                    else:
+                        del acc[slot]
     return cls._of(acc)
-
-
-def _pair_terms(x_terms, y_terms, product):
-    """Each pair's ``cx * cy`` is reused while ``cy`` is the same object as
-    the previous ``y`` term's, as along the words of one expansion."""
-    for (kx, gx), cx in x_terms:
-        last = None
-        for (ky, gy), cy in y_terms:
-            key, factor = product(kx, ky)
-            if factor == 1:
-                if cy is not last:
-                    last, cxy = cy, cx * cy
-                yield (key, gx + gy), cxy
-            elif factor:
-                yield (key, gx + gy), _scaled_product(cx, cy, factor)
 
 
 def linear_map(x: GradedTerms, image: Callable[[Any], Iterable[tuple[Any, int]]]):

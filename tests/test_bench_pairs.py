@@ -1,6 +1,8 @@
 import importlib.util
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -238,6 +240,7 @@ def test_the_record_holds_each_runs_stress_lines_and_each_sides_work_counts(tool
     monkeypatch.setattr(tool, "run_once", fake_run_once)
     monkeypatch.setattr(tool, "checkout_commit", lambda checkout: "0" * 40)
     monkeypatch.setattr(tool, "tool_outputs", lambda checkout: {"digests": DIGESTS, "code_lines": 2136})
+    monkeypatch.setattr(tool, "code_fingerprint", fake_fingerprint)
     out = tmp_path / "BENCH.json"
     tool.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out), "--seeds", "3-4"])
     record = json.loads(out.read_text())
@@ -247,6 +250,10 @@ def test_the_record_holds_each_runs_stress_lines_and_each_sides_work_counts(tool
         3, {"ordering_large": {"scalars.mul.calls": 1}}, {"ordering_large": {"scalars.mul.calls": 2}})
     assert [run["stress"] for run in record["runs"]] == [[f"stress_failed 0 count (seed {s})"] for s in (3, 3, 4, 4)]
     assert f"  {'scalars.mul.calls':48s} 1 -> 2 (+1)" in capsys.readouterr().out.splitlines()
+
+
+def fake_fingerprint(checkout, workload, seed, seconds) -> dict:
+    return {"code_objects": 1, "digest": "d", "functions": {"opalg/terms.py:bilinear_sum": "h"}}
 
 
 def fake_pair_run(tool, monkeypatch) -> list:
@@ -262,6 +269,7 @@ def fake_pair_run(tool, monkeypatch) -> list:
     monkeypatch.setattr(tool, "checkout_commit", lambda checkout: calls.append(("commit",)) or "0" * 40)
     monkeypatch.setattr(
         tool, "tool_outputs", lambda checkout: calls.append(("tools",)) or {"digests": DIGESTS, "code_lines": 1})
+    monkeypatch.setattr(tool, "code_fingerprint", lambda *args: calls.append(("fingerprint",)) or fake_fingerprint(*args))
     return calls
 
 
@@ -291,3 +299,107 @@ def test_an_existing_out_is_refused_before_anything_is_inspected_or_run(tool, tm
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {out} exists; a record is never overwritten"]
+
+
+FINGERPRINT = TOOL.parent / "code_fingerprint.py"
+
+
+@pytest.fixture(scope="module")
+def fingerprint_tool():
+    spec = importlib.util.spec_from_file_location("code_fingerprint", FINGERPRINT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def compiled(source: str, path: Path, blank_lines: int = 0) -> list:
+    """The function code objects of ``source`` compiled as the file ``path``."""
+    module = compile("\n" * blank_lines + source, str(path), "exec")
+    return [c for c in module.co_consts if hasattr(c, "co_code")]
+
+
+SOURCE = """
+def area(a, b):
+    return a * b * SCALE
+
+def kinds(x):
+    return x in {"q", "p", "drho_q"}
+"""
+
+
+def test_a_fingerprint_hashes_package_code_only_and_ignores_line_numbers(fingerprint_tool, tmp_path):
+    package = tmp_path / "src" / "opalg"
+    codes = compiled(SOURCE, package / "shapes.py")
+    found = fingerprint_tool.fingerprint(codes + compiled(SOURCE, tmp_path / "other.py"), str(package))
+    assert found["code_objects"] == 2
+    assert list(found["functions"]) == ["opalg/shapes.py:area", "opalg/shapes.py:kinds"]
+    # Moved code keeps the fingerprint; a changed constant or name does not.
+    assert fingerprint_tool.fingerprint(compiled(SOURCE, package / "shapes.py", 7), str(package)) == found
+    for edit in (("* SCALE", "* 2"), ("drho_q", "drho_p")):
+        changed = fingerprint_tool.fingerprint(compiled(SOURCE.replace(*edit), package / "shapes.py"), str(package))
+        assert changed["digest"] != found["digest"]
+        assert len(set(changed["functions"].items()) - set(found["functions"].items())) == 1
+
+
+def test_a_fingerprint_is_the_same_in_every_process_and_skips_what_the_timed_region_does_not_call(tmp_path):
+    root = FINGERPRINT.parent.parent
+    runs = []
+    for hash_seed in ("1", "2"):
+        command = [sys.executable, str(FINGERPRINT), "--workload", "ordering_large", "--seed", "1", "--seconds", "1"]
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        done = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, check=True)
+        runs.append(json.loads(done.stdout.splitlines()[-1]))
+    assert runs[0] == runs[1]
+    functions = runs[0]["functions"]
+    assert "opalg/core.py:normal_order" in functions
+    # The operations are built, and their outputs checked, outside the timed region.
+    assert not any(name.startswith("opalg/parser.py") for name in functions)
+    assert "opalg/terms.py:bilinear_sum" not in functions
+    # A directory without the package sources is refused.
+    done = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 2 and "no opalg sources" in done.stderr
+
+
+def test_the_fingerprint_runs_in_the_checkout_and_its_line_says_same_or_differs(tool, tmp_path):
+    found = {"workload": "eval_stream", "code_objects": 3, "digest": "abc", "functions": {"opalg/a.py:f": "1"}}
+    runner = FakeRunner("\n" + json.dumps(found) + "\n")
+    assert tool.code_fingerprint(tmp_path, "eval_stream", 7, 10, run=runner) == {
+        key: found[key] for key in ("code_objects", "digest", "functions")}
+    (command, cwd), = runner.commands
+    assert cwd == tmp_path
+    assert command[1:] == [str(FINGERPRINT), "--workload", "eval_stream", "--seed", "7", "--seconds", "10"]
+    with pytest.raises(RuntimeError, match="exited 1:\nboom"):
+        tool.code_fingerprint(tmp_path, "eval_stream", 7, 10, run=FakeRunner("", returncode=1))
+    parent = {"code_objects": 3, "digest": "abc", "functions": {"opalg/a.py:f": "1", "opalg/a.py:g": "2"}}
+    assert tool.fingerprint_line("eval_stream", parent, dict(parent)) == "code fingerprint, eval_stream: same (3 code objects)"
+    change = {"code_objects": 2, "digest": "abd", "functions": {"opalg/a.py:f": "5", "opalg/a.py:h": "2"}}
+    assert tool.fingerprint_line("eval_stream", parent, change) == (
+        "code fingerprint, eval_stream: differs (3 -> 2 code objects; 3 functions differ: "
+        "opalg/a.py:f, opalg/a.py:g, opalg/a.py:h)")
+
+
+def test_the_record_holds_a_fingerprint_per_side_and_workload(tool, tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "verify_all"}, {"name": "eval_stream"}],
+         "end_to_end": [{"name": "ops_per_s", "better": "higher"}]}))
+    fake_pair_run(tool, monkeypatch)
+    calls = []
+
+    def fingerprint(checkout, workload, seed, seconds):
+        # Only eval_stream's code differs between the sides.
+        calls.append((checkout, workload, seed, seconds))
+        digest = "e" if checkout == change and workload == "eval_stream" else "d"
+        return {"code_objects": 1, "digest": digest, "functions": {"opalg/terms.py:bilinear_sum": digest}}
+
+    monkeypatch.setattr(tool, "code_fingerprint", fingerprint)
+    out = tmp_path / "BENCH.json"
+    tool.main(["--parent", str(parent), "--change", str(change), "--out", str(out), "--seeds", "3-4"])
+    record = json.loads(out.read_text())
+    assert calls == [(side, workload, 3, 1) for workload in ("verify_all", "eval_stream") for side in (parent, change)]
+    assert {side: {w: f["digest"] for w, f in record[side]["fingerprints"].items()} for side in ("parent", "change")} == {
+        "parent": {"verify_all": "d", "eval_stream": "d"}, "change": {"verify_all": "d", "eval_stream": "e"}}
+    lines = capsys.readouterr().out.splitlines()
+    assert "code fingerprint, verify_all: same (1 code objects)" in lines
+    assert "code fingerprint, eval_stream: differs (1 -> 1 code objects; 1 functions differ: opalg/terms.py:bilinear_sum)" in lines

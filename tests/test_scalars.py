@@ -315,6 +315,9 @@ def test_arithmetic_with_other_types_is_not_implemented():
     assert (ONE == 1) is False
     with pytest.raises(TypeError):
         ONE + 1
+    for other in (1, None):
+        with pytest.raises(TypeError, match="for -:"):
+            ONE - other
     with pytest.raises(TypeError):
         ONE * 1.5
     with pytest.raises(TypeError):

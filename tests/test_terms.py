@@ -317,8 +317,8 @@ def test_bilinear_sum_of_opposite_parts_is_zero():
 
 def test_the_pair_loop_counts_then_scales(monkeypatch):
     """One ``cx * cy`` per term of ``x`` along a ``y`` of one coefficient
-    object, one negation per term of a negative part's ``x``, and no scalar
-    at all for a pair whose factor is 0."""
+    object, one signed product per term of ``x`` in a negative part, with
+    no negation, and no scalar at all for a pair whose factor is 0."""
     from opalg import terms
 
     made = {"mul": 0, "neg": 0, "scaled": 0}
@@ -343,7 +343,12 @@ def test_the_pair_loop_counts_then_scales(monkeypatch):
     y = WeylPolynomial([(WeylMonomial(k, 0), SHARED) for k in range(5)])
     assert (len(x), len(y)) == (2, 5)
     assert count(lambda: bilinear(x, y, _add_exponents)) == (2, 0, 0)
-    assert count(lambda: bilinear_sum(WeylPolynomial, [(x, y, _add_exponents, -1)])) == (2, 2, 0)
+    assert count(lambda: bilinear_sum(WeylPolynomial, [(x, y, _add_exponents, -1)])) == (0, 0, 2)
+    # Each run's slots hold one scalar object, which symmetrize groups by.
+    negative = bilinear_sum(WeylPolynomial, [(x, y, _add_exponents, -1)])
+    assert negative == -bilinear(x, y, _add_exponents)
+    for m in (1, 2):
+        assert len({id(c) for w, c in negative.items() if w.m == m}) == 1
     # q^2 p and q^4 p^2 commute: 2 * 2 == 1 * 4.
     a = WeylPolynomial([(WeylMonomial(2, 1), SHARED)])
     b = WeylPolynomial([(WeylMonomial(4, 2), HBAR)])

@@ -17,12 +17,17 @@ Before the pairs, one ``--trace 1`` run per side and workload, on the
 first seed, gives the work counts: the traced run's count metrics (each
 layer's ``.calls`` and the other counters), which are the same in every
 run of a seed.  Both sides' counts go in the record and the script prints
-each count that differs.  Both checkouts must be clean, so that each
-recorded commit is the tree that was measured.  With ``--compare`` an
-earlier record's change medians are printed beside this record's, per
-workload and end-to-end metric.  An ``--out`` that already exists is
-refused, with exit status 2, before anything is inspected or run, so that no
-record is overwritten.
+each count that differs.  With them, ``tools/code_fingerprint.py`` (this
+script's copy, run in each checkout on the same workload, seed and run
+length) hashes the package functions that the workload's timed region
+calls; both sides' fingerprints go in the record, and the script prints
+per workload whether the two sides ran the same code ("same") or not
+("differs", naming each function that differs).  Both checkouts must be
+clean, so that each recorded commit is the tree that was measured.  With
+``--compare`` an earlier record's change medians are printed beside this
+record's, per workload and end-to-end metric.  An ``--out`` that already
+exists is refused, with exit status 2, before anything is inspected or run,
+so that no record is overwritten.
 
 Each run imports ``opalg`` from its own checkout's ``src/``; this script
 imports nothing from ``opalg`` and writes nothing under ``perfbench/``.
@@ -44,6 +49,7 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+FINGERPRINT = Path(__file__).resolve().parent / "code_fingerprint.py"
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -61,11 +67,25 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int 
     its ``stress`` lines, stripped."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    *lines, last = stdout_lines(checkout, command, run)
+    return json.loads(last), [line.strip() for line in lines if line.lstrip().startswith("stress")]
+
+
+def code_fingerprint(checkout: Path, workload: str, seed: int, seconds: int, run=subprocess.run) -> dict:
+    """The fingerprint that ``tools/code_fingerprint.py`` computes in
+    ``checkout`` for one workload, seed and run length."""
+    command = [sys.executable, str(FINGERPRINT), "--workload", workload,
+               "--seed", str(seed), "--seconds", str(seconds)]
+    found = json.loads(stdout_lines(checkout, command, run)[-1])
+    return {name: found[name] for name in ("code_objects", "digest", "functions")}
+
+
+def stdout_lines(checkout: Path, command: list[str], run) -> list[str]:
+    """The lines that ``command`` prints, run in ``checkout``; a failure raises."""
     done = run(command, cwd=checkout, capture_output=True, text=True, check=False)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(command)} in {checkout} exited {done.returncode}:\n{done.stderr}")
-    *lines, last = done.stdout.splitlines()
-    return json.loads(last), [line.strip() for line in lines if line.lstrip().startswith("stress")]
+    return done.stdout.splitlines()
 
 
 def work_counts(result: dict) -> dict[str, int]:
@@ -82,6 +102,17 @@ def count_lines(workload: str, parent: dict[str, int], change: dict[str, int]) -
         old, new = parent.get(name, 0), change.get(name, 0)
         lines.append(f"  {name:48s} {old} -> {new} ({new - old:+})")
     return lines
+
+
+def fingerprint_line(workload: str, parent: dict, change: dict) -> str:
+    """Whether the two sides ran the same package code in ``workload``,
+    naming each function whose hash differs or that one side lacks."""
+    if parent["digest"] == change["digest"]:
+        return f"code fingerprint, {workload}: same ({change['code_objects']} code objects)"
+    before, after = parent["functions"], change["functions"]
+    differ = sorted(name for name in before.keys() | after.keys() if before.get(name) != after.get(name))
+    return (f"code fingerprint, {workload}: differs ({parent['code_objects']} -> {change['code_objects']} "
+            f"code objects; {len(differ)} functions differ: {', '.join(differ)})")
 
 
 def run_tool(checkout: Path, script: str) -> str:
@@ -246,7 +277,10 @@ def main(argv: list[str] | None = None) -> int:
         for side in SIDES:
             traced, _ = run_once(checkouts[side], workload, args.seeds[0], bench["run_seconds"], trace=1)
             record[side].setdefault("counts", {})[workload] = work_counts(traced)
-        print("\n".join(count_lines(workload, *(record[side]["counts"][workload] for side in SIDES))), flush=True)
+            record[side].setdefault("fingerprints", {})[workload] = code_fingerprint(
+                checkouts[side], workload, args.seeds[0], bench["run_seconds"])
+        print("\n".join(count_lines(workload, *(record[side]["counts"][workload] for side in SIDES))))
+        print(fingerprint_line(workload, *(record[side]["fingerprints"][workload] for side in SIDES)), flush=True)
     for workload in workloads:
         for index, seed in enumerate(args.seeds):
             order = SIDES if index % 2 == 0 else SIDES[::-1]
