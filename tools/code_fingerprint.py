@@ -111,6 +111,8 @@ def main(argv: list[str] | None = None) -> int:
     if not os.path.abspath(jobs.opalg.__file__).startswith(package_dir):
         print(f"error: opalg was imported from {jobs.opalg.__file__}, not from {package_dir}", file=sys.stderr)
         return 2
+    if args.workload not in jobs.RUNNERS:
+        parser.error(f"--workload must be one of {', '.join(jobs.RUNNERS)}")
     job = {**run.make_job(args.workload, args.seed, args.seconds), "check": False}
     collector = CodeCollector()
     try:
