@@ -3,12 +3,13 @@
 Every suite runs its identity checks over exhaustive monomial families up to
 a degree bound plus a configurable number of seeded-random cases, and
 reports per-check failures with the full difference polynomial.  A suite
-declares each check as a row ``(name, cases)``; most cases come from one
-driver, :func:`_cases`, which turns input tuples into ``(label, residual)``
-pairs.  The cases are a lazy iterator, produced while :func:`_check` builds
-the check, so every case's work happens inside that iteration.  A case
-carries its label (its inputs in text form) as a callable that only a
-failing case calls, so a passing run renders no inputs.  Random
+declares each check as a row ``(name, cases)``; a case is the plain tuple
+``(template, values, difference)``, and most cases come from one driver,
+:func:`_cases`, which turns input tuples into such cases.  The cases are a
+lazy iterator, produced while :func:`_check` builds the check, so every
+case's work happens inside that iteration.  :func:`_check` formats a case's
+label (``template`` over ``values``, its inputs in text form) only when the
+case fails, so a passing run renders no inputs.  Random
 generation draws Weyl and classical exponents uniformly from
 ``[0, max_degree]`` per axis, free words with total length up to
 ``max_degree``, and coefficients from a small exact pool; identical
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from typing import Callable, Iterable
 
 from .brackets import (
@@ -134,32 +135,26 @@ class SuiteReport(TaggedTuple):
         }
 
 
-Label = Callable[[], str]
-Cases = Iterable[tuple[Label, FreePolynomial | WeylPolynomial]]
-
-
-def _label(template: str, *values) -> Label:
-    """A case's label: ``template`` formatted with ``values``, each polynomial
-    in its text form, when called.  The values are bound now, so a label
-    called late still shows its own case."""
-    return partial(_format_label, template, values)
+Cases = Iterable[tuple[str, tuple, FreePolynomial | WeylPolynomial]]
 
 
 def _format_label(template: str, values: tuple) -> str:
+    """A case's label: ``template`` formatted with ``values``, each polynomial
+    in its text form."""
     return template.format(
         *(render_text(v) if isinstance(v, (FreePolynomial, WeylPolynomial)) else v for v in values)
     )
 
 
 def _check(name: str, cases: Cases) -> CheckResult:
-    """Build a check from (label, difference) cases; nonzero differences fail,
-    and only a failing case's label is rendered."""
+    """Build a check from ``(template, values, difference)`` cases; nonzero
+    differences fail, and only a failing case's label is formatted."""
     count = 0
     failures = []
-    for label, difference in cases:
+    for template, values, difference in cases:
         count += 1
         if not difference.is_zero:
-            failures.append(Failure(label(), difference))
+            failures.append(Failure(_format_label(template, values), difference))
     return CheckResult(name, count, tuple(failures))
 
 
@@ -172,11 +167,11 @@ def _run(*rows: tuple[str, Cases]) -> list[CheckResult]:
 
 
 def _cases(template: str, inputs: Iterable[tuple], residual: Callable) -> Cases:
-    """One case per input tuple ``args``: its label, ``template`` over
-    ``args``, and ``residual(*args)``.  A template may skip trailing values
-    or read fields (``{0.symbol}``); ``zip(values)`` gives one-value tuples."""
+    """One case per input tuple ``args``: ``(template, args, residual(*args))``.
+    A template may skip trailing values or read fields (``{0.symbol}``);
+    ``zip(values)`` gives one-value tuples."""
     for args in inputs:
-        yield _label(template, *args), residual(*args)
+        yield template, args, residual(*args)
 
 
 def _holds(ok: bool) -> FreePolynomial:
@@ -240,7 +235,7 @@ def _ordering_independence(
                 image = symmetrize(FreePolynomial.from_word(word))
                 if reference is None:
                     reference = image
-                yield _label("{}", word), image - reference
+                yield "{}", (word,), image - reference
 
 
 def _random_cases(
@@ -290,8 +285,8 @@ def _monomial_triples(max_degree: int, residual: Callable[..., WeylPolynomial]) 
     product = _pair_table(weyl_product, values)
     bracket = _pair_table(symmetrized_poisson_bracket, values)
     for i, j, k in itertools.product(range(len(monos)), repeat=3):
-        label = _label("{} , {} , {}", monos[i], monos[j], monos[k])
-        yield label, residual(values, product, bracket, i, j, k)
+        difference = residual(values, product, bracket, i, j, k)
+        yield "{} , {} , {}", (monos[i], monos[j], monos[k]), difference
 
 
 def _on_monomials(identity: Callable[..., WeylPolynomial]) -> Callable[..., WeylPolynomial]:
@@ -528,37 +523,26 @@ def _suite_hermiticity(max_degree: int, cases: int, rng: random.Random) -> list[
 
 
 def _suite_obstruction(max_degree: int, cases: int, rng: random.Random) -> list[CheckResult]:
+    def monomials(*exponents: tuple[int, int]) -> tuple[ClassicalPolynomial, ...]:
+        return tuple(ClassicalPolynomial.from_monomial(n, m) for n, m in exponents)
+
     def groenewold() -> Cases:
-        report = check_obstruction(
-            (ClassicalPolynomial.from_monomial(3, 0), ClassicalPolynomial.from_monomial(0, 3)),
-            (ClassicalPolynomial.from_monomial(2, 1), ClassicalPolynomial.from_monomial(1, 2)),
-        )
-        yield (
-            _label("symmetric brackets agree (q^3, p^3) vs scaled (q^2 p, q p^2)"),
-            report.symmetrized_difference,
-        )
+        report = check_obstruction(monomials((3, 0), (0, 3)), monomials((2, 1), (1, 2)))
+        agree = "symmetric brackets agree (q^3, p^3) vs scaled (q^2 p, q p^2)"
+        yield agree, (), report.symmetrized_difference
         # The commutator discrepancy is the point: zero difference or a
         # difference reaching below grade 2 would falsify the demonstration.
         discrepancy_ok = (
             not report.commutator_difference.is_zero
             and (report.commutator_min_hbar_power or 0) >= 2
         )
-        yield (
-            _label(
-                "commutator brackets differ at grade >= 2 (scale {}, difference {})",
-                report.scale,
-                report.commutator_difference,
-            ),
-            _holds(discrepancy_ok),
-        )
+        differ = "commutator brackets differ at grade >= 2 (scale {}, difference {})"
+        yield differ, (report.scale, report.commutator_difference), _holds(discrepancy_ok)
 
     def trivial_pair() -> Cases:
-        report = check_obstruction(
-            (ClassicalPolynomial.from_monomial(1, 0), ClassicalPolynomial.from_monomial(0, 1)),
-            (ClassicalPolynomial.from_monomial(1, 0), ClassicalPolynomial.from_monomial(0, 1)),
-        )
-        yield _label("(q, p) vs (q, p): symmetric"), report.symmetrized_difference
-        yield _label("(q, p) vs (q, p): commutator"), report.commutator_difference
+        report = check_obstruction(monomials((1, 0), (0, 1)), monomials((1, 0), (0, 1)))
+        yield "(q, p) vs (q, p): symmetric", (), report.symmetrized_difference
+        yield "(q, p) vs (q, p): commutator", (), report.commutator_difference
 
     def draw() -> tuple:
         f, g = _random_classical(rng, max_degree), _random_classical(rng, max_degree)

@@ -76,6 +76,52 @@ def test_summary_lines_and_pair_lines_name_every_figure(tool):
     assert line == "ordering_large seed 1 (parent first): ops_per_s 100 -> 130; latency_p50_ms 0.2 -> 0.15"
 
 
+END_TO_END = [
+    {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+    {"name": "latency_tail_ms", "better": "lower", "bound": 0.25},
+    {"name": "latency_p50_ms", "better": "lower"},
+]
+
+
+def timed(ops: float, p50: float, tail: float) -> dict:
+    metrics = {"ops_per_s": {"value": ops, "unit": "1/s"}, "latency_p50_ms": {"value": p50, "unit": "ms"},
+               "latency_tail_ms": {"value": tail, "unit": "ms"}}
+    return {"correct": True, "attempted": 400, "failed": 0, "metrics": metrics}
+
+
+def test_a_run_worse_than_its_own_sides_median_by_more_than_the_bound_is_an_outlier(tool):
+    # Per side: ordering_large (ops, p50, tail) by seed, then four verify_all
+    # runs ten times faster, which a median pooled over workloads would mix in.
+    sides = {
+        "parent": [(100, 9.0, 1.0), (100, 0.5, 1.0), (76, 0.5, 1.0), (100, 0.5, 1.26)],
+        "change": [(60, 0.5, 1.0), (60, 0.5, 1.0), (60, 0.5, 1.0), (44, 0.5, 1.0)],
+    }
+    runs = []
+    for workload, scale in [("ordering_large", 1), ("verify_all", 10)]:
+        for seed in range(1, 5):
+            for side, figures in sides.items():
+                ops, p50, tail = figures[seed - 1]
+                runs.append({"workload": workload, "seed": seed, "side": side,
+                             "result": timed(ops * scale, p50 / scale, tail / scale)})
+    # 76 is inside 25% of the parent's median 100, and the change's 60 is
+    # judged against its own side's median; p50 has no bound and is skipped.
+    assert tool.outlier_lines(runs, END_TO_END) == [
+        "outlier: ordering_large seed 4 parent: latency_tail_ms 1.26 against its side's median 1 (bound 25%); "
+        "p50 0.5 ms, tail 1.26 ms",
+        "outlier: ordering_large seed 4 change: ops_per_s 44 against its side's median 60 (bound 25%); "
+        "p50 0.5 ms, tail 1 ms",
+        "outlier: verify_all seed 4 parent: latency_tail_ms 0.126 against its side's median 0.1 (bound 25%); "
+        "p50 0.05 ms, tail 0.126 ms",
+        "outlier: verify_all seed 4 change: ops_per_s 440 against its side's median 600 (bound 25%); "
+        "p50 0.05 ms, tail 0.1 ms",
+    ]
+    # A wider bound names none of them, and p50 with a bound names its one
+    # stalled run per workload.
+    assert tool.outlier_lines(runs, [{**m, "bound": 0.5} for m in END_TO_END[:2]]) == []
+    p50 = tool.outlier_lines(runs, [{**END_TO_END[2], "bound": 0.25}])
+    assert [line.split(":")[1].strip() for line in p50] == ["ordering_large seed 1 parent", "verify_all seed 1 parent"]
+
+
 def test_seeds_parse_as_ranges_and_single_values(tool):
     assert tool.parse_seeds("82-85,182-185") == [82, 83, 84, 85, 182, 183, 184, 185]
     assert tool.parse_seeds("7") == [7]
@@ -403,3 +449,23 @@ def test_the_record_holds_a_fingerprint_per_side_and_workload(tool, tmp_path, mo
     lines = capsys.readouterr().out.splitlines()
     assert "code fingerprint, verify_all: same (1 code objects)" in lines
     assert "code fingerprint, eval_stream: differs (1 -> 1 code objects; 1 functions differ: opalg/terms.py:bilinear_sum)" in lines
+
+
+def test_the_record_keeps_the_outlier_lines_that_are_printed(tool, tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "ordering_large"}], "end_to_end": END_TO_END}))
+    fake_pair_run(tool, monkeypatch)
+    # Both sides stall at seed 5.
+    monkeypatch.setattr(tool, "run_once", lambda checkout, workload, seed, seconds, trace=0: (
+        timed(44 if seed == 5 else 100, 0.5, 1.0), []))
+    out = tmp_path / "BENCH.json"
+    tool.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out), "--seeds", "3-5"])
+    outliers = json.loads(out.read_text())["outliers"]
+    assert outliers == [
+        f"outlier: ordering_large seed 5 {side}: ops_per_s 44 against its side's median 100 (bound 25%); "
+        "p50 0.5 ms, tail 1 ms"
+        for side in ("parent", "change")
+    ]
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("outliers: 2")
+    assert lines[start + 1:start + 3] == outliers

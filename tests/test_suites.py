@@ -112,9 +112,9 @@ def recorded_cases(monkeypatch, suite: str, **params):
 
     def recording(name, cases):
         def record():
-            for label, difference in cases:
-                cases_seen.append((name, label()))
-                yield label, difference
+            for template, values, difference in cases:
+                cases_seen.append((name, suites._format_label(template, values)))
+                yield template, values, difference
 
         return build(name, record())
 
@@ -178,9 +178,9 @@ def monomial_stream(monkeypatch, suite: str, spy: PairSpy) -> tuple[list, Counte
 
         def record():
             spy.active = True
-            for label, difference in cases:
-                stream.append((label(), difference))
-                yield label, difference
+            for template, values, difference in cases:
+                stream.append((suites._format_label(template, values), difference))
+                yield template, values, difference
             spy.active = False
 
         result = build(name, record())
@@ -264,9 +264,9 @@ def test_tabled_monomial_triples_match_the_direct_formulas(monkeypatch, perturbe
 )
 def test_failure_labels_show_their_own_case(monkeypatch, suite, op_name, failing):
     # Each check draws all of its cases before the check builder sees any,
-    # so the builder calls every failing case's label after later cases were
-    # made: a label that read its generator's loop variables would show the
-    # last case's inputs.
+    # so the builder formats every failing case's label after later cases
+    # were made: values that a generator reused or changed from case to case
+    # would show the last case's inputs.
     if op_name == "symmetrized_poisson_bracket":
         # The pair tables and the summed Jacobiator both take the bracket's
         # key hook.  As the symmetric product, it makes every Jacobiator
@@ -280,9 +280,9 @@ def test_failure_labels_show_their_own_case(monkeypatch, suite, op_name, failing
     def drawn_first(name, cases):
         held, seen = [], []
         drawn[name] = seen
-        for label, difference in cases:
-            seen.append((label(), difference.is_zero))
-            held.append((label, difference))
+        for template, values, difference in cases:
+            seen.append((suites._format_label(template, values), difference.is_zero))
+            held.append((template, values, difference))
         return build(name, held)
 
     monkeypatch.setattr(suites, "_check", drawn_first)
@@ -293,6 +293,25 @@ def test_failure_labels_show_their_own_case(monkeypatch, suite, op_name, failing
         if check.name in failing:
             assert len(inputs) == check.cases and len(set(inputs)) > 1, check.name
     assert failing <= {check.name for check in report.checks}
+
+
+def test_only_a_failing_case_formats_its_label(monkeypatch):
+    # A passing run renders no inputs; a failing run formats each failing
+    # case's label once, as its report's input.
+    formatted = []
+    format_label = suites._format_label
+
+    def counted(template, values):
+        formatted.append(format_label(template, values))
+        return formatted[-1]
+
+    monkeypatch.setattr(suites, "_format_label", counted)
+    assert run_suite("all", max_degree=3, cases=5, seed=1).passed
+    assert formatted == []
+    monkeypatch.setattr(suites, "weyl_product", plus_first(suites.weyl_product))
+    report = run_suite("eq10", max_degree=3, cases=5, seed=1)
+    inputs = [failure.input for check in report.checks for failure in check.failures]
+    assert inputs and formatted == inputs
 
 
 # -- lazy cases -----------------------------------------------------------------

@@ -25,7 +25,12 @@ per workload whether the two sides ran the same code ("same") or not
 ("differs", naming each function that differs).  Both checkouts must be
 clean, so that each recorded commit is the tree that was measured.  With
 ``--compare`` an earlier record's change medians are printed beside this
-record's, per workload and end-to-end metric.  An ``--out`` that already
+record's, per workload and end-to-end metric.  After the summary, an
+``outlier:`` line names each run whose end-to-end metric is worse than the
+median of its own side's runs of that workload by more than the metric's
+``bound`` in ``BENCHMARK.json``, with the run's p50 and tail, so that one
+stalled run is seen apart from a shift of the whole side; the record keeps
+these lines.  An ``--out`` that already
 exists is refused, with exit status 2, before anything is inspected or run,
 so that no record is overwritten.
 
@@ -183,6 +188,32 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
     return summary
 
 
+def outlier_lines(runs: list[dict], end_to_end: list[dict]) -> list[str]:
+    """One line per run and end-to-end metric whose value is worse than the
+    median of its own side's runs of that workload by more than the metric's
+    ``bound`` (a share of that median), naming the run's p50 and tail.  A
+    metric without a ``bound`` is skipped."""
+    bounded = [m for m in end_to_end if "bound" in m]
+    values: dict[tuple[str, str, str], list[float]] = {}
+    for run in runs:
+        for m in bounded:
+            values.setdefault((run["workload"], run["side"], m["name"]), []).append(metric(run["result"], m["name"]))
+    lines = []
+    for run in runs:
+        result = run["result"]
+        for m in bounded:
+            value = metric(result, m["name"])
+            median = statistics.median(values[run["workload"], run["side"], m["name"]])
+            limit = median * (1 - m["bound"] if m["better"] == "higher" else 1 + m["bound"])
+            if better(limit, value, m["better"]):
+                lines.append(
+                    f"outlier: {run['workload']} seed {run['seed']} {run['side']}: {m['name']} {value:.6g} "
+                    f"against its side's median {median:.6g} (bound {m['bound']:.0%}); "
+                    f"p50 {metric(result, 'latency_p50_ms'):.6g} ms, tail {metric(result, 'latency_tail_ms'):.6g} ms"
+                )
+    return lines
+
+
 def pair_line(workload: str, seed: int, first: str, results: dict[str, dict], names) -> str:
     cells = [f"{name} {metric(results['parent'], name):.6g} -> {metric(results['change'], name):.6g}" for name in names]
     return f"{workload} seed {seed} ({first} first): " + "; ".join(cells)
@@ -292,6 +323,8 @@ def main(argv: list[str] | None = None) -> int:
             print(pair_line(workload, seed, order[0], results, [*directions, "failed_share"]), flush=True)
     record["summary"] = summarize(record["runs"], directions)
     print("\n".join(summary_lines(record["summary"])))
+    record["outliers"] = outlier_lines(record["runs"], bench["end_to_end"])
+    print(f"outliers: {len(record['outliers'])}", *record["outliers"], sep="\n")
     if previous is not None:
         print(f"against {args.compare.name}:")
         print("\n".join(compare_lines(record["summary"], previous)))
