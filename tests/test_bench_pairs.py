@@ -83,10 +83,11 @@ END_TO_END = [
 ]
 
 
-def timed(ops: float, p50: float, tail: float) -> dict:
-    metrics = {"ops_per_s": {"value": ops, "unit": "1/s"}, "latency_p50_ms": {"value": p50, "unit": "ms"},
-               "latency_tail_ms": {"value": tail, "unit": "ms"}}
-    return {"correct": True, "attempted": 400, "failed": 0, "metrics": metrics}
+def timed(ops: float, p50: float, tail: float = 1.0) -> dict:
+    """A result that also holds a tail latency."""
+    run = result(ops, p50)
+    run["metrics"]["latency_tail_ms"] = {"value": tail, "unit": "ms"}
+    return run
 
 
 def test_a_run_worse_than_its_own_sides_median_by_more_than_the_bound_is_an_outlier(tool):
@@ -457,7 +458,7 @@ def test_the_record_keeps_the_outlier_lines_that_are_printed(tool, tmp_path, mon
     fake_pair_run(tool, monkeypatch)
     # Both sides stall at seed 5.
     monkeypatch.setattr(tool, "run_once", lambda checkout, workload, seed, seconds, trace=0: (
-        timed(44 if seed == 5 else 100, 0.5, 1.0), []))
+        timed(44 if seed == 5 else 100, 0.5), []))
     out = tmp_path / "BENCH.json"
     tool.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out), "--seeds", "3-5"])
     outliers = json.loads(out.read_text())["outliers"]
