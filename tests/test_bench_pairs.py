@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -151,23 +152,6 @@ def test_a_checkout_with_an_untracked_or_changed_file_is_refused(tool, tmp_path)
         tool.checkout_commit(tmp_path)
 
 
-def test_compare_prints_change_medians_against_an_earlier_record(tool):
-    summary = tool.summarize(canned_runs(), DIRECTIONS)
-    earlier_runs = [{**run, "result": result(100, 0.25)} if run["side"] == "change" else run for run in canned_runs()]
-    earlier = tool.summarize(earlier_runs, DIRECTIONS)
-    ops = "  ops_per_s        change median 100 -> 125 (+25.0%, higher is better)"
-    assert tool.compare_lines(summary, earlier) == [
-        "ordering_large:",
-        ops,
-        "  latency_p50_ms   change median 0.25 -> 0.17 (-32.0%, lower is better)",
-        "  failed_share     change median 0 -> 0 (n/a, lower is better)",
-    ]
-    # Only the workloads and metrics that both records hold are compared.
-    partial = {"ordering_large": {"ops_per_s": earlier["ordering_large"]["ops_per_s"]}, "verify_all": earlier["ordering_large"]}
-    assert tool.compare_lines(summary, partial) == ["ordering_large:", ops]
-    assert tool.compare_lines(summary, {}) == []
-
-
 DIGESTS = [
     "eval_stream seed 1 text      aaaa",
     "eval_stream seed 1 json      bbbb",
@@ -175,17 +159,20 @@ DIGESTS = [
 ]
 
 
+CODE_LINES = "__init__.py              88\ncore.py                 214\ntotal                  2136\n"
+
+
 def test_tool_outputs_reads_the_digest_lines_and_the_code_line_total(tool, tmp_path):
-    calls = []
+    runner = ScriptRunner({"tools/output_digest.py": "\n".join(DIGESTS) + "\n", "tools/code_lines.py": CODE_LINES})
+    assert tool.tool_outputs(tmp_path, run=runner) == {"digests": DIGESTS, "code_lines": 2136}
+    assert runner.commands == [([sys.executable, "tools/output_digest.py"], tmp_path),
+                               ([sys.executable, "tools/code_lines.py"], tmp_path)]
 
-    def stub(checkout, script):
-        calls.append((checkout, script))
-        if script == "output_digest.py":
-            return "\n".join(DIGESTS) + "\n"
-        return "__init__.py              88\ncore.py                 214\ntotal                  2136\n"
 
-    assert tool.tool_outputs(tmp_path, run=stub) == {"digests": DIGESTS, "code_lines": 2136}
-    assert calls == [(tmp_path, "output_digest.py"), (tmp_path, "code_lines.py")]
+def test_a_failing_tool_raises_with_its_command_exit_status_and_stderr(tool, tmp_path):
+    with pytest.raises(RuntimeError) as failed:
+        tool.tool_outputs(tmp_path, run=FakeRunner("", returncode=1))
+    assert str(failed.value) == f"{sys.executable} tools/output_digest.py in {tmp_path} exited 1:\nboom"
 
 
 def test_digest_line_says_whether_the_sides_match_and_names_each_difference(tool):
@@ -207,6 +194,19 @@ class FakeRunner:
     def __call__(self, command, **kwargs):
         self.commands.append((command, kwargs["cwd"]))
         return subprocess.CompletedProcess(command, self.returncode, self.stdout, "boom")
+
+
+class ScriptRunner(FakeRunner):
+    """A ``FakeRunner`` that answers each command with the output canned for
+    the first script it names."""
+
+    def __init__(self, outputs: dict[str, str]):
+        super().__init__("")
+        self.outputs = outputs
+
+    def __call__(self, command, **kwargs):
+        self.stdout = next(out for script, out in self.outputs.items() if script in map(str, command))
+        return super().__call__(command, **kwargs)
 
 
 ORDERING_OUTPUT = """workload ordering_large, seed 7, seconds 10, trace 0
@@ -232,8 +232,7 @@ def test_run_once_keeps_the_result_line_and_the_stress_lines(tool, tmp_path):
     ]
     (command, cwd), = runner.commands
     assert cwd == tmp_path
-    assert command[1:] == ["perfbench/run.py", "--workload", "ordering_large", "--seed", "7",
-                           "--seconds", "10", "--trace", "0"]
+    assert command[1:] == ["perfbench/run.py", "--workload", "ordering_large", "--seed", "7", "--seconds", "10"]
     # A workload that prints no stress table keeps no stress lines.
     plain = "workload verify_all, seed 7\n" + ORDERING_OUTPUT.splitlines()[-1] + "\n"
     assert tool.run_once(tmp_path, "verify_all", 7, 10, run=FakeRunner(plain))[1] == []
@@ -241,34 +240,29 @@ def test_run_once_keeps_the_result_line_and_the_stress_lines(tool, tmp_path):
         tool.run_once(tmp_path, "ordering_large", 7, 10, run=FakeRunner("", returncode=1))
 
 
-TRACED_RESULT = {
-    "correct": True, "attempted": 100, "failed": 0,
-    "metrics": {
-        "scalars.mul.calls": {"value": 323, "unit": "count"},
-        "scalars.mul.self_s": {"value": 0.01, "unit": "s"},
-        "weyl.expand_polynomial.calls": {"value": 150, "unit": "count"},
-        "terms.pairs_in": {"value": 0, "unit": "count"},
-        "trace.overhead_pct": {"value": 17.0, "unit": "%"},
-    },
+FOUND = {
+    "workload": "ordering_large", "code_objects": 3, "digest": "abc",
+    "functions": {"opalg/scalars.py:HbarScalar.__mul__": "1", "opalg/weyl.py:expand_polynomial": "2",
+                  "opalg/terms.py:bilinear_sum": "3"},
+    "calls": {"opalg/scalars.py:HbarScalar.__mul__": 323, "opalg/weyl.py:expand_polynomial": 150,
+              "opalg/terms.py:bilinear_sum": 7},
 }
 
 
-def test_a_traced_run_gives_its_work_counts_and_the_deltas_are_printed(tool, tmp_path):
-    runner = FakeRunner("workload ordering_large, seed 7, seconds 10, trace 1\n" + json.dumps(TRACED_RESULT) + "\n")
-    result, stress = tool.run_once(tmp_path, "ordering_large", 7, 10, trace=1, run=runner)
-    assert runner.commands[0][0][-2:] == ["--trace", "1"] and stress == []
-    parent = tool.work_counts(result)
-    assert parent == {"scalars.mul.calls": 323, "weyl.expand_polynomial.calls": 150, "terms.pairs_in": 0}
-    change = {**parent, "scalars.mul.calls": 300, "terms.pairs_in": 12}
+def test_the_fingerprint_run_gives_the_work_counts_and_the_deltas_are_printed(tool, tmp_path):
+    runner = FakeRunner("\n" + json.dumps(FOUND) + "\n")
+    _, parent = tool.code_fingerprint(tmp_path, "ordering_large", 7, 10, run=runner)
+    assert parent == FOUND["calls"]
+    change = {**parent, "opalg/scalars.py:HbarScalar.__mul__": 300, "opalg/terms.py:bilinear_sum": 19}
     assert tool.count_lines("ordering_large", parent, change) == [
         "work counts, ordering_large: 2 of 3 differ",
-        f"  {'scalars.mul.calls':48s} 323 -> 300 (-23)",
-        f"  {'terms.pairs_in':48s} 0 -> 12 (+12)",
+        f"  {'opalg/scalars.py:HbarScalar.__mul__':48s} 323 -> 300 (-23)",
+        f"  {'opalg/terms.py:bilinear_sum':48s} 7 -> 19 (+12)",
     ]
     assert tool.count_lines("ordering_large", parent, dict(parent)) == ["work counts, ordering_large: 0 of 3 differ"]
-    # A count that only one side reports reads 0 on the other.
-    assert tool.count_lines("eval_stream", {}, {"weyl.normal_form.calls": 5})[1:] == [
-        f"  {'weyl.normal_form.calls':48s} 0 -> 5 (+5)"
+    # A function that only one side calls reads 0 on the other.
+    assert tool.count_lines("eval_stream", {}, {"opalg/weyl.py:normal_form": 5})[1:] == [
+        f"  {'opalg/weyl.py:normal_form':48s} 0 -> 5 (+5)"
     ]
 
 
@@ -278,29 +272,31 @@ def test_the_record_holds_each_runs_stress_lines_and_each_sides_work_counts(tool
          "end_to_end": [{"name": "ops_per_s", "better": "higher"}]}))
     calls = []
 
-    def fake_run_once(checkout, workload, seed, seconds, trace=0):
-        calls.append((workload, seed, trace))
-        if trace:
-            return {"metrics": {"scalars.mul.calls": {"value": len(calls), "unit": "count"}}}, []
+    def fake_run_once(checkout, workload, seed, seconds):
         return result(100 + seed, 0.2), [f"stress_failed 0 count (seed {seed})"]
+
+    def fingerprint(checkout, workload, seed, seconds):
+        calls.append((workload, seed))
+        return fake_fingerprint(checkout, workload, seed, seconds)[0], {"opalg/terms.py:bilinear_sum": len(calls)}
 
     monkeypatch.setattr(tool, "run_once", fake_run_once)
     monkeypatch.setattr(tool, "checkout_commit", lambda checkout: "0" * 40)
     monkeypatch.setattr(tool, "tool_outputs", lambda checkout: {"digests": DIGESTS, "code_lines": 2136})
-    monkeypatch.setattr(tool, "code_fingerprint", fake_fingerprint)
+    monkeypatch.setattr(tool, "code_fingerprint", fingerprint)
     out = tmp_path / "BENCH.json"
     tool.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out), "--seeds", "3-4"])
     record = json.loads(out.read_text())
-    # One traced run per side, on the first seed, before the pairs.
-    assert calls[:2] == [("ordering_large", 3, 1)] * 2 and all(not trace for _, _, trace in calls[2:])
+    # One fingerprint run per side, on the first seed, gives the counts.
+    assert calls == [("ordering_large", 3)] * 2
     assert (record["counts_seed"], record["parent"]["counts"], record["change"]["counts"]) == (
-        3, {"ordering_large": {"scalars.mul.calls": 1}}, {"ordering_large": {"scalars.mul.calls": 2}})
+        3, {"ordering_large": {"opalg/terms.py:bilinear_sum": 1}}, {"ordering_large": {"opalg/terms.py:bilinear_sum": 2}})
     assert [run["stress"] for run in record["runs"]] == [[f"stress_failed 0 count (seed {s})"] for s in (3, 3, 4, 4)]
-    assert f"  {'scalars.mul.calls':48s} 1 -> 2 (+1)" in capsys.readouterr().out.splitlines()
+    assert f"  {'opalg/terms.py:bilinear_sum':48s} 1 -> 2 (+1)" in capsys.readouterr().out.splitlines()
 
 
-def fake_fingerprint(checkout, workload, seed, seconds) -> dict:
-    return {"code_objects": 1, "digest": "d", "functions": {"opalg/terms.py:bilinear_sum": "h"}}
+def fake_fingerprint(checkout, workload, seed, seconds) -> tuple[dict, dict]:
+    return {"code_objects": 1, "digest": "d", "functions": {"opalg/terms.py:bilinear_sum": "h"}}, {
+        "opalg/terms.py:bilinear_sum": 4}
 
 
 def fake_pair_run(tool, monkeypatch) -> list:
@@ -308,8 +304,8 @@ def fake_pair_run(tool, monkeypatch) -> list:
     command with a stand-in; returns the list of the steps taken."""
     calls = []
 
-    def fake_run_once(checkout, workload, seed, seconds, trace=0):
-        calls.append(("run_once", workload, seed, trace))
+    def fake_run_once(checkout, workload, seed, seconds):
+        calls.append(("run_once", workload, seed))
         return result(100 + seed, 0.2), []
 
     monkeypatch.setattr(tool, "run_once", fake_run_once)
@@ -348,7 +344,36 @@ def test_an_existing_out_is_refused_before_anything_is_inspected_or_run(tool, tm
     assert captured.err.splitlines() == [f"error: {out} exists; a record is never overwritten"]
 
 
+def test_compare_is_refused_as_an_unknown_option(tool, tmp_path, monkeypatch, capsys):
+    # Medians of two records are not compared: a claim is read from the
+    # pairs inside one record.
+    calls = fake_pair_run(tool, monkeypatch)
+    with pytest.raises(SystemExit) as exited:
+        tool.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(tmp_path / "BENCH.json"),
+                   "--compare", str(tmp_path / "BENCH_1.json")])
+    assert exited.value.code == 2 and calls == []
+    assert "unrecognized arguments: --compare" in capsys.readouterr().err
+
+
 FINGERPRINT = TOOL.parent / "code_fingerprint.py"
+
+
+def test_one_record_runs_one_fingerprint_per_side_and_workload_and_no_traced_run(tool, tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "verify_all"}, {"name": "ordering_large"}],
+         "end_to_end": [{"name": "ops_per_s", "better": "higher"}]}))
+    runner = ScriptRunner({"tools/output_digest.py": "\n".join(DIGESTS), "tools/code_lines.py": CODE_LINES,
+                           str(FINGERPRINT): json.dumps(FOUND), "perfbench/run.py": ORDERING_OUTPUT})
+    lines = tool.stdout_lines
+    monkeypatch.setattr(tool, "stdout_lines", lambda checkout, command, run: lines(checkout, command, runner))
+    monkeypatch.setattr(tool, "checkout_commit", lambda checkout: "0" * 40)
+    out = tmp_path / "BENCH.json"
+    assert tool.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out), "--seeds", "3-4"]) == 0
+    scripts = [command[1] for command, _ in runner.commands]
+    assert scripts == ["tools/output_digest.py", "tools/code_lines.py"] * 2 + [str(FINGERPRINT)] * 4 + [
+        "perfbench/run.py"] * 8
+    assert not any("--trace" in command for command, _ in runner.commands)
+    assert json.loads(out.read_text())["change"]["counts"] == {"verify_all": FOUND["calls"], "ordering_large": FOUND["calls"]}
 
 
 @pytest.fixture(scope="module")
@@ -377,13 +402,17 @@ def kinds(x):
 def test_a_fingerprint_hashes_package_code_only_and_ignores_line_numbers(fingerprint_tool, tmp_path):
     package = tmp_path / "src" / "opalg"
     codes = compiled(SOURCE, package / "shapes.py")
-    found = fingerprint_tool.fingerprint(codes + compiled(SOURCE, tmp_path / "other.py"), str(package))
+    # The copy outside the package starts one line lower: code objects that
+    # compare equal count as one key (see ``CodeCollector``).
+    found = fingerprint_tool.fingerprint(Counter(codes + compiled(SOURCE, tmp_path / "other.py", 1)), str(package))
     assert found["code_objects"] == 2
     assert list(found["functions"]) == ["opalg/shapes.py:area", "opalg/shapes.py:kinds"]
+    assert found["calls"] == {"opalg/shapes.py:area": 1, "opalg/shapes.py:kinds": 1}
     # Moved code keeps the fingerprint; a changed constant or name does not.
-    assert fingerprint_tool.fingerprint(compiled(SOURCE, package / "shapes.py", 7), str(package)) == found
+    assert fingerprint_tool.fingerprint(Counter(compiled(SOURCE, package / "shapes.py", 7)), str(package)) == found
     for edit in (("* SCALE", "* 2"), ("drho_q", "drho_p")):
-        changed = fingerprint_tool.fingerprint(compiled(SOURCE.replace(*edit), package / "shapes.py"), str(package))
+        changed = fingerprint_tool.fingerprint(
+            Counter(compiled(SOURCE.replace(*edit), package / "shapes.py")), str(package))
         assert changed["digest"] != found["digest"]
         assert len(set(changed["functions"].items()) - set(found["functions"].items())) == 1
 
@@ -397,8 +426,9 @@ def test_a_fingerprint_is_the_same_in_every_process_and_skips_what_the_timed_reg
         done = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, check=True)
         runs.append(json.loads(done.stdout.splitlines()[-1]))
     assert runs[0] == runs[1]
-    functions = runs[0]["functions"]
-    assert "opalg/core.py:normal_order" in functions
+    functions, calls = runs[0]["functions"], runs[0]["calls"]
+    assert "opalg/core.py:normal_order" in functions and calls["opalg/core.py:normal_order"] > 0
+    assert list(calls) == list(functions)
     # The operations are built, and their outputs checked, outside the timed region.
     assert not any(name.startswith("opalg/parser.py") for name in functions)
     assert "opalg/terms.py:bilinear_sum" not in functions
@@ -408,10 +438,11 @@ def test_a_fingerprint_is_the_same_in_every_process_and_skips_what_the_timed_reg
 
 
 def test_the_fingerprint_runs_in_the_checkout_and_its_line_says_same_or_differs(tool, tmp_path):
-    found = {"workload": "eval_stream", "code_objects": 3, "digest": "abc", "functions": {"opalg/a.py:f": "1"}}
+    found = {"workload": "eval_stream", "code_objects": 3, "digest": "abc", "functions": {"opalg/a.py:f": "1"},
+             "calls": {"opalg/a.py:f": 2}}
     runner = FakeRunner("\n" + json.dumps(found) + "\n")
-    assert tool.code_fingerprint(tmp_path, "eval_stream", 7, 10, run=runner) == {
-        key: found[key] for key in ("code_objects", "digest", "functions")}
+    assert tool.code_fingerprint(tmp_path, "eval_stream", 7, 10, run=runner) == (
+        {key: found[key] for key in ("code_objects", "digest", "functions")}, {"opalg/a.py:f": 2})
     (command, cwd), = runner.commands
     assert cwd == tmp_path
     assert command[1:] == [str(FINGERPRINT), "--workload", "eval_stream", "--seed", "7", "--seconds", "10"]
@@ -438,7 +469,7 @@ def test_the_record_holds_a_fingerprint_per_side_and_workload(tool, tmp_path, mo
         # Only eval_stream's code differs between the sides.
         calls.append((checkout, workload, seed, seconds))
         digest = "e" if checkout == change and workload == "eval_stream" else "d"
-        return {"code_objects": 1, "digest": digest, "functions": {"opalg/terms.py:bilinear_sum": digest}}
+        return {"code_objects": 1, "digest": digest, "functions": {"opalg/terms.py:bilinear_sum": digest}}, {}
 
     monkeypatch.setattr(tool, "code_fingerprint", fingerprint)
     out = tmp_path / "BENCH.json"
@@ -457,7 +488,7 @@ def test_the_record_keeps_the_outlier_lines_that_are_printed(tool, tmp_path, mon
         {"run_seconds": 1, "workloads": [{"name": "ordering_large"}], "end_to_end": END_TO_END}))
     fake_pair_run(tool, monkeypatch)
     # Both sides stall at seed 5.
-    monkeypatch.setattr(tool, "run_once", lambda checkout, workload, seed, seconds, trace=0: (
+    monkeypatch.setattr(tool, "run_once", lambda checkout, workload, seed, seconds: (
         timed(44 if seed == 5 else 100, 0.5), []))
     out = tmp_path / "BENCH.json"
     tool.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out), "--seeds", "3-5"])

@@ -8,37 +8,41 @@ that a drift of the machine's speed does not favour one side.  Each pair is
 printed as it finishes, then per workload and end-to-end metric the two
 medians, the parent's quartiles and in how many pairs the change was better
 (the direction of each metric, and the run length ``N``, come from the
-change checkout's ``BENCHMARK.json``).  The output file holds the
+change checkout's ``BENCHMARK.json``).  A claim is read from these pairs,
+inside one record: two records of the same code differ by several percent,
+so medians are never compared across records.  The output file holds the
 environment, both commits, each side's ``tools/output_digest.py`` lines and
 ``tools/code_lines.py`` total, every run's full result line with its
 ``stress`` lines (the stress table an ``ordering_large`` run prints) and
 the summary; the script prints whether the two sides' digests match.
-Before the pairs, one ``--trace 1`` run per side and workload, on the
-first seed, gives the work counts: the traced run's count metrics (each
-layer's ``.calls`` and the other counters), which are the same in every
-run of a seed.  Both sides' counts go in the record and the script prints
-each count that differs.  With them, ``tools/code_fingerprint.py`` (this
-script's copy, run in each checkout on the same workload, seed and run
-length) hashes the package functions that the workload's timed region
-calls; both sides' fingerprints go in the record, and the script prints
-per workload whether the two sides ran the same code ("same") or not
-("differs", naming each function that differs).  Both checkouts must be
-clean, so that each recorded commit is the tree that was measured.  With
-``--compare`` an earlier record's change medians are printed beside this
-record's, per workload and end-to-end metric.  After the summary, an
+
+Before the pairs, ``tools/code_fingerprint.py`` (this script's copy) runs
+once per side and workload in each checkout, on the first seed and the
+same run length: the one observation run.  It hashes the package functions
+that the workload's timed region calls, and its ``sys.setprofile`` hook
+counts their calls (a generator once per resumption), each count named
+``opalg/<module>.py:<qualname>``; the counts are the same in every run of a
+seed.  Both sides' fingerprints and counts go in the record.  The script
+prints per workload whether the two sides ran the same code ("same") or not
+("differs", naming each function that differs), and each count that
+differs.  ``python perfbench/run.py --trace 1`` still prints what the record
+does not hold: ``terms.pairs_in``, ``terms.terms_out``, each cache's
+``hits``, ``misses`` and ``size``,
+``combinatorics.multiset_permutations.arrangements`` and every layer's
+``.self_s`` and ``.total_s``.  Both checkouts must be clean, so that each
+recorded commit is the tree that was measured.  After the summary, an
 ``outlier:`` line names each run whose end-to-end metric is worse than the
 median of its own side's runs of that workload by more than the metric's
 ``bound`` in ``BENCHMARK.json``, with the run's p50 and tail, so that one
 stalled run is seen apart from a shift of the whole side; the record keeps
-these lines.  An ``--out`` that already
-exists is refused, with exit status 2, before anything is inspected or run,
-so that no record is overwritten.
+these lines.  An ``--out`` that already exists is refused, with exit status
+2, before anything is inspected or run, so that no record is overwritten.
 
 Each run imports ``opalg`` from its own checkout's ``src/``; this script
 imports nothing from ``opalg`` and writes nothing under ``perfbench/``.
 
 usage: python tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json
-           [--workloads W [W ...]] [--seeds 82-86,182-186] [--compare BENCH_<m>.json]
+           [--workloads W [W ...]] [--seeds 82-86,182-186]
 """
 
 from __future__ import annotations
@@ -66,23 +70,23 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int = 0,
-             run=subprocess.run) -> tuple[dict, list[str]]:
-    """One ``perfbench/run.py`` run in ``checkout``: its JSON result line and
-    its ``stress`` lines, stripped."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: int, run=subprocess.run) -> tuple[dict, list[str]]:
+    """One untraced ``perfbench/run.py`` run in ``checkout``: its JSON result
+    line and its ``stress`` lines, stripped."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+               "--seed", str(seed), "--seconds", str(seconds)]
     *lines, last = stdout_lines(checkout, command, run)
     return json.loads(last), [line.strip() for line in lines if line.lstrip().startswith("stress")]
 
 
-def code_fingerprint(checkout: Path, workload: str, seed: int, seconds: int, run=subprocess.run) -> dict:
+def code_fingerprint(checkout: Path, workload: str, seed: int, seconds: int,
+                     run=subprocess.run) -> tuple[dict, dict[str, int]]:
     """The fingerprint that ``tools/code_fingerprint.py`` computes in
-    ``checkout`` for one workload, seed and run length."""
+    ``checkout`` for one workload, seed and run length, and its call counts."""
     command = [sys.executable, str(FINGERPRINT), "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds)]
     found = json.loads(stdout_lines(checkout, command, run)[-1])
-    return {name: found[name] for name in ("code_objects", "digest", "functions")}
+    return {name: found[name] for name in ("code_objects", "digest", "functions")}, found["calls"]
 
 
 def stdout_lines(checkout: Path, command: list[str], run) -> list[str]:
@@ -93,16 +97,16 @@ def stdout_lines(checkout: Path, command: list[str], run) -> list[str]:
     return done.stdout.splitlines()
 
 
-def work_counts(result: dict) -> dict[str, int]:
-    """The count metrics of a traced run's result."""
-    return {name: m["value"] for name, m in result["metrics"].items() if m["unit"] == "count"}
+def differing(before: dict, after: dict) -> list[str]:
+    """The names, in order, whose values differ between the two sides or
+    that one side lacks."""
+    return sorted(name for name in before.keys() | after.keys() if before.get(name) != after.get(name))
 
 
 def count_lines(workload: str, parent: dict[str, int], change: dict[str, int]) -> list[str]:
     """Each work count that differs between the two sides, with its delta."""
-    names = parent.keys() | change.keys()
-    differ = sorted(name for name in names if parent.get(name) != change.get(name))
-    lines = [f"work counts, {workload}: {len(differ)} of {len(names)} differ"]
+    differ = differing(parent, change)
+    lines = [f"work counts, {workload}: {len(differ)} of {len(parent.keys() | change.keys())} differ"]
     for name in differ:
         old, new = parent.get(name, 0), change.get(name, 0)
         lines.append(f"  {name:48s} {old} -> {new} ({new - old:+})")
@@ -114,22 +118,15 @@ def fingerprint_line(workload: str, parent: dict, change: dict) -> str:
     naming each function whose hash differs or that one side lacks."""
     if parent["digest"] == change["digest"]:
         return f"code fingerprint, {workload}: same ({change['code_objects']} code objects)"
-    before, after = parent["functions"], change["functions"]
-    differ = sorted(name for name in before.keys() | after.keys() if before.get(name) != after.get(name))
+    differ = differing(parent["functions"], change["functions"])
     return (f"code fingerprint, {workload}: differs ({parent['code_objects']} -> {change['code_objects']} "
             f"code objects; {len(differ)} functions differ: {', '.join(differ)})")
 
 
-def run_tool(checkout: Path, script: str) -> str:
-    """What ``tools/<script>`` in ``checkout`` prints."""
-    command = [sys.executable, f"tools/{script}"]
-    return subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True).stdout
-
-
-def tool_outputs(checkout: Path, run=run_tool) -> dict:
+def tool_outputs(checkout: Path, run=subprocess.run) -> dict:
     """The output digest lines and the code-line total of ``checkout``."""
-    digests = run(checkout, "output_digest.py").splitlines()
-    total = run(checkout, "code_lines.py").splitlines()[-1].split()[-1]
+    digests = stdout_lines(checkout, [sys.executable, "tools/output_digest.py"], run)
+    total = stdout_lines(checkout, [sys.executable, "tools/code_lines.py"], run)[-1].split()[-1]
     return {"digests": digests, "code_lines": int(total)}
 
 
@@ -138,7 +135,7 @@ def digest_line(parent: list[str], change: list[str]) -> str:
     if parent == change:
         return f"output digests: all {len(parent)} match"
     before, after = (dict(line.rsplit(maxsplit=1) for line in lines) for lines in (parent, change))
-    differ = sorted(name for name in before.keys() | after.keys() if before.get(name) != after.get(name))
+    differ = differing(before, after)
     return f"output digests: {len(differ)} differ: {', '.join(differ)}"
 
 
@@ -233,24 +230,6 @@ def summary_lines(summary: dict) -> list[str]:
     return lines
 
 
-def compare_lines(summary: dict, previous: dict) -> list[str]:
-    """Per workload and metric of ``summary`` that ``previous`` (an earlier
-    record's summary) also has: the earlier change median, this one and the
-    relative change between them."""
-    lines = []
-    for workload, rows in summary.items():
-        earlier = previous.get(workload, {})
-        shared = [name for name in rows if name in earlier]
-        if not shared:
-            continue
-        lines.append(f"{workload}:")
-        for name in shared:
-            old, new = earlier[name]["change_median"], rows[name]["change_median"]
-            pct = f"{100 * (new - old) / old:+.1f}%" if old else "n/a"
-            lines.append(f"  {name:16s} change median {old:.6g} -> {new:.6g} ({pct}, {rows[name]['better']} is better)")
-    return lines
-
-
 def checkout_commit(checkout: Path) -> str:
     """The commit of ``checkout``, which must have no uncommitted or
     untracked file (ignored files aside)."""
@@ -282,7 +261,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workloads", nargs="+", help="default: every workload of BENCHMARK.json")
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("82-86,182-186"))
-    parser.add_argument("--compare", type=Path, help="an earlier BENCH_<n>.json to print change medians against")
     args = parser.parse_args(argv)
     if args.out.exists():
         print(f"error: {args.out} exists; a record is never overwritten", file=sys.stderr)
@@ -292,7 +270,6 @@ def main(argv: list[str] | None = None) -> int:
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    previous = json.loads(args.compare.read_text())["summary"] if args.compare else None
     record = {
         "environment": environment(),
         "seconds": bench["run_seconds"],
@@ -306,10 +283,9 @@ def main(argv: list[str] | None = None) -> int:
     record["counts_seed"] = args.seeds[0]
     for workload in workloads:
         for side in SIDES:
-            traced, _ = run_once(checkouts[side], workload, args.seeds[0], bench["run_seconds"], trace=1)
-            record[side].setdefault("counts", {})[workload] = work_counts(traced)
-            record[side].setdefault("fingerprints", {})[workload] = code_fingerprint(
-                checkouts[side], workload, args.seeds[0], bench["run_seconds"])
+            fingerprint, counts = code_fingerprint(checkouts[side], workload, args.seeds[0], bench["run_seconds"])
+            record[side].setdefault("counts", {})[workload] = counts
+            record[side].setdefault("fingerprints", {})[workload] = fingerprint
         print("\n".join(count_lines(workload, *(record[side]["counts"][workload] for side in SIDES))))
         print(fingerprint_line(workload, *(record[side]["fingerprints"][workload] for side in SIDES)), flush=True)
     for workload in workloads:
@@ -325,9 +301,6 @@ def main(argv: list[str] | None = None) -> int:
     print("\n".join(summary_lines(record["summary"])))
     record["outliers"] = outlier_lines(record["runs"], bench["end_to_end"])
     print(f"outliers: {len(record['outliers'])}", *record["outliers"], sep="\n")
-    if previous is not None:
-        print(f"against {args.compare.name}:")
-        print("\n".join(compare_lines(record["summary"], previous)))
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
