@@ -3,12 +3,12 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "bench_pairs.py"
 DIRECTIONS = {"ops_per_s": "higher", "latency_p50_ms": "lower"}
 
 
@@ -105,9 +105,10 @@ def test_a_run_worse_than_its_own_sides_median_by_more_than_the_bound_is_an_outl
                 ops, p50, tail = figures[seed - 1]
                 runs.append({"workload": workload, "seed": seed, "side": side,
                              "result": timed(ops * scale, p50 / scale, tail / scale)})
+    summary = tool.summarize(runs, {m["name"]: m["better"] for m in END_TO_END})
     # 76 is inside 25% of the parent's median 100, and the change's 60 is
     # judged against its own side's median; p50 has no bound and is skipped.
-    assert tool.outlier_lines(runs, END_TO_END) == [
+    assert tool.outlier_lines(runs, summary, END_TO_END) == [
         "outlier: ordering_large seed 4 parent: latency_tail_ms 1.26 against its side's median 1 (bound 25%); "
         "p50 0.5 ms, tail 1.26 ms",
         "outlier: ordering_large seed 4 change: ops_per_s 44 against its side's median 60 (bound 25%); "
@@ -119,14 +120,18 @@ def test_a_run_worse_than_its_own_sides_median_by_more_than_the_bound_is_an_outl
     ]
     # A wider bound names none of them, and p50 with a bound names its one
     # stalled run per workload.
-    assert tool.outlier_lines(runs, [{**m, "bound": 0.5} for m in END_TO_END[:2]]) == []
-    p50 = tool.outlier_lines(runs, [{**END_TO_END[2], "bound": 0.25}])
+    assert tool.outlier_lines(runs, summary, [{**m, "bound": 0.5} for m in END_TO_END[:2]]) == []
+    p50 = tool.outlier_lines(runs, summary, [{**END_TO_END[2], "bound": 0.25}])
     assert [line.split(":")[1].strip() for line in p50] == ["ordering_large seed 1 parent", "verify_all seed 1 parent"]
 
 
-def test_seeds_parse_as_ranges_and_single_values(tool):
-    assert tool.parse_seeds("82-85,182-185") == [82, 83, 84, 85, 182, 183, 184, 185]
-    assert tool.parse_seeds("7") == [7]
+def test_the_committed_records_outliers_follow_from_their_runs_and_summary(tool):
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    directions = {m["name"]: m["better"] for m in end_to_end}
+    for name in ("BENCH_45.json", "BENCH_46.json"):
+        record = json.loads((ROOT / name).read_text())
+        summary = tool.summarize(record["runs"], directions)
+        assert tool.outlier_lines(record["runs"], summary, end_to_end) == record["outliers"], name
 
 
 def test_the_tool_imports_nothing_from_opalg():
@@ -283,8 +288,9 @@ def test_the_record_holds_each_runs_stress_lines_and_each_sides_work_counts(tool
     monkeypatch.setattr(tool, "checkout_commit", lambda checkout: "0" * 40)
     monkeypatch.setattr(tool, "tool_outputs", lambda checkout: {"digests": DIGESTS, "code_lines": 2136})
     monkeypatch.setattr(tool, "code_fingerprint", fingerprint)
+    monkeypatch.setattr(tool, "SEEDS", [3, 4])
     out = tmp_path / "BENCH.json"
-    tool.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out), "--seeds", "3-4"])
+    tool.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out)])
     record = json.loads(out.read_text())
     # One fingerprint run per side, on the first seed, gives the counts.
     assert calls == [("ordering_large", 3)] * 2
@@ -324,8 +330,9 @@ def test_without_workloads_every_workload_of_benchmark_json_is_recorded(tool, tm
         {"run_seconds": 1, "workloads": workloads, "end_to_end": [{"name": "ops_per_s", "better": "higher"}]}))
     names = [workload["name"] for workload in workloads]
     fake_pair_run(tool, monkeypatch)
+    monkeypatch.setattr(tool, "SEEDS", [3])
     out = tmp_path / "BENCH.json"
-    tool.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out), "--seeds", "3"])
+    tool.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out)])
     record = json.loads(out.read_text())
     assert list(record["summary"]) == names
     assert list(record["parent"]["counts"]) == list(record["change"]["counts"]) == names
@@ -355,6 +362,18 @@ def test_compare_is_refused_as_an_unknown_option(tool, tmp_path, monkeypatch, ca
     assert "unrecognized arguments: --compare" in capsys.readouterr().err
 
 
+def test_workloads_and_seeds_are_refused_as_unknown_options(tool, tmp_path, monkeypatch, capsys):
+    # Every record holds every workload of BENCHMARK.json at the seeds of
+    # ``SEEDS``, so that no record leaves a workload out.
+    calls = fake_pair_run(tool, monkeypatch)
+    for option, value in (("--workloads", "verify_all"), ("--seeds", "82")):
+        with pytest.raises(SystemExit) as exited:
+            tool.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(tmp_path / "BENCH.json"),
+                       option, value])
+        assert exited.value.code == 2 and calls == []
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+
+
 FINGERPRINT = TOOL.parent / "code_fingerprint.py"
 
 
@@ -367,8 +386,9 @@ def test_one_record_runs_one_fingerprint_per_side_and_workload_and_no_traced_run
     lines = tool.stdout_lines
     monkeypatch.setattr(tool, "stdout_lines", lambda checkout, command, run: lines(checkout, command, runner))
     monkeypatch.setattr(tool, "checkout_commit", lambda checkout: "0" * 40)
+    monkeypatch.setattr(tool, "SEEDS", [3, 4])
     out = tmp_path / "BENCH.json"
-    assert tool.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out), "--seeds", "3-4"]) == 0
+    assert tool.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out)]) == 0
     scripts = [command[1] for command, _ in runner.commands]
     assert scripts == ["tools/output_digest.py", "tools/code_lines.py"] * 2 + [str(FINGERPRINT)] * 4 + [
         "perfbench/run.py"] * 8
@@ -384,10 +404,11 @@ def fingerprint_tool():
     return module
 
 
-def compiled(source: str, path: Path, blank_lines: int = 0) -> list:
-    """The function code objects of ``source`` compiled as the file ``path``."""
+def compiled(source: str, path: Path, blank_lines: int = 0) -> list[tuple]:
+    """The function code objects of ``source`` compiled as the file
+    ``path``, each paired with one call."""
     module = compile("\n" * blank_lines + source, str(path), "exec")
-    return [c for c in module.co_consts if hasattr(c, "co_code")]
+    return [(c, 1) for c in module.co_consts if hasattr(c, "co_code")]
 
 
 SOURCE = """
@@ -401,20 +422,38 @@ def kinds(x):
 
 def test_a_fingerprint_hashes_package_code_only_and_ignores_line_numbers(fingerprint_tool, tmp_path):
     package = tmp_path / "src" / "opalg"
-    codes = compiled(SOURCE, package / "shapes.py")
-    # The copy outside the package starts one line lower: code objects that
-    # compare equal count as one key (see ``CodeCollector``).
-    found = fingerprint_tool.fingerprint(Counter(codes + compiled(SOURCE, tmp_path / "other.py", 1)), str(package))
+    found = fingerprint_tool.fingerprint(
+        compiled(SOURCE, package / "shapes.py") + compiled(SOURCE, tmp_path / "other.py"), str(package))
     assert found["code_objects"] == 2
     assert list(found["functions"]) == ["opalg/shapes.py:area", "opalg/shapes.py:kinds"]
     assert found["calls"] == {"opalg/shapes.py:area": 1, "opalg/shapes.py:kinds": 1}
     # Moved code keeps the fingerprint; a changed constant or name does not.
-    assert fingerprint_tool.fingerprint(Counter(compiled(SOURCE, package / "shapes.py", 7)), str(package)) == found
+    assert fingerprint_tool.fingerprint(compiled(SOURCE, package / "shapes.py", 7), str(package)) == found
     for edit in (("* SCALE", "* 2"), ("drho_q", "drho_p")):
         changed = fingerprint_tool.fingerprint(
-            Counter(compiled(SOURCE.replace(*edit), package / "shapes.py")), str(package))
+            compiled(SOURCE.replace(*edit), package / "shapes.py"), str(package))
         assert changed["digest"] != found["digest"]
         assert len(set(changed["functions"].items()) - set(found["functions"].items())) == 1
+
+
+def test_the_collector_counts_equal_code_objects_of_two_files_apart(fingerprint_tool, tmp_path):
+    # CPython 3.11 compares code objects without their file: the two copies
+    # of ``area``, at the same first line, compare and hash equal.
+    package = tmp_path / "src" / "opalg"
+    functions = []
+    for path in (package / "shapes.py", tmp_path / "other.py"):
+        namespace = {"SCALE": 2}
+        exec(compile(SOURCE, str(path), "exec"), namespace)
+        functions.append(namespace["area"])
+    collector = fingerprint_tool.CodeCollector()
+    collector.install()
+    try:
+        for area in functions:
+            area(3, 4)
+    finally:
+        collector.freeze()
+    found = fingerprint_tool.fingerprint(collector.calls.values(), str(package))
+    assert found["calls"] == {"opalg/shapes.py:area": 1}
 
 
 def test_a_fingerprint_is_the_same_in_every_process_and_skips_what_the_timed_region_does_not_call(tmp_path):
@@ -472,8 +511,9 @@ def test_the_record_holds_a_fingerprint_per_side_and_workload(tool, tmp_path, mo
         return {"code_objects": 1, "digest": digest, "functions": {"opalg/terms.py:bilinear_sum": digest}}, {}
 
     monkeypatch.setattr(tool, "code_fingerprint", fingerprint)
+    monkeypatch.setattr(tool, "SEEDS", [3, 4])
     out = tmp_path / "BENCH.json"
-    tool.main(["--parent", str(parent), "--change", str(change), "--out", str(out), "--seeds", "3-4"])
+    tool.main(["--parent", str(parent), "--change", str(change), "--out", str(out)])
     record = json.loads(out.read_text())
     assert calls == [(side, workload, 3, 1) for workload in ("verify_all", "eval_stream") for side in (parent, change)]
     assert {side: {w: f["digest"] for w, f in record[side]["fingerprints"].items()} for side in ("parent", "change")} == {
@@ -490,8 +530,9 @@ def test_the_record_keeps_the_outlier_lines_that_are_printed(tool, tmp_path, mon
     # Both sides stall at seed 5.
     monkeypatch.setattr(tool, "run_once", lambda checkout, workload, seed, seconds: (
         timed(44 if seed == 5 else 100, 0.5), []))
+    monkeypatch.setattr(tool, "SEEDS", [3, 4, 5])
     out = tmp_path / "BENCH.json"
-    tool.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out), "--seeds", "3-5"])
+    tool.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--out", str(out)])
     outliers = json.loads(out.read_text())["outliers"]
     assert outliers == [
         f"outlier: ordering_large seed 5 {side}: ops_per_s 44 against its side's median 100 (bound 25%); "

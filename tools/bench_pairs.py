@@ -1,11 +1,13 @@
 """Run the benchmark in two checkouts, alternately, and write a BENCH_<n>.json.
 
-For every workload and seed given (by default every workload that the
-change checkout's ``BENCHMARK.json`` names), ``perfbench/run.py --workload W
+For every workload that the change checkout's ``BENCHMARK.json`` names and
+every seed of ``SEEDS`` (82-86 and 182-186), ``perfbench/run.py --workload W
 --seed S --seconds N`` runs once in the parent checkout and once in the
 change checkout; the two runs of a pair alternate which one goes first, so
-that a drift of the machine's speed does not favour one side.  Each pair is
-printed as it finishes, then per workload and end-to-end metric the two
+that a drift of the machine's speed does not favour one side.  The script
+takes only the three paths below, so every record is made this way and
+holds every workload at the same seeds.  Each pair is printed as it
+finishes, then per workload and end-to-end metric the two
 medians, the parent's quartiles and in how many pairs the change was better
 (the direction of each metric, and the run length ``N``, come from the
 change checkout's ``BENCHMARK.json``).  A claim is read from these pairs,
@@ -20,19 +22,19 @@ Before the pairs, ``tools/code_fingerprint.py`` (this script's copy) runs
 once per side and workload in each checkout, on the first seed and the
 same run length: the one observation run.  It hashes the package functions
 that the workload's timed region calls, and its ``sys.setprofile`` hook
-counts their calls (a generator once per resumption), each count named
-``opalg/<module>.py:<qualname>``; the counts are the same in every run of a
-seed.  Both sides' fingerprints and counts go in the record.  The script
-prints per workload whether the two sides ran the same code ("same") or not
-("differs", naming each function that differs), and each count that
-differs.  ``python perfbench/run.py --trace 1`` still prints what the record
-does not hold: ``terms.pairs_in``, ``terms.terms_out``, each cache's
+counts the calls of each code object (a generator once per resumption),
+summed per ``opalg/<module>.py:<qualname>``; the counts are the same in
+every run of a seed.  Both sides' fingerprints and counts go in the record.
+The script prints per workload whether the two sides ran the same code
+("same") or not ("differs", naming each function that differs), and each
+count that differs.  ``python perfbench/run.py --trace 1`` still prints what
+the record does not hold: ``terms.pairs_in``, ``terms.terms_out``, each cache's
 ``hits``, ``misses`` and ``size``,
 ``combinatorics.multiset_permutations.arrangements`` and every layer's
 ``.self_s`` and ``.total_s``.  Both checkouts must be clean, so that each
 recorded commit is the tree that was measured.  After the summary, an
-``outlier:`` line names each run whose end-to-end metric is worse than the
-median of its own side's runs of that workload by more than the metric's
+``outlier:`` line names each run whose end-to-end metric is worse than its
+side's median of that workload in the summary by more than the metric's
 ``bound`` in ``BENCHMARK.json``, with the run's p50 and tail, so that one
 stalled run is seen apart from a shift of the whole side; the record keeps
 these lines.  An ``--out`` that already exists is refused, with exit status
@@ -42,7 +44,6 @@ Each run imports ``opalg`` from its own checkout's ``src/``; this script
 imports nothing from ``opalg`` and writes nothing under ``perfbench/``.
 
 usage: python tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json
-           [--workloads W [W ...]] [--seeds 82-86,182-186]
 """
 
 from __future__ import annotations
@@ -58,16 +59,8 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+SEEDS = [*range(82, 87), *range(182, 187)]
 FINGERPRINT = Path(__file__).resolve().parent / "code_fingerprint.py"
-
-
-def parse_seeds(text: str) -> list[int]:
-    """``"82-85,90"`` as ``[82, 83, 84, 85, 90]``."""
-    seeds = []
-    for part in text.split(","):
-        low, _, high = part.partition("-")
-        seeds.extend(range(int(low), int(high or low) + 1))
-    return seeds
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int, run=subprocess.run) -> tuple[dict, list[str]]:
@@ -185,22 +178,19 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
     return summary
 
 
-def outlier_lines(runs: list[dict], end_to_end: list[dict]) -> list[str]:
-    """One line per run and end-to-end metric whose value is worse than the
-    median of its own side's runs of that workload by more than the metric's
-    ``bound`` (a share of that median), naming the run's p50 and tail.  A
-    metric without a ``bound`` is skipped."""
+def outlier_lines(runs: list[dict], summary: dict, end_to_end: list[dict]) -> list[str]:
+    """One line per run and end-to-end metric whose value is worse than its
+    side's median of that workload in ``summary`` (``parent_median`` or
+    ``change_median``) by more than the metric's ``bound`` (a share of that
+    median), naming the run's p50 and tail.  A metric without a ``bound`` is
+    skipped."""
     bounded = [m for m in end_to_end if "bound" in m]
-    values: dict[tuple[str, str, str], list[float]] = {}
-    for run in runs:
-        for m in bounded:
-            values.setdefault((run["workload"], run["side"], m["name"]), []).append(metric(run["result"], m["name"]))
     lines = []
     for run in runs:
         result = run["result"]
         for m in bounded:
             value = metric(result, m["name"])
-            median = statistics.median(values[run["workload"], run["side"], m["name"]])
+            median = summary[run["workload"]][m["name"]][f"{run['side']}_median"]
             limit = median * (1 - m["bound"] if m["better"] == "higher" else 1 + m["bound"])
             if better(limit, value, m["better"]):
                 lines.append(
@@ -259,8 +249,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workloads", nargs="+", help="default: every workload of BENCHMARK.json")
-    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("82-86,182-186"))
     args = parser.parse_args(argv)
     if args.out.exists():
         print(f"error: {args.out} exists; a record is never overwritten", file=sys.stderr)
@@ -269,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     record = {
         "environment": environment(),
         "seconds": bench["run_seconds"],
@@ -280,16 +268,16 @@ def main(argv: list[str] | None = None) -> int:
         record[side].update(tool_outputs(checkouts[side]))
     print(digest_line(record["parent"]["digests"], record["change"]["digests"]))
     print(f"code lines: {record['parent']['code_lines']} -> {record['change']['code_lines']}", flush=True)
-    record["counts_seed"] = args.seeds[0]
+    record["counts_seed"] = SEEDS[0]
     for workload in workloads:
         for side in SIDES:
-            fingerprint, counts = code_fingerprint(checkouts[side], workload, args.seeds[0], bench["run_seconds"])
+            fingerprint, counts = code_fingerprint(checkouts[side], workload, SEEDS[0], bench["run_seconds"])
             record[side].setdefault("counts", {})[workload] = counts
             record[side].setdefault("fingerprints", {})[workload] = fingerprint
         print("\n".join(count_lines(workload, *(record[side]["counts"][workload] for side in SIDES))))
         print(fingerprint_line(workload, *(record[side]["fingerprints"][workload] for side in SIDES)), flush=True)
     for workload in workloads:
-        for index, seed in enumerate(args.seeds):
+        for index, seed in enumerate(SEEDS):
             order = SIDES if index % 2 == 0 else SIDES[::-1]
             results = {}
             for side in order:
@@ -299,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
             print(pair_line(workload, seed, order[0], results, [*directions, "failed_share"]), flush=True)
     record["summary"] = summarize(record["runs"], directions)
     print("\n".join(summary_lines(record["summary"])))
-    record["outliers"] = outlier_lines(record["runs"], bench["end_to_end"])
+    record["outliers"] = outlier_lines(record["runs"], record["summary"], bench["end_to_end"])
     print(f"outliers: {len(record['outliers'])}", *record["outliers"], sep="\n")
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

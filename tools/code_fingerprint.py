@@ -8,8 +8,8 @@ It builds the job that ``perfbench/run.py --workload W --seed S --seconds N``
 gives its children, and runs it once in this interpreter through the
 checkout's own ``perfbench/jobs.py`` and ``src/opalg``, with the output
 checks off.  While the timed region runs, a ``sys.setprofile`` hook counts
-each ``call`` event per code object: one per call of a Python function, and
-one per resumption of a generator.  Calls that a C function answers, such
+each ``call`` event per code object, told apart by identity: one per call of
+a Python function, and one per resumption of a generator.  Calls that a C function answers, such
 as a hit of an ``lru_cache``, raise no such event and are not counted.
 Code objects whose file lies under ``src/opalg`` are kept.  Each is hashed
 by its bytecode, its constants (a nested code object by the same parts) and
@@ -38,6 +38,7 @@ import json
 import os
 import sys
 from collections import Counter
+from collections.abc import Iterable
 from types import CodeType
 
 
@@ -59,16 +60,17 @@ def code_parts(code: CodeType) -> tuple:
     return code.co_code.hex(), tuple(stable(c) for c in code.co_consts), code.co_names
 
 
-def fingerprint(calls: dict[CodeType, int], package_dir: str) -> dict:
-    """The fingerprint of the code objects among ``calls`` whose file lies
-    under ``package_dir``: their number, one hash per ``module:qualname``
-    (over all the code objects of that name), one digest over those, and
-    per name the sum of its code objects' counts in ``calls``."""
+def fingerprint(calls: Iterable[tuple[CodeType, int]], package_dir: str) -> dict:
+    """The fingerprint of the code objects among the ``(code, count)``
+    pairs of ``calls`` whose file lies under ``package_dir``: their number,
+    one hash per ``module:qualname`` (over all the code objects of that
+    name), one digest over those, and per name the sum of its code objects'
+    counts."""
     package_dir = os.path.join(os.path.abspath(package_dir), "")
     root = os.path.dirname(os.path.dirname(package_dir))
     by_name: dict[str, list[str]] = {}
     counts: Counter[str] = Counter()
-    for code, count in calls.items():
+    for code, count in calls:
         path = os.path.abspath(code.co_filename)
         if not path.startswith(package_dir):
             continue
@@ -87,17 +89,17 @@ def fingerprint(calls: dict[CodeType, int], package_dir: str) -> dict:
 
 class CodeCollector:
     """Stands in for perfbench's tracer: the jobs call ``install`` when
-    their timed region starts and ``freeze`` when it ends.  ``calls``
-    counts the call events of each code object in between; two code
-    objects that compare equal (the same name, first line, bytecode,
-    constants and names, in any file) share one count."""
+    their timed region starts and ``freeze`` when it ends.  ``calls`` maps
+    the ``id`` of each code object called in between to the object and its
+    number of call events; keeping the object keeps its ``id`` unique."""
 
     def __init__(self):
-        self.calls: Counter[CodeType] = Counter()
+        self.calls: dict[int, tuple[CodeType, int]] = {}
 
     def _hook(self, frame, event, arg):
         if event == "call":
-            self.calls[frame.f_code] += 1
+            code, count = self.calls.get(id(frame.f_code), (frame.f_code, 0))
+            self.calls[id(code)] = code, count + 1
 
     def install(self) -> None:
         sys.setprofile(self._hook)
@@ -133,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
         jobs.RUNNERS[args.workload](job, collector)
     finally:
         collector.freeze()
-    print(json.dumps({"workload": args.workload, **fingerprint(collector.calls, package_dir)}))
+    print(json.dumps({"workload": args.workload, **fingerprint(collector.calls.values(), package_dir)}))
     return 0
 
 
