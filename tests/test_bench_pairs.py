@@ -128,7 +128,7 @@ def test_a_run_worse_than_its_own_sides_median_by_more_than_the_bound_is_an_outl
 def test_the_committed_records_outliers_follow_from_their_runs_and_summary(tool):
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     directions = {m["name"]: m["better"] for m in end_to_end}
-    for name in ("BENCH_45.json", "BENCH_46.json"):
+    for name in ("BENCH_45.json", "BENCH_46.json", "BENCH_47.json"):
         record = json.loads((ROOT / name).read_text())
         summary = tool.summarize(record["runs"], directions)
         assert tool.outlier_lines(record["runs"], summary, end_to_end) == record["outliers"], name

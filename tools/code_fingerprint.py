@@ -9,8 +9,9 @@ gives its children, and runs it once in this interpreter through the
 checkout's own ``perfbench/jobs.py`` and ``src/opalg``, with the output
 checks off.  While the timed region runs, a ``sys.setprofile`` hook counts
 each ``call`` event per code object, told apart by identity: one per call of
-a Python function, and one per resumption of a generator.  Calls that a C function answers, such
-as a hit of an ``lru_cache``, raise no such event and are not counted.
+a Python function, and one per resumption of a generator.  Calls that a C
+function answers, such as a hit of an ``lru_cache``, raise no such event and
+are not counted.
 Code objects whose file lies under ``src/opalg`` are kept.  Each is hashed
 by its bytecode, its constants (a nested code object by the same parts) and
 the names it reads, under its module and qualified name.  Line numbers,
