@@ -10,6 +10,16 @@ values have equal maps and structural equality coincides with algebraic
 equality.  Terms are kept in insertion order, which is deterministic for
 deterministic input; the canonical display order is the printer's.
 
+Terms merge in integers.  A slot's first term is stored as the scalar it
+is.  The first later term turns the slot's value, in place, into an
+accumulator ``[re, im, den]`` (:func:`_merge`), and every later term adds
+into it over the lcm of the two denominators, so no scalar is made per
+term.  Before the map is wrapped or returned, one settle step
+(:func:`_settle`) runs over the merged slots only: it makes one reduced
+scalar of the slot's grade for each slot that survives and deletes each
+slot that summed to zero.  No accumulator leaves the call, and a slot whose
+sum cancels on the way and is added to again keeps its first place.
+
 The public constructor validates every pair.  Operations whose result keys
 derive from valid keys (exponent sums, concatenations, deletions) sum their
 terms straight into a slot map and wrap it with the private, unchecked
@@ -17,12 +27,12 @@ terms straight into a slot map and wrap it with the private, unchecked
 :func:`linear_map` for derivatives, :func:`sum_into` for sums.  A
 checker's reference route may share a loop with its fast path, never a hook.
 A product or bracket is the one-part case of :func:`bilinear_sum`, the one
-pair loop, which merges each pair's scalar into the slot map itself rather
-than through :func:`sum_into`.  A residual that is a signed sum of products
-and brackets of values already in hand, such as the Jacobiator or the
-Leibniz residual, runs all its parts through that loop into one slot map,
-each part's sign riding in its pairs' factors, so no product is made as a
-value, no operand is negated and no map is copied to add it.
+pair loop, which merges each pair into the slot map itself, with the merge
+and settle steps of :func:`sum_into`.  A residual that is a signed sum of
+products and brackets of values already in hand, such as the Jacobiator or
+the Leibniz residual, runs all its parts through that loop into one slot
+map, each part's sign riding in its pairs' factors, so no product is made
+as a value, no operand is negated and no map is copied to add it.
 
 Count, then scale: where many terms share one coefficient object, as the
 words of an expansion do, an operation pays one scalar operation per
@@ -47,28 +57,66 @@ and commutators of a value that holds only its record never list it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
-from .scalars import ONE, ZERO, HbarScalar, RationalLike, _scaled_product
+from .scalars import ONE, ZERO, HbarScalar, RationalLike, _make, _scaled_product
 
 TermPairs = Iterable[tuple[Any, HbarScalar]]
 Slots = dict[tuple[Any, int], HbarScalar]
 
 
-def sum_into(acc: Slots, terms: Iterable[tuple[tuple[Any, int], HbarScalar]]) -> Slots:
-    """Add nonzero ``(slot, scalar)`` terms into ``acc`` in order, in place,
-    deleting every slot whose sum cancels to zero."""
+def sum_into(
+    acc: Slots, terms: Iterable[tuple[tuple[Any, int], HbarScalar]], sign: int = 1
+) -> Slots:
+    """Add ``sign`` times each nonzero ``(slot, scalar)`` term into ``acc``
+    in order, in place, and delete every slot whose sum cancels to zero.
+
+    A slot's first term is stored as it is, negated once if ``sign`` is -1.
+    Later terms add into the slot in integers (:func:`_merge`), and
+    :func:`_settle` makes one scalar per merged slot that survives before
+    ``acc`` is returned, so a slot keeps the place of its first term even
+    if its sum cancels and is added to again."""
+    merged: list = []
     for slot, scalar in terms:
         current = acc.get(slot)
-        if current is None:
+        if current is not None:
+            _merge(acc, merged, slot, current, scalar._re * sign, scalar._im * sign, scalar._den)
+        elif sign > 0:
             acc[slot] = scalar
         else:
-            total = current + scalar
-            if total:
-                acc[slot] = total
-            else:
-                del acc[slot]
+            acc[slot] = _make(-scalar._re, -scalar._im, scalar._den, scalar._power)
+    return _settle(acc, merged)
+
+
+def _merge(acc: dict, merged: list, slot: tuple, current, re: int, im: int, den: int) -> None:
+    """Add ``(re + im*i)/den`` into ``slot``'s value ``current``.  The first
+    merge turns the value, in place, into an integer accumulator ``[re, im,
+    den]`` and lists the slot in ``merged``; a merge adds over the lcm of the
+    two denominators, so no scalar is made."""
+    if current.__class__ is not list:
+        current = acc[slot] = [current._re, current._im, current._den]
+        merged.append(slot)
+    known = current[2]
+    if known == den:
+        current[0] += re
+        current[1] += im
+    else:
+        common = lcm(known, den)
+        up, scale = common // known, common // den
+        current[:] = current[0] * up + re * scale, current[1] * up + im * scale, common
+
+
+def _settle(acc: dict, merged: list) -> dict:
+    """Turn each ``merged`` slot's accumulator back into one reduced scalar
+    of the slot's grade, or delete the slot if its sum is zero."""
+    for slot in merged:
+        re, im, den = acc[slot]
+        if re or im:
+            acc[slot] = _make(re, im, den, slot[1])
+        else:
+            del acc[slot]
     return acc
 
 
@@ -201,8 +249,7 @@ class GradedTerms:
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        negated = ((slot, -c) for slot, c in other._terms.items())
-        return self._of(sum_into(dict(self._terms), negated))
+        return self._of(sum_into(dict(self._terms), other._terms.items(), -1))
 
     def __neg__(self):
         return self._of({slot: -c for slot, c in self._terms.items()})
@@ -245,36 +292,37 @@ def bilinear_sum(cls, parts: Iterable[tuple[GradedTerms, GradedTerms, Callable, 
     ``(x, y, product, sign)``, ``sign`` 1 or -1, as a ``cls`` value: every
     part's term pairs are summed, in part order, straight into one slot map,
     and a slot whose sum cancels is deleted, as :func:`sum_into` does.  The
-    sign rides in each pair's factor, so ``x`` is never negated.  A pair's
-    ``cx * cy``, or ``-(cx * cy)`` in a negative part, is reused while ``cy``
-    is the same object as the previous ``y`` term's, as along the words of
-    one expansion."""
+    sign rides in each pair's factor, so ``x`` is never negated.  A slot's
+    first pair stores its scalar: ``cx * cy``, or ``-(cx * cy)`` in a
+    negative part, which is reused while ``cy`` is the same object as the
+    previous ``y`` term's, as along the words of one expansion.  A later
+    pair adds its product's integer parts into the slot (:func:`_merge`),
+    and :func:`_settle` makes one scalar per merged slot that survives: the
+    parts of a residual that land on one slot make the first pair's scalar
+    and, only if their sum is not zero, one more."""
     acc: Slots = {}
+    merged: list = []
     for x, y, product, sign in parts:
         y_terms = y._terms.items()
         for (kx, gx), cx in x._terms.items():
             last = None
             for (ky, gy), cy in y_terms:
                 key, factor = product(kx, ky)
-                if factor == 1:
-                    if cy is not last:
-                        last, cxy = cy, cx * cy if sign > 0 else _scaled_product(cx, cy, -1)
-                    scalar = cxy
-                elif factor:
-                    scalar = _scaled_product(cx, cy, factor * sign)
-                else:
+                if not factor:
                     continue
                 slot = (key, gx + gy)
                 current = acc.get(slot)
-                if current is None:
-                    acc[slot] = scalar
+                if current is not None:
+                    a, b, c, d, n = cx._re, cx._im, cy._re, cy._im, factor * sign
+                    re, im = (a * c - b * d) * n, (a * d + b * c) * n
+                    _merge(acc, merged, slot, current, re, im, cx._den * cy._den)
+                elif factor != 1:
+                    acc[slot] = _scaled_product(cx, cy, factor * sign)
                 else:
-                    total = current + scalar
-                    if total:
-                        acc[slot] = total
-                    else:
-                        del acc[slot]
-    return cls._of(acc)
+                    if cy is not last:
+                        last, cxy = cy, cx * cy if sign > 0 else _scaled_product(cx, cy, -1)
+                    acc[slot] = cxy
+    return cls._of(_settle(acc, merged))
 
 
 def linear_map(x: GradedTerms, image: Callable[[Any], Iterable[tuple[Any, int]]]):

@@ -34,10 +34,12 @@ def canned_runs() -> list[dict]:
         (3, result(90, 0.25), result(150, 0.12)),
         (4, result(120, 0.18), result(115, 0.19)),
     ]
+    # The sides alternate which runs first: the parent in seeds 1 and 3.
     runs = []
     for seed, parent, change in pairs:
-        runs.append({"workload": "ordering_large", "seed": seed, "side": "parent", "result": parent})
-        runs.append({"workload": "ordering_large", "seed": seed, "side": "change", "result": change})
+        first = "parent" if seed % 2 else "change"
+        runs.append({"workload": "ordering_large", "seed": seed, "side": "parent", "first": first, "result": parent})
+        runs.append({"workload": "ordering_large", "seed": seed, "side": "change", "first": first, "result": change})
     return runs
 
 
@@ -49,6 +51,7 @@ def test_summary_gives_medians_quartiles_and_wins(tool):
     assert ops["change_pct"] == pytest.approx(100 * 20 / 105)
     assert (ops["parent_q1"], ops["parent_q3"]) == (97.5, 112.5)
     assert (ops["wins"], ops["pairs"], ops["better"]) == (3, 4, "higher")
+    assert ops["wins_by_first"] == {"parent": 2, "change": 1}
     p50 = rows["latency_p50_ms"]
     assert p50["parent_median"] == pytest.approx(0.21)
     assert p50["change_median"] == pytest.approx(0.17)
@@ -69,7 +72,7 @@ def test_summary_lines_and_pair_lines_name_every_figure(tool):
     assert lines[0] == "ordering_large:"
     assert lines[1] == (
         "  ops_per_s        median 105 -> 125 (+19.0%), parent quartiles 97.5..112.5, "
-        "change better in 3/4 (higher is better)"
+        "change better in 3/4 (2 parent first, 1 change first), higher is better"
     )
     assert "failed_share" in lines[3] and "(n/a)" in lines[3]
     runs = canned_runs()
@@ -103,7 +106,7 @@ def test_a_run_worse_than_its_own_sides_median_by_more_than_the_bound_is_an_outl
         for seed in range(1, 5):
             for side, figures in sides.items():
                 ops, p50, tail = figures[seed - 1]
-                runs.append({"workload": workload, "seed": seed, "side": side,
+                runs.append({"workload": workload, "seed": seed, "side": side, "first": "parent",
                              "result": timed(ops * scale, p50 / scale, tail / scale)})
     summary = tool.summarize(runs, {m["name"]: m["better"] for m in END_TO_END})
     # 76 is inside 25% of the parent's median 100, and the change's 60 is
@@ -132,6 +135,16 @@ def test_the_committed_records_outliers_follow_from_their_runs_and_summary(tool)
         record = json.loads((ROOT / name).read_text())
         summary = tool.summarize(record["runs"], directions)
         assert tool.outlier_lines(record["runs"], summary, end_to_end) == record["outliers"], name
+
+
+def test_the_committed_records_wins_split_by_the_side_that_ran_first(tool):
+    directions = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    for name, parent_first, change_first in [("BENCH_46.json", 5, 4), ("BENCH_47.json", 3, 4)]:
+        record = json.loads((ROOT / name).read_text())
+        row = tool.summarize(record["runs"], directions)["verify_all"]["latency_tail_ms"]
+        assert row["wins_by_first"] == {"parent": parent_first, "change": change_first}, name
+        # The stored summary, written before the split, keeps its total.
+        assert row["wins"] == record["summary"]["verify_all"]["latency_tail_ms"]["wins"] == parent_first + change_first
 
 
 def test_the_tool_imports_nothing_from_opalg():

@@ -3,14 +3,22 @@ would build, in the same term order; the public constructors keep their checks."
 
 import copy
 import pickle
+import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opalg.brackets import ClassicalPolynomial, _monomial_bracket, symmetrized_poisson_bracket
+from opalg.brackets import (
+    ClassicalPolynomial,
+    _bracket_sum,
+    _leibniz,
+    _monomial_bracket,
+    symmetrized_poisson_bracket,
+)
 from opalg.core import FreePolynomial, Letter, Word, _word, adjoint, multiply, normal_order, partial_derivative
 from opalg.errors import UnsupportedFragmentError
 from opalg.parser import _one_basis, _times
@@ -315,13 +323,75 @@ def test_bilinear_sum_of_opposite_parts_is_zero():
     assert bilinear_sum(WeylPolynomial, []) == WeylPolynomial()
 
 
+def first_place_sums(terms):
+    """The reference for term order: each slot's sum in ``Fraction`` parts,
+    in the order of the slot's first term, even where the sum cancels on the
+    way; slots that end at zero are dropped."""
+    sums = {}
+    for key, c in terms:
+        re, im = sums.get((key, c.hbar_power), (0, 0))
+        sums[key, c.hbar_power] = re + c.re, im + c.im
+    return [(key, HbarScalar.of(re, im, grade)) for (key, grade), (re, im) in sums.items() if re or im]
+
+
+def add_degrees(kx, ky):
+    return kx + ky, 1
+
+
+def test_a_slot_that_cancels_and_returns_keeps_its_first_place():
+    a, b, c, d = (HbarScalar.of(1, 2), HbarScalar.of(Fraction(1, 3)), HbarScalar.of(0, -1, 1),
+                  HbarScalar.of(Fraction(5, 7)))
+    # Degree 1 cancels at the third term and returns with the fifth;
+    # degree 2 cancels at the last.
+    terms = [(1, a), (2, b), (1, -a), (3, c), (1, d), (2, -b)]
+    assert list(Degrees(terms).items()) == first_place_sums(terms) == [(1, d), (3, c)]
+    # The same in the pair loop, with degree 1 cancelled by the second part.
+    one = Degrees([(0, ONE)])
+    parts = [(Degrees([(1, a), (2, b)]), one, add_degrees, 1), (Degrees([(1, a)]), one, add_degrees, -1),
+             (Degrees([(3, c), (1, d)]), one, add_degrees, 1)]
+    pair_terms = [(kx + ky, cx * cy if sign > 0 else -(cx * cy))
+                  for x, y, _, sign in parts for kx, cx in x.items() for ky, cy in y.items()]
+    summed = list(bilinear_sum(Degrees, parts).items())
+    assert summed == first_place_sums(pair_terms) == [(1, d), (2, b), (3, c)]
+    # A sum is x's terms then y's, a difference x's then y's negated.
+    x, y = Degrees([(1, a), (2, b), (3, c)]), Degrees([(4, d), (1, -a), (2, b)])
+    assert list((x + y).items()) == first_place_sums([*x.items(), *y.items()])
+    assert list((x - y).items()) == first_place_sums([*x.items(), *((k, -c) for k, c in y.items())])
+    assert [k for k, _ in (x + y).items()] == [2, 3, 4] and [k for k, _ in (x - y).items()] == [1, 3, 4]
+
+
+def test_many_terms_merge_exactly_into_one_canonical_scalar():
+    dens = (2, 3, 5, 7)
+    coefficients = [
+        HbarScalar.of(Fraction(i % 13 - 6, dens[i % 4]), Fraction(i % 5 - 2, dens[i // 4 % 4]), 1)
+        for i in range(1000)
+    ]
+    expected = HbarScalar.of(sum(c.re for c in coefficients), sum(c.im for c in coefficients), 1)
+    assert expected._den > 1
+    spread, one = Degrees(enumerate(coefficients)), Degrees([(0, ONE)])
+    to_zero = lambda kx, ky: (0, 1)  # noqa: E731
+    sums = Degrees((0, c) for c in coefficients), bilinear_sum(Degrees, [(spread, one, to_zero, 1)])
+    for merged in sums:
+        [(key, c)] = merged.items()
+        assert (key, c) == (0, expected)
+        assert c._den > 0 and gcd(c._re, c._im, c._den) == 1
+    # A mix of every term and its negative, in any order, leaves no slot.
+    mixed = [(0, c) for c in coefficients] + [(0, -c) for c in coefficients]
+    random.Random(1).shuffle(mixed)
+    assert Degrees(mixed)._terms == {}
+    assert bilinear_sum(Degrees, [(spread, one, to_zero, 1), (spread, one, to_zero, -1)])._terms == {}
+    assert (Degrees((0, c) for c in coefficients) - sums[0])._terms == {}
+
+
 def test_the_pair_loop_counts_then_scales(monkeypatch):
     """One ``cx * cy`` per term of ``x`` along a ``y`` of one coefficient
     object, one signed product per term of ``x`` in a negative part, with
     no negation, and no scalar at all for a pair whose factor is 0."""
     from opalg import terms
 
-    made = {"mul": 0, "neg": 0, "scaled": 0}
+    from opalg import scalars
+
+    made = {"mul": 0, "neg": 0, "scaled": 0, "made": 0, "add": 0}
 
     def counting(name, func):
         def counted(*args):
@@ -333,11 +403,14 @@ def test_the_pair_loop_counts_then_scales(monkeypatch):
     monkeypatch.setattr(HbarScalar, "__mul__", counting("mul", HbarScalar.__mul__))
     monkeypatch.setattr(HbarScalar, "__neg__", counting("neg", HbarScalar.__neg__))
     monkeypatch.setattr(terms, "_scaled_product", counting("scaled", terms._scaled_product))
+    # Every scalar is allocated in ``scalars._make``.
+    monkeypatch.setattr(scalars, "_new", counting("made", scalars._new))
+    monkeypatch.setattr(HbarScalar, "__add__", counting("add", HbarScalar.__add__))
 
-    def count(run):
+    def count(run, names=("mul", "neg", "scaled")):
         made.update(dict.fromkeys(made, 0))
         run()
-        return made["mul"], made["neg"], made["scaled"]
+        return tuple(made[name] for name in names)
 
     x = WeylPolynomial([(WeylMonomial(0, 1), HBAR), (WeylMonomial(0, 2), INV_I_HBAR)])
     y = WeylPolynomial([(WeylMonomial(k, 0), SHARED) for k in range(5)])
@@ -354,6 +427,23 @@ def test_the_pair_loop_counts_then_scales(monkeypatch):
     b = WeylPolynomial([(WeylMonomial(4, 2), HBAR)])
     assert _monomial_bracket(WeylMonomial(2, 1), WeylMonomial(4, 2))[1] == 0
     assert count(lambda: bilinear(a, b, _monomial_bracket)) == (0, 0, 0)
+    # All parts of the Leibniz residual and of the Jacobiator of three
+    # monomials land on one slot: the first makes the one scalar, the rest
+    # add in integers, and the zero sum makes none.
+    f, g, h = (
+        WeylPolynomial([(WeylMonomial(n, m), c)])
+        for n, m, c in [(2, 1, SHARED), (1, 3, HBAR), (3, 2, HbarScalar.of(Fraction(2, 3)))]
+    )
+    gh, fg, fh = weyl_product(g, h), symmetrized_poisson_bracket(f, g), symmetrized_poisson_bracket(f, h)
+    assert count(lambda: _leibniz(f, g, h, gh, fg, fh), ("made", "add")) == (1, 0)
+    assert _leibniz(f, g, h, gh, fg, fh) == WeylPolynomial()
+    inner = [symmetrized_poisson_bracket(*pair) for pair in [(g, h), (h, f), (f, g)]]
+    pairs = list(zip((f, g, h), inner))
+    assert count(lambda: _bracket_sum(*pairs), ("made", "add")) == (1, 0)
+    assert _bracket_sum(*pairs) == WeylPolynomial()
+    # A difference negates no term: the first of a slot is made negated.
+    assert count(lambda: x - y, ("neg",)) == (0,)
+    assert x - y == x + (-y)
 
 
 @given(classical, classical)

@@ -7,10 +7,10 @@ change checkout; the two runs of a pair alternate which one goes first, so
 that a drift of the machine's speed does not favour one side.  The script
 takes only the three paths below, so every record is made this way and
 holds every workload at the same seeds.  Each pair is printed as it
-finishes, then per workload and end-to-end metric the two
-medians, the parent's quartiles and in how many pairs the change was better
-(the direction of each metric, and the run length ``N``, come from the
-change checkout's ``BENCHMARK.json``).  A claim is read from these pairs,
+finishes, then per workload and end-to-end metric the two medians, the
+parent's quartiles and in how many pairs the change was better, in all and
+split by the side that ran first (the direction of each metric, and the run
+length ``N``, come from the change checkout's ``BENCHMARK.json``).  A claim is read from these pairs,
 inside one record: two records of the same code differ by several percent,
 so medians are never compared across records.  The output file holds the
 environment, both commits, each side's ``tools/output_digest.py`` lines and
@@ -145,23 +145,27 @@ def better(value: float, than: float, direction: str) -> bool:
 def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
     """Per workload and metric: the medians of both sides, the relative
     change of the medians, the parent's quartiles, and the pairs in which
-    the change was better.  ``runs`` holds one entry per run, with the keys
-    ``workload``, ``seed``, ``side`` and ``result``; ``directions`` maps each
+    the change was better, in all and split by the side that ran first
+    (``wins_by_first``).  ``runs`` holds one entry per run, with the keys
+    ``workload``, ``seed``, ``side``, ``first`` and ``result``; ``directions`` maps each
     end-to-end metric to ``"higher"`` or ``"lower"``.  ``failed_share`` is
     added, lower being better."""
     pairs: dict[str, dict[int, dict[str, dict]]] = {}
+    first: dict[tuple[str, int], str] = {}
     for run in runs:
         pairs.setdefault(run["workload"], {}).setdefault(run["seed"], {})[run["side"]] = run["result"]
+        first[run["workload"], run["seed"]] = run["first"]
     directions = {**directions, "failed_share": "lower"}
     summary = {}
     for workload, by_seed in pairs.items():
-        complete = [sides for _, sides in sorted(by_seed.items()) if len(sides) == len(SIDES)]
+        complete = [(seed, sides) for seed, sides in sorted(by_seed.items()) if len(sides) == len(SIDES)]
         rows = {}
         for name, direction in directions.items():
-            parent = [metric(sides["parent"], name) for sides in complete]
-            change = [metric(sides["change"], name) for sides in complete]
+            parent = [metric(sides["parent"], name) for _, sides in complete]
+            change = [metric(sides["change"], name) for _, sides in complete]
             if not parent:
                 continue
+            won = [first[workload, seed] for (seed, _), p, c in zip(complete, parent, change) if better(c, p, direction)]
             parent_median, change_median = statistics.median(parent), statistics.median(change)
             q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1 else parent * 3
             rows[name] = {
@@ -171,7 +175,8 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
                 "change_pct": 100 * (change_median - parent_median) / parent_median if parent_median else None,
                 "parent_q1": q1,
                 "parent_q3": q3,
-                "wins": sum(better(c, p, direction) for p, c in zip(parent, change)),
+                "wins": len(won),
+                "wins_by_first": {side: won.count(side) for side in SIDES},
                 "pairs": len(parent),
             }
         summary[workload] = rows
@@ -215,7 +220,8 @@ def summary_lines(summary: dict) -> list[str]:
             lines.append(
                 f"  {name:16s} median {row['parent_median']:.6g} -> {row['change_median']:.6g} ({pct}), "
                 f"parent quartiles {row['parent_q1']:.6g}..{row['parent_q3']:.6g}, "
-                f"change better in {row['wins']}/{row['pairs']} ({row['better']} is better)"
+                f"change better in {row['wins']}/{row['pairs']} ({row['wins_by_first']['parent']} parent first, "
+                f"{row['wins_by_first']['change']} change first), {row['better']} is better"
             )
     return lines
 
