@@ -18,7 +18,10 @@ term.  Before the map is wrapped or returned, one settle step
 (:func:`_settle`) runs over the merged slots only: it makes one reduced
 scalar of the slot's grade for each slot that survives and deletes each
 slot that summed to zero.  No accumulator leaves the call, and a slot whose
-sum cancels on the way and is added to again keeps its first place.
+sum cancels on the way and is added to again keeps its first place.  A
+difference merges its right operand's terms with sign -1 through
+:func:`sum_into`; unary negation and the evaluator's ``-`` link still
+negate each term.
 
 The public constructor validates every pair.  Operations whose result keys
 derive from valid keys (exponent sums, concatenations, deletions) sum their

@@ -387,9 +387,7 @@ def test_the_pair_loop_counts_then_scales(monkeypatch):
     """One ``cx * cy`` per term of ``x`` along a ``y`` of one coefficient
     object, one signed product per term of ``x`` in a negative part, with
     no negation, and no scalar at all for a pair whose factor is 0."""
-    from opalg import terms
-
-    from opalg import scalars
+    from opalg import scalars, terms
 
     made = {"mul": 0, "neg": 0, "scaled": 0, "made": 0, "add": 0}
 
