@@ -131,7 +131,7 @@ def test_a_run_worse_than_its_own_sides_median_by_more_than_the_bound_is_an_outl
 def test_the_committed_records_outliers_follow_from_their_runs_and_summary(tool):
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     directions = {m["name"]: m["better"] for m in end_to_end}
-    for name in ("BENCH_45.json", "BENCH_46.json", "BENCH_47.json"):
+    for name in ("BENCH_45.json", "BENCH_46.json", "BENCH_47.json", "BENCH_48_first.json", "BENCH_48.json"):
         record = json.loads((ROOT / name).read_text())
         summary = tool.summarize(record["runs"], directions)
         assert tool.outlier_lines(record["runs"], summary, end_to_end) == record["outliers"], name
@@ -145,6 +145,10 @@ def test_the_committed_records_wins_split_by_the_side_that_ran_first(tool):
         assert row["wins_by_first"] == {"parent": parent_first, "change": change_first}, name
         # The stored summary, written before the split, keeps its total.
         assert row["wins"] == record["summary"]["verify_all"]["latency_tail_ms"]["wins"] == parent_first + change_first
+    # A record written with the split stores the summary recomputed from its runs.
+    for name in ("BENCH_48_first.json", "BENCH_48.json"):
+        record = json.loads((ROOT / name).read_text())
+        assert tool.summarize(record["runs"], directions) == record["summary"], name
 
 
 def test_the_tool_imports_nothing_from_opalg():

@@ -10,13 +10,14 @@ holds every workload at the same seeds.  Each pair is printed as it
 finishes, then per workload and end-to-end metric the two medians, the
 parent's quartiles and in how many pairs the change was better, in all and
 split by the side that ran first (the direction of each metric, and the run
-length ``N``, come from the change checkout's ``BENCHMARK.json``).  A claim is read from these pairs,
-inside one record: two records of the same code differ by several percent,
-so medians are never compared across records.  The output file holds the
-environment, both commits, each side's ``tools/output_digest.py`` lines and
-``tools/code_lines.py`` total, every run's full result line with its
-``stress`` lines (the stress table an ``ordering_large`` run prints) and
-the summary; the script prints whether the two sides' digests match.
+length ``N``, come from the change checkout's ``BENCHMARK.json``).  A claim
+is read from these pairs, inside one record: two records of the same code
+differ by several percent, so medians are never compared across records.
+The output file holds the environment, both commits, each side's
+``tools/output_digest.py`` lines and ``tools/code_lines.py`` total, every
+run's full result line with its ``stress`` lines (the stress table an
+``ordering_large`` run prints) and the summary; the script prints whether
+the two sides' digests match.
 
 Before the pairs, ``tools/code_fingerprint.py`` (this script's copy) runs
 once per side and workload in each checkout, on the first seed and the
@@ -147,9 +148,9 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
     change of the medians, the parent's quartiles, and the pairs in which
     the change was better, in all and split by the side that ran first
     (``wins_by_first``).  ``runs`` holds one entry per run, with the keys
-    ``workload``, ``seed``, ``side``, ``first`` and ``result``; ``directions`` maps each
-    end-to-end metric to ``"higher"`` or ``"lower"``.  ``failed_share`` is
-    added, lower being better."""
+    ``workload``, ``seed``, ``side``, ``first`` and ``result``;
+    ``directions`` maps each end-to-end metric to ``"higher"`` or
+    ``"lower"``.  ``failed_share`` is added, lower being better."""
     pairs: dict[str, dict[int, dict[str, dict]]] = {}
     first: dict[tuple[str, int], str] = {}
     for run in runs:
@@ -165,7 +166,8 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
             change = [metric(sides["change"], name) for _, sides in complete]
             if not parent:
                 continue
-            won = [first[workload, seed] for (seed, _), p, c in zip(complete, parent, change) if better(c, p, direction)]
+            won = [first[workload, seed]
+                   for (seed, _), p, c in zip(complete, parent, change) if better(c, p, direction)]
             parent_median, change_median = statistics.median(parent), statistics.median(change)
             q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1 else parent * 3
             rows[name] = {
