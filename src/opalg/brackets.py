@@ -14,6 +14,7 @@ the Groenewold-style obstruction comparison.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .core import FreePolynomial, Letter, Word, _P, _Q, _from_counts, _junction, normal_order
@@ -217,8 +218,10 @@ def substitute_drho(x: FreePolynomial) -> FreePolynomial:
     ``-(p rho - rho p) / (i*hbar)``, distributed in place inside each word.
     Words without derivative letters pass through unchanged.
 
-    Each word is scanned once and its ``d`` derivative letters give all
-    ``2**d`` replacement words at once (the word itself when ``d = 0``).
+    A word's ``d`` derivative letters give all ``2**d`` replacement words
+    at once (the word itself when ``d = 0``), from one scan of its letters
+    (:func:`_replacements`), memoized per word: a process scans each
+    distinct word once, unless its replacements are too large to keep.
     Each one's coefficient is ``c / (i*hbar)**d`` or its negative, negated
     once per ``rho q`` from a ``drho_p`` and once per ``p rho`` from a
     ``drho_q``.  Count, then scale: each replacement word adds ``+1`` or
@@ -227,28 +230,47 @@ def substitute_drho(x: FreePolynomial) -> FreePolynomial:
     So the telescoping cancellation between words happens in ints, and
     :func:`~opalg.core._from_counts` makes one scalar per surviving count.
     """
-    Q, P, RHO, DRHO_Q, DRHO_P = Letter
     counts_by_coeff: dict[HbarScalar, dict] = {}
     last = last_d = None
     for (word, _), coeff in x._terms.items():
         letters = word.letters
-        heads, start, d = [((), 1)], 0, 0  # (letters before start, sign)
-        for i, letter in enumerate(letters):
-            if letter is DRHO_P or letter is DRHO_Q:
-                other, sign = (P, -1) if letter is DRHO_Q else (Q, 1)
-                choices = (((other, RHO), sign), ((RHO, other), -sign))
-                part, start, d = letters[start:i], i + 1, d + 1
-                heads = [(h + part + pair, s * flip) for h, s in heads for pair, flip in choices]
+        d = letters.count(Letter.DRHO_Q) + letters.count(Letter.DRHO_P)
         if coeff is not last or d != last_d:
             last, last_d, c = coeff, d, coeff
             for _ in range(d):
                 c = c * INV_I_HBAR
             counts = counts_by_coeff.setdefault(c, {})
-        tail = letters[start:]
-        for head, sign in heads:
-            slot = (head + tail, 0, 0)
+        small = (len(letters) + d) << d <= _MEMO_REPLACED_LETTERS
+        for slot, sign in (_replacements if small else _replacements.__wrapped__)(letters):
             counts[slot] = counts.get(slot, 0) + sign
     return _from_counts(counts_by_coeff)
+
+
+# The substitution memo keeps a word whose replacement words hold at most
+# _MEMO_REPLACED_LETTERS letters in all: 2**d words of its length plus d.  A
+# bound on the word's length alone would not do, as d derivative letters
+# make 2**d words.  Such an entry takes at most about 1 KB with its key, so
+# the 2,048 entries hold at most about 2.5 MB.  A larger word is substituted
+# at each call.
+_MEMO_REPLACED_LETTERS = 64
+
+
+@lru_cache(maxsize=2048)
+def _replacements(letters: tuple[Letter, ...]) -> tuple[tuple[tuple, int], ...]:
+    """The ``2**d`` signed replacement slots ``((letters, 0, 0), sign)`` of
+    one word with ``d`` derivative letters, as :func:`substitute_drho` makes
+    them; memoized for a word whose replacements hold at most
+    ``_MEMO_REPLACED_LETTERS`` letters."""
+    Q, P, RHO, DRHO_Q, DRHO_P = Letter
+    heads, start = [((), 1)], 0  # (letters before start, sign)
+    for i, letter in enumerate(letters):
+        if letter is DRHO_P or letter is DRHO_Q:
+            other, sign = (P, -1) if letter is DRHO_Q else (Q, 1)
+            choices = (((other, RHO), sign), ((RHO, other), -sign))
+            part, start = letters[start:i], i + 1
+            heads = [(h + part + pair, s * flip) for h, s in heads for pair, flip in choices]
+    tail = letters[start:]
+    return tuple(((head + tail, 0, 0), sign) for head, sign in heads)
 
 
 # -- checkers ------------------------------------------------------------

@@ -12,13 +12,16 @@ by ``q``: each segment becomes a sum of ``q^a p^b``.  Structural equality
 of normal forms decides algebraic equality.  How :func:`normal_order`
 reaches it without rewriting, and McCoy's closed form for the image of the
 Weyl symmetrizer, are derived in the README ("Why normal ordering needs no
-rewriting").
+rewriting").  The walk of one word (:func:`_word_normal_form`) is memoized:
+a process walks each distinct short word once, in a memo bounded by entries
+and by word length.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import defaultdict
+from functools import lru_cache
 from math import comb
 from typing import Iterable
 
@@ -195,10 +198,12 @@ def _normal_counts(x: FreePolynomial) -> dict[HbarScalar, dict]:
     head p^b``.  A run of ``r`` p's takes ``b`` to ``b + r``; every run of
     ``r`` q's, a single q or one after ``p^0`` too, meets ``p^b`` in one
     junction step (:func:`_junction`); a run of one state letter moves
-    ``p^b`` into the head.  No state passes from one word to the next.
-    Counts are summed per source coefficient; a slot's head never ends in
-    ``p``.  The README's "Why normal ordering needs no rewriting" derives
-    each step.
+    ``p^b`` into the head.  No state passes from one word to the next, so
+    a word's slots are a function of its letters alone
+    (:func:`_word_normal_form`), memoized for a word of at most
+    ``_MEMO_LETTERS`` letters and walked afresh for a longer one.  Counts
+    are summed per source coefficient; a slot's head never ends in ``p``.
+    The README's "Why normal ordering needs no rewriting" derives each step.
     """
     # The slot map is read through its getter, which raises rather than
     # reaching ``__getattr__``, so a listed value raises nothing.
@@ -206,36 +211,53 @@ def _normal_counts(x: FreePolynomial) -> dict[HbarScalar, dict]:
         terms = _get_terms(x)
     except AttributeError:  # the value holds only its record
         return _arrangement_counts(x._sets)
-    Q, P = Letter.Q, Letter.P
     sets, rest = _split_arrangement_sets(terms)
     counts_by_coeff = _arrangement_counts(sets)
     for (source, _), coeff in rest:
-        partial = {((), 0, 0): 1}
-        run, r = None, 0
-        for letter in source.letters + (None,):  # None ends the last run
-            if letter is run:
-                r += 1
-                continue
-            if r:
-                if run is P:
-                    step = {}
-                    for (head, b, k), n in partial.items():
-                        step[head, b + r, k] = n
-                elif run is Q:
-                    step = defaultdict(int)
-                    for (head, b, k), n in partial.items():
-                        for t, m in enumerate(_junction(b, r, n)):
-                            step[head + _Q * (r - t), b - t, k + t] += m
-                else:
-                    step, tail = {}, (run,) * r
-                    for (head, b, k), n in partial.items():
-                        step[head + _P * b + tail, 0, k] = n
-                partial = step
-            run, r = letter, 1
+        letters = source.letters
+        walk = _word_normal_form if len(letters) <= _MEMO_LETTERS else _word_normal_form.__wrapped__
         counts = counts_by_coeff.setdefault(coeff, {})
-        for slot, n in partial.items():
+        for slot, n in walk(letters):
             counts[slot] = counts.get(slot, 0) + n
     return counts_by_coeff
+
+
+# The walk memo keeps words of at most _MEMO_LETTERS letters.  Such a word's
+# normal form has at most 18 slots, as p q p q rho p q p q rho p q has (3 * 3
+# * 2), each head at most 12 letters: about 4 KB with its key, so the 2,048
+# entries hold at most about 8.5 MB.  A longer word is walked at each call.
+_MEMO_LETTERS = 12
+
+
+@lru_cache(maxsize=2048)
+def _word_normal_form(letters: tuple[Letter, ...]) -> tuple[tuple[tuple, int], ...]:
+    """The count slots ``((head, b, k), n)`` of one word's normal form, as
+    :func:`_normal_counts` walks it; memoized for words of at most
+    ``_MEMO_LETTERS`` letters."""
+    Q, P = Letter.Q, Letter.P
+    partial = {((), 0, 0): 1}
+    run, r = None, 0
+    for letter in letters + (None,):  # None ends the last run
+        if letter is run:
+            r += 1
+            continue
+        if r:
+            if run is P:
+                step = {}
+                for (head, b, k), n in partial.items():
+                    step[head, b + r, k] = n
+            elif run is Q:
+                step = defaultdict(int)
+                for (head, b, k), n in partial.items():
+                    for t, m in enumerate(_junction(b, r, n)):
+                        step[head + _Q * (r - t), b - t, k + t] += m
+            else:
+                step, tail = {}, (run,) * r
+                for (head, b, k), n in partial.items():
+                    step[head + _P * b + tail, 0, k] = n
+            partial = step
+        run, r = letter, 1
+    return tuple(partial.items())
 
 
 def _junction(b: int, c: int, n: int) -> list[int]:

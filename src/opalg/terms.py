@@ -90,7 +90,7 @@ def sum_into(
             acc[slot] = scalar
         else:
             acc[slot] = _make(-scalar._re, -scalar._im, scalar._den, scalar._power)
-    return _settle(acc, merged)
+    return _settle(acc, merged) if merged else acc
 
 
 def _merge(acc: dict, merged: list, slot: tuple, current, re: int, im: int, den: int) -> None:
@@ -325,7 +325,7 @@ def bilinear_sum(cls, parts: Iterable[tuple[GradedTerms, GradedTerms, Callable, 
                     if cy is not last:
                         last, cxy = cy, cx * cy if sign > 0 else _scaled_product(cx, cy, -1)
                     acc[slot] = cxy
-    return cls._of(_settle(acc, merged))
+    return cls._of(_settle(acc, merged) if merged else acc)
 
 
 def linear_map(x: GradedTerms, image: Callable[[Any], Iterable[tuple[Any, int]]]):

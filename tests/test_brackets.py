@@ -748,6 +748,55 @@ def test_substitute_counts_shared_coefficients_like_the_stack_reference():
         assert substitute_drho(x) == _substitute_drho_by_stack(x)
 
 
+def _replacements_by_letter(letters: tuple) -> dict:
+    """Reference: each letter's own replacements, ``drho_p -> (q rho - rho
+    q)`` and ``drho_q -> -(p rho - rho p)``, multiplied out letter by
+    letter; the slot map ``(letters, 0, 0) -> sign``."""
+    options = {
+        Letter.DRHO_P: [((Q, RHO), 1), ((RHO, Q), -1)],
+        Letter.DRHO_Q: [((P, RHO), -1), ((RHO, P), 1)],
+    }
+    slots = {}
+    for choice in product(*(options.get(letter, [((letter,), 1)]) for letter in letters)):
+        word, sign = (), 1
+        for part, s in choice:
+            word, sign = word + part, sign * s
+        slots[word, 0, 0] = slots.get((word, 0, 0), 0) + sign
+    return slots
+
+
+def test_the_substitution_memo_equals_a_per_letter_reference():
+    memo = brackets._replacements
+    derivatives = (Letter.DRHO_Q, Letter.DRHO_P)
+    for size in range(6):
+        for letters in product((Q, P, RHO) + derivatives, repeat=size):
+            if sum(letter in derivatives for letter in letters) > 3:
+                continue
+            expected = _replacements_by_letter(letters)
+            memo(letters)
+            hits = memo.cache_info().hits
+            assert dict(memo(letters)) == dict(memo.__wrapped__(letters)) == expected, letters
+            assert memo.cache_info().hits == hits + 1
+
+
+def test_the_substitution_memo_keeps_no_large_word_and_holds_its_maxsize():
+    memo = brackets._replacements
+    memo.cache_clear()
+    # (4 + 4) << 4 = 128 letters of replacement words: over the bound
+    large = FreePolynomial.from_letters(Letter.DRHO_P, Letter.DRHO_Q, Letter.DRHO_P, Letter.DRHO_Q)
+    assert substitute_drho(large) == _substitute_drho_by_stack(large)
+    assert memo.cache_info().currsize == 0
+    # (3 + 3) << 3 = 48 letters: kept
+    substitute_drho(FreePolynomial.from_letters(Letter.DRHO_P, Letter.DRHO_Q, Letter.DRHO_P))
+    assert memo.cache_info().currsize == 1
+    maxsize = memo.cache_info().maxsize
+    words = list(product((Q, P, RHO), repeat=7))
+    assert len(words) > maxsize
+    for letters in words:
+        substitute_drho(FreePolynomial.from_letters(*letters, Letter.DRHO_P))
+    assert memo.cache_info().currsize == maxsize
+
+
 # -- von Neumann equivalence -----------------------------------------------------------
 
 

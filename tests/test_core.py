@@ -210,6 +210,45 @@ def test_normal_order_of_run_heavy_words_matches_rewrite_system():
         assert normal_order(FreePolynomial.from_word(word, coeff)) == expected, str(word)
 
 
+# -- the per-word walk memo ---------------------------------------------------
+
+
+REWRITE_WORDS = [
+    letters
+    for alphabet, max_length in [((Q, P, RHO), 8), (tuple(Letter), 6)]
+    for length in range(max_length + 1)
+    for letters in itertools.product(alphabet, repeat=length)
+] + [word.letters for word in RUN_WORDS]
+
+
+def test_a_walk_memo_hit_equals_a_fresh_walk_on_every_rewrite_word():
+    memo = core._word_normal_form
+    for letters in REWRITE_WORDS:
+        if len(letters) > core._MEMO_LETTERS:
+            continue
+        memo(letters)
+        hits = memo.cache_info().hits
+        assert memo(letters) == memo.__wrapped__(letters), letters
+        assert memo.cache_info().hits == hits + 1
+
+
+def test_the_walk_memo_keeps_no_long_word_and_holds_its_maxsize():
+    memo = core._word_normal_form
+    memo.cache_clear()
+    long_word = Word((P, Q) * 6 + (RHO,))
+    assert len(long_word) == core._MEMO_LETTERS + 1
+    assert normal_order(FreePolynomial.from_word(long_word)) == rewrite_normal_form(long_word)
+    assert memo.cache_info().currsize == 0
+    normal_order(FreePolynomial.from_word(Word(long_word.letters[1:])))
+    assert memo.cache_info().currsize == 1
+    maxsize = memo.cache_info().maxsize
+    words = list(itertools.product((Q, P, RHO), repeat=7))
+    assert len(words) > maxsize
+    for letters in words:
+        normal_order(FreePolynomial.from_word(Word(letters)))
+    assert memo.cache_info().currsize == maxsize
+
+
 # A source order in which a word's common prefix with the word before ends
 # inside one of that word's runs: inside the q-run q^4 (second word) and the
 # p-runs p^4 and p^3 (fourth and sixth words) at grade 0, and inside q^4
