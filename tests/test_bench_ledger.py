@@ -28,11 +28,12 @@ def test_the_same_code_controls_pool_and_their_tail_lean_is_not_met(ledger):
     lines = ledger.decide("verify_all", "latency_tail_ms", ROOT / "BENCH_47.json")
     assert lines[0] == "pooled: BENCH_46.json, BENCH_47.json"
     records, _ = ledger.pool(ROOT / "BENCH_47.json", "verify_all")
-    row = ledger.verdict(ledger.pairs(records, "verify_all", "latency_tail_ms"), "lower")
-    assert (row["wins"], row["pairs"]) == (16, 20)
-    assert round(row["gap"], 3) == 0.096
+    row = ledger.pooled_row(records, "verify_all", "latency_tail_ms", "lower")
+    gap, decision = ledger.verdict(row)
+    assert (row["wins"], row["pairs"], row["wins_by_first"]) == (16, 20, {"parent": 8, "change": 8})
+    assert round(gap, 3) == 0.096
     assert round(row["parent_q3"] - row["parent_q1"], 3) == 0.149
-    assert row["verdict"] == "NOT MET"
+    assert decision == "NOT MET"
     assert lines[-1].startswith("NOT MET: ")
 
 
@@ -65,20 +66,31 @@ def test_records_without_fingerprints_are_skipped_and_counted(ledger, tmp_path):
 
 
 def test_the_rule_has_three_verdicts(ledger):
-    # Parent values 1..10: median 5.5, quartiles 3.25..7.75, distance 4.5.
-    parent = [float(v) for v in range(1, 11)]
-    cases = {
-        "CLAIMED": [p - 5 for p in parent],  # 10/10, gap 5
-        "UNRESOLVED": [p - 1 for p in parent],  # 10/10, gap 1
-        "NOT MET": [p + (-9 if i < 3 else 1) for i, p in enumerate(parent)],  # 3/10, gap 1 the other way
+    # The parent's quartile distance is 1.0 in every row.
+    rows = {
+        "CLAIMED": (9, 1.5),  # 9/10, gap 1.5
+        "UNRESOLVED": (10, 0.5),  # 10/10, gap 0.5
+        "NOT MET": (8, 1.0),  # 8/10, gap 1.0, not larger than the distance
     }
-    for expected, change in cases.items():
-        found = [(p, c, "parent" if i % 2 else "change") for i, (p, c) in enumerate(zip(parent, change))]
-        assert ledger.verdict(found, "lower")["verdict"] == expected
-    # 5/10, change median (-10 + 2) / 2 = -4, gap 9.5
-    gap_only = [(p, p - 20 if p > 5 else p + 1, "parent") for p in parent]
-    row = ledger.verdict(gap_only, "lower")
-    assert (row["wins"], row["gap"], row["verdict"]) == (5, 9.5, "UNRESOLVED")
+    for expected, (wins, gap) in rows.items():
+        for better, change in (("lower", 5 - gap), ("higher", 5 + gap)):
+            row = {"better": better, "parent_median": 5, "change_median": change,
+                   "parent_q1": 4.5, "parent_q3": 5.5, "wins": wins, "pairs": 10}
+            assert ledger.verdict(row) == (gap, expected), (expected, better)
+    gap_only = {"better": "lower", "parent_median": 5, "change_median": 2,
+                "parent_q1": 4.5, "parent_q3": 5.5, "wins": 5, "pairs": 10}
+    assert ledger.verdict(gap_only) == (3, "UNRESOLVED")
+
+
+def test_the_committed_memo_record_claims_its_verify_all_tail(ledger):
+    lines = ledger.decide("verify_all", "latency_tail_ms", ROOT / "BENCH_49.json")
+    assert lines[0] == "pooled: BENCH_49.json"
+    assert "change better in 10/10 " in lines[3]
+    assert lines[-1] == "CLAIMED: verify_all latency_tail_ms over 1 record(s)"
+    # One record pooled alone gives the summary row it stores.
+    record = json.loads((ROOT / "BENCH_49.json").read_text())
+    row = ledger.pooled_row({"BENCH_49.json": record}, "verify_all", "latency_tail_ms", "lower")
+    assert row == record["summary"]["verify_all"]["latency_tail_ms"]
 
 
 def test_the_tool_prints_the_verdict_last_and_rewrites_no_record(ledger, capsys):

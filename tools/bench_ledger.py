@@ -6,11 +6,12 @@ writes them, from ``tools/code_fingerprint.py``) and pools the pairs of
 every ``BENCH_*.json`` in ``RECORD``'s directory whose two fingerprint
 digests for that workload are the same two.  A record made before the
 fingerprints existed cannot be matched, and is counted as skipped.  It
-prints each pooled record, the number skipped, the medians of both sides
-over the pooled pairs, the parent's quartiles, the pairs the change won, in
-all and split by the side that ran first, and the number of ``outlier:``
-lines that the pooled records keep for the workload and metric.  The last
-line is the verdict of the one claim rule:
+prints each pooled record, the number skipped, ``bench_pairs``' own summary
+row over the pooled pairs (each pair told apart by its record and seed):
+the medians of both sides, the parent's quartiles and the pairs the change
+won, in all and split by the side that ran first; and the number of
+``outlier:`` lines that the pooled records keep for the workload and
+metric.  The last line is the verdict of the one claim rule:
 
 - CLAIMED: the change won at least ``WIN_SHARE`` of the pairs, and its
   median is better than the parent's by more than the parent's
@@ -22,8 +23,7 @@ Two records of identical code have differed by several percent in their
 medians, so the rule reads pairs, never medians across records, and pools
 records only when both sides ran the same code as ``RECORD``'s.  A metric's
 direction comes from ``BENCHMARK.json`` beside the records (``failed_share``
-is lower-better), and each value is read by ``bench_pairs``' own ``metric``.
-The tool reads the records and rewrites none.
+is lower-better).  The tool reads the records and rewrites none.
 
 usage: python tools/bench_ledger.py --decide WORKLOAD METRIC RECORD
 """
@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
-import statistics
 import sys
 from pathlib import Path
 
@@ -78,42 +77,23 @@ def pool(record_path: Path, workload: str) -> tuple[dict[str, dict], int]:
     return pooled, skipped
 
 
-def pairs(records: dict[str, dict], workload: str, name: str) -> list[tuple[float, float, str]]:
-    """``(parent, change, first)`` of every complete pair of ``workload`` in
-    ``records``: the two sides' values of the metric ``name`` and the side
-    that ran first."""
-    found = []
-    for record in records.values():
-        by_seed: dict[int, dict[str, dict]] = {}
-        for run in record["runs"]:
-            if run["workload"] == workload:
-                by_seed.setdefault(run["seed"], {})[run["side"]] = run
-        for sides in by_seed.values():
-            if len(sides) == len(bench_pairs.SIDES):
-                parent, change = (bench_pairs.metric(sides[side]["result"], name) for side in bench_pairs.SIDES)
-                found.append((parent, change, sides["change"]["first"]))
-    return found
+def pooled_row(records: dict[str, dict], workload: str, name: str, direction: str) -> dict | None:
+    """``bench_pairs``' summary row of the metric ``name`` over the pairs of
+    ``workload`` in all ``records``, each pair told apart by its record's
+    file name and its seed; None when the records hold no run of it."""
+    runs = [{**run, "seed": (file, run["seed"])}
+            for file, record in records.items() for run in record["runs"] if run["workload"] == workload]
+    return bench_pairs.summarize(runs, {name: direction})[workload][name] if runs else None
 
 
-def verdict(found: list[tuple[float, float, str]], direction: str) -> dict:
-    """The claim rule over the pooled pairs ``found``."""
-    parent = [p for p, _, _ in found]
-    won = [first for p, c, first in found if bench_pairs.better(c, p, direction)]
-    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1 else parent * 3
-    parent_median, change_median = statistics.median(parent), statistics.median(c for _, c, _ in found)
-    gap = parent_median - change_median if direction == "lower" else change_median - parent_median
-    wins_hold, gap_holds = len(won) >= WIN_SHARE * len(found), gap > q3 - q1
-    return {
-        "pairs": len(found),
-        "wins": len(won),
-        "wins_by_first": {side: won.count(side) for side in bench_pairs.SIDES},
-        "parent_median": parent_median,
-        "change_median": change_median,
-        "parent_q1": q1,
-        "parent_q3": q3,
-        "gap": gap,
-        "verdict": "CLAIMED" if wins_hold and gap_holds else "UNRESOLVED" if wins_hold or gap_holds else "NOT MET",
-    }
+def verdict(row: dict) -> tuple[float, str]:
+    """The median gap of a summary row, in the direction of better, and the
+    claim rule's verdict on the row."""
+    gap = row["parent_median"] - row["change_median"]
+    if row["better"] == "higher":
+        gap = -gap
+    wins_hold, gap_holds = row["wins"] >= WIN_SHARE * row["pairs"], gap > row["parent_q3"] - row["parent_q1"]
+    return gap, "CLAIMED" if wins_hold and gap_holds else "UNRESOLVED" if wins_hold or gap_holds else "NOT MET"
 
 
 def decide(workload: str, name: str, record_path: Path) -> list[str]:
@@ -123,21 +103,21 @@ def decide(workload: str, name: str, record_path: Path) -> list[str]:
     if name not in directions:
         raise SystemExit(f"unknown metric {name}; known: {', '.join(directions)}")
     records, skipped = pool(record_path, workload)
-    found = pairs(records, workload, name)
-    if not found:
-        raise SystemExit(f"no complete pair of {workload} in {', '.join(records)}")
-    row = verdict(found, directions[name])
+    row = pooled_row(records, workload, name, directions[name])
+    if row is None:
+        raise SystemExit(f"no run of {workload} in {', '.join(records)}")
+    gap, decision = verdict(row)
     outliers = sum(line.startswith(f"outlier: {workload} ") and f": {name} " in line
                    for record in records.values() for line in record.get("outliers", []))
     return [
         f"pooled: {', '.join(records)}",
         f"skipped without a fingerprint: {skipped}",
         f"{workload} {name}: median {row['parent_median']:.6g} -> {row['change_median']:.6g}, "
-        f"gap {row['gap']:.6g} against the parent's quartile distance {row['parent_q3'] - row['parent_q1']:.6g} "
+        f"gap {gap:.6g} against the parent's quartile distance {row['parent_q3'] - row['parent_q1']:.6g} "
         f"({row['parent_q1']:.6g}..{row['parent_q3']:.6g}), {directions[name]} is better",
         f"change better in {row['wins']}/{row['pairs']} ({row['wins_by_first']['parent']} parent first, "
         f"{row['wins_by_first']['change']} change first); outlier lines: {outliers}",
-        f"{row['verdict']}: {workload} {name} over {len(records)} record(s)",
+        f"{decision}: {workload} {name} over {len(records)} record(s)",
     ]
 
 
