@@ -375,8 +375,6 @@ def evaluate(node: Node) -> Result:
                 value = _times(value, evaluate(link.right))
             else:
                 b = evaluate(link.right)
-                if link.op == "-":
-                    b = -b
                 if type(b) is not type(value):
                     value, b = _one_basis(value, b)
                 # One copy of the map per run of same-type links, summed into
@@ -384,7 +382,7 @@ def evaluate(node: Node) -> Result:
                 if value._terms is not run:
                     run = dict(value._terms)
                     value = value._of(run)
-                sum_into(run, b._terms.items())
+                sum_into(run, b._terms.items(), -1 if link.op == "-" else 1)
         return value
     if kind is PowerNode:
         if node.exponent < 0:

@@ -117,8 +117,6 @@ class HbarScalar:
                 "they belong in separate polynomial terms"
             )
         den, other_den = self._den, other._den
-        if den == other_den:
-            return _make(self._re + other._re, self._im + other._im, den, power)
         return _make(
             self._re * other_den + other._re * den,
             self._im * other_den + other._im * den,

@@ -18,10 +18,11 @@ term.  Before the map is wrapped or returned, one settle step
 (:func:`_settle`) runs over the merged slots only: it makes one reduced
 scalar of the slot's grade for each slot that survives and deletes each
 slot that summed to zero.  No accumulator leaves the call, and a slot whose
-sum cancels on the way and is added to again keeps its first place.  A
-difference merges its right operand's terms with sign -1 through
-:func:`sum_into`; unary negation and the evaluator's ``-`` link still
-negate each term.
+sum cancels on the way and is added to again keeps its first place.  Every
+negation is the sign -1 of :func:`sum_into`: a difference, unary negation
+and the evaluator's ``-`` link merge their operand's terms with that sign,
+so no operand is negated into a value first, and a slot's first term is
+stored negated, one scalar per run of one coefficient object.
 
 The public constructor validates every pair.  Operations whose result keys
 derive from valid keys (exponent sums, concatenations, deletions) sum their
@@ -40,9 +41,12 @@ as a value, no operand is negated and no map is copied to add it.
 Count, then scale: where many terms share one coefficient object, as the
 words of an expansion do, an operation pays one scalar operation per
 coefficient rather than per term.  The pair loop reuses ``cx * cy``, or
-``-(cx * cy)`` in a negative part, along a run of one ``cy``; the
-symmetrizer and the state-derivative substitution count integer
-multiplicities per coefficient and scale once per surviving slot, as
+``-(cx * cy)`` in a negative part, along a run of one ``cy``, and a
+negation reuses ``-c`` along a run of one ``c``.  The symmetrizer sends
+each word's term to its monomial's slot through :func:`sum_into`, where
+the words of one monomial add in integers and make one scalar per
+surviving slot.  The state-derivative substitution counts integer
+multiplicities per coefficient and scales once per surviving slot, as
 :func:`~opalg.core.normal_order` does.  The commutator takes both operands'
 normal forms as those integer count maps and pairs them: one
 ``cf * cg`` per pair of source coefficients, int products per pair of slots.
@@ -76,12 +80,15 @@ def sum_into(
     """Add ``sign`` times each nonzero ``(slot, scalar)`` term into ``acc``
     in order, in place, and delete every slot whose sum cancels to zero.
 
-    A slot's first term is stored as it is, negated once if ``sign`` is -1.
-    Later terms add into the slot in integers (:func:`_merge`), and
-    :func:`_settle` makes one scalar per merged slot that survives before
-    ``acc`` is returned, so a slot keeps the place of its first term even
-    if its sum cancels and is added to again."""
+    A slot's first term is stored as it is, or, if ``sign`` is -1, as its
+    negation, made once per run of one scalar object, so the words of one
+    expansion keep sharing one coefficient.  Later terms add into the slot
+    in integers (:func:`_merge`), and :func:`_settle` makes one scalar per
+    merged slot that survives before ``acc`` is returned, so a slot keeps
+    the place of its first term even if its sum cancels and is added to
+    again."""
     merged: list = []
+    last = None
     for slot, scalar in terms:
         current = acc.get(slot)
         if current is not None:
@@ -89,7 +96,9 @@ def sum_into(
         elif sign > 0:
             acc[slot] = scalar
         else:
-            acc[slot] = _make(-scalar._re, -scalar._im, scalar._den, scalar._power)
+            if scalar is not last:
+                last, negated = scalar, _make(-scalar._re, -scalar._im, scalar._den, scalar._power)
+            acc[slot] = negated
     return _settle(acc, merged) if merged else acc
 
 
@@ -255,7 +264,7 @@ class GradedTerms:
         return self._of(sum_into(dict(self._terms), other._terms.items(), -1))
 
     def __neg__(self):
-        return self._of({slot: -c for slot, c in self._terms.items()})
+        return self._of(sum_into({}, self._terms.items(), -1))
 
     def scale(self, factor: HbarScalar | RationalLike):
         """Every coefficient times ``factor``, every grade shifted by its

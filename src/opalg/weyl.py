@@ -130,31 +130,19 @@ def symmetrize(x: FreePolynomial) -> WeylPolynomial:
     Negative grades never reach the symmetrizer in a well-formed pipeline
     (bracket prefactors stay outside it), so they are rejected loudly.
 
-    Count, then scale: the words of one monomial under one coefficient
-    object, as a product of expansions emits them, are counted as an int
-    and multiply the coefficient once.  Distinct objects, equal or
-    opposite, add as scalars.
+    Each grade-0 term goes straight into :func:`~opalg.terms.sum_into`
+    under its monomial, so the words of one monomial merge there in
+    integers and make one scalar per surviving monomial.
     """
-    groups: dict[int, tuple[HbarScalar, dict]] = {}  # id(coeff) -> (coeff, monomial counts)
-    last = None
+    return WeylPolynomial._of(sum_into({}, _grade_zero_monomials(x)))
+
+
+def _grade_zero_monomials(x: FreePolynomial):
     for (word, grade), coeff in x._terms.items():
-        if grade:
-            if grade < 0:
-                raise UnsupportedFragmentError(
-                    "the symmetrizer is not defined on negative hbar grades"
-                )
-            continue
-        if coeff is not last:
-            last = coeff
-            counts = groups.setdefault(id(coeff), (coeff, {}))[1]
-        monomial = _monomial_of_word(word)
-        counts[monomial] = counts.get(monomial, 0) + 1
-    terms = (
-        ((monomial, 0), coeff if n == 1 else coeff * n)
-        for coeff, counts in groups.values()
-        for monomial, n in counts.items()
-    )
-    return WeylPolynomial._of(sum_into({}, terms))
+        if not grade:
+            yield (_monomial_of_word(word), 0), coeff
+        elif grade < 0:
+            raise UnsupportedFragmentError("the symmetrizer is not defined on negative hbar grades")
 
 
 def _expansion(w: WeylMonomial) -> FreePolynomial:

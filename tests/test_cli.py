@@ -578,9 +578,14 @@ def test_closed_output_ends_quietly(argv, stdin):
 
 def test_interrupt_ends_with_one_error_line():
     # (q+p)^18 lists 262,144 words, seconds of work; the child says when it
-    # has imported the package, and is interrupted well inside the work.
+    # has imported the package, and is interrupted well inside the work.  It
+    # restores Python's SIGINT handler first: a background job of a
+    # non-interactive shell starts with SIGINT ignored, and the child
+    # inherits that.
     code = (
-        "import sys; from opalg import cli; print('ready', file=sys.stderr, flush=True); "
+        "import signal, sys; from opalg import cli; "
+        "signal.signal(signal.SIGINT, signal.default_int_handler); "
+        "print('ready', file=sys.stderr, flush=True); "
         "sys.exit(cli.main(['eval', '(q+p)^18']))"
     )
     child = _child(code)

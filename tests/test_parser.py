@@ -418,6 +418,35 @@ def test_a_long_sum_copies_linearly_many_terms(monkeypatch):
     assert copied <= 2 * 2000
 
 
+def test_a_difference_link_negates_no_value(monkeypatch):
+    """The ``-`` link adds its right operand into the sum run with sign -1,
+    so no value is negated, and the words of an expansion keep one negated
+    coefficient object, which a later product multiplies once.  The
+    expected values, built first, leave the expansion memo warm."""
+    expected = [
+        ev("(q+p)^4") + ev("(q+2 p)^4").scale(-1),
+        ev("((p o (3/4)) hbar) q^2") + ev("((p o (3/4)) hbar) (q + p)^2").scale(-1),
+    ]
+    calls = {"neg": 0, "mul": 0}
+
+    def counted(cls, name, key):
+        func = getattr(cls, name)
+
+        def counting(*args):
+            calls[key] += 1
+            return func(*args)
+
+        monkeypatch.setattr(cls, name, counting)
+
+    counted(GradedTerms, "__neg__", "neg")
+    counted(HbarScalar, "__mul__", "mul")
+    assert ev("(q+p)^4 - (q+2 p)^4") == expected[0]
+    assert calls["neg"] == 0
+    calls.update(neg=0, mul=0)
+    assert ev("((p o (3/4)) hbar) (q^2 - (q + p)^2)") == expected[1]
+    assert calls == {"neg": 0, "mul": 8}
+
+
 def test_printed_text_of_a_4096_term_power_reads_back():
     x = ev("(q+p)^12")
     assert ev(render_text(x)) == x

@@ -22,6 +22,7 @@ from opalg.brackets import (
 from opalg.core import FreePolynomial, Letter, Word, _word, adjoint, multiply, normal_order, partial_derivative
 from opalg.errors import UnsupportedFragmentError
 from opalg.parser import _one_basis, _times
+from opalg.printing import render_json, render_text
 from opalg.scalars import HBAR, HbarScalar, INV_I_HBAR, ONE
 from opalg.terms import GradedTerms, bilinear, bilinear_sum, linear_map
 from opalg.weyl import (
@@ -29,6 +30,7 @@ from opalg.weyl import (
     WeylPolynomial,
     _add_exponents,
     _monomial,
+    expand_polynomial,
     weyl_derivative,
     weyl_product,
 )
@@ -415,7 +417,7 @@ def test_the_pair_loop_counts_then_scales(monkeypatch):
     assert (len(x), len(y)) == (2, 5)
     assert count(lambda: bilinear(x, y, _add_exponents)) == (2, 0, 0)
     assert count(lambda: bilinear_sum(WeylPolynomial, [(x, y, _add_exponents, -1)])) == (0, 0, 2)
-    # Each run's slots hold one scalar object, which symmetrize groups by.
+    # Each run's slots hold one scalar object, so a later product pays per run.
     negative = bilinear_sum(WeylPolynomial, [(x, y, _add_exponents, -1)])
     assert negative == -bilinear(x, y, _add_exponents)
     for m in (1, 2):
@@ -442,6 +444,15 @@ def test_the_pair_loop_counts_then_scales(monkeypatch):
     # A difference negates no term: the first of a slot is made negated.
     assert count(lambda: x - y, ("neg",)) == (0,)
     assert x - y == x + (-y)
+    # Negation makes one scalar per run of one coefficient object, so the
+    # 20 words of an expansion keep sharing one.
+    e = expand_polynomial(WeylPolynomial.from_monomial(WeylMonomial(3, 3)))
+    assert len(e) == 20 and count(lambda: -e, ("neg", "made")) == (0, 1)
+    negated, per_term = -e, FreePolynomial((key, -c) for key, c in e.items())
+    assert len({id(c) for _, c in negated.items()}) == 1
+    assert negated == per_term
+    assert render_text(negated) == render_text(per_term)
+    assert render_json(negated) == render_json(per_term)
 
 
 @given(classical, classical)
