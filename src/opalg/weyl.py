@@ -138,6 +138,8 @@ def symmetrize(x: FreePolynomial) -> WeylPolynomial:
 
 
 def _grade_zero_monomials(x: FreePolynomial):
+    """The term ``((monomial, 0), coeff)`` of each grade-0 term of ``x``, in
+    order; a term of negative grade is an error."""
     for (word, grade), coeff in x._terms.items():
         if not grade:
             yield (_monomial_of_word(word), 0), coeff
