@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+from . import core
 from .core import FreePolynomial, Letter, Word, _P, _Q, _from_counts, _junction, normal_order
 from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, INV_I_HBAR, ONE, RationalLike
@@ -224,12 +225,20 @@ def substitute_drho(x: FreePolynomial) -> FreePolynomial:
     distinct word once, unless its replacements are too large to keep.
     Each one's coefficient is ``c / (i*hbar)**d`` or its negative, negated
     once per ``rho q`` from a ``drho_p`` and once per ``p rho`` from a
-    ``drho_q``.  Count, then scale: each replacement word adds ``+1`` or
-    ``-1`` to its count under ``c / (i*hbar)**d``, made once per run of
-    words that share ``c``'s object and ``d``, as an expansion's words do.
-    So the telescoping cancellation between words happens in ints, and
+    ``drho_q``.  Count, then scale: :func:`_substitution_counts` adds ``+1``
+    or ``-1`` per replacement word to its count under ``c / (i*hbar)**d``,
+    so the telescoping cancellation between words happens in ints, and
     :func:`~opalg.core._from_counts` makes one scalar per surviving count.
     """
+    return _from_counts(_substitution_counts(x))
+
+
+def _substitution_counts(x: FreePolynomial) -> dict[HbarScalar, dict]:
+    """The per-coefficient count maps ``(letters, 0, 0) -> n`` of
+    :func:`substitute_drho`'s result, before any scalar is made: each
+    replacement word adds its sign under ``c / (i*hbar)**d``, made once per
+    run of words that share ``c``'s object and ``d``, as an expansion's
+    words do."""
     counts_by_coeff: dict[HbarScalar, dict] = {}
     last = last_d = None
     for (word, _), coeff in x._terms.items():
@@ -243,7 +252,27 @@ def substitute_drho(x: FreePolynomial) -> FreePolynomial:
         small = (len(letters) + d) << d <= _MEMO_REPLACED_LETTERS
         for slot, sign in (_replacements if small else _replacements.__wrapped__)(letters):
             counts[slot] = counts.get(slot, 0) + sign
-    return _from_counts(counts_by_coeff)
+    return counts_by_coeff
+
+
+def _normal_substituted(x: FreePolynomial) -> FreePolynomial:
+    """``normal_order(substitute_drho(x))``, with no scalar made between the
+    substitution and the walk: the substitution's count maps, their ``c``
+    and ``-c`` folded (:func:`~opalg.core._fold_opposites`), go word by word
+    through the walk of :func:`~opalg.core.normal_order`, each word's count
+    times each of its slot counts, and one
+    :func:`~opalg.core._from_counts` makes the scalars.  The walk is read
+    from ``core`` at each call, so whatever walk ``normal_order`` runs,
+    this one runs."""
+    memo, longest = core._word_normal_form, core._MEMO_LETTERS
+    walked: dict[HbarScalar, dict] = {}
+    for coeff, counts in core._fold_opposites(_substitution_counts(x)).items():
+        sums = walked[coeff] = {}
+        for (letters, _, _), n in counts.items():
+            if n:
+                for slot, m in (memo if len(letters) <= longest else memo.__wrapped__)(letters):
+                    sums[slot] = sums.get(slot, 0) + n * m
+    return _from_counts(walked)
 
 
 # The substitution memo keeps a word whose replacement words hold at most
@@ -382,7 +411,10 @@ def check_von_neumann_equivalence(F: WeylPolynomial) -> EqualityReport:
     The left side pairs the Weyl-basis derivatives of ``F`` with the state
     derivative letters through the symmetric product, expands, substitutes
     the derivative letters by their commutator expressions, and normal
-    orders; most cross terms cancel in the free normal form.  The right side
+    orders; most cross terms cancel in the free normal form.  Count, then
+    scale: the substitution hands its integer count maps to the walk, and
+    the left side makes its scalars once, after the walk
+    (:func:`_normal_substituted`).  The right side
     is :func:`commutator_bracket` of ``F`` and ``rho``, the normal form of
     ``(F rho - rho F) / (i*hbar)``, which takes ``F``'s normal form from
     McCoy's closed form without expanding it.  So the two sides share no
@@ -403,7 +435,7 @@ def check_von_neumann_equivalence(F: WeylPolynomial) -> EqualityReport:
             )
     dq, dp = weyl_derivative(F, Letter.Q), weyl_derivative(F, Letter.P)
     lhs_weyl = _product_difference(dq, _DRHO_P_MONO, _DRHO_Q_MONO, dp)
-    lhs = normal_order(substitute_drho(expand_polynomial(lhs_weyl)))
+    lhs = _normal_substituted(expand_polynomial(lhs_weyl))
     rhs = commutator_bracket(F, _RHO)
     return EqualityReport(lhs, rhs, lhs - rhs)
 

@@ -328,22 +328,14 @@ def _from_counts(counts_by_coeff: dict[HbarScalar, dict]) -> FreePolynomial:
     each count standing for ``n c (-i*hbar)^k head p^b``; a caller that
     counts whole words passes ``(letters, 0, k)``.
 
-    Of ``c`` and ``-c``, the map of the one whose leading part is negative
-    is folded into the map of its opposite with negated counts, always in
-    that direction, so that their terms cancel as integers; a count that
-    cancelled to zero makes no term.  Any other coefficients that share a
-    slot add as scalars.  Each nonzero count makes one scalar, ``c n
-    (-i*hbar)^k``, reduced once
-    (:func:`~opalg.scalars.times_minus_i_hbar_power`).
+    The maps of ``c`` and ``-c`` are folded first (:func:`_fold_opposites`),
+    so that their terms cancel as integers; a count that cancelled to zero
+    makes no term.  Any other coefficients that share a slot add as
+    scalars.  Each nonzero count makes one scalar, ``c n (-i*hbar)^k``,
+    reduced once (:func:`~opalg.scalars.times_minus_i_hbar_power`).
     """
-    if len(counts_by_coeff) > 1:
-        for coeff in [c for c in counts_by_coeff if _leads_negative(c)]:
-            opposite_counts = counts_by_coeff.get(-coeff)
-            if opposite_counts is not None:
-                for slot, n in counts_by_coeff.pop(coeff).items():
-                    opposite_counts[slot] = opposite_counts.get(slot, 0) - n
     terms = []
-    for coeff, counts in counts_by_coeff.items():
+    for coeff, counts in _fold_opposites(counts_by_coeff).items():
         grade = coeff.hbar_power
         for (head, b, k), n in counts.items():
             if not n:
@@ -353,19 +345,41 @@ def _from_counts(counts_by_coeff: dict[HbarScalar, dict]) -> FreePolynomial:
     return FreePolynomial._of(sum_into({}, terms))
 
 
+def _fold_opposites(counts_by_coeff: dict[HbarScalar, dict]) -> dict[HbarScalar, dict]:
+    """Of ``c`` and ``-c``, fold the count map of the one whose leading part
+    is negative into the map of its opposite with negated counts, always in
+    that direction, in place; return ``counts_by_coeff``."""
+    if len(counts_by_coeff) > 1:
+        for coeff in [c for c in counts_by_coeff if _leads_negative(c)]:
+            opposite_counts = counts_by_coeff.get(-coeff)
+            if opposite_counts is not None:
+                for slot, n in counts_by_coeff.pop(coeff).items():
+                    opposite_counts[slot] = opposite_counts.get(slot, 0) - n
+    return counts_by_coeff
+
+
 def partial_derivative(x: FreePolynomial, wrt: Letter) -> FreePolynomial:
     """Positional Leibniz derivative with respect to ``q`` or ``p``.
 
     Each word maps to the sum, over occurrences of the target letter, of the
     word with that occurrence deleted.  All other letters, including the
-    state letters, are constants.
+    state letters, are constants.  Every deletion inside one run of the
+    target letter gives the same word, so each run makes one word, weighted
+    by the run's length: a word of length L costs O(L) per run, and the
+    words keep their first-seen order.
     """
     if wrt not in (Letter.Q, Letter.P):
         raise ValueError("partial derivatives are taken with respect to Q or P")
 
     def deletions(word: Word) -> list[tuple[Word, int]]:
-        ls = word.letters
-        return [(_word(ls[:i] + ls[i + 1 :]), 1) for i, letter in enumerate(ls) if letter is wrt]
+        ls, image, r = word.letters, [], 0
+        for i, letter in enumerate(ls + (None,)):  # None ends the last run
+            if letter is wrt:
+                r += 1
+            elif r:
+                image.append((_word(ls[: i - 1] + ls[i:]), r))
+                r = 0
+        return image
 
     return linear_map(x, deletions)
 

@@ -33,8 +33,8 @@ from .core import (
     _word,
 )
 from .errors import UnsupportedFragmentError
-from .scalars import HbarScalar, ONE
-from .terms import GradedTerms, TaggedTuple, bilinear, bilinear_sum, linear_map, sum_into
+from .scalars import HbarScalar, ONE, _make
+from .terms import GradedTerms, TaggedTuple, _merge, _settle, bilinear, bilinear_sum, linear_map
 
 # Bound once: reading a member off ``Letter`` costs about 0.1 us on a hot path.
 _LETTER_Q, _LETTER_P, _LETTER_RHO, _LETTER_DRHO_Q, _LETTER_DRHO_P = Letter
@@ -106,11 +106,9 @@ class WeylPolynomial(GradedTerms):
         return self.scale(other)
 
 
-def _monomial_of_word(word: Word) -> WeylMonomial:
-    letters = word[0]  # ``word.letters``, read from the layout: a hot path
-    n_q, n_p = letters.count(_LETTER_Q), letters.count(_LETTER_P)
-    if n_q + n_p == len(letters):
-        return _monomial(n_q, n_p, None)
+def _monomial_of_word(letters: tuple[Letter, ...], n_q: int, n_p: int) -> tuple:
+    """The key ``(n, m, deriv)`` of a word with ``n_q`` q's, ``n_p`` p's and
+    another letter, which must be its only state-derivative letter."""
     if _LETTER_RHO in letters:
         raise UnsupportedFragmentError(
             "the symmetrizer is not defined on words containing the bare state symbol"
@@ -119,7 +117,7 @@ def _monomial_of_word(word: Word) -> WeylMonomial:
         raise UnsupportedFragmentError(
             "the symmetrizer supports at most one state-derivative letter per word"
         )
-    return _monomial(n_q, n_p, _LETTER_DRHO_Q if _LETTER_DRHO_Q in letters else _LETTER_DRHO_P)
+    return n_q, n_p, _LETTER_DRHO_Q if _LETTER_DRHO_Q in letters else _LETTER_DRHO_P
 
 
 def symmetrize(x: FreePolynomial) -> WeylPolynomial:
@@ -130,28 +128,54 @@ def symmetrize(x: FreePolynomial) -> WeylPolynomial:
     Negative grades never reach the symmetrizer in a well-formed pipeline
     (bracket prefactors stay outside it), so they are rejected loudly.
 
-    Each grade-0 term goes straight into :func:`~opalg.terms.sum_into`
-    under its monomial, so the words of one monomial merge there in
-    integers and make one scalar per surviving monomial.
+    Count, then scale: each grade-0 word's letter counts make a plain key
+    ``(n, m, deriv)``, and a run of words that repeats both the key and the
+    coefficient object, as the words of an expansion or of a product of
+    expansions do, is counted in an int.  Each run adds its count times the
+    coefficient into the key's slot through :func:`~opalg.terms._merge`,
+    and :func:`~opalg.terms._settle` makes one scalar per merged slot that
+    survives: a single expansion makes one scalar, and none if it has one
+    word.  One :class:`WeylMonomial` per surviving slot is built at the end.
     """
-    return WeylPolynomial._of(sum_into({}, _grade_zero_monomials(x)))
-
-
-def _grade_zero_monomials(x: FreePolynomial):
-    """The term ``((monomial, 0), coeff)`` of each grade-0 term of ``x``, in
-    order; a term of negative grade is an error."""
-    for (word, grade), coeff in x._terms.items():
-        if not grade:
-            yield (_monomial_of_word(word), 0), coeff
-        elif grade < 0:
+    acc, merged, key, coeff, run = {}, [], None, None, 0
+    for (word, grade), scalar in x._terms.items():
+        if grade:
+            if grade > 0:
+                continue
             raise UnsupportedFragmentError("the symmetrizer is not defined on negative hbar grades")
+        letters = word[0]  # ``word.letters``, read from the layout: a hot path
+        n_q, n_p = letters.count(_LETTER_Q), letters.count(_LETTER_P)
+        nm = (n_q, n_p, None) if n_q + n_p == len(letters) else _monomial_of_word(letters, n_q, n_p)
+        if scalar is coeff and nm == key:
+            run += 1
+            continue
+        if run:
+            _add_run(acc, merged, key, coeff, run)
+        key, coeff, run = nm, scalar, 1
+    if run:
+        _add_run(acc, merged, key, coeff, run)
+    _settle(acc, merged)
+    return WeylPolynomial._of({(_monomial(*key), 0): c for (key, _), c in acc.items()})
+
+
+def _add_run(acc: dict, merged: list, key: tuple, coeff: HbarScalar, run: int) -> None:
+    """Add ``run`` times ``coeff`` into the slot ``(key, 0)`` of ``acc``: a
+    new slot stores ``coeff`` itself for the run's first word, and the rest
+    of the run merges in integers (:func:`~opalg.terms._merge`)."""
+    slot = (key, 0)
+    current = acc.get(slot)
+    if current is None:
+        acc[slot] = current = coeff
+        run -= 1
+    if run:
+        _merge(acc, merged, slot, current, coeff._re * run, coeff._im * run, coeff._den)
 
 
 def _expansion(w: WeylMonomial) -> FreePolynomial:
     letters: list[Letter] = [Letter.Q] * w.n + [Letter.P] * w.m
     if w.deriv is not None:
         letters.append(w.deriv)
-    coeff = ONE * _weight(w)
+    coeff = _make(1, 0, _word_count(w), 0)
     return FreePolynomial._of(
         {(_word(arrangement), 0): coeff for arrangement in multiset_permutations(letters)}
     )

@@ -104,3 +104,30 @@ def test_the_tool_prints_the_verdict_last_and_rewrites_no_record(ledger, capsys)
 def test_the_ledger_imports_nothing_from_opalg():
     imports = [line for line in TOOL.read_text().splitlines() if line.startswith(("import ", "from "))]
     assert imports and not any("opalg" in line for line in imports)
+
+
+def test_the_trajectory_reproduces_the_verify_all_ops_list(ledger):
+    rows, skipped = ledger.trajectory("verify_all", "ops_per_s", ROOT)
+    change = {row["record"]: round(row["change"]) for row in rows}
+    named = [f"BENCH_{n}.json" for n in range(45, 51)]
+    assert [change[name] for name in named] == [39299, 39691, 39486, 40498, 42481, 43709]
+    order = [row["record"] for row in rows]
+    assert [name for name in order if name in named] == named
+    # Records are in the order they were made: the first try of PR 48 ran before its record.
+    assert order.index("BENCH_48_first.json") < order.index("BENCH_48.json")
+    same = {row["record"]: row["same_as"] for row in rows}
+    assert (same["BENCH_47.json"], same["BENCH_48.json"], same["BENCH_49.json"]) == (
+        "BENCH_46.json", "BENCH_48_first.json", None)
+    assert [row["record"] for row in rows if row["control"]][:2] == ["BENCH_46.json", "BENCH_47.json"]
+    assert skipped == 23
+
+
+def test_the_trajectory_prints_the_drift_between_records_of_the_same_code(ledger, capsys):
+    assert ledger.main(["--trajectory", "verify_all", "ops_per_s"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("verify_all ops_per_s: ")
+    assert "BENCH_47.json: 39485.7 (39065.1); both sides ran one code; same code as BENCH_46.json, " \
+           "change median -0.5%" in out
+    assert out[-1] == "skipped without a fingerprint: 23"
+    with pytest.raises(SystemExit, match="unknown metric"):
+        ledger.trajectory("verify_all", "ops", ROOT)

@@ -870,6 +870,64 @@ def test_equivalence_sides_match_the_expanding_routes():
         assert report.equal
 
 
+def test_the_von_neumann_left_side_makes_no_scalar_between_substitution_and_walk(monkeypatch):
+    # The substitution hands its integer count maps to the walk, and one
+    # _from_counts makes the scalars at the end.  Before it, the only scalars
+    # made are the substitution's c / (i*hbar), one per run of one
+    # coefficient object, and the fold's -c lookups, at most one per count
+    # map: none per word, and none turned by (-i*hbar)^k.
+    from opalg import scalars
+
+    drho_q, drho_p = mono(0, 0, Letter.DRHO_Q), mono(0, 0, Letter.DRHO_P)
+    rng = random.Random(51)
+    pool = (ONE, HbarScalar.of(-2, 1), HbarScalar.of(Fraction(1, 3)), HbarScalar.of(0, 5, 1))
+    monomials = [mono(n, total - n) for total in range(1, 7) for n in range(total + 1)]
+    assert len(monomials) == 27
+    random_fs = [
+        WeylPolynomial(
+            (WeylMonomial(rng.randint(0, 3), rng.randint(0, 3)), rng.choice(pool))
+            for _ in range(rng.randint(2, 4))
+        )
+        for _ in range(40)
+    ]
+    cases = []
+    for F in monomials + random_fs:
+        dq, dp = weyl_derivative(F, Q), weyl_derivative(F, P)
+        x = expand_polynomial(weyl_product(dq, drho_p) - weyl_product(drho_q, dp))
+        expected = normal_order(substitute_drho(x))
+        assert check_von_neumann_equivalence(F).lhs == expected
+        cases.append((x, expected))
+    made = {"made": 0, "turned": 0}
+    reached = []
+
+    def counting(name, func):
+        def counted(*args):
+            made[name] += 1
+            return func(*args)
+
+        return counted
+
+    from_counts = brackets._from_counts
+
+    def spy(counts_by_coeff):
+        reached.append(dict(made))
+        return from_counts(counts_by_coeff)
+
+    monkeypatch.setattr(scalars, "_new", counting("made", scalars._new))
+    monkeypatch.setattr(core, "times_minus_i_hbar_power", counting("turned", core.times_minus_i_hbar_power))
+    for module in (brackets, core):
+        monkeypatch.setattr(module, "_from_counts", spy)
+    for x, expected in cases:
+        made.update(made=0, turned=0)
+        reached.clear()
+        assert brackets._normal_substituted(x) == expected
+        coeffs = [c for _, c in x.items()]
+        runs = sum(c is not last for c, last in zip(coeffs, [None, *coeffs]))
+        assert len(reached) == 1  # normal_order(substitute_drho(x)) reaches it twice
+        assert reached[0]["turned"] == 0
+        assert reached[0]["made"] <= 2 * runs
+
+
 # -- quantization and the obstruction ---------------------------------------------------
 
 

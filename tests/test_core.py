@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import time
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
@@ -606,6 +607,49 @@ def test_state_letters_are_constants():
 def test_derivative_wrt_state_letter_is_rejected():
     with pytest.raises(ValueError):
         partial_derivative(q, RHO)
+
+
+def per_position_derivative(x: FreePolynomial, wrt: Letter) -> FreePolynomial:
+    """Reference: one deletion per occurrence of the target letter, summed by
+    the public constructor."""
+    return FreePolynomial(
+        (Word(w.letters[:i] + w.letters[i + 1 :]), c)
+        for w, c in x.items()
+        for i, letter in enumerate(w.letters)
+        if letter is wrt
+    )
+
+
+derivative_words = st.lists(st.sampled_from([Q, P, Q, P, RHO, Letter.DRHO_Q]), max_size=10)
+
+
+@given(st.lists(st.tuples(derivative_words.map(lambda ls: Word(tuple(ls))), coeffs), max_size=4))
+def test_a_derivative_by_runs_is_the_per_position_derivative(raw):
+    x = FreePolynomial(raw)
+    for wrt in (Q, P):
+        actual, expected = partial_derivative(x, wrt), per_position_derivative(x, wrt)
+        assert actual == expected
+        assert list(actual.items()) == list(expected.items())  # first-seen order too
+        assert render_text(actual) == render_text(expected)
+        assert render_json(actual) == render_json(expected)
+
+
+def test_a_derivative_of_a_long_word_is_linear_in_its_length():
+    # 10^5 letters in four runs, built as a Word: no quadratic power builds it.
+    n = 25_000
+    x = FreePolynomial.from_word(Word(((Q,) * n + (P,) * n) * 2))
+    start = time.perf_counter()
+    dq, dp = partial_derivative(x, Q), partial_derivative(x, P)
+    assert time.perf_counter() - start < 0.1
+    weight = HbarScalar.real(n)
+    assert dq == FreePolynomial(
+        [(Word((Q,) * (n - 1) + (P,) * n + (Q,) * n + (P,) * n), weight),
+         (Word((Q,) * n + (P,) * n + (Q,) * (n - 1) + (P,) * n), weight)]
+    )
+    assert dp == FreePolynomial(
+        [(Word((Q,) * n + (P,) * (n - 1) + (Q,) * n + (P,) * n), weight),
+         (Word((Q,) * n + (P,) * n + (Q,) * n + (P,) * (n - 1)), weight)]
+    )
 
 
 @given(qp_polys)

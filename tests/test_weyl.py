@@ -163,6 +163,72 @@ def test_symmetrize_with_shared_coefficients_matches_the_per_term_reference(raw)
     assert symmetrize(x) == symmetrize_per_term(x)
 
 
+def test_symmetrize_of_expansions_makes_one_scalar_per_monomial(monkeypatch):
+    # A run of words that repeats its letter counts and its coefficient
+    # object is counted in an int and merged once, so an expansion makes one
+    # scalar per monomial, none for a single word, and multiplies nothing.
+    from opalg import scalars
+
+    singles = [expand(WeylMonomial(n, m, d)) for n in range(5) for m in range(5) for d in (None, DQ)]
+    values = list(singles)
+    values.append(expand_polynomial(mono(3, 2).scale(SHARED) + mono(1, 0) + mono(0, 2, DQ).scale(3)))
+    values.append(expand_polynomial(mono(2, 1)) * expand_polynomial(mono(1, 2).scale(SHARED)))
+    expected = [symmetrize_per_term(x) for x in values]  # lists every value first
+    made = {"made": 0, "mul": 0, "merge": 0}
+
+    def counting(name, func):
+        def counted(*args):
+            made[name] += 1
+            return func(*args)
+
+        return counted
+
+    monkeypatch.setattr(scalars, "_new", counting("made", scalars._new))
+    monkeypatch.setattr(HbarScalar, "__mul__", counting("mul", HbarScalar.__mul__))
+    monkeypatch.setattr(weyl, "_merge", counting("merge", weyl._merge))
+    for x, image in zip(values, expected):
+        made.update(made=0, mul=0, merge=0)
+        assert symmetrize(x) == image
+        words, runs, last = {}, 0, None
+        for w, c in x.items():
+            key = (w.count(Q), w.count(P), id(c))  # a run repeats the object
+            words[key[:2]] = words.get(key[:2], 0) + 1
+            runs += key != last
+            last = key
+        assert (made["made"], made["mul"]) == (sum(n > 1 for n in words.values()), 0), x
+        # One merge per run, and one for a single expansion of several words.
+        assert made["merge"] <= runs < len(x) or len(x) == 1, x
+        if any(x is single for single in singles):
+            assert made["merge"] == (len(x) > 1), x
+
+
+def test_symmetrize_skips_graded_terms_inside_a_run():
+    words = arrangements(Q, Q, P, DQ)
+    graded = SHARED * HbarScalar.of(1, 0, 1)
+    x = FreePolynomial._of(
+        {(w, 0): SHARED for w in words[:5]}
+        | {(w, 1): graded for w in words}
+        | {(w, 0): SHARED for w in words[5:]}
+    )
+    assert symmetrize(x) == mono(2, 1, DQ).scale(SHARED * 12) == symmetrize_per_term(x)
+
+
+@pytest.mark.parametrize(
+    "letters, grade, message",
+    [
+        ((Q, P), -1, "the symmetrizer is not defined on negative hbar grades"),
+        ((Q, Letter.RHO), 0, "the symmetrizer is not defined on words containing the bare state symbol"),
+        ((DQ, Q, Letter.DRHO_P), 0, "the symmetrizer supports at most one state-derivative letter per word"),
+    ],
+)
+def test_symmetrize_errors_keep_their_messages(letters, grade, message):
+    # The offending word comes after a run of an expansion's words.
+    x = expand(WeylMonomial(2, 2)) + FreePolynomial.from_word(Word(letters), HbarScalar.of(1, 0, grade))
+    with pytest.raises(UnsupportedFragmentError) as raised:
+        symmetrize(x)
+    assert str(raised.value) == message
+
+
 # -- expand ----------------------------------------------------------------------
 
 
