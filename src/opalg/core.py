@@ -57,8 +57,8 @@ class Word(TaggedTuple):
     Stored as the tuple ``(letters, Word)``: the class tag keeps a word
     unequal to any plain tuple and to a :class:`~opalg.weyl.WeylMonomial`,
     while hashing and ``==`` stay tuple's.  Read it through ``letters``; only
-    the package's hot key hooks read ``word[0]``: the key hook of
-    :func:`multiply` and :func:`~opalg.weyl._monomial_of_word`."""
+    the package's hot paths read ``word[0]``: the key hook of
+    :func:`multiply` and :func:`~opalg.weyl.symmetrize`."""
 
     __slots__ = ()
     _fields = ("letters",)

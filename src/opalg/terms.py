@@ -42,14 +42,17 @@ Count, then scale: where many terms share one coefficient object, as the
 words of an expansion do, an operation pays one scalar operation per
 coefficient rather than per term.  The pair loop reuses ``cx * cy``, or
 ``-(cx * cy)`` in a negative part, along a run of one ``cy``, and a
-negation reuses ``-c`` along a run of one ``c``.  The symmetrizer sends
-each word's term to its monomial's slot through :func:`sum_into`, where
-the words of one monomial add in integers and make one scalar per
-surviving slot.  The state-derivative substitution counts integer
-multiplicities per coefficient and scales once per surviving slot, as
-:func:`~opalg.core.normal_order` does.  The commutator takes both operands'
-normal forms as those integer count maps and pairs them: one
-``cf * cg`` per pair of source coefficients, int products per pair of slots.
+negation reuses ``-c`` along a run of one ``c``.  The symmetrizer counts
+a run of words that repeats both its monomial and its coefficient object
+in an int, adds each run into the monomial's slot with one :func:`_merge`,
+and makes one scalar per surviving slot with :func:`_settle`.  The
+state-derivative substitution counts integer multiplicities per
+coefficient.  The von Neumann check's left side hands those counts, ``c``
+and ``-c`` folded, straight to the walk of
+:func:`~opalg.core.normal_order`, and makes its scalars once, after the
+walk.  The commutator takes both operands' normal forms as integer count
+maps and pairs them: one ``cf * cg`` per pair of source coefficients, int
+products per pair of slots.
 Both orders of two pure slots ``q^a p^b``, ``q^c p^d`` land on the same
 words, so one count per ``t >= 1``, ``t! (C(b,t) C(c,t) - C(d,t) C(a,t))``,
 stands for both, and the cancelling ``t = 0`` pair is never counted.

@@ -25,7 +25,6 @@ from .core import (
     DERIVATIVE_LETTERS,
     FreePolynomial,
     Letter,
-    Word,
     _arrangement_counts,
     _from_counts,
     _normal_counts,
@@ -155,7 +154,7 @@ def symmetrize(x: FreePolynomial) -> WeylPolynomial:
     if run:
         _add_run(acc, merged, key, coeff, run)
     _settle(acc, merged)
-    return WeylPolynomial._of({(_monomial(*key), 0): c for (key, _), c in acc.items()})
+    return WeylPolynomial._of({(_monomial(*nm), 0): c for (nm, _), c in acc.items()})
 
 
 def _add_run(acc: dict, merged: list, key: tuple, coeff: HbarScalar, run: int) -> None:
