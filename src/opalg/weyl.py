@@ -153,7 +153,8 @@ def symmetrize(x: FreePolynomial) -> WeylPolynomial:
         key, coeff, run = nm, scalar, 1
     if run:
         _add_run(acc, merged, key, coeff, run)
-    _settle(acc, merged)
+    if merged:
+        _settle(acc, merged)
     return WeylPolynomial._of({(_monomial(*nm), 0): c for (nm, _), c in acc.items()})
 
 
