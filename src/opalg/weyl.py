@@ -130,11 +130,11 @@ def symmetrize(x: FreePolynomial) -> WeylPolynomial:
     Count, then scale: each grade-0 word's letter counts make a plain key
     ``(n, m, deriv)``, and a run of words that repeats both the key and the
     coefficient object, as the words of an expansion or of a product of
-    expansions do, is counted in an int.  Each run adds its count times the
-    coefficient into the key's slot through :func:`~opalg.terms._merge`,
-    and :func:`~opalg.terms._settle` makes one scalar per merged slot that
-    survives: a single expansion makes one scalar, and none if it has one
-    word.  One :class:`WeylMonomial` per surviving slot is built at the end.
+    expansions do, is counted in an int.  Each run builds its monomial once
+    and adds its count times the coefficient into the monomial's slot
+    through :func:`~opalg.terms._merge`, and :func:`~opalg.terms._settle`
+    makes one scalar per merged slot that survives: a single expansion
+    makes one scalar, and none if it has one word.
     """
     acc, merged, key, coeff, run = {}, [], None, None, 0
     for (word, grade), scalar in x._terms.items():
@@ -153,16 +153,14 @@ def symmetrize(x: FreePolynomial) -> WeylPolynomial:
         key, coeff, run = nm, scalar, 1
     if run:
         _add_run(acc, merged, key, coeff, run)
-    if merged:
-        _settle(acc, merged)
-    return WeylPolynomial._of({(_monomial(*nm), 0): c for (nm, _), c in acc.items()})
+    return WeylPolynomial._of(_settle(acc, merged) if merged else acc)
 
 
 def _add_run(acc: dict, merged: list, key: tuple, coeff: HbarScalar, run: int) -> None:
-    """Add ``run`` times ``coeff`` into the slot ``(key, 0)`` of ``acc``: a
-    new slot stores ``coeff`` itself for the run's first word, and the rest
-    of the run merges in integers (:func:`~opalg.terms._merge`)."""
-    slot = (key, 0)
+    """Add ``run`` times ``coeff`` into the slot of ``key``'s monomial in
+    ``acc``: a new slot stores ``coeff`` itself for the run's first word,
+    and the rest of the run merges in integers (:func:`~opalg.terms._merge`)."""
+    slot = (_monomial(*key), 0)
     current = acc.get(slot)
     if current is None:
         acc[slot] = current = coeff
