@@ -163,9 +163,9 @@ def trajectory(workload: str, name: str, directory: Path = ROOT) -> tuple[list[d
     return rows, skipped
 
 
-def trajectory_lines(workload: str, name: str, directory: Path = ROOT) -> list[str]:
+def trajectory_lines(workload: str, name: str) -> list[str]:
     """The lines that ``--trajectory`` prints."""
-    rows, skipped = trajectory(workload, name, directory)
+    rows, skipped = trajectory(workload, name)
     change = {row["record"]: row["change"] for row in rows}
     lines = [f"{workload} {name}: change median (parent median) per record, in the order made"]
     for row in rows:
