@@ -23,12 +23,15 @@ from .errors import UnsupportedFragmentError
 from .scalars import HbarScalar, INV_I_HBAR, ONE, RationalLike
 from .terms import GradedTerms, TaggedTuple, bilinear, bilinear_sum
 from .weyl import (
+    _MEMO_WORDS,
     WeylMonomial,
     _add_exponents,
     _monomial,
     WeylPolynomial,
     _normal_form_counts,
     _product_difference,
+    _word_count,
+    expand,
     expand_polynomial,
     normal_form,
     weyl_derivative,
@@ -238,7 +241,8 @@ def _substitution_counts(x: FreePolynomial) -> dict[HbarScalar, dict]:
     :func:`substitute_drho`'s result, before any scalar is made: each
     replacement word adds its sign under ``c / (i*hbar)**d``, made once per
     run of words that share ``c``'s object and ``d``, as an expansion's
-    words do."""
+    words do.  So one monomial's expansion, as the von Neumann left side
+    passes it (:func:`_walked_expansion`), gives a single count map."""
     counts_by_coeff: dict[HbarScalar, dict] = {}
     last = last_d = None
     for (word, _), coeff in x._terms.items():
@@ -255,24 +259,46 @@ def _substitution_counts(x: FreePolynomial) -> dict[HbarScalar, dict]:
     return counts_by_coeff
 
 
-def _normal_substituted(x: FreePolynomial) -> FreePolynomial:
-    """``normal_order(substitute_drho(x))``, with no scalar made between the
-    substitution and the walk: the substitution's count maps, their ``c``
-    and ``-c`` folded (:func:`~opalg.core._fold_opposites`), go word by word
-    through the walk of :func:`~opalg.core.normal_order`, each word's count
-    times each of its slot counts, and one
-    :func:`~opalg.core._from_counts` makes the scalars.  The walk is read
-    from ``core`` at each call, so whatever walk ``normal_order`` runs,
-    this one runs."""
-    memo, longest = core._word_normal_form, core._MEMO_LETTERS
-    walked: dict[HbarScalar, dict] = {}
-    for coeff, counts in core._fold_opposites(_substitution_counts(x)).items():
-        sums = walked[coeff] = {}
-        for (letters, _, _), n in counts.items():
-            if n:
-                for slot, m in (memo if len(letters) <= longest else memo.__wrapped__)(letters):
-                    sums[slot] = sums.get(slot, 0) + n * m
+def _normal_substituted(lhs_weyl: WeylPolynomial) -> FreePolynomial:
+    """``normal_order(substitute_drho(expand_polynomial(lhs_weyl)))``, each
+    derivative monomial expanded, substituted and walked once per process.
+    The result is linear in the Weyl terms, so a term ``(w, c)`` adds the
+    counts of ``w``'s entry (:func:`_walked_expansion`) under ``c`` times
+    the entry's coefficient, one scalar per term, and one
+    :func:`~opalg.core._from_counts`, the only fold of ``c`` into ``-c``,
+    makes the scalars.  The walk is read from ``core`` at each call and
+    keys the entry, so whatever walk ``normal_order`` runs, this one runs."""
+    walk, walked = core._word_normal_form, {}
+    for (w, _), c in lhs_weyl._terms.items():
+        small = _word_count(w) <= _MEMO_WORDS and w.n + w.m + 2 <= core._MEMO_LETTERS
+        coeff, slots, counts = (_walked_expansion if small else _walked_expansion.__wrapped__)(w, walk)
+        sums = walked.setdefault(c * coeff, {})
+        for slot, n in zip(slots, counts):
+            sums[slot] = sums.get(slot, 0) + n
     return _from_counts(walked)
+
+
+# The entry memo keeps a monomial whose expansion has at most
+# weyl._MEMO_WORDS words and whose substituted words the walk memo keeps (at
+# most core._MEMO_LETTERS letters): a bound on the words alone would keep
+# q^279 drho_q, whose entry holds 839 slots of up to 281 letters, about 2 MB.
+# A kept entry holds at most 60 slots, as q^6 p^2 drho_q has, and at most
+# about 13 KB with its key, as q^9 p drho_q has, so the 256 entries hold at
+# most about 3.4 MB.  A larger monomial is walked at each call.
+@lru_cache(maxsize=256)
+def _walked_expansion(w: WeylMonomial, walk) -> tuple[HbarScalar, tuple, tuple]:
+    """``normal_order(substitute_drho(expand(w)))`` as ``(coeff, slots,
+    counts)``: the words of ``expand(w)`` share one coefficient and one
+    derivative count, so :func:`_substitution_counts` gives one count map,
+    and each word of it is walked by ``walk`` with its count multiplied in.
+    The slots are the walk memo's own objects."""
+    [(coeff, counts)] = _substitution_counts(expand(w)).items()
+    longest, sums = core._MEMO_LETTERS, {}
+    for (letters, _, _), n in counts.items():
+        if n:
+            for slot, m in (walk if len(letters) <= longest else walk.__wrapped__)(letters):
+                sums[slot] = sums.get(slot, 0) + n * m
+    return coeff, tuple(sums), tuple(sums.values())
 
 
 # The substitution memo keeps a word whose replacement words hold at most
@@ -412,14 +438,16 @@ def check_von_neumann_equivalence(F: WeylPolynomial) -> EqualityReport:
     derivative letters through the symmetric product, expands, substitutes
     the derivative letters by their commutator expressions, and normal
     orders; most cross terms cancel in the free normal form.  Count, then
-    scale: the substitution hands its integer count maps to the walk, and
-    the left side makes its scalars once, after the walk
+    scale: each derivative monomial's expansion is substituted and walked as
+    integer counts once per process, and the left side adds them under one
+    scalar per Weyl term and makes its scalars once, after the walk
     (:func:`_normal_substituted`).  The right side
     is :func:`commutator_bracket` of ``F`` and ``rho``, the normal form of
     ``(F rho - rho F) / (i*hbar)``, which takes ``F``'s normal form from
-    McCoy's closed form without expanding it.  So the two sides share no
-    route: only the left side expands.  Both are compared exactly in the
-    free algebra over q, p, rho.
+    McCoy's closed form without expanding it, and carries no memo: it is
+    computed in full for every ``F``.  So the two sides share no route:
+    only the left side expands.  Both are compared exactly in the free
+    algebra over q, p, rho.
 
     ``rho`` holds a state letter, so the commutator chooses its junction
     product for every slot pair, and it reaches the walk of
@@ -435,7 +463,7 @@ def check_von_neumann_equivalence(F: WeylPolynomial) -> EqualityReport:
             )
     dq, dp = weyl_derivative(F, Letter.Q), weyl_derivative(F, Letter.P)
     lhs_weyl = _product_difference(dq, _DRHO_P_MONO, _DRHO_Q_MONO, dp)
-    lhs = _normal_substituted(expand_polynomial(lhs_weyl))
+    lhs = _normal_substituted(lhs_weyl)
     rhs = commutator_bracket(F, _RHO)
     return EqualityReport(lhs, rhs, lhs - rhs)
 

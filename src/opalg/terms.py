@@ -47,10 +47,10 @@ a run of words that repeats both its monomial and its coefficient object
 in an int, adds each run into the monomial's slot with one :func:`_merge`,
 and makes one scalar per surviving slot with :func:`_settle`.  The
 state-derivative substitution counts integer multiplicities per
-coefficient.  The von Neumann check's left side hands those counts, ``c``
-and ``-c`` folded, straight to the walk of
-:func:`~opalg.core.normal_order`, and makes its scalars once, after the
-walk.  The commutator takes both operands' normal forms as integer count
+coefficient.  The von Neumann check's left side hands those counts straight
+to the walk of :func:`~opalg.core.normal_order`, once per derivative
+monomial and process, adds each monomial's walked counts under one scalar
+per Weyl term, and makes its scalars once, after the walk.  The commutator takes both operands' normal forms as integer count
 maps and pairs them: one ``cf * cg`` per pair of source coefficients, int
 products per pair of slots.
 Both orders of two pure slots ``q^a p^b``, ``q^c p^d`` land on the same

@@ -16,7 +16,6 @@ assuming it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -173,7 +172,7 @@ def _expansion(w: WeylMonomial) -> FreePolynomial:
     letters: list[Letter] = [Letter.Q] * w.n + [Letter.P] * w.m
     if w.deriv is not None:
         letters.append(w.deriv)
-    coeff = _make(1, 0, _word_count(w), 0)
+    coeff = _weight(w)
     return FreePolynomial._of(
         {(_word(arrangement), 0): coeff for arrangement in multiset_permutations(letters)}
     )
@@ -210,9 +209,10 @@ def _word_count(w: WeylMonomial) -> int:
     return comb(n + m, m) * (1 if deriv is None else n + m + 1)
 
 
-def _weight(w: WeylMonomial) -> Fraction:
-    """The coefficient of each word of ``expand(w)``, ``n! m! / (n + m + e)!``."""
-    return Fraction(1, _word_count(w))
+def _weight(w: WeylMonomial, c: HbarScalar = ONE) -> HbarScalar:
+    """``c`` times the coefficient of each word of ``expand(w)``,
+    ``n! m! / (n + m + e)!``, made in ints: no ``Fraction``."""
+    return _make(c._re, c._im, c._den * _word_count(w), c._power)
 
 
 def expand_polynomial(x: WeylPolynomial) -> FreePolynomial:
@@ -230,7 +230,7 @@ def expand_polynomial(x: WeylPolynomial) -> FreePolynomial:
     read the record instead, and never list them.  A value with a
     derivative letter is listed here and has no record.
     """
-    terms = [(monomial, coeff * _weight(monomial)) for (monomial, _), coeff in x._terms.items()]
+    terms = [(monomial, _weight(monomial, coeff)) for (monomial, _), coeff in x._terms.items()]
     if any(monomial.deriv is not None for monomial, _ in terms):
         return FreePolynomial._of(_word_slots(terms))
     value = object.__new__(FreePolynomial)
@@ -332,7 +332,7 @@ def _normal_form_counts(x: FreePolynomial | WeylPolynomial) -> dict[HbarScalar, 
     pure, derived = [], {}
     for (w, grade), c in x._terms.items():
         if w.deriv is None:
-            pure.append((w.n, w.m, c * _weight(w)))
+            pure.append((w.n, w.m, _weight(w, c)))
         else:
             derived[w, grade] = c
     counts_by_coeff = _arrangement_counts(pure)

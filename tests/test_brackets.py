@@ -871,11 +871,12 @@ def test_equivalence_sides_match_the_expanding_routes():
 
 
 def test_the_von_neumann_left_side_makes_no_scalar_between_substitution_and_walk(monkeypatch):
-    # The substitution hands its integer count maps to the walk, and one
-    # _from_counts makes the scalars at the end.  Before it, the only scalars
-    # made are the substitution's c / (i*hbar), one per run of one
-    # coefficient object, and the fold's -c lookups, at most one per count
-    # map: none per word, and none turned by (-i*hbar)^k.
+    # Each Weyl term adds its monomial's memoized entry, substituted and walked
+    # as integer counts, under one scalar, and one _from_counts makes the
+    # scalars at the end, folding c into -c once.  Before it, the only scalars
+    # made are c times the entry's coefficient, one per Weyl term, and the
+    # fold's -c lookups, at most one per count map: none per word, and none
+    # turned by (-i*hbar)^k.
     from opalg import scalars
 
     drho_q, drho_p = mono(0, 0, Letter.DRHO_Q), mono(0, 0, Letter.DRHO_P)
@@ -893,11 +894,11 @@ def test_the_von_neumann_left_side_makes_no_scalar_between_substitution_and_walk
     cases = []
     for F in monomials + random_fs:
         dq, dp = weyl_derivative(F, Q), weyl_derivative(F, P)
-        x = expand_polynomial(weyl_product(dq, drho_p) - weyl_product(drho_q, dp))
-        expected = normal_order(substitute_drho(x))
+        lhs_weyl = weyl_product(dq, drho_p) - weyl_product(drho_q, dp)
+        expected = normal_order(substitute_drho(expand_polynomial(lhs_weyl)))
         assert check_von_neumann_equivalence(F).lhs == expected
-        cases.append((x, expected))
-    made = {"made": 0, "turned": 0}
+        cases.append((lhs_weyl, expected))
+    made = {"made": 0, "turned": 0, "folded": 0}
     reached = []
 
     def counting(name, func):
@@ -915,17 +916,66 @@ def test_the_von_neumann_left_side_makes_no_scalar_between_substitution_and_walk
 
     monkeypatch.setattr(scalars, "_new", counting("made", scalars._new))
     monkeypatch.setattr(core, "times_minus_i_hbar_power", counting("turned", core.times_minus_i_hbar_power))
+    monkeypatch.setattr(core, "_fold_opposites", counting("folded", core._fold_opposites))
     for module in (brackets, core):
         monkeypatch.setattr(module, "_from_counts", spy)
-    for x, expected in cases:
-        made.update(made=0, turned=0)
+    for lhs_weyl, expected in cases:
+        made.update(made=0, turned=0, folded=0)
         reached.clear()
-        assert brackets._normal_substituted(x) == expected
-        coeffs = [c for _, c in x.items()]
-        runs = sum(c is not last for c, last in zip(coeffs, [None, *coeffs]))
+        assert brackets._normal_substituted(lhs_weyl) == expected
         assert len(reached) == 1  # normal_order(substitute_drho(x)) reaches it twice
         assert reached[0]["turned"] == 0
-        assert reached[0]["made"] <= 2 * runs
+        assert reached[0]["folded"] == 0
+        assert reached[0]["made"] <= 2 * len(lhs_weyl)
+        assert made["folded"] == 1
+
+
+def _left_side_inputs() -> list[WeylPolynomial]:
+    """Weyl values of derivative monomials whose terms meet as ``c`` and ``-c``
+    once scaled by their words' weight (``q p^2`` and ``q^2 p`` both have 12
+    words with a derivative letter), with hbar-graded and complex
+    coefficients, and with repeated coefficient objects."""
+    c, d = HbarScalar.of(Fraction(2, 3), -1), HbarScalar.of(5, 0, 2)
+    pool = (ONE, -ONE, c, -c, d, -d, I_HBAR, HbarScalar.of(0, Fraction(-1, 7), -1))
+    derivs = (Letter.DRHO_P, Letter.DRHO_Q)
+    pairs = [
+        WeylPolynomial([(WeylMonomial(1, 2, Letter.DRHO_P), c), (WeylMonomial(2, 1, Letter.DRHO_P), -c)]),
+        WeylPolynomial([(WeylMonomial(0, 3, Letter.DRHO_Q), d), (WeylMonomial(3, 0, Letter.DRHO_P), -d)]),
+    ]
+    rng = random.Random(52)
+    return pairs + [
+        WeylPolynomial(
+            (WeylMonomial(rng.randint(0, 4), rng.randint(0, 3), rng.choice(derivs)), rng.choice(pool))
+            for _ in range(rng.randint(1, 6))
+        )
+        for _ in range(60)
+    ]
+
+
+def test_the_von_neumann_left_side_memo_agrees_cold_and_warm():
+    memo = brackets._walked_expansion
+    for lhs_weyl in _left_side_inputs():
+        expected = normal_order(substitute_drho(expand_polynomial(lhs_weyl)))
+        memo.cache_clear()
+        assert brackets._normal_substituted(lhs_weyl) == expected
+        assert memo.cache_info().currsize == len({w for w, _ in lhs_weyl.items()})
+        assert brackets._normal_substituted(lhs_weyl) == expected
+    for lhs_weyl in _left_side_inputs():  # warm from the other inputs
+        expected = normal_order(substitute_drho(expand_polynomial(lhs_weyl)))
+        assert brackets._normal_substituted(lhs_weyl) == expected
+
+
+def test_the_von_neumann_left_side_memo_keeps_no_large_monomial():
+    # q^3 p^5 drho_p has 504 words, above the word bound; q^11 drho_q has 12
+    # words of 13 letters once substituted, more than the walk memo keeps.
+    memo = brackets._walked_expansion
+    for w in (WeylMonomial(3, 5, Letter.DRHO_P), WeylMonomial(11, 0, Letter.DRHO_Q)):
+        lhs_weyl = WeylPolynomial([(w, HbarScalar.of(1, 2)), (WeylMonomial(1, 1, Letter.DRHO_Q), ONE)])
+        expected = normal_order(substitute_drho(expand_polynomial(lhs_weyl)))
+        brackets._normal_substituted(lhs_weyl)
+        size = memo.cache_info().currsize
+        assert brackets._normal_substituted(lhs_weyl) == expected
+        assert memo.cache_info().currsize == size
 
 
 # -- quantization and the obstruction ---------------------------------------------------
