@@ -224,13 +224,14 @@ def substitute_drho(x: FreePolynomial) -> FreePolynomial:
 
     A word's ``d`` derivative letters give all ``2**d`` replacement words
     at once (the word itself when ``d = 0``), from one scan of its letters
-    (:func:`_replacements`), memoized per word: a process scans each
-    distinct word once, unless its replacements are too large to keep.
-    Each one's coefficient is ``c / (i*hbar)**d`` or its negative, negated
-    once per ``rho q`` from a ``drho_p`` and once per ``p rho`` from a
-    ``drho_q``.  Count, then scale: :func:`_substitution_counts` adds ``+1``
-    or ``-1`` per replacement word to its count under ``c / (i*hbar)**d``,
-    so the telescoping cancellation between words happens in ints, and
+    (:func:`_replacements`) at each call; the von Neumann left side scans
+    a kept monomial's words once per process, inside its entry
+    (:func:`_walked_expansion`).  Each one's coefficient is
+    ``c / (i*hbar)**d`` or its negative, negated once per ``rho q`` from a
+    ``drho_p`` and once per ``p rho`` from a ``drho_q``.  Count, then
+    scale: :func:`_substitution_counts` adds ``+1`` or ``-1`` per
+    replacement word to its count under ``c / (i*hbar)**d``, so the
+    telescoping cancellation between words happens in ints, and
     :func:`~opalg.core._from_counts` makes one scalar per surviving count.
     """
     return _from_counts(_substitution_counts(x))
@@ -239,10 +240,12 @@ def substitute_drho(x: FreePolynomial) -> FreePolynomial:
 def _substitution_counts(x: FreePolynomial) -> dict[HbarScalar, dict]:
     """The per-coefficient count maps ``(letters, 0, 0) -> n`` of
     :func:`substitute_drho`'s result, before any scalar is made: each
-    replacement word adds its sign under ``c / (i*hbar)**d``, made once per
-    run of words that share ``c``'s object and ``d``, as an expansion's
-    words do.  So one monomial's expansion, as the von Neumann left side
-    passes it (:func:`_walked_expansion`), gives a single count map."""
+    replacement word, scanned afresh from its word by
+    :func:`_replacements`, adds its sign under ``c / (i*hbar)**d``, made
+    once per run of words that share ``c``'s object and ``d``, as an
+    expansion's words do.  So one monomial's expansion, as the von Neumann
+    left side passes it (:func:`_walked_expansion`), gives a single count
+    map."""
     counts_by_coeff: dict[HbarScalar, dict] = {}
     last = last_d = None
     for (word, _), coeff in x._terms.items():
@@ -253,8 +256,7 @@ def _substitution_counts(x: FreePolynomial) -> dict[HbarScalar, dict]:
             for _ in range(d):
                 c = c * INV_I_HBAR
             counts = counts_by_coeff.setdefault(c, {})
-        small = (len(letters) + d) << d <= _MEMO_REPLACED_LETTERS
-        for slot, sign in (_replacements if small else _replacements.__wrapped__)(letters):
+        for slot, sign in _replacements(letters):
             counts[slot] = counts.get(slot, 0) + sign
     return counts_by_coeff
 
@@ -301,21 +303,12 @@ def _walked_expansion(w: WeylMonomial, walk) -> tuple[HbarScalar, tuple, tuple]:
     return coeff, tuple(sums), tuple(sums.values())
 
 
-# The substitution memo keeps a word whose replacement words hold at most
-# _MEMO_REPLACED_LETTERS letters in all: 2**d words of its length plus d.  A
-# bound on the word's length alone would not do, as d derivative letters
-# make 2**d words.  Such an entry takes at most about 1 KB with its key, so
-# the 2,048 entries hold at most about 2.5 MB.  A larger word is substituted
-# at each call.
-_MEMO_REPLACED_LETTERS = 64
-
-
-@lru_cache(maxsize=2048)
 def _replacements(letters: tuple[Letter, ...]) -> tuple[tuple[tuple, int], ...]:
     """The ``2**d`` signed replacement slots ``((letters, 0, 0), sign)`` of
     one word with ``d`` derivative letters, as :func:`substitute_drho` makes
-    them; memoized for a word whose replacements hold at most
-    ``_MEMO_REPLACED_LETTERS`` letters."""
+    them.  It keeps no memo: the von Neumann left side substitutes each
+    word inside its monomial's entry (:func:`_walked_expansion`), and
+    distinct monomials share no word."""
     Q, P, RHO, DRHO_Q, DRHO_P = Letter
     heads, start = [((), 1)], 0  # (letters before start, sign)
     for i, letter in enumerate(letters):

@@ -25,6 +25,7 @@ from opalg.errors import UnsupportedFragmentError
 from opalg.oracle import oracle_equal
 from opalg.printing import render_json, render_text
 from opalg.scalars import HbarScalar, INV_I_HBAR, I_HBAR, ONE
+from opalg.suites import run_suite
 from opalg.weyl import (
     WeylMonomial,
     WeylPolynomial,
@@ -765,36 +766,16 @@ def _replacements_by_letter(letters: tuple) -> dict:
     return slots
 
 
-def test_the_substitution_memo_equals_a_per_letter_reference():
-    memo = brackets._replacements
+def test_the_replacements_equal_a_per_letter_reference():
     derivatives = (Letter.DRHO_Q, Letter.DRHO_P)
     for size in range(6):
         for letters in product((Q, P, RHO) + derivatives, repeat=size):
             if sum(letter in derivatives for letter in letters) > 3:
                 continue
-            expected = _replacements_by_letter(letters)
-            memo(letters)
-            hits = memo.cache_info().hits
-            assert dict(memo(letters)) == dict(memo.__wrapped__(letters)) == expected, letters
-            assert memo.cache_info().hits == hits + 1
-
-
-def test_the_substitution_memo_keeps_no_large_word_and_holds_its_maxsize():
-    memo = brackets._replacements
-    memo.cache_clear()
-    # (4 + 4) << 4 = 128 letters of replacement words: over the bound
+            assert dict(brackets._replacements(letters)) == _replacements_by_letter(letters), letters
+    # four derivative letters, more than the words above hold
     large = FreePolynomial.from_letters(Letter.DRHO_P, Letter.DRHO_Q, Letter.DRHO_P, Letter.DRHO_Q)
     assert substitute_drho(large) == _substitute_drho_by_stack(large)
-    assert memo.cache_info().currsize == 0
-    # (3 + 3) << 3 = 48 letters: kept
-    substitute_drho(FreePolynomial.from_letters(Letter.DRHO_P, Letter.DRHO_Q, Letter.DRHO_P))
-    assert memo.cache_info().currsize == 1
-    maxsize = memo.cache_info().maxsize
-    words = list(product((Q, P, RHO), repeat=7))
-    assert len(words) > maxsize
-    for letters in words:
-        substitute_drho(FreePolynomial.from_letters(*letters, Letter.DRHO_P))
-    assert memo.cache_info().currsize == maxsize
 
 
 # -- von Neumann equivalence -----------------------------------------------------------
@@ -976,6 +957,28 @@ def test_the_von_neumann_left_side_memo_keeps_no_large_monomial():
         size = memo.cache_info().currsize
         assert brackets._normal_substituted(lhs_weyl) == expected
         assert memo.cache_info().currsize == size
+
+
+def test_each_derivative_monomial_is_substituted_once_per_process(monkeypatch):
+    # Why _replacements keeps no memo: on the von Neumann left side each word
+    # is substituted inside its monomial's entry, distinct monomials share no
+    # word, and a warm entry substitutes nothing.
+    brackets._walked_expansion.cache_clear()
+    substituted = []
+    replacements = brackets._replacements
+    monkeypatch.setattr(
+        brackets, "_replacements", lambda letters: substituted.append(letters) or replacements(letters)
+    )
+    for seed in (1, 2, 3):
+        for suite in ("eq20", "eq21"):
+            assert run_suite(suite, seed=seed).passed, (suite, seed)
+    assert substituted
+    assert len(set(substituted)) == len(substituted)
+    first = len(substituted)
+    for seed in (1, 2, 3):
+        for suite in ("eq20", "eq21"):
+            assert run_suite(suite, seed=seed).passed, (suite, seed)
+    assert len(substituted) == first
 
 
 # -- quantization and the obstruction ---------------------------------------------------

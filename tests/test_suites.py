@@ -420,7 +420,9 @@ def test_eq20_and_eq21_catch_a_walk_state_step_mutant(monkeypatch):
     # state words: the symmetric side walks them, and the commutator meets
     # a state letter only in its own junction product.  The walk sits under
     # a per-word memo, which the true walk warms first: the mutant replaces
-    # the memo as a whole, so no warm entry hides it.
+    # the memo as a whole, so no warm entry hides it.  The left side's entry
+    # memo (brackets._walked_expansion) is warm too; its (w, walk) key gives
+    # the mutant walk fresh entries, so a cold memo is not why it is seen.
     walks = [
         f
         for f in (getattr(value, "__wrapped__", value) for value in vars(core).values())
@@ -437,6 +439,7 @@ def test_eq20_and_eq21_catch_a_walk_state_step_mutant(monkeypatch):
         for suite in ("eq20", "eq21"):
             assert run_suite(suite, seed=seed).passed, (suite, seed)
     assert getattr(core, name).cache_info().currsize > 0
+    assert brackets._walked_expansion.cache_info().currsize > 0
     for module in (core, weyl):
         if hasattr(module, name):
             monkeypatch.setattr(module, name, namespace[name])
